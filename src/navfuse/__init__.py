@@ -12,6 +12,7 @@ from .attitude import (
     AttitudeEstimator,
     AttitudeState,
     FusionGains,
+    ImuArrays,
     ImuSample,
     accel_to_roll_pitch,
     complementary_angle,
@@ -59,6 +60,7 @@ __all__ = [
     "FusionOutput",
     "GeoPoint",
     "GpsFix",
+    "ImuArrays",
     "ImuSample",
     "NavEstimator",
     "NavState",

@@ -3,7 +3,9 @@
 The hot per-sample loops exist twice: a Cython extension (``_core``) built at
 install time, and a pure-Python mirror (``_pyref``) used when the extension
 is missing or when ``NAVFUSE_PURE_PYTHON=1`` is set. Both produce
-bit-identical outputs; ``benchmarks/bench_backends.py`` compares their speed.
+bit-identical outputs; ``python3 navbench/run.py --trace 1`` reports each
+backend's kernel time per op (``attitude.run_s.<backend>`` and
+``navigation.run_s.<backend>``).
 """
 
 from __future__ import annotations

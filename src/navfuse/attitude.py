@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +68,23 @@ class ImuSample:
         vals = (self.t, *self.accel, *self.gyro, *(self.mag or ()))
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("ImuSample components must be finite")
+
+
+class ImuArrays(NamedTuple):
+    """An IMU stream as column arrays sharing the row index, in the order
+    ``AttitudeEstimator.run`` takes them; units as for ``ImuSample``. Rows
+    without a magnetometer reading have ``has_mag`` 0 and a zero ``mag``.
+    """
+
+    t: np.ndarray         # (n,) seconds
+    accel: np.ndarray     # (n, 3)
+    gyro: np.ndarray      # (n, 3)
+    mag: np.ndarray       # (n, 3)
+    has_mag: np.ndarray   # (n,) uint8
+
+    @property
+    def t_ms(self) -> np.ndarray:
+        return np.rint(self.t * 1000.0).astype(np.int64)
 
 
 @dataclass(frozen=True)

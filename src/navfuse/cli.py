@@ -17,20 +17,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import _kernels, telemetry
 from .attitude import AttitudeEstimator, FusionGains
 from .errors import RecordingFormatError, TimestampOrderError
 from .filters import design_butterworth2_lp, design_chebyshev1_2_lp
-from .flightsim import (
-    generate_flight,
-    noise_from_dict,
-    profile_from_dict,
-    square_grid,
-    streams_to_arrays,
-    sweep_weights,
-)
+from .flightsim import generate_flight, noise_from_dict, profile_from_dict, square_grid, sweep_weights
 from .pipeline import FUSED_HEADER, FusionConfig, estimate_sample_rate, fuse_streams, fused_rows
-from .recording import RecordingWriter, merge_streams, read_recording
+from .recording import read_recording, write_recording
 from .telemetry import FrameKind, scan_stream
 
 EXIT_OK = 0
@@ -40,13 +35,15 @@ EXIT_OUTPUT = 4
 
 MODES = ("live", "record", "replay", "simulate", "sweep", "filter-compare")
 
-_DEFAULTS = dict(
-    alpha=0.1, beta=0.1, gamma_rp=0.98, gamma_yaw=0.98,
-    accel_lp_hz=5.0, gyro_hp_hz=0.1, cutoff_hz=None,
-    declination_deg=0.0, lon_scale_correction=False,
-    earth_radius_m=6_371_000.0, stale_after_s=3.0,
+# Fusion defaults are FusionConfig's, less the fields that are not CLI options.
+_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(FusionConfig)
+    if f.name not in ("hard_iron", "gps_mode", "sample_rate_hz")
+}
+_DEFAULTS.update(
     seed=None, from_ms=None, to_ms=None, grid="0.1,0.5,0.9",
-    input=None, output=None, truth_out=None, backend="auto",
+    input=None, output=None, truth_out=None,
 )
 
 
@@ -152,17 +149,15 @@ def _decode_stream(data: bytes):
     frames, diags = scan_stream(data)
     for d in diags:
         print(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}", file=sys.stderr)
-    samples = []
-    fixes = []
-    for idx, fr in enumerate(frames):
-        if fr.kind == FrameKind.IMU:
-            samples.append((fr.t_ms, idx, telemetry.imu_counts_to_sample(fr.t_ms, fr.payload)))
-        else:
-            fixes.append((fr.t_ms, idx, telemetry.gps_counts_to_fix(fr.t_ms, fr.payload)))
-    # merge transmitters by timestamp; stream order breaks ties
-    samples = [s for _, _, s in sorted(samples, key=lambda r: (r[0], r[1]))]
-    fixes = [f for _, _, f in sorted(fixes, key=lambda r: (r[0], r[1]))]
-    return samples, fixes
+    imu = [fr for fr in frames if fr.kind == FrameKind.IMU]
+    gps = [fr for fr in frames if fr.kind == FrameKind.GPS]
+    # merge transmitters by timestamp; stream order breaks ties (stable sorts)
+    t_ms = np.array([fr.t_ms for fr in imu], dtype=np.int64)
+    order = np.argsort(t_ms, kind="stable")
+    counts = np.array([fr.payload for fr in imu], dtype=np.int64).reshape(-1, 9)
+    gps.sort(key=lambda fr: fr.t_ms)
+    fixes = [telemetry.gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
+    return telemetry.imu_counts_to_arrays(t_ms[order], counts[order]), fixes
 
 
 def _emit_fused(out, fh) -> None:
@@ -173,11 +168,11 @@ def _emit_fused(out, fh) -> None:
 
 def cmd_live(opts: dict) -> int:
     data = _read_input_bytes(opts["input"])
-    samples, fixes = _decode_stream(data)
-    if not samples:
+    imu, fixes = _decode_stream(data)
+    if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    fused = fuse_streams(samples, fixes, fusion_config(opts, "live"))
+    fused = fuse_streams(imu, fixes, fusion_config(opts, "live"))
     with _Output(opts["output"]) as fh:
         _emit_fused(fused, fh)
     return EXIT_OK
@@ -185,15 +180,14 @@ def cmd_live(opts: dict) -> int:
 
 def cmd_record(opts: dict) -> int:
     data = _read_input_bytes(opts["input"])
-    samples, fixes = _decode_stream(data)
-    if not samples:
+    imu, fixes = _decode_stream(data)
+    if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
     if opts["output"] in (None, "-"):
         print("navfuse: record mode needs --output for the recording file", file=sys.stderr)
         return EXIT_INPUT
-    rows = merge_streams(samples, fixes)
-    fs = estimate_sample_rate(streams_to_arrays(samples)[0])
+    fs = estimate_sample_rate(imu.t)
     metadata = {
         "sample_rate_hz": "%g" % fs,
         "alpha": "%g" % float(opts["alpha"]),
@@ -201,11 +195,8 @@ def cmd_record(opts: dict) -> int:
         "accel_lp_hz": "%g" % float(opts["accel_lp_hz"]),
         "gyro_hp_hz": "%g" % float(opts["gyro_hp_hz"]),
     }
-    with open(opts["output"], "w", encoding="utf-8", newline="") as f:
-        writer = RecordingWriter(f, metadata)
-        for row in rows:
-            writer.write_row(row)
-    fused = fuse_streams(samples, fixes, fusion_config(opts, "live"))
+    write_recording(imu, fixes, opts["output"], metadata)
+    fused = fuse_streams(imu, fixes, fusion_config(opts, "live"))
     _emit_fused(fused, sys.stdout)
     return EXIT_OK
 
@@ -215,18 +206,20 @@ def cmd_replay(opts: dict) -> int:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
     rec = read_recording(opts["input"])
-    rows = rec.rows
+    t_ms = rec.imu.t_ms
+    keep = np.ones(len(t_ms), dtype=bool)
     if opts["from_ms"] is not None:
-        rows = [r for r in rows if round(r.sample.t * 1000.0) >= opts["from_ms"]]
+        keep &= t_ms >= opts["from_ms"]
     if opts["to_ms"] is not None:
-        rows = [r for r in rows if round(r.sample.t * 1000.0) < opts["to_ms"]]
+        keep &= t_ms < opts["to_ms"]
+    imu = rec.imu._make(col[keep] for col in rec.imu)
     with _Output(opts["output"]) as fh:
-        if not rows:
+        if len(imu.t) == 0:
             fh.write(FUSED_HEADER + "\n")
             return EXIT_OK
-        samples = [r.sample for r in rows]
-        fixes = [r.fix for r in rows if r.fix is not None]
-        fused = fuse_streams(samples, fixes, fusion_config(opts, "replay"))
+        # each fix carries the time of its row, so the window's rows bound it
+        fixes = [f for f in rec.fixes if imu.t[0] <= f.t <= imu.t[-1]]
+        fused = fuse_streams(imu, fixes, fusion_config(opts, "replay"))
         _emit_fused(fused, fh)
     return EXIT_OK
 
@@ -241,7 +234,7 @@ def _sim_inputs(opts: dict):
 
 def cmd_simulate(opts: dict) -> int:
     profile, noise = _sim_inputs(opts)
-    truth, samples, fixes = generate_flight(profile, noise)
+    truth, imu, fixes = generate_flight(profile, noise)
     out_path = opts["output"] or "flight.csv"
     truth_path = opts["truth_out"] or (str(out_path) + ".truth.csv")
     metadata = {
@@ -250,10 +243,7 @@ def cmd_simulate(opts: dict) -> int:
         "gps_rate_hz": "%g" % profile.gps_rate_hz,
         "duration_s": "%g" % profile.duration_s,
     }
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = RecordingWriter(f, metadata)
-        for row in merge_streams(samples, fixes):
-            writer.write_row(row)
+    rows = write_recording(imu, fixes, out_path, metadata)
     with open(truth_path, "w", encoding="utf-8", newline="") as f:
         f.write("t_ms,lat,lon,alt_m,v_north,v_east,roll_deg,pitch_deg,yaw_deg\n")
         deg = 180.0 / math.pi
@@ -267,7 +257,7 @@ def cmd_simulate(opts: dict) -> int:
                     truth.euler[i, 0] * deg, truth.euler[i, 1] * deg, truth.euler[i, 2] * deg,
                 )
             )
-    print(f"navfuse: wrote {len(samples)} rows to {out_path}, truth to {truth_path}", file=sys.stderr)
+    print(f"navfuse: wrote {rows} rows to {out_path}, truth to {truth_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -295,15 +285,14 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_filter_compare(opts: dict) -> int:
     if opts["input"]:
-        rec = read_recording(opts["input"])
-        samples = rec.samples()
-        if not samples:
+        imu = read_recording(opts["input"]).imu
+        if len(imu.t) == 0:
             print("navfuse: recording has no rows", file=sys.stderr)
             return EXIT_EMPTY
     else:
         profile, noise = _sim_inputs(opts)
-        _, samples, _ = generate_flight(profile, noise)
-    t, acc, gyr, mag, has_mag = streams_to_arrays(samples)
+        _, imu, _ = generate_flight(profile, noise)
+    t, acc, gyr, mag, has_mag = imu
     fs = estimate_sample_rate(t)
     cutoff = float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else min(10.0, fs / 6.0)
     bw = design_butterworth2_lp(cutoff, fs)
@@ -330,11 +319,11 @@ def cmd_filter_compare(opts: dict) -> int:
     with _Output(opts["output"]) as fh:
         fh.write("t_ms,ax_raw,ax_butterworth,ax_chebyshev,ay_raw,ay_butterworth,ay_chebyshev,"
                  "yaw_gyro_deg,yaw_fused_deg\n")
-        for i in range(len(t)):
+        for i, t_ms in enumerate(imu.t_ms.tolist()):
             fh.write(
                 "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f\n"
                 % (
-                    round(samples[i].t * 1000.0),
+                    t_ms,
                     acc[i, 0], ax_b[i], ax_c[i],
                     acc[i, 1], ay_b[i], ay_c[i],
                     gyro_only.euler[i, 2] * deg, fused.euler[i, 2] * deg,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuSample
+from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays
 from .geo import EarthModel
 from .navigation import BlendWeights, GpsFix, NavEstimator, prepare_gps_reference
 from .telemetry import (
@@ -29,9 +29,8 @@ from .telemetry import (
     GYRO_LSB_PER_DPS,
     MAG_LSB_PER_GAUSS,
     GpsPayload,
-    ImuPayload,
     gps_counts_to_fix,
-    imu_counts_to_sample,
+    imu_counts_to_arrays,
 )
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -260,7 +259,7 @@ def generate_flight(
     profile: FlightProfile,
     noise: SensorNoiseModel = SensorNoiseModel(),
     quantize: bool = True,
-) -> tuple[TruthSeries, list[ImuSample], list[GpsFix]]:
+) -> tuple[TruthSeries, ImuArrays, list[GpsFix]]:
     """Synthesize (truth, IMU stream, GPS stream); deterministic per seed.
 
     ``quantize=False`` skips the wire-resolution rounding and yields
@@ -293,24 +292,9 @@ def generate_flight(
         for counts, what in ((acc_counts, "accel"), (gyr_counts, "gyro"), (mag_counts, "mag")):
             if counts.max() > 32767 or counts.min() < -32768:
                 raise ValueError(f"{what} exceeds the sensor full-scale range")
-        samples = [
-            imu_counts_to_sample(
-                int(t_ms[i]),
-                ImuPayload(*(int(v) for v in acc_counts[i]), *(int(v) for v in gyr_counts[i]),
-                           *(int(v) for v in mag_counts[i])),
-            )
-            for i in range(n)
-        ]
+        imu = imu_counts_to_arrays(t_ms, np.hstack([acc_counts, gyr_counts, mag_counts]))
     else:
-        samples = [
-            ImuSample(
-                t=float(t_ms[i]) / 1000.0,
-                accel=tuple(acc_meas[i]),
-                gyro=tuple(gyr_meas[i]),
-                mag=tuple(mag_meas[i]),
-            )
-            for i in range(n)
-        ]
+        imu = ImuArrays(t_ms / 1000.0, acc_meas, gyr_meas, mag_meas, np.ones(n, dtype=np.uint8))
 
     stride = int(round(profile.imu_rate_hz / profile.gps_rate_hz))
     candidates = list(range(0, n, stride))
@@ -337,7 +321,7 @@ def generate_flight(
             alt_valid=True,
         )
         fixes.append(gps_counts_to_fix(int(t_ms[i]), payload))
-    return truth, samples, fixes
+    return truth, imu, fixes
 
 
 @dataclass(frozen=True)
@@ -378,16 +362,6 @@ def rms_error(
     return RmsError(lat_m, lon_m, float(math.hypot(lat_m, lon_m)))
 
 
-def streams_to_arrays(samples: list[ImuSample]):
-    """Column arrays (t, accel, gyro, mag, has_mag) from a sample list."""
-    t = np.array([s.t for s in samples])
-    acc = np.array([s.accel for s in samples])
-    gyr = np.array([s.gyro for s in samples])
-    mag = np.array([s.mag if s.mag is not None else (0.0, 0.0, 0.0) for s in samples])
-    has_mag = np.array([s.mag is not None for s in samples], dtype=np.uint8)
-    return t, acc, gyr, mag, has_mag
-
-
 @dataclass(frozen=True)
 class SweepCell:
     alpha: float
@@ -414,11 +388,8 @@ def sweep_weights(
     for a, b in grid:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
-    truth, samples, fixes = generate_flight(profile, noise)
-    t, acc, gyr, mag, has_mag = streams_to_arrays(samples)
-    att = AttitudeEstimator(
-        gains=gains, sample_rate_hz=profile.imu_rate_hz, backend=backend
-    ).run(t, acc, gyr, mag, has_mag)
+    truth, imu, fixes = generate_flight(profile, noise)
+    att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz, backend=backend).run(*imu)
 
     cells = []
     for a, b in grid:
@@ -428,8 +399,8 @@ def sweep_weights(
             earth=profile.earth,
             mode="replay",
             backend=backend,
-        ).run(t, acc, att.q, fixes)
-        err = rms_error(t, nav.lat, nav.lon, truth, profile.earth)
+        ).run(imu.t, imu.accel, att.q, fixes)
+        err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
     return cells
 

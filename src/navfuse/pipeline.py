@@ -1,10 +1,10 @@
 """End-to-end fusion orchestration shared by the CLI modes.
 
-Takes decoded sample/fix streams, runs the attitude and position estimators
-on the selected kernel backend, and formats the fused output rows. Live and
-replay runs differ only in the GPS position reference (latest fix vs linear
-interpolation), so replaying a recording reproduces the live attitude output
-bit for bit.
+Takes an IMU stream as ``ImuArrays`` columns and a list of GPS fixes, runs
+the attitude and position estimators on the selected kernel backend, and
+formats the fused output rows. Live and replay runs differ only in the GPS
+position reference (latest fix vs linear interpolation), so replaying a
+recording reproduces the live attitude output bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import AttitudeEstimator, FusionGains, ImuSample
-from .flightsim import streams_to_arrays
+from .attitude import AttitudeEstimator, FusionGains, ImuArrays
 from .geo import EARTH_RADIUS_M, EarthModel
 from .navigation import BlendWeights, GpsFix, NavEstimator
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
+_FUSED_ROW = "%d" + ",%.9f" * 11
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,10 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
-def fuse_streams(samples: list[ImuSample], fixes: list[GpsFix], cfg: FusionConfig = FusionConfig()) -> FusionOutput:
-    if not samples:
+def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = FusionConfig()) -> FusionOutput:
+    if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
-    t, acc, gyr, mag, has_mag = streams_to_arrays(samples)
+    t = imu.t
     fs = cfg.sample_rate_hz or estimate_sample_rate(t)
 
     att = AttitudeEstimator(
@@ -73,7 +73,7 @@ def fuse_streams(samples: list[ImuSample], fixes: list[GpsFix], cfg: FusionConfi
         declination_rad=math.radians(cfg.declination_deg),
         hard_iron=cfg.hard_iron,
         backend=cfg.backend,
-    ).run(t, acc, gyr, mag, has_mag)
+    ).run(*imu)
 
     nav = NavEstimator(
         weights=BlendWeights(cfg.alpha, cfg.beta),
@@ -84,22 +84,16 @@ def fuse_streams(samples: list[ImuSample], fixes: list[GpsFix], cfg: FusionConfi
         stale_after_s=cfg.stale_after_s,
         mode=cfg.gps_mode,
         backend=cfg.backend,
-    ).run(t, acc, att.q, fixes)
+    ).run(t, imu.accel, att.q, fixes)
 
-    t_ms = np.array([round(s.t * 1000.0) for s in samples], dtype=np.int64)
     return FusionOutput(
-        t=t, t_ms=t_ms, euler=att.euler, q=att.q, vel=nav.vel, lat=nav.lat, lon=nav.lon,
+        t=t, t_ms=imu.t_ms, euler=att.euler, q=att.q, vel=nav.vel, lat=nav.lat, lon=nav.lon,
         att_flags=att.flags,
     )
 
 
 def fused_rows(out: FusionOutput):
     """Yield output CSV lines (without newline), header excluded."""
-    deg = 180.0 / math.pi
-    for i in range(len(out.t)):
-        cells = [str(int(out.t_ms[i]))]
-        cells += ["%.9f" % v for v in out.q[i]]
-        cells += ["%.9f" % (out.euler[i, k] * deg) for k in range(3)]
-        cells += ["%.9f" % out.lat[i], "%.9f" % out.lon[i]]
-        cells += ["%.9f" % out.vel[i, 0], "%.9f" % out.vel[i, 1]]
-        yield ",".join(cells)
+    cols = np.column_stack([out.q, out.euler * (180.0 / math.pi), out.lat, out.lon, out.vel])
+    for t_ms, row in zip(out.t_ms.tolist(), cols.tolist()):
+        yield _FUSED_ROW % (t_ms, *row)

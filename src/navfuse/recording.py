@@ -11,6 +11,11 @@ bit-for-bit. GPS cells (and mag cells for samples without a magnetometer
 reading) are empty strings when absent. Optional ``# key=value`` comment
 lines before the header carry run metadata.
 
+In memory a recording is the IMU stream as ``ImuArrays`` plus the list of
+fixes. A fix is written on the first row at or after its time (the latest
+such fix wins) and read back with that row's time; fixes after the last row
+are dropped.
+
 Rows are flushed as they are written, so an interrupted recording is still a
 valid (shorter) file.
 """
@@ -18,11 +23,12 @@ valid (shorter) file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
 
-from .attitude import ImuSample
+import numpy as np
+
+from .attitude import ImuArrays
 from .errors import RecordingFormatError, TimestampOrderError
 from .geo import GeoPoint
 from .navigation import GpsFix
@@ -30,86 +36,51 @@ from .navigation import GpsFix
 HEADER = "t_ms,ax,ay,az,gx,gy,gz,mx,my,mz,gps_valid,lat,lon,speed_mps,course_deg,alt_m"
 _NCOLS = len(HEADER.split(","))
 
-
-class RecordingRow(NamedTuple):
-    sample: ImuSample
-    fix: GpsFix | None
+_IMU_CELLS = "%d" + ",%.9f" * 6
+_MAG_CELLS = ",%.9f,%.9f,%.9f"
+_SENSOR_NAMES = ("accel",) * 3 + ("gyro",) * 3 + ("mag",) * 3
 
 
 @dataclass
 class FlightRecording:
-    rows: list[RecordingRow] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def samples(self) -> list[ImuSample]:
-        return [r.sample for r in self.rows]
-
-    def fixes(self) -> list[GpsFix]:
-        return [r.fix for r in self.rows if r.fix is not None]
-
-
-def merge_streams(samples: list[ImuSample], fixes: list[GpsFix]) -> list[RecordingRow]:
-    """Attach each fix to the first sample row at or after its timestamp."""
-    rows = [RecordingRow(s, None) for s in samples]
-    j = 0
-    for fix in sorted(fixes, key=lambda f: f.t):
-        while j < len(rows) and rows[j].sample.t < fix.t:
-            j += 1
-        if j < len(rows):
-            rows[j] = RecordingRow(rows[j].sample, fix)
-    return rows
+    imu: ImuArrays
+    fixes: list[GpsFix]
+    metadata: dict[str, str]
 
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else "%.9f" % x
 
 
-def format_row(row: RecordingRow) -> str:
-    s, fix = row
-    t_ms = round(s.t * 1000.0)
-    cells = [str(t_ms)]
-    cells += [_fmt(v) for v in s.accel]
-    cells += [_fmt(v) for v in s.gyro]
-    cells += [_fmt(v) for v in s.mag] if s.mag is not None else ["", "", ""]
-    if fix is not None and fix.valid:
-        course = math.degrees(fix.course) if fix.course is not None else None
-        cells += ["1", _fmt(fix.pos.lat), _fmt(fix.pos.lon), _fmt(fix.speed), _fmt(course), _fmt(fix.alt_m)]
-    else:
-        cells += ["0", "", "", "", "", ""]
-    return ",".join(cells)
+def _gps_cells(fix: GpsFix | None) -> str:
+    if fix is None or not fix.valid:
+        return ",0,,,,,"
+    course = math.degrees(fix.course) if fix.course is not None else None
+    return ",1,%.9f,%.9f,%.9f,%s,%s" % (fix.pos.lat, fix.pos.lon, fix.speed, _fmt(course), _fmt(fix.alt_m))
 
 
-class RecordingWriter:
-    """Incremental writer flushing each row (interruption-safe)."""
-
-    def __init__(self, dest: TextIO, metadata: dict[str, str] | None = None):
-        self._f = dest
-        self._last_t_ms: int | None = None
-        for key, value in (metadata or {}).items():
-            self._f.write(f"# {key}={value}\n")
-        self._f.write(HEADER + "\n")
-        self._f.flush()
-        self.count = 0
-
-    def write_row(self, row: RecordingRow) -> None:
-        t_ms = round(row.sample.t * 1000.0)
-        if self._last_t_ms is not None and t_ms <= self._last_t_ms:
-            raise TimestampOrderError(f"row time {t_ms} ms not after {self._last_t_ms} ms")
-        self._f.write(format_row(row) + "\n")
-        self._f.flush()
-        self._last_t_ms = t_ms
-        self.count += 1
-
-
-def write_recording(rows: Iterable[RecordingRow], dest, metadata: dict[str, str] | None = None) -> int:
-    """Write rows to a path or text file; returns the row count."""
+def write_recording(imu: ImuArrays, fixes: list[GpsFix], dest, metadata: dict[str, str] | None = None) -> int:
+    """Write a recording to a path or text file; returns the row count."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as f:
-            return write_recording(rows, f, metadata)
-    writer = RecordingWriter(dest, metadata)
-    for row in rows:
-        writer.write_row(row)
-    return writer.count
+            return write_recording(imu, fixes, f, metadata)
+    t_ms = imu.t_ms
+    bad = np.flatnonzero(np.diff(t_ms) <= 0)
+    if len(bad):
+        raise TimestampOrderError(f"row time {t_ms[bad[0] + 1]} ms not after {t_ms[bad[0]]} ms")
+    # first row at or after each fix's time; the latest fix wins a shared row
+    row_fix = {int(np.searchsorted(imu.t, f.t)): f for f in sorted(fixes, key=lambda f: f.t)}
+    for key, value in (metadata or {}).items():
+        dest.write(f"# {key}={value}\n")
+    dest.write(HEADER + "\n")
+    dest.flush()
+    rows = zip(t_ms.tolist(), imu.accel.tolist(), imu.gyro.tolist(), imu.mag.tolist(), imu.has_mag.tolist())
+    for i, (t, acc, gyr, mag, has_mag) in enumerate(rows):
+        line = _IMU_CELLS % (t, *acc, *gyr)
+        line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
+        dest.write(line + _gps_cells(row_fix.get(i)) + "\n")
+        dest.flush()
+    return len(t_ms)
 
 
 def _parse_float(cell: str, name: str, line_no: int) -> float:
@@ -127,10 +98,13 @@ def read_recording(source) -> FlightRecording:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as f:
             return read_recording(f)
-    rec = FlightRecording()
+    metadata: dict[str, str] = {}
+    t_ms: list[int] = []
+    sensors: list[list[float]] = []
+    has_mag: list[bool] = []
+    fixes: list[GpsFix] = []
     line_no = 0
     header_seen = False
-    last_t_ms: int | None = None
     for raw in source:
         line_no += 1
         line = raw.rstrip("\r\n")
@@ -142,7 +116,7 @@ def read_recording(source) -> FlightRecording:
             body = line.lstrip("#").strip()
             if "=" in body:
                 key, _, value = body.partition("=")
-                rec.metadata[key.strip()] = value.strip()
+                metadata[key.strip()] = value.strip()
             continue
         if not header_seen:
             if line != HEADER:
@@ -155,29 +129,23 @@ def read_recording(source) -> FlightRecording:
                 f"line {line_no}: expected {_NCOLS} columns, got {len(cells)}", line=line_no
             )
         try:
-            t_ms = int(cells[0])
+            t = int(cells[0])
         except ValueError:
             raise RecordingFormatError(f"line {line_no}: bad t_ms {cells[0]!r}", line=line_no) from None
-        if last_t_ms is not None and t_ms <= last_t_ms:
-            raise TimestampOrderError(f"line {line_no}: time {t_ms} ms not after {last_t_ms} ms")
-        last_t_ms = t_ms
-        t = t_ms / 1000.0
-        accel = tuple(_parse_float(cells[k], "accel", line_no) for k in (1, 2, 3))
-        gyro = tuple(_parse_float(cells[k], "gyro", line_no) for k in (4, 5, 6))
-        mag_cells = cells[7:10]
-        if all(c == "" for c in mag_cells):
-            mag = None
-        else:
-            mag = tuple(_parse_float(c, "mag", line_no) for c in mag_cells)
-        sample = ImuSample(t=t, accel=accel, gyro=gyro, mag=mag)
-        fix = None
+        if t_ms and t <= t_ms[-1]:
+            raise TimestampOrderError(f"line {line_no}: time {t} ms not after {t_ms[-1]} ms")
+        mag = any(cells[7:10])
+        names = _SENSOR_NAMES if mag else _SENSOR_NAMES[:6]
+        values = [_parse_float(cells[k], name, line_no) for k, name in enumerate(names, start=1)]
+        if not mag:
+            values += (0.0, 0.0, 0.0)
         if cells[10] not in ("0", "1"):
             raise RecordingFormatError(f"line {line_no}: gps_valid must be 0 or 1", line=line_no)
         if cells[10] == "1":
             course_deg = _parse_float(cells[14], "course_deg", line_no) if cells[14] else None
             alt = _parse_float(cells[15], "alt_m", line_no) if cells[15] else None
-            fix = GpsFix(
-                t=t,
+            fixes.append(GpsFix(
+                t=t / 1000.0,
                 pos=GeoPoint(
                     _parse_float(cells[11], "lat", line_no),
                     _parse_float(cells[12], "lon", line_no),
@@ -186,8 +154,16 @@ def read_recording(source) -> FlightRecording:
                 course=math.radians(course_deg) if course_deg is not None else None,
                 valid=True,
                 alt_m=alt,
-            )
-        rec.rows.append(RecordingRow(sample, fix))
+            ))
+        t_ms.append(t)
+        sensors.append(values)
+        has_mag.append(mag)
     if not header_seen:
         raise RecordingFormatError("missing header line", line=line_no or 1)
-    return rec
+    cols = np.array(sensors, dtype=np.float64).reshape(len(t_ms), 9)
+    imu = ImuArrays(
+        np.array(t_ms, dtype=np.int64) / 1000.0,
+        cols[:, 0:3], cols[:, 3:6], cols[:, 6:9],
+        np.array(has_mag, dtype=np.uint8),
+    )
+    return FlightRecording(imu, fixes, metadata)

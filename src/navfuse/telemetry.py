@@ -22,12 +22,16 @@ values bit-stable through the flight-recording CSV round trip.
 
 from __future__ import annotations
 
+import binascii
 import enum
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .attitude import GRAVITY_MPS2, ImuSample
+import numpy as np
+
+from .attitude import GRAVITY_MPS2, ImuArrays, ImuSample
 from .errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
 from .geo import GeoPoint
 from .navigation import GpsFix
@@ -57,17 +61,12 @@ _FRAME_LEN = {FrameKind.IMU: IMU_FRAME_LEN, FrameKind.GPS: GPS_FRAME_LEN}
 
 
 def crc16_ccitt_false(data: bytes) -> int:
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-            crc &= 0xFFFF
-    return crc
+    # binascii's CRC-CCITT (XMODEM) is the same unreflected poly-0x1021 CRC;
+    # seeding it with 0xFFFF makes it CCITT-FALSE.
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
-@dataclass(frozen=True)
-class ImuPayload:
+class ImuPayload(NamedTuple):
     """Raw signed 16-bit sensor counts."""
 
     ax: int
@@ -222,16 +221,40 @@ def _round9(x: float) -> float:
     return round(x, 9)
 
 
+# Counts to units for the accel, gyro and mag column triples of a payload.
+_IMU_UNITS_PER_COUNT = (
+    GRAVITY_MPS2 / ACCEL_LSB_PER_G,
+    (math.pi / 180.0) / GYRO_LSB_PER_DPS,
+    1.0 / MAG_LSB_PER_GAUSS,
+)
+
+
+def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
+    """Physical-unit columns from raw counts (values exact at 9 decimals).
+
+    ``t_ms`` holds n integer times and ``counts`` an (n, 9) integer array in
+    ``ImuPayload`` field order. Each value is Python's ``round(count * k, 9)``;
+    ``np.round`` differs from it for some counts, so the rounding runs once
+    per distinct count and is scattered back.
+    """
+    t_ms = np.asarray(t_ms, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64).reshape(len(t_ms), 9)
+    cols = []
+    for k, scale in enumerate(_IMU_UNITS_PER_COUNT):
+        distinct, where = np.unique(counts[:, 3 * k : 3 * k + 3], return_inverse=True)
+        units = np.array([_round9(c * scale) for c in distinct.tolist()], dtype=np.float64)
+        cols.append(units[where.reshape(-1)].reshape(-1, 3))
+    return ImuArrays(t_ms / 1000.0, *cols, np.ones(len(t_ms), dtype=np.uint8))
+
+
 def imu_counts_to_sample(t_ms: int, p: ImuPayload) -> ImuSample:
-    """Physical-unit sample from raw counts (values exact at 9 decimals)."""
-    ka = GRAVITY_MPS2 / ACCEL_LSB_PER_G
-    kg = (math.pi / 180.0) / GYRO_LSB_PER_DPS
-    km = 1.0 / MAG_LSB_PER_GAUSS
+    """One-sample form of ``imu_counts_to_arrays``."""
+    a = imu_counts_to_arrays([t_ms], [p])
     return ImuSample(
-        t=t_ms / 1000.0,
-        accel=(_round9(p.ax * ka), _round9(p.ay * ka), _round9(p.az * ka)),
-        gyro=(_round9(p.gx * kg), _round9(p.gy * kg), _round9(p.gz * kg)),
-        mag=(_round9(p.mx * km), _round9(p.my * km), _round9(p.mz * km)),
+        t=float(a.t[0]),
+        accel=tuple(a.accel[0].tolist()),
+        gyro=tuple(a.gyro[0].tolist()),
+        mag=tuple(a.mag[0].tolist()),
     )
 
 

@@ -5,7 +5,6 @@ from navfuse.flightsim import (
     ZERO_NOISE,
     generate_flight,
     standard_profile,
-    streams_to_arrays,
 )
 
 
@@ -13,22 +12,21 @@ from navfuse.flightsim import (
 def std_noisy_flight():
     """Standard 218 s profile with default noise, shared across tests."""
     profile = standard_profile()
-    truth, samples, fixes = generate_flight(profile, SensorNoiseModel())
-    return profile, truth, samples, fixes
+    truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+    return profile, truth, imu, fixes
 
 
 @pytest.fixture(scope="session")
 def std_clean_flight():
     profile = standard_profile()
-    truth, samples, fixes = generate_flight(profile, ZERO_NOISE)
-    return profile, truth, samples, fixes
+    truth, imu, fixes = generate_flight(profile, ZERO_NOISE)
+    return profile, truth, imu, fixes
 
 
 @pytest.fixture(scope="session")
 def std_noisy_arrays(std_noisy_flight):
-    _, truth, samples, fixes = std_noisy_flight
-    t, acc, gyr, mag, has_mag = streams_to_arrays(samples)
-    return truth, t, acc, gyr, mag, has_mag, fixes
+    _, truth, imu, fixes = std_noisy_flight
+    return (truth, *imu, fixes)
 
 
 def make_level_stream(n=300, rate_hz=60.0, accel=(0.0, 0.0, 9.80665), gyro=(0.0, 0.0, 0.0), mag=None):

@@ -45,7 +45,7 @@ from navfuse.navigation import (
     prepare_gps_reference,
 )
 from navfuse.quat import EulerAngles, Quaternion, hamilton
-from navfuse.recording import merge_streams, read_recording, write_recording
+from navfuse.recording import read_recording, write_recording
 from navfuse.telemetry import FrameKind, TelemetryFrame, decode_frame, encode_frame, scan_stream
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
@@ -302,23 +302,20 @@ def test_criterion_8_mode_equivalence(tmp_path, capsys):
             ),
             seed=8,
         )
-        truth, samples, fixes = generate_flight(profile, SensorNoiseModel())
-        assert len(samples) == 12774
+        truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+        assert len(imu.t) == 12774
 
-        rows = merge_streams(samples, fixes)
         csv_path = tmp_path / "roundtrip.csv"
-        write_recording(rows, csv_path)
+        write_recording(imu, fixes, csv_path)
         rec = read_recording(csv_path)
-        assert len(rec.rows) == 12774
-        for orig, back in zip(rows, rec.rows):
-            assert round(back.sample.t * 1000) == round(orig.sample.t * 1000)
-            for a, b in zip(back.sample.accel + back.sample.gyro + back.sample.mag,
-                            orig.sample.accel + orig.sample.gyro + orig.sample.mag):
-                assert abs(a - b) <= 1e-9
+        assert len(rec.imu.t) == 12774
+        np.testing.assert_array_equal(rec.imu.t_ms, imu.t_ms)
+        for name in ("accel", "gyro", "mag"):
+            assert (np.abs(getattr(rec.imu, name) - getattr(imu, name)) <= 1e-9).all()
 
         # live -> record -> replay: attitude output must be bit-identical
         stream = tmp_path / "stream.bin"
-        stream.write_bytes(build_stream(samples, fixes))
+        stream.write_bytes(build_stream(imu, fixes))
         rec_path = tmp_path / "rec.csv"
         assert main(["--mode", "record", "--input", str(stream), "--output", str(rec_path)]) == 0
         record_out = capsys.readouterr().out

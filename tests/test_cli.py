@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -9,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from navfuse.attitude import ImuSample
 from navfuse.cli import main
 from navfuse.flightsim import (
     FlightProfile,
@@ -27,12 +27,16 @@ from navfuse.telemetry import (
 )
 
 
-def build_stream(samples, fixes):
+def build_stream(imu, fixes):
     """Interleave IMU and GPS frames by timestamp, like two transmitters."""
     blob = bytearray()
     seq_i = seq_g = 0
     fi = 0
-    for s in samples:
+    for i in range(len(imu.t)):
+        s = ImuSample(
+            t=float(imu.t[i]), accel=tuple(imu.accel[i].tolist()), gyro=tuple(imu.gyro[i].tolist()),
+            mag=tuple(imu.mag[i].tolist()),
+        )
         while fi < len(fixes) and fixes[fi].t <= s.t:
             blob += encode_frame(
                 TelemetryFrame(FrameKind.GPS, seq_g % 65536, round(fixes[fi].t * 1000),
@@ -50,16 +54,16 @@ def build_stream(samples, fixes):
 @pytest.fixture(scope="module")
 def short_flight():
     profile = FlightProfile(segments=(FlightSegment("straight", 8.0),), seed=5)
-    truth, samples, fixes = generate_flight(profile, SensorNoiseModel())
-    return truth, samples, fixes
+    truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+    return truth, imu, fixes
 
 
 @pytest.fixture(scope="module")
 def stream_file(short_flight, tmp_path_factory):
-    truth, samples, fixes = short_flight
+    truth, imu, fixes = short_flight
     path = tmp_path_factory.mktemp("stream") / "stream.bin"
-    path.write_bytes(build_stream(samples, fixes))
-    return path, len(samples)
+    path.write_bytes(build_stream(imu, fixes))
+    return path, len(imu.t)
 
 
 def run_cli(args, capsys):
@@ -142,7 +146,7 @@ class TestRecordReplay:
     def test_record_row_count(self, recorded):
         rec_path, fused_out, n = recorded
         rec = read_recording(rec_path)
-        assert len(rec.rows) == n
+        assert len(rec.imu.t) == n
         assert len(fused_out.splitlines()) == n + 1
 
     def test_record_fused_matches_live(self, stream_file, recorded, capsys):
@@ -210,30 +214,45 @@ class TestRecordReplay:
         assert code == 4
 
     def test_record_interrupted_leaves_valid_csv(self, tmp_path):
-        # large stream so the writer is mid-flight when killed
+        # The recorder writes into a FIFO that is drained only to 20 kB, far
+        # less than the recording, so it is always blocked mid-write when killed.
         profile = FlightProfile(segments=(FlightSegment("straight", 120.0),), seed=6)
-        _, samples, fixes = generate_flight(profile, SensorNoiseModel())
+        _, imu, fixes = generate_flight(profile, SensorNoiseModel())
         big = tmp_path / "big.bin"
-        big.write_bytes(build_stream(samples, fixes))
-        rec_path = tmp_path / "partial.csv"
+        big.write_bytes(build_stream(imu, fixes))
+        fifo = tmp_path / "partial.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         proc = subprocess.Popen(
             [sys.executable, "-m", "navfuse.cli", "--mode", "record",
-             "--input", str(big), "--output", str(rec_path)],
+             "--input", str(big), "--output", str(fifo)],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
+        written = bytearray()
         try:
             deadline = time.time() + 60
-            while time.time() < deadline:
-                if rec_path.exists() and rec_path.stat().st_size > 20000:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("recorder never started writing")
-            os.kill(proc.pid, signal.SIGKILL)
+            while len(written) <= 20000:
+                try:
+                    chunk = os.read(reader, 4096)
+                except BlockingIOError:
+                    chunk = b""
+                written += chunk
+                if not chunk:
+                    if proc.poll() is not None or time.time() > deadline:
+                        pytest.fail("recorder never started writing")
+                    time.sleep(0.01)
         finally:
+            proc.kill()
             proc.wait()
+        # the recorder is gone: take what it left in the FIFO, up to EOF
+        os.set_blocking(reader, True)
+        while chunk := os.read(reader, 65536):
+            written += chunk
+        os.close(reader)
+        rec_path = tmp_path / "partial.csv"
+        rec_path.write_bytes(bytes(written))
         rec = read_recording(rec_path)
-        assert 0 < len(rec.rows) < len(samples)
+        assert 0 < len(rec.imu.t) < len(imu.t)
 
 
 class TestSimulate:

@@ -1,0 +1,20 @@
+import math
+
+from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
+from navfuse.pipeline import fuse_streams, fused_rows
+
+
+def test_fused_rows_match_per_cell_formatting():
+    profile = FlightProfile(segments=(FlightSegment("turn", 5.0, yaw_rate_dps=4.0),), seed=3)
+    _, imu, fixes = generate_flight(profile, SensorNoiseModel())
+    out = fuse_streams(imu, fixes)
+    deg = 180.0 / math.pi
+    expected = []
+    for i in range(len(out.t)):
+        cells = [str(int(out.t_ms[i]))]
+        cells += ["%.9f" % v for v in out.q[i]]
+        cells += ["%.9f" % (out.euler[i, k] * deg) for k in range(3)]
+        cells += ["%.9f" % out.lat[i], "%.9f" % out.lon[i]]
+        cells += ["%.9f" % out.vel[i, 0], "%.9f" % out.vel[i, 1]]
+        expected.append(",".join(cells))
+    assert list(fused_rows(out)) == expected

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navfuse.attitude import GRAVITY_MPS2
 from navfuse.errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
 from navfuse.geo import GeoPoint
 from navfuse.navigation import GpsFix
@@ -19,6 +22,7 @@ from navfuse.telemetry import (
     encode_frame,
     fix_to_gps_counts,
     gps_counts_to_fix,
+    imu_counts_to_arrays,
     imu_counts_to_sample,
     sample_to_imu_counts,
     scan_stream,
@@ -64,6 +68,21 @@ class TestCrc:
 
     def test_empty_is_init(self):
         assert crc16_ccitt_false(b"") == 0xFFFF
+
+    def test_matches_bitwise_reference(self):
+        def bitwise(data):
+            crc = 0xFFFF
+            for byte in data:
+                crc ^= byte << 8
+                for _ in range(8):
+                    crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
+                    crc &= 0xFFFF
+            return crc
+
+        rng = np.random.default_rng(62)
+        for _ in range(500):
+            data = rng.integers(0, 256, int(rng.integers(0, 64)), dtype=np.uint8).tobytes()
+            assert crc16_ccitt_false(data) == bitwise(data)
 
 
 class TestEncode:
@@ -262,6 +281,22 @@ class TestConversions:
             )
             fix = gps_counts_to_fix(int(rng.integers(0, 2**31)), p)
             assert fix_to_gps_counts(fix) == p
+
+    def test_arrays_match_python_round_on_every_count(self):
+        # np.round(x, 9) differs from Python's round(x, 9) on some counts
+        counts = np.arange(-32768, 32768)
+        imu = imu_counts_to_arrays(np.arange(len(counts)), np.repeat(counts[:, None], 9, axis=1))
+        scales = {
+            "accel": GRAVITY_MPS2 / 2048.0,
+            "gyro": (math.pi / 180.0) / 16.4,
+            "mag": 1.0 / 1090.0,
+        }
+        for name, k in scales.items():
+            expected = np.array([round(c * k, 9) for c in counts.tolist()])
+            for axis in range(3):
+                np.testing.assert_array_equal(getattr(imu, name)[:, axis], expected)
+        np.testing.assert_array_equal(imu.t, np.arange(len(counts)) / 1000.0)
+        assert (imu.has_mag == 1).all()
 
     def test_values_exact_at_nine_decimals(self):
         rng = np.random.default_rng(51)
