@@ -23,7 +23,15 @@ from . import _kernels, telemetry
 from .attitude import AttitudeEstimator, FusionGains
 from .errors import RecordingFormatError, TimestampOrderError
 from .filters import design_butterworth2_lp, design_chebyshev1_2_lp
-from .flightsim import generate_flight, noise_from_dict, profile_from_dict, square_grid, sweep_weights
+from .flightsim import (
+    TRUTH_HEADER,
+    generate_flight,
+    noise_from_dict,
+    profile_from_dict,
+    square_grid,
+    sweep_weights,
+    truth_rows,
+)
 from .pipeline import FUSED_HEADER, FusionConfig, estimate_sample_rate, fuse_streams, fused_rows
 from .recording import read_recording, write_recording
 from .telemetry import FrameKind, scan_stream
@@ -151,13 +159,39 @@ def _decode_stream(data: bytes):
         print(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}", file=sys.stderr)
     imu = [fr for fr in frames if fr.kind == FrameKind.IMU]
     gps = [fr for fr in frames if fr.kind == FrameKind.GPS]
-    # merge transmitters by timestamp; stream order breaks ties (stable sorts)
+    # merge transmitters by timestamp; stream order breaks ties (stable sorts),
+    # and of the frames sharing a t_ms (retransmissions) the first is kept
     t_ms = np.array([fr.t_ms for fr in imu], dtype=np.int64)
     order = np.argsort(t_ms, kind="stable")
-    counts = np.array([fr.payload for fr in imu], dtype=np.int64).reshape(-1, 9)
+    t_ms = t_ms[order]
+    counts = np.array([fr.payload for fr in imu], dtype=np.int64).reshape(-1, 9)[order]
+    repeat = np.zeros(len(t_ms), dtype=bool)
+    repeat[1:] = t_ms[1:] == t_ms[:-1]
+    # compare each repeat with the first frame of its t_ms
+    first_row = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(t_ms))))
+    conflicts = (counts[repeat] != counts[first_row[repeat]]).any(axis=1)
+    _report_duplicates("IMU", int(repeat.sum()), int(conflicts.sum()))
+
     gps.sort(key=lambda fr: fr.t_ms)
-    fixes = [telemetry.gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
-    return telemetry.imu_counts_to_arrays(t_ms[order], counts[order]), fixes
+    kept = []
+    n_conflicts = 0
+    for fr in gps:
+        if kept and fr.t_ms == kept[-1].t_ms:
+            n_conflicts += fr.payload != kept[-1].payload
+        else:
+            kept.append(fr)
+    _report_duplicates("GPS", len(gps) - len(kept), n_conflicts)
+    fixes = [telemetry.gps_counts_to_fix(fr.t_ms, fr.payload) for fr in kept]
+    return telemetry.imu_counts_to_arrays(t_ms[~repeat], counts[~repeat]), fixes
+
+
+def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:
+    if dropped:
+        print(
+            f"navfuse: dropped {kind} frames repeating an earlier t_ms: {dropped} "
+            f"({dropped - conflicting} exact duplicates, {conflicting} with a conflicting payload)",
+            file=sys.stderr,
+        )
 
 
 def _emit_fused(out, fh) -> None:
@@ -245,18 +279,9 @@ def cmd_simulate(opts: dict) -> int:
     }
     rows = write_recording(imu, fixes, out_path, metadata)
     with open(truth_path, "w", encoding="utf-8", newline="") as f:
-        f.write("t_ms,lat,lon,alt_m,v_north,v_east,roll_deg,pitch_deg,yaw_deg\n")
-        deg = 180.0 / math.pi
-        for i in range(len(truth.t)):
-            f.write(
-                "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f\n"
-                % (
-                    round(truth.t[i] * 1000.0),
-                    truth.lat[i], truth.lon[i], truth.alt_m[i],
-                    truth.vn[i], truth.ve[i],
-                    truth.euler[i, 0] * deg, truth.euler[i, 1] * deg, truth.euler[i, 2] * deg,
-                )
-            )
+        f.write(TRUTH_HEADER + "\n")
+        for line in truth_rows(truth):
+            f.write(line + "\n")
     print(f"navfuse: wrote {rows} rows to {out_path}, truth to {truth_path}", file=sys.stderr)
     return EXIT_OK
 

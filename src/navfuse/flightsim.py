@@ -1,8 +1,14 @@
 """Synthetic-flight ground truth, sensor corruption, and error metrics.
 
 A profile is a list of straight/turn/climb segments flown at constant (or
-ramped) speed with roll held at zero; truth kinematics are integrated at 10x
-the IMU rate and subsampled onto the IMU's integer-millisecond time grid.
+ramped) speed with roll held at zero. Truth kinematics are integrated in
+TRUTH_OVERSAMPLE (10) micro-steps per IMU sample: heading, pitch and speed by
+explicit Euler, position by the trapezoidal rule on the velocity at either
+end of the micro-step. Velocity depends only on the state, so each micro-step
+evaluates the derivatives once, and its end velocity starts the next one. The
+sample instants sit on the IMU's integer-millisecond time grid, which caps the
+IMU rate at 1000 Hz.
+
 The forward sensor model rotates gravity and linear acceleration into the
 body frame, adds bias and seeded Gaussian noise, then quantizes every reading
 to the wire-format resolution (the same integer counts the telemetry frames
@@ -17,6 +23,7 @@ reference always covers the flight).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +86,10 @@ class FlightProfile:
             raise ValueError("sample rates must be positive")
         if self.imu_rate_hz < self.gps_rate_hz:
             raise ValueError("IMU rate must be at least the GPS rate")
+        if self.imu_rate_hz > 1000.0:
+            raise ValueError(
+                "IMU rate above 1000 Hz: sample times lie on an integer-millisecond grid"
+            )
 
     @property
     def duration_s(self) -> float:
@@ -137,6 +148,20 @@ class TruthSeries:
     q: np.ndarray          # (n, 4)
 
 
+TRUTH_HEADER = "t_ms,lat,lon,alt_m,v_north,v_east,roll_deg,pitch_deg,yaw_deg"
+_TRUTH_ROW = "%d" + ",%.9f" * 8
+
+
+def truth_rows(truth: TruthSeries):
+    """Yield truth CSV lines (without newline), header excluded."""
+    t_ms = np.rint(truth.t * 1000.0).astype(np.int64)
+    cols = np.column_stack(
+        [truth.lat, truth.lon, truth.alt_m, truth.vn, truth.ve, truth.euler * (180.0 / math.pi)]
+    )
+    for t, row in zip(t_ms.tolist(), cols.tolist()):
+        yield _TRUTH_ROW % (t, *row)
+
+
 def _segment_schedule(profile: FlightProfile):
     out = []
     t0 = 0.0
@@ -165,13 +190,11 @@ def _generate_truth(profile: FlightProfile):
     t = t_ms / 1000.0
 
     schedule = _segment_schedule(profile)
+    # a time selects the first segment it ends before, else the last one
+    ends = [t1 for _, t1, _, _, _ in schedule]
+    targets = [(yaw_rate, pitch, speed) for _, _, yaw_rate, pitch, speed in schedule]
+    targets.append(targets[-1])
     deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
-
-    def segment_at(time_s):
-        for t0, t1, yaw_rate, pitch_target, speed in schedule:
-            if time_s < t1:
-                return yaw_rate, pitch_target, speed
-        return schedule[-1][2], schedule[-1][3], schedule[-1][4]
 
     psi = math.radians(profile.start_heading_deg)
     theta = 0.0
@@ -179,6 +202,14 @@ def _generate_truth(profile: FlightProfile):
     lat = profile.start_lat
     lon = profile.start_lon
     alt = profile.start_alt_m
+    # cos/sin are recomputed only when an angle changes. psi can go from a
+    # -0.0 start heading to +0.0, which compares equal but flips the sign of
+    # sin, hence the zero test; theta starts at +0.0 and a float sum is -0.0
+    # only when both terms are, so theta never does
+    psi_trig, theta_trig = psi, theta
+    cp, sp = math.cos(psi), math.sin(psi)
+    ct, st = math.cos(theta), math.sin(theta)
+    vn, ve, vd = speed * (ct * cp), speed * (ct * sp), speed * -st
 
     lat_s = np.empty(n)
     lon_s = np.empty(n)
@@ -188,49 +219,45 @@ def _generate_truth(profile: FlightProfile):
     euler = np.zeros((n, 3))
     a_world = np.empty((n, 3))
     rates = np.empty((n, 2))   # dpsi, dtheta at the sample instant
-
-    def derivatives(time_s, psi_, theta_, speed_):
-        dpsi, pitch_target, speed_target = segment_at(time_s)
-        dtheta = max(-PITCH_RAMP_RATE, min(PITCH_RAMP_RATE, pitch_target - theta_))
-        dspeed = max(-SPEED_RAMP_ACCEL, min(SPEED_RAMP_ACCEL, speed_target - speed_))
-        ct, st = math.cos(theta_), math.sin(theta_)
-        cp, sp = math.cos(psi_), math.sin(psi_)
-        dir_ = (ct * cp, ct * sp, -st)
-        ddir = (
-            -st * dtheta * cp - ct * sp * dpsi,
-            -st * dtheta * sp + ct * cp * dpsi,
-            -ct * dtheta,
-        )
-        vel = (speed_ * dir_[0], speed_ * dir_[1], speed_ * dir_[2])
-        acc = tuple(dspeed * dir_[k] + speed_ * ddir[k] for k in range(3))
-        return dpsi, dtheta, dspeed, vel, acc
-
     for i in range(n):
         time_s = float(t[i])
-        dpsi, dtheta, dspeed, vel, acc = derivatives(time_s, psi, theta, speed)
-        lat_s[i] = lat
-        lon_s[i] = lon
-        alt_s[i] = alt
-        vn_s[i] = vel[0]
-        ve_s[i] = vel[1]
-        euler[i, 1] = theta
-        euler[i, 2] = psi
-        a_world[i] = acc
-        rates[i] = (dpsi, dtheta)
-        if i == n - 1:
-            break
-        # advance to the next sample in TRUTH_OVERSAMPLE micro steps
-        dt_micro = float(t[i + 1] - t[i]) / TRUTH_OVERSAMPLE
-        for _ in range(TRUTH_OVERSAMPLE):
-            dpsi_m, dtheta_m, dspeed_m, vel0, _ = derivatives(time_s, psi, theta, speed)
-            psi += dpsi_m * dt_micro
-            theta += dtheta_m * dt_micro
-            speed += dspeed_m * dt_micro
+        for m in range(TRUTH_OVERSAMPLE):
+            dpsi, pitch_target, speed_target = targets[bisect_right(ends, time_s)]
+            dtheta = max(-PITCH_RAMP_RATE, min(PITCH_RAMP_RATE, pitch_target - theta))
+            dspeed = max(-SPEED_RAMP_ACCEL, min(SPEED_RAMP_ACCEL, speed_target - speed))
+            if m == 0:
+                # the sample instant shares the first micro-step's derivatives
+                lat_s[i] = lat
+                lon_s[i] = lon
+                alt_s[i] = alt
+                vn_s[i] = vn
+                ve_s[i] = ve
+                euler[i, 1] = theta
+                euler[i, 2] = psi
+                a_world[i] = (
+                    dspeed * (ct * cp) + speed * (-st * dtheta * cp - ct * sp * dpsi),
+                    dspeed * (ct * sp) + speed * (-st * dtheta * sp + ct * cp * dpsi),
+                    dspeed * -st + speed * (-ct * dtheta),
+                )
+                rates[i] = (dpsi, dtheta)
+                if i == n - 1:
+                    break
+                dt_micro = float(t[i + 1] - t[i]) / TRUTH_OVERSAMPLE
+            psi += dpsi * dt_micro
+            theta += dtheta * dt_micro
+            speed += dspeed * dt_micro
             time_s += dt_micro
-            _, _, _, vel1, _ = derivatives(time_s, psi, theta, speed)
-            lat += 0.5 * (vel0[0] + vel1[0]) * dt_micro * deg_per_m
-            lon += 0.5 * (vel0[1] + vel1[1]) * dt_micro * deg_per_m
-            alt += 0.5 * (vel0[2] + vel1[2]) * dt_micro
+            if psi != psi_trig or psi == 0.0:
+                psi_trig = psi
+                cp, sp = math.cos(psi), math.sin(psi)
+            if theta != theta_trig:
+                theta_trig = theta
+                ct, st = math.cos(theta), math.sin(theta)
+            vn1, ve1, vd1 = speed * (ct * cp), speed * (ct * sp), speed * -st
+            lat += 0.5 * (vn + vn1) * dt_micro * deg_per_m
+            lon += 0.5 * (ve + ve1) * dt_micro * deg_per_m
+            alt += 0.5 * (vd + vd1) * dt_micro
+            vn, ve, vd = vn1, ve1, vd1
 
     # quaternions from (0, theta, psi), vectorized ZYX composition
     half_psi = 0.5 * euler[:, 2]

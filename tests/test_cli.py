@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -130,6 +131,57 @@ class TestLive:
         code, out, _ = run_cli(["--mode", "live", "--input", "-"], capsys)
         assert code == 0
         assert len(out.splitlines()) == n + 1
+
+
+class TestRetransmittedFrames:
+    """Frames repeating an earlier frame's t_ms: the first in stream order
+    is kept and one summary line per kind goes to stderr."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, stream_file):
+        path, _ = stream_file
+        frames, diags = scan_stream(path.read_bytes())
+        assert not diags
+        assert b"".join(encode_frame(fr) for fr in frames) == path.read_bytes()
+        return frames
+
+    def live(self, frames, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"".join(encode_frame(fr) for fr in frames))
+        return run_cli(["--mode", "live", "--input", str(path)], capsys)
+
+    def with_copy(self, frames, kind, k, payload=None):
+        """The stream with a copy of its k-th frame of ``kind`` sent again
+        right after it, optionally with another payload."""
+        j = [i for i, fr in enumerate(frames) if fr.kind == kind][k]
+        copy = frames[j] if payload is None else dataclasses.replace(frames[j], payload=payload)
+        return frames[: j + 1] + [copy] + frames[j + 1 :]
+
+    @pytest.mark.parametrize("kind", [FrameKind.IMU, FrameKind.GPS], ids=["imu", "gps"])
+    def test_duplicate_frame_output_matches_clean(self, frames, kind, capsys, tmp_path):
+        clean = self.live(frames, capsys, tmp_path, "clean.bin")
+        dup = self.live(self.with_copy(frames, kind, 3), capsys, tmp_path, "dup.bin")
+        assert clean[0] == dup[0] == 0
+        assert dup[1] == clean[1]
+        assert clean[2] == ""
+        assert dup[2] == (
+            f"navfuse: dropped {kind.name} frames repeating an earlier t_ms: 1 "
+            "(1 exact duplicates, 0 with a conflicting payload)\n"
+        )
+
+    def test_conflicting_frame_keeps_first(self, frames, capsys, tmp_path):
+        clean = self.live(frames, capsys, tmp_path, "clean.bin")
+        imu_payload = frames[0].payload if frames[0].kind == FrameKind.IMU else frames[1].payload
+        stream = self.with_copy(frames, FrameKind.IMU, 5, payload=imu_payload._replace(ax=1234))
+        for k in (10, 20, 30):
+            stream = self.with_copy(stream, FrameKind.IMU, k)
+        code, out, err = self.live(stream, capsys, tmp_path, "conflict.bin")
+        assert code == 0
+        assert out == clean[1]
+        assert err.splitlines() == [
+            "navfuse: dropped IMU frames repeating an earlier t_ms: 4 "
+            "(3 exact duplicates, 1 with a conflicting payload)"
+        ]
 
 
 class TestRecordReplay:
@@ -265,6 +317,15 @@ class TestSimulate:
         assert run_cli(args2, capsys)[0] == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a_truth.csv").read_bytes() == (tmp_path / "b_truth.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["simulate", "sweep"])
+    def test_imu_rate_above_1000_hz_exit_2(self, mode, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"imu_rate_hz": 2000}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        code, _, err = run_cli(["--mode", mode, "--output", str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert "integer-millisecond grid" in err
 
     def test_simulated_recording_replays(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

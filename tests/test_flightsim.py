@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.attitude import AttitudeEstimator, accel_to_roll_pitch
 from navfuse.filters import design_chebyshev1_2_lp
 from navfuse.flightsim import (
+    PITCH_RAMP_RATE,
+    SPEED_RAMP_ACCEL,
+    TRUTH_OVERSAMPLE,
     ZERO_NOISE,
     FlightProfile,
     FlightSegment,
     SensorNoiseModel,
+    TruthSeries,
+    _generate_truth,
+    _segment_schedule,
     generate_flight,
     noise_from_dict,
     profile_from_dict,
@@ -19,6 +27,7 @@ from navfuse.flightsim import (
     square_grid,
     standard_profile,
     sweep_weights,
+    truth_rows,
 )
 from navfuse.navigation import BlendWeights, NavEstimator
 
@@ -102,6 +111,172 @@ class TestGenerateFlight:
     def test_imu_rate_below_gps_rate_rejected(self):
         with pytest.raises(ValueError):
             FlightProfile(segments=(FlightSegment("straight", 1.0),), imu_rate_hz=0.5)
+
+    def test_imu_rate_above_millisecond_grid_rejected(self):
+        FlightProfile(segments=(FlightSegment("straight", 1.0),), imu_rate_hz=1000.0)
+        with pytest.raises(ValueError, match="integer-millisecond grid"):
+            FlightProfile(segments=(FlightSegment("straight", 1.0),), imu_rate_hz=2000.0)
+
+
+def reference_truth(profile):
+    """The truth integrator as first written: two derivative evaluations per
+    micro-step plus one at each sample instant, and a linear segment scan."""
+    rate = profile.imu_rate_hz
+    n = int(round(profile.duration_s * rate)) + 1
+    t_ms = np.array([round(i * 1000.0 / rate) for i in range(n)], dtype=np.int64)
+    t = t_ms / 1000.0
+
+    schedule = _segment_schedule(profile)
+    deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
+
+    def segment_at(time_s):
+        for t0, t1, yaw_rate, pitch_target, speed in schedule:
+            if time_s < t1:
+                return yaw_rate, pitch_target, speed
+        return schedule[-1][2], schedule[-1][3], schedule[-1][4]
+
+    psi = math.radians(profile.start_heading_deg)
+    theta = 0.0
+    speed = profile.speed_mps
+    lat = profile.start_lat
+    lon = profile.start_lon
+    alt = profile.start_alt_m
+
+    lat_s = np.empty(n)
+    lon_s = np.empty(n)
+    alt_s = np.empty(n)
+    vn_s = np.empty(n)
+    ve_s = np.empty(n)
+    euler = np.zeros((n, 3))
+    a_world = np.empty((n, 3))
+    rates = np.empty((n, 2))
+
+    def derivatives(time_s, psi_, theta_, speed_):
+        dpsi, pitch_target, speed_target = segment_at(time_s)
+        dtheta = max(-PITCH_RAMP_RATE, min(PITCH_RAMP_RATE, pitch_target - theta_))
+        dspeed = max(-SPEED_RAMP_ACCEL, min(SPEED_RAMP_ACCEL, speed_target - speed_))
+        ct, st = math.cos(theta_), math.sin(theta_)
+        cp, sp = math.cos(psi_), math.sin(psi_)
+        dir_ = (ct * cp, ct * sp, -st)
+        ddir = (
+            -st * dtheta * cp - ct * sp * dpsi,
+            -st * dtheta * sp + ct * cp * dpsi,
+            -ct * dtheta,
+        )
+        vel = (speed_ * dir_[0], speed_ * dir_[1], speed_ * dir_[2])
+        acc = tuple(dspeed * dir_[k] + speed_ * ddir[k] for k in range(3))
+        return dpsi, dtheta, dspeed, vel, acc
+
+    for i in range(n):
+        time_s = float(t[i])
+        dpsi, dtheta, dspeed, vel, acc = derivatives(time_s, psi, theta, speed)
+        lat_s[i] = lat
+        lon_s[i] = lon
+        alt_s[i] = alt
+        vn_s[i] = vel[0]
+        ve_s[i] = vel[1]
+        euler[i, 1] = theta
+        euler[i, 2] = psi
+        a_world[i] = acc
+        rates[i] = (dpsi, dtheta)
+        if i == n - 1:
+            break
+        dt_micro = float(t[i + 1] - t[i]) / TRUTH_OVERSAMPLE
+        for _ in range(TRUTH_OVERSAMPLE):
+            dpsi_m, dtheta_m, dspeed_m, vel0, _ = derivatives(time_s, psi, theta, speed)
+            psi += dpsi_m * dt_micro
+            theta += dtheta_m * dt_micro
+            speed += dspeed_m * dt_micro
+            time_s += dt_micro
+            _, _, _, vel1, _ = derivatives(time_s, psi, theta, speed)
+            lat += 0.5 * (vel0[0] + vel1[0]) * dt_micro * deg_per_m
+            lon += 0.5 * (vel0[1] + vel1[1]) * dt_micro * deg_per_m
+            alt += 0.5 * (vel0[2] + vel1[2]) * dt_micro
+
+    half_psi = 0.5 * euler[:, 2]
+    half_th = 0.5 * euler[:, 1]
+    cz, sz = np.cos(half_psi), np.sin(half_psi)
+    cy, sy = np.cos(half_th), np.sin(half_th)
+    q = np.column_stack([cz * cy, -sz * sy, cz * sy, sz * cy])
+    flip = q[:, 0] < 0.0
+    q[flip] *= -1.0
+
+    truth = TruthSeries(t=t, lat=lat_s, lon=lon_s, alt_m=alt_s, vn=vn_s, ve=ve_s, euler=euler, q=q)
+    return truth, t_ms, a_world, rates
+
+
+def assert_same_bits(a, b):
+    # stricter than np.array_equal: the sign of a zero must match too
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def assert_same_truth(a: TruthSeries, b: TruthSeries):
+    for name in ("t", "lat", "lon", "alt_m", "vn", "ve", "euler", "q"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+
+
+# sample-grid durations put segment ends on sample instants; the floats put
+# them between samples
+_durations = st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.05, 3.0)
+_speeds = st.none() | st.floats(5.0, 30.0)
+_segments = st.one_of(
+    st.builds(FlightSegment, st.just("straight"), _durations, speed_mps=_speeds),
+    st.builds(
+        FlightSegment, st.just("turn"), _durations,
+        yaw_rate_dps=st.sampled_from([-0.0, 0.0]) | st.floats(-20.0, 20.0), speed_mps=_speeds,
+    ),
+    st.builds(
+        FlightSegment, st.just("climb"), _durations,
+        climb_rate_mps=st.floats(-4.0, 4.0), speed_mps=_speeds,
+    ),
+)
+_profiles = st.builds(
+    FlightProfile,
+    segments=st.lists(_segments, min_size=1, max_size=4).map(tuple),
+    imu_rate_hz=st.sampled_from([50.0, 60.0, 97.0, 100.0, 128.0]) | st.floats(5.0, 200.0),
+    start_heading_deg=st.sampled_from([0.0, -0.0]) | st.floats(-360.0, 360.0),
+    speed_mps=st.floats(5.0, 30.0),
+)
+
+
+class TestTruthIntegrator:
+    @settings(max_examples=40, deadline=None)
+    @given(_profiles)
+    def test_matches_reference_bit_for_bit(self, profile):
+        ref = reference_truth(profile)
+        new = _generate_truth(profile)
+        assert_same_truth(new[0], ref[0])
+        for a, b in zip(new[1:], ref[1:]):
+            assert_same_bits(a, b)
+
+    def test_generate_flight_truth_matches_reference_on_standard_profile(self):
+        profile = standard_profile(42)
+        truth, _, _ = generate_flight(profile)
+        assert_same_truth(truth, reference_truth(profile)[0])
+
+
+def test_truth_rows_match_per_cell_formatting():
+    profile = FlightProfile(
+        segments=(
+            FlightSegment("climb", 2.3, climb_rate_mps=2.0),
+            FlightSegment("turn", 2.1, yaw_rate_dps=-9.0, speed_mps=20.0),
+        ),
+        imu_rate_hz=97.0, start_heading_deg=-40.0,
+    )
+    truth, _, _ = generate_flight(profile, ZERO_NOISE)
+    deg = 180.0 / math.pi
+    expected = [
+        "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f"
+        % (
+            round(truth.t[i] * 1000.0),
+            truth.lat[i], truth.lon[i], truth.alt_m[i],
+            truth.vn[i], truth.ve[i],
+            truth.euler[i, 0] * deg, truth.euler[i, 1] * deg, truth.euler[i, 2] * deg,
+        )
+        for i in range(len(truth.t))
+    ]
+    assert list(truth_rows(truth)) == expected
 
 
 class TestRmsError:
