@@ -3,11 +3,11 @@
 Quaternion attitude estimation from pre-filtered accelerometer/gyro/
 magnetometer streams, dead-reckoning/GPS position blending, a binary
 telemetry frame codec, CSV flight recordings with record/replay, and a
-synthetic-flight oracle for error studies. Hot fusion loops run on a
-compiled kernel when available (see ``navfuse._kernels``).
+synthetic-flight oracle for error studies. The per-sample fusion loops are
+plain Python functions beside their estimators: ``attitude.attitude_run``,
+``navigation.nav_run`` and ``filters.biquad_run``.
 """
 
-from ._kernels import available_backends
 from .attitude import (
     AttitudeEstimator,
     AttitudeState,
@@ -45,6 +45,16 @@ from .recording import FlightRecording, read_recording, write_recording
 from .telemetry import TelemetryFrame, decode_frame, encode_frame, scan_stream
 
 __version__ = "0.1.0"
+
+
+def available_backends() -> tuple[str, ...]:
+    """The kernel implementations, of which there is one.
+
+    Kept because the benchmark names its per-layer kernel timings after it
+    (``attitude.run_s.python``, ``navigation.run_s.python``).
+    """
+    return ("python",)
+
 
 __all__ = [
     "AttitudeEstimator",

@@ -29,9 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
-from .filters import design_first_order_hp, design_first_order_lp
+from .filters import biquad_prime, design_first_order_hp, design_first_order_lp
 from .quat import EulerAngles, Quaternion, Vec3, wrap_pi
 
 log = logging.getLogger(__name__)
@@ -182,6 +181,150 @@ def complementary_angle(prev: float, rate: float, dt: float, reference: float, g
     return wrap_pi(prop + (1.0 - gain) * delta)
 
 
+def attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_yaw, declination, state):
+    """One pass of the attitude fusion loop over a stream of n samples.
+
+    ``state`` (``AttitudeEstimator.STATE_LEN`` floats) carries the filter and
+    angle state between calls and is updated in place. Returns the (n, 3)
+    Euler angles, the (n, 4) quaternions and the (n,) uint8 FLAG_* bits.
+    """
+    n = len(t)
+    euler = np.empty((n, 3), dtype=np.float64)
+    q = np.empty((n, 4), dtype=np.float64)
+    flags = np.zeros(n, dtype=np.uint8)
+
+    lb0, lb1, lb2, la1, la2 = lp
+    hb0, hb1, hb2, ha1, ha2 = hp
+
+    ts = t.tolist()
+    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
+    gxs, gys, gzs = gyr[:, 0].tolist(), gyr[:, 1].tolist(), gyr[:, 2].tolist()
+    mxs, mys, mzs = mag[:, 0].tolist(), mag[:, 1].tolist(), mag[:, 2].tolist()
+    hms = has_mag.tolist()
+
+    init = state[0] != 0.0
+    t_last = state[1]
+    roll, pitch, yaw = state[2], state[3], state[4]
+    lx1, lx2, ly1, ly2, lz1, lz2 = state[5], state[6], state[7], state[8], state[9], state[10]
+    hx1, hx2, hy1, hy2 = state[11], state[12], state[13], state[14]
+
+    for i in range(n):
+        ti = ts[i]
+        ax, ay, az = axs[i], ays[i], azs[i]
+        gx, gy, gz = gxs[i], gys[i], gzs[i]
+        fl = 0
+
+        if not init:
+            lx1, lx2 = biquad_prime(lb0, lb1, lb2, la1, la2, ax)
+            ly1, ly2 = biquad_prime(lb0, lb1, lb2, la1, la2, ay)
+            lz1, lz2 = biquad_prime(lb0, lb1, lb2, la1, la2, az)
+            hx1, hx2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gx)
+            hy1, hy2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gy)
+
+        fax = lb0 * ax + lx1
+        lx1 = lb1 * ax - la1 * fax + lx2
+        lx2 = lb2 * ax - la2 * fax
+        fay = lb0 * ay + ly1
+        ly1 = lb1 * ay - la1 * fay + ly2
+        ly2 = lb2 * ay - la2 * fay
+        faz = lb0 * az + lz1
+        lz1 = lb1 * az - la1 * faz + lz2
+        lz2 = lb2 * az - la2 * faz
+        fgx = hb0 * gx + hx1
+        hx1 = hb1 * gx - ha1 * fgx + hx2
+        hx2 = hb2 * gx - ha2 * fgx
+        fgy = hb0 * gy + hy1
+        hy1 = hb1 * gy - ha1 * fgy + hy2
+        hy2 = hb2 * gy - ha2 * fgy
+
+        rref, pref = _tilt_from_accel(fax, fay, faz)
+        tilt_ok = not math.isnan(rref)
+
+        if not init:
+            roll = rref if tilt_ok else 0.0
+            pitch = pref if tilt_ok else 0.0
+            if not tilt_ok:
+                fl |= FLAG_NO_TILT_REF
+            yaw = 0.0
+            if hms[i]:
+                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
+                if math.isnan(h):
+                    fl |= FLAG_NO_HEADING_REF
+                else:
+                    yaw = wrap_pi(h + declination)
+            init = True
+        else:
+            dt = ti - t_last
+            gap = dt > MAX_GYRO_GAP_S
+            if gap:
+                fl |= FLAG_GAP
+            if not tilt_ok:
+                fl |= FLAG_NO_TILT_REF
+            if gap:
+                if tilt_ok:
+                    roll = rref
+                    pitch = pref
+            elif tilt_ok:
+                roll = complementary_angle(roll, fgx, dt, rref, gamma_rp)
+                pitch = complementary_angle(pitch, fgy, dt, pref, gamma_rp)
+            else:
+                roll = wrap_pi(roll + fgx * dt)
+                pitch = wrap_pi(pitch + fgy * dt)
+            heading_ok = False
+            h = 0.0
+            if hms[i]:
+                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
+                heading_ok = not math.isnan(h)
+                if not heading_ok:
+                    fl |= FLAG_NO_HEADING_REF
+            if heading_ok:
+                href = wrap_pi(h + declination)
+                yaw = href if gap else complementary_angle(yaw, gz, dt, href, gamma_yaw)
+            elif not gap:
+                yaw = wrap_pi(yaw + gz * dt)
+
+        t_last = ti
+
+        # from_euler (two Hamilton products) then normalize with w >= 0.
+        czw = math.cos(0.5 * yaw)
+        szw = math.sin(0.5 * yaw)
+        cpw = math.cos(0.5 * pitch)
+        spw = math.sin(0.5 * pitch)
+        crw = math.cos(0.5 * roll)
+        srw = math.sin(0.5 * roll)
+        # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
+        h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
+        h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
+        h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
+        h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
+        # q = h1 * qx with qx = (crw, srw, 0, 0)
+        qw = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
+        qx = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
+        qy = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
+        qz = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+        if qw < 0.0:
+            qw, qx, qy, qz = -qw, -qx, -qy, -qz
+
+        euler[i, 0] = roll
+        euler[i, 1] = pitch
+        euler[i, 2] = yaw
+        q[i, 0] = qw
+        q[i, 1] = qx
+        q[i, 2] = qy
+        q[i, 3] = qz
+        flags[i] = fl
+
+    state[0] = 1.0 if init else 0.0
+    state[1] = t_last
+    state[2], state[3], state[4] = roll, pitch, yaw
+    state[5], state[6], state[7], state[8] = lx1, lx2, ly1, ly2
+    state[9], state[10], state[11], state[12] = lz1, lz2, hx1, hx2
+    state[13], state[14] = hy1, hy2
+    return euler, q, flags
+
+
 @dataclass(frozen=True)
 class AttitudeTrack:
     """Batch fusion output, one row per input sample."""
@@ -211,7 +354,6 @@ class AttitudeEstimator:
         gyro_hp_hz: float = 0.1,
         declination_rad: float = 0.0,
         hard_iron: Vec3 = (0.0, 0.0, 0.0),
-        backend: str = "auto",
     ):
         self.gains = gains
         self.declination_rad = declination_rad
@@ -220,7 +362,6 @@ class AttitudeEstimator:
         hp = design_first_order_hp(gyro_hp_hz, sample_rate_hz)
         self._lp = (lp.b0, lp.b1, lp.b2, lp.a1, lp.a2)
         self._hp = (hp.b0, hp.b1, hp.b2, hp.a1, hp.a2)
-        self._kern = _kernels.select(backend)
         self._state = np.zeros(self.STATE_LEN, dtype=np.float64)
 
     @property
@@ -277,7 +418,7 @@ class AttitudeEstimator:
         if any(self.hard_iron):
             mag = mag - np.asarray(self.hard_iron)
 
-        euler, q, flags = self._kern.attitude_run(
+        euler, q, flags = attitude_run(
             t, accel, gyro, mag, has_mag,
             self._lp, self._hp,
             self.gains.gamma_rp, self.gains.gamma_yaw,

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, telemetry
+from . import telemetry
 from .attitude import AttitudeEstimator, FusionGains
 from .errors import RecordingFormatError, TimestampOrderError
-from .filters import design_butterworth2_lp, design_chebyshev1_2_lp
+from .filters import biquad_run, design_butterworth2_lp, design_chebyshev1_2_lp
 from .flightsim import (
     TRUTH_HEADER,
     generate_flight,
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-ms", type=int, dest="to_ms", help="replay window end (exclusive)")
     p.add_argument("--grid", help="comma-separated weight values, swept as a square grid")
     p.add_argument("--truth-out", dest="truth_out", help="truth CSV path for simulate mode")
-    p.add_argument("--backend", choices=("auto", "python", "compiled"), help="kernel backend")
+    p.add_argument("--backend", choices=("auto", "python"),
+                   help="accepted for compatibility and ignored: the fusion loops have one implementation")
     return p
 
 
@@ -123,7 +124,6 @@ def fusion_config(opts: dict, gps_mode: str) -> FusionConfig:
         earth_radius_m=float(opts["earth_radius_m"]),
         stale_after_s=float(opts["stale_after_s"]),
         gps_mode=gps_mode,
-        backend=opts["backend"],
     )
 
 
@@ -299,7 +299,6 @@ def cmd_sweep(opts: dict) -> int:
     cells = sweep_weights(
         profile, noise, square_grid(values),
         gains=FusionGains(float(opts["gamma_rp"]), float(opts["gamma_yaw"])),
-        backend=opts["backend"],
     )
     with _Output(opts["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
@@ -322,10 +321,9 @@ def cmd_filter_compare(opts: dict) -> int:
     cutoff = float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else min(10.0, fs / 6.0)
     bw = design_butterworth2_lp(cutoff, fs)
     ch = design_chebyshev1_2_lp(cutoff, fs)
-    kern = _kernels.select(opts["backend"])
 
     def run(c, x):
-        y, _, _ = kern.biquad_run(c.b0, c.b1, c.b2, c.a1, c.a2, 0.0, 0.0, x)
+        y, _, _ = biquad_run(c.b0, c.b1, c.b2, c.a1, c.a2, 0.0, 0.0, x)
         return y
 
     gains = FusionGains(float(opts["gamma_rp"]), float(opts["gamma_yaw"]))
@@ -333,7 +331,6 @@ def cmd_filter_compare(opts: dict) -> int:
         sample_rate_hz=fs,
         accel_lp_hz=float(opts["accel_lp_hz"]),
         gyro_hp_hz=float(opts["gyro_hp_hz"]),
-        backend=opts["backend"],
     )
     fused = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr, mag, has_mag)
     gyro_only = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr)

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -134,9 +136,7 @@ class FilterState:
         dc_gain * x0 instead of b0 * x0.
         """
         c = self.coeffs
-        h = c.dc_gain()
-        self.s1 = h * x0 - c.b0 * x0
-        self.s2 = c.b2 * x0 - c.a2 * h * x0
+        self.s1, self.s2 = biquad_prime(c.b0, c.b1, c.b2, c.a1, c.a2, x0)
 
     def step(self, x: float) -> float:
         if not math.isfinite(x):
@@ -146,6 +146,27 @@ class FilterState:
         self.s1 = c.b1 * x - c.a1 * y + self.s2
         self.s2 = c.b2 * x - c.a2 * y
         return y
+
+
+def biquad_prime(b0, b1, b2, a1, a2, x0):
+    """Delay-line state (s1, s2) at the steady state for a constant input x0."""
+    h = (b0 + b1 + b2) / (1.0 + a1 + a2)
+    return h * x0 - b0 * x0, b2 * x0 - a2 * h * x0
+
+
+def biquad_run(b0, b1, b2, a1, a2, s1, s2, x):
+    """Run a direct-form-II-transposed biquad over an array.
+
+    Returns the output array and the final delay-line state (s1, s2).
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.empty_like(x)
+    for i, xi in enumerate(x.tolist()):
+        yi = b0 * xi + s1
+        s1 = b1 * xi - a1 * yi + s2
+        s2 = b2 * xi - a2 * yi
+        y[i] = yi
+    return y, s1, s2
 
 
 def frequency_response(coeffs: BiquadCoeffs, f_hz: float) -> float:

@@ -402,7 +402,6 @@ def sweep_weights(
     noise: SensorNoiseModel,
     grid: list[tuple[float, float]],
     gains: FusionGains = FusionGains(),
-    backend: str = "auto",
 ) -> list[SweepCell]:
     """Run the full pipeline once per (alpha, beta) cell on identical streams.
 
@@ -416,7 +415,7 @@ def sweep_weights(
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
     truth, imu, fixes = generate_flight(profile, noise)
-    att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz, backend=backend).run(*imu)
+    att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz).run(*imu)
 
     cells = []
     for a, b in grid:
@@ -425,7 +424,6 @@ def sweep_weights(
             sample_rate_hz=profile.imu_rate_hz,
             earth=profile.earth,
             mode="replay",
-            backend=backend,
         ).run(imu.t, imu.accel, att.q, fixes)
         err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))

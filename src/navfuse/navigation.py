@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .attitude import GRAVITY_MPS2
 from .errors import InterpolationRangeError, TimestampOrderError
-from .filters import BiquadCoeffs, FilterState, design_butterworth2_lp
+from .filters import BiquadCoeffs, FilterState, biquad_prime, design_butterworth2_lp
 from .geo import EarthModel, GeoPoint, bearing
 from .quat import Quaternion, Vec3
 
@@ -235,7 +234,7 @@ def interpolate_gps(fixes: list[GpsFix], t: float) -> GeoPoint:
 
 @dataclass(frozen=True)
 class GpsReference:
-    """Per-sample reference arrays feeding the batch fusion kernel."""
+    """Per-sample reference arrays feeding ``nav_run``."""
 
     ref_lat: np.ndarray     # (n,)
     ref_lon: np.ndarray     # (n,)
@@ -313,6 +312,112 @@ def prepare_gps_reference(
     return out
 
 
+def nav_run(
+    t, acc, quat,
+    ref_lat, ref_lon, has_pos,
+    ref_speed, ref_theta, has_vel,
+    bw, alpha, beta, deg_per_m, lon_scale_correction, state,
+):
+    """One pass of the position fusion loop over a stream of n samples.
+
+    The GPS reference columns come from ``prepare_gps_reference``. ``state``
+    (``NavEstimator.STATE_LEN`` floats) carries the filter, velocity and
+    position state between calls and is updated in place. Returns the (n, 2)
+    north/east velocities and the (n,) latitudes and longitudes.
+    """
+    n = len(t)
+    vel = np.empty((n, 2), dtype=np.float64)
+    lat_out = np.empty(n, dtype=np.float64)
+    lon_out = np.empty(n, dtype=np.float64)
+
+    b0, b1, b2, a1, a2 = bw
+    ts = t.tolist()
+    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
+    qws, qxs, qys, qzs = (quat[:, j].tolist() for j in range(4))
+    rlats, rlons, hps = ref_lat.tolist(), ref_lon.tolist(), has_pos.tolist()
+    rspd, rth, hvs = ref_speed.tolist(), ref_theta.tolist(), has_vel.tolist()
+
+    init = state[0] != 0.0
+    t_last = state[1]
+    vn, ve = state[2], state[3]
+    lat, lon = state[4], state[5]
+    fx1, fx2, fy1, fy2, fz1, fz2 = state[6], state[7], state[8], state[9], state[10], state[11]
+
+    for i in range(n):
+        ti = ts[i]
+        ax, ay, az = axs[i], ays[i], azs[i]
+
+        if not init:
+            fx1, fx2 = biquad_prime(b0, b1, b2, a1, a2, ax)
+            fy1, fy2 = biquad_prime(b0, b1, b2, a1, a2, ay)
+            fz1, fz2 = biquad_prime(b0, b1, b2, a1, a2, az)
+
+        fax = b0 * ax + fx1
+        fx1 = b1 * ax - a1 * fax + fx2
+        fx2 = b2 * ax - a2 * fax
+        fay = b0 * ay + fy1
+        fy1 = b1 * ay - a1 * fay + fy2
+        fy2 = b2 * ay - a2 * fay
+        faz = b0 * az + fz1
+        fz1 = b1 * az - a1 * faz + fz2
+        fz2 = b2 * az - a2 * faz
+
+        if not init:
+            if hps[i]:
+                lat = rlats[i]
+                lon = rlons[i]
+            init = True
+        else:
+            dt = ti - t_last
+            qw, qx, qy, qz = qws[i], qxs[i], qys[i], qzs[i]
+            xx = qx * qx
+            yy = qy * qy
+            zz = qz * qz
+            wx = qw * qx
+            wy = qw * qy
+            wz = qw * qz
+            xy = qx * qy
+            xz = qx * qz
+            yz = qy * qz
+            a_n = (1.0 - 2.0 * (yy + zz)) * fax + 2.0 * (xy - wz) * fay + 2.0 * (xz + wy) * faz
+            a_e = 2.0 * (xy + wz) * fax + (1.0 - 2.0 * (xx + zz)) * fay + 2.0 * (yz - wx) * faz
+
+            vn_i = vn + a_n * dt
+            ve_i = ve + a_e * dt
+            if hvs[i]:
+                vn = alpha * vn_i + (1.0 - alpha) * rspd[i] * math.cos(rth[i])
+                ve = alpha * ve_i + (1.0 - alpha) * rspd[i] * math.sin(rth[i])
+            else:
+                vn = vn_i
+                ve = ve_i
+
+            lat_dr = lat + vn * dt * deg_per_m
+            if lon_scale_correction:
+                lon_dr = lon + ve * dt * (deg_per_m / math.cos(lat * math.pi / 180.0))
+            else:
+                lon_dr = lon + ve * dt * deg_per_m
+            if hps[i]:
+                lat = beta * lat_dr + (1.0 - beta) * rlats[i]
+                lon = beta * lon_dr + (1.0 - beta) * rlons[i]
+            else:
+                lat = lat_dr
+                lon = lon_dr
+
+        t_last = ti
+        vel[i, 0] = vn
+        vel[i, 1] = ve
+        lat_out[i] = lat
+        lon_out[i] = lon
+
+    state[0] = 1.0 if init else 0.0
+    state[1] = t_last
+    state[2], state[3] = vn, ve
+    state[4], state[5] = lat, lon
+    state[6], state[7], state[8] = fx1, fx2, fy1
+    state[9], state[10], state[11] = fy2, fz1, fz2
+    return vel, lat_out, lon_out
+
+
 @dataclass(frozen=True)
 class NavTrack:
     """Batch position-fusion output, one row per input sample."""
@@ -339,7 +444,6 @@ class NavEstimator:
         mode: str = "live",
         initial_pos: GeoPoint = GeoPoint(0.0, 0.0),
         initial_vel: tuple[float, float] = (0.0, 0.0),
-        backend: str = "auto",
         coeffs: BiquadCoeffs | None = None,
     ):
         self.weights = weights
@@ -352,7 +456,6 @@ class NavEstimator:
         )
         self.coeffs = c
         self._bw = (c.b0, c.b1, c.b2, c.a1, c.a2)
-        self._kern = _kernels.select(backend)
         self._state = np.zeros(self.STATE_LEN, dtype=np.float64)
         self._state[2] = initial_vel[0]
         self._state[3] = initial_vel[1]
@@ -369,13 +472,13 @@ class NavEstimator:
         if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
             raise TimestampOrderError("sample timestamps must be strictly increasing")
         ref = prepare_gps_reference(t, fixes, self.mode, self.stale_after_s)
-        vel, lat, lon = self._kern.nav_run(
+        vel, lat, lon = nav_run(
             t, accel, q,
             ref.ref_lat, ref.ref_lon, ref.has_pos,
             ref.ref_speed, ref.ref_theta, ref.has_vel,
             self._bw,
             self.weights.alpha, self.weights.beta,
-            GRAVITY_MPS2, 180.0 / (math.pi * self.earth.radius_m),
+            180.0 / (math.pi * self.earth.radius_m),
             self.lon_scale_correction,
             self._state,
         )

@@ -1,8 +1,8 @@
 """End-to-end fusion orchestration shared by the CLI modes.
 
 Takes an IMU stream as ``ImuArrays`` columns and a list of GPS fixes, runs
-the attitude and position estimators on the selected kernel backend, and
-formats the fused output rows. Live and replay runs differ only in the GPS
+the attitude and then the position estimator over it, and formats the fused
+output rows. Live and replay runs differ only in the GPS
 position reference (latest fix vs linear interpolation), so replaying a
 recording reproduces the live attitude output bit for bit.
 """
@@ -38,7 +38,6 @@ class FusionConfig:
     stale_after_s: float = 3.0
     gps_mode: str = "live"                  # "live" | "replay"
     sample_rate_hz: float | None = None     # None: estimated from the stream
-    backend: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = Fusion
         gyro_hp_hz=cfg.gyro_hp_hz,
         declination_rad=math.radians(cfg.declination_deg),
         hard_iron=cfg.hard_iron,
-        backend=cfg.backend,
     ).run(*imu)
 
     nav = NavEstimator(
@@ -83,7 +81,6 @@ def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = Fusion
         lon_scale_correction=cfg.lon_scale_correction,
         stale_after_s=cfg.stale_after_s,
         mode=cfg.gps_mode,
-        backend=cfg.backend,
     ).run(t, imu.accel, att.q, fixes)
 
     return FusionOutput(

@@ -39,6 +39,7 @@ _NCOLS = len(HEADER.split(","))
 _IMU_CELLS = "%d" + ",%.9f" * 6
 _MAG_CELLS = ",%.9f,%.9f,%.9f"
 _SENSOR_NAMES = ("accel",) * 3 + ("gyro",) * 3 + ("mag",) * 3
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -74,12 +75,18 @@ def write_recording(imu: ImuArrays, fixes: list[GpsFix], dest, metadata: dict[st
         dest.write(f"# {key}={value}\n")
     dest.write(HEADER + "\n")
     dest.flush()
-    rows = zip(t_ms.tolist(), imu.accel.tolist(), imu.gyro.tolist(), imu.mag.tolist(), imu.has_mag.tolist())
-    for i, (t, acc, gyr, mag, has_mag) in enumerate(rows):
-        line = _IMU_CELLS % (t, *acc, *gyr)
-        line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
-        dest.write(line + _gps_cells(row_fix.get(i)) + "\n")
-        dest.flush()
+    # columns become Python lists one block at a time, which bounds the memory
+    for lo in range(0, len(t_ms), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = zip(
+            t_ms[block].tolist(), imu.accel[block].tolist(), imu.gyro[block].tolist(),
+            imu.mag[block].tolist(), imu.has_mag[block].tolist(),
+        )
+        for i, (t, acc, gyr, mag, has_mag) in enumerate(rows, lo):
+            line = _IMU_CELLS % (t, *acc, *gyr)
+            line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
+            dest.write(line + _gps_cells(row_fix.get(i)) + "\n")
+            dest.flush()
     return len(t_ms)
 
 

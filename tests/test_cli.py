@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import navfuse
 from navfuse.attitude import ImuSample
 from navfuse.cli import main
 from navfuse.flightsim import (
@@ -275,10 +276,13 @@ class TestRecordReplay:
         fifo = tmp_path / "partial.fifo"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        # the child imports the navfuse under test, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(navfuse.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "navfuse.cli", "--mode", "record",
              "--input", str(big), "--output", str(fifo)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
         )
         written = bytearray()
         try:

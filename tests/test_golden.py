@@ -1,0 +1,59 @@
+"""Golden outputs: the sha256 of every file the CLI writes for the seed-42
+standard flight, each mode run in-process through ``cli.main``.
+
+The fusion loops exist once, so these digests are what guards them: an edit
+that changes a single output byte (the sign of a zero included, which prints
+as ``-0.000000000``) fails here. The CSVs print 9 decimals, which hide a
+last-bit change such as a reassociated product, so the float64 bits of the
+fused arrays behind the replay CSV are pinned too. Re-pin only for a
+deliberate change of output, and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from navfuse import cli
+from navfuse.pipeline import FusionConfig, fuse_streams
+from navfuse.recording import read_recording
+
+GOLDEN = {
+    "flight.csv": "6db959f1ec2b3c8cd74111aa1c573a68e9d1252dbc90fa0d671448d74b0d076f",
+    "truth.csv": "cb1714e5010314a09b9d926a9e7e8f9208675798d411208986a78b6fe4c94d4a",
+    "replay.csv": "4271c9bdbdbde05a0a050206f05bb69cb312e22067bdecb2ce6a116970fd91db",
+    "sweep.csv": "8fbdc063fa32ceeb77473a2fb1ea470f7ae1446ec513a92c1fcfa2bf0a4f3e22",
+    "filter-compare.csv": "362e02e6e90285e3dd163abb7d7002d333a105a72c4afd372d711f67c04c329e",
+}
+FUSED_ARRAY_BITS = "db8d5d0cf6ab42093209f3e139bec7f7de97cd113d4a8f41d13854afae979e26"
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    flight = str(d / "flight.csv")
+    runs = (
+        ["--mode", "simulate", "--seed", "42", "--output", flight, "--truth-out", str(d / "truth.csv")],
+        ["--mode", "replay", "--input", flight, "--output", str(d / "replay.csv")],
+        ["--mode", "sweep", "--seed", "42", "--output", str(d / "sweep.csv")],
+        ["--mode", "filter-compare", "--input", flight, "--output", str(d / "filter-compare.csv")],
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("NAVFUSE_CONFIG", raising=False)  # built-in defaults only
+        for argv in runs:
+            assert cli.main(argv) == cli.EXIT_OK
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(outputs, name):
+    assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_fused_array_bits(outputs):
+    rec = read_recording(outputs / "flight.csv")
+    out = fuse_streams(rec.imu, rec.fixes, FusionConfig(gps_mode="replay"))
+    h = hashlib.sha256()
+    for a in (out.euler, out.q, out.vel, out.lat, out.lon, out.att_flags):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == FUSED_ARRAY_BITS
