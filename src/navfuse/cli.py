@@ -34,12 +34,15 @@ from .flightsim import (
 )
 from .pipeline import FUSED_HEADER, FusionConfig, estimate_sample_rate, fuse_streams, fused_rows
 from .recording import read_recording, write_recording
-from .telemetry import FrameKind, scan_stream
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_OUTPUT = 4
+
+# Largest wire magnitudes of a position, in 1e-7 degree.
+_LAT_E7_MAX = 900_000_000
+_LON_E7_MAX = 1_800_000_000
 
 MODES = ("live", "record", "replay", "simulate", "sweep", "filter-compare")
 
@@ -154,35 +157,46 @@ class _Output:
 
 
 def _decode_stream(data: bytes):
-    frames, diags = scan_stream(data)
+    imu, gps, diags = telemetry.scan_frames(data)
     for d in diags:
         print(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}", file=sys.stderr)
-    imu = [fr for fr in frames if fr.kind == FrameKind.IMU]
-    gps = [fr for fr in frames if fr.kind == FrameKind.GPS]
-    # merge transmitters by timestamp; stream order breaks ties (stable sorts),
-    # and of the frames sharing a t_ms (retransmissions) the first is kept
-    t_ms = np.array([fr.t_ms for fr in imu], dtype=np.int64)
+    imu = imu[_first_per_t_ms("IMU", imu["t_ms"], imu["counts"])]
+
+    lat, lon = gps["lat_e7"].astype(np.int64), gps["lon_e7"].astype(np.int64)
+    in_range = (np.abs(lat) <= _LAT_E7_MAX) & (np.abs(lon) <= _LON_E7_MAX)
+    if not in_range.all():
+        print(f"navfuse: dropped GPS frames with a position out of range: {int((~in_range).sum())}",
+              file=sys.stderr)
+    gps = gps[in_range]
+    gps["lon_e7"][gps["lon_e7"] == -_LON_E7_MAX] = _LON_E7_MAX  # -180 deg is the +180 deg meridian
+    # a GpsPayload ignores flag bits 2-7, so they cannot make a conflict
+    payload = np.column_stack(
+        [gps[f] for f in ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm")] + [gps["flags"] & 0x03]
+    )
+    gps = gps[_first_per_t_ms("GPS", gps["t_ms"], payload)]
+    fixes = [
+        telemetry.gps_counts_to_fix(t_ms, p)
+        for t_ms, p in zip(gps["t_ms"].tolist(), telemetry.gps_payloads(gps))
+    ]
+    return telemetry.imu_counts_to_arrays(imu["t_ms"], imu["counts"]), fixes
+
+
+def _first_per_t_ms(kind: str, t_ms: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """Indices of the frames to keep, in t_ms order.
+
+    Transmitters merge by timestamp, stream order breaking ties (a stable
+    sort). Of the frames sharing a t_ms (retransmissions) the first is kept;
+    the rest are reported, split by whether their payload rows differ.
+    """
     order = np.argsort(t_ms, kind="stable")
-    t_ms = t_ms[order]
-    counts = np.array([fr.payload for fr in imu], dtype=np.int64).reshape(-1, 9)[order]
+    t_ms, payload = t_ms[order], payload[order]
     repeat = np.zeros(len(t_ms), dtype=bool)
     repeat[1:] = t_ms[1:] == t_ms[:-1]
     # compare each repeat with the first frame of its t_ms
     first_row = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(t_ms))))
-    conflicts = (counts[repeat] != counts[first_row[repeat]]).any(axis=1)
-    _report_duplicates("IMU", int(repeat.sum()), int(conflicts.sum()))
-
-    gps.sort(key=lambda fr: fr.t_ms)
-    kept = []
-    n_conflicts = 0
-    for fr in gps:
-        if kept and fr.t_ms == kept[-1].t_ms:
-            n_conflicts += fr.payload != kept[-1].payload
-        else:
-            kept.append(fr)
-    _report_duplicates("GPS", len(gps) - len(kept), n_conflicts)
-    fixes = [telemetry.gps_counts_to_fix(fr.t_ms, fr.payload) for fr in kept]
-    return telemetry.imu_counts_to_arrays(t_ms[~repeat], counts[~repeat]), fixes
+    conflicts = (payload[repeat] != payload[first_row[repeat]]).any(axis=1)
+    _report_duplicates(kind, int(repeat.sum()), int(conflicts.sum()))
+    return order[~repeat]
 
 
 def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:

@@ -150,16 +150,21 @@ class TruthSeries:
 
 TRUTH_HEADER = "t_ms,lat,lon,alt_m,v_north,v_east,roll_deg,pitch_deg,yaw_deg"
 _TRUTH_ROW = "%d" + ",%.9f" * 8
+_TRUTH_BLOCK_ROWS = 1024
 
 
 def truth_rows(truth: TruthSeries):
     """Yield truth CSV lines (without newline), header excluded."""
     t_ms = np.rint(truth.t * 1000.0).astype(np.int64)
-    cols = np.column_stack(
-        [truth.lat, truth.lon, truth.alt_m, truth.vn, truth.ve, truth.euler * (180.0 / math.pi)]
-    )
-    for t, row in zip(t_ms.tolist(), cols.tolist()):
-        yield _TRUTH_ROW % (t, *row)
+    # columns become Python lists one block at a time, which bounds the memory
+    for lo in range(0, len(t_ms), _TRUTH_BLOCK_ROWS):
+        block = slice(lo, lo + _TRUTH_BLOCK_ROWS)
+        cols = np.column_stack([
+            truth.lat[block], truth.lon[block], truth.alt_m[block], truth.vn[block], truth.ve[block],
+            truth.euler[block] * (180.0 / math.pi),
+        ])
+        for t, row in zip(t_ms[block].tolist(), cols.tolist()):
+            yield _TRUTH_ROW % (t, *row)
 
 
 def _segment_schedule(profile: FlightProfile):

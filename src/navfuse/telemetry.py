@@ -18,6 +18,10 @@ bit1 = altitude valid). Frame total 27 bytes.
 Frames carry raw integer counts so encode/decode is an exact bijection; the
 count-to-physical conversions round to 9 decimal places, which keeps the
 values bit-stable through the flight-recording CSV round trip.
+
+A byte stream is scanned into column arrays (``scan_frames``): one walk finds
+the accepted frames, and numpy gathers them as ``IMU_WIRE``/``GPS_WIRE``
+records. ``scan_stream`` is the same result as ``TelemetryFrame`` objects.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attitude import GRAVITY_MPS2, ImuArrays, ImuSample
 from .errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
@@ -58,12 +63,26 @@ class FrameKind(enum.IntEnum):
 
 
 _FRAME_LEN = {FrameKind.IMU: IMU_FRAME_LEN, FrameKind.GPS: GPS_FRAME_LEN}
+# plain ints: the scan compares every frame's kind byte, and an enum compare costs more
+_IMU_KIND, _GPS_KIND = int(FrameKind.IMU), int(FrameKind.GPS)
+
+# Whole frames as numpy records, for the column scan.
+_WIRE_HEADER = [("magic", "u1"), ("kind", "u1"), ("seq", "<u2"), ("t_ms", "<u4")]
+IMU_WIRE = np.dtype(_WIRE_HEADER + [("counts", "<i2", (9,)), ("crc", "<u2")])
+GPS_WIRE = np.dtype(_WIRE_HEADER + [
+    ("lat_e7", "<i4"), ("lon_e7", "<i4"), ("speed_cmps", "<u2"), ("course_cdeg", "<u2"),
+    ("alt_cm", "<i4"), ("flags", "u1"), ("crc", "<u2"),
+])
 
 
 def crc16_ccitt_false(data: bytes) -> int:
     # binascii's CRC-CCITT (XMODEM) is the same unreflected poly-0x1021 CRC;
     # seeding it with 0xFFFF makes it CCITT-FALSE.
     return binascii.crc_hqx(data, 0xFFFF)
+
+
+def _crc_mismatch(crc_rx: int, crc_calc: int) -> str:
+    return f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}"
 
 
 class ImuPayload(NamedTuple):
@@ -153,18 +172,24 @@ def decode_frame(data: bytes) -> TelemetryFrame:
     (crc_rx,) = _CRC.unpack(crc_bytes)
     crc_calc = crc16_ccitt_false(body)
     if crc_rx != crc_calc:
-        raise CorruptionError(
-            f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}", offset=need - 2
-        )
+        raise CorruptionError(_crc_mismatch(crc_rx, crc_calc), offset=need - 2)
     _, _, seq, t_ms = _HEADER.unpack_from(body)
     if kind == FrameKind.IMU:
         payload = ImuPayload(*_IMU_PAYLOAD.unpack_from(body, _HEADER.size))
     else:
-        lat_e7, lon_e7, speed, course, alt_cm, flags = _GPS_PAYLOAD.unpack_from(body, _HEADER.size)
-        payload = GpsPayload(
-            lat_e7, lon_e7, speed, course, bool(flags & 0x01), alt_cm, bool(flags & 0x02)
-        )
+        payload = _gps_payload(*_GPS_PAYLOAD.unpack_from(body, _HEADER.size))
     return TelemetryFrame(kind=kind, seq=seq, t_ms=t_ms, payload=payload)
+
+
+def _gps_payload(lat_e7, lon_e7, speed, course, alt_cm, flags) -> GpsPayload:
+    """The payload of the wire fields; flag bits 2-7 carry nothing."""
+    return GpsPayload(lat_e7, lon_e7, speed, course, bool(flags & 0x01), alt_cm, bool(flags & 0x02))
+
+
+def gps_payloads(gps: np.ndarray) -> list[GpsPayload]:
+    """One ``GpsPayload`` per ``GPS_WIRE`` record."""
+    fields = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
+    return [_gps_payload(*row) for row in zip(*(gps[f].tolist() for f in fields))]
 
 
 @dataclass(frozen=True)
@@ -174,15 +199,19 @@ class StreamDiagnostic:
     detail: str
 
 
-def scan_stream(data: bytes) -> tuple[list[TelemetryFrame], list[StreamDiagnostic]]:
-    """Recover every valid frame from a possibly dirty byte stream.
+def _walk(data: bytes) -> tuple[list[int], list[int], list[StreamDiagnostic]]:
+    """Find the valid frames in a possibly dirty byte stream.
 
-    Scans for the magic byte, attempts an exact-length decode, and resyncs
-    by advancing a single byte on failure, so a valid frame is never lost to
-    preceding garbage. All failures become diagnostics.
+    Scans for the magic byte, checks the kind, the length and the CRC of a
+    candidate frame, and resyncs by advancing a single byte on failure, so a
+    valid frame is never lost to preceding garbage. Returns the byte offsets
+    of the IMU and of the GPS frames, and every failure as a diagnostic.
     """
-    frames: list[TelemetryFrame] = []
+    imu_at: list[int] = []
+    gps_at: list[int] = []
     diags: list[StreamDiagnostic] = []
+    view = memoryview(data)
+    crc_hqx = binascii.crc_hqx
     i = 0
     n = len(data)
     while i < n:
@@ -197,24 +226,64 @@ def scan_stream(data: bytes) -> tuple[list[TelemetryFrame], list[StreamDiagnosti
             diags.append(StreamDiagnostic(i, "truncation", "stream ends after magic byte"))
             break
         kind_byte = data[i + 1]
-        if kind_byte not in (FrameKind.IMU, FrameKind.GPS):
+        if kind_byte == _IMU_KIND:
+            need, found = IMU_FRAME_LEN, imu_at
+        elif kind_byte == _GPS_KIND:
+            need, found = GPS_FRAME_LEN, gps_at
+        else:
             diags.append(StreamDiagnostic(i, "framing", f"unknown frame kind 0x{kind_byte:02X}"))
             i += 1
             continue
-        need = _FRAME_LEN[FrameKind(kind_byte)]
         if n - i < need:
             # No complete frame fits in the remaining bytes (min frame 27B).
             diags.append(
                 StreamDiagnostic(i, "truncation", f"stream ends {need - (n - i)} byte(s) into a frame")
             )
             break
-        try:
-            frames.append(decode_frame(data[i : i + need]))
-            i += need
-        except CorruptionError as exc:
-            diags.append(StreamDiagnostic(i, "corruption", str(exc)))
+        crc_at = i + need - 2
+        crc_rx = data[crc_at] | data[crc_at + 1] << 8
+        crc_calc = crc_hqx(view[i:crc_at], 0xFFFF)
+        if crc_rx != crc_calc:
+            diags.append(StreamDiagnostic(i, "corruption", _crc_mismatch(crc_rx, crc_calc)))
             i += 1
-    return frames, diags
+            continue
+        found.append(i)
+        i += need
+    return imu_at, gps_at, diags
+
+
+def _records(data: bytes, at: list[int], wire: np.dtype) -> np.ndarray:
+    """The frames starting at byte offsets ``at``, gathered as ``wire`` records."""
+    if not at:
+        return np.empty(0, dtype=wire)
+    # a window view indexes whole frames without an (n, frame length) index matrix
+    frames = sliding_window_view(np.frombuffer(data, dtype=np.uint8), wire.itemsize)[at]
+    return frames.view(wire)[:, 0]
+
+
+def scan_frames(data: bytes) -> tuple[np.ndarray, np.ndarray, list[StreamDiagnostic]]:
+    """Recover every valid frame from a possibly dirty byte stream, as columns.
+
+    Returns the IMU frames as ``IMU_WIRE`` records and the GPS frames as
+    ``GPS_WIRE`` records, each kind in stream order, and the diagnostics.
+    """
+    imu_at, gps_at, diags = _walk(data)
+    return _records(data, imu_at, IMU_WIRE), _records(data, gps_at, GPS_WIRE), diags
+
+
+def scan_stream(data: bytes) -> tuple[list[TelemetryFrame], list[StreamDiagnostic]]:
+    """``scan_frames`` as ``TelemetryFrame`` objects in stream order."""
+    imu_at, gps_at, diags = _walk(data)
+    imu, gps = _records(data, imu_at, IMU_WIRE), _records(data, gps_at, GPS_WIRE)
+    frames = [
+        TelemetryFrame(FrameKind.IMU, seq, t_ms, ImuPayload(*counts))
+        for seq, t_ms, counts in zip(imu["seq"].tolist(), imu["t_ms"].tolist(), imu["counts"].tolist())
+    ] + [
+        TelemetryFrame(FrameKind.GPS, seq, t_ms, payload)
+        for seq, t_ms, payload in zip(gps["seq"].tolist(), gps["t_ms"].tolist(), gps_payloads(gps))
+    ]
+    at = imu_at + gps_at
+    return [frames[k] for k in sorted(range(len(frames)), key=at.__getitem__)], diags
 
 
 def _round9(x: float) -> float:

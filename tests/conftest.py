@@ -1,3 +1,6 @@
+import binascii
+import struct
+
 import pytest
 
 from navfuse.flightsim import (
@@ -37,3 +40,14 @@ def make_level_stream(n=300, rate_hz=60.0, accel=(0.0, 0.0, 9.80665), gyro=(0.0,
         ImuSample(t=i / rate_hz, accel=accel, gyro=gyro, mag=mag)
         for i in range(n)
     ]
+
+
+_WIRE_FORMATS = {0x01: struct.Struct("<BBHI9h"), 0x02: struct.Struct("<BBHIiiHHiB")}
+
+
+def raw_frame(kind: int, seq: int, t_ms: int, *fields: int) -> bytes:
+    """A CRC-valid frame of raw wire fields, in the ``IMU_WIRE``/``GPS_WIRE``
+    field order, without the encoder's range checks: any GPS flags byte and
+    any int32 position."""
+    body = _WIRE_FORMATS[kind].pack(0xA5, kind, seq, t_ms, *fields)
+    return body + struct.pack("<H", binascii.crc_hqx(body, 0xFFFF))

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import raw_frame
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import navfuse
+from navfuse import telemetry
 from navfuse.attitude import ImuSample
 from navfuse.cli import main
 from navfuse.flightsim import (
@@ -18,6 +24,7 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     generate_flight,
 )
+from navfuse.pipeline import FUSED_HEADER
 from navfuse.recording import read_recording
 from navfuse.telemetry import (
     FrameKind,
@@ -183,6 +190,138 @@ class TestRetransmittedFrames:
             "navfuse: dropped IMU frames repeating an earlier t_ms: 4 "
             "(3 exact duplicates, 1 with a conflicting payload)"
         ]
+
+
+class TestGpsPositionRange:
+    """A CRC-valid fix outside [-90, 90] latitude or [-180, 180] longitude is
+    dropped and counted; -180 deg longitude is the +180 deg meridian."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, stream_file):
+        path, _ = stream_file
+        return scan_stream(path.read_bytes())[0]
+
+    def live(self, frames, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"".join(encode_frame(fr) for fr in frames))
+        return run_cli(["--mode", "live", "--input", str(path)], capsys)
+
+    def gps_index(self, frames, k):
+        return [i for i, fr in enumerate(frames) if fr.kind == FrameKind.GPS][k]
+
+    @pytest.mark.parametrize("field,value", [
+        ("lat_e7", 950_000_000), ("lat_e7", -900_000_001),
+        ("lon_e7", 1_800_000_001), ("lon_e7", -(2**31)),
+    ])
+    def test_out_of_range_fix_dropped(self, frames, field, value, capsys, tmp_path):
+        clean = self.live(frames, capsys, tmp_path, "clean.bin")
+        j = self.gps_index(frames, 2)
+        bad = dataclasses.replace(
+            frames[j], t_ms=frames[j].t_ms + 500, payload=dataclasses.replace(frames[j].payload, **{field: value})
+        )
+        code, out, err = self.live(frames[:j + 1] + [bad] + frames[j + 1:], capsys, tmp_path, "bad.bin")
+        assert clean[0] == code == 0
+        assert out == clean[1]
+        assert err == "navfuse: dropped GPS frames with a position out of range: 1\n"
+
+    def test_lon_minus_180_is_plus_180(self, frames, capsys, tmp_path):
+        j = self.gps_index(frames, 2)
+        runs = []
+        for lon_e7 in (1_800_000_000, -1_800_000_000):
+            fix = dataclasses.replace(frames[j], payload=dataclasses.replace(frames[j].payload, lon_e7=lon_e7))
+            runs.append(self.live(frames[:j] + [fix] + frames[j + 1:], capsys, tmp_path, "meridian.bin"))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_no_frame_objects_on_cli_path(mode, stream_file, capsys, tmp_path, monkeypatch):
+    path, n = stream_file
+    data = path.read_bytes()
+    # a damaged stream with a retransmitted frame at its end
+    dirty = data[:1000] + b"\xa5\x01\x00" + data[1000:5000] + data[4000:] + data[-28:]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-frame object built on the CLI path")
+
+    monkeypatch.setattr(telemetry.TelemetryFrame, "__init__", refuse)
+    monkeypatch.setattr(telemetry, "decode_frame", refuse)
+    dirty_path = tmp_path / "dirty.bin"
+    dirty_path.write_bytes(dirty)
+    code, out, err = run_cli(
+        ["--mode", mode, "--input", str(dirty_path), "--output", str(tmp_path / "out.csv")], capsys
+    )
+    assert code == 0
+    assert "stream diagnostic" in err and "repeating an earlier t_ms" in err
+
+
+class TestFuzzLive:
+    """``live`` on damaged and arbitrary bytes: a damaged stream still fuses,
+    and no input lets an exception escape."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        profile = FlightProfile(segments=(FlightSegment("straight", 3.0),), seed=8)
+        _, imu, fixes = generate_flight(profile, SensorNoiseModel())
+        return [encode_frame(fr) for fr in scan_stream(build_stream(imu, fixes))[0]]
+
+    @staticmethod
+    def run_bytes(data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--mode", "live", "--input", str(path)])
+        return code, out.getvalue()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_stream_fuses(self, base, tmp_path_factory, data):
+        blobs = list(base)
+        for _ in range(data.draw(st.integers(0, 4), label="resent")):
+            k = data.draw(st.integers(0, len(blobs) - 1))
+            blobs.insert(k + data.draw(st.integers(1, 3)), blobs[k])
+        for _ in range(data.draw(st.integers(0, 6), label="forged")):
+            t_ms = data.draw(st.integers(0, 2**32 - 1))
+            if data.draw(st.booleans()):
+                fields = data.draw(st.lists(st.integers(-32768, 32767), min_size=9, max_size=9))
+                frame = raw_frame(0x01, 0, t_ms, *fields)
+            else:
+                lat, lon = data.draw(st.integers(-(2**31), 2**31 - 1)), data.draw(st.integers(-(2**31), 2**31 - 1))
+                rest = data.draw(st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
+                                           st.integers(-(2**31), 2**31 - 1), st.integers(0, 255)))
+                frame = raw_frame(0x02, 0, t_ms, lat, lon, *rest)
+            blobs.insert(data.draw(st.integers(0, len(blobs))), frame)
+        # the benchmark's damage: bit flips, frames cut short, garbage bursts
+        for _ in range(data.draw(st.integers(0, 12), label="damaged")):
+            k = data.draw(st.integers(0, len(blobs) - 1))
+            blob = bytearray(blobs[k])
+            how = data.draw(st.sampled_from(["flip", "cut", "garbage"]))
+            if how == "flip":
+                blob[data.draw(st.integers(0, len(blob) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+            elif how == "cut":
+                del blob[data.draw(st.integers(1, max(1, len(blob) - 3))):]
+            else:
+                blob[:0] = data.draw(st.binary(min_size=1, max_size=40))
+            blobs[k] = bytes(blob)
+        stream = b"".join(blobs)
+        stream = stream[: len(stream) - data.draw(st.integers(0, 30), label="tail cut")]
+        t_ms = sorted({fr.t_ms for fr in scan_stream(stream)[0] if fr.kind == FrameKind.IMU})
+
+        code, out = self.run_bytes(stream, tmp_path_factory)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == FUSED_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == t_ms
+        assert all(len(r) == 12 for r in rows)
+        assert all(math.isfinite(float(cell)) for r in rows for cell in r[1:])
+
+    @given(st.lists(st.one_of(st.sampled_from([0xA5, 0x01, 0x02]), st.integers(0, 255)), max_size=600))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes_never_raise(self, tmp_path_factory, data):
+        code, _ = self.run_bytes(bytes(data), tmp_path_factory)
+        assert code in (0, 2, 3)
 
 
 class TestRecordReplay:

@@ -1,21 +1,31 @@
+import contextlib
+import dataclasses
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
+from conftest import raw_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navfuse import cli
 from navfuse.attitude import GRAVITY_MPS2
 from navfuse.errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
 from navfuse.geo import GeoPoint
 from navfuse.navigation import GpsFix
 from navfuse.telemetry import (
     GPS_FRAME_LEN,
+    GPS_WIRE,
     IMU_FRAME_LEN,
+    IMU_WIRE,
+    MAGIC,
     MAX_FRAME_LEN,
     FrameKind,
     GpsPayload,
     ImuPayload,
+    StreamDiagnostic,
     TelemetryFrame,
     crc16_ccitt_false,
     decode_frame,
@@ -25,6 +35,7 @@ from navfuse.telemetry import (
     imu_counts_to_arrays,
     imu_counts_to_sample,
     sample_to_imu_counts,
+    scan_frames,
     scan_stream,
 )
 
@@ -242,6 +253,205 @@ class TestScanStream:
         # a long run of magic bytes must not blow up
         out, diags = scan_stream(b"\xa5" * 5000)
         assert out == []
+
+
+def reference_decode_frame(data: bytes) -> TelemetryFrame:
+    """The object-per-frame decoder the column scan replaced, for a frame
+    of the right length; raises CorruptionError on a CRC mismatch."""
+    kind = FrameKind(data[1])
+    need = len(data)
+    body, crc_bytes = data[: need - 2], data[need - 2 :]
+    (crc_rx,) = struct.unpack("<H", crc_bytes)
+    crc_calc = crc16_ccitt_false(body)
+    if crc_rx != crc_calc:
+        raise CorruptionError(
+            f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}", offset=need - 2
+        )
+    _, _, seq, t_ms = struct.unpack_from("<BBHI", body)
+    if kind == FrameKind.IMU:
+        payload = ImuPayload(*struct.unpack_from("<9h", body, 8))
+    else:
+        lat_e7, lon_e7, speed, course, alt_cm, flags = struct.unpack_from("<iiHHiB", body, 8)
+        payload = GpsPayload(
+            lat_e7, lon_e7, speed, course, bool(flags & 0x01), alt_cm, bool(flags & 0x02)
+        )
+    return TelemetryFrame(kind=kind, seq=seq, t_ms=t_ms, payload=payload)
+
+
+def reference_scan(data: bytes):
+    """The frame-object scanner the column scan replaced: the oracle for
+    frames and diagnostics."""
+    frames, diags = [], []
+    i = 0
+    n = len(data)
+    while i < n:
+        if data[i] != MAGIC:
+            j = data.find(MAGIC, i)
+            if j < 0:
+                j = n
+            diags.append(StreamDiagnostic(i, "skip", f"skipped {j - i} non-frame byte(s)"))
+            i = j
+            continue
+        if n - i < 2:
+            diags.append(StreamDiagnostic(i, "truncation", "stream ends after magic byte"))
+            break
+        kind_byte = data[i + 1]
+        if kind_byte not in (FrameKind.IMU, FrameKind.GPS):
+            diags.append(StreamDiagnostic(i, "framing", f"unknown frame kind 0x{kind_byte:02X}"))
+            i += 1
+            continue
+        need = {FrameKind.IMU: IMU_FRAME_LEN, FrameKind.GPS: GPS_FRAME_LEN}[FrameKind(kind_byte)]
+        if n - i < need:
+            diags.append(
+                StreamDiagnostic(i, "truncation", f"stream ends {need - (n - i)} byte(s) into a frame")
+            )
+            break
+        try:
+            frames.append(reference_decode_frame(data[i : i + need]))
+            i += need
+        except CorruptionError as exc:
+            diags.append(StreamDiagnostic(i, "corruption", str(exc)))
+            i += 1
+    return frames, diags
+
+
+def reference_decode(data: bytes):
+    """The CLI's decode as one loop over frame objects: (ImuArrays, fixes,
+    stderr text). GPS positions out of range are dropped and -180 deg
+    longitude becomes +180 deg before the retransmission check."""
+    frames, diags = reference_scan(data)
+    err = [f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}\n" for d in diags]
+
+    def first_per_t_ms(kind, group):
+        kept, conflicts = [], 0
+        for fr in sorted(group, key=lambda fr: fr.t_ms):
+            if kept and fr.t_ms == kept[-1].t_ms:
+                conflicts += fr.payload != kept[-1].payload
+            else:
+                kept.append(fr)
+        dropped = len(group) - len(kept)
+        if dropped:
+            err.append(
+                f"navfuse: dropped {kind} frames repeating an earlier t_ms: {dropped} "
+                f"({dropped - conflicts} exact duplicates, {conflicts} with a conflicting payload)\n"
+            )
+        return kept
+
+    imu = first_per_t_ms("IMU", [fr for fr in frames if fr.kind == FrameKind.IMU])
+    gps = [fr for fr in frames if fr.kind == FrameKind.GPS]
+    in_range = [
+        fr for fr in gps
+        if abs(fr.payload.lat_e7) <= 900_000_000 and abs(fr.payload.lon_e7) <= 1_800_000_000
+    ]
+    if len(in_range) < len(gps):
+        err.append(f"navfuse: dropped GPS frames with a position out of range: {len(gps) - len(in_range)}\n")
+    gps = [
+        dataclasses.replace(fr, payload=dataclasses.replace(fr.payload, lon_e7=1_800_000_000))
+        if fr.payload.lon_e7 == -1_800_000_000 else fr
+        for fr in in_range
+    ]
+    gps = first_per_t_ms("GPS", gps)
+    arrays = imu_counts_to_arrays([fr.t_ms for fr in imu], [list(fr.payload) for fr in imu])
+    fixes = [gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
+    return arrays, fixes, "".join(err)
+
+
+# Garbage rich in the bytes the scanner branches on.
+_RICH_BYTE = st.one_of(st.sampled_from([MAGIC, 0x01, 0x02]), st.integers(0, 255))
+_T_MS = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def dirty_streams(draw):
+    """Encoded IMU and GPS frames, some sent again (exactly, or with one
+    field changed), with garbage between them, then bit flips, byte
+    deletions and insertions, and a cut at any byte."""
+    sent = []
+    chunks = []
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from(["imu", "gps", "again", "garbage"]))
+        if step == "garbage":
+            chunks.append(bytes(draw(st.lists(_RICH_BYTE, min_size=1, max_size=40))))
+            continue
+        if step == "again" and sent:
+            kind, seq, t_ms, fields = draw(st.sampled_from(sent))
+            fields = list(fields)
+            if draw(st.booleans()) and kind == 0x02:
+                # flag bits 2-7 carry nothing, bits 0-1 do
+                fields[-1] ^= draw(st.sampled_from([0x04, 0x80, 0xFC, 0x01, 0x02, 0x03]))
+            elif draw(st.booleans()):
+                fields[draw(st.integers(0, len(fields) - 1))] ^= 1
+        elif step == "gps":
+            kind, seq, t_ms = 0x02, draw(st.integers(0, 2**16 - 1)), draw(_T_MS)
+            fields = [
+                draw(st.integers(-900_000_000, 900_000_000)),
+                draw(st.integers(-1_799_999_999, 1_800_000_000)),
+                draw(st.integers(0, 2**16 - 1)),
+                draw(st.integers(0, 2**16 - 1)),
+                draw(st.integers(-(2**31), 2**31 - 1)),
+                draw(st.integers(0, 255)),
+            ]
+        else:
+            kind, seq, t_ms = 0x01, draw(st.integers(0, 2**16 - 1)), draw(_T_MS)
+            fields = draw(st.lists(st.integers(-32768, 32767), min_size=9, max_size=9))
+        sent.append((kind, seq, t_ms, tuple(fields)))
+        chunks.append(raw_frame(kind, seq, t_ms, *fields))
+    data = bytearray(b"".join(chunks))
+    for op, where, value in draw(st.lists(
+        st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 2**20), _RICH_BYTE),
+        max_size=4,
+    )):
+        if op == "insert":
+            data.insert(where % (len(data) + 1), value)
+        elif data and op == "flip":
+            data[where % len(data)] ^= 1 << (value % 8)
+        elif data:
+            del data[where % len(data)]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+class TestScanFrames:
+    def test_columns_hold_the_frames(self):
+        rng = np.random.default_rng(52)
+        frames = [random_imu_frame(rng) if rng.random() < 0.6 else random_gps_frame(rng) for _ in range(60)]
+        imu, gps, diags = scan_frames(b"\x00\xa5\x07" + b"".join(encode_frame(f) for f in frames))
+        assert imu.dtype == IMU_WIRE and gps.dtype == GPS_WIRE
+        assert IMU_WIRE.itemsize == IMU_FRAME_LEN and GPS_WIRE.itemsize == GPS_FRAME_LEN
+        assert [(d.offset, d.reason) for d in diags] == [(0, "skip"), (1, "framing"), (2, "skip")]
+        want_imu = [f for f in frames if f.kind == FrameKind.IMU]
+        want_gps = [f for f in frames if f.kind == FrameKind.GPS]
+        assert imu["t_ms"].tolist() == [f.t_ms for f in want_imu]
+        assert imu["seq"].tolist() == [f.seq for f in want_imu]
+        assert imu["counts"].tolist() == [list(f.payload) for f in want_imu]
+        assert gps["lat_e7"].tolist() == [f.payload.lat_e7 for f in want_gps]
+        assert gps["alt_cm"].tolist() == [f.payload.alt_cm for f in want_gps]
+        assert (gps["flags"] & 0x01).astype(bool).tolist() == [f.payload.valid for f in want_gps]
+
+    def test_empty_and_short_streams(self):
+        for data in (b"", b"\xa5", b"\xa5\x01" + bytes(20)):
+            imu, gps, _ = scan_frames(data)
+            assert len(imu) == len(gps) == 0
+            assert imu.dtype == IMU_WIRE and gps.dtype == GPS_WIRE
+        # one GPS frame is shorter than the IMU frame length
+        imu, gps, diags = scan_frames(GOLDEN_GPS)
+        assert len(imu) == 0 and diags == []
+        assert gps["t_ms"].tolist() == [123456] and gps["lon_e7"].tolist() == [1_103_700_000]
+
+    @given(dirty_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan_and_decode(self, data):
+        assert scan_stream(data) == reference_scan(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            imu, fixes = cli._decode_stream(data)
+        ref_imu, ref_fixes, ref_err = reference_decode(data)
+        for col, ref in zip(imu, ref_imu):
+            assert col.dtype == ref.dtype and col.shape == ref.shape
+            assert col.tobytes() == ref.tobytes()
+        assert fixes == ref_fixes
+        assert err.getvalue() == ref_err
 
 
 class TestConversions:
