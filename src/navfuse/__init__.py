@@ -3,9 +3,11 @@
 Quaternion attitude estimation from pre-filtered accelerometer/gyro/
 magnetometer streams, dead-reckoning/GPS position blending, a binary
 telemetry frame codec, CSV flight recordings with record/replay, and a
-synthetic-flight oracle for error studies. The per-sample fusion loops are
-plain Python functions beside their estimators: ``attitude.attitude_run``,
-``navigation.nav_run`` and ``filters.biquad_run``.
+synthetic-flight oracle for error studies. The fusion kernels are plain
+Python beside their estimators: ``attitude.attitude_run`` and
+``navigation.nav_run`` loop only over the recursive blend, and the
+pre-filters (``filters.biquad_run``), rotation, tilt and quaternion
+assembly run as array passes.
 """
 
 from .attitude import (
@@ -32,12 +34,7 @@ from .navigation import (
     BlendWeights,
     GpsFix,
     NavEstimator,
-    NavState,
-    gravity_compensate,
     interpolate_gps,
-    nav_step,
-    position_step,
-    velocity_step,
 )
 from .pipeline import FusionConfig, FusionOutput, fuse_streams
 from .quat import EulerAngles, Quaternion, hamilton, wrap_pi
@@ -73,7 +70,6 @@ __all__ = [
     "ImuArrays",
     "ImuSample",
     "NavEstimator",
-    "NavState",
     "Quaternion",
     "TelemetryFrame",
     "accel_to_roll_pitch",
@@ -89,16 +85,12 @@ __all__ = [
     "frequency_response",
     "fuse_streams",
     "geodesic_distance",
-    "gravity_compensate",
     "hamilton",
     "interpolate_gps",
     "mag_to_heading",
     "meters_to_degrees_lat",
-    "nav_step",
-    "position_step",
     "read_recording",
     "scan_stream",
-    "velocity_step",
     "wrap_pi",
     "write_recording",
 ]

@@ -18,6 +18,17 @@ drifts with the gyro bias.
 
 Gyro axis mapping is x -> roll rate, y -> pitch rate, z -> yaw rate (body
 frame, right-handed, z up: a level sensor reads accel (0, 0, +g)).
+
+The kernel, ``attitude_run``, makes array passes over whole columns for the
+parts that do not depend on the recursive state: the pre-filters
+(``filters.biquad_run``), the tilt reference of the filtered accel and the
+Euler-to-quaternion assembly. Only the complementary blend with its gap,
+tilt and heading branches, and the magnetometer heading, which needs the
+current roll and pitch, loop over the rows. The output is bit-identical to a
+per-sample loop: numpy does only + - * / and sqrt, which IEEE 754 rounds
+exactly, and every transcendental (atan2, cos, sin) is ``math.*`` mapped
+over the column, since numpy's vectorised versions may differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
-from .filters import biquad_prime, design_first_order_hp, design_first_order_lp
+from .filters import biquad_prime, biquad_run, design_first_order_hp, design_first_order_lp
 from .quat import EulerAngles, Quaternion, Vec3, wrap_pi
 
 log = logging.getLogger(__name__)
@@ -109,17 +120,22 @@ class AttitudeState:
     t_last: float
 
 
-def _tilt_from_accel(ax: float, ay: float, az: float) -> tuple[float, float]:
-    """(roll, pitch) from a gravity-dominated accel reading; NaNs if too weak.
+def _map(fn, *cols) -> np.ndarray:
+    """``math`` function ``fn`` over float64 columns, element by element."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64, count=len(cols[0]))
 
-    Shared by the public helper (which raises) and the fusion loops (which
-    flag and hold the previous estimate).
+
+def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
+    """Per-row (roll, pitch) of gravity-dominated accel columns, and the mask
+    of the rows where they are observable (accel above 0.1 g).
+
+    Shared by the public helper (which raises) and the fusion loop (which
+    flags and holds the previous estimate).
     """
-    if ax * ax + ay * ay + az * az <= MIN_TILT_ACCEL_MPS2 * MIN_TILT_ACCEL_MPS2:
-        return math.nan, math.nan
-    roll = math.atan2(ay, az)
-    pitch = math.atan2(-ax, math.sqrt(ay * ay + az * az))
-    return roll, pitch
+    ok = ~(ax * ax + ay * ay + az * az <= MIN_TILT_ACCEL_MPS2 * MIN_TILT_ACCEL_MPS2)
+    roll = _map(math.atan2, ay, az)
+    pitch = _map(math.atan2, -ax, np.sqrt(ay * ay + az * az))
+    return roll, pitch, ok
 
 
 def _heading_from_mag(mx: float, my: float, mz: float, roll: float, pitch: float) -> float:
@@ -147,10 +163,10 @@ def accel_to_roll_pitch(accel: Sequence[float]) -> tuple[float, float]:
     Raises UnobservableTiltError below 0.1 g so the caller can hold its
     previous estimate.
     """
-    roll, pitch = _tilt_from_accel(accel[0], accel[1], accel[2])
-    if math.isnan(roll):
+    roll, pitch, ok = _tilt_from_accel(*np.array(accel[:3], dtype=np.float64)[:, None])
+    if not ok[0]:
         raise UnobservableTiltError("accelerometer magnitude below 0.1 g")
-    return roll, pitch
+    return float(roll[0]), float(pitch[0])
 
 
 def mag_to_heading(mag: Sequence[float], roll: float, pitch: float) -> float:
@@ -181,148 +197,182 @@ def complementary_angle(prev: float, rate: float, dt: float, reference: float, g
     return wrap_pi(prop + (1.0 - gain) * delta)
 
 
-def attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_yaw, declination, state):
-    """One pass of the attitude fusion loop over a stream of n samples.
+def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
+    """(n, 4) unit quaternions, ``w >= 0``, of (n, 3) roll/pitch/yaw rows.
 
-    ``state`` (``AttitudeEstimator.STATE_LEN`` floats) carries the filter and
-    angle state between calls and is updated in place. Returns the (n, 3)
-    Euler angles, the (n, 4) quaternions and the (n,) uint8 FLAG_* bits.
+    Column for column the operations of ``Quaternion.from_euler`` (two
+    Hamilton products, the ``0.0 * 0.0`` terms included) and ``normalize``,
+    so every element is bit-identical to the scalar path.
+    """
+    half = 0.5 * euler
+    crw, cpw, czw = (_map(math.cos, half[:, k]) for k in range(3))
+    srw, spw, szw = (_map(math.sin, half[:, k]) for k in range(3))
+    # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
+    h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
+    h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
+    h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
+    h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
+    # q = h1 * qx with qx = (crw, srw, 0, 0)
+    q = np.empty((len(euler), 4), dtype=np.float64)
+    q[:, 0] = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
+    q[:, 1] = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
+    q[:, 2] = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
+    q[:, 3] = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
+    qw, qx, qy, qz = q.T
+    q /= np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)[:, None]
+    neg = q[:, 0] < 0.0
+    q[neg] = -q[neg]
+    return q
+
+
+def attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_yaw, declination, state):
+    """The attitude fusion over a stream of n samples.
+
+    The pre-filters, the tilt reference and the quaternion assembly are
+    array passes; only the complementary blend, which needs the previous
+    angles, loops over the rows. ``state`` (``AttitudeEstimator.STATE_LEN``
+    floats) carries the filter and angle state between calls and is updated
+    in place. Returns the (n, 3) Euler angles, the (n, 4) quaternions and the
+    (n,) uint8 FLAG_* bits.
     """
     n = len(t)
+    s = state.tolist()
+    init = s[0] != 0.0
+    if n and not init:
+        ax, ay, az = acc[0].tolist()
+        gx, gy, _ = gyr[0].tolist()
+        s[5:7] = biquad_prime(*lp, ax)
+        s[7:9] = biquad_prime(*lp, ay)
+        s[9:11] = biquad_prime(*lp, az)
+        s[11:13] = biquad_prime(*hp, gx)
+        s[13:15] = biquad_prime(*hp, gy)
+    fax, s[5], s[6] = biquad_run(*lp, s[5], s[6], acc[:, 0])
+    fay, s[7], s[8] = biquad_run(*lp, s[7], s[8], acc[:, 1])
+    faz, s[9], s[10] = biquad_run(*lp, s[9], s[10], acc[:, 2])
+    fgx, s[11], s[12] = biquad_run(*hp, s[11], s[12], gyr[:, 0])
+    fgy, s[13], s[14] = biquad_run(*hp, s[13], s[14], gyr[:, 1])
+
+    rref, pref, tilt_ok = _tilt_from_accel(fax, fay, faz)
+    dt = np.diff(t, prepend=s[1])
+    gap = dt > MAX_GYRO_GAP_S
+    if not init:
+        gap[:1] = False
+    flags = np.where(gap, FLAG_GAP, 0).astype(np.uint8)
+    flags[~tilt_ok] |= FLAG_NO_TILT_REF
+
     euler = np.empty((n, 3), dtype=np.float64)
-    q = np.empty((n, 4), dtype=np.float64)
-    flags = np.zeros(n, dtype=np.uint8)
+    if n:
+        s[2:5] = _attitude_blend(
+            0 if init else 1, dt, gap, tilt_ok, rref, pref, fgx, fgy, gyr[:, 2], mag, has_mag,
+            gamma_rp, gamma_yaw, declination, s[2:5], euler, flags,
+        )
+        s[0] = 1.0
+        s[1] = t[-1]
+    state[:] = s
+    return euler, _quat_from_euler(euler), flags
 
-    lb0, lb1, lb2, la1, la2 = lp
-    hb0, hb1, hb2, ha1, ha2 = hp
 
-    ts = t.tolist()
-    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
-    gxs, gys, gzs = gyr[:, 0].tolist(), gyr[:, 1].tolist(), gyr[:, 2].tolist()
+def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_mag,
+                    gamma_rp, gamma_yaw, declination, angles, euler, flags):
+    """The recursive part of ``attitude_run``: the complementary blend of each
+    row from ``start`` on, the first row of a stream initialised when
+    ``start`` is 1. Writes the angles into ``euler`` and the heading flags into
+    ``flags``; returns the last (roll, pitch, yaw). A function of its own so
+    that its per-row Python lists are freed before the quaternion pass.
+
+    ``wrap_pi`` and ``complementary_angle`` are written out in the branch that
+    blends with a gain strictly inside (0, 1); gains of exactly 0 and 1 go
+    through ``complementary_angle`` for its short cut.
+    """
+    fmod, isnan = math.fmod, math.isnan
+    pi = math.pi
+    two_pi = 2.0 * math.pi
+    roll, pitch, yaw = angles
+    rp_blend = 0.0 < gamma_rp < 1.0
+    yaw_blend = 0.0 < gamma_yaw < 1.0
+    c_rp = 1.0 - gamma_rp
+    c_yaw = 1.0 - gamma_yaw
+    dts, gaps, oks = dt.tolist(), gap.tolist(), tilt_ok.tolist()
+    rrefs, prefs, fgxs, fgys, gzs = rref.tolist(), pref.tolist(), fgx.tolist(), fgy.tolist(), gz.tolist()
     mxs, mys, mzs = mag[:, 0].tolist(), mag[:, 1].tolist(), mag[:, 2].tolist()
     hms = has_mag.tolist()
+    roll_out, pitch_out, yaw_out = euler.T
 
-    init = state[0] != 0.0
-    t_last = state[1]
-    roll, pitch, yaw = state[2], state[3], state[4]
-    lx1, lx2, ly1, ly2, lz1, lz2 = state[5], state[6], state[7], state[8], state[9], state[10]
-    hx1, hx2, hy1, hy2 = state[11], state[12], state[13], state[14]
-
-    for i in range(n):
-        ti = ts[i]
-        ax, ay, az = axs[i], ays[i], azs[i]
-        gx, gy, gz = gxs[i], gys[i], gzs[i]
-        fl = 0
-
-        if not init:
-            lx1, lx2 = biquad_prime(lb0, lb1, lb2, la1, la2, ax)
-            ly1, ly2 = biquad_prime(lb0, lb1, lb2, la1, la2, ay)
-            lz1, lz2 = biquad_prime(lb0, lb1, lb2, la1, la2, az)
-            hx1, hx2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gx)
-            hy1, hy2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gy)
-
-        fax = lb0 * ax + lx1
-        lx1 = lb1 * ax - la1 * fax + lx2
-        lx2 = lb2 * ax - la2 * fax
-        fay = lb0 * ay + ly1
-        ly1 = lb1 * ay - la1 * fay + ly2
-        ly2 = lb2 * ay - la2 * fay
-        faz = lb0 * az + lz1
-        lz1 = lb1 * az - la1 * faz + lz2
-        lz2 = lb2 * az - la2 * faz
-        fgx = hb0 * gx + hx1
-        hx1 = hb1 * gx - ha1 * fgx + hx2
-        hx2 = hb2 * gx - ha2 * fgx
-        fgy = hb0 * gy + hy1
-        hy1 = hb1 * gy - ha1 * fgy + hy2
-        hy2 = hb2 * gy - ha2 * fgy
-
-        rref, pref = _tilt_from_accel(fax, fay, faz)
-        tilt_ok = not math.isnan(rref)
-
-        if not init:
-            roll = rref if tilt_ok else 0.0
-            pitch = pref if tilt_ok else 0.0
-            if not tilt_ok:
-                fl |= FLAG_NO_TILT_REF
-            yaw = 0.0
-            if hms[i]:
-                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
-                if math.isnan(h):
-                    fl |= FLAG_NO_HEADING_REF
-                else:
-                    yaw = wrap_pi(h + declination)
-            init = True
-        else:
-            dt = ti - t_last
-            gap = dt > MAX_GYRO_GAP_S
-            if gap:
-                fl |= FLAG_GAP
-            if not tilt_ok:
-                fl |= FLAG_NO_TILT_REF
-            if gap:
-                if tilt_ok:
-                    roll = rref
-                    pitch = pref
-            elif tilt_ok:
-                roll = complementary_angle(roll, fgx, dt, rref, gamma_rp)
-                pitch = complementary_angle(pitch, fgy, dt, pref, gamma_rp)
+    if start:
+        roll = rrefs[0] if oks[0] else 0.0
+        pitch = prefs[0] if oks[0] else 0.0
+        yaw = 0.0
+        if hms[0]:
+            h = _heading_from_mag(mxs[0], mys[0], mzs[0], roll, pitch)
+            if math.isnan(h):
+                flags[0] |= FLAG_NO_HEADING_REF
             else:
-                roll = wrap_pi(roll + fgx * dt)
-                pitch = wrap_pi(pitch + fgy * dt)
-            heading_ok = False
-            h = 0.0
-            if hms[i]:
-                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
-                heading_ok = not math.isnan(h)
-                if not heading_ok:
-                    fl |= FLAG_NO_HEADING_REF
-            if heading_ok:
-                href = wrap_pi(h + declination)
-                yaw = href if gap else complementary_angle(yaw, gz, dt, href, gamma_yaw)
-            elif not gap:
-                yaw = wrap_pi(yaw + gz * dt)
+                yaw = wrap_pi(h + declination)
+        roll_out[0], pitch_out[0], yaw_out[0] = roll, pitch, yaw
 
-        t_last = ti
+    for i in range(start, len(dts)):
+        dt = dts[i]
+        is_gap = gaps[i]
+        if is_gap:
+            if oks[i]:
+                roll = rrefs[i]
+                pitch = prefs[i]
+        elif oks[i]:
+            if rp_blend:
+                prop = roll + fgxs[i] * dt
+                r = fmod(rrefs[i] - prop + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                r = fmod(prop + c_rp * (r - pi) + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                roll = r - pi
+                prop = pitch + fgys[i] * dt
+                r = fmod(prefs[i] - prop + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                r = fmod(prop + c_rp * (r - pi) + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                pitch = r - pi
+            else:
+                roll = complementary_angle(roll, fgxs[i], dt, rrefs[i], gamma_rp)
+                pitch = complementary_angle(pitch, fgys[i], dt, prefs[i], gamma_rp)
+        else:
+            roll = wrap_pi(roll + fgxs[i] * dt)
+            pitch = wrap_pi(pitch + fgys[i] * dt)
 
-        # from_euler (two Hamilton products) then normalize with w >= 0.
-        czw = math.cos(0.5 * yaw)
-        szw = math.sin(0.5 * yaw)
-        cpw = math.cos(0.5 * pitch)
-        spw = math.sin(0.5 * pitch)
-        crw = math.cos(0.5 * roll)
-        srw = math.sin(0.5 * roll)
-        # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
-        h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
-        h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
-        h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
-        h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
-        # q = h1 * qx with qx = (crw, srw, 0, 0)
-        qw = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
-        qx = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
-        qy = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
-        qz = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
-        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
-        if qw < 0.0:
-            qw, qx, qy, qz = -qw, -qx, -qy, -qz
+        heading_ok = False
+        if hms[i]:
+            h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
+            heading_ok = not isnan(h)
+            if not heading_ok:
+                flags[i] |= FLAG_NO_HEADING_REF
+        if heading_ok:
+            r = fmod(h + declination + pi, two_pi)
+            if r <= 0.0:
+                r += two_pi
+            href = r - pi
+            if is_gap:
+                yaw = href
+            elif yaw_blend:
+                prop = yaw + gzs[i] * dt
+                r = fmod(href - prop + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                r = fmod(prop + c_yaw * (r - pi) + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                yaw = r - pi
+            else:
+                yaw = complementary_angle(yaw, gzs[i], dt, href, gamma_yaw)
+        elif not is_gap:
+            yaw = wrap_pi(yaw + gzs[i] * dt)
 
-        euler[i, 0] = roll
-        euler[i, 1] = pitch
-        euler[i, 2] = yaw
-        q[i, 0] = qw
-        q[i, 1] = qx
-        q[i, 2] = qy
-        q[i, 3] = qz
-        flags[i] = fl
-
-    state[0] = 1.0 if init else 0.0
-    state[1] = t_last
-    state[2], state[3], state[4] = roll, pitch, yaw
-    state[5], state[6], state[7], state[8] = lx1, lx2, ly1, ly2
-    state[9], state[10], state[11], state[12] = lz1, lz2, hx1, hx2
-    state[13], state[14] = hy1, hy2
-    return euler, q, flags
+        roll_out[i] = roll
+        pitch_out[i] = pitch
+        yaw_out[i] = yaw
+    return roll, pitch, yaw
 
 
 @dataclass(frozen=True)

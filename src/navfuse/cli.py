@@ -32,7 +32,7 @@ from .flightsim import (
     sweep_weights,
     truth_rows,
 )
-from .pipeline import FUSED_HEADER, FusionConfig, estimate_sample_rate, fuse_streams, fused_rows
+from .pipeline import FUSED_HEADER, FusionConfig, csv_blocks, estimate_sample_rate, fuse_streams, fused_rows
 from .recording import read_recording, write_recording
 
 EXIT_OK = 0
@@ -210,8 +210,8 @@ def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:
 
 def _emit_fused(out, fh) -> None:
     fh.write(FUSED_HEADER + "\n")
-    for line in fused_rows(out):
-        fh.write(line + "\n")
+    for block in fused_rows(out):
+        fh.write(block)
 
 
 def cmd_live(opts: dict) -> int:
@@ -349,22 +349,18 @@ def cmd_filter_compare(opts: dict) -> int:
     fused = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr, mag, has_mag)
     gyro_only = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr)
 
-    ax_b, ax_c = run(bw, acc[:, 0]), run(ch, acc[:, 0])
-    ay_b, ay_c = run(bw, acc[:, 1]), run(ch, acc[:, 1])
     deg = 180.0 / math.pi
+    cols = np.column_stack([
+        imu.t_ms,
+        acc[:, 0], run(bw, acc[:, 0]), run(ch, acc[:, 0]),
+        acc[:, 1], run(bw, acc[:, 1]), run(ch, acc[:, 1]),
+        gyro_only.euler[:, 2] * deg, fused.euler[:, 2] * deg,
+    ])
     with _Output(opts["output"]) as fh:
         fh.write("t_ms,ax_raw,ax_butterworth,ax_chebyshev,ay_raw,ay_butterworth,ay_chebyshev,"
                  "yaw_gyro_deg,yaw_fused_deg\n")
-        for i, t_ms in enumerate(imu.t_ms.tolist()):
-            fh.write(
-                "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f\n"
-                % (
-                    t_ms,
-                    acc[i, 0], ax_b[i], ax_c[i],
-                    acc[i, 1], ay_b[i], ay_c[i],
-                    gyro_only.euler[i, 2] * deg, fused.euler[i, 2] * deg,
-                )
-            )
+        for block in csv_blocks("%d" + ",%.9f" * 8, cols):
+            fh.write(block)
     return EXIT_OK
 
 

@@ -422,14 +422,17 @@ def sweep_weights(
     truth, imu, fixes = generate_flight(profile, noise)
     att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz).run(*imu)
 
+    def estimator(a: float, b: float) -> NavEstimator:
+        return NavEstimator(
+            weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz, earth=profile.earth, mode="replay",
+        )
+
+    # the filtered world-frame accel and the GPS reference do not depend on the weights
+    a_world = estimator(*grid[0]).world_accel(imu.accel, att.q)
+    ref = prepare_gps_reference(imu.t, fixes, mode="replay")
     cells = []
     for a, b in grid:
-        nav = NavEstimator(
-            weights=BlendWeights(a, b),
-            sample_rate_hz=profile.imu_rate_hz,
-            earth=profile.earth,
-            mode="replay",
-        ).run(imu.t, imu.accel, att.q, fixes)
+        nav = estimator(a, b).blend(imu.t, a_world, ref)
         err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
     return cells

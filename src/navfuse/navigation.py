@@ -21,21 +21,30 @@ both modes.
 
 The longitude meter-to-degree conversion deliberately omits the cos(lat)
 meridian-convergence factor by default; ``lon_scale_correction`` enables it.
+
+``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
+(``filters.biquad_run``) and the rotation of the filtered accel to
+north/east. ``nav_run`` computes the GPS terms of the blend,
+(1 - alpha) * speed * cos/sin(theta_d) and (1 - beta) * lat/lon_gps, once per
+column, and loops only over the recursion: the velocity and position blend
+and the cos(lat) of ``lon_scale_correction``. numpy does only + - * / and
+sqrt, and cos/sin stay ``math.*``, so the output is bit-identical to a
+per-sample loop.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2
+from .attitude import _map
 from .errors import InterpolationRangeError, TimestampOrderError
-from .filters import BiquadCoeffs, FilterState, biquad_prime, design_butterworth2_lp
+from .filters import BiquadCoeffs, biquad_prime, biquad_run, design_butterworth2_lp
 from .geo import EarthModel, GeoPoint, bearing
-from .quat import Quaternion, Vec3
+from .quat import _UNIT_TOL
 
 # Same position twice within this tolerance (degrees) is "not distinct".
 DISTINCT_FIX_DEG = 1e-12
@@ -81,135 +90,6 @@ def default_position_cutoff_hz(sample_rate_hz: float) -> float:
     if sample_rate_hz == 1000.0:
         return 10.0
     return min(10.0, sample_rate_hz / 6.0)
-
-
-def gravity_compensate(accel_body: Vec3, q: Quaternion, g: float = GRAVITY_MPS2) -> Vec3:
-    """World-frame linear acceleration: rotate by q, subtract gravity (+z up)."""
-    ax, ay, az = q.rotate_vector(accel_body)
-    return (ax, ay, az - g)
-
-
-@dataclass
-class NavState:
-    """Mutable per-stream navigation state for the scalar stepping API."""
-
-    pos: GeoPoint = field(default_factory=lambda: GeoPoint(0.0, 0.0))
-    vel: tuple[float, float] = (0.0, 0.0)
-    t_last: float = math.nan
-    filt: tuple[FilterState, FilterState, FilterState] | None = None
-    last_fix: GpsFix | None = None
-    distinct: tuple[GpsFix, ...] = ()   # up to two distinct-position fixes
-
-    def observe_fix(self, fix: GpsFix) -> None:
-        """Track the latest valid fix and the last two distinct positions."""
-        if not fix.valid:
-            return
-        self.last_fix = fix
-        if self.distinct:
-            prev = self.distinct[-1].pos
-            if (
-                abs(fix.pos.lat - prev.lat) < DISTINCT_FIX_DEG
-                and abs(fix.pos.lon - prev.lon) < DISTINCT_FIX_DEG
-            ):
-                return
-        self.distinct = (*self.distinct[-1:], fix)
-
-    def fix_bearing(self) -> float | None:
-        if len(self.distinct) < 2:
-            return None
-        return bearing(self.distinct[0].pos, self.distinct[1].pos)
-
-
-def velocity_step(
-    state: NavState,
-    a_world: Vec3,
-    dt: float,
-    gps: GpsFix | None,
-    w: BlendWeights,
-    stale_after_s: float = DEFAULT_STALE_AFTER_S,
-) -> tuple[float, float]:
-    """One velocity update; pure integration when no usable GPS term exists."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    vn, ve = state.vel
-    vn_i = vn + a_world[0] * dt
-    ve_i = ve + a_world[1] * dt
-    if gps is not None and gps.valid:
-        state.observe_fix(gps)
-    theta = state.fix_bearing()
-    fix = state.last_fix
-    fresh = fix is not None and (state.t_last + dt) - fix.t <= stale_after_s
-    if theta is None or not fresh:
-        return (vn_i, ve_i)
-    speed = fix.speed
-    return (
-        w.alpha * vn_i + (1.0 - w.alpha) * speed * math.cos(theta),
-        w.alpha * ve_i + (1.0 - w.alpha) * speed * math.sin(theta),
-    )
-
-
-def position_step(
-    state: NavState,
-    v: tuple[float, float],
-    dt: float,
-    gps_ref: GeoPoint | None,
-    w: BlendWeights,
-    earth: EarthModel = EarthModel(),
-    lon_scale_correction: bool = False,
-) -> GeoPoint:
-    """One displacement update; dead reckoning when no reference is given."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k = 180.0 / (math.pi * earth.radius_m)
-    lat_dr = state.pos.lat + v[0] * dt * k
-    k_lon = k / math.cos(math.radians(state.pos.lat)) if lon_scale_correction else k
-    lon_dr = state.pos.lon + v[1] * dt * k_lon
-    if gps_ref is None:
-        return GeoPoint(lat_dr, lon_dr)
-    return GeoPoint(
-        w.beta * lat_dr + (1.0 - w.beta) * gps_ref.lat,
-        w.beta * lon_dr + (1.0 - w.beta) * gps_ref.lon,
-    )
-
-
-def nav_step(
-    state: NavState,
-    t: float,
-    accel_body: Vec3,
-    q: Quaternion,
-    gps: GpsFix | None,
-    w: BlendWeights,
-    coeffs: BiquadCoeffs | None = None,
-    earth: EarthModel = EarthModel(),
-    lon_scale_correction: bool = False,
-    stale_after_s: float = DEFAULT_STALE_AFTER_S,
-) -> NavState:
-    """Full per-sample position pipeline operating on a NavState in place."""
-    if state.filt is None:
-        if coeffs is None:
-            raise ValueError("first nav_step needs Butterworth coefficients")
-        state.filt = (FilterState(coeffs), FilterState(coeffs), FilterState(coeffs))
-        for f, x in zip(state.filt, accel_body):
-            f.prime(x)
-    if not math.isnan(state.t_last) and t <= state.t_last:
-        raise TimestampOrderError(f"sample time {t} not after {state.t_last}")
-    if math.isnan(state.t_last):
-        # First sample: snap to the GPS reference when one exists.
-        if gps is not None and gps.valid:
-            state.observe_fix(gps)
-            state.pos = gps.pos
-        state.t_last = t
-        return state
-    dt = t - state.t_last
-    filtered = tuple(f.step(x) for f, x in zip(state.filt, accel_body))
-    a_world = gravity_compensate(filtered, q)
-    state.vel = velocity_step(state, a_world, dt, gps, w, stale_after_s)
-    fix = state.last_fix
-    fresh = fix is not None and t - fix.t <= stale_after_s
-    ref = fix.pos if fresh else None
-    state.pos = position_step(state, state.vel, dt, ref, w, earth, lon_scale_correction)
-    state.t_last = t
-    return state
 
 
 def interpolate_gps(fixes: list[GpsFix], t: float) -> GeoPoint:
@@ -312,109 +192,76 @@ def prepare_gps_reference(
     return out
 
 
-def nav_run(
-    t, acc, quat,
-    ref_lat, ref_lon, has_pos,
-    ref_speed, ref_theta, has_vel,
-    bw, alpha, beta, deg_per_m, lon_scale_correction, state,
-):
-    """One pass of the position fusion loop over a stream of n samples.
+def nav_run(t, a_world, ref, alpha, beta, deg_per_m, lon_scale_correction, state):
+    """The velocity/position blend over a stream of n samples.
 
-    The GPS reference columns come from ``prepare_gps_reference``. ``state``
-    (``NavEstimator.STATE_LEN`` floats) carries the filter, velocity and
-    position state between calls and is updated in place. Returns the (n, 2)
-    north/east velocities and the (n,) latitudes and longitudes.
+    ``a_world`` holds the (n, 2) north/east accelerations from
+    ``NavEstimator.world_accel`` and ``ref`` the GPS reference from
+    ``prepare_gps_reference``. The GPS terms of the blend are array passes;
+    only the recursion loops over the rows. ``state``
+    (``NavEstimator.STATE_LEN`` floats) carries the velocity and position
+    between calls, and is updated in place. Returns the (n, 2) north/east
+    velocities and the (n,) latitudes and longitudes.
     """
     n = len(t)
     vel = np.empty((n, 2), dtype=np.float64)
     lat_out = np.empty(n, dtype=np.float64)
     lon_out = np.empty(n, dtype=np.float64)
 
-    b0, b1, b2, a1, a2 = bw
-    ts = t.tolist()
-    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
-    qws, qxs, qys, qzs = (quat[:, j].tolist() for j in range(4))
-    rlats, rlons, hps = ref_lat.tolist(), ref_lon.tolist(), has_pos.tolist()
-    rspd, rth, hvs = ref_speed.tolist(), ref_theta.tolist(), has_vel.tolist()
-
     init = state[0] != 0.0
-    t_last = state[1]
-    vn, ve = state[2], state[3]
-    lat, lon = state[4], state[5]
-    fx1, fx2, fy1, fy2, fz1, fz2 = state[6], state[7], state[8], state[9], state[10], state[11]
+    vn, ve, lat, lon = state[2:6].tolist()
+    dts = np.diff(t, prepend=state[1]).tolist()
+    ans, aes = a_world[:, 0].tolist(), a_world[:, 1].tolist()
+    gvn = ((1.0 - alpha) * ref.ref_speed * _map(math.cos, ref.ref_theta)).tolist()
+    gve = ((1.0 - alpha) * ref.ref_speed * _map(math.sin, ref.ref_theta)).tolist()
+    glat = ((1.0 - beta) * ref.ref_lat).tolist()
+    glon = ((1.0 - beta) * ref.ref_lon).tolist()
+    hps, hvs = ref.has_pos.tolist(), ref.has_vel.tolist()
+    vn_out, ve_out = vel.T
 
-    for i in range(n):
-        ti = ts[i]
-        ax, ay, az = axs[i], ays[i], azs[i]
+    start = 0
+    if n and not init:
+        # the first sample snaps to the GPS reference when one exists
+        if hps[0]:
+            lat = float(ref.ref_lat[0])
+            lon = float(ref.ref_lon[0])
+        vn_out[0], ve_out[0], lat_out[0], lon_out[0] = vn, ve, lat, lon
+        start = 1
 
-        if not init:
-            fx1, fx2 = biquad_prime(b0, b1, b2, a1, a2, ax)
-            fy1, fy2 = biquad_prime(b0, b1, b2, a1, a2, ay)
-            fz1, fz2 = biquad_prime(b0, b1, b2, a1, a2, az)
-
-        fax = b0 * ax + fx1
-        fx1 = b1 * ax - a1 * fax + fx2
-        fx2 = b2 * ax - a2 * fax
-        fay = b0 * ay + fy1
-        fy1 = b1 * ay - a1 * fay + fy2
-        fy2 = b2 * ay - a2 * fay
-        faz = b0 * az + fz1
-        fz1 = b1 * az - a1 * faz + fz2
-        fz2 = b2 * az - a2 * faz
-
-        if not init:
-            if hps[i]:
-                lat = rlats[i]
-                lon = rlons[i]
-            init = True
+    cos = math.cos
+    pi = math.pi
+    for i in range(start, n):
+        dt = dts[i]
+        vn_i = vn + ans[i] * dt
+        ve_i = ve + aes[i] * dt
+        if hvs[i]:
+            vn = alpha * vn_i + gvn[i]
+            ve = alpha * ve_i + gve[i]
         else:
-            dt = ti - t_last
-            qw, qx, qy, qz = qws[i], qxs[i], qys[i], qzs[i]
-            xx = qx * qx
-            yy = qy * qy
-            zz = qz * qz
-            wx = qw * qx
-            wy = qw * qy
-            wz = qw * qz
-            xy = qx * qy
-            xz = qx * qz
-            yz = qy * qz
-            a_n = (1.0 - 2.0 * (yy + zz)) * fax + 2.0 * (xy - wz) * fay + 2.0 * (xz + wy) * faz
-            a_e = 2.0 * (xy + wz) * fax + (1.0 - 2.0 * (xx + zz)) * fay + 2.0 * (yz - wx) * faz
+            vn = vn_i
+            ve = ve_i
 
-            vn_i = vn + a_n * dt
-            ve_i = ve + a_e * dt
-            if hvs[i]:
-                vn = alpha * vn_i + (1.0 - alpha) * rspd[i] * math.cos(rth[i])
-                ve = alpha * ve_i + (1.0 - alpha) * rspd[i] * math.sin(rth[i])
-            else:
-                vn = vn_i
-                ve = ve_i
+        lat_dr = lat + vn * dt * deg_per_m
+        if lon_scale_correction:
+            lon_dr = lon + ve * dt * (deg_per_m / cos(lat * pi / 180.0))
+        else:
+            lon_dr = lon + ve * dt * deg_per_m
+        if hps[i]:
+            lat = beta * lat_dr + glat[i]
+            lon = beta * lon_dr + glon[i]
+        else:
+            lat = lat_dr
+            lon = lon_dr
 
-            lat_dr = lat + vn * dt * deg_per_m
-            if lon_scale_correction:
-                lon_dr = lon + ve * dt * (deg_per_m / math.cos(lat * math.pi / 180.0))
-            else:
-                lon_dr = lon + ve * dt * deg_per_m
-            if hps[i]:
-                lat = beta * lat_dr + (1.0 - beta) * rlats[i]
-                lon = beta * lon_dr + (1.0 - beta) * rlons[i]
-            else:
-                lat = lat_dr
-                lon = lon_dr
-
-        t_last = ti
-        vel[i, 0] = vn
-        vel[i, 1] = ve
+        vn_out[i] = vn
+        ve_out[i] = ve
         lat_out[i] = lat
         lon_out[i] = lon
 
-    state[0] = 1.0 if init else 0.0
-    state[1] = t_last
-    state[2], state[3] = vn, ve
-    state[4], state[5] = lat, lon
-    state[6], state[7], state[8] = fx1, fx2, fy1
-    state[9], state[10], state[11] = fy2, fz1, fz2
+    if n:
+        state[0] = 1.0
+        state[1] = t[-1]
+        state[2:6] = vn, ve, lat, lon
     return vel, lat_out, lon_out
 
 
@@ -462,24 +309,60 @@ class NavEstimator:
         self._state[4] = initial_pos.lat
         self._state[5] = initial_pos.lon
 
-    def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, fixes: list[GpsFix]) -> NavTrack:
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        accel = np.ascontiguousarray(accel, dtype=np.float64)
-        q = np.ascontiguousarray(q, dtype=np.float64)
-        if not (np.isfinite(t).all() and np.isfinite(accel).all()):
-            raise ValueError("non-finite value in accel stream")
-        prev = self._state[1] if self._state[0] != 0.0 else -math.inf
-        if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
-            raise TimestampOrderError("sample timestamps must be strictly increasing")
-        ref = prepare_gps_reference(t, fixes, self.mode, self.stale_after_s)
+    def world_accel(self, accel: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """North/east components, (n, 2), of the Butterworth-filtered accel
+        rotated to the world frame by the attitude quaternions ``q``.
+
+        Advances the filter delay lines, which the first sample of a stream
+        primes at their steady state. Inputs as ``run`` checks them.
+        """
+        s = self._state
+        if len(accel) and s[0] == 0.0:
+            ax, ay, az = accel[0].tolist()
+            s[6:8] = biquad_prime(*self._bw, ax)
+            s[8:10] = biquad_prime(*self._bw, ay)
+            s[10:12] = biquad_prime(*self._bw, az)
+        fax, s[6], s[7] = biquad_run(*self._bw, float(s[6]), float(s[7]), accel[:, 0])
+        fay, s[8], s[9] = biquad_run(*self._bw, float(s[8]), float(s[9]), accel[:, 1])
+        faz, s[10], s[11] = biquad_run(*self._bw, float(s[10]), float(s[11]), accel[:, 2])
+
+        qw, qx, qy, qz = q.T
+        xx = qx * qx
+        yy = qy * qy
+        zz = qz * qz
+        wx = qw * qx
+        wy = qw * qy
+        wz = qw * qz
+        xy = qx * qy
+        xz = qx * qz
+        yz = qy * qz
+        a = np.empty((len(accel), 2), dtype=np.float64)
+        a[:, 0] = (1.0 - 2.0 * (yy + zz)) * fax + 2.0 * (xy - wz) * fay + 2.0 * (xz + wy) * faz
+        a[:, 1] = 2.0 * (xy + wz) * fax + (1.0 - 2.0 * (xx + zz)) * fay + 2.0 * (yz - wx) * faz
+        return a
+
+    def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
+        """Blend world-frame accel from ``world_accel`` with the GPS reference
+        of the same rows; advances the velocity and position."""
         vel, lat, lon = nav_run(
-            t, accel, q,
-            ref.ref_lat, ref.ref_lon, ref.has_pos,
-            ref.ref_speed, ref.ref_theta, ref.has_vel,
-            self._bw,
+            t, a_world, ref,
             self.weights.alpha, self.weights.beta,
             180.0 / (math.pi * self.earth.radius_m),
             self.lon_scale_correction,
             self._state,
         )
         return NavTrack(t=t, vel=vel, lat=lat, lon=lon)
+
+    def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, fixes: list[GpsFix]) -> NavTrack:
+        t = np.ascontiguousarray(t, dtype=np.float64)
+        accel = np.ascontiguousarray(accel, dtype=np.float64)
+        q = np.ascontiguousarray(q, dtype=np.float64)
+        if not (np.isfinite(t).all() and np.isfinite(accel).all()):
+            raise ValueError("non-finite value in accel stream")
+        if not (np.abs(np.sqrt((q * q).sum(axis=1)) - 1.0) <= _UNIT_TOL).all():
+            raise ValueError("attitude quaternions must be unit length")
+        prev = self._state[1] if self._state[0] != 0.0 else -math.inf
+        if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
+            raise TimestampOrderError("sample timestamps must be strictly increasing")
+        ref = prepare_gps_reference(t, fixes, self.mode, self.stale_after_s)
+        return self.blend(t, self.world_accel(accel, q), ref)

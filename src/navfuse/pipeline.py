@@ -20,6 +20,7 @@ from .navigation import BlendWeights, GpsFix, NavEstimator
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,18 @@ def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = Fusion
     )
 
 
+def csv_blocks(row_format: str, cols: np.ndarray):
+    """Format the rows of a float64 (n, k) array, yielding strings of up to
+    1,024 newline-terminated lines, each block one ``%`` call.
+
+    A ``%d`` cell takes an integral float, which prints as the int does.
+    """
+    for lo in range(0, len(cols), _BLOCK_ROWS):
+        block = cols[lo:lo + _BLOCK_ROWS]
+        yield (row_format + "\n") * len(block) % tuple(block.ravel().tolist())
+
+
 def fused_rows(out: FusionOutput):
-    """Yield output CSV lines (without newline), header excluded."""
-    cols = np.column_stack([out.q, out.euler * (180.0 / math.pi), out.lat, out.lon, out.vel])
-    for t_ms, row in zip(out.t_ms.tolist(), cols.tolist()):
-        yield _FUSED_ROW % (t_ms, *row)
+    """Yield the output CSV rows in blocks of newline-terminated lines, header excluded."""
+    cols = np.column_stack([out.t_ms, out.q, out.euler * (180.0 / math.pi), out.lat, out.lon, out.vel])
+    yield from csv_blocks(_FUSED_ROW, cols)

@@ -10,13 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import raw_frame
+from conftest import build_stream, raw_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import navfuse
 from navfuse import telemetry
-from navfuse.attitude import ImuSample
 from navfuse.cli import main
 from navfuse.flightsim import (
     FlightProfile,
@@ -28,36 +27,9 @@ from navfuse.pipeline import FUSED_HEADER
 from navfuse.recording import read_recording
 from navfuse.telemetry import (
     FrameKind,
-    TelemetryFrame,
     encode_frame,
-    fix_to_gps_counts,
-    sample_to_imu_counts,
     scan_stream,
 )
-
-
-def build_stream(imu, fixes):
-    """Interleave IMU and GPS frames by timestamp, like two transmitters."""
-    blob = bytearray()
-    seq_i = seq_g = 0
-    fi = 0
-    for i in range(len(imu.t)):
-        s = ImuSample(
-            t=float(imu.t[i]), accel=tuple(imu.accel[i].tolist()), gyro=tuple(imu.gyro[i].tolist()),
-            mag=tuple(imu.mag[i].tolist()),
-        )
-        while fi < len(fixes) and fixes[fi].t <= s.t:
-            blob += encode_frame(
-                TelemetryFrame(FrameKind.GPS, seq_g % 65536, round(fixes[fi].t * 1000),
-                               fix_to_gps_counts(fixes[fi]))
-            )
-            seq_g += 1
-            fi += 1
-        blob += encode_frame(
-            TelemetryFrame(FrameKind.IMU, seq_i % 65536, round(s.t * 1000), sample_to_imu_counts(s))
-        )
-        seq_i += 1
-    return bytes(blob)
 
 
 @pytest.fixture(scope="module")

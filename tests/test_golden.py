@@ -1,5 +1,8 @@
 """Golden outputs: the sha256 of every file the CLI writes for the seed-42
-standard flight, each mode run in-process through ``cli.main``.
+standard flight, each mode run in-process through ``cli.main``. Beyond the
+defaults, ``replay`` runs with the longitude scale correction and with
+gains of exactly 1 and 0, and ``live`` fuses the recording framed by the
+tests' encoder, so the kernel branches these select are pinned too.
 
 The fusion loops exist once, so these digests are what guards them: an edit
 that changes a single output byte (the sign of a zero included, which prints
@@ -13,6 +16,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import build_stream
 
 from navfuse import cli
 from navfuse.pipeline import FusionConfig, fuse_streams
@@ -24,6 +28,9 @@ GOLDEN = {
     "replay.csv": "4271c9bdbdbde05a0a050206f05bb69cb312e22067bdecb2ce6a116970fd91db",
     "sweep.csv": "8fbdc063fa32ceeb77473a2fb1ea470f7ae1446ec513a92c1fcfa2bf0a4f3e22",
     "filter-compare.csv": "362e02e6e90285e3dd163abb7d7002d333a105a72c4afd372d711f67c04c329e",
+    "replay-lon-scale.csv": "2365f16b3f12e0ec9ad333fe9440a77f8ca0d5072456c46459c217f2f2f6c779",
+    "replay-gains-1-0.csv": "bbe57977bd4e970267eef0fbf2ebccd862ec9b3c53eb5c235b3b704717bdb214",
+    "live.csv": "b1cf2118a1b8715aed00b2bec8749f99a568a586e0aee2ff87df680d2eb1cdad",
 }
 FUSED_ARRAY_BITS = "db8d5d0cf6ab42093209f3e139bec7f7de97cd113d4a8f41d13854afae979e26"
 
@@ -38,9 +45,20 @@ def outputs(tmp_path_factory):
         ["--mode", "sweep", "--seed", "42", "--output", str(d / "sweep.csv")],
         ["--mode", "filter-compare", "--input", flight, "--output", str(d / "filter-compare.csv")],
     )
+    stream = str(d / "stream.bin")
+    more = (
+        ["--mode", "replay", "--input", flight, "--lon-scale-correction", "--output", str(d / "replay-lon-scale.csv")],
+        ["--mode", "replay", "--input", flight, "--gamma-rp", "1", "--gamma-yaw", "0",
+         "--output", str(d / "replay-gains-1-0.csv")],
+        ["--mode", "live", "--input", stream, "--output", str(d / "live.csv")],
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("NAVFUSE_CONFIG", raising=False)  # built-in defaults only
         for argv in runs:
+            assert cli.main(argv) == cli.EXIT_OK
+        rec = read_recording(flight)
+        (d / "stream.bin").write_bytes(build_stream(rec.imu, rec.fixes))
+        for argv in more:
             assert cli.main(argv) == cli.EXIT_OK
     return d
 

@@ -1,18 +1,352 @@
-"""The per-sample fusion loops: flag bytes, state carried across calls, the
-biquad runner against scipy, and the single-implementation backend shims of
-the CLI and the package."""
+"""The fusion kernels: flag bytes, state carried across calls, the biquad
+runner against scipy, the single-implementation backend shims of the CLI and
+the package, and the kernels against their per-sample reference loops.
+
+``reference_attitude_run`` and ``reference_nav_run`` are the fusion loops as
+they were before the filters, rotation, tilt and quaternion assembly became
+array passes, kept verbatim with the helpers they call. The kernels must match
+them bit for bit: numpy may do only + - * / and sqrt, which IEEE 754 rounds
+exactly, while every transcendental stays ``math.*``. (``np.arctan2`` differs
+from ``math.atan2`` in the last bit on some inputs of some numpy builds.)
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 import navfuse
-from navfuse.attitude import FLAG_GAP, FLAG_NO_HEADING_REF, FLAG_NO_TILT_REF, AttitudeEstimator
+from navfuse.attitude import (
+    FLAG_GAP,
+    FLAG_NO_HEADING_REF,
+    FLAG_NO_TILT_REF,
+    MAX_GYRO_GAP_S,
+    MIN_HORIZONTAL_FIELD,
+    MIN_TILT_ACCEL_MPS2,
+    AttitudeEstimator,
+    FusionGains,
+)
 from navfuse.cli import main
 from navfuse.filters import FilterState, biquad_run, design_butterworth2_lp
-from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
+from navfuse.flightsim import (
+    FlightProfile,
+    FlightSegment,
+    SensorNoiseModel,
+    SweepCell,
+    generate_flight,
+    rms_error,
+    sweep_weights,
+)
+from navfuse.geo import GeoPoint
+from navfuse.navigation import BlendWeights, GpsFix, NavEstimator, prepare_gps_reference
 from navfuse.recording import write_recording
 
+
+# ---------------------------------------------------------------- reference loops
+
+def wrap_pi(angle: float) -> float:
+    r = math.fmod(angle + math.pi, 2.0 * math.pi)
+    if r <= 0.0:
+        r += 2.0 * math.pi
+    return r - math.pi
+
+
+def complementary_angle(prev, rate, dt, reference, gain):
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if gain == 1.0:
+        return wrap_pi(prev + rate * dt)
+    if gain == 0.0:
+        return wrap_pi(reference)
+    prop = prev + rate * dt
+    delta = wrap_pi(reference - prop)
+    return wrap_pi(prop + (1.0 - gain) * delta)
+
+
+def biquad_prime(b0, b1, b2, a1, a2, x0):
+    h = (b0 + b1 + b2) / (1.0 + a1 + a2)
+    return h * x0 - b0 * x0, b2 * x0 - a2 * h * x0
+
+
+def _tilt_from_accel(ax, ay, az):
+    if ax * ax + ay * ay + az * az <= MIN_TILT_ACCEL_MPS2 * MIN_TILT_ACCEL_MPS2:
+        return math.nan, math.nan
+    roll = math.atan2(ay, az)
+    pitch = math.atan2(-ax, math.sqrt(ay * ay + az * az))
+    return roll, pitch
+
+
+def _heading_from_mag(mx, my, mz, roll, pitch):
+    cr = math.cos(roll)
+    sr = math.sin(roll)
+    cp = math.cos(pitch)
+    sp = math.sin(pitch)
+    ty = my * cr - mz * sr
+    tz = my * sr + mz * cr
+    mxp = mx * cp + tz * sp
+    myp = ty
+    if mxp * mxp + myp * myp < MIN_HORIZONTAL_FIELD * MIN_HORIZONTAL_FIELD:
+        return math.nan
+    return math.atan2(-myp, mxp)
+
+
+def reference_attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_yaw, declination, state):
+    """One pass of the attitude fusion loop over a stream of n samples, one
+    row at a time (the kernel before its array passes, kept as the oracle).
+
+    ``state`` (``AttitudeEstimator.STATE_LEN`` floats) carries the filter and
+    angle state between calls and is updated in place. Returns the (n, 3)
+    Euler angles, the (n, 4) quaternions and the (n,) uint8 FLAG_* bits.
+    """
+    n = len(t)
+    euler = np.empty((n, 3), dtype=np.float64)
+    q = np.empty((n, 4), dtype=np.float64)
+    flags = np.zeros(n, dtype=np.uint8)
+
+    lb0, lb1, lb2, la1, la2 = lp
+    hb0, hb1, hb2, ha1, ha2 = hp
+
+    ts = t.tolist()
+    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
+    gxs, gys, gzs = gyr[:, 0].tolist(), gyr[:, 1].tolist(), gyr[:, 2].tolist()
+    mxs, mys, mzs = mag[:, 0].tolist(), mag[:, 1].tolist(), mag[:, 2].tolist()
+    hms = has_mag.tolist()
+
+    init = state[0] != 0.0
+    t_last = state[1]
+    roll, pitch, yaw = state[2], state[3], state[4]
+    lx1, lx2, ly1, ly2, lz1, lz2 = state[5], state[6], state[7], state[8], state[9], state[10]
+    hx1, hx2, hy1, hy2 = state[11], state[12], state[13], state[14]
+
+    for i in range(n):
+        ti = ts[i]
+        ax, ay, az = axs[i], ays[i], azs[i]
+        gx, gy, gz = gxs[i], gys[i], gzs[i]
+        fl = 0
+
+        if not init:
+            lx1, lx2 = biquad_prime(lb0, lb1, lb2, la1, la2, ax)
+            ly1, ly2 = biquad_prime(lb0, lb1, lb2, la1, la2, ay)
+            lz1, lz2 = biquad_prime(lb0, lb1, lb2, la1, la2, az)
+            hx1, hx2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gx)
+            hy1, hy2 = biquad_prime(hb0, hb1, hb2, ha1, ha2, gy)
+
+        fax = lb0 * ax + lx1
+        lx1 = lb1 * ax - la1 * fax + lx2
+        lx2 = lb2 * ax - la2 * fax
+        fay = lb0 * ay + ly1
+        ly1 = lb1 * ay - la1 * fay + ly2
+        ly2 = lb2 * ay - la2 * fay
+        faz = lb0 * az + lz1
+        lz1 = lb1 * az - la1 * faz + lz2
+        lz2 = lb2 * az - la2 * faz
+        fgx = hb0 * gx + hx1
+        hx1 = hb1 * gx - ha1 * fgx + hx2
+        hx2 = hb2 * gx - ha2 * fgx
+        fgy = hb0 * gy + hy1
+        hy1 = hb1 * gy - ha1 * fgy + hy2
+        hy2 = hb2 * gy - ha2 * fgy
+
+        rref, pref = _tilt_from_accel(fax, fay, faz)
+        tilt_ok = not math.isnan(rref)
+
+        if not init:
+            roll = rref if tilt_ok else 0.0
+            pitch = pref if tilt_ok else 0.0
+            if not tilt_ok:
+                fl |= FLAG_NO_TILT_REF
+            yaw = 0.0
+            if hms[i]:
+                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
+                if math.isnan(h):
+                    fl |= FLAG_NO_HEADING_REF
+                else:
+                    yaw = wrap_pi(h + declination)
+            init = True
+        else:
+            dt = ti - t_last
+            gap = dt > MAX_GYRO_GAP_S
+            if gap:
+                fl |= FLAG_GAP
+            if not tilt_ok:
+                fl |= FLAG_NO_TILT_REF
+            if gap:
+                if tilt_ok:
+                    roll = rref
+                    pitch = pref
+            elif tilt_ok:
+                roll = complementary_angle(roll, fgx, dt, rref, gamma_rp)
+                pitch = complementary_angle(pitch, fgy, dt, pref, gamma_rp)
+            else:
+                roll = wrap_pi(roll + fgx * dt)
+                pitch = wrap_pi(pitch + fgy * dt)
+            heading_ok = False
+            h = 0.0
+            if hms[i]:
+                h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
+                heading_ok = not math.isnan(h)
+                if not heading_ok:
+                    fl |= FLAG_NO_HEADING_REF
+            if heading_ok:
+                href = wrap_pi(h + declination)
+                yaw = href if gap else complementary_angle(yaw, gz, dt, href, gamma_yaw)
+            elif not gap:
+                yaw = wrap_pi(yaw + gz * dt)
+
+        t_last = ti
+
+        # from_euler (two Hamilton products) then normalize with w >= 0.
+        czw = math.cos(0.5 * yaw)
+        szw = math.sin(0.5 * yaw)
+        cpw = math.cos(0.5 * pitch)
+        spw = math.sin(0.5 * pitch)
+        crw = math.cos(0.5 * roll)
+        srw = math.sin(0.5 * roll)
+        # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
+        h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
+        h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
+        h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
+        h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
+        # q = h1 * qx with qx = (crw, srw, 0, 0)
+        qw = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
+        qx = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
+        qy = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
+        qz = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+        if qw < 0.0:
+            qw, qx, qy, qz = -qw, -qx, -qy, -qz
+
+        euler[i, 0] = roll
+        euler[i, 1] = pitch
+        euler[i, 2] = yaw
+        q[i, 0] = qw
+        q[i, 1] = qx
+        q[i, 2] = qy
+        q[i, 3] = qz
+        flags[i] = fl
+
+    state[0] = 1.0 if init else 0.0
+    state[1] = t_last
+    state[2], state[3], state[4] = roll, pitch, yaw
+    state[5], state[6], state[7], state[8] = lx1, lx2, ly1, ly2
+    state[9], state[10], state[11], state[12] = lz1, lz2, hx1, hx2
+    state[13], state[14] = hy1, hy2
+    return euler, q, flags
+
+
+def reference_nav_run(
+    t, acc, quat,
+    ref_lat, ref_lon, has_pos,
+    ref_speed, ref_theta, has_vel,
+    bw, alpha, beta, deg_per_m, lon_scale_correction, state,
+):
+    """One pass of the position fusion loop over a stream of n samples, one
+    row at a time (the kernel before its array passes, kept as the oracle).
+
+    The GPS reference columns come from ``prepare_gps_reference``. ``state``
+    (``NavEstimator.STATE_LEN`` floats) carries the filter, velocity and
+    position state between calls and is updated in place. Returns the (n, 2)
+    north/east velocities and the (n,) latitudes and longitudes.
+    """
+    n = len(t)
+    vel = np.empty((n, 2), dtype=np.float64)
+    lat_out = np.empty(n, dtype=np.float64)
+    lon_out = np.empty(n, dtype=np.float64)
+
+    b0, b1, b2, a1, a2 = bw
+    ts = t.tolist()
+    axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
+    qws, qxs, qys, qzs = (quat[:, j].tolist() for j in range(4))
+    rlats, rlons, hps = ref_lat.tolist(), ref_lon.tolist(), has_pos.tolist()
+    rspd, rth, hvs = ref_speed.tolist(), ref_theta.tolist(), has_vel.tolist()
+
+    init = state[0] != 0.0
+    t_last = state[1]
+    vn, ve = state[2], state[3]
+    lat, lon = state[4], state[5]
+    fx1, fx2, fy1, fy2, fz1, fz2 = state[6], state[7], state[8], state[9], state[10], state[11]
+
+    for i in range(n):
+        ti = ts[i]
+        ax, ay, az = axs[i], ays[i], azs[i]
+
+        if not init:
+            fx1, fx2 = biquad_prime(b0, b1, b2, a1, a2, ax)
+            fy1, fy2 = biquad_prime(b0, b1, b2, a1, a2, ay)
+            fz1, fz2 = biquad_prime(b0, b1, b2, a1, a2, az)
+
+        fax = b0 * ax + fx1
+        fx1 = b1 * ax - a1 * fax + fx2
+        fx2 = b2 * ax - a2 * fax
+        fay = b0 * ay + fy1
+        fy1 = b1 * ay - a1 * fay + fy2
+        fy2 = b2 * ay - a2 * fay
+        faz = b0 * az + fz1
+        fz1 = b1 * az - a1 * faz + fz2
+        fz2 = b2 * az - a2 * faz
+
+        if not init:
+            if hps[i]:
+                lat = rlats[i]
+                lon = rlons[i]
+            init = True
+        else:
+            dt = ti - t_last
+            qw, qx, qy, qz = qws[i], qxs[i], qys[i], qzs[i]
+            xx = qx * qx
+            yy = qy * qy
+            zz = qz * qz
+            wx = qw * qx
+            wy = qw * qy
+            wz = qw * qz
+            xy = qx * qy
+            xz = qx * qz
+            yz = qy * qz
+            a_n = (1.0 - 2.0 * (yy + zz)) * fax + 2.0 * (xy - wz) * fay + 2.0 * (xz + wy) * faz
+            a_e = 2.0 * (xy + wz) * fax + (1.0 - 2.0 * (xx + zz)) * fay + 2.0 * (yz - wx) * faz
+
+            vn_i = vn + a_n * dt
+            ve_i = ve + a_e * dt
+            if hvs[i]:
+                vn = alpha * vn_i + (1.0 - alpha) * rspd[i] * math.cos(rth[i])
+                ve = alpha * ve_i + (1.0 - alpha) * rspd[i] * math.sin(rth[i])
+            else:
+                vn = vn_i
+                ve = ve_i
+
+            lat_dr = lat + vn * dt * deg_per_m
+            if lon_scale_correction:
+                lon_dr = lon + ve * dt * (deg_per_m / math.cos(lat * math.pi / 180.0))
+            else:
+                lon_dr = lon + ve * dt * deg_per_m
+            if hps[i]:
+                lat = beta * lat_dr + (1.0 - beta) * rlats[i]
+                lon = beta * lon_dr + (1.0 - beta) * rlons[i]
+            else:
+                lat = lat_dr
+                lon = lon_dr
+
+        t_last = ti
+        vel[i, 0] = vn
+        vel[i, 1] = ve
+        lat_out[i] = lat
+        lon_out[i] = lon
+
+    state[0] = 1.0 if init else 0.0
+    state[1] = t_last
+    state[2], state[3] = vn, ve
+    state[4], state[5] = lat, lon
+    state[6], state[7], state[8] = fx1, fx2, fy1
+    state[9], state[10], state[11] = fy2, fz1, fz2
+    return vel, lat_out, lon_out
+
+
+
+# ---------------------------------------------------------------- kernel tests
 
 def random_stream(seed, n=3000):
     rng = np.random.default_rng(seed)
@@ -112,3 +446,152 @@ def test_backend_compiled_rejected(recording, capsys):
     err = capsys.readouterr().err
     assert "invalid choice" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- kernels against the reference loops
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def chunks(n, cuts):
+    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+gains = st.one_of(st.sampled_from([0.0, 1.0, 0.98]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def imu_streams(draw):
+    """Streams rich in the kernel's branches: tilts far beyond 0.25 rad,
+    gaps over MAX_GYRO_GAP_S, accel below 0.1 g (a weak first row starts the
+    stream without a tilt reference), rows without a magnetometer and rows
+    whose field has no horizontal part."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dt = rng.uniform(0.004, 0.05, n)
+    dt[draw(st.lists(st.integers(0, n - 1), max_size=3))] = rng.uniform(MAX_GYRO_GAP_S, 3.0)
+    t = 50.0 + np.cumsum(dt)
+    roll = rng.uniform(-3.0, 3.0, n)
+    pitch = rng.uniform(-1.5, 1.5, n)
+    g = rng.uniform(5.0, 12.0, n)
+    acc = np.column_stack([-np.sin(pitch), np.sin(roll) * np.cos(pitch), np.cos(roll) * np.cos(pitch)]) * g[:, None]
+    acc += rng.normal(0.0, draw(st.sampled_from([0.0, 0.5, 3.0])), (n, 3))
+    lo = draw(st.integers(0, n - 1))
+    acc[lo:lo + draw(st.integers(0, 25))] = rng.normal(0.0, 0.2, 3)
+    gyr = rng.normal(0.0, 1.5, (n, 3))
+    mag = rng.normal((0.25, 0.05, -0.4), 0.2, (n, 3))
+    mag[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    has_mag = (rng.random(n) < draw(st.sampled_from([0.0, 0.6, 1.0]))).astype(np.uint8)
+    return t, acc, gyr, mag, has_mag
+
+
+@settings(max_examples=120, deadline=None)
+@given(imu_streams(), gains, gains, st.floats(-4.0, 4.0), st.sampled_from([60.0, 100.0]),
+       st.lists(st.integers(0, 10**6), max_size=4))
+def test_attitude_matches_reference(stream, gamma_rp, gamma_yaw, declination, fs, cuts):
+    t, acc, gyr, mag, has_mag = stream
+    est = AttitudeEstimator(FusionGains(gamma_rp, gamma_yaw), sample_rate_hz=fs, declination_rad=declination)
+    state = np.zeros(AttitudeEstimator.STATE_LEN)
+    got, want = [], []
+    for lo, hi in chunks(len(t), cuts):
+        track = est.run(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi])
+        got.append((track.euler, track.q, track.flags))
+        want.append(reference_attitude_run(
+            t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi],
+            est._lp, est._hp, gamma_rp, gamma_yaw, declination, state,
+        ))
+    for k in range(3):
+        assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
+    assert_same_bits(est._state, state)
+
+
+@st.composite
+def nav_cases(draw):
+    """A stream with unit attitude quaternions and fixes that are invalid,
+    repeat a position, fall before, inside or after it, or go stale. Tracks
+    start at or near lat/lon 0 too, where a degree has fine enough ulps to
+    show a last-bit change in a position increment."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = 10.0 + np.cumsum(rng.uniform(0.01, 0.3, n))
+    acc = rng.normal((0.0, 0.0, 9.8), draw(st.sampled_from([0.3, 4.0])), (n, 3))
+    q = rng.normal(size=(n, 4))
+    q /= np.sqrt((q * q).sum(axis=1))[:, None]
+    k = draw(st.integers(0, 8))
+    fix_t = np.unique(rng.uniform(t[0] - 1.0, t[-1] + 1.0, k))
+    lat = rng.uniform(-1.0, 1.0) * draw(st.sampled_from([0.0, 1e-3, 75.0]))
+    lon = rng.uniform(-1.0, 1.0) * draw(st.sampled_from([0.0, 1e-3, 170.0]))
+    fixes = []
+    for ft in fix_t.tolist():
+        if rng.random() < 0.7:  # else the fix repeats the previous position
+            lat += rng.normal(0.0, 1e-4)
+            lon += rng.normal(0.0, 1e-4)
+        fixes.append(GpsFix(t=ft, pos=GeoPoint(lat, lon), speed=float(rng.uniform(0.0, 40.0)),
+                            valid=bool(rng.random() < 0.85)))
+    options = dict(
+        weights=BlendWeights(draw(gains), draw(gains)),
+        sample_rate_hz=draw(st.sampled_from([60.0, 100.0])),
+        lon_scale_correction=draw(st.booleans()),
+        stale_after_s=draw(st.sampled_from([0.2, 3.0, math.inf])),
+        mode=draw(st.sampled_from(["live", "replay"])),
+        initial_pos=GeoPoint(float(lat * rng.integers(0, 2)), float(lon * rng.integers(0, 2))),
+        initial_vel=tuple(rng.normal(0.0, 10.0, 2).tolist()),
+    )
+    return t, acc, q, fixes, options
+
+
+@settings(max_examples=120, deadline=None)
+@given(nav_cases(), st.lists(st.integers(0, 10**6), max_size=4))
+def test_nav_matches_reference(case, cuts):
+    t, acc, q, fixes, options = case
+    est = NavEstimator(**options)
+    state = est._state.copy()
+    deg_per_m = 180.0 / (math.pi * est.earth.radius_m)
+    got, want = [], []
+    for lo, hi in chunks(len(t), cuts):
+        track = est.run(t[lo:hi], acc[lo:hi], q[lo:hi], fixes)
+        got.append((track.vel, track.lat, track.lon))
+        ref = prepare_gps_reference(t[lo:hi], fixes, est.mode, est.stale_after_s)
+        want.append(reference_nav_run(
+            t[lo:hi], acc[lo:hi], q[lo:hi],
+            ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_theta, ref.has_vel,
+            est._bw, est.weights.alpha, est.weights.beta, deg_per_m, est.lon_scale_correction, state,
+        ))
+    for k in range(3):
+        assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
+    assert_same_bits(est._state, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nav_cases(), st.lists(st.tuples(gains, gains), min_size=1, max_size=4))
+def test_shared_world_accel_matches_per_cell_run(case, grid):
+    """The sweep's path: world-frame accel and GPS reference made once, then
+    only the blend per cell."""
+    t, acc, q, fixes, options = case
+    a_world = NavEstimator(**options).world_accel(acc, q)
+    ref = prepare_gps_reference(t, fixes, options["mode"], options["stale_after_s"])
+    for alpha, beta in grid:
+        cell = dict(options, weights=BlendWeights(alpha, beta))
+        shared = NavEstimator(**cell).blend(t, a_world, ref)
+        alone = NavEstimator(**cell).run(t, acc, q, fixes)
+        for got, want in ((shared.vel, alone.vel), (shared.lat, alone.lat), (shared.lon, alone.lon)):
+            assert_same_bits(got, want)
+
+
+def test_sweep_weights_matches_per_cell_run():
+    profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
+    grid = [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)]
+    truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+    q = AttitudeEstimator(sample_rate_hz=profile.imu_rate_hz).run(*imu).q
+    want = []
+    for a, b in grid:
+        nav = NavEstimator(weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz,
+                           earth=profile.earth, mode="replay").run(imu.t, imu.accel, q, fixes)
+        err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
+        want.append(SweepCell(a, b, err.lat_m, err.lon_m))
+    assert sweep_weights(profile, SensorNoiseModel(), grid) == want

@@ -1,43 +1,60 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.errors import InterpolationRangeError, TimestampOrderError
-from navfuse.filters import design_butterworth2_lp
+from navfuse.filters import BiquadCoeffs, design_butterworth2_lp
 from navfuse.geo import GeoPoint
 from navfuse.navigation import (
     BlendWeights,
     GpsFix,
     NavEstimator,
-    NavState,
     default_position_cutoff_hz,
-    gravity_compensate,
     interpolate_gps,
-    nav_step,
-    position_step,
     prepare_gps_reference,
-    velocity_step,
 )
 from navfuse.quat import EulerAngles, Quaternion
 
 DEG_PER_M = 180.0 / (math.pi * 6_371_000.0)
+
+# b0 = 1 and nothing else: the accel pre-filter passes its input through unchanged
+PASS_THROUGH = BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, sample_rate_hz=60.0, cutoff_hz=10.0)
+LEVEL = (1.0, 0.0, 0.0, 0.0)
 
 
 def fix(t, lat, lon, speed=10.0, valid=True):
     return GpsFix(t=t, pos=GeoPoint(lat, lon), speed=speed, valid=valid)
 
 
+def one_step(accel, dt, weights, fixes=(), t0=0.0, q=LEVEL, **kw):
+    """Row 1 of a two-sample ``NavEstimator.run`` from t0 to t0 + dt, constant
+    accel and attitude, pre-filter passed through: one blend step from the
+    initial state, after the first sample has snapped to any fix it has."""
+    est = NavEstimator(weights=weights, coeffs=PASS_THROUGH, **kw)
+    track = est.run(np.array([t0, t0 + dt]), np.tile(accel, (2, 1)), np.tile(q, (2, 1)), list(fixes))
+    return tuple(track.vel[1].tolist()), (float(track.lat[1]), float(track.lon[1]))
+
+
+def world_accel(reading, q):
+    """North/east accel of a body reading: the velocity after one 1 s step of
+    pure integration from rest."""
+    vel, _ = one_step(reading, 1.0, BlendWeights(1.0, 1.0), q=q)
+    return vel
+
+
 class TestGravityCompensate:
+    # the nav kernel has no vertical channel: gravity, on the z axis, drops out
+    # of the north/east components the blend uses
     def test_level_static(self):
-        out = gravity_compensate((0, 0, G), Quaternion.identity())
-        np.testing.assert_allclose(out, (0, 0, 0), atol=1e-12)
+        np.testing.assert_allclose(world_accel((0, 0, G), LEVEL), (0, 0), atol=1e-12)
 
     def test_rolled_static(self):
         q = Quaternion.from_euler(EulerAngles(math.pi / 2, 0, 0)).normalize()
         reading = q.conjugate().rotate_vector((0, 0, G))
-        np.testing.assert_allclose(gravity_compensate(reading, q), (0, 0, 0), atol=1e-9)
+        np.testing.assert_allclose(world_accel(reading, astuple(q)), (0, 0), atol=1e-9)
 
     def test_forward_model_roundtrip(self):
         rng = np.random.default_rng(31)
@@ -46,87 +63,80 @@ class TestGravityCompensate:
             q = Quaternion.from_euler(e).normalize()
             a_world = rng.normal(0, 3, 3)
             reading = q.conjugate().rotate_vector(a_world + np.array([0, 0, G]))
-            np.testing.assert_allclose(gravity_compensate(reading, q), a_world, atol=1e-9)
+            np.testing.assert_allclose(world_accel(reading, astuple(q)), a_world[:2], atol=1e-9)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            gravity_compensate((0, 0, G), Quaternion(2, 0, 0, 0))
+            world_accel((0, 0, G), (2.0, 0.0, 0.0, 0.0))
 
 
 class TestVelocityStep:
     def test_alpha_one_pure_integration(self):
-        st = NavState(vel=(1.0, 2.0), t_last=0.0)
-        out = velocity_step(st, (0.5, -0.5, 0), 0.1, None, BlendWeights(1.0, 0.5))
-        assert out == (1.05, 1.95)
+        vel, _ = one_step((0.5, -0.5, G), 0.1, BlendWeights(1.0, 0.5), initial_vel=(1.0, 2.0))
+        assert vel == (1.05, 1.95)
 
     def test_alpha_zero_full_gps(self):
-        st = NavState(vel=(99.0, 99.0), t_last=10.0)
-        st.observe_fix(fix(9.0, 0.0, 0.0, speed=10.0))
-        st.observe_fix(fix(10.0, 0.001, 0.0, speed=10.0))  # due north
-        out = velocity_step(st, (0, 0, 0), 0.1, None, BlendWeights(0.0, 0.5))
-        assert out[0] == pytest.approx(10.0, abs=1e-9)
-        assert out[1] == pytest.approx(0.0, abs=1e-9)
+        fixes = [fix(9.0, 0.0, 0.0, speed=10.0), fix(10.0, 0.001, 0.0, speed=10.0)]  # due north
+        vel, _ = one_step((0, 0, G), 0.1, BlendWeights(0.0, 0.5), fixes, t0=10.0, initial_vel=(99.0, 99.0))
+        assert vel[0] == pytest.approx(10.0, abs=1e-9)
+        assert vel[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_computed_blend(self):
         # V_n = 0.5*(2 + 1*0.1) + 0.5*4*cos(0) = 3.05
-        st = NavState(vel=(2.0, 0.0), t_last=0.9)
-        st.observe_fix(fix(0.0, 0.0, 0.0, speed=4.0))
-        st.observe_fix(fix(0.9, 0.001, 0.0, speed=4.0))
-        out = velocity_step(st, (1.0, 0.0, 0), 0.1, None, BlendWeights(0.5, 0.5))
-        assert out[0] == pytest.approx(3.05, abs=1e-9)
+        fixes = [fix(0.0, 0.0, 0.0, speed=4.0), fix(0.9, 0.001, 0.0, speed=4.0)]
+        vel, _ = one_step((1.0, 0.0, G), 0.1, BlendWeights(0.5, 0.5), fixes, t0=0.9, initial_vel=(2.0, 0.0))
+        assert vel[0] == pytest.approx(3.05, abs=1e-9)
 
     def test_fewer_than_two_distinct_fixes_integrates(self):
-        st = NavState(vel=(1.0, 0.0), t_last=0.0)
-        st.observe_fix(fix(0.0, 0.0, 0.0))
-        out = velocity_step(st, (1.0, 1.0, 0), 0.5, None, BlendWeights(0.0, 0.5))
-        assert out == (1.5, 0.5)
+        vel, _ = one_step((1.0, 1.0, G), 0.5, BlendWeights(0.0, 0.5), [fix(0.0, 0.0, 0.0)],
+                          initial_vel=(1.0, 0.0))
+        assert vel == (1.5, 0.5)
 
     def test_static_gps_never_defines_bearing(self):
-        st = NavState(vel=(0.0, 0.0), t_last=0.0)
-        for k in range(5):
-            st.observe_fix(fix(float(k), 0.001, 0.002))
-        assert st.fix_bearing() is None
+        # alpha 0 takes the GPS velocity whenever a bearing exists; none does
+        fixes = [fix(float(k), 0.001, 0.002) for k in range(5)]
+        t = np.arange(0.0, 5.0, 0.25)
+        est = NavEstimator(weights=BlendWeights(0.0, 0.5), coeffs=PASS_THROUGH, initial_vel=(1.0, 0.0))
+        track = est.run(t, np.tile((0, 0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
+        assert track.vel.tolist() == [[1.0, 0.0]] * len(t)
 
     def test_stale_fix_ignored(self):
-        st = NavState(vel=(1.0, 0.0), t_last=20.0)
-        st.observe_fix(fix(0.0, 0.0, 0.0))
-        st.observe_fix(fix(1.0, 0.001, 0.0))
-        out = velocity_step(st, (0, 0, 0), 0.1, None, BlendWeights(0.0, 0.5))
-        assert out == (1.0, 0.0)  # pure integration of zero accel
+        fixes = [fix(0.0, 0.0, 0.0), fix(1.0, 0.001, 0.0)]
+        vel, _ = one_step((0, 0, G), 0.1, BlendWeights(0.0, 0.5), fixes, t0=20.0, initial_vel=(1.0, 0.0))
+        assert vel == (1.0, 0.0)  # pure integration of zero accel
 
 
 class TestPositionStep:
+    # a fix at t0 + dt only: the first sample has no reference to snap to, so
+    # the step starts from initial_pos
     def test_beta_zero_equals_reference(self):
-        st = NavState(pos=GeoPoint(5.0, 5.0), t_last=0.0)
-        ref = GeoPoint(1.25, -2.5)
-        out = position_step(st, (100.0, 100.0), 0.1, ref, BlendWeights(0.5, 0.0))
-        assert (out.lat, out.lon) == (ref.lat, ref.lon)
+        _, pos = one_step((0, 0, G), 0.1, BlendWeights(0.5, 0.0), [fix(0.1, 1.25, -2.5)],
+                          initial_pos=GeoPoint(5.0, 5.0), initial_vel=(100.0, 100.0))
+        assert pos == (1.25, -2.5)
 
     def test_beta_one_advances_one_degree(self):
-        st = NavState(pos=GeoPoint(0.0, 0.0), t_last=0.0)
         v_north = math.pi * 6_371_000.0 / 180.0
-        out = position_step(st, (v_north, 0.0), 1.0, GeoPoint(45.0, 45.0), BlendWeights(0.5, 1.0))
-        assert out.lat == pytest.approx(1.0, abs=1e-12)
-        assert out.lon == 0.0
+        _, pos = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), [fix(1.0, 45.0, 45.0)],
+                          initial_vel=(v_north, 0.0))
+        assert pos[0] == pytest.approx(1.0, abs=1e-12)
+        assert pos[1] == 0.0
 
     def test_hand_computed_blend(self):
         # 0.1 * 0.001 + 0.9 * 0.0011 = 0.00109
-        st = NavState(pos=GeoPoint(0.001, 0.0), t_last=0.0)
-        out = position_step(st, (0.0, 0.0), 0.1, GeoPoint(0.0011, 0.0), BlendWeights(0.5, 0.1))
-        assert out.lat == pytest.approx(0.00109, abs=1e-15)
+        _, pos = one_step((0, 0, G), 0.1, BlendWeights(0.5, 0.1), [fix(0.1, 0.0011, 0.0)],
+                          initial_pos=GeoPoint(0.001, 0.0))
+        assert pos[0] == pytest.approx(0.00109, abs=1e-15)
 
     def test_no_reference_dead_reckons(self):
-        st = NavState(pos=GeoPoint(0.0, 0.0), t_last=0.0)
-        out = position_step(st, (10.0, -10.0), 1.0, None, BlendWeights(0.5, 0.0))
-        assert out.lat == pytest.approx(10.0 * DEG_PER_M, rel=1e-12)
-        assert out.lon == pytest.approx(-10.0 * DEG_PER_M, rel=1e-12)
+        _, pos = one_step((0, 0, G), 1.0, BlendWeights(0.5, 0.0), initial_vel=(10.0, -10.0))
+        assert pos[0] == pytest.approx(10.0 * DEG_PER_M, rel=1e-12)
+        assert pos[1] == pytest.approx(-10.0 * DEG_PER_M, rel=1e-12)
 
     def test_lon_scale_correction(self):
-        st = NavState(pos=GeoPoint(60.0, 0.0), t_last=0.0)
-        plain = position_step(st, (0.0, 10.0), 1.0, None, BlendWeights(0.5, 1.0))
-        corrected = position_step(st, (0.0, 10.0), 1.0, None, BlendWeights(0.5, 1.0),
-                                  lon_scale_correction=True)
-        assert corrected.lon == pytest.approx(plain.lon / math.cos(math.radians(60.0)), rel=1e-12)
+        common = dict(initial_pos=GeoPoint(60.0, 0.0), initial_vel=(0.0, 10.0))
+        _, plain = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), **common)
+        _, corrected = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), lon_scale_correction=True, **common)
+        assert corrected[1] == pytest.approx(plain[1] / math.cos(math.radians(60.0)), rel=1e-12)
 
 
 class TestInterpolateGps:
@@ -182,54 +192,18 @@ class TestInterpolateGps:
 
 class TestNavStep:
     def test_static_with_pinned_gps_stays_at_origin(self):
-        coeffs = design_butterworth2_lp(10.0, 60.0)
-        st = NavState()
-        q = Quaternion.identity()
-        w = BlendWeights(0.1, 0.1)
-        worst = 0.0
-        for i in range(3600):  # 60 s at 60 Hz
-            t = i / 60.0
-            gps = fix(math.floor(t), 0.0, 0.0, speed=0.0) if i % 60 == 0 else None
-            nav_step(st, t, (0.0, 0.0, G), q, gps, w, coeffs=coeffs)
-            worst = max(worst, abs(st.pos.lat) / DEG_PER_M, abs(st.pos.lon) / DEG_PER_M)
+        t = np.arange(3600) / 60.0  # 60 s at 60 Hz
+        fixes = [fix(float(k), 0.0, 0.0, speed=0.0) for k in range(60)]
+        est = NavEstimator(weights=BlendWeights(0.1, 0.1), sample_rate_hz=60.0)
+        track = est.run(t, np.tile((0.0, 0.0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
+        worst = max(np.abs(track.lat).max(), np.abs(track.lon).max()) / DEG_PER_M
         assert worst < 0.5
 
     def test_timestamp_ordering(self):
-        coeffs = design_butterworth2_lp(10.0, 60.0)
-        st = NavState()
-        nav_step(st, 1.0, (0, 0, G), Quaternion.identity(), None, BlendWeights(), coeffs=coeffs)
+        est = NavEstimator(sample_rate_hz=60.0)
+        est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), [])
         with pytest.raises(TimestampOrderError):
-            nav_step(st, 1.0, (0, 0, G), Quaternion.identity(), None, BlendWeights())
-
-    def test_scalar_path_matches_batch_kernel(self):
-        rng = np.random.default_rng(33)
-        n = 600
-        t = np.arange(n) / 60.0
-        acc = rng.normal((0, 0, G), 0.2, (n, 3))
-        qs = []
-        for i in range(n):
-            e = EulerAngles(rng.normal(0, 0.02), rng.normal(0, 0.02), rng.normal(0, 0.5))
-            qq = Quaternion.from_euler(e).normalize()
-            qs.append([qq.w, qq.x, qq.y, qq.z])
-        qarr = np.array(qs)
-        fixes = [fix(float(k), 0.0001 * k, 0.0002 * k, speed=12.0) for k in range(0, 10)]
-
-        est = NavEstimator(weights=BlendWeights(0.3, 0.4), sample_rate_hz=60, mode="live")
-        track = est.run(t, acc, qarr, fixes)
-
-        st = NavState()
-        coeffs = design_butterworth2_lp(10.0, 60.0)
-        fix_iter = {f.t: f for f in fixes}
-        lat = np.empty(n)
-        lon = np.empty(n)
-        for i in range(n):
-            q = Quaternion(*qarr[i])
-            nav_step(st, float(t[i]), tuple(acc[i]), q, fix_iter.get(float(t[i])),
-                     BlendWeights(0.3, 0.4), coeffs=coeffs)
-            lat[i] = st.pos.lat
-            lon[i] = st.pos.lon
-        np.testing.assert_allclose(track.lat, lat, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(track.lon, lon, rtol=0, atol=1e-12)
+            est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), [])
 
 
 class TestPrepareGpsReference:

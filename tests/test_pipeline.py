@@ -5,7 +5,8 @@ from navfuse.pipeline import fuse_streams, fused_rows
 
 
 def test_fused_rows_match_per_cell_formatting():
-    profile = FlightProfile(segments=(FlightSegment("turn", 5.0, yaw_rate_dps=4.0),), seed=3)
+    # 40 s at 60 Hz: two full 1,024-row blocks and a short last one
+    profile = FlightProfile(segments=(FlightSegment("turn", 40.0, yaw_rate_dps=4.0),), seed=3)
     _, imu, fixes = generate_flight(profile, SensorNoiseModel())
     out = fuse_streams(imu, fixes)
     deg = 180.0 / math.pi
@@ -16,5 +17,7 @@ def test_fused_rows_match_per_cell_formatting():
         cells += ["%.9f" % (out.euler[i, k] * deg) for k in range(3)]
         cells += ["%.9f" % out.lat[i], "%.9f" % out.lon[i]]
         cells += ["%.9f" % out.vel[i, 0], "%.9f" % out.vel[i, 1]]
-        expected.append(",".join(cells))
-    assert list(fused_rows(out)) == expected
+        expected.append(",".join(cells) + "\n")
+    blocks = list(fused_rows(out))
+    assert [b.count("\n") for b in blocks] == [1024, 1024, len(expected) - 2048]
+    assert "".join(blocks) == "".join(expected)
