@@ -32,7 +32,7 @@ from .filters import (
 from .geo import EarthModel, GeoPoint, bearing, geodesic_distance, meters_to_degrees_lat
 from .navigation import (
     BlendWeights,
-    GpsFix,
+    GpsArrays,
     NavEstimator,
     interpolate_gps,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "FusionGains",
     "FusionOutput",
     "GeoPoint",
-    "GpsFix",
+    "GpsArrays",
     "ImuArrays",
     "ImuSample",
     "NavEstimator",

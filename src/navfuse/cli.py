@@ -169,16 +169,15 @@ def _decode_stream(data: bytes):
               file=sys.stderr)
     gps = gps[in_range]
     gps["lon_e7"][gps["lon_e7"] == -_LON_E7_MAX] = _LON_E7_MAX  # -180 deg is the +180 deg meridian
-    # a GpsPayload ignores flag bits 2-7, so they cannot make a conflict
+    # flag bits 2-7 carry nothing, so they cannot make a conflict
     payload = np.column_stack(
         [gps[f] for f in ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm")] + [gps["flags"] & 0x03]
     )
     gps = gps[_first_per_t_ms("GPS", gps["t_ms"], payload)]
-    fixes = [
-        telemetry.gps_counts_to_fix(t_ms, p)
-        for t_ms, p in zip(gps["t_ms"].tolist(), telemetry.gps_payloads(gps))
-    ]
-    return telemetry.imu_counts_to_arrays(imu["t_ms"], imu["counts"]), fixes
+    return (
+        telemetry.imu_counts_to_arrays(imu["t_ms"], imu["counts"]),
+        telemetry.gps_counts_to_arrays(gps["t_ms"], gps),
+    )
 
 
 def _first_per_t_ms(kind: str, t_ms: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -216,11 +215,11 @@ def _emit_fused(out, fh) -> None:
 
 def cmd_live(opts: dict) -> int:
     data = _read_input_bytes(opts["input"])
-    imu, fixes = _decode_stream(data)
+    imu, gps = _decode_stream(data)
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    fused = fuse_streams(imu, fixes, fusion_config(opts, "live"))
+    fused = fuse_streams(imu, gps, fusion_config(opts, "live"))
     with _Output(opts["output"]) as fh:
         _emit_fused(fused, fh)
     return EXIT_OK
@@ -228,7 +227,7 @@ def cmd_live(opts: dict) -> int:
 
 def cmd_record(opts: dict) -> int:
     data = _read_input_bytes(opts["input"])
-    imu, fixes = _decode_stream(data)
+    imu, gps = _decode_stream(data)
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
@@ -243,8 +242,8 @@ def cmd_record(opts: dict) -> int:
         "accel_lp_hz": "%g" % float(opts["accel_lp_hz"]),
         "gyro_hp_hz": "%g" % float(opts["gyro_hp_hz"]),
     }
-    write_recording(imu, fixes, opts["output"], metadata)
-    fused = fuse_streams(imu, fixes, fusion_config(opts, "live"))
+    write_recording(imu, gps, opts["output"], metadata)
+    fused = fuse_streams(imu, gps, fusion_config(opts, "live"))
     _emit_fused(fused, sys.stdout)
     return EXIT_OK
 
@@ -266,8 +265,9 @@ def cmd_replay(opts: dict) -> int:
             fh.write(FUSED_HEADER + "\n")
             return EXIT_OK
         # each fix carries the time of its row, so the window's rows bound it
-        fixes = [f for f in rec.fixes if imu.t[0] <= f.t <= imu.t[-1]]
-        fused = fuse_streams(imu, fixes, fusion_config(opts, "replay"))
+        in_window = (rec.gps.t >= imu.t[0]) & (rec.gps.t <= imu.t[-1])
+        gps = rec.gps._make(col[in_window] for col in rec.gps)
+        fused = fuse_streams(imu, gps, fusion_config(opts, "replay"))
         _emit_fused(fused, fh)
     return EXIT_OK
 
@@ -282,7 +282,7 @@ def _sim_inputs(opts: dict):
 
 def cmd_simulate(opts: dict) -> int:
     profile, noise = _sim_inputs(opts)
-    truth, imu, fixes = generate_flight(profile, noise)
+    truth, imu, gps = generate_flight(profile, noise)
     out_path = opts["output"] or "flight.csv"
     truth_path = opts["truth_out"] or (str(out_path) + ".truth.csv")
     metadata = {
@@ -291,7 +291,7 @@ def cmd_simulate(opts: dict) -> int:
         "gps_rate_hz": "%g" % profile.gps_rate_hz,
         "duration_s": "%g" % profile.duration_s,
     }
-    rows = write_recording(imu, fixes, out_path, metadata)
+    rows = write_recording(imu, gps, out_path, metadata)
     with open(truth_path, "w", encoding="utf-8", newline="") as f:
         f.write(TRUTH_HEADER + "\n")
         for line in truth_rows(truth):

@@ -30,13 +30,13 @@ import numpy as np
 
 from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays
 from .geo import EarthModel
-from .navigation import BlendWeights, GpsFix, NavEstimator, prepare_gps_reference
+from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
 from .telemetry import (
     ACCEL_LSB_PER_G,
     GYRO_LSB_PER_DPS,
     MAG_LSB_PER_GAUSS,
-    GpsPayload,
-    gps_counts_to_fix,
+    gps_arrays_to_counts,
+    gps_counts_to_arrays,
     imu_counts_to_arrays,
 )
 
@@ -291,7 +291,7 @@ def generate_flight(
     profile: FlightProfile,
     noise: SensorNoiseModel = SensorNoiseModel(),
     quantize: bool = True,
-) -> tuple[TruthSeries, ImuArrays, list[GpsFix]]:
+) -> tuple[TruthSeries, ImuArrays, GpsArrays]:
     """Synthesize (truth, IMU stream, GPS stream); deterministic per seed.
 
     ``quantize=False`` skips the wire-resolution rounding and yields
@@ -329,31 +329,28 @@ def generate_flight(
         imu = ImuArrays(t_ms / 1000.0, acc_meas, gyr_meas, mag_meas, np.ones(n, dtype=np.uint8))
 
     stride = int(round(profile.imu_rate_hz / profile.gps_rate_hz))
-    candidates = list(range(0, n, stride))
+    candidates = np.arange(0, n, stride)
     deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
     m = len(candidates)
     lat_noise = rng.standard_normal(m) * noise.gps_pos_sigma_m * deg_per_m
     lon_noise = rng.standard_normal(m) * noise.gps_pos_sigma_m * deg_per_m
     alt_noise = rng.standard_normal(m) * noise.gps_pos_sigma_m
-    dropout = rng.random(m) < noise.gps_dropout_prob
+    kept = rng.random(m) >= noise.gps_dropout_prob
+    kept[[0, -1]] = True  # so the interpolated reference covers the flight
 
-    fixes: list[GpsFix] = []
-    for j, i in enumerate(candidates):
-        if dropout[j] and 0 < j < m - 1:
-            continue
-        ground_speed = math.hypot(truth.vn[i], truth.ve[i])
-        course_deg = math.degrees(math.atan2(truth.ve[i], truth.vn[i])) % 360.0
-        payload = GpsPayload(
-            lat_e7=round((truth.lat[i] + lat_noise[j]) * 1e7),
-            lon_e7=round((truth.lon[i] + lon_noise[j]) * 1e7),
-            speed_cmps=max(0, round(ground_speed * 100.0)),
-            course_cdeg=round(course_deg * 100.0) % 36000,
-            valid=True,
-            alt_cm=round((truth.alt_m[i] + alt_noise[j]) * 100.0),
-            alt_valid=True,
-        )
-        fixes.append(gps_counts_to_fix(int(t_ms[i]), payload))
-    return truth, imu, fixes
+    rows = candidates[kept]
+    # math.* per fix: np.arctan2 can differ from math.atan2 in the last bit
+    vn, ve = truth.vn[rows].tolist(), truth.ve[rows].tolist()
+    units = GpsArrays(
+        t_ms[rows] / 1000.0,
+        truth.lat[rows] + lat_noise[kept],
+        truth.lon[rows] + lon_noise[kept],
+        np.array([math.hypot(a, b) for a, b in zip(vn, ve)]),
+        np.array([math.atan2(b, a) for a, b in zip(vn, ve)]),
+        truth.alt_m[rows] + alt_noise[kept],
+        np.ones(len(rows), dtype=bool),
+    )
+    return truth, imu, gps_counts_to_arrays(t_ms[rows], gps_arrays_to_counts(units))
 
 
 @dataclass(frozen=True)
@@ -419,7 +416,7 @@ def sweep_weights(
     for a, b in grid:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
-    truth, imu, fixes = generate_flight(profile, noise)
+    truth, imu, gps = generate_flight(profile, noise)
     att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz).run(*imu)
 
     def estimator(a: float, b: float) -> NavEstimator:
@@ -429,7 +426,7 @@ def sweep_weights(
 
     # the filtered world-frame accel and the GPS reference do not depend on the weights
     a_world = estimator(*grid[0]).world_accel(imu.accel, att.q)
-    ref = prepare_gps_reference(imu.t, fixes, mode="replay")
+    ref = prepare_gps_reference(imu.t, gps, mode="replay")
     cells = []
     for a, b in grid:
         nav = estimator(a, b).blend(imu.t, a_world, ref)
@@ -442,12 +439,12 @@ def square_grid(values: list[float]) -> list[tuple[float, float]]:
     return [(a, b) for a in values for b in values]
 
 
-def sample_and_hold_track(t: np.ndarray, fixes: list[GpsFix]):
+def sample_and_hold_track(t: np.ndarray, gps: GpsArrays):
     """Latest-fix position per sample (the non-interpolated GPS baseline).
 
     Returns (lat, lon, mask); mask marks samples with a fix available.
     """
-    ref = prepare_gps_reference(t, fixes, mode="live", stale_after_s=math.inf)
+    ref = prepare_gps_reference(t, gps, mode="live", stale_after_s=math.inf)
     mask = ref.has_pos.astype(bool)
     return ref.ref_lat, ref.ref_lon, mask
 

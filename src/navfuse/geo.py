@@ -42,9 +42,14 @@ def bearing(a: GeoPoint, b: GeoPoint) -> float:
     """
     if abs(a.lat - b.lat) < 1e-12 and abs(a.lon - b.lon) < 1e-12:
         raise UndefinedBearingError("bearing undefined between coincident points")
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlon = math.radians(b.lon - a.lon)
+    return _bearing(a.lat, a.lon, b.lat, b.lon)
+
+
+def _bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """``bearing`` between two distinct positions given in degrees."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dlon = math.radians(lon2 - lon1)
     dy = math.sin(dlon) * math.cos(phi2)
     dx = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlon)
     theta = math.atan2(dy, dx)

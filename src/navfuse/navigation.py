@@ -30,20 +30,24 @@ column, and loops only over the recursion: the velocity and position blend
 and the cos(lat) of ``lon_scale_correction``. numpy does only + - * / and
 sqrt, and cos/sin stay ``math.*``, so the output is bit-identical to a
 per-sample loop.
+
+GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
+and the simulator through to ``prepare_gps_reference``. ``check_gps`` is the
+one check of their values, made wherever fixes enter from outside.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .attitude import _map
 from .errors import InterpolationRangeError, TimestampOrderError
 from .filters import BiquadCoeffs, biquad_prime, biquad_run, design_butterworth2_lp
-from .geo import EarthModel, GeoPoint, bearing
+from .geo import EarthModel, GeoPoint, _bearing
 from .quat import _UNIT_TOL
 
 # Same position twice within this tolerance (degrees) is "not distinct".
@@ -52,23 +56,46 @@ DISTINCT_FIX_DEG = 1e-12
 DEFAULT_STALE_AFTER_S = 3.0
 
 
-@dataclass(frozen=True)
-class GpsFix:
-    """Timestamped GPS solution; ``course`` radians clockwise from north.
-
-    ``alt_m`` rides along for recording purposes only and is never fused.
+class GpsArrays(NamedTuple):
+    """GPS fixes as column arrays sharing the row index. ``course`` (never
+    fused) and ``alt`` (recorded, never fused) are NaN where a fix has none;
+    rows with ``valid`` False take no part in the blend.
     """
 
-    t: float
-    pos: GeoPoint
-    speed: float
-    course: float | None = None
-    valid: bool = True
-    alt_m: float | None = None
+    t: np.ndarray        # (m,) seconds
+    lat: np.ndarray      # (m,) degrees
+    lon: np.ndarray      # (m,) degrees
+    speed: np.ndarray    # (m,) m/s
+    course: np.ndarray   # (m,) radians clockwise from north
+    alt: np.ndarray      # (m,) m
+    valid: np.ndarray    # (m,) bool
 
-    def __post_init__(self):
-        if not math.isfinite(self.speed) or self.speed < 0.0:
-            raise ValueError(f"GPS speed must be finite and >= 0, got {self.speed}")
+
+def gps_range_error(gps: GpsArrays) -> tuple[int, str] | None:
+    """The first fix holding values no fix can, as (row, reason), or None.
+
+    Every fix, valid or not, needs a finite time, lat in [-90, 90], lon in
+    (-180, 180] and a finite speed >= 0.
+    """
+    t, lat, lon, speed = gps[:4]
+    checks = (
+        (np.isfinite(t), "GPS time {} is not finite", t),
+        ((lat >= -90.0) & (lat <= 90.0), "latitude {} outside [-90, 90]", lat),
+        ((lon > -180.0) & (lon <= 180.0), "longitude {} outside (-180, 180]", lon),
+        ((speed >= 0.0) & np.isfinite(speed), "GPS speed must be finite and >= 0, got {}", speed),
+    )
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    return next((i, why.format(float(col[i]))) for ok, why, col in checks if not ok[i])
+
+
+def check_gps(gps: GpsArrays) -> None:
+    """Raise ValueError naming the first fix that ``gps_range_error`` finds."""
+    err = gps_range_error(gps)
+    if err is not None:
+        raise ValueError(f"GPS fix {err[0]}: {err[1]}")
 
 
 @dataclass(frozen=True)
@@ -92,24 +119,19 @@ def default_position_cutoff_hz(sample_rate_hz: float) -> float:
     return min(10.0, sample_rate_hz / 6.0)
 
 
-def interpolate_gps(fixes: list[GpsFix], t: float) -> GeoPoint:
-    """Piecewise-linear lat/lon between valid fixes; no extrapolation."""
-    valid = [f for f in fixes if f.valid]
-    if len(valid) < 2:
+def interpolate_gps(gps: GpsArrays, t: float) -> GeoPoint:
+    """Piecewise-linear lat/lon between valid fixes, as the replay reference
+    of ``prepare_gps_reference`` makes it; no extrapolation."""
+    check_gps(gps)
+    valid = np.asarray(gps.valid, dtype=bool)
+    times, lats, lons = (c[valid] for c in gps[:3])
+    if len(times) < 2:
         raise ValueError("interpolation needs at least 2 valid fixes")
-    times = [f.t for f in valid]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if (np.diff(times) <= 0.0).any():
         raise TimestampOrderError("fix timestamps must be strictly increasing")
-    if t < times[0] or t > times[-1]:
+    if not times[0] <= t <= times[-1]:
         raise InterpolationRangeError(f"t={t} outside fix span [{times[0]}, {times[-1]}]")
-    i = bisect.bisect_right(times, t) - 1
-    if i == len(valid) - 1:
-        return valid[-1].pos
-    if t == times[i]:
-        return valid[i].pos
-    a, b = valid[i], valid[i + 1]
-    u = (t - a.t) / (b.t - a.t)
-    return GeoPoint(a.pos.lat + u * (b.pos.lat - a.pos.lat), a.pos.lon + u * (b.pos.lon - a.pos.lon))
+    return GeoPoint(float(np.interp(t, times, lats)), float(np.interp(t, times, lons)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +148,7 @@ class GpsReference:
 
 def prepare_gps_reference(
     t: np.ndarray,
-    fixes: list[GpsFix],
+    gps: GpsArrays,
     mode: str = "live",
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
 ) -> GpsReference:
@@ -137,59 +159,44 @@ def prepare_gps_reference(
     """
     if mode not in ("live", "replay"):
         raise ValueError(f"unknown GPS reference mode {mode!r}")
+    check_gps(gps)
     n = len(t)
-    out = GpsReference(
-        ref_lat=np.zeros(n), ref_lon=np.zeros(n), has_pos=np.zeros(n, dtype=np.uint8),
-        ref_speed=np.zeros(n), ref_theta=np.zeros(n), has_vel=np.zeros(n, dtype=np.uint8),
-    )
-    valid = [f for f in fixes if f.valid]
-    if not valid:
-        return out
-    ft = np.array([f.t for f in valid])
+    valid = np.asarray(gps.valid, dtype=bool)
+    ft, flat, flon, fspeed = (c[valid] for c in gps[:4])
+    m = len(ft)
+    if not m:
+        return GpsReference(*(np.zeros(n, dtype=d) for d in (float, float, np.uint8) * 2))
     if (np.diff(ft) <= 0.0).any():
         raise TimestampOrderError("fix timestamps must be strictly increasing")
-    flat = np.array([f.pos.lat for f in valid])
-    flon = np.array([f.pos.lon for f in valid])
-    fspeed = np.array([f.speed for f in valid])
 
     # Bearing of the last two distinct-position fixes, evaluated at each fix.
-    theta_at = np.zeros(len(valid))
-    has_theta = np.zeros(len(valid), dtype=bool)
-    anchor = valid[0]
-    for j in range(1, len(valid)):
-        f = valid[j]
-        moved = (
-            abs(f.pos.lat - anchor.pos.lat) >= DISTINCT_FIX_DEG
-            or abs(f.pos.lon - anchor.pos.lon) >= DISTINCT_FIX_DEG
-        )
-        if moved:
-            theta_at[j] = bearing(anchor.pos, f.pos)
+    theta_at = np.zeros(m)
+    has_theta = np.zeros(m, dtype=bool)
+    lats, lons = flat.tolist(), flon.tolist()
+    anchor_lat, anchor_lon = lats[0], lons[0]
+    for j in range(1, m):
+        lat, lon = lats[j], lons[j]
+        if abs(lat - anchor_lat) >= DISTINCT_FIX_DEG or abs(lon - anchor_lon) >= DISTINCT_FIX_DEG:
+            theta_at[j] = _bearing(anchor_lat, anchor_lon, lat, lon)
             has_theta[j] = True
-            anchor = f
+            anchor_lat, anchor_lon = lat, lon
         else:
             theta_at[j] = theta_at[j - 1]
             has_theta[j] = has_theta[j - 1]
 
     idx = np.searchsorted(ft, t, side="right") - 1
-    usable = idx >= 0
     safe = np.maximum(idx, 0)
-    fresh = usable & ((t - ft[safe]) <= stale_after_s)
-
-    out.has_vel[:] = (fresh & has_theta[safe]).astype(np.uint8)
-    out.ref_speed[:] = np.where(out.has_vel, fspeed[safe], 0.0)
-    out.ref_theta[:] = np.where(out.has_vel, theta_at[safe], 0.0)
-
+    fresh = (idx >= 0) & ((t - ft[safe]) <= stale_after_s)
+    has_vel = fresh & has_theta[safe]
     if mode == "live":
-        out.has_pos[:] = fresh.astype(np.uint8)
-        out.ref_lat[:] = np.where(fresh, flat[safe], 0.0)
-        out.ref_lon[:] = np.where(fresh, flon[safe], 0.0)
+        has_pos, ref_lat, ref_lon = fresh, flat[safe], flon[safe]
     else:
-        if len(valid) >= 2:
-            covered = (t >= ft[0]) & (t <= ft[-1])
-            out.has_pos[:] = covered.astype(np.uint8)
-            out.ref_lat[:] = np.where(covered, np.interp(t, ft, flat), 0.0)
-            out.ref_lon[:] = np.where(covered, np.interp(t, ft, flon), 0.0)
-    return out
+        has_pos = (t >= ft[0]) & (t <= ft[-1]) & (m >= 2)
+        ref_lat, ref_lon = np.interp(t, ft, flat), np.interp(t, ft, flon)
+    return GpsReference(
+        np.where(has_pos, ref_lat, 0.0), np.where(has_pos, ref_lon, 0.0), has_pos.astype(np.uint8),
+        np.where(has_vel, fspeed[safe], 0.0), np.where(has_vel, theta_at[safe], 0.0), has_vel.astype(np.uint8),
+    )
 
 
 def nav_run(t, a_world, ref, alpha, beta, deg_per_m, lon_scale_correction, state):
@@ -353,7 +360,7 @@ class NavEstimator:
         )
         return NavTrack(t=t, vel=vel, lat=lat, lon=lon)
 
-    def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, fixes: list[GpsFix]) -> NavTrack:
+    def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, gps: GpsArrays) -> NavTrack:
         t = np.ascontiguousarray(t, dtype=np.float64)
         accel = np.ascontiguousarray(accel, dtype=np.float64)
         q = np.ascontiguousarray(q, dtype=np.float64)
@@ -364,5 +371,5 @@ class NavEstimator:
         prev = self._state[1] if self._state[0] != 0.0 else -math.inf
         if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
             raise TimestampOrderError("sample timestamps must be strictly increasing")
-        ref = prepare_gps_reference(t, fixes, self.mode, self.stale_after_s)
+        ref = prepare_gps_reference(t, gps, self.mode, self.stale_after_s)
         return self.blend(t, self.world_accel(accel, q), ref)

@@ -1,8 +1,8 @@
 """End-to-end fusion orchestration shared by the CLI modes.
 
-Takes an IMU stream as ``ImuArrays`` columns and a list of GPS fixes, runs
-the attitude and then the position estimator over it, and formats the fused
-output rows. Live and replay runs differ only in the GPS
+Takes an IMU stream as ``ImuArrays`` columns and the GPS fixes as
+``GpsArrays`` columns, runs the attitude and then the position estimator
+over them, and formats the fused output rows. Live and replay runs differ only in the GPS
 position reference (latest fix vs linear interpolation), so replaying a
 recording reproduces the live attitude output bit for bit.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .attitude import AttitudeEstimator, FusionGains, ImuArrays
 from .geo import EARTH_RADIUS_M, EarthModel
-from .navigation import BlendWeights, GpsFix, NavEstimator
+from .navigation import BlendWeights, GpsArrays, NavEstimator
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
@@ -59,7 +59,7 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
-def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = FusionConfig()) -> FusionOutput:
+def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> FusionOutput:
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     t = imu.t
@@ -82,7 +82,7 @@ def fuse_streams(imu: ImuArrays, fixes: list[GpsFix], cfg: FusionConfig = Fusion
         lon_scale_correction=cfg.lon_scale_correction,
         stale_after_s=cfg.stale_after_s,
         mode=cfg.gps_mode,
-    ).run(t, imu.accel, att.q, fixes)
+    ).run(t, imu.accel, att.q, gps)
 
     return FusionOutput(
         t=t, t_ms=imu.t_ms, euler=att.euler, q=att.q, vel=nav.vel, lat=nav.lat, lon=nav.lon,

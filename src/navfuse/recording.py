@@ -11,10 +11,13 @@ bit-for-bit. GPS cells (and mag cells for samples without a magnetometer
 reading) are empty strings when absent. Optional ``# key=value`` comment
 lines before the header carry run metadata.
 
-In memory a recording is the IMU stream as ``ImuArrays`` plus the list of
-fixes. A fix is written on the first row at or after its time (the latest
-such fix wins) and read back with that row's time; fixes after the last row
-are dropped.
+In memory a recording is the IMU stream as ``ImuArrays`` plus the fixes as
+``GpsArrays``. A fix is written on the first row at or after its time (the
+latest such fix wins, valid or not) and read back with that row's time; an
+invalid fix writes empty GPS cells, and fixes after the last row are
+dropped. A longitude of -180 reads as +180, as on the wire. Fix values that
+no fix can hold (``navigation.gps_range_error``) are refused on both write
+and read.
 
 Rows are flushed as they are written, so an interrupted recording is still a
 valid (shorter) file.
@@ -30,8 +33,7 @@ import numpy as np
 
 from .attitude import ImuArrays
 from .errors import RecordingFormatError, TimestampOrderError
-from .geo import GeoPoint
-from .navigation import GpsFix
+from .navigation import GpsArrays, check_gps, gps_range_error
 
 HEADER = "t_ms,ax,ay,az,gx,gy,gz,mx,my,mz,gps_valid,lat,lon,speed_mps,course_deg,alt_m"
 _NCOLS = len(HEADER.split(","))
@@ -39,38 +41,43 @@ _NCOLS = len(HEADER.split(","))
 _IMU_CELLS = "%d" + ",%.9f" * 6
 _MAG_CELLS = ",%.9f,%.9f,%.9f"
 _SENSOR_NAMES = ("accel",) * 3 + ("gyro",) * 3 + ("mag",) * 3
+_GPS_NAMES = ("lat", "lon", "speed_mps", "course_deg", "alt_m")
 _BLOCK_ROWS = 1024
 
 
 @dataclass
 class FlightRecording:
     imu: ImuArrays
-    fixes: list[GpsFix]
+    gps: GpsArrays
     metadata: dict[str, str]
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else "%.9f" % x
+def _fmt(x: float) -> str:
+    return "" if math.isnan(x) else "%.9f" % x
 
 
-def _gps_cells(fix: GpsFix | None) -> str:
-    if fix is None or not fix.valid:
-        return ",0,,,,,"
-    course = math.degrees(fix.course) if fix.course is not None else None
-    return ",1,%.9f,%.9f,%.9f,%s,%s" % (fix.pos.lat, fix.pos.lon, fix.speed, _fmt(course), _fmt(fix.alt_m))
-
-
-def write_recording(imu: ImuArrays, fixes: list[GpsFix], dest, metadata: dict[str, str] | None = None) -> int:
+def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, str] | None = None) -> int:
     """Write a recording to a path or text file; returns the row count."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as f:
-            return write_recording(imu, fixes, f, metadata)
+            return write_recording(imu, gps, f, metadata)
     t_ms = imu.t_ms
     bad = np.flatnonzero(np.diff(t_ms) <= 0)
     if len(bad):
         raise TimestampOrderError(f"row time {t_ms[bad[0] + 1]} ms not after {t_ms[bad[0]]} ms")
-    # first row at or after each fix's time; the latest fix wins a shared row
-    row_fix = {int(np.searchsorted(imu.t, f.t)): f for f in sorted(fixes, key=lambda f: f.t)}
+    check_gps(gps)
+    # first row at or after each fix's time; the latest fix wins a shared
+    # row, valid or not, and only a valid one fills its GPS cells
+    order = np.argsort(gps.t, kind="stable")
+    at_row = np.searchsorted(imu.t, gps.t[order])
+    latest = np.ones(len(at_row), dtype=bool)
+    latest[:-1] = at_row[1:] != at_row[:-1]
+    written = latest & (at_row < len(t_ms)) & np.asarray(gps.valid, dtype=bool)[order]
+    cols = zip(at_row[written].tolist(), *(c[order[written]].tolist() for c in gps[1:6]))
+    gps_cells = {
+        row: ",1,%.9f,%.9f,%.9f,%s,%s" % (lat, lon, speed, _fmt(math.degrees(course)), _fmt(alt))
+        for row, lat, lon, speed, course, alt in cols
+    }
     for key, value in (metadata or {}).items():
         dest.write(f"# {key}={value}\n")
     dest.write(HEADER + "\n")
@@ -85,7 +92,7 @@ def write_recording(imu: ImuArrays, fixes: list[GpsFix], dest, metadata: dict[st
         for i, (t, acc, gyr, mag, has_mag) in enumerate(rows, lo):
             line = _IMU_CELLS % (t, *acc, *gyr)
             line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
-            dest.write(line + _gps_cells(row_fix.get(i)) + "\n")
+            dest.write(line + gps_cells.get(i, ",0,,,,,") + "\n")
             dest.flush()
     return len(t_ms)
 
@@ -109,7 +116,8 @@ def read_recording(source) -> FlightRecording:
     t_ms: list[int] = []
     sensors: list[list[float]] = []
     has_mag: list[bool] = []
-    fixes: list[GpsFix] = []
+    fixes: list[list[float]] = []
+    fix_lines: list[int] = []
     line_no = 0
     header_seen = False
     for raw in source:
@@ -139,6 +147,8 @@ def read_recording(source) -> FlightRecording:
             t = int(cells[0])
         except ValueError:
             raise RecordingFormatError(f"line {line_no}: bad t_ms {cells[0]!r}", line=line_no) from None
+        if not -(2**63) <= t < 2**63:
+            raise RecordingFormatError(f"line {line_no}: t_ms {t} outside the int64 range", line=line_no)
         if t_ms and t <= t_ms[-1]:
             raise TimestampOrderError(f"line {line_no}: time {t} ms not after {t_ms[-1]} ms")
         mag = any(cells[7:10])
@@ -149,19 +159,12 @@ def read_recording(source) -> FlightRecording:
         if cells[10] not in ("0", "1"):
             raise RecordingFormatError(f"line {line_no}: gps_valid must be 0 or 1", line=line_no)
         if cells[10] == "1":
-            course_deg = _parse_float(cells[14], "course_deg", line_no) if cells[14] else None
-            alt = _parse_float(cells[15], "alt_m", line_no) if cells[15] else None
-            fixes.append(GpsFix(
-                t=t / 1000.0,
-                pos=GeoPoint(
-                    _parse_float(cells[11], "lat", line_no),
-                    _parse_float(cells[12], "lon", line_no),
-                ),
-                speed=_parse_float(cells[13], "speed_mps", line_no),
-                course=math.radians(course_deg) if course_deg is not None else None,
-                valid=True,
-                alt_m=alt,
-            ))
+            # lat, lon and speed are required; course and alt may be empty
+            fixes.append([t] + [
+                _parse_float(cell, name, line_no) if cell or k < 3 else math.nan
+                for k, (cell, name) in enumerate(zip(cells[11:], _GPS_NAMES))
+            ])
+            fix_lines.append(line_no)
         t_ms.append(t)
         sensors.append(values)
         has_mag.append(mag)
@@ -173,4 +176,12 @@ def read_recording(source) -> FlightRecording:
         cols[:, 0:3], cols[:, 3:6], cols[:, 6:9],
         np.array(has_mag, dtype=np.uint8),
     )
-    return FlightRecording(imu, fixes, metadata)
+    t, lat, lon, speed, course, alt = np.array(fixes, dtype=np.float64).reshape(-1, 6).T.copy()
+    lon[lon == -180.0] = 180.0
+    course = np.array([math.radians(c) for c in course.tolist()])
+    gps = GpsArrays(t / 1000.0, lat, lon, speed, course, alt, np.ones(len(t), dtype=bool))
+    err = gps_range_error(gps)
+    if err is not None:
+        line = fix_lines[err[0]]
+        raise RecordingFormatError(f"line {line}: {err[1]}", line=line)
+    return FlightRecording(imu, gps, metadata)

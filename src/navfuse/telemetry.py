@@ -21,7 +21,9 @@ values bit-stable through the flight-recording CSV round trip.
 
 A byte stream is scanned into column arrays (``scan_frames``): one walk finds
 the accepted frames, and numpy gathers them as ``IMU_WIRE``/``GPS_WIRE``
-records. ``scan_stream`` is the same result as ``TelemetryFrame`` objects.
+records, which ``imu_counts_to_arrays`` and ``gps_counts_to_arrays`` convert
+to units in one call each. ``scan_stream`` is the same result as
+``TelemetryFrame`` objects.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attitude import GRAVITY_MPS2, ImuArrays, ImuSample
 from .errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
-from .geo import GeoPoint
-from .navigation import GpsFix
+from .navigation import GpsArrays
 
 MAGIC = 0xA5
 
@@ -286,8 +287,9 @@ def scan_stream(data: bytes) -> tuple[list[TelemetryFrame], list[StreamDiagnosti
     return [frames[k] for k in sorted(range(len(frames)), key=at.__getitem__)], diags
 
 
-def _round9(x: float) -> float:
-    return round(x, 9)
+def _round9(x: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 9)`` of each value; ``np.round`` differs from it."""
+    return np.array([round(v, 9) for v in x.tolist()], dtype=np.float64)
 
 
 # Counts to units for the accel, gyro and mag column triples of a payload.
@@ -311,8 +313,7 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
     cols = []
     for k, scale in enumerate(_IMU_UNITS_PER_COUNT):
         distinct, where = np.unique(counts[:, 3 * k : 3 * k + 3], return_inverse=True)
-        units = np.array([_round9(c * scale) for c in distinct.tolist()], dtype=np.float64)
-        cols.append(units[where.reshape(-1)].reshape(-1, 3))
+        cols.append(_round9(distinct * scale)[where.reshape(-1)].reshape(-1, 3))
     return ImuArrays(t_ms / 1000.0, *cols, np.ones(len(t_ms), dtype=np.uint8))
 
 
@@ -341,25 +342,33 @@ def sample_to_imu_counts(s: ImuSample) -> ImuPayload:
     )
 
 
-def gps_counts_to_fix(t_ms: int, p: GpsPayload) -> GpsFix:
-    return GpsFix(
-        t=t_ms / 1000.0,
-        pos=GeoPoint(_round9(p.lat_e7 / 1e7), _round9(p.lon_e7 / 1e7)),
-        speed=_round9(p.speed_cmps / 100.0),
-        course=_round9(math.radians(p.course_cdeg / 100.0)),
-        valid=p.valid,
-        alt_m=_round9(p.alt_cm / 100.0) if p.alt_valid else None,
+def gps_counts_to_arrays(t_ms, counts) -> GpsArrays:
+    """Fix columns from raw wire fields, which ``counts`` maps by their
+    ``GPS_WIRE`` names (values exact at 9 decimals). Each value is Python's
+    ``round(v, 9)``, the course in radians by ``math.radians``; a fix without
+    the altitude flag has a NaN altitude.
+    """
+    flags = np.asarray(counts["flags"])
+    course = np.array([math.radians(c) for c in (counts["course_cdeg"] / 100.0).tolist()])
+    return GpsArrays(
+        np.asarray(t_ms, dtype=np.int64) / 1000.0,
+        _round9(counts["lat_e7"] / 1e7), _round9(counts["lon_e7"] / 1e7),
+        _round9(counts["speed_cmps"] / 100.0), _round9(course),
+        np.where(flags & 0x02, _round9(counts["alt_cm"] / 100.0), np.nan),
+        (flags & 0x01) != 0,
     )
 
 
-def fix_to_gps_counts(f: GpsFix) -> GpsPayload:
-    course_deg = math.degrees(f.course) % 360.0 if f.course is not None else 0.0
-    return GpsPayload(
-        lat_e7=round(f.pos.lat * 1e7),
-        lon_e7=round(f.pos.lon * 1e7),
-        speed_cmps=round(f.speed * 100.0),
-        course_cdeg=round(course_deg * 100.0) % 36000,
-        valid=f.valid,
-        alt_cm=round(f.alt_m * 100.0) if f.alt_m is not None else 0,
-        alt_valid=f.alt_m is not None,
-    )
+def gps_arrays_to_counts(gps: GpsArrays) -> dict[str, np.ndarray]:
+    """The raw wire fields of fix columns by ``GPS_WIRE`` name, rounded half
+    to even as Python's ``round`` does: the inverse of
+    ``gps_counts_to_arrays``. A NaN course encodes as 0 and a NaN altitude as
+    0 without the altitude flag.
+    """
+    course_deg = np.array([math.degrees(c) % 360.0 for c in gps.course.tolist()], dtype=np.float64)
+    has_alt = ~np.isnan(gps.alt)
+    scaled = (gps.lat * 1e7, gps.lon * 1e7, gps.speed * 100.0, np.nan_to_num(course_deg) * 100.0,
+              np.where(has_alt, gps.alt, 0.0) * 100.0)
+    lat, lon, speed, course, alt = (np.rint(x).astype(np.int64) for x in scaled)
+    flags = np.asarray(gps.valid, dtype=np.int64) | 2 * has_alt
+    return dict(lat_e7=lat, lon_e7=lon, speed_cmps=speed, course_cdeg=course % 36000, alt_cm=alt, flags=flags)

@@ -1,6 +1,8 @@
 import binascii
+import math
 import struct
 
+import numpy as np
 import pytest
 
 from navfuse.attitude import ImuSample
@@ -10,7 +12,8 @@ from navfuse.flightsim import (
     generate_flight,
     standard_profile,
 )
-from navfuse.telemetry import FrameKind, TelemetryFrame, encode_frame, fix_to_gps_counts, sample_to_imu_counts
+from navfuse.navigation import GpsArrays
+from navfuse.telemetry import FrameKind, TelemetryFrame, encode_frame, gps_arrays_to_counts, sample_to_imu_counts
 
 
 @pytest.fixture(scope="session")
@@ -42,22 +45,33 @@ def make_level_stream(n=300, rate_hz=60.0, accel=(0.0, 0.0, 9.80665), gyro=(0.0,
     ]
 
 
-def build_stream(imu, fixes):
+def gps_arrays(t=(), lat=0.0, lon=0.0, speed=10.0, valid=True, course=math.nan, alt=math.nan):
+    """``GpsArrays`` of the fixes at times ``t``; any other column may be
+    one value for every fix."""
+    t = np.array(t, dtype=np.float64).reshape(-1)
+    cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), t.shape).copy() for c in (lat, lon, speed, course, alt)]
+    return GpsArrays(t, *cols, np.broadcast_to(np.asarray(valid, dtype=bool), t.shape).copy())
+
+
+def build_stream(imu, gps):
     """Interleave IMU and GPS frames by timestamp, like two transmitters."""
     blob = bytearray()
-    seq_i = seq_g = 0
+    seq_i = 0
+    counts = gps_arrays_to_counts(gps)
+    fields = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
+    gps_frames = [
+        raw_frame(0x02, seq % 65536, round(t * 1000), *row)
+        for seq, (t, *row) in enumerate(zip(gps.t.tolist(), *(counts[f].tolist() for f in fields)))
+    ]
+    fix_t = gps.t.tolist()
     fi = 0
     for i in range(len(imu.t)):
         s = ImuSample(
             t=float(imu.t[i]), accel=tuple(imu.accel[i].tolist()), gyro=tuple(imu.gyro[i].tolist()),
             mag=tuple(imu.mag[i].tolist()),
         )
-        while fi < len(fixes) and fixes[fi].t <= s.t:
-            blob += encode_frame(
-                TelemetryFrame(FrameKind.GPS, seq_g % 65536, round(fixes[fi].t * 1000),
-                               fix_to_gps_counts(fixes[fi]))
-            )
-            seq_g += 1
+        while fi < len(fix_t) and fix_t[fi] <= s.t:
+            blob += gps_frames[fi]
             fi += 1
         blob += encode_frame(
             TelemetryFrame(FrameKind.IMU, seq_i % 65536, round(s.t * 1000), sample_to_imu_counts(s))

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import gps_arrays
 
 from navfuse.attitude import AttitudeEstimator
 from navfuse.errors import InterpolationRangeError
@@ -36,10 +37,8 @@ from navfuse.flightsim import (
     standard_profile,
     sweep_weights,
 )
-from navfuse.geo import GeoPoint
 from navfuse.navigation import (
     BlendWeights,
-    GpsFix,
     NavEstimator,
     interpolate_gps,
     prepare_gps_reference,
@@ -171,14 +170,14 @@ def test_criterion_4_table_trend_full():
 
 def test_criterion_5_weight_degeneration(std_noisy_arrays):
     with criterion(5, "weight degeneration is exact at (0,0) and (1,1)"):
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         att = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
 
         # (0, 0): output equals the interpolated GPS reference track exactly
         nav0 = NavEstimator(
             weights=BlendWeights(0.0, 0.0), sample_rate_hz=60, mode="replay"
-        ).run(t, acc, att.q, fixes)
-        ref = prepare_gps_reference(t, fixes, "replay")
+        ).run(t, acc, att.q, gps)
+        ref = prepare_gps_reference(t, gps, "replay")
         covered = ref.has_pos.astype(bool)
         assert covered.all()
         np.testing.assert_array_equal(nav0.lat, ref.ref_lat)
@@ -187,7 +186,7 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
         # (1, 1): output equals pure double-integration dead reckoning exactly
         nav1 = NavEstimator(
             weights=BlendWeights(1.0, 1.0), sample_rate_hz=60, mode="replay"
-        ).run(t, acc, att.q, fixes)
+        ).run(t, acc, att.q, gps)
         coeffs = design_butterworth2_lp(10.0, 60.0)
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, acc[0]):
@@ -217,14 +216,14 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
     with criterion(6, "fusion beats dead reckoning and GPS sample-and-hold over 120 s"):
         import dataclasses
 
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         keep = t <= 120.0
         truth120 = dataclasses.replace(
             truth, t=truth.t[keep], lat=truth.lat[keep], lon=truth.lon[keep],
             alt_m=truth.alt_m[keep], vn=truth.vn[keep], ve=truth.ve[keep],
             euler=truth.euler[keep], q=truth.q[keep],
         )
-        fixes120 = [f for f in fixes if f.t <= 120.0]
+        fixes120 = gps._make(c[gps.t <= 120.0] for c in gps)
         att = AttitudeEstimator(sample_rate_hz=60).run(
             t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
         )
@@ -302,11 +301,11 @@ def test_criterion_8_mode_equivalence(tmp_path, capsys):
             ),
             seed=8,
         )
-        truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+        truth, imu, gps = generate_flight(profile, SensorNoiseModel())
         assert len(imu.t) == 12774
 
         csv_path = tmp_path / "roundtrip.csv"
-        write_recording(imu, fixes, csv_path)
+        write_recording(imu, gps, csv_path)
         rec = read_recording(csv_path)
         assert len(rec.imu.t) == 12774
         np.testing.assert_array_equal(rec.imu.t_ms, imu.t_ms)
@@ -315,7 +314,7 @@ def test_criterion_8_mode_equivalence(tmp_path, capsys):
 
         # live -> record -> replay: attitude output must be bit-identical
         stream = tmp_path / "stream.bin"
-        stream.write_bytes(build_stream(imu, fixes))
+        stream.write_bytes(build_stream(imu, gps))
         rec_path = tmp_path / "rec.csv"
         assert main(["--mode", "record", "--input", str(stream), "--output", str(rec_path)]) == 0
         record_out = capsys.readouterr().out
@@ -339,13 +338,10 @@ def test_criterion_9_interpolation():
             times = np.cumsum(rng.uniform(0.2, 3.0, m))
             lats = rng.uniform(-80, 80, m)
             lons = rng.uniform(-170, 170, m)
-            fixes = [
-                GpsFix(t=float(ti), pos=GeoPoint(float(la), float(lo)), speed=1.0)
-                for ti, la, lo in zip(times, lats, lons)
-            ]
-            for j, f in enumerate(fixes):
-                p = interpolate_gps(fixes, f.t)
-                assert (p.lat, p.lon) == (f.pos.lat, f.pos.lon)
+            fixes = gps_arrays(times, lats, lons, speed=1.0)
+            for ti, la, lo in zip(times.tolist(), lats.tolist(), lons.tolist()):
+                p = interpolate_gps(fixes, ti)
+                assert (p.lat, p.lon) == (la, lo)
             for _ in range(20):
                 tq = float(rng.uniform(times[0], times[-1]))
                 p = interpolate_gps(fixes, tq)

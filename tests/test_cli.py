@@ -23,6 +23,7 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     generate_flight,
 )
+from navfuse.geo import GeoPoint
 from navfuse.pipeline import FUSED_HEADER
 from navfuse.recording import read_recording
 from navfuse.telemetry import (
@@ -35,15 +36,15 @@ from navfuse.telemetry import (
 @pytest.fixture(scope="module")
 def short_flight():
     profile = FlightProfile(segments=(FlightSegment("straight", 8.0),), seed=5)
-    truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
-    return truth, imu, fixes
+    truth, imu, gps = generate_flight(profile, SensorNoiseModel())
+    return truth, imu, gps
 
 
 @pytest.fixture(scope="module")
 def stream_file(short_flight, tmp_path_factory):
-    truth, imu, fixes = short_flight
+    truth, imu, gps = short_flight
     path = tmp_path_factory.mktemp("stream") / "stream.bin"
-    path.write_bytes(build_stream(imu, fixes))
+    path.write_bytes(build_stream(imu, gps))
     return path, len(imu.t)
 
 
@@ -206,23 +207,33 @@ class TestGpsPositionRange:
         assert runs[0][0] == 0 and runs[0][2] == ""
 
 
-@pytest.mark.parametrize("mode", ["live", "record"])
+@pytest.mark.parametrize("mode", ["live", "record", "replay", "simulate", "sweep"])
 def test_no_frame_objects_on_cli_path(mode, stream_file, capsys, tmp_path, monkeypatch):
-    path, n = stream_file
-    data = path.read_bytes()
-    # a damaged stream with a retransmitted frame at its end
-    dirty = data[:1000] + b"\xa5\x01\x00" + data[1000:5000] + data[4000:] + data[-28:]
+    """Frames and fixes stay columns: no frame, payload or position object is
+    built per frame or per fix."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-frame object built on the CLI path")
 
-    monkeypatch.setattr(telemetry.TelemetryFrame, "__init__", refuse)
+    for cls in (telemetry.TelemetryFrame, telemetry.GpsPayload, GeoPoint):
+        monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(telemetry, "decode_frame", refuse)
+    output = ["--output", str(tmp_path / "out.csv")]
+    if mode in ("replay", "simulate", "sweep"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "turn", "duration_s": 5, "yaw_rate_dps": 6}]}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        rec = str(tmp_path / "rec.csv")
+        assert run_cli(["--mode", "simulate", "--output", rec], capsys)[0] == 0
+        args = ["--input", rec, "--from-ms", "1000"] if mode == "replay" else []
+        assert run_cli(["--mode", mode, *args, *output], capsys)[0] == 0
+        return
+    data = stream_file[0].read_bytes()
+    # a damaged stream with a retransmitted frame at its end
+    dirty = data[:1000] + b"\xa5\x01\x00" + data[1000:5000] + data[4000:] + data[-28:]
     dirty_path = tmp_path / "dirty.bin"
     dirty_path.write_bytes(dirty)
-    code, out, err = run_cli(
-        ["--mode", mode, "--input", str(dirty_path), "--output", str(tmp_path / "out.csv")], capsys
-    )
+    code, out, err = run_cli(["--mode", mode, "--input", str(dirty_path), *output], capsys)
     assert code == 0
     assert "stream diagnostic" in err and "repeating an earlier t_ms" in err
 
@@ -234,8 +245,8 @@ class TestFuzzLive:
     @pytest.fixture(scope="class")
     def base(self):
         profile = FlightProfile(segments=(FlightSegment("straight", 3.0),), seed=8)
-        _, imu, fixes = generate_flight(profile, SensorNoiseModel())
-        return [encode_frame(fr) for fr in scan_stream(build_stream(imu, fixes))[0]]
+        _, imu, gps = generate_flight(profile, SensorNoiseModel())
+        return [encode_frame(fr) for fr in scan_stream(build_stream(imu, gps))[0]]
 
     @staticmethod
     def run_bytes(data, tmp_path_factory):
@@ -381,9 +392,9 @@ class TestRecordReplay:
         # The recorder writes into a FIFO that is drained only to 20 kB, far
         # less than the recording, so it is always blocked mid-write when killed.
         profile = FlightProfile(segments=(FlightSegment("straight", 120.0),), seed=6)
-        _, imu, fixes = generate_flight(profile, SensorNoiseModel())
+        _, imu, gps = generate_flight(profile, SensorNoiseModel())
         big = tmp_path / "big.bin"
-        big.write_bytes(build_stream(imu, fixes))
+        big.write_bytes(build_stream(imu, gps))
         fifo = tmp_path / "partial.fifo"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)

@@ -47,9 +47,8 @@ class TestGenerateFlight:
     def test_same_seed_bit_identical(self):
         a = generate_flight(standard_profile(7), SensorNoiseModel())
         b = generate_flight(standard_profile(7), SensorNoiseModel())
-        for col_a, col_b in zip(a[1], b[1]):
+        for col_a, col_b in zip(a[1] + a[2], b[1] + b[2]):
             np.testing.assert_array_equal(col_a, col_b)
-        assert a[2] == b[2]
         np.testing.assert_array_equal(a[0].lat, b[0].lat)
 
     def test_different_seed_differs(self):
@@ -63,19 +62,19 @@ class TestGenerateFlight:
 
     def test_sample_count_and_rates(self):
         profile = standard_profile()
-        truth, imu, fixes = generate_flight(profile, ZERO_NOISE)
+        truth, imu, gps = generate_flight(profile, ZERO_NOISE)
         assert len(imu.t) == int(round(218.0 * 60.0)) + 1
-        assert len(fixes) == 219
-        assert fixes[0].t == imu.t[0]
-        assert fixes[-1].t == imu.t[-1]
+        assert len(gps.t) == 219
+        assert gps.t[0] == imu.t[0]
+        assert gps.t[-1] == imu.t[-1]
 
     def test_gps_dropout_keeps_first_and_last(self):
         profile = standard_profile(3)
         noise = SensorNoiseModel(gps_dropout_prob=0.8)
-        _, imu, fixes = generate_flight(profile, noise)
-        assert fixes[0].t == imu.t[0]
-        assert fixes[-1].t == imu.t[-1]
-        assert len(fixes) < 219
+        _, imu, gps = generate_flight(profile, noise)
+        assert gps.t[0] == imu.t[0]
+        assert gps.t[-1] == imu.t[-1]
+        assert len(gps.t) < 219
 
     def test_turn_sweeps_heading(self):
         profile = FlightProfile(
@@ -317,11 +316,11 @@ class TestSweep:
         assert a == b
 
     def test_zero_cell_equals_interpolation_error(self, std_noisy_arrays):
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         cells = sweep_weights(standard_profile(), SensorNoiseModel(), [(0.0, 0.0)])
         from navfuse.navigation import prepare_gps_reference
 
-        ref = prepare_gps_reference(t, fixes, "replay")
+        ref = prepare_gps_reference(t, gps, "replay")
         m = ref.has_pos.astype(bool)
         expected = rms_error(t[m], ref.ref_lat[m], ref.ref_lon[m], truth)
         assert cells[0].lat_err_m == pytest.approx(expected.lat_m, abs=1e-12)
@@ -356,13 +355,13 @@ class TestStudies:
     def test_butterworth_pipeline_beats_chebyshev(self, std_noisy_arrays):
         # dead-reckoning-only run isolates the pre-filter quality; the
         # Chebyshev ripple consistently costs a little extra drift
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         att = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
 
         def track_error(coeffs=None):
             nav = NavEstimator(
                 weights=BlendWeights(1.0, 1.0), sample_rate_hz=60, mode="replay", coeffs=coeffs
-            ).run(t, acc, att.q, fixes)
+            ).run(t, acc, att.q, gps)
             return rms_error(t, nav.lat, nav.lon, truth).total_m
 
         butter = track_error()
@@ -370,7 +369,7 @@ class TestStudies:
         assert butter <= cheby
 
     def test_dead_reckoning_drift_superlinear_fusion_bounded(self, std_noisy_arrays):
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         keep = t <= 120.0
         att = AttitudeEstimator(sample_rate_hz=60).run(
             t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
@@ -382,7 +381,7 @@ class TestStudies:
             nav = NavEstimator(
                 weights=weights, sample_rate_hz=60, mode="replay",
                 initial_vel=(float(truth.vn[0]), float(truth.ve[0])),
-            ).run(t[keep], acc[keep], att.q, [f for f in fixes if f.t <= 120.0])
+            ).run(t[keep], acc[keep], att.q, gps._make(c[gps.t <= 120.0] for c in gps))
             dlat = (nav.lat - truth.lat[keep]) * M_PER_DEG
             dlon = (nav.lon - truth.lon[keep]) * M_PER_DEG
             return np.hypot(dlat, dlon)
@@ -397,8 +396,8 @@ class TestStudies:
         assert fused.max() < 20.0  # bounded by a constant, not by t
 
     def test_sample_and_hold_track(self, std_noisy_arrays):
-        truth, t, acc, gyr, mag, has_mag, fixes = std_noisy_arrays
-        lat, lon, mask = sample_and_hold_track(t, fixes)
+        truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
+        lat, lon, mask = sample_and_hold_track(t, gps)
         assert mask.all()  # first fix is at t=0
         # held positions lag a moving platform noticeably more than interpolation
         err = rms_error(t[mask], lat[mask], lon[mask], truth)

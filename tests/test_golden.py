@@ -57,7 +57,7 @@ def outputs(tmp_path_factory):
         for argv in runs:
             assert cli.main(argv) == cli.EXIT_OK
         rec = read_recording(flight)
-        (d / "stream.bin").write_bytes(build_stream(rec.imu, rec.fixes))
+        (d / "stream.bin").write_bytes(build_stream(rec.imu, rec.gps))
         for argv in more:
             assert cli.main(argv) == cli.EXIT_OK
     return d
@@ -70,7 +70,7 @@ def test_output_digest(outputs, name):
 
 def test_fused_array_bits(outputs):
     rec = read_recording(outputs / "flight.csv")
-    out = fuse_streams(rec.imu, rec.fixes, FusionConfig(gps_mode="replay"))
+    out = fuse_streams(rec.imu, rec.gps, FusionConfig(gps_mode="replay"))
     h = hashlib.sha256()
     for a in (out.euler, out.q, out.vel, out.lat, out.lon, out.att_flags):
         h.update(np.ascontiguousarray(a).tobytes())

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gps_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
@@ -41,7 +42,7 @@ from navfuse.flightsim import (
     sweep_weights,
 )
 from navfuse.geo import GeoPoint
-from navfuse.navigation import BlendWeights, GpsFix, NavEstimator, prepare_gps_reference
+from navfuse.navigation import BlendWeights, NavEstimator, prepare_gps_reference
 from navfuse.recording import write_recording
 
 
@@ -526,13 +527,16 @@ def nav_cases(draw):
     fix_t = np.unique(rng.uniform(t[0] - 1.0, t[-1] + 1.0, k))
     lat = rng.uniform(-1.0, 1.0) * draw(st.sampled_from([0.0, 1e-3, 75.0]))
     lon = rng.uniform(-1.0, 1.0) * draw(st.sampled_from([0.0, 1e-3, 170.0]))
-    fixes = []
-    for ft in fix_t.tolist():
+    lats, lons, speeds, valid = [], [], [], []
+    for _ in fix_t:
         if rng.random() < 0.7:  # else the fix repeats the previous position
             lat += rng.normal(0.0, 1e-4)
             lon += rng.normal(0.0, 1e-4)
-        fixes.append(GpsFix(t=ft, pos=GeoPoint(lat, lon), speed=float(rng.uniform(0.0, 40.0)),
-                            valid=bool(rng.random() < 0.85)))
+        lats.append(lat)
+        lons.append(lon)
+        speeds.append(rng.uniform(0.0, 40.0))
+        valid.append(rng.random() < 0.85)
+    fixes = gps_arrays(fix_t, lats, lons, speed=speeds, valid=valid)
     options = dict(
         weights=BlendWeights(draw(gains), draw(gains)),
         sample_rate_hz=draw(st.sampled_from([60.0, 100.0])),

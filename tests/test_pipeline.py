@@ -7,8 +7,8 @@ from navfuse.pipeline import fuse_streams, fused_rows
 def test_fused_rows_match_per_cell_formatting():
     # 40 s at 60 Hz: two full 1,024-row blocks and a short last one
     profile = FlightProfile(segments=(FlightSegment("turn", 40.0, yaw_rate_dps=4.0),), seed=3)
-    _, imu, fixes = generate_flight(profile, SensorNoiseModel())
-    out = fuse_streams(imu, fixes)
+    _, imu, gps = generate_flight(profile, SensorNoiseModel())
+    out = fuse_streams(imu, gps)
     deg = 180.0 / math.pi
     expected = []
     for i in range(len(out.t)):

@@ -6,15 +6,13 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import raw_frame
+from conftest import gps_arrays, raw_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli
 from navfuse.attitude import GRAVITY_MPS2
 from navfuse.errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
-from navfuse.geo import GeoPoint
-from navfuse.navigation import GpsFix
 from navfuse.telemetry import (
     GPS_FRAME_LEN,
     GPS_WIRE,
@@ -30,8 +28,7 @@ from navfuse.telemetry import (
     crc16_ccitt_false,
     decode_frame,
     encode_frame,
-    fix_to_gps_counts,
-    gps_counts_to_fix,
+    gps_arrays_to_counts,
     imu_counts_to_arrays,
     imu_counts_to_sample,
     sample_to_imu_counts,
@@ -315,8 +312,31 @@ def reference_scan(data: bytes):
     return frames, diags
 
 
+def reference_gps_counts_to_fix(t_ms: int, p: GpsPayload) -> tuple:
+    """The per-fix conversion the fix columns replaced, as one (t, lat, lon,
+    speed, course, alt, valid) row with NaN for an absent altitude."""
+    return (
+        t_ms / 1000.0,
+        round(p.lat_e7 / 1e7, 9),
+        round(p.lon_e7 / 1e7, 9),
+        round(p.speed_cmps / 100.0, 9),
+        round(math.radians(p.course_cdeg / 100.0), 9),
+        round(p.alt_cm / 100.0, 9) if p.alt_valid else math.nan,
+        p.valid,
+    )
+
+
+def assert_same_fixes(gps, rows):
+    """``GpsArrays`` columns hold exactly the bits of the fix rows."""
+    want = list(zip(*rows)) or [()] * 7
+    for k, col in enumerate(gps):
+        ref = np.array(want[k], dtype=bool if k == 6 else np.float64)
+        assert col.dtype == ref.dtype and col.shape == ref.shape
+        assert col.tobytes() == ref.tobytes()
+
+
 def reference_decode(data: bytes):
-    """The CLI's decode as one loop over frame objects: (ImuArrays, fixes,
+    """The CLI's decode as one loop over frame objects: (ImuArrays, fix rows,
     stderr text). GPS positions out of range are dropped and -180 deg
     longitude becomes +180 deg before the retransmission check."""
     frames, diags = reference_scan(data)
@@ -352,7 +372,7 @@ def reference_decode(data: bytes):
     ]
     gps = first_per_t_ms("GPS", gps)
     arrays = imu_counts_to_arrays([fr.t_ms for fr in imu], [list(fr.payload) for fr in imu])
-    fixes = [gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
+    fixes = [reference_gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
     return arrays, fixes, "".join(err)
 
 
@@ -445,13 +465,27 @@ class TestScanFrames:
         assert scan_stream(data) == reference_scan(data)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            imu, fixes = cli._decode_stream(data)
+            imu, gps = cli._decode_stream(data)
         ref_imu, ref_fixes, ref_err = reference_decode(data)
         for col, ref in zip(imu, ref_imu):
             assert col.dtype == ref.dtype and col.shape == ref.shape
             assert col.tobytes() == ref.tobytes()
-        assert fixes == ref_fixes
+        assert_same_fixes(gps, ref_fixes)
         assert err.getvalue() == ref_err
+
+
+_GPS_NAMES = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
+# Every class of wire value a fix can carry: positions up to the poles and
+# both meridian signs, any speed, courses at and past 360 deg, any int32
+# altitude, and any flags byte (bit 0 valid, bit 1 altitude valid).
+_GPS_FIELDS = st.tuples(
+    st.one_of(st.sampled_from([-900_000_000, 0, 900_000_000]), st.integers(-900_000_000, 900_000_000)),
+    st.one_of(st.sampled_from([-1_800_000_000, 0, 1_800_000_000]), st.integers(-1_800_000_000, 1_800_000_000)),
+    st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535)),
+    st.one_of(st.sampled_from([0, 35999, 36000, 65535]), st.integers(0, 65535)),
+    st.one_of(st.sampled_from([-(2**31), 0, 2**31 - 1]), st.integers(-(2**31), 2**31 - 1)),
+    st.integers(0, 255),
+)
 
 
 class TestConversions:
@@ -476,21 +510,28 @@ class TestConversions:
             s = imu_counts_to_sample(int(rng.integers(0, 2**31)), p)
             assert sample_to_imu_counts(s) == p
 
-    def test_gps_fix_roundtrip(self):
-        rng = np.random.default_rng(50)
-        for _ in range(200):
-            alt_valid = bool(rng.integers(0, 2))
-            p = GpsPayload(
-                lat_e7=int(rng.integers(-900_000_000, 900_000_001)),
-                lon_e7=int(rng.integers(-1_799_999_999, 1_800_000_001)),
-                speed_cmps=int(rng.integers(0, 2**16)),
-                course_cdeg=int(rng.integers(0, 36000)),
-                valid=True,
-                alt_cm=int(rng.integers(-100_000, 3_000_000)) if alt_valid else 0,
-                alt_valid=alt_valid,
-            )
-            fix = gps_counts_to_fix(int(rng.integers(0, 2**31)), p)
-            assert fix_to_gps_counts(fix) == p
+    @given(st.lists(_GPS_FIELDS, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_gps_columns_match_per_fix_conversion(self, fields):
+        """The wire decode's fix columns hold the per-fix conversion's values
+        bit for bit, and convert back to the counts exactly."""
+        data = b"".join(raw_frame(0x02, k, k, *f) for k, f in enumerate(fields))
+        with contextlib.redirect_stderr(io.StringIO()):
+            _, gps = cli._decode_stream(data)
+        counts = [
+            # -180 deg is the +180 deg meridian
+            (lat, 1_800_000_000 if lon == -1_800_000_000 else lon, speed, course, alt, flags)
+            for lat, lon, speed, course, alt, flags in fields
+        ]
+        assert_same_fixes(gps, [
+            reference_gps_counts_to_fix(k, GpsPayload(lat, lon, speed, course, bool(flags & 1), alt, bool(flags & 2)))
+            for k, (lat, lon, speed, course, alt, flags) in enumerate(counts)
+        ])
+        back = gps_arrays_to_counts(gps)
+        assert list(zip(*(back[f].tolist() for f in _GPS_NAMES))) == [
+            (lat, lon, speed, course % 36000, alt if flags & 2 else 0, flags & 3)
+            for lat, lon, speed, course, alt, flags in counts
+        ]
 
     def test_arrays_match_python_round_on_every_count(self):
         # np.round(x, 9) differs from Python's round(x, 9) on some counts
@@ -523,5 +564,5 @@ class TestConversions:
             sample_to_imu_counts(ImuSample(t=0, accel=(0, 0, 9.8), gyro=(0, 0, 0), mag=None))
 
     def test_fix_without_course_encodes_zero(self):
-        f = GpsFix(t=0, pos=GeoPoint(1.0, 2.0), speed=3.0, course=None)
-        assert fix_to_gps_counts(f).course_cdeg == 0
+        f = gps_arrays([0.0], 1.0, 2.0, speed=3.0, course=math.nan)
+        assert gps_arrays_to_counts(f)["course_cdeg"].tolist() == [0]
