@@ -19,13 +19,23 @@ dropped. A longitude of -180 reads as +180, as on the wire. Fix values that
 no fix can hold (``navigation.gps_range_error``) are refused on both write
 and read.
 
-Rows are flushed as they are written, so an interrupted recording is still a
-valid (shorter) file.
+Rows are written in blocks of whole lines of at most ``PIPE_BUF`` bytes, each
+flushed as it is written, so an interrupted recording is still a valid
+(shorter) file, also when the reader is a pipe.
+
+A well-formed recording is read as columns: one ``np.loadtxt`` call over the
+body, then column checks (``_read_columns``). Whatever that parse cannot
+vouch for (a damaged row, a cell that numpy and Python read differently,
+blank lines, CR line ends) is read by the line walk (``_read_lines``), which
+gives the same result or names the bad line. Lines end at LF, CRLF or a
+lone CR, whatever the source.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +53,14 @@ _MAG_CELLS = ",%.9f,%.9f,%.9f"
 _SENSOR_NAMES = ("accel",) * 3 + ("gyro",) * 3 + ("mag",) * 3
 _GPS_NAMES = ("lat", "lon", "speed_mps", "course_deg", "alt_m")
 _BLOCK_ROWS = 1024
+# PIPE_BUF on Linux: a write of at most this many bytes into a pipe is atomic,
+# so a killed writer leaves only whole lines behind
+_PIPE_BUF = 4096
+# the bytes of the body that write_recording writes: plain decimals, commas
+# and LFs; in such cells numpy and Python read the same number
+_CELL_BYTES = b"0123456789.-,\n"
+# t_ms and the nine sensor cells, as _read_columns parses them
+_ROW = np.dtype([("t_ms", np.int64), ("sensors", np.float64, (9,))])
 
 
 @dataclass
@@ -82,6 +100,8 @@ def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, st
         dest.write(f"# {key}={value}\n")
     dest.write(HEADER + "\n")
     dest.flush()
+    pending: list[str] = []
+    size = 0
     # columns become Python lists one block at a time, which bounds the memory
     for lo in range(0, len(t_ms), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
@@ -92,8 +112,16 @@ def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, st
         for i, (t, acc, gyr, mag, has_mag) in enumerate(rows, lo):
             line = _IMU_CELLS % (t, *acc, *gyr)
             line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
-            dest.write(line + gps_cells.get(i, ",0,,,,,") + "\n")
-            dest.flush()
+            line += gps_cells.get(i, ",0,,,,,") + "\n"
+            # rows are ASCII, so characters count bytes
+            if size + len(line) > _PIPE_BUF:
+                dest.write("".join(pending))
+                dest.flush()
+                pending, size = [], 0
+            pending.append(line)
+            size += len(line)
+    dest.write("".join(pending))
+    dest.flush()
     return len(t_ms)
 
 
@@ -107,11 +135,121 @@ def _parse_float(cell: str, name: str, line_no: int) -> float:
     return v
 
 
+def _put_metadata(line: str, metadata: dict[str, str]) -> None:
+    """Take ``key=value`` from a comment line; other comments carry nothing."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        metadata[key.strip()] = value.strip()
+
+
+def _fix(cells: list[str], t: int, line_no: int) -> list:
+    """[t, lat, lon, speed, course, alt] of a row with gps_valid=1."""
+    # lat, lon and speed are required; course and alt may be empty
+    return [t] + [
+        _parse_float(cell, name, line_no) if cell or k < 3 else math.nan
+        for k, (cell, name) in enumerate(zip(cells[11:], _GPS_NAMES))
+    ]
+
+
+def _recording(t_ms, sensors, has_mag, fixes, fix_lines, metadata) -> FlightRecording:
+    """The recording of parsed rows; refuses a fix that no fix can hold."""
+    imu = ImuArrays(t_ms / 1000.0, sensors[:, 0:3], sensors[:, 3:6], sensors[:, 6:9], has_mag)
+    t, lat, lon, speed, course, alt = np.array(fixes, dtype=np.float64).reshape(-1, 6).T.copy()
+    lon[lon == -180.0] = 180.0
+    course = np.array([math.radians(c) for c in course.tolist()])
+    gps = GpsArrays(t / 1000.0, lat, lon, speed, course, alt, np.ones(len(t), dtype=bool))
+    err = gps_range_error(gps)
+    if err is not None:
+        line = fix_lines[err[0]]
+        raise RecordingFormatError(f"line {line}: {err[1]}", line=line)
+    return FlightRecording(imu, gps, metadata)
+
+
 def read_recording(source) -> FlightRecording:
-    """Parse a recording; raises RecordingFormatError with the line number."""
+    """Parse a recording from a path or text file; a damaged one raises
+    RecordingFormatError or TimestampOrderError naming the line."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as f:
             return read_recording(f)
+    text = source.read()
+    rec = _read_columns(text)
+    return _read_lines(text) if rec is None else rec
+
+
+def _read_columns(text: str) -> FlightRecording | None:
+    """The recording parsed as columns, or None where this parse cannot vouch
+    that ``_read_lines`` reads ``text`` the same way.
+
+    It takes LF-ended ``#`` lines, the header, then rows of 16 cells that
+    hold only ``_CELL_BYTES``: there numpy reads a number as Python's
+    ``int()`` or ``float()`` does, or refuses it.
+    """
+    metadata: dict[str, str] = {}
+    pos = line_no = 0
+    while True:
+        end = text.find("\n", pos)
+        line = text[pos:end]
+        line_no += 1
+        pos = end + 1
+        if end < 0 or "\r" in line:
+            return None
+        if line == HEADER:
+            break
+        if not line.startswith("#"):
+            return None
+        _put_metadata(line, metadata)
+    body = text[pos:]
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.translate(None, _CELL_BYTES):
+        return None
+    # the separators of every row: 15 commas, then its LF ("," and LF are
+    # the only _CELL_BYTES up to ",")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = data.count(b"\n")
+    sep = np.flatnonzero(buf <= ord(","))
+    if len(sep) != _NCOLS * n:
+        return None
+    sep = sep.reshape(n, _NCOLS)
+    if not (buf[sep[:, -1]] == ord("\n")).all():
+        return None
+    flag = buf[sep[:, 9] + 1]
+    if not ((sep[:, 10] - sep[:, 9] == 2) & ((flag == ord("0")) | (flag == ord("1")))).all():
+        return None
+    # three empty mag cells read as zeros: a "0" goes before each of their commas
+    no_mag = sep[:, 9] - sep[:, 6] == 3
+    if no_mag.any():
+        data = np.insert(buf, sep[no_mag, 7:10].ravel(), ord("0")).tobytes()
+    with warnings.catch_warnings():
+        # numpy 1.23-1.24 read an int cell such as "1.0" through float, with
+        # a DeprecationWarning; int() refuses it
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(io.BytesIO(data), dtype=_ROW, delimiter=",",
+                              usecols=tuple(range(10)), ndmin=1)
+        except (ValueError, Warning):
+            return None
+    t_ms, sensors = rows["t_ms"], rows["sensors"]
+    # compared, not differenced: an int64 difference can wrap
+    if not ((t_ms[1:] > t_ms[:-1]).all() and np.isfinite(sensors).all()):
+        return None
+    fixes, fix_lines = [], []
+    for r in np.flatnonzero(flag == ord("1")).tolist():
+        start = sep[r - 1, -1] + 1 if r else 0
+        fix_lines.append(line_no + 1 + r)
+        try:
+            fixes.append(_fix(body[start:sep[r, -1]].split(","), int(t_ms[r]), fix_lines[-1]))
+        except RecordingFormatError:
+            return None
+    return _recording(t_ms, sensors, (~no_mag).astype(np.uint8), fixes, fix_lines, metadata)
+
+
+def _read_lines(text: str) -> FlightRecording:
+    """The line walk: reads any text, and names the first bad line."""
     metadata: dict[str, str] = {}
     t_ms: list[int] = []
     sensors: list[list[float]] = []
@@ -120,7 +258,7 @@ def read_recording(source) -> FlightRecording:
     fix_lines: list[int] = []
     line_no = 0
     header_seen = False
-    for raw in source:
+    for raw in io.StringIO(text, newline=""):
         line_no += 1
         line = raw.rstrip("\r\n")
         if not line:
@@ -128,10 +266,7 @@ def read_recording(source) -> FlightRecording:
         if line.startswith("#"):
             if header_seen:
                 raise RecordingFormatError(f"line {line_no}: comment after header", line=line_no)
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
+            _put_metadata(line, metadata)
             continue
         if not header_seen:
             if line != HEADER:
@@ -159,29 +294,14 @@ def read_recording(source) -> FlightRecording:
         if cells[10] not in ("0", "1"):
             raise RecordingFormatError(f"line {line_no}: gps_valid must be 0 or 1", line=line_no)
         if cells[10] == "1":
-            # lat, lon and speed are required; course and alt may be empty
-            fixes.append([t] + [
-                _parse_float(cell, name, line_no) if cell or k < 3 else math.nan
-                for k, (cell, name) in enumerate(zip(cells[11:], _GPS_NAMES))
-            ])
+            fixes.append(_fix(cells, t, line_no))
             fix_lines.append(line_no)
         t_ms.append(t)
         sensors.append(values)
         has_mag.append(mag)
     if not header_seen:
         raise RecordingFormatError("missing header line", line=line_no or 1)
-    cols = np.array(sensors, dtype=np.float64).reshape(len(t_ms), 9)
-    imu = ImuArrays(
-        np.array(t_ms, dtype=np.int64) / 1000.0,
-        cols[:, 0:3], cols[:, 3:6], cols[:, 6:9],
-        np.array(has_mag, dtype=np.uint8),
+    return _recording(
+        np.array(t_ms, dtype=np.int64), np.array(sensors, dtype=np.float64).reshape(len(t_ms), 9),
+        np.array(has_mag, dtype=np.uint8), fixes, fix_lines, metadata,
     )
-    t, lat, lon, speed, course, alt = np.array(fixes, dtype=np.float64).reshape(-1, 6).T.copy()
-    lon[lon == -180.0] = 180.0
-    course = np.array([math.radians(c) for c in course.tolist()])
-    gps = GpsArrays(t / 1000.0, lat, lon, speed, course, alt, np.ones(len(t), dtype=bool))
-    err = gps_range_error(gps)
-    if err is not None:
-        line = fix_lines[err[0]]
-        raise RecordingFormatError(f"line {line}: {err[1]}", line=line)
-    return FlightRecording(imu, gps, metadata)

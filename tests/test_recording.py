@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from navfuse.attitude import ImuArrays
 from navfuse.errors import RecordingFormatError, TimestampOrderError
-from navfuse.recording import HEADER, read_recording, write_recording
+from navfuse.recording import HEADER, _read_columns, _read_lines, read_recording, write_recording
 from navfuse.telemetry import imu_counts_to_arrays
 
 
@@ -81,6 +81,28 @@ class TestWrite:
     def test_non_monotonic_rows_rejected(self):
         with pytest.raises(TimestampOrderError):
             write_recording(imu(0.1, 0.1), gps_arrays(), io.StringIO())
+
+    def test_rows_flushed_in_whole_line_blocks_under_pipe_buf(self):
+        class FlushLog(io.StringIO):
+            """The text written between flushes."""
+
+            def __init__(self):
+                super().__init__()
+                self.blocks = []
+
+            def flush(self):
+                done = sum(map(len, self.blocks))
+                self.blocks.append(self.getvalue()[done:])
+
+        stream = imu(*(k / 100.0 for k in range(300)))
+        buf = FlushLog()
+        write_recording(stream, gps_arrays([0.5, 1.5], 1.0, 2.0), buf, {"seed": "1"})
+        assert "".join(buf.blocks) == buf.getvalue()
+        rows = buf.blocks[1:]
+        assert sum(block.count("\n") for block in rows) == 300
+        assert all(block.endswith("\n") and len(block.encode()) <= 4096 for block in rows)
+        # a block ends only where its next row would not fit
+        assert all(len(a) + len(b.partition("\n")[0]) + 1 > 4096 for a, b in zip(rows, rows[1:]))
 
 
 class TestRead:
@@ -225,8 +247,10 @@ class TestGpsCells:
 
 
 # Cells a damaged recording may hold: out of range for a fix or for an
-# int64 time, non-finite, empty or not a number.
-_BAD_CELLS = ("95", "190", "-180", "-1", "nan", "1e400", "99999999999999999999", "", "x")
+# int64 time, non-finite, empty or not a number; and cells that numpy and
+# Python's int() and float() read differently.
+_BAD_CELLS = ("95", "190", "-180", "-1", "nan", "1e400", "99999999999999999999", "", "x",
+              "1.0", "+1", " 1", "1_0.5", "infinity", "NaN", " ")
 _FUZZ_LINES = (
     ["# seed=3", "# alpha=0.1", HEADER]
     + written_lines(
@@ -242,11 +266,8 @@ _MUTATION = st.one_of(
 )
 
 
-@given(st.lists(_MUTATION, min_size=1, max_size=4))
-@example([("cell", 3, 11, "95")])  # lat 95 on the first row, which has a fix
-@example([("cell", 10, 0, "99999999999999999999")])  # t_ms past int64 on the last row
-@settings(max_examples=300, deadline=None)
-def test_mutated_recording_parses_or_names_the_line(mutations):
+def mutated(mutations):
+    """The fuzz recording's text after the mutations."""
     lines = list(_FUZZ_LINES)
     for kind, i, *args in mutations:
         i %= len(lines)
@@ -261,10 +282,101 @@ def test_mutated_recording_parses_or_names_the_line(mutations):
         elif kind == "swap":
             j = args[0] % len(lines)
             lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "insert":
+            lines.insert(i, args[0])
+        elif kind == "crlf":
+            lines[i] += "\r"
+        elif kind == "drop":
+            cells = lines[i].split(",")
+            del cells[args[0] % len(cells)]
+            lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.lists(_MUTATION, min_size=1, max_size=4))
+@example([("cell", 3, 11, "95")])  # lat 95 on the first row, which has a fix
+@example([("cell", 10, 0, "99999999999999999999")])  # t_ms past int64 on the last row
+@settings(max_examples=300, deadline=None)
+def test_mutated_recording_parses_or_names_the_line(mutations):
+    text = mutated(mutations)
     try:
-        read_recording(io.StringIO("\n".join(lines) + "\n"))
+        read_recording(io.StringIO(text))
     except RecordingFormatError as exc:
-        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.line <= text.count("\n")
         assert str(exc).startswith(f"line {exc.line}: ") or str(exc) == "missing header line"
     except TimestampOrderError as exc:
         assert re.match(r"line \d+: ", str(exc))
+
+
+def outcome(read, text):
+    """What a parse makes of ``text``: every column's dtype, shape and bytes
+    plus the metadata, the error's type, message and line, or None."""
+    try:
+        rec = read(text)
+    except (RecordingFormatError, TimestampOrderError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if rec is None:
+        return None
+    return [(col.dtype.str, col.shape, col.tobytes()) for col in (*rec.imu, *rec.gps)], rec.metadata
+
+
+_EQUIV_MUTATION = st.one_of(
+    _MUTATION,
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(["", " ", "\t", "# late=1", "# a=1\rb", "\r"])),
+    st.tuples(st.just("crlf"), st.integers(0, 10**6)),
+    st.tuples(st.just("cell"), st.integers(0, 10**6), st.sampled_from([7, 8, 9, 14, 15]), st.just("")),
+    st.tuples(st.just("cell"), st.integers(0, 10**6), st.integers(0, 15), st.just("0,0")),
+    st.tuples(st.just("drop"), st.integers(0, 10**6), st.integers(0, 15)),
+)
+
+
+@given(st.lists(_EQUIV_MUTATION, max_size=4))
+@example([("crlf", i) for i in range(len(_FUZZ_LINES))])  # a CRLF file
+@example([("insert", 6, " ")])  # a whitespace-only line among the rows
+@example([("cell", 4, k, "") for k in (7, 8, 9)])  # no mag reading on a row
+@example([("cell", 3, 14, ""), ("cell", 3, 15, "")])  # a fix without course and alt
+@example([("cell", 6, 11, "95")])  # a fix out of range: the column parse names its line
+@example([("cell", 6, 10, "1.0")])  # cells that numpy and Python read differently
+@example([("cell", 6, 10, "+1")])
+@example([("cell", 6, 10, " 1")])
+@example([("insert", 1, "# a=1\rb")])  # a lone CR ends a metadata line
+@example([("drop", 4, 13), ("cell", 5, 11, "0,0")])  # 15 cells, then 17
+@example([("cell", 4, 0, "1.0")])
+@example([("cell", 4, 2, "1_0.5")])
+@example([("cell", 4, 0, "\uff11\uff10\uff10")])  # t_ms 100 in full-width digits
+@example([("cell", 4, 2, "\ud800")])  # a lone surrogate: no UTF-8 spelling
+@settings(max_examples=300, deadline=None)
+def test_column_parse_reads_as_the_line_walk(mutations):
+    # read_recording parses columns and walks only what that parse refuses
+    # (None); either way it must match the walk bit for bit, or its error
+    text = mutated(mutations)
+    walked = outcome(_read_lines, text)
+    assert outcome(lambda t: read_recording(io.StringIO(t)), text) == walked
+    assert outcome(_read_columns, text) in (None, walked)
+
+
+def test_written_recording_is_parsed_as_columns(tmp_path):
+    # mag-less rows and fixes without course or alt stay on the column path
+    has_mag = np.array([1, 0, 0, 1, 0, 1], np.uint8)
+    stream = imu(*(k / 10.0 for k in range(6)))._replace(has_mag=has_mag)
+    fixes = gps_arrays([0.0, 0.2, 0.4], 1.0, 2.0, speed=3.0, course=[math.nan, 0.5, math.nan],
+                       alt=[math.nan, math.nan, 7.0])
+    path = tmp_path / "rec.csv"
+    write_recording(stream, fixes, path, {"seed": "5"})
+    text = path.read_text()
+    assert outcome(_read_columns, text) == outcome(_read_lines, text)
+    rec = _read_columns(text)
+    assert rec.imu.has_mag.tolist() == has_mag.tolist()
+    assert rec.imu.mag[has_mag == 0].tolist() == [[0.0, 0.0, 0.0]] * 3
+    assert np.isnan(rec.gps.course).tolist() == [True, False, True]
+
+
+def test_lone_cr_ends_a_line_for_every_source(tmp_path):
+    row = format_row(imu(0.0))
+    text = HEADER + "\n" + row.replace(",0,,,,,", ",0,,\r,,,") + "\n"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    for source in (io.StringIO(text), path):
+        with pytest.raises(RecordingFormatError) as exc:
+            read_recording(source)
+        assert str(exc.value) == "line 2: expected 16 columns, got 13"
