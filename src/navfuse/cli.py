@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-ms", type=int, dest="from_ms", help="replay window start (inclusive)")
     p.add_argument("--to-ms", type=int, dest="to_ms", help="replay window end (exclusive)")
     p.add_argument("--grid", help="comma-separated weight values, swept as a square grid")
-    p.add_argument("--truth-out", dest="truth_out", help="truth CSV path for simulate mode")
+    p.add_argument("--truth-out", dest="truth_out", help="truth CSV path for simulate mode, or - for stdout")
     p.add_argument("--backend", choices=("auto", "python"),
                    help="accepted for compatibility and ignored: the fusion loops have one implementation")
     return p
@@ -134,6 +135,18 @@ def _read_input_bytes(path: str | None) -> bytes:
     if path in (None, "-"):
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
+
+
+def _read_input_recording(path: str):
+    """A recording from a path, or from stdin for '-', which is read as a
+    file is: UTF-8, line ends kept."""
+    if path != "-":
+        return read_recording(path)
+    stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+    try:
+        return read_recording(stdin)
+    finally:
+        stdin.detach()  # leaves sys.stdin open
 
 
 class _Output:
@@ -252,7 +265,7 @@ def cmd_replay(opts: dict) -> int:
     if not opts["input"]:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
-    rec = read_recording(opts["input"])
+    rec = _read_input_recording(opts["input"])
     t_ms = rec.imu.t_ms
     keep = np.ones(len(t_ms), dtype=bool)
     if opts["from_ms"] is not None:
@@ -281,21 +294,25 @@ def _sim_inputs(opts: dict):
 
 
 def cmd_simulate(opts: dict) -> int:
+    out_path = opts["output"] or "flight.csv"
+    if out_path == "-" and opts["truth_out"] in (None, "", "-"):
+        print("navfuse: simulate --output - needs a --truth-out file for the truth CSV", file=sys.stderr)
+        return EXIT_INPUT
+    truth_path = opts["truth_out"] or (str(out_path) + ".truth.csv")
     profile, noise = _sim_inputs(opts)
     truth, imu, gps = generate_flight(profile, noise)
-    out_path = opts["output"] or "flight.csv"
-    truth_path = opts["truth_out"] or (str(out_path) + ".truth.csv")
     metadata = {
         "seed": str(profile.seed),
         "imu_rate_hz": "%g" % profile.imu_rate_hz,
         "gps_rate_hz": "%g" % profile.gps_rate_hz,
         "duration_s": "%g" % profile.duration_s,
     }
-    rows = write_recording(imu, gps, out_path, metadata)
-    with open(truth_path, "w", encoding="utf-8", newline="") as f:
-        f.write(TRUTH_HEADER + "\n")
-        for line in truth_rows(truth):
-            f.write(line + "\n")
+    with _Output(out_path) as fh:
+        rows = write_recording(imu, gps, fh, metadata)
+    with _Output(truth_path) as fh:
+        fh.write(TRUTH_HEADER + "\n")
+        for block in truth_rows(truth):
+            fh.write(block)
     print(f"navfuse: wrote {rows} rows to {out_path}, truth to {truth_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -323,7 +340,7 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_filter_compare(opts: dict) -> int:
     if opts["input"]:
-        imu = read_recording(opts["input"]).imu
+        imu = _read_input_recording(opts["input"]).imu
         if len(imu.t) == 0:
             print("navfuse: recording has no rows", file=sys.stderr)
             return EXIT_EMPTY

@@ -4,10 +4,20 @@ A profile is a list of straight/turn/climb segments flown at constant (or
 ramped) speed with roll held at zero. Truth kinematics are integrated in
 TRUTH_OVERSAMPLE (10) micro-steps per IMU sample: heading, pitch and speed by
 explicit Euler, position by the trapezoidal rule on the velocity at either
-end of the micro-step. Velocity depends only on the state, so each micro-step
-evaluates the derivatives once, and its end velocity starts the next one. The
-sample instants sit on the IMU's integer-millisecond time grid, which caps the
-IMU rate at 1000 Hz.
+end of the micro-step. The sample instants sit on the IMU's
+integer-millisecond time grid, which caps the IMU rate at 1000 Hz.
+
+The integrator makes array passes over blocks of 1,024 samples, carrying the
+state from block to block, which bounds its memory. Each micro-step clock,
+the heading and the three position sums are running sums, and
+``np.add.accumulate`` adds strictly left to right, so every sum takes the
+same roundings as a scalar ``x += d`` loop and the truth is that loop's, bit
+for bit. Segment lookup is one ``searchsorted``. The integrator's sines and
+cosines are ``math.*``, mapped element by element (numpy's may differ in the
+last bit). Pitch and speed approach their targets at a clamped rate, so each
+step depends on the value it updates, not only on the time; they keep a
+Python loop, which runs only in the blocks where one of them is away from
+its target.
 
 The forward sensor model rotates gravity and linear acceleration into the
 body frame, adds bias and seeded Gaussian noise, then quantizes every reading
@@ -23,14 +33,14 @@ reference always covers the flight).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays
+from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays, _map
 from .geo import EarthModel
 from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
+from .pipeline import csv_blocks
 from .telemetry import (
     ACCEL_LSB_PER_G,
     GYRO_LSB_PER_DPS,
@@ -46,6 +56,8 @@ MAG_FIELD_GAUSS = (0.28, 0.0, -0.12)
 PITCH_RAMP_RATE = 0.1      # rad/s
 SPEED_RAMP_ACCEL = 1.5     # m/s^2
 TRUTH_OVERSAMPLE = 10
+# samples integrated per block of array passes, which bounds the memory
+_BLOCK_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -150,21 +162,15 @@ class TruthSeries:
 
 TRUTH_HEADER = "t_ms,lat,lon,alt_m,v_north,v_east,roll_deg,pitch_deg,yaw_deg"
 _TRUTH_ROW = "%d" + ",%.9f" * 8
-_TRUTH_BLOCK_ROWS = 1024
 
 
 def truth_rows(truth: TruthSeries):
-    """Yield truth CSV lines (without newline), header excluded."""
-    t_ms = np.rint(truth.t * 1000.0).astype(np.int64)
-    # columns become Python lists one block at a time, which bounds the memory
-    for lo in range(0, len(t_ms), _TRUTH_BLOCK_ROWS):
-        block = slice(lo, lo + _TRUTH_BLOCK_ROWS)
-        cols = np.column_stack([
-            truth.lat[block], truth.lon[block], truth.alt_m[block], truth.vn[block], truth.ve[block],
-            truth.euler[block] * (180.0 / math.pi),
-        ])
-        for t, row in zip(t_ms[block].tolist(), cols.tolist()):
-            yield _TRUTH_ROW % (t, *row)
+    """Yield the truth CSV rows in blocks of newline-terminated lines, header excluded."""
+    cols = np.column_stack([
+        np.rint(truth.t * 1000.0), truth.lat, truth.lon, truth.alt_m, truth.vn, truth.ve,
+        truth.euler * (180.0 / math.pi),
+    ])
+    yield from csv_blocks(_TRUTH_ROW, cols)
 
 
 def _segment_schedule(profile: FlightProfile):
@@ -186,19 +192,54 @@ def _segment_schedule(profile: FlightProfile):
     return out
 
 
+def _ramp(x: float, targets: np.ndarray, dt: np.ndarray, limit: float):
+    """The clamped approach ``x += max(-limit, min(limit, target - x)) * dt``
+    over a block's micro-steps: x at each micro-step and after the last one,
+    and the rate at each micro-step.
+
+    A value at every target needs no loop: each step adds a zero, which
+    leaves it as it is. Not so for -0.0 (it turns +0.0) or an infinity
+    (inf - inf is NaN), so those take the loop.
+    """
+    if math.isfinite(x) and not (x == 0.0 and math.copysign(1.0, x) < 0.0) and (targets == x).all():
+        # target - x is a zero: -0.0 for a -0.0 target (a climb at 0 m/s)
+        return np.full(len(targets) + 1, x), targets - x
+    xs, rates = [x], []
+    for target, step in zip(targets.tolist(), dt.tolist()):
+        d = max(-limit, min(limit, target - x))
+        rates.append(d)
+        x += d * step
+        xs.append(x)
+    return np.array(xs), np.array(rates)
+
+
+def _cos_sin(x: np.ndarray):
+    """``math.cos`` and ``math.sin`` of each element of a float64 column.
+
+    A column of one value (the same bits throughout: a straight leg's
+    heading, a level pitch) takes one call of each.
+    """
+    bits = x.view(np.int64)
+    if (bits == bits[0]).all():
+        return np.full(len(x), math.cos(x[0])), np.full(len(x), math.sin(x[0]))
+    return _map(math.cos, x), _map(math.sin, x)
+
+
 def _generate_truth(profile: FlightProfile):
     """Integrate the profile kinematics; returns truth plus the analytic
     world acceleration and body rates at every IMU sample instant."""
     rate = profile.imu_rate_hz
     n = int(round(profile.duration_s * rate)) + 1
-    t_ms = np.array([round(i * 1000.0 / rate) for i in range(n)], dtype=np.int64)
+    t_ms = np.rint(np.arange(n) * 1000.0 / rate).astype(np.int64)
     t = t_ms / 1000.0
+    # micro-step length per sample; the last sample takes no step
+    dt = np.zeros(n)
+    dt[:-1] = np.diff(t) / TRUTH_OVERSAMPLE
 
     schedule = _segment_schedule(profile)
     # a time selects the first segment it ends before, else the last one
-    ends = [t1 for _, t1, _, _, _ in schedule]
-    targets = [(yaw_rate, pitch, speed) for _, _, yaw_rate, pitch, speed in schedule]
-    targets.append(targets[-1])
+    ends = np.array([t1 for _, t1, _, _, _ in schedule])
+    targets = np.array([s[2:] for s in schedule] + [schedule[-1][2:]])   # yaw rate, pitch, speed
     deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
 
     psi = math.radians(profile.start_heading_deg)
@@ -207,14 +248,6 @@ def _generate_truth(profile: FlightProfile):
     lat = profile.start_lat
     lon = profile.start_lon
     alt = profile.start_alt_m
-    # cos/sin are recomputed only when an angle changes. psi can go from a
-    # -0.0 start heading to +0.0, which compares equal but flips the sign of
-    # sin, hence the zero test; theta starts at +0.0 and a float sum is -0.0
-    # only when both terms are, so theta never does
-    psi_trig, theta_trig = psi, theta
-    cp, sp = math.cos(psi), math.sin(psi)
-    ct, st = math.cos(theta), math.sin(theta)
-    vn, ve, vd = speed * (ct * cp), speed * (ct * sp), speed * -st
 
     lat_s = np.empty(n)
     lon_s = np.empty(n)
@@ -224,45 +257,42 @@ def _generate_truth(profile: FlightProfile):
     euler = np.zeros((n, 3))
     a_world = np.empty((n, 3))
     rates = np.empty((n, 2))   # dpsi, dtheta at the sample instant
-    for i in range(n):
-        time_s = float(t[i])
-        for m in range(TRUTH_OVERSAMPLE):
-            dpsi, pitch_target, speed_target = targets[bisect_right(ends, time_s)]
-            dtheta = max(-PITCH_RAMP_RATE, min(PITCH_RAMP_RATE, pitch_target - theta))
-            dspeed = max(-SPEED_RAMP_ACCEL, min(SPEED_RAMP_ACCEL, speed_target - speed))
-            if m == 0:
-                # the sample instant shares the first micro-step's derivatives
-                lat_s[i] = lat
-                lon_s[i] = lon
-                alt_s[i] = alt
-                vn_s[i] = vn
-                ve_s[i] = ve
-                euler[i, 1] = theta
-                euler[i, 2] = psi
-                a_world[i] = (
-                    dspeed * (ct * cp) + speed * (-st * dtheta * cp - ct * sp * dpsi),
-                    dspeed * (ct * sp) + speed * (-st * dtheta * sp + ct * cp * dpsi),
-                    dspeed * -st + speed * (-ct * dtheta),
-                )
-                rates[i] = (dpsi, dtheta)
-                if i == n - 1:
-                    break
-                dt_micro = float(t[i + 1] - t[i]) / TRUTH_OVERSAMPLE
-            psi += dpsi * dt_micro
-            theta += dtheta * dt_micro
-            speed += dspeed * dt_micro
-            time_s += dt_micro
-            if psi != psi_trig or psi == 0.0:
-                psi_trig = psi
-                cp, sp = math.cos(psi), math.sin(psi)
-            if theta != theta_trig:
-                theta_trig = theta
-                ct, st = math.cos(theta), math.sin(theta)
-            vn1, ve1, vd1 = speed * (ct * cp), speed * (ct * sp), speed * -st
-            lat += 0.5 * (vn + vn1) * dt_micro * deg_per_m
-            lon += 0.5 * (ve + ve1) * dt_micro * deg_per_m
-            alt += 0.5 * (vd + vd1) * dt_micro
-            vn, ve, vd = vn1, ve1, vd1
+    for lo in range(0, n, _BLOCK_SAMPLES):
+        rows = slice(lo, lo + _BLOCK_SAMPLES)
+        # each sample's micro-step clock starts at its own instant
+        clock = np.empty((len(dt[rows]), TRUTH_OVERSAMPLE))
+        clock[:, 0] = t[rows]
+        clock[:, 1:] = dt[rows, None]
+        times = np.add.accumulate(clock, axis=1).ravel()
+        steps = np.repeat(dt[rows], TRUTH_OVERSAMPLE)
+        dpsi, pitch_target, speed_target = targets[np.searchsorted(ends, times, side="right")].T
+
+        # states at every micro-step and one past the block: add.accumulate
+        # is a left fold, so each sum takes the same roundings as x += d
+        psi_k = np.add.accumulate(np.concatenate(([psi], dpsi * steps)))
+        theta_k, dtheta = _ramp(theta, pitch_target, steps, PITCH_RAMP_RATE)
+        speed_k, dspeed = _ramp(speed, speed_target, steps, SPEED_RAMP_ACCEL)
+        cp, sp = _cos_sin(psi_k)
+        ct, st = _cos_sin(theta_k)
+        vn, ve, vd = speed_k * (ct * cp), speed_k * (ct * sp), speed_k * -st
+        # position by the trapezoidal rule on the velocity at either end
+        lat_k = np.add.accumulate(np.concatenate(([lat], 0.5 * (vn[:-1] + vn[1:]) * steps * deg_per_m)))
+        lon_k = np.add.accumulate(np.concatenate(([lon], 0.5 * (ve[:-1] + ve[1:]) * steps * deg_per_m)))
+        alt_k = np.add.accumulate(np.concatenate(([alt], 0.5 * (vd[:-1] + vd[1:]) * steps)))
+
+        # the sample instant is the first micro-step of its sample
+        at = slice(0, -1, TRUTH_OVERSAMPLE)
+        lat_s[rows], lon_s[rows], alt_s[rows] = lat_k[at], lon_k[at], alt_k[at]
+        vn_s[rows], ve_s[rows] = vn[at], ve[at]
+        euler[rows, 1], euler[rows, 2] = theta_k[at], psi_k[at]
+        ct, st, cp, sp, v = ct[at], st[at], cp[at], sp[at], speed_k[at]
+        w_psi, w_th, acc = dpsi[::TRUTH_OVERSAMPLE], dtheta[::TRUTH_OVERSAMPLE], dspeed[::TRUTH_OVERSAMPLE]
+        a_world[rows, 0] = acc * (ct * cp) + v * (-st * w_th * cp - ct * sp * w_psi)
+        a_world[rows, 1] = acc * (ct * sp) + v * (-st * w_th * sp + ct * cp * w_psi)
+        a_world[rows, 2] = acc * -st + v * (-ct * w_th)
+        rates[rows, 0], rates[rows, 1] = w_psi, w_th
+        psi, theta, speed = float(psi_k[-1]), float(theta_k[-1]), float(speed_k[-1])
+        lat, lon, alt = float(lat_k[-1]), float(lon_k[-1]), float(alt_k[-1])
 
     # quaternions from (0, theta, psi), vectorized ZYX composition
     half_psi = 0.5 * euler[:, 2]

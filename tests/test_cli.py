@@ -369,6 +369,20 @@ class TestRecordReplay:
         assert code == 0
         assert out.splitlines() == [out.splitlines()[0]]
 
+    @pytest.mark.parametrize("mode", ["replay", "filter-compare"])
+    def test_dash_input_reads_stdin_as_the_file(self, mode, recorded, capsys, tmp_path, monkeypatch):
+        rec_path, _, _ = recorded
+        # stdin keeps CRLF line ends, as reading the file does
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(rec_path.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.chdir(tmp_path)
+        for path in (rec_path, crlf):
+            code, from_file, _ = run_cli(["--mode", mode, "--input", str(path)], capsys)
+            assert code == 0
+            monkeypatch.setattr(sys, "stdin", type("F", (), {"buffer": io.BytesIO(path.read_bytes())})())
+            assert run_cli(["--mode", mode, "--input", "-"], capsys)[:2] == (0, from_file)
+        assert not (tmp_path / "-").exists()
+
     def test_malformed_recording_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("this,is,not\na,recording,file\n")
@@ -443,6 +457,40 @@ class TestSimulate:
         assert run_cli(args2, capsys)[0] == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a_truth.csv").read_bytes() == (tmp_path / "b_truth.csv").read_bytes()
+
+    def test_dash_output_pipes_into_replay(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "turn", "duration_s": 4, "yaw_rate_dps": 6}]}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        monkeypatch.chdir(tmp_path)
+        sim = ["--mode", "simulate", "--seed", "3"]
+        assert run_cli(sim + ["--output", "flight.csv", "--truth-out", "truth.csv"], capsys)[0] == 0
+        code, replayed, _ = run_cli(["--mode", "replay", "--input", "flight.csv"], capsys)
+        assert code == 0
+        # the children import the navfuse under test, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(navfuse.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        navfuse_cli = [sys.executable, "-m", "navfuse.cli"]
+        writer = subprocess.Popen(
+            navfuse_cli + sim + ["--output", "-", "--truth-out", "piped-truth.csv"],
+            stdout=subprocess.PIPE, env=env,
+        )
+        reader = subprocess.run(
+            navfuse_cli + ["--mode", "replay", "--input", "-"], stdin=writer.stdout, capture_output=True, env=env,
+        )
+        writer.stdout.close()
+        assert writer.wait() == 0 and reader.returncode == 0
+        assert reader.stdout.decode() == replayed
+        assert (tmp_path / "piped-truth.csv").read_bytes() == (tmp_path / "truth.csv").read_bytes()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("truth_out", [[], ["--truth-out", "-"]])
+    def test_dash_output_needs_a_truth_file(self, truth_out, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["--mode", "simulate", "--output", "-"] + truth_out, capsys)
+        assert code == 2
+        assert "truth" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["simulate", "sweep"])
     def test_imu_rate_above_1000_hz_exit_2(self, mode, capsys, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from navfuse import flightsim
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.attitude import AttitudeEstimator, accel_to_roll_pitch
 from navfuse.filters import design_chebyshev1_2_lp
@@ -239,20 +242,65 @@ _profiles = st.builds(
 )
 
 
+def assert_matches_reference(profile):
+    ref = reference_truth(profile)
+    new = _generate_truth(profile)
+    assert_same_truth(new[0], ref[0])
+    for a, b in zip(new[1:], ref[1:]):
+        assert_same_bits(a, b)
+
+
+def truth_examples(test):
+    """Profiles whose signed zeros or ramps a random draw seldom reaches."""
+    for profile in (
+        # a climb at 0 m/s: the pitch target is -0.0, and so is the pitch rate
+        FlightProfile(segments=(FlightSegment("climb", 1.0, climb_rate_mps=0.0),)),
+        # a straight leg from a -0.0 heading, which turns +0.0 after one step
+        FlightProfile(segments=(FlightSegment("straight", 1.0),), start_heading_deg=-0.0),
+        # a speed of -0.0 turns +0.0 after one step, though it is at its target
+        FlightProfile(segments=(FlightSegment("straight", 0.5),), speed_mps=-0.0),
+        # a speed ramp of 3,333 samples, more than two blocks of 1,024
+        FlightProfile(
+            segments=(FlightSegment("climb", 20.0, climb_rate_mps=3.0, speed_mps=30.0),),
+            imu_rate_hz=200.0, speed_mps=5.0,
+        ),
+    ):
+        test = example(profile)(test)
+    return test
+
+
 class TestTruthIntegrator:
     @settings(max_examples=40, deadline=None)
     @given(_profiles)
+    @truth_examples
     def test_matches_reference_bit_for_bit(self, profile):
-        ref = reference_truth(profile)
-        new = _generate_truth(profile)
-        assert_same_truth(new[0], ref[0])
-        for a, b in zip(new[1:], ref[1:]):
-            assert_same_bits(a, b)
+        assert_matches_reference(profile)
+
+    # small blocks put boundaries inside every example (a block never splits
+    # a sample's micro-steps)
+    @pytest.mark.parametrize("block_samples", [1, 3, 64])
+    @settings(max_examples=15, deadline=None)
+    @given(profile=_profiles)
+    @truth_examples
+    def test_matches_reference_at_any_block_size(self, block_samples, profile):
+        with mock.patch.object(flightsim, "_BLOCK_SAMPLES", block_samples):
+            assert_matches_reference(profile)
 
     def test_generate_flight_truth_matches_reference_on_standard_profile(self):
         profile = standard_profile(42)
         truth, _, _ = generate_flight(profile)
         assert_same_truth(truth, reference_truth(profile)[0])
+
+    def test_memory_bounded_by_the_block(self):
+        # the outputs take about 2 MB; micro-step arrays over the whole
+        # flight would take about 25 MB
+        tracemalloc.start()
+        try:
+            _generate_truth(standard_profile(42))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def test_truth_rows_match_per_cell_formatting():
@@ -266,7 +314,7 @@ def test_truth_rows_match_per_cell_formatting():
     truth, _, _ = generate_flight(profile, ZERO_NOISE)
     deg = 180.0 / math.pi
     expected = [
-        "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f"
+        "%d,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f,%.9f\n"
         % (
             round(truth.t[i] * 1000.0),
             truth.lat[i], truth.lon[i], truth.alt_m[i],
@@ -275,7 +323,7 @@ def test_truth_rows_match_per_cell_formatting():
         )
         for i in range(len(truth.t))
     ]
-    assert list(truth_rows(truth)) == expected
+    assert "".join(truth_rows(truth)) == "".join(expected)
 
 
 class TestRmsError:

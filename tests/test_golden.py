@@ -8,10 +8,12 @@ The fusion loops exist once, so these digests are what guards them: an edit
 that changes a single output byte (the sign of a zero included, which prints
 as ``-0.000000000``) fails here. The CSVs print 9 decimals, which hide a
 last-bit change such as a reassociated product, so the float64 bits of the
-fused arrays behind the replay CSV are pinned too. Re-pin only for a
+fused arrays behind the replay CSV are pinned too, and so are the float64
+bits of the simulated truth behind the truth CSV. Re-pin only for a
 deliberate change of output, and say why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from conftest import build_stream
 
 from navfuse import cli
+from navfuse.flightsim import _generate_truth, standard_profile
 from navfuse.pipeline import FusionConfig, fuse_streams
 from navfuse.recording import read_recording
 
@@ -33,6 +36,7 @@ GOLDEN = {
     "live.csv": "b1cf2118a1b8715aed00b2bec8749f99a568a586e0aee2ff87df680d2eb1cdad",
 }
 FUSED_ARRAY_BITS = "db8d5d0cf6ab42093209f3e139bec7f7de97cd113d4a8f41d13854afae979e26"
+TRUTH_ARRAY_BITS = "69e6056cb8a96efb59d5869a4a67e4de7544fc2fb69d82df6bef682ab7ccb114"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +79,11 @@ def test_fused_array_bits(outputs):
     for a in (out.euler, out.q, out.vel, out.lat, out.lon, out.att_flags):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == FUSED_ARRAY_BITS
+
+
+def test_truth_array_bits():
+    truth, t_ms, a_world, rates = _generate_truth(standard_profile(42))
+    h = hashlib.sha256()
+    for a in [getattr(truth, f.name) for f in dataclasses.fields(truth)] + [t_ms, a_world, rates]:
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == TRUTH_ARRAY_BITS
