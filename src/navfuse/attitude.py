@@ -384,6 +384,26 @@ class AttitudeTrack:
     q: np.ndarray        # (n, 4) w, x, y, z
     flags: np.ndarray    # (n,) uint8 FLAG_* bits
 
+    @property
+    def gaps(self) -> int:
+        """Rows whose gyro term was skipped for a timestamp gap."""
+        return int(np.count_nonzero(self.flags & FLAG_GAP))
+
+
+def warn_gaps(count: int) -> None:
+    """Log one warning for a stream's ``count`` gaps, if it has any."""
+    if count:
+        log.warning("%d sample gap(s) over %.1f s: gyro term skipped", count, MAX_GYRO_GAP_S)
+
+
+def check_imu(t: np.ndarray, accel: np.ndarray, gyro: np.ndarray, after: float = -math.inf) -> None:
+    """Raise unless the IMU columns are finite and the timestamps strictly
+    increase from after ``after``."""
+    if not (np.isfinite(t).all() and np.isfinite(accel).all() and np.isfinite(gyro).all()):
+        raise ValueError("non-finite value in IMU stream")
+    if len(t) and (t[0] <= after or (np.diff(t) <= 0.0).any()):
+        raise TimestampOrderError("IMU timestamps must be strictly increasing")
+
 
 class AttitudeEstimator:
     """Stateful orientation fusion over an IMU stream.
@@ -446,7 +466,9 @@ class AttitudeEstimator:
         mag: np.ndarray | None = None,
         has_mag: np.ndarray | None = None,
     ) -> AttitudeTrack:
-        """Fuse a whole stream at once (arrays share the row index)."""
+        """Fuse a stream, or the next part of one (arrays share the row
+        index). Gaps are flagged in the track, not logged: the owner of the
+        stream reports them once with ``warn_gaps``."""
         t = np.ascontiguousarray(t, dtype=np.float64)
         n = t.shape[0]
         accel = np.ascontiguousarray(accel, dtype=np.float64)
@@ -459,11 +481,7 @@ class AttitudeEstimator:
         mag = np.ascontiguousarray(mag, dtype=np.float64)
         has_mag = np.ascontiguousarray(has_mag, dtype=np.uint8)
 
-        if not (np.isfinite(t).all() and np.isfinite(accel).all() and np.isfinite(gyro).all()):
-            raise ValueError("non-finite value in IMU stream")
-        prev = self._state[1] if self._state[0] != 0.0 else -math.inf
-        if n and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
-            raise TimestampOrderError("IMU timestamps must be strictly increasing")
+        check_imu(t, accel, gyro, self._state[1] if self._state[0] != 0.0 else -math.inf)
 
         if any(self.hard_iron):
             mag = mag - np.asarray(self.hard_iron)
@@ -475,7 +493,4 @@ class AttitudeEstimator:
             self.declination_rad,
             self._state,
         )
-        gaps = int((flags & FLAG_GAP).astype(bool).sum())
-        if gaps:
-            log.warning("%d sample gap(s) over %.1f s: gyro term skipped", gaps, MAX_GYRO_GAP_S)
         return AttitudeTrack(t=t, euler=euler, q=q, flags=flags)

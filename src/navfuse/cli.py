@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import telemetry
-from .attitude import AttitudeEstimator, FusionGains
+from .attitude import AttitudeEstimator, FusionGains, warn_gaps
 from .errors import RecordingFormatError, TimestampOrderError
 from .filters import biquad_run, design_butterworth2_lp, design_chebyshev1_2_lp
 from .flightsim import (
@@ -33,7 +33,7 @@ from .flightsim import (
     sweep_weights,
     truth_rows,
 )
-from .pipeline import FUSED_HEADER, FusionConfig, csv_blocks, estimate_sample_rate, fuse_streams, fused_rows
+from .pipeline import FUSED_HEADER, FusionConfig, csv_blocks, estimate_sample_rate, fuse_blocks, fused_rows
 from .recording import read_recording, write_recording
 
 EXIT_OK = 0
@@ -220,10 +220,13 @@ def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:
         )
 
 
-def _emit_fused(out, fh) -> None:
+def _emit_fused(blocks, fh) -> None:
+    """Write the header, then each block's rows as soon as it is fused."""
     fh.write(FUSED_HEADER + "\n")
-    for block in fused_rows(out):
-        fh.write(block)
+    for out in blocks:
+        for text in fused_rows(out):
+            fh.write(text)
+        fh.flush()
 
 
 def cmd_live(opts: dict) -> int:
@@ -232,9 +235,9 @@ def cmd_live(opts: dict) -> int:
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    fused = fuse_streams(imu, gps, fusion_config(opts, "live"))
+    blocks = fuse_blocks(imu, gps, fusion_config(opts, "live"))
     with _Output(opts["output"]) as fh:
-        _emit_fused(fused, fh)
+        _emit_fused(blocks, fh)
     return EXIT_OK
 
 
@@ -247,6 +250,7 @@ def cmd_record(opts: dict) -> int:
     if opts["output"] in (None, "-"):
         print("navfuse: record mode needs --output for the recording file", file=sys.stderr)
         return EXIT_INPUT
+    blocks = fuse_blocks(imu, gps, fusion_config(opts, "live"))
     fs = estimate_sample_rate(imu.t)
     metadata = {
         "sample_rate_hz": "%g" % fs,
@@ -256,8 +260,7 @@ def cmd_record(opts: dict) -> int:
         "gyro_hp_hz": "%g" % float(opts["gyro_hp_hz"]),
     }
     write_recording(imu, gps, opts["output"], metadata)
-    fused = fuse_streams(imu, gps, fusion_config(opts, "live"))
-    _emit_fused(fused, sys.stdout)
+    _emit_fused(blocks, sys.stdout)
     return EXIT_OK
 
 
@@ -273,15 +276,14 @@ def cmd_replay(opts: dict) -> int:
     if opts["to_ms"] is not None:
         keep &= t_ms < opts["to_ms"]
     imu = rec.imu._make(col[keep] for col in rec.imu)
-    with _Output(opts["output"]) as fh:
-        if len(imu.t) == 0:
-            fh.write(FUSED_HEADER + "\n")
-            return EXIT_OK
+    blocks = ()  # an empty window writes the header alone
+    if len(imu.t):
         # each fix carries the time of its row, so the window's rows bound it
         in_window = (rec.gps.t >= imu.t[0]) & (rec.gps.t <= imu.t[-1])
         gps = rec.gps._make(col[in_window] for col in rec.gps)
-        fused = fuse_streams(imu, gps, fusion_config(opts, "replay"))
-        _emit_fused(fused, fh)
+        blocks = fuse_blocks(imu, gps, fusion_config(opts, "replay"))
+    with _Output(opts["output"]) as fh:
+        _emit_fused(blocks, fh)
     return EXIT_OK
 
 
@@ -365,6 +367,7 @@ def cmd_filter_compare(opts: dict) -> int:
     )
     fused = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr, mag, has_mag)
     gyro_only = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr)
+    warn_gaps(fused.gaps)
 
     deg = 180.0 / math.pi
     cols = np.column_stack([
@@ -402,7 +405,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.mode](opts)
     except (FileNotFoundError, PermissionError) as exc:
         missing = getattr(exc, "filename", None)
-        if missing and opts.get("output") and str(missing) == str(opts["output"]):
+        outputs = {str(opts[k]) for k in ("output", "truth_out") if opts.get(k)}
+        if missing and str(missing) in outputs:
             print(f"navfuse: cannot write output: {exc}", file=sys.stderr)
             return EXIT_OUTPUT
         print(f"navfuse: cannot read input: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays, _map
+from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays, _map, warn_gaps
 from .geo import EarthModel
 from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
 from .pipeline import csv_blocks
@@ -448,6 +448,7 @@ def sweep_weights(
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
     truth, imu, gps = generate_flight(profile, noise)
     att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz).run(*imu)
+    warn_gaps(att.gaps)
 
     def estimator(a: float, b: float) -> NavEstimator:
         return NavEstimator(

@@ -134,9 +134,9 @@ def interpolate_gps(gps: GpsArrays, t: float) -> GeoPoint:
     return GeoPoint(float(np.interp(t, times, lats)), float(np.interp(t, times, lons)))
 
 
-@dataclass(frozen=True)
-class GpsReference:
-    """Per-sample reference arrays feeding ``nav_run``."""
+class GpsReference(NamedTuple):
+    """Per-sample reference arrays feeding ``nav_run``, sharing the row
+    index of the samples, so a block of rows slices every column alike."""
 
     ref_lat: np.ndarray     # (n,)
     ref_lon: np.ndarray     # (n,)

@@ -5,18 +5,28 @@ Takes an IMU stream as ``ImuArrays`` columns and the GPS fixes as
 over them, and formats the fused output rows. Live and replay runs differ only in the GPS
 position reference (latest fix vs linear interpolation), so replaying a
 recording reproduces the live attitude output bit for bit.
+
+``fuse_blocks`` fuses a stream in blocks of ``_BLOCK_ROWS`` (1,024) rows,
+the block the CSV formatter writes, so the CLI writes each block's rows as
+soon as it is fused instead of after the whole flight. Everything that can
+refuse the input (the config, the IMU columns, the GPS fixes) is checked
+before the first block, so an input error leaves no row behind. The
+estimators carry their state from block to block, and ``fuse_streams`` is
+the same blocks concatenated: the output does not depend on the block size,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .attitude import AttitudeEstimator, FusionGains, ImuArrays
+from .attitude import AttitudeEstimator, FusionGains, ImuArrays, check_imu, warn_gaps
 from .geo import EARTH_RADIUS_M, EarthModel
-from .navigation import BlendWeights, GpsArrays, NavEstimator
+from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
@@ -41,8 +51,7 @@ class FusionConfig:
     sample_rate_hz: float | None = None     # None: estimated from the stream
 
 
-@dataclass(frozen=True)
-class FusionOutput:
+class FusionOutput(NamedTuple):
     t: np.ndarray
     t_ms: np.ndarray
     euler: np.ndarray   # (n, 3) radians
@@ -50,7 +59,7 @@ class FusionOutput:
     vel: np.ndarray     # (n, 2) v_north, v_east
     lat: np.ndarray
     lon: np.ndarray
-    att_flags: np.ndarray = field(repr=False, default=None)
+    att_flags: np.ndarray   # (n,) uint8 attitude FLAG_* bits
 
 
 def estimate_sample_rate(t: np.ndarray) -> float:
@@ -59,11 +68,19 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
-def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> FusionOutput:
+def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> Iterator[FusionOutput]:
+    """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
+    ``_BLOCK_ROWS`` rows.
+
+    This call does the per-stream work and raises for a bad input or config;
+    the iterator it returns only fuses. The sample rate is the whole
+    stream's, and the GPS reference is prepared over all rows, then sliced
+    per block. After the last block, one warning names the stream's gaps.
+    """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
-    t = imu.t
-    fs = cfg.sample_rate_hz or estimate_sample_rate(t)
+    check_imu(imu.t, imu.accel, imu.gyro)
+    fs = cfg.sample_rate_hz or estimate_sample_rate(imu.t)
 
     att = AttitudeEstimator(
         gains=FusionGains(cfg.gamma_rp, cfg.gamma_yaw),
@@ -72,8 +89,7 @@ def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfi
         gyro_hp_hz=cfg.gyro_hp_hz,
         declination_rad=math.radians(cfg.declination_deg),
         hard_iron=cfg.hard_iron,
-    ).run(*imu)
-
+    )
     nav = NavEstimator(
         weights=BlendWeights(cfg.alpha, cfg.beta),
         sample_rate_hz=fs,
@@ -82,12 +98,27 @@ def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfi
         lon_scale_correction=cfg.lon_scale_correction,
         stale_after_s=cfg.stale_after_s,
         mode=cfg.gps_mode,
-    ).run(t, imu.accel, att.q, gps)
-
-    return FusionOutput(
-        t=t, t_ms=imu.t_ms, euler=att.euler, q=att.q, vel=nav.vel, lat=nav.lat, lon=nav.lon,
-        att_flags=att.flags,
     )
+    ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
+    t_ms = imu.t_ms
+
+    def blocks():
+        gaps = 0
+        for lo in range(0, len(t_ms), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            block = imu._make(col[rows] for col in imu)
+            a = att.run(*block)
+            gaps += a.gaps
+            track = nav.blend(a.t, nav.world_accel(block.accel, a.q), ref._make(col[rows] for col in ref))
+            yield FusionOutput(a.t, t_ms[rows], a.euler, a.q, track.vel, track.lat, track.lon, a.flags)
+        warn_gaps(gaps)
+
+    return blocks()
+
+
+def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> FusionOutput:
+    """The whole streams fused at once: the blocks of ``fuse_blocks``, concatenated."""
+    return FusionOutput._make(map(np.concatenate, zip(*fuse_blocks(imu, gps, cfg))))
 
 
 def csv_blocks(row_format: str, cols: np.ndarray):

@@ -53,6 +53,13 @@ def gps_arrays(t=(), lat=0.0, lon=0.0, speed=10.0, valid=True, course=math.nan, 
     return GpsArrays(t, *cols, np.broadcast_to(np.asarray(valid, dtype=bool), t.shape).copy())
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
 def build_stream(imu, gps):
     """Interleave IMU and GPS frames by timestamp, like two transmitters."""
     blob = bytearray()

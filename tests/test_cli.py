@@ -389,6 +389,19 @@ class TestRecordReplay:
         code, _, err = run_cli(["--mode", "replay", "--input", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["live", "record", "replay"])
+    def test_bad_config_exits_before_any_output(self, mode, stream_file, recorded, capsys, tmp_path):
+        path, _ = stream_file
+        rec_path, _, _ = recorded
+        argv = ["--mode", mode, "--input", str(rec_path if mode == "replay" else path), "--alpha", "1.5"]
+        if mode == "record":
+            argv += ["--output", str(tmp_path / "new.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be in [0, 1]" in err
+        assert not (tmp_path / "new.csv").exists()
+
     def test_record_needs_output(self, stream_file, capsys):
         path, _ = stream_file
         code, _, _ = run_cli(["--mode", "record", "--input", str(path)], capsys)
@@ -483,6 +496,16 @@ class TestSimulate:
         assert reader.stdout.decode() == replayed
         assert (tmp_path / "piped-truth.csv").read_bytes() == (tmp_path / "truth.csv").read_bytes()
         assert not (tmp_path / "-").exists()
+
+    def test_unwritable_truth_out_exit_4(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "straight", "duration_s": 2}]}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        args = ["--mode", "simulate", "--output", str(tmp_path / "f.csv"),
+                "--truth-out", str(tmp_path / "nodir" / "t.csv")]
+        code, _, err = run_cli(args, capsys)
+        assert code == 4
+        assert "cannot write output" in err
 
     @pytest.mark.parametrize("truth_out", [[], ["--truth-out", "-"]])
     def test_dash_output_needs_a_truth_file(self, truth_out, capsys, tmp_path, monkeypatch):

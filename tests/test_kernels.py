@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gps_arrays
+from conftest import assert_same_bits, gps_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
@@ -450,13 +450,6 @@ def test_backend_compiled_rejected(recording, capsys):
 
 
 # ---------------------------------------------------------------- kernels against the reference loops
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    np.testing.assert_array_equal(got, want)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()  # signed zeros too
-
 
 def chunks(n, cuts):
     bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
