@@ -12,10 +12,8 @@ assembly run as array passes.
 
 from .attitude import (
     AttitudeEstimator,
-    AttitudeState,
     FusionGains,
     ImuArrays,
-    ImuSample,
     accel_to_roll_pitch,
     complementary_angle,
     mag_to_heading,
@@ -29,7 +27,7 @@ from .filters import (
     design_first_order_lp,
     frequency_response,
 )
-from .geo import EarthModel, GeoPoint, bearing, geodesic_distance, meters_to_degrees_lat
+from .geo import EarthModel, GeoPoint, bearing, meters_to_degrees_lat
 from .navigation import (
     BlendWeights,
     GpsArrays,
@@ -55,7 +53,6 @@ def available_backends() -> tuple[str, ...]:
 
 __all__ = [
     "AttitudeEstimator",
-    "AttitudeState",
     "BiquadCoeffs",
     "BlendWeights",
     "EarthModel",
@@ -68,7 +65,6 @@ __all__ = [
     "GeoPoint",
     "GpsArrays",
     "ImuArrays",
-    "ImuSample",
     "NavEstimator",
     "Quaternion",
     "TelemetryFrame",
@@ -84,7 +80,6 @@ __all__ = [
     "encode_frame",
     "frequency_response",
     "fuse_streams",
-    "geodesic_distance",
     "hamilton",
     "interpolate_gps",
     "mag_to_heading",

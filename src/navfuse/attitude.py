@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
 from .filters import biquad_prime, biquad_run, design_first_order_hp, design_first_order_lp
-from .quat import EulerAngles, Quaternion, Vec3, wrap_pi
+from .quat import Vec3, wrap_pi
 
 log = logging.getLogger(__name__)
 
@@ -61,29 +61,11 @@ FLAG_NO_TILT_REF = 0x02
 FLAG_NO_HEADING_REF = 0x04
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """Timestamped 9-axis reading; mag is optional per sample.
-
-    Units: t seconds, accel m/s^2, gyro rad/s, mag any consistent unit
-    (gauss on the wire).
-    """
-
-    t: float
-    accel: Vec3
-    gyro: Vec3
-    mag: Vec3 | None = None
-
-    def __post_init__(self):
-        vals = (self.t, *self.accel, *self.gyro, *(self.mag or ()))
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("ImuSample components must be finite")
-
-
 class ImuArrays(NamedTuple):
     """An IMU stream as column arrays sharing the row index, in the order
-    ``AttitudeEstimator.run`` takes them; units as for ``ImuSample``. Rows
-    without a magnetometer reading have ``has_mag`` 0 and a zero ``mag``.
+    ``AttitudeEstimator.run`` takes them. Units: t seconds, accel m/s^2, gyro
+    rad/s, mag any consistent unit (gauss on the wire). Rows without a
+    magnetometer reading have ``has_mag`` 0 and a zero ``mag``.
     """
 
     t: np.ndarray         # (n,) seconds
@@ -109,15 +91,6 @@ class FusionGains:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-@dataclass(frozen=True)
-class AttitudeState:
-    """Snapshot of the estimator after a step."""
-
-    q: Quaternion
-    euler: EulerAngles
-    t_last: float
 
 
 def _map(fn, *cols) -> np.ndarray:
@@ -433,30 +406,6 @@ class AttitudeEstimator:
         self._lp = (lp.b0, lp.b1, lp.b2, lp.a1, lp.a2)
         self._hp = (hp.b0, hp.b1, hp.b2, hp.a1, hp.a2)
         self._state = np.zeros(self.STATE_LEN, dtype=np.float64)
-
-    @property
-    def state(self) -> AttitudeState | None:
-        """Current snapshot, or None before the first sample."""
-        if self._state[0] == 0.0:
-            return None
-        e = EulerAngles(self._state[2], self._state[3], self._state[4])
-        return AttitudeState(q=Quaternion.from_euler(e).normalize(), euler=e, t_last=self._state[1])
-
-    def reset(self) -> None:
-        self._state[:] = 0.0
-
-    def step(self, s: ImuSample) -> AttitudeState:
-        """Advance by one sample; timestamps must be strictly increasing."""
-        mag = s.mag if s.mag is not None else (0.0, 0.0, 0.0)
-        track = self.run(
-            np.array([s.t]),
-            np.array([s.accel]),
-            np.array([s.gyro]),
-            np.array([mag]),
-            np.array([s.mag is not None], dtype=np.uint8),
-        )
-        e = EulerAngles(*track.euler[0])
-        return AttitudeState(q=Quaternion(*track.q[0]), euler=e, t_last=s.t)
 
     def run(
         self,

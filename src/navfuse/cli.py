@@ -403,7 +403,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return _COMMANDS[args.mode](opts)
-    except (FileNotFoundError, PermissionError) as exc:
+    except (FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError) as exc:
         missing = getattr(exc, "filename", None)
         outputs = {str(opts[k]) for k in ("output", "truth_out") if opts.get(k)}
         if missing and str(missing) in outputs:

@@ -17,10 +17,6 @@ class UnobservableHeadingError(ValueError):
     """Horizontal magnetic field too small to observe heading."""
 
 
-class UndefinedBearingError(ValueError):
-    """Bearing requested between coincident points."""
-
-
 class InterpolationRangeError(ValueError):
     """Query time outside the span covered by GPS fixes (no extrapolation)."""
 

@@ -41,14 +41,7 @@ from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays, _
 from .geo import EarthModel
 from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
 from .pipeline import csv_blocks
-from .telemetry import (
-    ACCEL_LSB_PER_G,
-    GYRO_LSB_PER_DPS,
-    MAG_LSB_PER_GAUSS,
-    gps_arrays_to_counts,
-    gps_counts_to_arrays,
-    imu_counts_to_arrays,
-)
+from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
 MAG_FIELD_GAUSS = (0.28, 0.0, -0.12)
@@ -347,16 +340,9 @@ def generate_flight(
     gyr_meas = omega_body + noise.gyro_bias + noise.gyro_noise_sigma * rng.standard_normal((n, 3))
     mag_meas = mag_body + noise.mag_noise_sigma * rng.standard_normal((n, 3))
 
+    imu = ImuArrays(t_ms / 1000.0, acc_meas, gyr_meas, mag_meas, np.ones(n, dtype=np.uint8))
     if quantize:
-        acc_counts = np.round(acc_meas * (ACCEL_LSB_PER_G / GRAVITY_MPS2)).astype(np.int64)
-        gyr_counts = np.round(gyr_meas * (GYRO_LSB_PER_DPS * (180.0 / math.pi))).astype(np.int64)
-        mag_counts = np.round(mag_meas * MAG_LSB_PER_GAUSS).astype(np.int64)
-        for counts, what in ((acc_counts, "accel"), (gyr_counts, "gyro"), (mag_counts, "mag")):
-            if counts.max() > 32767 or counts.min() < -32768:
-                raise ValueError(f"{what} exceeds the sensor full-scale range")
-        imu = imu_counts_to_arrays(t_ms, np.hstack([acc_counts, gyr_counts, mag_counts]))
-    else:
-        imu = ImuArrays(t_ms / 1000.0, acc_meas, gyr_meas, mag_meas, np.ones(n, dtype=np.uint8))
+        imu = imu_counts_to_arrays(t_ms, imu_arrays_to_counts(imu))
 
     stride = int(round(profile.imu_rate_hz / profile.gps_rate_hz))
     candidates = np.arange(0, n, stride)

@@ -1,11 +1,9 @@
-"""Spherical-earth geodesy: forward bearing, meter/degree scaling, haversine."""
+"""Spherical-earth geodesy: forward bearing and meter/degree scaling."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import UndefinedBearingError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -35,18 +33,12 @@ class EarthModel:
             raise ValueError("earth radius must be positive")
 
 
-def bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial great-circle bearing from a to b, radians in [0, 2pi).
+def bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Initial great-circle bearing from (lat1, lon1) to a distinct
+    (lat2, lon2), degrees in, radians in [0, 2pi) out.
 
     0 is due north, pi/2 due east (clockwise-from-north compass convention).
     """
-    if abs(a.lat - b.lat) < 1e-12 and abs(a.lon - b.lon) < 1e-12:
-        raise UndefinedBearingError("bearing undefined between coincident points")
-    return _bearing(a.lat, a.lon, b.lat, b.lon)
-
-
-def _bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """``bearing`` between two distinct positions given in degrees."""
     phi1 = math.radians(lat1)
     phi2 = math.radians(lat2)
     dlon = math.radians(lon2 - lon1)
@@ -59,17 +51,3 @@ def _bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 def meters_to_degrees_lat(d: float, earth: EarthModel = EarthModel()) -> float:
     """Linear north-displacement conversion, d * 180 / (pi * r_e)."""
     return d * 180.0 / (math.pi * earth.radius_m)
-
-
-def degrees_lat_to_meters(deg: float, earth: EarthModel = EarthModel()) -> float:
-    return deg * math.pi * earth.radius_m / 180.0
-
-
-def geodesic_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = EarthModel()) -> float:
-    """Haversine great-circle distance in meters."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    h = math.sin(0.5 * dphi) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(0.5 * dlon) ** 2
-    return 2.0 * earth.radius_m * math.asin(min(1.0, math.sqrt(h)))

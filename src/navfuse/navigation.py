@@ -47,7 +47,7 @@ import numpy as np
 from .attitude import _map
 from .errors import InterpolationRangeError, TimestampOrderError
 from .filters import BiquadCoeffs, biquad_prime, biquad_run, design_butterworth2_lp
-from .geo import EarthModel, GeoPoint, _bearing
+from .geo import EarthModel, GeoPoint, bearing
 from .quat import _UNIT_TOL
 
 # Same position twice within this tolerance (degrees) is "not distinct".
@@ -177,7 +177,7 @@ def prepare_gps_reference(
     for j in range(1, m):
         lat, lon = lats[j], lons[j]
         if abs(lat - anchor_lat) >= DISTINCT_FIX_DEG or abs(lon - anchor_lon) >= DISTINCT_FIX_DEG:
-            theta_at[j] = _bearing(anchor_lat, anchor_lon, lat, lon)
+            theta_at[j] = bearing(anchor_lat, anchor_lon, lat, lon)
             has_theta[j] = True
             anchor_lat, anchor_lon = lat, lon
         else:

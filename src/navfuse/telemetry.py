@@ -22,8 +22,10 @@ values bit-stable through the flight-recording CSV round trip.
 A byte stream is scanned into column arrays (``scan_frames``): one walk finds
 the accepted frames, and numpy gathers them as ``IMU_WIRE``/``GPS_WIRE``
 records, which ``imu_counts_to_arrays`` and ``gps_counts_to_arrays`` convert
-to units in one call each. ``scan_stream`` is the same result as
-``TelemetryFrame`` objects.
+to units in one call each. ``imu_arrays_to_counts`` and
+``gps_arrays_to_counts`` are their exact inverses, for the encoders of the
+simulator and the tests; this module alone holds the wire scales.
+``scan_stream`` is the same result as ``TelemetryFrame`` objects.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attitude import GRAVITY_MPS2, ImuArrays, ImuSample
+from .attitude import GRAVITY_MPS2, ImuArrays
 from .errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
 from .navigation import GpsArrays
 
@@ -292,11 +294,17 @@ def _round9(x: np.ndarray) -> np.ndarray:
     return np.array([round(v, 9) for v in x.tolist()], dtype=np.float64)
 
 
-# Counts to units for the accel, gyro and mag column triples of a payload.
+# Counts to units, and units to counts, for the accel, gyro and mag column
+# triples of a payload.
 _IMU_UNITS_PER_COUNT = (
     GRAVITY_MPS2 / ACCEL_LSB_PER_G,
     (math.pi / 180.0) / GYRO_LSB_PER_DPS,
     1.0 / MAG_LSB_PER_GAUSS,
+)
+_IMU_COUNTS_PER_UNIT = (
+    ACCEL_LSB_PER_G / GRAVITY_MPS2,
+    GYRO_LSB_PER_DPS * (180.0 / math.pi),
+    MAG_LSB_PER_GAUSS,
 )
 
 
@@ -317,29 +325,22 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
     return ImuArrays(t_ms / 1000.0, *cols, np.ones(len(t_ms), dtype=np.uint8))
 
 
-def imu_counts_to_sample(t_ms: int, p: ImuPayload) -> ImuSample:
-    """One-sample form of ``imu_counts_to_arrays``."""
-    a = imu_counts_to_arrays([t_ms], [p])
-    return ImuSample(
-        t=float(a.t[0]),
-        accel=tuple(a.accel[0].tolist()),
-        gyro=tuple(a.gyro[0].tolist()),
-        mag=tuple(a.mag[0].tolist()),
-    )
-
-
-def sample_to_imu_counts(s: ImuSample) -> ImuPayload:
-    ka = ACCEL_LSB_PER_G / GRAVITY_MPS2
-    kg = GYRO_LSB_PER_DPS * (180.0 / math.pi)
-    if s.mag is None:
+def imu_arrays_to_counts(imu: ImuArrays) -> np.ndarray:
+    """The (n, 9) int64 raw counts of IMU columns in ``ImuPayload`` field
+    order, rounded half to even: the exact inverse of ``imu_counts_to_arrays``.
+    Raises ``EncodeRangeError`` for a row without a magnetometer reading and
+    for a count outside int16.
+    """
+    if not np.all(imu.has_mag):
         raise EncodeRangeError("IMU frame payload requires a magnetometer reading")
-    return ImuPayload(
-        ax=round(s.accel[0] * ka), ay=round(s.accel[1] * ka), az=round(s.accel[2] * ka),
-        gx=round(s.gyro[0] * kg), gy=round(s.gyro[1] * kg), gz=round(s.gyro[2] * kg),
-        mx=round(s.mag[0] * MAG_LSB_PER_GAUSS),
-        my=round(s.mag[1] * MAG_LSB_PER_GAUSS),
-        mz=round(s.mag[2] * MAG_LSB_PER_GAUSS),
-    )
+    counts = np.empty((len(imu.t), 9), dtype=np.int64)
+    columns = (("accel", imu.accel), ("gyro", imu.gyro), ("mag", imu.mag))
+    for k, ((what, col), scale) in enumerate(zip(columns, _IMU_COUNTS_PER_UNIT)):
+        c = np.rint(np.asarray(col, dtype=np.float64) * scale)
+        if not ((c >= -32768) & (c <= 32767)).all():
+            raise EncodeRangeError(f"{what} exceeds the sensor full-scale range")
+        counts[:, 3 * k : 3 * k + 3] = c
+    return counts
 
 
 def gps_counts_to_arrays(t_ms, counts) -> GpsArrays:

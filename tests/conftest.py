@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from navfuse.attitude import ImuSample
+from navfuse.attitude import ImuArrays
 from navfuse.flightsim import (
     SensorNoiseModel,
     ZERO_NOISE,
@@ -13,7 +13,7 @@ from navfuse.flightsim import (
     standard_profile,
 )
 from navfuse.navigation import GpsArrays
-from navfuse.telemetry import FrameKind, TelemetryFrame, encode_frame, gps_arrays_to_counts, sample_to_imu_counts
+from navfuse.telemetry import gps_arrays_to_counts, imu_arrays_to_counts
 
 
 @pytest.fixture(scope="session")
@@ -38,11 +38,13 @@ def std_noisy_arrays(std_noisy_flight):
 
 
 def make_level_stream(n=300, rate_hz=60.0, accel=(0.0, 0.0, 9.80665), gyro=(0.0, 0.0, 0.0), mag=None):
-    """Constant-reading IMU stream starting at t=0."""
-    return [
-        ImuSample(t=i / rate_hz, accel=accel, gyro=gyro, mag=mag)
-        for i in range(n)
-    ]
+    """Constant-reading IMU stream starting at t=0, without a magnetometer
+    when ``mag`` is None."""
+    rows = np.ones((n, 1))
+    return ImuArrays(
+        np.arange(n) / rate_hz, rows * accel, rows * gyro, rows * (mag or (0.0, 0.0, 0.0)),
+        np.full(n, mag is not None, dtype=np.uint8),
+    )
 
 
 def gps_arrays(t=(), lat=0.0, lon=0.0, speed=10.0, valid=True, course=math.nan, alt=math.nan):
@@ -61,9 +63,12 @@ def assert_same_bits(got, want):
 
 
 def build_stream(imu, gps):
-    """Interleave IMU and GPS frames by timestamp, like two transmitters."""
+    """Interleave IMU and GPS frames by timestamp, like two transmitters.
+
+    A frame always carries a magnetometer reading, so a row without one is
+    framed with its zero ``mag``.
+    """
     blob = bytearray()
-    seq_i = 0
     counts = gps_arrays_to_counts(gps)
     fields = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
     gps_frames = [
@@ -72,18 +77,13 @@ def build_stream(imu, gps):
     ]
     fix_t = gps.t.tolist()
     fi = 0
-    for i in range(len(imu.t)):
-        s = ImuSample(
-            t=float(imu.t[i]), accel=tuple(imu.accel[i].tolist()), gyro=tuple(imu.gyro[i].tolist()),
-            mag=tuple(imu.mag[i].tolist()),
-        )
-        while fi < len(fix_t) and fix_t[fi] <= s.t:
+    counts = imu_arrays_to_counts(imu._replace(has_mag=np.ones_like(imu.has_mag)))
+    imu_rows = zip(imu.t.tolist(), imu.t_ms.tolist(), counts.tolist())
+    for seq, (t, t_ms, row) in enumerate(imu_rows):
+        while fi < len(fix_t) and fix_t[fi] <= t:
             blob += gps_frames[fi]
             fi += 1
-        blob += encode_frame(
-            TelemetryFrame(FrameKind.IMU, seq_i % 65536, round(s.t * 1000), sample_to_imu_counts(s))
-        )
-        seq_i += 1
+        blob += raw_frame(0x01, seq % 65536, t_ms, *row)
     return bytes(blob)
 
 

@@ -8,7 +8,6 @@ from navfuse.attitude import (
     FLAG_GAP,
     AttitudeEstimator,
     FusionGains,
-    ImuSample,
     accel_to_roll_pitch,
     complementary_angle,
     mag_to_heading,
@@ -22,6 +21,11 @@ from navfuse.filters import FilterState, design_first_order_hp, design_first_ord
 from navfuse.quat import EulerAngles, Quaternion, wrap_pi
 
 G = 9.80665
+
+
+def one_row(est, t, accel=(0.0, 0.0, G), gyro=(0.0, 0.0, 0.0), mag=None):
+    """Fuse one sample, without a magnetometer when ``mag`` is None."""
+    return est.run([t], [accel], [gyro], [mag or (0.0, 0.0, 0.0)], [mag is not None])
 
 
 class TestAccelToRollPitch:
@@ -121,43 +125,29 @@ class TestComplementaryAngle:
 class TestAttitudeEstimator:
     def test_static_level_converges_to_identity(self):
         est = AttitudeEstimator(sample_rate_hz=60)
-        track = None
-        samples = make_level_stream(n=301)
-        for s in samples:
-            state = est.step(s)
-        q = state.q
-        assert abs(q.w - 1) < 1e-3 and abs(q.x) < 1e-3 and abs(q.y) < 1e-3 and abs(q.z) < 1e-3
+        w, x, y, z = est.run(*make_level_stream(n=301)).q[-1]
+        assert abs(w - 1) < 1e-3 and abs(x) < 1e-3 and abs(y) < 1e-3 and abs(z) < 1e-3
 
     def test_gyro_only_yaw_integration(self):
         # constant 0.1 rad/s yaw rate, no magnetometer, 10 s
-        samples = make_level_stream(n=601, gyro=(0.0, 0.0, 0.1))
-        est = AttitudeEstimator(sample_rate_hz=60)
-        for s in samples:
-            state = est.step(s)
-        assert state.euler.yaw == pytest.approx(1.0, rel=0.02)
+        track = AttitudeEstimator(sample_rate_hz=60).run(*make_level_stream(n=601, gyro=(0.0, 0.0, 0.1)))
+        assert track.euler[-1, 2] == pytest.approx(1.0, rel=0.02)
 
     def test_yaw_bias_bounded_with_mag(self):
         n = 1801  # 30 s
         bias = 0.01
-        samples = make_level_stream(n=n, gyro=(0.0, 0.0, bias), mag=(0.28, 0.0, -0.12))
         est = AttitudeEstimator(sample_rate_hz=60)
         gains = est.gains
-        worst = 0.0
-        for s in samples:
-            state = est.step(s)
-            worst = max(worst, abs(state.euler.yaw))
-        assert worst < 0.05
+        yaw = est.run(*make_level_stream(n=n, gyro=(0.0, 0.0, bias), mag=(0.28, 0.0, -0.12))).euler[:, 2]
+        assert np.abs(yaw).max() < 0.05
         # steady-state bound gamma*b*dt/(1-gamma) plus slack for the transient
         bound = gains.gamma_yaw * bias * (1 / 60.0) / (1.0 - gains.gamma_yaw)
-        assert abs(state.euler.yaw) <= bound * 1.05
+        assert abs(yaw[-1]) <= bound * 1.05
 
     def test_yaw_bias_grows_without_mag(self):
         bias = 0.01
-        samples = make_level_stream(n=1801, gyro=(0.0, 0.0, bias))
-        est = AttitudeEstimator(sample_rate_hz=60)
-        for s in samples:
-            state = est.step(s)
-        assert state.euler.yaw == pytest.approx(bias * 30.0, rel=0.02)
+        track = AttitudeEstimator(sample_rate_hz=60).run(*make_level_stream(n=1801, gyro=(0.0, 0.0, bias)))
+        assert track.euler[-1, 2] == pytest.approx(bias * 30.0, rel=0.02)
 
     def test_unit_quaternion_maintained(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
@@ -202,15 +192,15 @@ class TestAttitudeEstimator:
 
     def test_non_monotonic_timestamp_rejected(self):
         est = AttitudeEstimator()
-        est.step(ImuSample(t=1.0, accel=(0, 0, G), gyro=(0, 0, 0)))
+        one_row(est, 1.0)
         with pytest.raises(TimestampOrderError):
-            est.step(ImuSample(t=1.0, accel=(0, 0, G), gyro=(0, 0, 0)))
+            one_row(est, 1.0)
         with pytest.raises(TimestampOrderError):
-            est.step(ImuSample(t=0.5, accel=(0, 0, G), gyro=(0, 0, 0)))
+            one_row(est, 0.5)
 
     def test_gap_skips_gyro_term(self):
         est = AttitudeEstimator(sample_rate_hz=60)
-        est.step(ImuSample(t=0.0, accel=(0, 0, G), gyro=(0, 0, 0)))
+        one_row(est, 0.0)
         # 2 s gap with a furious yaw rate: the rate must be ignored and,
         # with no magnetometer, yaw held
         track = est.run(
@@ -223,43 +213,38 @@ class TestAttitudeEstimator:
         est = AttitudeEstimator(sample_rate_hz=60)
         level = (0.0, 0.0, G)
         tilted = (0.0, G * math.sin(0.3), G * math.cos(0.3))
-        est.step(ImuSample(t=0.0, accel=level, gyro=(0, 0, 0), mag=(0.3, 0, -0.1)))
+        one_row(est, 0.0, accel=level, mag=(0.3, 0, -0.1))
         # 5 s gap with a furious roll rate: the rate must be ignored and the
         # (pre-filtered) accel tilt adopted as-is
-        state = est.step(ImuSample(t=5.0, accel=tilted, gyro=(2.0, 2.0, 2.0), mag=(0.3, 0, -0.1)))
+        roll = one_row(est, 5.0, accel=tilted, gyro=(2.0, 2.0, 2.0), mag=(0.3, 0, -0.1)).euler[0, 0]
         coeffs = design_first_order_lp(5.0, 60.0)
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, level):
             f.prime(x)
             f.step(x)
         expected_roll, _ = accel_to_roll_pitch([f.step(x) for f, x in zip(filts, tilted)])
-        assert state.euler.roll == pytest.approx(expected_roll, abs=1e-12)
-        assert 0.0 < state.euler.roll < 0.3
+        assert roll == pytest.approx(expected_roll, abs=1e-12)
+        assert 0.0 < roll < 0.3
 
     def test_unobservable_tilt_falls_back_to_gyro(self):
         # near-freefall stream: accel reference unusable, gyro keeps integrating
         est = AttitudeEstimator(sample_rate_hz=60)
-        est.step(ImuSample(t=0.0, accel=(0, 0, 0.01), gyro=(0, 0, 0)))
-        state = est.step(ImuSample(t=1 / 60, accel=(0, 0, 0.01), gyro=(0.6, 0, 0)))
+        one_row(est, 0.0, accel=(0, 0, 0.01))
+        roll = one_row(est, 1 / 60, accel=(0, 0, 0.01), gyro=(0.6, 0, 0)).euler[0, 0]
         hp = FilterState(design_first_order_hp(0.1, 60.0))
         hp.prime(0.0)
         hp.step(0.0)
         expected = hp.step(0.6) / 60.0
-        assert state.euler.roll == pytest.approx(expected, abs=1e-15)
-        assert state.euler.roll > 0.5 / 60.0
+        assert roll == pytest.approx(expected, abs=1e-15)
+        assert roll > 0.5 / 60.0
 
     def test_hard_iron_compensation(self):
         offset = (0.05, -0.02, 0.03)
         field = (0.28, 0.0, -0.12)
         reading = tuple(f + o for f, o in zip(field, offset))
         est = AttitudeEstimator(sample_rate_hz=60, hard_iron=offset)
-        state = est.step(ImuSample(t=0.0, accel=(0, 0, G), gyro=(0, 0, 0), mag=reading))
-        assert state.euler.yaw == pytest.approx(0.0, abs=1e-9)
+        assert one_row(est, 0.0, mag=reading).euler[0, 2] == pytest.approx(0.0, abs=1e-9)
 
     def test_declination_offset(self):
         est = AttitudeEstimator(sample_rate_hz=60, declination_rad=0.1)
-        state = est.step(ImuSample(t=0.0, accel=(0, 0, G), gyro=(0, 0, 0), mag=(0.3, 0, 0)))
-        assert state.euler.yaw == pytest.approx(0.1, abs=1e-12)
-
-    def test_state_before_first_sample_is_none(self):
-        assert AttitudeEstimator().state is None
+        assert one_row(est, 0.0, mag=(0.3, 0, 0)).euler[0, 2] == pytest.approx(0.1, abs=1e-12)

@@ -415,6 +415,29 @@ class TestRecordReplay:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("mode", ["live", "record", "replay"])
+    @pytest.mark.parametrize("bad", ["directory", "under_a_file"])
+    def test_directory_as_input_exit_2(self, mode, bad, stream_file, capsys, tmp_path):
+        path, _ = stream_file
+        source = tmp_path if bad == "directory" else path / "x"
+        argv = ["--mode", mode, "--input", str(source)]
+        if mode == "record":
+            argv += ["--output", str(tmp_path / "rec.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "cannot read input" in err and out == ""
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    @pytest.mark.parametrize("bad", ["directory", "under_a_file"])
+    def test_directory_as_output_exit_4(self, mode, bad, stream_file, recorded, capsys, tmp_path):
+        path, _ = stream_file
+        rec_path, _, _ = recorded
+        dest = tmp_path if bad == "directory" else rec_path / "x"
+        source = rec_path if mode == "replay" else path
+        code, _, err = run_cli(["--mode", mode, "--input", str(source), "--output", str(dest)], capsys)
+        assert code == 4
+        assert "cannot write output" in err
+
     def test_record_interrupted_leaves_valid_csv(self, tmp_path):
         # The recorder writes into a FIFO that is drained only to 20 kB, far
         # less than the recording, so it is always blocked mid-write when killed.
@@ -617,3 +640,9 @@ def test_mode_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_every_export_resolves():
+    """A name left in ``__all__`` after its object is gone fails here, not
+    first in a user's ``from navfuse import *``."""
+    assert [name for name in navfuse.__all__ if not hasattr(navfuse, name)] == []

@@ -29,9 +29,8 @@ from navfuse.telemetry import (
     decode_frame,
     encode_frame,
     gps_arrays_to_counts,
+    imu_arrays_to_counts,
     imu_counts_to_arrays,
-    imu_counts_to_sample,
-    sample_to_imu_counts,
     scan_frames,
     scan_stream,
 )
@@ -490,25 +489,23 @@ _GPS_FIELDS = st.tuples(
 
 class TestConversions:
     def test_zero_counts_give_zero_sample(self):
-        s = imu_counts_to_sample(0, ImuPayload(0, 0, 0, 0, 0, 0, 0, 0, 0))
-        assert s.t == 0.0
-        assert s.accel == (0.0, 0.0, 0.0)
-        assert s.gyro == (0.0, 0.0, 0.0)
+        imu = imu_counts_to_arrays([0], np.zeros((1, 9), dtype=np.int64))
+        assert imu.t.tolist() == [0.0]
+        assert imu.accel.tolist() == [[0.0, 0.0, 0.0]]
+        assert imu.gyro.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_one_g_is_2048_counts(self):
-        counts = sample_to_imu_counts(
-            imu_counts_to_sample(0, ImuPayload(0, 0, 2048, 0, 0, 0, 0, 0, 0))
-        )
-        assert counts.az == 2048
-        s = imu_counts_to_sample(0, ImuPayload(0, 0, 2048, 0, 0, 0, 0, 0, 0))
-        assert s.accel[2] == pytest.approx(9.80665, abs=1e-9)
+        imu = imu_counts_to_arrays([0], [[0, 0, 2048, 0, 0, 0, 0, 0, 0]])
+        assert imu_arrays_to_counts(imu)[0, 2] == 2048
+        assert imu.accel[0, 2] == pytest.approx(9.80665, abs=1e-9)
 
     def test_counts_roundtrip(self):
-        rng = np.random.default_rng(49)
-        for _ in range(200):
-            p = ImuPayload(*(int(v) for v in rng.integers(-32768, 32768, 9)))
-            s = imu_counts_to_sample(int(rng.integers(0, 2**31)), p)
-            assert sample_to_imu_counts(s) == p
+        # every int16 count in each of the 9 columns, rolled so rows mix counts
+        every = np.arange(-32768, 32768, dtype=np.int64)
+        counts = np.column_stack([np.roll(every, 7919 * k) for k in range(9)])
+        back = imu_arrays_to_counts(imu_counts_to_arrays(np.arange(len(every)), counts))
+        assert back.dtype == np.int64 and back.shape == counts.shape
+        np.testing.assert_array_equal(back, counts)
 
     @given(st.lists(_GPS_FIELDS, max_size=24))
     @settings(max_examples=200, deadline=None)
@@ -551,17 +548,23 @@ class TestConversions:
 
     def test_values_exact_at_nine_decimals(self):
         rng = np.random.default_rng(51)
-        for _ in range(100):
-            p = ImuPayload(*(int(v) for v in rng.integers(-32768, 32768, 9)))
-            s = imu_counts_to_sample(0, p)
-            for v in (*s.accel, *s.gyro, *s.mag):
-                assert float("%.9f" % v) == v
+        imu = imu_counts_to_arrays(np.zeros(100), rng.integers(-32768, 32768, (100, 9)))
+        for v in np.concatenate([imu.accel, imu.gyro, imu.mag]).ravel().tolist():
+            assert float("%.9f" % v) == v
 
     def test_mag_required_for_imu_frame(self):
-        from navfuse.attitude import ImuSample
-
+        imu = imu_counts_to_arrays([0, 17], np.zeros((2, 9), dtype=np.int64))
         with pytest.raises(EncodeRangeError):
-            sample_to_imu_counts(ImuSample(t=0, accel=(0, 0, 9.8), gyro=(0, 0, 0), mag=None))
+            imu_arrays_to_counts(imu._replace(has_mag=np.array([1, 0], dtype=np.uint8)))
+
+    @pytest.mark.parametrize("column,what", [(0, "accel"), (4, "gyro"), (8, "mag")])
+    @pytest.mark.parametrize("count", [32768, -32769])
+    def test_count_beyond_int16_rejected(self, column, what, count):
+        counts = np.zeros((1, 9), dtype=np.int64)
+        counts[0, column] = count
+        imu = imu_counts_to_arrays([0], counts)  # the decode takes any integer count
+        with pytest.raises(EncodeRangeError, match=f"{what} exceeds the sensor full-scale range"):
+            imu_arrays_to_counts(imu)
 
     def test_fix_without_course_encodes_zero(self):
         f = gps_arrays([0.0], 1.0, 2.0, speed=3.0, course=math.nan)
