@@ -3,11 +3,10 @@
 Quaternion attitude estimation from pre-filtered accelerometer/gyro/
 magnetometer streams, dead-reckoning/GPS position blending, a binary
 telemetry frame codec, CSV flight recordings with record/replay, and a
-synthetic-flight oracle for error studies. The fusion kernels are plain
-Python beside their estimators: ``attitude.attitude_run`` and
-``navigation.nav_run`` loop only over the recursive blend, and the
-pre-filters (``filters.biquad_run``), rotation, tilt and quaternion
-assembly run as array passes.
+synthetic-flight oracle for error studies. The fusion is plain Python in
+its estimators: ``AttitudeEstimator.run`` and ``NavEstimator.blend`` loop
+only over the recursive blend, and the pre-filters (``FilterState.run``),
+rotation, tilt and quaternion assembly run as array passes.
 """
 
 from .attitude import (

@@ -19,9 +19,9 @@ drifts with the gyro bias.
 Gyro axis mapping is x -> roll rate, y -> pitch rate, z -> yaw rate (body
 frame, right-handed, z up: a level sensor reads accel (0, 0, +g)).
 
-The kernel, ``attitude_run``, makes array passes over whole columns for the
+``AttitudeEstimator.run`` makes array passes over whole columns for the
 parts that do not depend on the recursive state: the pre-filters
-(``filters.biquad_run``), the tilt reference of the filtered accel and the
+(``FilterState.run``), the tilt reference of the filtered accel and the
 Euler-to-quaternion assembly. Only the complementary blend with its gap,
 tilt and heading branches, and the magnetometer heading, which needs the
 current roll and pitch, loop over the rows. The output is bit-identical to a
@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
-from .filters import biquad_prime, biquad_run, design_first_order_hp, design_first_order_lp
+from .filters import FilterState, design_first_order_hp, design_first_order_lp
 from .quat import Vec3, wrap_pi
 
 log = logging.getLogger(__name__)
@@ -198,59 +198,12 @@ def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
     return q
 
 
-def attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_yaw, declination, state):
-    """The attitude fusion over a stream of n samples.
-
-    The pre-filters, the tilt reference and the quaternion assembly are
-    array passes; only the complementary blend, which needs the previous
-    angles, loops over the rows. ``state`` (``AttitudeEstimator.STATE_LEN``
-    floats) carries the filter and angle state between calls and is updated
-    in place. Returns the (n, 3) Euler angles, the (n, 4) quaternions and the
-    (n,) uint8 FLAG_* bits.
-    """
-    n = len(t)
-    s = state.tolist()
-    init = s[0] != 0.0
-    if n and not init:
-        ax, ay, az = acc[0].tolist()
-        gx, gy, _ = gyr[0].tolist()
-        s[5:7] = biquad_prime(*lp, ax)
-        s[7:9] = biquad_prime(*lp, ay)
-        s[9:11] = biquad_prime(*lp, az)
-        s[11:13] = biquad_prime(*hp, gx)
-        s[13:15] = biquad_prime(*hp, gy)
-    fax, s[5], s[6] = biquad_run(*lp, s[5], s[6], acc[:, 0])
-    fay, s[7], s[8] = biquad_run(*lp, s[7], s[8], acc[:, 1])
-    faz, s[9], s[10] = biquad_run(*lp, s[9], s[10], acc[:, 2])
-    fgx, s[11], s[12] = biquad_run(*hp, s[11], s[12], gyr[:, 0])
-    fgy, s[13], s[14] = biquad_run(*hp, s[13], s[14], gyr[:, 1])
-
-    rref, pref, tilt_ok = _tilt_from_accel(fax, fay, faz)
-    dt = np.diff(t, prepend=s[1])
-    gap = dt > MAX_GYRO_GAP_S
-    if not init:
-        gap[:1] = False
-    flags = np.where(gap, FLAG_GAP, 0).astype(np.uint8)
-    flags[~tilt_ok] |= FLAG_NO_TILT_REF
-
-    euler = np.empty((n, 3), dtype=np.float64)
-    if n:
-        s[2:5] = _attitude_blend(
-            0 if init else 1, dt, gap, tilt_ok, rref, pref, fgx, fgy, gyr[:, 2], mag, has_mag,
-            gamma_rp, gamma_yaw, declination, s[2:5], euler, flags,
-        )
-        s[0] = 1.0
-        s[1] = t[-1]
-    state[:] = s
-    return euler, _quat_from_euler(euler), flags
-
-
 def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_mag,
                     gamma_rp, gamma_yaw, declination, angles, euler, flags):
-    """The recursive part of ``attitude_run``: the complementary blend of each
-    row from ``start`` on, the first row of a stream initialised when
-    ``start`` is 1. Writes the angles into ``euler`` and the heading flags into
-    ``flags``; returns the last (roll, pitch, yaw). A function of its own so
+    """The recursive part of ``AttitudeEstimator.run``: the complementary
+    blend of each row from ``start`` on, the first row of a stream initialised
+    when ``start`` is 1. Writes the angles into ``euler`` and the heading flags
+    into ``flags``; returns the last (roll, pitch, yaw). A function of its own so
     that its per-row Python lists are freed before the quaternion pass.
 
     ``wrap_pi`` and ``complementary_angle`` are written out in the branch that
@@ -387,8 +340,6 @@ class AttitudeEstimator:
     transient.
     """
 
-    STATE_LEN = 16
-
     def __init__(
         self,
         gains: FusionGains = FusionGains(),
@@ -403,9 +354,10 @@ class AttitudeEstimator:
         self.hard_iron = tuple(hard_iron)
         lp = design_first_order_lp(accel_lp_hz, sample_rate_hz)
         hp = design_first_order_hp(gyro_hp_hz, sample_rate_hz)
-        self._lp = (lp.b0, lp.b1, lp.b2, lp.a1, lp.a2)
-        self._hp = (hp.b0, hp.b1, hp.b2, hp.a1, hp.a2)
-        self._state = np.zeros(self.STATE_LEN, dtype=np.float64)
+        self.accel_lp = tuple(FilterState(lp) for _ in range(3))  # x, y, z
+        self.gyro_hp = tuple(FilterState(hp) for _ in range(2))   # x, y
+        self.t_last: float | None = None  # None before the first sample
+        self.roll = self.pitch = self.yaw = 0.0
 
     def run(
         self,
@@ -430,16 +382,33 @@ class AttitudeEstimator:
         mag = np.ascontiguousarray(mag, dtype=np.float64)
         has_mag = np.ascontiguousarray(has_mag, dtype=np.uint8)
 
-        check_imu(t, accel, gyro, self._state[1] if self._state[0] != 0.0 else -math.inf)
+        init = self.t_last is not None
+        check_imu(t, accel, gyro, self.t_last if init else -math.inf)
 
         if any(self.hard_iron):
             mag = mag - np.asarray(self.hard_iron)
 
-        euler, q, flags = attitude_run(
-            t, accel, gyro, mag, has_mag,
-            self._lp, self._hp,
-            self.gains.gamma_rp, self.gains.gamma_yaw,
-            self.declination_rad,
-            self._state,
-        )
-        return AttitudeTrack(t=t, euler=euler, q=q, flags=flags)
+        filters = (*self.accel_lp, *self.gyro_hp)
+        cols = (accel[:, 0], accel[:, 1], accel[:, 2], gyro[:, 0], gyro[:, 1])
+        if n and not init:
+            for f, x in zip(filters, cols):
+                f.prime(float(x[0]))
+        fax, fay, faz, fgx, fgy = (f.run(x) for f, x in zip(filters, cols))
+
+        rref, pref, tilt_ok = _tilt_from_accel(fax, fay, faz)
+        dt = np.diff(t, prepend=self.t_last if init else 0.0)
+        gap = dt > MAX_GYRO_GAP_S
+        if not init:
+            gap[:1] = False
+        flags = np.where(gap, FLAG_GAP, 0).astype(np.uint8)
+        flags[~tilt_ok] |= FLAG_NO_TILT_REF
+
+        euler = np.empty((n, 3), dtype=np.float64)
+        if n:
+            self.roll, self.pitch, self.yaw = _attitude_blend(
+                0 if init else 1, dt, gap, tilt_ok, rref, pref, fgx, fgy, gyro[:, 2], mag, has_mag,
+                self.gains.gamma_rp, self.gains.gamma_yaw, self.declination_rad,
+                (self.roll, self.pitch, self.yaw), euler, flags,
+            )
+            self.t_last = float(t[-1])
+        return AttitudeTrack(t=t, euler=euler, q=_quat_from_euler(euler), flags=flags)

@@ -23,7 +23,7 @@ import numpy as np
 from . import telemetry
 from .attitude import AttitudeEstimator, FusionGains, warn_gaps
 from .errors import RecordingFormatError, TimestampOrderError
-from .filters import biquad_run, design_butterworth2_lp, design_chebyshev1_2_lp
+from .filters import FilterState, design_butterworth2_lp, design_chebyshev1_2_lp
 from .flightsim import (
     TRUTH_HEADER,
     generate_flight,
@@ -33,6 +33,7 @@ from .flightsim import (
     sweep_weights,
     truth_rows,
 )
+from .navigation import default_position_cutoff_hz
 from .pipeline import FUSED_HEADER, FusionConfig, csv_blocks, estimate_sample_rate, fuse_blocks, fused_rows
 from .recording import read_recording, write_recording
 
@@ -47,12 +48,8 @@ _LON_E7_MAX = 1_800_000_000
 
 MODES = ("live", "record", "replay", "simulate", "sweep", "filter-compare")
 
-# Fusion defaults are FusionConfig's, less the fields that are not CLI options.
-_DEFAULTS = {
-    f.name: f.default
-    for f in dataclasses.fields(FusionConfig)
-    if f.name not in ("hard_iron", "gps_mode", "sample_rate_hz")
-}
+# Fusion defaults are FusionConfig's, less the GPS mode, which each mode sets.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(FusionConfig) if f.name != "gps_mode"}
 _DEFAULTS.update(
     seed=None, from_ms=None, to_ms=None, grid="0.1,0.5,0.9",
     input=None, output=None, truth_out=None,
@@ -351,13 +348,9 @@ def cmd_filter_compare(opts: dict) -> int:
         _, imu, _ = generate_flight(profile, noise)
     t, acc, gyr, mag, has_mag = imu
     fs = estimate_sample_rate(t)
-    cutoff = float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else min(10.0, fs / 6.0)
+    cutoff = float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else default_position_cutoff_hz(fs)
     bw = design_butterworth2_lp(cutoff, fs)
     ch = design_chebyshev1_2_lp(cutoff, fs)
-
-    def run(c, x):
-        y, _, _ = biquad_run(c.b0, c.b1, c.b2, c.a1, c.a2, 0.0, 0.0, x)
-        return y
 
     gains = FusionGains(float(opts["gamma_rp"]), float(opts["gamma_yaw"]))
     common = dict(
@@ -372,8 +365,8 @@ def cmd_filter_compare(opts: dict) -> int:
     deg = 180.0 / math.pi
     cols = np.column_stack([
         imu.t_ms,
-        acc[:, 0], run(bw, acc[:, 0]), run(ch, acc[:, 0]),
-        acc[:, 1], run(bw, acc[:, 1]), run(ch, acc[:, 1]),
+        acc[:, 0], FilterState(bw).run(acc[:, 0]), FilterState(ch).run(acc[:, 0]),
+        acc[:, 1], FilterState(bw).run(acc[:, 1]), FilterState(ch).run(acc[:, 1]),
         gyro_only.euler[:, 2] * deg, fused.euler[:, 2] * deg,
     ])
     with _Output(opts["output"]) as fh:

@@ -136,7 +136,8 @@ class FilterState:
         dc_gain * x0 instead of b0 * x0.
         """
         c = self.coeffs
-        self.s1, self.s2 = biquad_prime(c.b0, c.b1, c.b2, c.a1, c.a2, x0)
+        h = c.dc_gain()
+        self.s1, self.s2 = h * x0 - c.b0 * x0, c.b2 * x0 - c.a2 * h * x0
 
     def step(self, x: float) -> float:
         if not math.isfinite(x):
@@ -147,26 +148,21 @@ class FilterState:
         self.s2 = c.b2 * x - c.a2 * y
         return y
 
-
-def biquad_prime(b0, b1, b2, a1, a2, x0):
-    """Delay-line state (s1, s2) at the steady state for a constant input x0."""
-    h = (b0 + b1 + b2) / (1.0 + a1 + a2)
-    return h * x0 - b0 * x0, b2 * x0 - a2 * h * x0
-
-
-def biquad_run(b0, b1, b2, a1, a2, s1, s2, x):
-    """Run a direct-form-II-transposed biquad over an array.
-
-    Returns the output array and the final delay-line state (s1, s2).
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.empty_like(x)
-    for i, xi in enumerate(x.tolist()):
-        yi = b0 * xi + s1
-        s1 = b1 * xi - a1 * yi + s2
-        s2 = b2 * xi - a2 * yi
-        y[i] = yi
-    return y, s1, s2
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """Filter a column, advancing the delay line: ``step`` over each
+        value, bit for bit, without its finiteness check."""
+        c = self.coeffs
+        b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
+        s1, s2 = self.s1, self.s2
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.empty_like(x)
+        for i, xi in enumerate(x.tolist()):
+            yi = b0 * xi + s1
+            s1 = b1 * xi - a1 * yi + s2
+            s2 = b2 * xi - a2 * yi
+            y[i] = yi
+        self.s1, self.s2 = s1, s2
+        return y
 
 
 def frequency_response(coeffs: BiquadCoeffs, f_hz: float) -> float:

@@ -23,8 +23,8 @@ The longitude meter-to-degree conversion deliberately omits the cos(lat)
 meridian-convergence factor by default; ``lon_scale_correction`` enables it.
 
 ``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
-(``filters.biquad_run``) and the rotation of the filtered accel to
-north/east. ``nav_run`` computes the GPS terms of the blend,
+(``FilterState.run``) and the rotation of the filtered accel to
+north/east. ``NavEstimator.blend`` computes the GPS terms of the blend,
 (1 - alpha) * speed * cos/sin(theta_d) and (1 - beta) * lat/lon_gps, once per
 column, and loops only over the recursion: the velocity and position blend
 and the cos(lat) of ``lon_scale_correction``. numpy does only + - * / and
@@ -46,7 +46,7 @@ import numpy as np
 
 from .attitude import _map
 from .errors import InterpolationRangeError, TimestampOrderError
-from .filters import BiquadCoeffs, biquad_prime, biquad_run, design_butterworth2_lp
+from .filters import BiquadCoeffs, FilterState, design_butterworth2_lp
 from .geo import EarthModel, GeoPoint, bearing
 from .quat import _UNIT_TOL
 
@@ -113,9 +113,7 @@ class BlendWeights:
 
 
 def default_position_cutoff_hz(sample_rate_hz: float) -> float:
-    """10 Hz at the reference 1 kHz design point, else scaled to fs/6."""
-    if sample_rate_hz == 1000.0:
-        return 10.0
+    """fs/6, capped at 10 Hz (the cutoff of the reference 1 kHz design)."""
     return min(10.0, sample_rate_hz / 6.0)
 
 
@@ -135,7 +133,7 @@ def interpolate_gps(gps: GpsArrays, t: float) -> GeoPoint:
 
 
 class GpsReference(NamedTuple):
-    """Per-sample reference arrays feeding ``nav_run``, sharing the row
+    """Per-sample reference arrays feeding ``NavEstimator.blend``, sharing the row
     index of the samples, so a block of rows slices every column alike."""
 
     ref_lat: np.ndarray     # (n,)
@@ -199,79 +197,6 @@ def prepare_gps_reference(
     )
 
 
-def nav_run(t, a_world, ref, alpha, beta, deg_per_m, lon_scale_correction, state):
-    """The velocity/position blend over a stream of n samples.
-
-    ``a_world`` holds the (n, 2) north/east accelerations from
-    ``NavEstimator.world_accel`` and ``ref`` the GPS reference from
-    ``prepare_gps_reference``. The GPS terms of the blend are array passes;
-    only the recursion loops over the rows. ``state``
-    (``NavEstimator.STATE_LEN`` floats) carries the velocity and position
-    between calls, and is updated in place. Returns the (n, 2) north/east
-    velocities and the (n,) latitudes and longitudes.
-    """
-    n = len(t)
-    vel = np.empty((n, 2), dtype=np.float64)
-    lat_out = np.empty(n, dtype=np.float64)
-    lon_out = np.empty(n, dtype=np.float64)
-
-    init = state[0] != 0.0
-    vn, ve, lat, lon = state[2:6].tolist()
-    dts = np.diff(t, prepend=state[1]).tolist()
-    ans, aes = a_world[:, 0].tolist(), a_world[:, 1].tolist()
-    gvn = ((1.0 - alpha) * ref.ref_speed * _map(math.cos, ref.ref_theta)).tolist()
-    gve = ((1.0 - alpha) * ref.ref_speed * _map(math.sin, ref.ref_theta)).tolist()
-    glat = ((1.0 - beta) * ref.ref_lat).tolist()
-    glon = ((1.0 - beta) * ref.ref_lon).tolist()
-    hps, hvs = ref.has_pos.tolist(), ref.has_vel.tolist()
-    vn_out, ve_out = vel.T
-
-    start = 0
-    if n and not init:
-        # the first sample snaps to the GPS reference when one exists
-        if hps[0]:
-            lat = float(ref.ref_lat[0])
-            lon = float(ref.ref_lon[0])
-        vn_out[0], ve_out[0], lat_out[0], lon_out[0] = vn, ve, lat, lon
-        start = 1
-
-    cos = math.cos
-    pi = math.pi
-    for i in range(start, n):
-        dt = dts[i]
-        vn_i = vn + ans[i] * dt
-        ve_i = ve + aes[i] * dt
-        if hvs[i]:
-            vn = alpha * vn_i + gvn[i]
-            ve = alpha * ve_i + gve[i]
-        else:
-            vn = vn_i
-            ve = ve_i
-
-        lat_dr = lat + vn * dt * deg_per_m
-        if lon_scale_correction:
-            lon_dr = lon + ve * dt * (deg_per_m / cos(lat * pi / 180.0))
-        else:
-            lon_dr = lon + ve * dt * deg_per_m
-        if hps[i]:
-            lat = beta * lat_dr + glat[i]
-            lon = beta * lon_dr + glon[i]
-        else:
-            lat = lat_dr
-            lon = lon_dr
-
-        vn_out[i] = vn
-        ve_out[i] = ve
-        lat_out[i] = lat
-        lon_out[i] = lon
-
-    if n:
-        state[0] = 1.0
-        state[1] = t[-1]
-        state[2:6] = vn, ve, lat, lon
-    return vel, lat_out, lon_out
-
-
 @dataclass(frozen=True)
 class NavTrack:
     """Batch position-fusion output, one row per input sample."""
@@ -284,8 +209,6 @@ class NavTrack:
 
 class NavEstimator:
     """Batch position fusion over an IMU stream with attitude and GPS inputs."""
-
-    STATE_LEN = 12
 
     def __init__(
         self,
@@ -305,16 +228,14 @@ class NavEstimator:
         self.lon_scale_correction = lon_scale_correction
         self.stale_after_s = stale_after_s
         self.mode = mode
-        c = coeffs or design_butterworth2_lp(
-            cutoff_hz or default_position_cutoff_hz(sample_rate_hz), sample_rate_hz
-        )
-        self.coeffs = c
-        self._bw = (c.b0, c.b1, c.b2, c.a1, c.a2)
-        self._state = np.zeros(self.STATE_LEN, dtype=np.float64)
-        self._state[2] = initial_vel[0]
-        self._state[3] = initial_vel[1]
-        self._state[4] = initial_pos.lat
-        self._state[5] = initial_pos.lon
+        if coeffs is None:
+            if cutoff_hz is None:
+                cutoff_hz = default_position_cutoff_hz(sample_rate_hz)
+            coeffs = design_butterworth2_lp(cutoff_hz, sample_rate_hz)
+        self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
+        self.t_last: float | None = None  # None before the first sample
+        self.vn, self.ve = float(initial_vel[0]), float(initial_vel[1])
+        self.lat, self.lon = float(initial_pos.lat), float(initial_pos.lon)
 
     def world_accel(self, accel: np.ndarray, q: np.ndarray) -> np.ndarray:
         """North/east components, (n, 2), of the Butterworth-filtered accel
@@ -323,15 +244,10 @@ class NavEstimator:
         Advances the filter delay lines, which the first sample of a stream
         primes at their steady state. Inputs as ``run`` checks them.
         """
-        s = self._state
-        if len(accel) and s[0] == 0.0:
-            ax, ay, az = accel[0].tolist()
-            s[6:8] = biquad_prime(*self._bw, ax)
-            s[8:10] = biquad_prime(*self._bw, ay)
-            s[10:12] = biquad_prime(*self._bw, az)
-        fax, s[6], s[7] = biquad_run(*self._bw, float(s[6]), float(s[7]), accel[:, 0])
-        fay, s[8], s[9] = biquad_run(*self._bw, float(s[8]), float(s[9]), accel[:, 1])
-        faz, s[10], s[11] = biquad_run(*self._bw, float(s[10]), float(s[11]), accel[:, 2])
+        if len(accel) and self.t_last is None:
+            for f, x0 in zip(self.accel_lp, accel[0].tolist()):
+                f.prime(x0)
+        fax, fay, faz = (f.run(accel[:, k]) for k, f in enumerate(self.accel_lp))
 
         qw, qx, qy, qz = q.T
         xx = qx * qx
@@ -350,15 +266,70 @@ class NavEstimator:
 
     def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
         """Blend world-frame accel from ``world_accel`` with the GPS reference
-        of the same rows; advances the velocity and position."""
-        vel, lat, lon = nav_run(
-            t, a_world, ref,
-            self.weights.alpha, self.weights.beta,
-            180.0 / (math.pi * self.earth.radius_m),
-            self.lon_scale_correction,
-            self._state,
-        )
-        return NavTrack(t=t, vel=vel, lat=lat, lon=lon)
+        of the same rows from ``prepare_gps_reference``; advances the velocity
+        and position."""
+        alpha, beta = self.weights.alpha, self.weights.beta
+        deg_per_m = 180.0 / (math.pi * self.earth.radius_m)
+        lon_scale_correction = self.lon_scale_correction
+        n = len(t)
+        vel = np.empty((n, 2), dtype=np.float64)
+        lat_out = np.empty(n, dtype=np.float64)
+        lon_out = np.empty(n, dtype=np.float64)
+
+        init = self.t_last is not None
+        vn, ve, lat, lon = self.vn, self.ve, self.lat, self.lon
+        dts = np.diff(t, prepend=self.t_last if init else 0.0).tolist()
+        ans, aes = a_world[:, 0].tolist(), a_world[:, 1].tolist()
+        gvn = ((1.0 - alpha) * ref.ref_speed * _map(math.cos, ref.ref_theta)).tolist()
+        gve = ((1.0 - alpha) * ref.ref_speed * _map(math.sin, ref.ref_theta)).tolist()
+        glat = ((1.0 - beta) * ref.ref_lat).tolist()
+        glon = ((1.0 - beta) * ref.ref_lon).tolist()
+        hps, hvs = ref.has_pos.tolist(), ref.has_vel.tolist()
+        vn_out, ve_out = vel.T
+
+        start = 0
+        if n and not init:
+            # the first sample snaps to the GPS reference when one exists
+            if hps[0]:
+                lat = float(ref.ref_lat[0])
+                lon = float(ref.ref_lon[0])
+            vn_out[0], ve_out[0], lat_out[0], lon_out[0] = vn, ve, lat, lon
+            start = 1
+
+        cos = math.cos
+        pi = math.pi
+        for i in range(start, n):
+            dt = dts[i]
+            vn_i = vn + ans[i] * dt
+            ve_i = ve + aes[i] * dt
+            if hvs[i]:
+                vn = alpha * vn_i + gvn[i]
+                ve = alpha * ve_i + gve[i]
+            else:
+                vn = vn_i
+                ve = ve_i
+
+            lat_dr = lat + vn * dt * deg_per_m
+            if lon_scale_correction:
+                lon_dr = lon + ve * dt * (deg_per_m / cos(lat * pi / 180.0))
+            else:
+                lon_dr = lon + ve * dt * deg_per_m
+            if hps[i]:
+                lat = beta * lat_dr + glat[i]
+                lon = beta * lon_dr + glon[i]
+            else:
+                lat = lat_dr
+                lon = lon_dr
+
+            vn_out[i] = vn
+            ve_out[i] = ve
+            lat_out[i] = lat
+            lon_out[i] = lon
+
+        if n:
+            self.t_last = float(t[-1])
+            self.vn, self.ve, self.lat, self.lon = vn, ve, lat, lon
+        return NavTrack(t=t, vel=vel, lat=lat_out, lon=lon_out)
 
     def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, gps: GpsArrays) -> NavTrack:
         t = np.ascontiguousarray(t, dtype=np.float64)
@@ -368,7 +339,7 @@ class NavEstimator:
             raise ValueError("non-finite value in accel stream")
         if not (np.abs(np.sqrt((q * q).sum(axis=1)) - 1.0) <= _UNIT_TOL).all():
             raise ValueError("attitude quaternions must be unit length")
-        prev = self._state[1] if self._state[0] != 0.0 else -math.inf
+        prev = -math.inf if self.t_last is None else self.t_last
         if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
             raise TimestampOrderError("sample timestamps must be strictly increasing")
         ref = prepare_gps_reference(t, gps, self.mode, self.stale_after_s)

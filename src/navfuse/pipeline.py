@@ -41,14 +41,12 @@ class FusionConfig:
     gamma_yaw: float = 0.98
     accel_lp_hz: float = 5.0
     gyro_hp_hz: float = 0.1
-    cutoff_hz: float | None = None          # None: 10 Hz at fs=1000, else fs/6 capped at 10
+    cutoff_hz: float | None = None          # None: default_position_cutoff_hz(fs), fs/6 capped at 10
     declination_deg: float = 0.0
-    hard_iron: tuple[float, float, float] = (0.0, 0.0, 0.0)
     lon_scale_correction: bool = False
     earth_radius_m: float = EARTH_RADIUS_M
     stale_after_s: float = 3.0
     gps_mode: str = "live"                  # "live" | "replay"
-    sample_rate_hz: float | None = None     # None: estimated from the stream
 
 
 class FusionOutput(NamedTuple):
@@ -80,7 +78,7 @@ def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
-    fs = cfg.sample_rate_hz or estimate_sample_rate(imu.t)
+    fs = estimate_sample_rate(imu.t)
 
     att = AttitudeEstimator(
         gains=FusionGains(cfg.gamma_rp, cfg.gamma_yaw),
@@ -88,7 +86,6 @@ def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig
         accel_lp_hz=cfg.accel_lp_hz,
         gyro_hp_hz=cfg.gyro_hp_hz,
         declination_rad=math.radians(cfg.declination_deg),
-        hard_iron=cfg.hard_iron,
     )
     nav = NavEstimator(
         weights=BlendWeights(cfg.alpha, cfg.beta),

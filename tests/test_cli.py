@@ -402,6 +402,21 @@ class TestRecordReplay:
         assert "alpha must be in [0, 1]" in err
         assert not (tmp_path / "new.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["live", "record", "replay", "filter-compare"])
+    def test_zero_cutoff_exits_before_any_output(self, mode, stream_file, recorded, capsys, tmp_path):
+        """A cutoff of 0 Hz is refused as it is, not read as "use the default"."""
+        path, _ = stream_file
+        rec_path, _, _ = recorded
+        argv = ["--mode", mode, "--input", str(path if mode in ("live", "record") else rec_path),
+                "--cutoff-hz", "0"]
+        if mode == "record":
+            argv += ["--output", str(tmp_path / "new.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "cutoff 0.0 Hz must lie strictly inside" in err
+        assert not (tmp_path / "new.csv").exists()
+
     def test_record_needs_output(self, stream_file, capsys):
         path, _ = stream_file
         code, _, _ = run_cli(["--mode", "record", "--input", str(path)], capsys)

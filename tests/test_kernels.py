@@ -1,13 +1,15 @@
-"""The fusion kernels: flag bytes, state carried across calls, the biquad
-runner against scipy, the single-implementation backend shims of the CLI and
-the package, and the kernels against their per-sample reference loops.
+"""The fusion loops: flag bytes, state carried across calls, ``FilterState.run``
+against ``step`` and scipy, the single-implementation backend shims of the CLI
+and the package, and the estimators against their per-sample reference loops.
 
 ``reference_attitude_run`` and ``reference_nav_run`` are the fusion loops as
 they were before the filters, rotation, tilt and quaternion assembly became
-array passes, kept verbatim with the helpers they call. The kernels must match
-them bit for bit: numpy may do only + - * / and sqrt, which IEEE 754 rounds
-exactly, while every transcendental stays ``math.*``. (``np.arctan2`` differs
-from ``math.atan2`` in the last bit on some inputs of some numpy builds.)
+array passes, kept verbatim with the helpers they call. They carry their state
+in a flat float vector; ``AttitudeEstimator.run`` and ``NavEstimator.world_accel``
+with ``blend`` must match them bit for bit, outputs and state alike: numpy may do
+only + - * / and sqrt, which IEEE 754 rounds exactly, while every transcendental
+stays ``math.*``. (``np.arctan2`` differs from ``math.atan2`` in the last bit on
+some inputs of some numpy builds.)
 """
 
 import math
@@ -31,7 +33,13 @@ from navfuse.attitude import (
     FusionGains,
 )
 from navfuse.cli import main
-from navfuse.filters import FilterState, biquad_run, design_butterworth2_lp
+from navfuse.filters import (
+    FilterState,
+    design_butterworth2_lp,
+    design_chebyshev1_2_lp,
+    design_first_order_hp,
+    design_first_order_lp,
+)
 from navfuse.flightsim import (
     FlightProfile,
     FlightSegment,
@@ -98,8 +106,9 @@ def reference_attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_ya
     """One pass of the attitude fusion loop over a stream of n samples, one
     row at a time (the kernel before its array passes, kept as the oracle).
 
-    ``state`` (``AttitudeEstimator.STATE_LEN`` floats) carries the filter and
-    angle state between calls and is updated in place. Returns the (n, 3)
+    ``state`` (16 floats: the init flag, the last time, roll/pitch/yaw and the
+    five filters' delay lines) carries the filter and angle state between
+    calls and is updated in place. Returns the (n, 3)
     Euler angles, the (n, 4) quaternions and the (n,) uint8 FLAG_* bits.
     """
     n = len(t)
@@ -249,8 +258,9 @@ def reference_nav_run(
     row at a time (the kernel before its array passes, kept as the oracle).
 
     The GPS reference columns come from ``prepare_gps_reference``. ``state``
-    (``NavEstimator.STATE_LEN`` floats) carries the filter, velocity and
-    position state between calls and is updated in place. Returns the (n, 2)
+    (12 floats: the init flag, the last time, vn/ve, lat/lon and the three
+    filters' delay lines) carries the filter, velocity and position state
+    between calls and is updated in place. Returns the (n, 2)
     north/east velocities and the (n,) latitudes and longitudes.
     """
     n = len(t)
@@ -401,20 +411,35 @@ class TestChunkedEquivalence:
         np.testing.assert_array_equal(whole.euler, stitched)
 
 
-def test_biquad_run_matches_filter_state_bit_for_bit():
-    c = design_butterworth2_lp(7.0, 200.0)
-    x = np.random.default_rng(6).normal(size=4000)
-    y, s1, s2 = biquad_run(c.b0, c.b1, c.b2, c.a1, c.a2, 0.1, -0.2, x)
-    ref = FilterState(c, 0.1, -0.2)
-    np.testing.assert_array_equal(y, [ref.step(xi) for xi in x.tolist()])
-    assert (s1, s2) == (ref.s1, ref.s2)
+def chunks(n, cuts):
+    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+designs = (design_butterworth2_lp, design_chebyshev1_2_lp, design_first_order_lp, design_first_order_hp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(designs), st.floats(0.01, 0.49), st.sampled_from([60.0, 100.0, 1000.0]),
+       st.lists(st.floats(-1e4, 1e4), max_size=80), st.lists(st.integers(0, 10**6), max_size=4),
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_filter_state_run_matches_step(design, band, fs, x, cuts, s1, s2):
+    """``run`` over any split of a column is ``step`` over the whole column,
+    bit for bit, delay line included."""
+    c = design(band * fs, fs)
+    x = np.array(x, dtype=np.float64)
+    stepped, ran = FilterState(c, s1, s2), FilterState(c, s1, s2)
+    want = np.array([stepped.step(xi) for xi in x.tolist()], dtype=np.float64)
+    got = np.concatenate([ran.run(x[lo:hi]) for lo, hi in chunks(len(x), cuts)])
+    assert_same_bits(got, want)
+    assert_same_bits([ran.s1, ran.s2], [stepped.s1, stepped.s2])
 
 
 def test_biquad_matches_scipy_lfilter():
     rng = np.random.default_rng(8)
     c = design_butterworth2_lp(10.0, 1000.0)
     x = rng.normal(size=2000)
-    y, _, _ = biquad_run(c.b0, c.b1, c.b2, c.a1, c.a2, 0.0, 0.0, x)
+    y = FilterState(c).run(x)
     ref = signal.lfilter([c.b0, c.b1, c.b2], [1.0, c.a1, c.a2], x)
     np.testing.assert_allclose(y, ref, atol=1e-12)
 
@@ -449,11 +474,19 @@ def test_backend_compiled_rejected(recording, capsys):
     assert "Traceback" not in err
 
 
-# ---------------------------------------------------------------- kernels against the reference loops
+# ---------------------------------------------------------------- estimators against the reference loops
 
-def chunks(n, cuts):
-    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
-    return list(zip(bounds, bounds[1:]))
+def coeff_tuple(filt):
+    c = filt.coeffs
+    return c.b0, c.b1, c.b2, c.a1, c.a2
+
+
+def assert_same_state(est, state, fields, filters):
+    """``est``'s named fields and filter delay lines hold what the reference
+    loop's ``state`` vector holds in slots 2 on, and ``t_last`` its slot 1."""
+    assert est.t_last == (state[1] if state[0] != 0.0 else None)
+    delay = [s for f in filters for s in (f.s1, f.s2)]
+    assert_same_bits([getattr(est, name) for name in fields] + delay, state[2:2 + len(fields) + len(delay)])
 
 
 gains = st.one_of(st.sampled_from([0.0, 1.0, 0.98]), st.floats(0.0, 1.0))
@@ -490,18 +523,19 @@ def imu_streams(draw):
 def test_attitude_matches_reference(stream, gamma_rp, gamma_yaw, declination, fs, cuts):
     t, acc, gyr, mag, has_mag = stream
     est = AttitudeEstimator(FusionGains(gamma_rp, gamma_yaw), sample_rate_hz=fs, declination_rad=declination)
-    state = np.zeros(AttitudeEstimator.STATE_LEN)
+    lp, hp = coeff_tuple(est.accel_lp[0]), coeff_tuple(est.gyro_hp[0])
+    state = np.zeros(16)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
         track = est.run(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi])
         got.append((track.euler, track.q, track.flags))
         want.append(reference_attitude_run(
             t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi],
-            est._lp, est._hp, gamma_rp, gamma_yaw, declination, state,
+            lp, hp, gamma_rp, gamma_yaw, declination, state,
         ))
+        assert_same_state(est, state, ("roll", "pitch", "yaw"), (*est.accel_lp, *est.gyro_hp))
     for k in range(3):
         assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
-    assert_same_bits(est._state, state)
 
 
 @st.composite
@@ -547,7 +581,8 @@ def nav_cases(draw):
 def test_nav_matches_reference(case, cuts):
     t, acc, q, fixes, options = case
     est = NavEstimator(**options)
-    state = est._state.copy()
+    state = np.zeros(12)
+    state[2:6] = *options["initial_vel"], options["initial_pos"].lat, options["initial_pos"].lon
     deg_per_m = 180.0 / (math.pi * est.earth.radius_m)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
@@ -557,11 +592,12 @@ def test_nav_matches_reference(case, cuts):
         want.append(reference_nav_run(
             t[lo:hi], acc[lo:hi], q[lo:hi],
             ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_theta, ref.has_vel,
-            est._bw, est.weights.alpha, est.weights.beta, deg_per_m, est.lon_scale_correction, state,
+            coeff_tuple(est.accel_lp[0]), est.weights.alpha, est.weights.beta, deg_per_m,
+            est.lon_scale_correction, state,
         ))
+        assert_same_state(est, state, ("vn", "ve", "lat", "lon"), est.accel_lp)
     for k in range(3):
         assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
-    assert_same_bits(est._state, state)
 
 
 @settings(max_examples=40, deadline=None)
