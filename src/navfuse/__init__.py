@@ -7,38 +7,32 @@ synthetic-flight oracle for error studies. The fusion is plain Python in
 its estimators: ``AttitudeEstimator.run`` and ``NavEstimator.blend`` loop
 only over the recursive blend, and the pre-filters (``FilterState.run``),
 rotation, tilt and quaternion assembly run as array passes.
+
+The package's exports load on first use: ``import navfuse`` imports neither
+numpy nor a submodule, and ``navfuse.NavEstimator`` imports
+``navfuse.navigation`` the first time it is read.
 """
 
-from .attitude import (
-    AttitudeEstimator,
-    FusionGains,
-    ImuArrays,
-    accel_to_roll_pitch,
-    complementary_angle,
-    mag_to_heading,
-)
-from .filters import (
-    BiquadCoeffs,
-    FilterState,
-    design_butterworth2_lp,
-    design_chebyshev1_2_lp,
-    design_first_order_hp,
-    design_first_order_lp,
-    frequency_response,
-)
-from .geo import EarthModel, GeoPoint, bearing, meters_to_degrees_lat
-from .navigation import (
-    BlendWeights,
-    GpsArrays,
-    NavEstimator,
-    interpolate_gps,
-)
-from .pipeline import FusionConfig, FusionOutput, fuse_streams
-from .quat import EulerAngles, Quaternion, hamilton, wrap_pi
-from .recording import FlightRecording, read_recording, write_recording
-from .telemetry import TelemetryFrame, decode_frame, encode_frame, scan_stream
+import importlib
 
 __version__ = "0.1.0"
+
+# The submodule that defines each export.
+_EXPORTS = {
+    "attitude": ("AttitudeEstimator", "FusionGains", "ImuArrays", "accel_to_roll_pitch",
+                 "complementary_angle", "mag_to_heading"),
+    "filters": ("BiquadCoeffs", "FilterState", "design_butterworth2_lp", "design_chebyshev1_2_lp",
+                "design_first_order_hp", "design_first_order_lp", "frequency_response"),
+    "geo": ("EarthModel", "GeoPoint", "bearing", "meters_to_degrees_lat"),
+    "navigation": ("BlendWeights", "GpsArrays", "NavEstimator", "interpolate_gps"),
+    "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
+    "quat": ("EulerAngles", "Quaternion", "hamilton", "wrap_pi"),
+    "recording": ("FlightRecording", "read_recording", "write_recording"),
+    "telemetry": ("TelemetryFrame", "decode_frame", "encode_frame", "scan_stream"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "available_backends"])
 
 
 def available_backends() -> tuple[str, ...]:
@@ -50,41 +44,14 @@ def available_backends() -> tuple[str, ...]:
     return ("python",)
 
 
-__all__ = [
-    "AttitudeEstimator",
-    "BiquadCoeffs",
-    "BlendWeights",
-    "EarthModel",
-    "EulerAngles",
-    "FilterState",
-    "FlightRecording",
-    "FusionConfig",
-    "FusionGains",
-    "FusionOutput",
-    "GeoPoint",
-    "GpsArrays",
-    "ImuArrays",
-    "NavEstimator",
-    "Quaternion",
-    "TelemetryFrame",
-    "accel_to_roll_pitch",
-    "available_backends",
-    "bearing",
-    "complementary_angle",
-    "decode_frame",
-    "design_butterworth2_lp",
-    "design_chebyshev1_2_lp",
-    "design_first_order_hp",
-    "design_first_order_lp",
-    "encode_frame",
-    "frequency_response",
-    "fuse_streams",
-    "hamilton",
-    "interpolate_gps",
-    "mag_to_heading",
-    "meters_to_degrees_lat",
-    "read_recording",
-    "scan_stream",
-    "wrap_pi",
-    "write_recording",
-]
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

@@ -18,23 +18,25 @@ import os
 import sys
 from pathlib import Path
 
+# navfuse makes no BLAS call, so numpy's OpenBLAS thread pool would only add start-up time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import telemetry
 from .attitude import AttitudeEstimator, FusionGains, warn_gaps
 from .errors import RecordingFormatError, TimestampOrderError
 from .filters import FilterState, design_butterworth2_lp, design_chebyshev1_2_lp
-from .flightsim import (
-    TRUTH_HEADER,
-    generate_flight,
-    noise_from_dict,
-    profile_from_dict,
-    square_grid,
-    sweep_weights,
-    truth_rows,
-)
 from .navigation import default_position_cutoff_hz
-from .pipeline import FUSED_HEADER, FusionConfig, csv_blocks, estimate_sample_rate, fuse_blocks, fused_rows
+from .pipeline import (
+    FUSED_HEADER,
+    FusionConfig,
+    build_estimators,
+    csv_blocks,
+    estimate_sample_rate,
+    fuse_blocks,
+    fused_rows,
+)
 from .recording import read_recording, write_recording
 
 EXIT_OK = 0
@@ -266,6 +268,7 @@ def cmd_replay(opts: dict) -> int:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
     rec = _read_input_recording(opts["input"])
+    cfg = fusion_config(opts, "replay")
     t_ms = rec.imu.t_ms
     keep = np.ones(len(t_ms), dtype=bool)
     if opts["from_ms"] is not None:
@@ -278,13 +281,18 @@ def cmd_replay(opts: dict) -> int:
         # each fix carries the time of its row, so the window's rows bound it
         in_window = (rec.gps.t >= imu.t[0]) & (rec.gps.t <= imu.t[-1])
         gps = rec.gps._make(col[in_window] for col in rec.gps)
-        blocks = fuse_blocks(imu, gps, fusion_config(opts, "replay"))
+        blocks = fuse_blocks(imu, gps, cfg)
+    else:
+        # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's
+        build_estimators(cfg, estimate_sample_rate(rec.imu.t))
     with _Output(opts["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
 
 def _sim_inputs(opts: dict):
+    from .flightsim import noise_from_dict, profile_from_dict
+
     profile = profile_from_dict(opts.get("profile") or {})
     if opts["seed"] is not None:
         profile = dataclasses.replace(profile, seed=int(opts["seed"]))
@@ -293,6 +301,8 @@ def _sim_inputs(opts: dict):
 
 
 def cmd_simulate(opts: dict) -> int:
+    from .flightsim import TRUTH_HEADER, generate_flight, truth_rows
+
     out_path = opts["output"] or "flight.csv"
     if out_path == "-" and opts["truth_out"] in (None, "", "-"):
         print("navfuse: simulate --output - needs a --truth-out file for the truth CSV", file=sys.stderr)
@@ -317,6 +327,8 @@ def cmd_simulate(opts: dict) -> int:
 
 
 def cmd_sweep(opts: dict) -> int:
+    from .flightsim import square_grid, sweep_weights
+
     try:
         values = [float(v) for v in str(opts["grid"]).split(",") if v.strip() != ""]
     except ValueError:
@@ -326,10 +338,7 @@ def cmd_sweep(opts: dict) -> int:
         print("navfuse: grid values must lie in [0, 1]", file=sys.stderr)
         return EXIT_INPUT
     profile, noise = _sim_inputs(opts)
-    cells = sweep_weights(
-        profile, noise, square_grid(values),
-        gains=FusionGains(float(opts["gamma_rp"]), float(opts["gamma_yaw"])),
-    )
+    cells = sweep_weights(profile, noise, square_grid(values), fusion_config(opts, "replay"))
     with _Output(opts["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
         for c in cells:
@@ -344,6 +353,8 @@ def cmd_filter_compare(opts: dict) -> int:
             print("navfuse: recording has no rows", file=sys.stderr)
             return EXIT_EMPTY
     else:
+        from .flightsim import generate_flight
+
         profile, noise = _sim_inputs(opts)
         _, imu, _ = generate_flight(profile, noise)
     t, acc, gyr, mag, has_mag = imu

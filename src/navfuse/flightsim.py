@@ -33,14 +33,14 @@ reference always covers the flight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, AttitudeEstimator, FusionGains, ImuArrays, _map, warn_gaps
+from .attitude import GRAVITY_MPS2, ImuArrays, _map, warn_gaps
 from .geo import EarthModel
-from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
-from .pipeline import csv_blocks
+from .navigation import GpsArrays, prepare_gps_reference
+from .pipeline import FusionConfig, build_estimators, csv_blocks
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -419,35 +419,36 @@ def sweep_weights(
     profile: FlightProfile,
     noise: SensorNoiseModel,
     grid: list[tuple[float, float]],
-    gains: FusionGains = FusionGains(),
+    cfg: FusionConfig = FusionConfig(),
 ) -> list[SweepCell]:
     """Run the full pipeline once per (alpha, beta) cell on identical streams.
 
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
-    study's shape.
+    study's shape. The fusion options are ``cfg``'s, less alpha and beta,
+    which each cell sets, and the GPS mode, always replay. The sample rate
+    and the earth model are the profile's: the truth, the estimators and the
+    error all use ``profile.earth``, and ``cfg.earth_radius_m`` is not read.
     """
     if not grid:
         raise ValueError("sweep grid must not be empty")
     for a, b in grid:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
+    cfg = replace(cfg, gps_mode="replay", earth_radius_m=profile.earth.radius_m)
+    # built before the flight, so that a bad option costs no simulation
+    estimators = [build_estimators(replace(cfg, alpha=a, beta=b), profile.imu_rate_hz) for a, b in grid]
     truth, imu, gps = generate_flight(profile, noise)
-    att = AttitudeEstimator(gains=gains, sample_rate_hz=profile.imu_rate_hz).run(*imu)
+    att = estimators[0][0].run(*imu)
     warn_gaps(att.gaps)
 
-    def estimator(a: float, b: float) -> NavEstimator:
-        return NavEstimator(
-            weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz, earth=profile.earth, mode="replay",
-        )
-
     # the filtered world-frame accel and the GPS reference do not depend on the weights
-    a_world = estimator(*grid[0]).world_accel(imu.accel, att.q)
-    ref = prepare_gps_reference(imu.t, gps, mode="replay")
+    a_world = estimators[0][1].world_accel(imu.accel, att.q)
+    ref = prepare_gps_reference(imu.t, gps, "replay", cfg.stale_after_s)
     cells = []
-    for a, b in grid:
-        nav = estimator(a, b).blend(imu.t, a_world, ref)
-        err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
+    for (a, b), (_, nav) in zip(grid, estimators):
+        track = nav.blend(imu.t, a_world, ref)
+        err = rms_error(imu.t, track.lat, track.lon, truth, profile.earth)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
     return cells
 

@@ -66,6 +66,28 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
+def build_estimators(cfg: FusionConfig, sample_rate_hz: float) -> tuple[AttitudeEstimator, NavEstimator]:
+    """The attitude and position estimators ``cfg`` sets up for a stream
+    sampled at ``sample_rate_hz``; raises ``ValueError`` for a bad option."""
+    att = AttitudeEstimator(
+        gains=FusionGains(cfg.gamma_rp, cfg.gamma_yaw),
+        sample_rate_hz=sample_rate_hz,
+        accel_lp_hz=cfg.accel_lp_hz,
+        gyro_hp_hz=cfg.gyro_hp_hz,
+        declination_rad=math.radians(cfg.declination_deg),
+    )
+    nav = NavEstimator(
+        weights=BlendWeights(cfg.alpha, cfg.beta),
+        sample_rate_hz=sample_rate_hz,
+        cutoff_hz=cfg.cutoff_hz,
+        earth=EarthModel(cfg.earth_radius_m),
+        lon_scale_correction=cfg.lon_scale_correction,
+        stale_after_s=cfg.stale_after_s,
+        mode=cfg.gps_mode,
+    )
+    return att, nav
+
+
 def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> Iterator[FusionOutput]:
     """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
     ``_BLOCK_ROWS`` rows.
@@ -78,24 +100,7 @@ def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
-    fs = estimate_sample_rate(imu.t)
-
-    att = AttitudeEstimator(
-        gains=FusionGains(cfg.gamma_rp, cfg.gamma_yaw),
-        sample_rate_hz=fs,
-        accel_lp_hz=cfg.accel_lp_hz,
-        gyro_hp_hz=cfg.gyro_hp_hz,
-        declination_rad=math.radians(cfg.declination_deg),
-    )
-    nav = NavEstimator(
-        weights=BlendWeights(cfg.alpha, cfg.beta),
-        sample_rate_hz=fs,
-        cutoff_hz=cfg.cutoff_hz,
-        earth=EarthModel(cfg.earth_radius_m),
-        lon_scale_correction=cfg.lon_scale_correction,
-        stale_after_s=cfg.stale_after_s,
-        mode=cfg.gps_mode,
-    )
+    att, nav = build_estimators(cfg, estimate_sample_rate(imu.t))
     ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
     t_ms = imu.t_ms
 

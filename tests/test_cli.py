@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -369,6 +370,16 @@ class TestRecordReplay:
         assert code == 0
         assert out.splitlines() == [out.splitlines()[0]]
 
+    @pytest.mark.parametrize("options", [["--alpha", "5", "--cutoff-hz", "0"], ["--cutoff-hz", "0"]])
+    @pytest.mark.parametrize("window", [("0", "0"), ("1000", "3000")])
+    def test_window_with_or_without_rows_checks_the_options(self, window, options, recorded, capsys):
+        rec_path, _, _ = recorded
+        argv = ["--mode", "replay", "--input", str(rec_path), "--from-ms", window[0], "--to-ms", window[1]]
+        code, out, err = run_cli(argv + options, capsys)
+        assert (code, out) == (2, "")
+        want = "alpha must be in [0, 1], got 5.0" if "--alpha" in options else "cutoff 0.0 Hz must lie strictly inside"
+        assert err.startswith("navfuse: invalid input: " + want)
+
     @pytest.mark.parametrize("mode", ["replay", "filter-compare"])
     def test_dash_input_reads_stdin_as_the_file(self, mode, recorded, capsys, tmp_path, monkeypatch):
         rec_path, _, _ = recorded
@@ -402,7 +413,7 @@ class TestRecordReplay:
         assert "alpha must be in [0, 1]" in err
         assert not (tmp_path / "new.csv").exists()
 
-    @pytest.mark.parametrize("mode", ["live", "record", "replay", "filter-compare"])
+    @pytest.mark.parametrize("mode", ["live", "record", "replay", "filter-compare", "sweep"])
     def test_zero_cutoff_exits_before_any_output(self, mode, stream_file, recorded, capsys, tmp_path):
         """A cutoff of 0 Hz is refused as it is, not read as "use the default"."""
         path, _ = stream_file
@@ -575,6 +586,29 @@ class TestSimulate:
 
 
 class TestSweep:
+    @pytest.fixture()
+    def short_profile(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "straight", "duration_s": 5}]}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+
+    def sweep(self, options, capsys):
+        code, out, _ = run_cli(["--mode", "sweep", "--seed", "3", "--grid", "0.1,0.9"] + options, capsys)
+        assert code == 0
+        return out
+
+    def test_default_table_digest(self, short_profile, capsys):
+        """The default table's bytes on a 5 s flight (test_golden pins the seed-42 one)."""
+        digest = hashlib.sha256(self.sweep([], capsys).encode()).hexdigest()
+        assert digest == "644d579952460e10223bc7132b316030784ca2e6b83d6eec84c13a46151d222c"
+
+    @pytest.mark.parametrize("option", [
+        ["--cutoff-hz", "3"], ["--accel-lp-hz", "2"], ["--gyro-hp-hz", "0.5"], ["--declination-deg", "5"],
+        ["--stale-after-s", "0.5"], ["--lon-scale-correction"],
+    ])
+    def test_fusion_options_change_the_table(self, option, short_profile, capsys):
+        assert self.sweep(option, capsys) != self.sweep([], capsys)
+
     def test_header_and_rows(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "straight", "duration_s": 5}]}}))
@@ -661,3 +695,51 @@ def test_every_export_resolves():
     """A name left in ``__all__`` after its object is gone fails here, not
     first in a user's ``from navfuse import *``."""
     assert [name for name in navfuse.__all__ if not hasattr(navfuse, name)] == []
+
+
+class TestStartup:
+    """What importing the package and the CLI loads. Each case runs in a
+    fresh interpreter, since this one has imported numpy already."""
+
+    @staticmethod
+    def fresh_python(code: str, **env: str) -> list[str]:
+        src = os.path.dirname(os.path.dirname(navfuse.__file__))
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        child_env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        child_env.update(env)
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return proc.stdout.split()
+
+    def test_package_import_loads_no_numpy(self):
+        out = self.fresh_python(
+            "import os, sys, navfuse; "
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "','.join(sorted(m for m in sys.modules if m.startswith('navfuse'))))"
+        )
+        assert out == ["False", "None", "navfuse"]
+
+    def test_cli_import_caps_openblas_and_skips_flightsim(self):
+        out = self.fresh_python(
+            "import os, sys, navfuse.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'navfuse.flightsim' in sys.modules, "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+        )
+        assert out == ["1", "False", "1"]  # one thread: numpy started no BLAS pool
+
+    def test_user_openblas_setting_wins(self):
+        out = self.fresh_python("import os, navfuse.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                                OPENBLAS_NUM_THREADS="2")
+        assert out == ["2"]
+
+    def test_star_import_sees_every_export(self):
+        out = self.fresh_python(
+            "import navfuse; ns = {}; exec('from navfuse import *', ns); "
+            "print(len(navfuse.__all__), len(set(navfuse.__all__) - ns.keys()))"
+        )
+        assert out == ["36", "0"]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            navfuse.no_such_name
+        assert not hasattr(navfuse, "flight_sim")

@@ -51,6 +51,7 @@ from navfuse.flightsim import (
 )
 from navfuse.geo import GeoPoint
 from navfuse.navigation import BlendWeights, NavEstimator, prepare_gps_reference
+from navfuse.pipeline import FusionConfig
 from navfuse.recording import write_recording
 
 
@@ -620,11 +621,21 @@ def test_sweep_weights_matches_per_cell_run():
     profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
     grid = [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)]
     truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
-    q = AttitudeEstimator(sample_rate_hz=profile.imu_rate_hz).run(*imu).q
-    want = []
-    for a, b in grid:
-        nav = NavEstimator(weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz,
-                           earth=profile.earth, mode="replay").run(imu.t, imu.accel, q, fixes)
-        err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
-        want.append(SweepCell(a, b, err.lat_m, err.lon_m))
-    assert sweep_weights(profile, SensorNoiseModel(), grid) == want
+    for cfg in (
+        FusionConfig(),
+        # the earth radius and GPS mode are not read: the sweep runs replay on the profile's earth
+        FusionConfig(accel_lp_hz=2.0, gyro_hp_hz=0.5, declination_deg=5.0, cutoff_hz=3.0, stale_after_s=0.5,
+                     lon_scale_correction=True, earth_radius_m=1.0, gps_mode="live"),
+    ):
+        q = AttitudeEstimator(sample_rate_hz=profile.imu_rate_hz, accel_lp_hz=cfg.accel_lp_hz,
+                              gyro_hp_hz=cfg.gyro_hp_hz, declination_rad=math.radians(cfg.declination_deg),
+                              ).run(*imu).q
+        want = []
+        for a, b in grid:
+            nav = NavEstimator(weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz,
+                               cutoff_hz=cfg.cutoff_hz, earth=profile.earth,
+                               lon_scale_correction=cfg.lon_scale_correction, stale_after_s=cfg.stale_after_s,
+                               mode="replay").run(imu.t, imu.accel, q, fixes)
+            err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
+            want.append(SweepCell(a, b, err.lat_m, err.lon_m))
+        assert sweep_weights(profile, SensorNoiseModel(), grid, cfg) == want
