@@ -2,9 +2,10 @@
 alpha/beta sweep and filter-comparison studies.
 
 Exit codes: 0 success, 2 unreadable/unparseable input or bad arguments,
-3 empty input (no valid frames), 4 output I/O failure. Defaults come from
-built-ins, then the JSON config file named by NAVFUSE_CONFIG, then command
-line flags (flags win).
+3 empty input (no valid frames), 4 output I/O failure. ``resolve_options``
+reads the options into one ``FusionConfig`` and a dict of the run options:
+the built-in defaults, then the JSON config file named by NAVFUSE_CONFIG,
+then the flags. An unknown config key or a value of the wrong kind exits 2.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import telemetry
-from .attitude import AttitudeEstimator, FusionGains, warn_gaps
+from .attitude import warn_gaps
 from .errors import RecordingFormatError, TimestampOrderError
-from .filters import FilterState, design_butterworth2_lp, design_chebyshev1_2_lp
-from .navigation import default_position_cutoff_hz
+from .filters import FilterState, design_chebyshev1_2_lp
 from .pipeline import (
     FUSED_HEADER,
     FusionConfig,
@@ -36,6 +36,8 @@ from .pipeline import (
     estimate_sample_rate,
     fuse_blocks,
     fused_rows,
+    read_option,
+    replace_fields,
 )
 from .recording import read_recording, write_recording
 
@@ -50,12 +52,10 @@ _LON_E7_MAX = 1_800_000_000
 
 MODES = ("live", "record", "replay", "simulate", "sweep", "filter-compare")
 
-# Fusion defaults are FusionConfig's, less the GPS mode, which each mode sets.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(FusionConfig) if f.name != "gps_mode"}
-_DEFAULTS.update(
-    seed=None, from_ms=None, to_ms=None, grid="0.1,0.5,0.9",
-    input=None, output=None, truth_out=None,
-)
+# The options other than FusionConfig's, each with a value of its kind, and
+# the defaults that are not None. "profile" and "noise" have no flag.
+_RUN_KINDS = dict(seed=0, from_ms=0, to_ms=0, grid="", input="", output="", truth_out="", profile={}, noise={})
+_RUN_DEFAULTS = dict(grid="0.1,0.5,0.9", profile={}, noise={})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,46 +88,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def load_config_file() -> dict:
-    path = os.environ.get("NAVFUSE_CONFIG")
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
+def resolve_options(args: argparse.Namespace) -> tuple[FusionConfig, dict]:
+    """The fusion config and the other options of a run: the built-in
+    defaults, then the config file, then the flags. Raises ``ValueError``
+    for a key the file may not hold or a value of the wrong kind; the
+    profile and noise keys are read by the modes that simulate."""
+    values = {}
+    if os.environ.get("NAVFUSE_CONFIG"):
+        with open(os.environ["NAVFUSE_CONFIG"], "r", encoding="utf-8") as f:
+            values = json.load(f)
+    if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    return cfg
-
-
-def resolve_options(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    file_cfg = load_config_file()
-    for key in cfg:
-        if key in file_cfg:
-            cfg[key] = file_cfg[key]
-    cfg["profile"] = file_cfg.get("profile", {})
-    cfg["noise"] = file_cfg.get("noise", {})
-    for key, value in vars(args).items():
-        if key in cfg and value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def fusion_config(opts: dict, gps_mode: str) -> FusionConfig:
-    return FusionConfig(
-        alpha=float(opts["alpha"]),
-        beta=float(opts["beta"]),
-        gamma_rp=float(opts["gamma_rp"]),
-        gamma_yaw=float(opts["gamma_yaw"]),
-        accel_lp_hz=float(opts["accel_lp_hz"]),
-        gyro_hp_hz=float(opts["gyro_hp_hz"]),
-        cutoff_hz=float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else None,
-        declination_deg=float(opts["declination_deg"]),
-        lon_scale_correction=bool(opts["lon_scale_correction"]),
-        earth_radius_m=float(opts["earth_radius_m"]),
-        stale_after_s=float(opts["stale_after_s"]),
-        gps_mode=gps_mode,
-    )
+    if "gps_mode" in values:
+        raise ValueError("unknown option 'gps_mode'")  # each mode sets it
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("mode", "backend")}
+    run = {k: flags.pop(k, values.pop(k, _RUN_DEFAULTS.get(k))) for k in _RUN_KINDS}
+    cfg = replace_fields(FusionConfig(), {**values, **flags})
+    for k, v in run.items():  # None means "unset" only where that is the default
+        if v is not None or k in _RUN_DEFAULTS:
+            run[k] = read_option(k, v, _RUN_KINDS[k])
+    # a top-level seed or earth radius, from the file or a flag, wins over the profile's
+    tops = {"seed": run["seed"], "earth_radius_m": flags.get("earth_radius_m", values.get("earth_radius_m"))}
+    run["profile"] = {**run["profile"], **{k: v for k, v in tops.items() if v is not None}}
+    return cfg, run
 
 
 def _read_input_bytes(path: str | None) -> bytes:
@@ -228,53 +211,47 @@ def _emit_fused(blocks, fh) -> None:
         fh.flush()
 
 
-def cmd_live(opts: dict) -> int:
-    data = _read_input_bytes(opts["input"])
+def cmd_live(cfg: FusionConfig, run: dict) -> int:
+    data = _read_input_bytes(run["input"])
     imu, gps = _decode_stream(data)
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    blocks = fuse_blocks(imu, gps, fusion_config(opts, "live"))
-    with _Output(opts["output"]) as fh:
+    blocks = fuse_blocks(imu, gps, cfg)
+    with _Output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
 
-def cmd_record(opts: dict) -> int:
-    data = _read_input_bytes(opts["input"])
+def cmd_record(cfg: FusionConfig, run: dict) -> int:
+    data = _read_input_bytes(run["input"])
     imu, gps = _decode_stream(data)
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    if opts["output"] in (None, "-"):
+    if run["output"] in (None, "-"):
         print("navfuse: record mode needs --output for the recording file", file=sys.stderr)
         return EXIT_INPUT
-    blocks = fuse_blocks(imu, gps, fusion_config(opts, "live"))
-    fs = estimate_sample_rate(imu.t)
-    metadata = {
-        "sample_rate_hz": "%g" % fs,
-        "alpha": "%g" % float(opts["alpha"]),
-        "beta": "%g" % float(opts["beta"]),
-        "accel_lp_hz": "%g" % float(opts["accel_lp_hz"]),
-        "gyro_hp_hz": "%g" % float(opts["gyro_hp_hz"]),
-    }
-    write_recording(imu, gps, opts["output"], metadata)
+    blocks = fuse_blocks(imu, gps, cfg)
+    metadata = {"sample_rate_hz": "%g" % estimate_sample_rate(imu.t)}
+    metadata.update((k, "%g" % getattr(cfg, k)) for k in ("alpha", "beta", "accel_lp_hz", "gyro_hp_hz"))
+    write_recording(imu, gps, run["output"], metadata)
     _emit_fused(blocks, sys.stdout)
     return EXIT_OK
 
 
-def cmd_replay(opts: dict) -> int:
-    if not opts["input"]:
+def cmd_replay(cfg: FusionConfig, run: dict) -> int:
+    if not run["input"]:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
-    rec = _read_input_recording(opts["input"])
-    cfg = fusion_config(opts, "replay")
+    rec = _read_input_recording(run["input"])
+    cfg = dataclasses.replace(cfg, gps_mode="replay")
     t_ms = rec.imu.t_ms
     keep = np.ones(len(t_ms), dtype=bool)
-    if opts["from_ms"] is not None:
-        keep &= t_ms >= opts["from_ms"]
-    if opts["to_ms"] is not None:
-        keep &= t_ms < opts["to_ms"]
+    if run["from_ms"] is not None:
+        keep &= t_ms >= run["from_ms"]
+    if run["to_ms"] is not None:
+        keep &= t_ms < run["to_ms"]
     imu = rec.imu._make(col[keep] for col in rec.imu)
     blocks = ()  # an empty window writes the header alone
     if len(imu.t):
@@ -285,30 +262,26 @@ def cmd_replay(opts: dict) -> int:
     else:
         # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's
         build_estimators(cfg, estimate_sample_rate(rec.imu.t))
-    with _Output(opts["output"]) as fh:
+    with _Output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
 
-def _sim_inputs(opts: dict):
+def _sim_inputs(run: dict):
     from .flightsim import noise_from_dict, profile_from_dict
 
-    profile = profile_from_dict(opts.get("profile") or {})
-    if opts["seed"] is not None:
-        profile = dataclasses.replace(profile, seed=int(opts["seed"]))
-    noise = noise_from_dict(opts.get("noise") or {})
-    return profile, noise
+    return profile_from_dict(run["profile"]), noise_from_dict(run["noise"])
 
 
-def cmd_simulate(opts: dict) -> int:
+def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
     from .flightsim import TRUTH_HEADER, generate_flight, truth_rows
 
-    out_path = opts["output"] or "flight.csv"
-    if out_path == "-" and opts["truth_out"] in (None, "", "-"):
+    out_path = run["output"] or "flight.csv"
+    if out_path == "-" and run["truth_out"] in (None, "", "-"):
         print("navfuse: simulate --output - needs a --truth-out file for the truth CSV", file=sys.stderr)
         return EXIT_INPUT
-    truth_path = opts["truth_out"] or (str(out_path) + ".truth.csv")
-    profile, noise = _sim_inputs(opts)
+    truth_path = run["truth_out"] or (str(out_path) + ".truth.csv")
+    profile, noise = _sim_inputs(run)
     truth, imu, gps = generate_flight(profile, noise)
     metadata = {
         "seed": str(profile.seed),
@@ -326,51 +299,43 @@ def cmd_simulate(opts: dict) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(opts: dict) -> int:
+def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
     from .flightsim import square_grid, sweep_weights
 
     try:
-        values = [float(v) for v in str(opts["grid"]).split(",") if v.strip() != ""]
+        values = [float(v) for v in str(run["grid"]).split(",") if v.strip() != ""]
     except ValueError:
-        print(f"navfuse: bad --grid {opts['grid']!r}", file=sys.stderr)
+        print(f"navfuse: bad --grid {run['grid']!r}", file=sys.stderr)
         return EXIT_INPUT
     if not values or any(not 0.0 <= v <= 1.0 for v in values):
         print("navfuse: grid values must lie in [0, 1]", file=sys.stderr)
         return EXIT_INPUT
-    profile, noise = _sim_inputs(opts)
-    cells = sweep_weights(profile, noise, square_grid(values), fusion_config(opts, "replay"))
-    with _Output(opts["output"]) as fh:
+    profile, noise = _sim_inputs(run)
+    cells = sweep_weights(profile, noise, square_grid(values), cfg)
+    with _Output(run["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
         for c in cells:
             fh.write("%g,%g,%.9f,%.9f\n" % (c.alpha, c.beta, c.lat_err_m, c.lon_err_m))
     return EXIT_OK
 
 
-def cmd_filter_compare(opts: dict) -> int:
-    if opts["input"]:
-        imu = _read_input_recording(opts["input"]).imu
+def cmd_filter_compare(cfg: FusionConfig, run: dict) -> int:
+    if run["input"]:
+        imu = _read_input_recording(run["input"]).imu
         if len(imu.t) == 0:
             print("navfuse: recording has no rows", file=sys.stderr)
             return EXIT_EMPTY
     else:
         from .flightsim import generate_flight
 
-        profile, noise = _sim_inputs(opts)
-        _, imu, _ = generate_flight(profile, noise)
+        _, imu, _ = generate_flight(*_sim_inputs(run))
     t, acc, gyr, mag, has_mag = imu
     fs = estimate_sample_rate(t)
-    cutoff = float(opts["cutoff_hz"]) if opts["cutoff_hz"] is not None else default_position_cutoff_hz(fs)
-    bw = design_butterworth2_lp(cutoff, fs)
-    ch = design_chebyshev1_2_lp(cutoff, fs)
-
-    gains = FusionGains(float(opts["gamma_rp"]), float(opts["gamma_yaw"]))
-    common = dict(
-        sample_rate_hz=fs,
-        accel_lp_hz=float(opts["accel_lp_hz"]),
-        gyro_hp_hz=float(opts["gyro_hp_hz"]),
-    )
-    fused = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr, mag, has_mag)
-    gyro_only = AttitudeEstimator(gains=gains, **common).run(t, acc, gyr)
+    att, nav = build_estimators(cfg, fs)
+    bw = nav.accel_lp[0].coeffs  # the position pre-filter's Butterworth
+    ch = design_chebyshev1_2_lp(bw.cutoff_hz, fs)
+    fused = att.run(t, acc, gyr, mag, has_mag)
+    gyro_only = build_estimators(cfg, fs)[0].run(t, acc, gyr)
     warn_gaps(fused.gaps)
 
     deg = 180.0 / math.pi
@@ -380,7 +345,7 @@ def cmd_filter_compare(opts: dict) -> int:
         acc[:, 1], FilterState(bw).run(acc[:, 1]), FilterState(ch).run(acc[:, 1]),
         gyro_only.euler[:, 2] * deg, fused.euler[:, 2] * deg,
     ])
-    with _Output(opts["output"]) as fh:
+    with _Output(run["output"]) as fh:
         fh.write("t_ms,ax_raw,ax_butterworth,ax_chebyshev,ay_raw,ay_butterworth,ay_chebyshev,"
                  "yaw_gyro_deg,yaw_fused_deg\n")
         for block in csv_blocks("%d" + ",%.9f" * 8, cols):
@@ -401,15 +366,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        opts = resolve_options(args)
+        cfg, run = resolve_options(args)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"navfuse: bad config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return _COMMANDS[args.mode](opts)
+        return _COMMANDS[args.mode](cfg, run)
     except (FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError) as exc:
         missing = getattr(exc, "filename", None)
-        outputs = {str(opts[k]) for k in ("output", "truth_out") if opts.get(k)}
+        outputs = {str(run[k]) for k in ("output", "truth_out") if run[k]}
         if missing and str(missing) in outputs:
             print(f"navfuse: cannot write output: {exc}", file=sys.stderr)
             return EXIT_OUTPUT

@@ -40,7 +40,7 @@ import numpy as np
 from .attitude import GRAVITY_MPS2, ImuArrays, _map, warn_gaps
 from .geo import EarthModel
 from .navigation import GpsArrays, prepare_gps_reference
-from .pipeline import FusionConfig, build_estimators, csv_blocks
+from .pipeline import FusionConfig, build_estimators, csv_blocks, read_option, replace_fields
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -468,40 +468,19 @@ def sample_and_hold_track(t: np.ndarray, gps: GpsArrays):
 
 
 def profile_from_dict(d: dict) -> FlightProfile:
-    """Build a profile from the config-file schema (see README)."""
-    segments = tuple(
-        FlightSegment(
-            kind=s["kind"],
-            duration_s=float(s["duration_s"]),
-            yaw_rate_dps=float(s.get("yaw_rate_dps", 0.0)),
-            climb_rate_mps=float(s.get("climb_rate_mps", 0.0)),
-            speed_mps=float(s["speed_mps"]) if "speed_mps" in s else None,
-        )
-        for s in d.get("segments", [])
-    )
+    """The standard profile with the keys of the config-file schema (see
+    README) replaced; raises ``ValueError`` for an unknown key or a value of
+    the wrong kind."""
+    d = dict(d)
+    segments = d.pop("segments", [])
+    required = {"kind", "duration_s"}
+    if not (isinstance(segments, list) and all(isinstance(s, dict) and required <= s.keys() for s in segments)):
+        raise ValueError("profile segments must be a list of objects, each with a kind and a duration_s")
     base = standard_profile()
-    return FlightProfile(
-        segments=segments or base.segments,
-        imu_rate_hz=float(d.get("imu_rate_hz", base.imu_rate_hz)),
-        gps_rate_hz=float(d.get("gps_rate_hz", base.gps_rate_hz)),
-        seed=int(d.get("seed", base.seed)),
-        start_lat=float(d.get("start_lat", base.start_lat)),
-        start_lon=float(d.get("start_lon", base.start_lon)),
-        start_alt_m=float(d.get("start_alt_m", base.start_alt_m)),
-        start_heading_deg=float(d.get("start_heading_deg", base.start_heading_deg)),
-        speed_mps=float(d.get("speed_mps", base.speed_mps)),
-        earth=EarthModel(float(d["earth_radius_m"])) if "earth_radius_m" in d else EarthModel(),
-    )
+    earth = EarthModel(read_option("earth_radius_m", d.pop("earth_radius_m", base.earth.radius_m), 0.0))
+    segments = tuple(replace_fields(FlightSegment("straight", 1.0), s) for s in segments) or base.segments
+    return replace(replace_fields(base, d), segments=segments, earth=earth)
 
 
 def noise_from_dict(d: dict) -> SensorNoiseModel:
-    base = SensorNoiseModel()
-    return SensorNoiseModel(
-        **{
-            name: float(d.get(name, getattr(base, name)))
-            for name in (
-                "accel_noise_sigma", "accel_bias", "gyro_noise_sigma", "gyro_bias",
-                "mag_noise_sigma", "gps_pos_sigma_m", "gps_dropout_prob",
-            )
-        }
-    )
+    return replace_fields(SensorNoiseModel(), d)

@@ -19,7 +19,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -58,6 +58,37 @@ class FusionOutput(NamedTuple):
     lat: np.ndarray
     lon: np.ndarray
     att_flags: np.ndarray   # (n,) uint8 attitude FLAG_* bits
+
+
+def read_option(name: str, value, like):
+    """``value`` read as the kind of ``like``: a bool must be a bool, any
+    other kind (``int``, ``float``, ``str``, ``dict``) reads the value
+    through itself, and a ``None`` takes ``None`` or a float; no other kind
+    takes ``None``. Raises ``ValueError`` naming ``name`` for a value of
+    another kind."""
+    kind = float if like is None else type(like)
+    if value is None and like is None:
+        return None
+    try:
+        if value is None or isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"option {name!r}: expected {kind.__name__}, got {value!r}") from None
+
+
+def replace_fields(record, values: dict):
+    """The frozen dataclass ``record`` with the scalar fields named in
+    ``values`` replaced, each value read by ``read_option`` as the kind of
+    the field's value in ``record``. Raises ``ValueError`` for a name that
+    is not such a field, a value of the wrong kind, or whatever ``record``'s
+    own checks raise."""
+    scalar = (bool, int, float, str, type(None))
+    names = {f.name for f in fields(record) if isinstance(getattr(record, f.name), scalar)}
+    unknown = sorted(values.keys() - names)
+    if unknown:
+        raise ValueError("unknown option " + ", ".join(map(repr, unknown)))
+    return replace(record, **{k: read_option(k, v, getattr(record, k)) for k, v in values.items()})
 
 
 def estimate_sample_rate(t: np.ndarray) -> float:

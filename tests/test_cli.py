@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import navfuse
-from navfuse import telemetry
+from navfuse import cli, flightsim, telemetry
 from navfuse.cli import main
 from navfuse.flightsim import (
     FlightProfile,
@@ -25,7 +27,7 @@ from navfuse.flightsim import (
     generate_flight,
 )
 from navfuse.geo import GeoPoint
-from navfuse.pipeline import FUSED_HEADER
+from navfuse.pipeline import FUSED_HEADER, FusionConfig
 from navfuse.recording import read_recording
 from navfuse.telemetry import (
     FrameKind,
@@ -609,6 +611,28 @@ class TestSweep:
     def test_fusion_options_change_the_table(self, option, short_profile, capsys):
         assert self.sweep(option, capsys) != self.sweep([], capsys)
 
+    def test_earth_flag_sets_the_flight_earth(self, short_profile, capsys, tmp_path, monkeypatch):
+        default = self.sweep([], capsys)
+        flagged = self.sweep(["--earth-radius-m", "6378137"], capsys)
+        cfg = tmp_path / "earth.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "straight", "duration_s": 5}],
+                                               "earth_radius_m": 6378137}}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        assert self.sweep([], capsys) == flagged != default
+        assert self.sweep(["--earth-radius-m", "6371000"], capsys) == default  # the flag wins
+
+    @pytest.mark.parametrize("mode", ["simulate", "sweep"])
+    def test_bad_earth_radius_exits_before_simulating(self, mode, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a flight was simulated")
+
+        monkeypatch.setattr(flightsim, "generate_flight", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["--mode", mode, "--earth-radius-m", "-5"], capsys)
+        assert (code, out) == (2, "")
+        assert "earth radius must be positive" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_and_rows(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "straight", "duration_s": 5}]}}))
@@ -683,6 +707,77 @@ class TestFilterCompare:
             capsys,
         )
         assert code == 0
+
+    def test_declination_turns_the_fused_yaw(self, capsys, tmp_path):
+        rec = tmp_path / "sim.csv"
+        assert run_cli(["--mode", "simulate", "--seed", "1", "--output", str(rec)], capsys)[0] == 0
+
+        def first_fused_yaw(*flags):
+            code, out, _ = run_cli(["--mode", "filter-compare", "--input", str(rec), *flags], capsys)
+            assert code == 0
+            return float(out.splitlines()[1].split(",")[-1])
+
+        turn = first_fused_yaw("--declination-deg", "10") - first_fused_yaw()
+        assert (turn + 180.0) % 360.0 - 180.0 == pytest.approx(10.0, abs=1e-6)
+
+
+class TestConfigFile:
+    """What the NAVFUSE_CONFIG file may hold, and that the README and the
+    parser list the same options as the records they set."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @staticmethod
+    def sweep_with(cfg, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(path))
+        return run_cli(["--mode", "sweep", "--grid", "0.5"], capsys)
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"alpha": None}, "'alpha'"),
+        ({"profile": {"seed": None}}, "'seed'"),
+        ({"profile": {"segments": [{"kind": "turn"}]}}, "duration_s"),
+        ({"lon_scale_correction": "no"}, "'lon_scale_correction'"),
+    ])
+    def test_wrong_kind_exits_2_naming_the_key(self, cfg, key, capsys, tmp_path, monkeypatch):
+        code, out, err = self.sweep_with(cfg, capsys, tmp_path, monkeypatch)
+        assert (code, out) == (2, "")
+        assert key in err
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"aplha": 0.9}, "'aplha'"),
+        ({"gps_mode": "replay"}, "'gps_mode'"),
+        ({"profile": {"imu_rate": 200, "segmnets": []}}, "'segmnets'"),
+        ({"noise": {"gps_sigma_m": 1.0}}, "'gps_sigma_m'"),
+        ({"profile": {"segments": [{"kind": "straight", "duration_s": 5, "yaw_rate": 1.0}]}}, "'yaw_rate'"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, cfg, key, capsys, tmp_path, monkeypatch):
+        code, out, err = self.sweep_with(cfg, capsys, tmp_path, monkeypatch)
+        assert (code, out) == (2, "")
+        assert key in err
+
+    def test_readme_example_loads_and_names_every_key(self, capsys, tmp_path, monkeypatch):
+        block = self.README.read_text().split("### Config file")[1].split("```json\n")[1].split("```")[0]
+        code, out, _ = self.sweep_with(block, capsys, tmp_path, monkeypatch)
+        assert code == 0
+        assert len(out.splitlines()) == 2  # the header and one cell
+
+        def names(record):
+            return {f.name for f in dataclasses.fields(record)}
+
+        example = json.loads(block)
+        assert example.keys() == names(FusionConfig) - {"gps_mode"} | cli._RUN_KINDS.keys()
+        assert example["profile"].keys() == names(FlightProfile) - {"earth"} | {"earth_radius_m"}
+        assert example["noise"].keys() == names(SensorNoiseModel)
+        assert set().union(*example["profile"]["segments"]) == names(FlightSegment)
+
+    def test_flags_are_the_options(self):
+        dests = set(vars(cli.build_parser().parse_args(["--mode", "live"])))
+        fusion = {f.name for f in dataclasses.fields(FusionConfig)} - {"gps_mode"}
+        assert dests == fusion | (cli._RUN_KINDS.keys() - {"profile", "noise"}) | {"mode", "backend"}
+        flag_list = self.README.read_text().split("\nFlags:")[1].split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", flag_list)) == {"--" + d.replace("_", "-") for d in dests}
 
 
 def test_mode_required():
