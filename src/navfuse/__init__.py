@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 
 # The submodule that defines each export.
 _EXPORTS = {
-    "attitude": ("AttitudeEstimator", "FusionGains", "ImuArrays", "accel_to_roll_pitch",
+    "attitude": ("AttitudeEstimator", "ImuArrays", "accel_to_roll_pitch",
                  "complementary_angle", "mag_to_heading"),
     "filters": ("BiquadCoeffs", "FilterState", "design_butterworth2_lp", "design_chebyshev1_2_lp",
                 "design_first_order_hp", "design_first_order_lp", "frequency_response"),
-    "geo": ("EarthModel", "GeoPoint", "bearing", "meters_to_degrees_lat"),
-    "navigation": ("BlendWeights", "GpsArrays", "NavEstimator", "interpolate_gps"),
+    "geo": ("GeoPoint", "bearing", "meters_to_degrees_lat"),
+    "navigation": ("GpsArrays", "NavEstimator", "interpolate_gps"),
     "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
     "quat": ("EulerAngles", "Quaternion", "hamilton", "wrap_pi"),
     "recording": ("FlightRecording", "read_recording", "write_recording"),

@@ -29,6 +29,12 @@ per-sample loop: numpy does only + - * / and sqrt, which IEEE 754 rounds
 exactly, and every transcendental (atan2, cos, sin) is ``math.*`` mapped
 over the column, since numpy's vectorised versions may differ in the last
 bit.
+
+``AttitudeEstimator(cfg, sample_rate_hz)`` reads its options from a
+``pipeline.FusionConfig``: the gains ``gamma_rp`` and ``gamma_yaw`` (1.0 =
+all gyro, 0.0 = all reference), the pre-filter cutoffs ``accel_lp_hz`` and
+``gyro_hp_hz`` and the magnetic ``declination_deg``. It refuses a gain
+outside [0, 1], a non-finite declination or a cutoff outside (0, Nyquist).
 """
 
 from __future__ import annotations
@@ -36,13 +42,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
 from .filters import FilterState, design_first_order_hp, design_first_order_lp
-from .quat import Vec3, wrap_pi
+from .quat import wrap_pi
+
+if TYPE_CHECKING:
+    from .pipeline import FusionConfig
 
 log = logging.getLogger(__name__)
 
@@ -79,18 +88,12 @@ class ImuArrays(NamedTuple):
         return np.rint(self.t * 1000.0).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class FusionGains:
-    """Complementary gains: 1.0 = all gyro, 0.0 = all reference."""
-
-    gamma_rp: float = 0.98
-    gamma_yaw: float = 0.98
-
-    def __post_init__(self):
-        for name in ("gamma_rp", "gamma_yaw"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+def _check_weights(cfg: FusionConfig, *names: str) -> None:
+    """Raise unless each of the options ``names`` of ``cfg`` lies in [0, 1]."""
+    for name in names:
+        v = getattr(cfg, name)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
 def _map(fn, *cols) -> np.ndarray:
@@ -340,20 +343,13 @@ class AttitudeEstimator:
     transient.
     """
 
-    def __init__(
-        self,
-        gains: FusionGains = FusionGains(),
-        sample_rate_hz: float = 60.0,
-        accel_lp_hz: float = 5.0,
-        gyro_hp_hz: float = 0.1,
-        declination_rad: float = 0.0,
-        hard_iron: Vec3 = (0.0, 0.0, 0.0),
-    ):
-        self.gains = gains
-        self.declination_rad = declination_rad
-        self.hard_iron = tuple(hard_iron)
-        lp = design_first_order_lp(accel_lp_hz, sample_rate_hz)
-        hp = design_first_order_hp(gyro_hp_hz, sample_rate_hz)
+    def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
+        _check_weights(cfg, "gamma_rp", "gamma_yaw")
+        if not math.isfinite(cfg.declination_deg):
+            raise ValueError(f"declination_deg must be finite, got {cfg.declination_deg}")
+        self.cfg = cfg
+        lp = design_first_order_lp(cfg.accel_lp_hz, sample_rate_hz)
+        hp = design_first_order_hp(cfg.gyro_hp_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(lp) for _ in range(3))  # x, y, z
         self.gyro_hp = tuple(FilterState(hp) for _ in range(2))   # x, y
         self.t_last: float | None = None  # None before the first sample
@@ -385,9 +381,6 @@ class AttitudeEstimator:
         init = self.t_last is not None
         check_imu(t, accel, gyro, self.t_last if init else -math.inf)
 
-        if any(self.hard_iron):
-            mag = mag - np.asarray(self.hard_iron)
-
         filters = (*self.accel_lp, *self.gyro_hp)
         cols = (accel[:, 0], accel[:, 1], accel[:, 2], gyro[:, 0], gyro[:, 1])
         if n and not init:
@@ -407,7 +400,7 @@ class AttitudeEstimator:
         if n:
             self.roll, self.pitch, self.yaw = _attitude_blend(
                 0 if init else 1, dt, gap, tilt_ok, rref, pref, fgx, fgy, gyro[:, 2], mag, has_mag,
-                self.gains.gamma_rp, self.gains.gamma_yaw, self.declination_rad,
+                self.cfg.gamma_rp, self.cfg.gamma_yaw, math.radians(self.cfg.declination_deg),
                 (self.roll, self.pitch, self.yaw), euler, flags,
             )
             self.t_last = float(t[-1])

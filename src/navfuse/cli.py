@@ -25,13 +25,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import telemetry
-from .attitude import warn_gaps
+from .attitude import AttitudeEstimator, warn_gaps
 from .errors import RecordingFormatError, TimestampOrderError
 from .filters import FilterState, design_chebyshev1_2_lp
+from .navigation import NavEstimator
 from .pipeline import (
     FUSED_HEADER,
     FusionConfig,
-    build_estimators,
     csv_blocks,
     estimate_sample_rate,
     fuse_blocks,
@@ -91,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_options(args: argparse.Namespace) -> tuple[FusionConfig, dict]:
     """The fusion config and the other options of a run: the built-in
     defaults, then the config file, then the flags. Raises ``ValueError``
-    for a key the file may not hold or a value of the wrong kind; the
-    profile and noise keys are read by the modes that simulate."""
+    for a key the file may not hold or a value of the wrong kind. The modes
+    that simulate get the profile and noise as records, which only they
+    import ``flightsim`` to read."""
     values = {}
     if os.environ.get("NAVFUSE_CONFIG"):
         with open(os.environ["NAVFUSE_CONFIG"], "r", encoding="utf-8") as f:
@@ -110,6 +111,14 @@ def resolve_options(args: argparse.Namespace) -> tuple[FusionConfig, dict]:
     # a top-level seed or earth radius, from the file or a flag, wins over the profile's
     tops = {"seed": run["seed"], "earth_radius_m": flags.get("earth_radius_m", values.get("earth_radius_m"))}
     run["profile"] = {**run["profile"], **{k: v for k, v in tops.items() if v is not None}}
+    if args.mode in ("simulate", "sweep", "filter-compare"):  # the modes that read them
+        from .flightsim import noise_from_dict, profile_from_dict
+
+        for key, read in (("profile", profile_from_dict), ("noise", noise_from_dict)):
+            try:
+                run[key] = read(run[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return cfg, run
 
 
@@ -261,16 +270,11 @@ def cmd_replay(cfg: FusionConfig, run: dict) -> int:
         blocks = fuse_blocks(imu, gps, cfg)
     else:
         # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's
-        build_estimators(cfg, estimate_sample_rate(rec.imu.t))
+        fs = estimate_sample_rate(rec.imu.t)
+        AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     with _Output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
-
-
-def _sim_inputs(run: dict):
-    from .flightsim import noise_from_dict, profile_from_dict
-
-    return profile_from_dict(run["profile"]), noise_from_dict(run["noise"])
 
 
 def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
@@ -281,8 +285,8 @@ def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
         print("navfuse: simulate --output - needs a --truth-out file for the truth CSV", file=sys.stderr)
         return EXIT_INPUT
     truth_path = run["truth_out"] or (str(out_path) + ".truth.csv")
-    profile, noise = _sim_inputs(run)
-    truth, imu, gps = generate_flight(profile, noise)
+    profile = run["profile"]
+    truth, imu, gps = generate_flight(profile, run["noise"])
     metadata = {
         "seed": str(profile.seed),
         "imu_rate_hz": "%g" % profile.imu_rate_hz,
@@ -310,8 +314,7 @@ def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
     if not values or any(not 0.0 <= v <= 1.0 for v in values):
         print("navfuse: grid values must lie in [0, 1]", file=sys.stderr)
         return EXIT_INPUT
-    profile, noise = _sim_inputs(run)
-    cells = sweep_weights(profile, noise, square_grid(values), cfg)
+    cells = sweep_weights(run["profile"], run["noise"], square_grid(values), cfg)
     with _Output(run["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
         for c in cells:
@@ -328,14 +331,14 @@ def cmd_filter_compare(cfg: FusionConfig, run: dict) -> int:
     else:
         from .flightsim import generate_flight
 
-        _, imu, _ = generate_flight(*_sim_inputs(run))
+        _, imu, _ = generate_flight(run["profile"], run["noise"])
     t, acc, gyr, mag, has_mag = imu
     fs = estimate_sample_rate(t)
-    att, nav = build_estimators(cfg, fs)
+    att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     bw = nav.accel_lp[0].coeffs  # the position pre-filter's Butterworth
     ch = design_chebyshev1_2_lp(bw.cutoff_hz, fs)
     fused = att.run(t, acc, gyr, mag, has_mag)
-    gyro_only = build_estimators(cfg, fs)[0].run(t, acc, gyr)
+    gyro_only = AttitudeEstimator(cfg, fs).run(t, acc, gyr)
     warn_gaps(fused.gaps)
 
     deg = 180.0 / math.pi

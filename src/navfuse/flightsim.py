@@ -33,14 +33,14 @@ reference always covers the flight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, ImuArrays, _map, warn_gaps
-from .geo import EarthModel
-from .navigation import GpsArrays, prepare_gps_reference
-from .pipeline import FusionConfig, build_estimators, csv_blocks, read_option, replace_fields
+from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, _map, warn_gaps
+from .geo import EARTH_RADIUS_M, check_earth_radius
+from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
+from .pipeline import FusionConfig, csv_blocks, replace_fields
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -82,7 +82,7 @@ class FlightProfile:
     start_alt_m: float = 120.0
     start_heading_deg: float = 0.0
     speed_mps: float = 15.0
-    earth: EarthModel = field(default_factory=EarthModel)
+    earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self):
         if not self.segments:
@@ -95,6 +95,7 @@ class FlightProfile:
             raise ValueError(
                 "IMU rate above 1000 Hz: sample times lie on an integer-millisecond grid"
             )
+        check_earth_radius(self.earth_radius_m)
 
     @property
     def duration_s(self) -> float:
@@ -233,7 +234,7 @@ def _generate_truth(profile: FlightProfile):
     # a time selects the first segment it ends before, else the last one
     ends = np.array([t1 for _, t1, _, _, _ in schedule])
     targets = np.array([s[2:] for s in schedule] + [schedule[-1][2:]])   # yaw rate, pitch, speed
-    deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
+    deg_per_m = 180.0 / (math.pi * profile.earth_radius_m)
 
     psi = math.radians(profile.start_heading_deg)
     theta = 0.0
@@ -346,7 +347,7 @@ def generate_flight(
 
     stride = int(round(profile.imu_rate_hz / profile.gps_rate_hz))
     candidates = np.arange(0, n, stride)
-    deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
+    deg_per_m = 180.0 / (math.pi * profile.earth_radius_m)
     m = len(candidates)
     lat_noise = rng.standard_normal(m) * noise.gps_pos_sigma_m * deg_per_m
     lon_noise = rng.standard_normal(m) * noise.gps_pos_sigma_m * deg_per_m
@@ -381,7 +382,7 @@ def rms_error(
     est_lat: np.ndarray,
     est_lon: np.ndarray,
     truth: TruthSeries,
-    earth: EarthModel = EarthModel(),
+    earth_radius_m: float = EARTH_RADIUS_M,
     max_align_dt: float | None = None,
 ) -> RmsError:
     """RMS deviation in meters, estimate matched to truth timestamps by
@@ -399,7 +400,7 @@ def rms_error(
     aligned = np.abs(est_t[nearest] - truth.t) <= max_align_dt + 1e-12
     if not aligned.any():
         raise ValueError("estimate and truth tracks do not overlap in time")
-    m_per_deg = math.pi * earth.radius_m / 180.0
+    m_per_deg = math.pi * earth_radius_m / 180.0
     dlat = (np.asarray(est_lat)[nearest] - truth.lat)[aligned] * m_per_deg
     dlon = (np.asarray(est_lon)[nearest] - truth.lon)[aligned] * m_per_deg
     lat_m = float(np.sqrt(np.mean(dlat**2)))
@@ -427,28 +428,30 @@ def sweep_weights(
     errors are RMS against truth, so the table mirrors the alpha/beta impact
     study's shape. The fusion options are ``cfg``'s, less alpha and beta,
     which each cell sets, and the GPS mode, always replay. The sample rate
-    and the earth model are the profile's: the truth, the estimators and the
-    error all use ``profile.earth``, and ``cfg.earth_radius_m`` is not read.
+    and the earth radius are the profile's: the truth, the estimators and
+    the error all use ``profile.earth_radius_m``, and ``cfg.earth_radius_m``
+    is not read.
     """
     if not grid:
         raise ValueError("sweep grid must not be empty")
     for a, b in grid:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"grid cell ({a}, {b}) outside [0, 1]^2")
-    cfg = replace(cfg, gps_mode="replay", earth_radius_m=profile.earth.radius_m)
+    cfg = replace(cfg, gps_mode="replay", earth_radius_m=profile.earth_radius_m)
     # built before the flight, so that a bad option costs no simulation
-    estimators = [build_estimators(replace(cfg, alpha=a, beta=b), profile.imu_rate_hz) for a, b in grid]
+    att = AttitudeEstimator(cfg, profile.imu_rate_hz)
+    navs = [NavEstimator(replace(cfg, alpha=a, beta=b), profile.imu_rate_hz) for a, b in grid]
     truth, imu, gps = generate_flight(profile, noise)
-    att = estimators[0][0].run(*imu)
-    warn_gaps(att.gaps)
+    track = att.run(*imu)
+    warn_gaps(track.gaps)
 
     # the filtered world-frame accel and the GPS reference do not depend on the weights
-    a_world = estimators[0][1].world_accel(imu.accel, att.q)
+    a_world = navs[0].world_accel(imu.accel, track.q)
     ref = prepare_gps_reference(imu.t, gps, "replay", cfg.stale_after_s)
     cells = []
-    for (a, b), (_, nav) in zip(grid, estimators):
-        track = nav.blend(imu.t, a_world, ref)
-        err = rms_error(imu.t, track.lat, track.lon, truth, profile.earth)
+    for (a, b), nav in zip(grid, navs):
+        fused = nav.blend(imu.t, a_world, ref)
+        err = rms_error(imu.t, fused.lat, fused.lon, truth, profile.earth_radius_m)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
     return cells
 
@@ -462,7 +465,7 @@ def sample_and_hold_track(t: np.ndarray, gps: GpsArrays):
 
     Returns (lat, lon, mask); mask marks samples with a fix available.
     """
-    ref = prepare_gps_reference(t, gps, mode="live", stale_after_s=math.inf)
+    ref = prepare_gps_reference(t, gps, "live", math.inf)
     mask = ref.has_pos.astype(bool)
     return ref.ref_lat, ref.ref_lon, mask
 
@@ -470,16 +473,23 @@ def sample_and_hold_track(t: np.ndarray, gps: GpsArrays):
 def profile_from_dict(d: dict) -> FlightProfile:
     """The standard profile with the keys of the config-file schema (see
     README) replaced; raises ``ValueError`` for an unknown key or a value of
-    the wrong kind."""
+    the wrong kind, naming the segment that holds it."""
     d = dict(d)
     segments = d.pop("segments", [])
-    required = {"kind", "duration_s"}
-    if not (isinstance(segments, list) and all(isinstance(s, dict) and required <= s.keys() for s in segments)):
-        raise ValueError("profile segments must be a list of objects, each with a kind and a duration_s")
-    base = standard_profile()
-    earth = EarthModel(read_option("earth_radius_m", d.pop("earth_radius_m", base.earth.radius_m), 0.0))
-    segments = tuple(replace_fields(FlightSegment("straight", 1.0), s) for s in segments) or base.segments
-    return replace(replace_fields(base, d), segments=segments, earth=earth)
+    if not isinstance(segments, list):
+        raise ValueError(f"option 'segments': expected a list of objects, got {segments!r}")
+    profile = replace_fields(standard_profile(), d)
+    return replace(profile, segments=tuple(_segment_from_dict(i, s) for i, s in enumerate(segments))
+                   or profile.segments)
+
+
+def _segment_from_dict(index: int, d) -> FlightSegment:
+    try:
+        if not (isinstance(d, dict) and {"kind", "duration_s"} <= d.keys()):
+            raise ValueError(f"expected an object with a kind and a duration_s, got {d!r}")
+        return replace_fields(FlightSegment("straight", 1.0), d)
+    except ValueError as exc:
+        raise ValueError(f"segments[{index}]: {exc}") from None
 
 
 def noise_from_dict(d: dict) -> SensorNoiseModel:

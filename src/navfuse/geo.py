@@ -1,4 +1,10 @@
-"""Spherical-earth geodesy: forward bearing and meter/degree scaling."""
+"""Spherical-earth geodesy: forward bearing and meter/degree scaling.
+
+The earth is a sphere of one radius, a plain float in meters:
+``FusionConfig.earth_radius_m`` for the estimators and
+``FlightProfile.earth_radius_m`` for the simulated flight, both
+``EARTH_RADIUS_M`` unless set and both checked by ``check_earth_radius``.
+"""
 
 from __future__ import annotations
 
@@ -24,13 +30,10 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside (-180, 180]")
 
 
-@dataclass(frozen=True)
-class EarthModel:
-    radius_m: float = EARTH_RADIUS_M
-
-    def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("earth radius must be positive")
+def check_earth_radius(radius_m: float) -> None:
+    """Raise unless ``radius_m`` is a positive, finite earth radius."""
+    if not 0.0 < radius_m < math.inf:
+        raise ValueError(f"earth radius must be positive and finite, got earth_radius_m={radius_m}")
 
 
 def bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -48,6 +51,6 @@ def bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return theta % (2.0 * math.pi)
 
 
-def meters_to_degrees_lat(d: float, earth: EarthModel = EarthModel()) -> float:
+def meters_to_degrees_lat(d: float, radius_m: float = EARTH_RADIUS_M) -> float:
     """Linear north-displacement conversion, d * 180 / (pi * r_e)."""
-    return d * 180.0 / (math.pi * earth.radius_m)
+    return d * 180.0 / (math.pi * radius_m)

@@ -34,26 +34,36 @@ per-sample loop.
 GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
 and the simulator through to ``prepare_gps_reference``. ``check_gps`` is the
 one check of their values, made wherever fixes enter from outside.
+
+``NavEstimator(cfg, sample_rate_hz)`` reads its options from a
+``pipeline.FusionConfig``: ``alpha``, ``beta``, the Butterworth
+``cutoff_hz`` (``None``: ``default_position_cutoff_hz``), ``earth_radius_m``,
+``lon_scale_correction``, ``stale_after_s`` and ``gps_mode``. It refuses a
+weight outside [0, 1], an earth radius that is not positive and finite, a
+``stale_after_s`` below 0 or NaN (``inf`` keeps every fix fresh) and a cutoff
+outside (0, Nyquist). It starts at rest at lat/lon 0; the first sample
+snaps to the GPS reference when it has one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .attitude import _map
+from .attitude import _check_weights, _map
 from .errors import InterpolationRangeError, TimestampOrderError
-from .filters import BiquadCoeffs, FilterState, design_butterworth2_lp
-from .geo import EarthModel, GeoPoint, bearing
+from .filters import FilterState, design_butterworth2_lp
+from .geo import GeoPoint, bearing, check_earth_radius
 from .quat import _UNIT_TOL
+
+if TYPE_CHECKING:
+    from .pipeline import FusionConfig
 
 # Same position twice within this tolerance (degrees) is "not distinct".
 DISTINCT_FIX_DEG = 1e-12
-
-DEFAULT_STALE_AFTER_S = 3.0
 
 
 class GpsArrays(NamedTuple):
@@ -98,20 +108,6 @@ def check_gps(gps: GpsArrays) -> None:
         raise ValueError(f"GPS fix {err[0]}: {err[1]}")
 
 
-@dataclass(frozen=True)
-class BlendWeights:
-    """alpha weights integrated velocity, beta integrated displacement."""
-
-    alpha: float = 0.1
-    beta: float = 0.1
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
 def default_position_cutoff_hz(sample_rate_hz: float) -> float:
     """fs/6, capped at 10 Hz (the cutoff of the reference 1 kHz design)."""
     return min(10.0, sample_rate_hz / 6.0)
@@ -144,12 +140,7 @@ class GpsReference(NamedTuple):
     has_vel: np.ndarray     # (n,) uint8
 
 
-def prepare_gps_reference(
-    t: np.ndarray,
-    gps: GpsArrays,
-    mode: str = "live",
-    stale_after_s: float = DEFAULT_STALE_AFTER_S,
-) -> GpsReference:
+def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_s: float) -> GpsReference:
     """Resolve, per sample, which GPS terms the blend may use.
 
     mode "live" holds the latest fresh fix; mode "replay" interpolates the
@@ -210,32 +201,17 @@ class NavTrack:
 class NavEstimator:
     """Batch position fusion over an IMU stream with attitude and GPS inputs."""
 
-    def __init__(
-        self,
-        weights: BlendWeights = BlendWeights(),
-        sample_rate_hz: float = 60.0,
-        cutoff_hz: float | None = None,
-        earth: EarthModel = EarthModel(),
-        lon_scale_correction: bool = False,
-        stale_after_s: float = DEFAULT_STALE_AFTER_S,
-        mode: str = "live",
-        initial_pos: GeoPoint = GeoPoint(0.0, 0.0),
-        initial_vel: tuple[float, float] = (0.0, 0.0),
-        coeffs: BiquadCoeffs | None = None,
-    ):
-        self.weights = weights
-        self.earth = earth
-        self.lon_scale_correction = lon_scale_correction
-        self.stale_after_s = stale_after_s
-        self.mode = mode
-        if coeffs is None:
-            if cutoff_hz is None:
-                cutoff_hz = default_position_cutoff_hz(sample_rate_hz)
-            coeffs = design_butterworth2_lp(cutoff_hz, sample_rate_hz)
+    def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
+        _check_weights(cfg, "alpha", "beta")
+        check_earth_radius(cfg.earth_radius_m)
+        if not cfg.stale_after_s >= 0.0:
+            raise ValueError(f"stale_after_s must be >= 0, got {cfg.stale_after_s}")
+        self.cfg = cfg
+        cutoff_hz = default_position_cutoff_hz(sample_rate_hz) if cfg.cutoff_hz is None else cfg.cutoff_hz
+        coeffs = design_butterworth2_lp(cutoff_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
         self.t_last: float | None = None  # None before the first sample
-        self.vn, self.ve = float(initial_vel[0]), float(initial_vel[1])
-        self.lat, self.lon = float(initial_pos.lat), float(initial_pos.lon)
+        self.vn = self.ve = self.lat = self.lon = 0.0
 
     def world_accel(self, accel: np.ndarray, q: np.ndarray) -> np.ndarray:
         """North/east components, (n, 2), of the Butterworth-filtered accel
@@ -268,9 +244,9 @@ class NavEstimator:
         """Blend world-frame accel from ``world_accel`` with the GPS reference
         of the same rows from ``prepare_gps_reference``; advances the velocity
         and position."""
-        alpha, beta = self.weights.alpha, self.weights.beta
-        deg_per_m = 180.0 / (math.pi * self.earth.radius_m)
-        lon_scale_correction = self.lon_scale_correction
+        alpha, beta = self.cfg.alpha, self.cfg.beta
+        deg_per_m = 180.0 / (math.pi * self.cfg.earth_radius_m)
+        lon_scale_correction = self.cfg.lon_scale_correction
         n = len(t)
         vel = np.empty((n, 2), dtype=np.float64)
         lat_out = np.empty(n, dtype=np.float64)
@@ -342,5 +318,5 @@ class NavEstimator:
         prev = -math.inf if self.t_last is None else self.t_last
         if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
             raise TimestampOrderError("sample timestamps must be strictly increasing")
-        ref = prepare_gps_reference(t, gps, self.mode, self.stale_after_s)
+        ref = prepare_gps_reference(t, gps, self.cfg.gps_mode, self.cfg.stale_after_s)
         return self.blend(t, self.world_accel(accel, q), ref)

@@ -24,9 +24,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .attitude import AttitudeEstimator, FusionGains, ImuArrays, check_imu, warn_gaps
-from .geo import EARTH_RADIUS_M, EarthModel
-from .navigation import BlendWeights, GpsArrays, NavEstimator, prepare_gps_reference
+from .attitude import AttitudeEstimator, ImuArrays, check_imu, warn_gaps
+from .geo import EARTH_RADIUS_M
+from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
@@ -35,6 +35,9 @@ _BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """Every option of the fusion, and its one default. ``AttitudeEstimator``
+    and ``NavEstimator`` read their fields from it and check their values."""
+
     alpha: float = 0.1
     beta: float = 0.1
     gamma_rp: float = 0.98
@@ -61,19 +64,20 @@ class FusionOutput(NamedTuple):
 
 
 def read_option(name: str, value, like):
-    """``value`` read as the kind of ``like``: a bool must be a bool, any
-    other kind (``int``, ``float``, ``str``, ``dict``) reads the value
-    through itself, and a ``None`` takes ``None`` or a float; no other kind
-    takes ``None``. Raises ``ValueError`` naming ``name`` for a value of
-    another kind."""
+    """``value`` read as the kind of ``like``: a float takes an int or a
+    float, a ``None`` takes ``None`` or a float, and any other kind
+    (``bool``, ``int``, ``str``, ``dict``) only a value of its own kind, a
+    bool never being an int. Raises ``ValueError`` naming ``name`` for a
+    value of another kind."""
     kind = float if like is None else type(like)
     if value is None and like is None:
         return None
+    takes = (int, float) if kind is float else kind
     try:
-        if value is None or isinstance(value, bool) != (kind is bool):
+        if not isinstance(value, takes) or isinstance(value, bool) != (kind is bool):
             raise TypeError
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ValueError(f"option {name!r}: expected {kind.__name__}, got {value!r}") from None
 
 
@@ -97,28 +101,6 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
-def build_estimators(cfg: FusionConfig, sample_rate_hz: float) -> tuple[AttitudeEstimator, NavEstimator]:
-    """The attitude and position estimators ``cfg`` sets up for a stream
-    sampled at ``sample_rate_hz``; raises ``ValueError`` for a bad option."""
-    att = AttitudeEstimator(
-        gains=FusionGains(cfg.gamma_rp, cfg.gamma_yaw),
-        sample_rate_hz=sample_rate_hz,
-        accel_lp_hz=cfg.accel_lp_hz,
-        gyro_hp_hz=cfg.gyro_hp_hz,
-        declination_rad=math.radians(cfg.declination_deg),
-    )
-    nav = NavEstimator(
-        weights=BlendWeights(cfg.alpha, cfg.beta),
-        sample_rate_hz=sample_rate_hz,
-        cutoff_hz=cfg.cutoff_hz,
-        earth=EarthModel(cfg.earth_radius_m),
-        lon_scale_correction=cfg.lon_scale_correction,
-        stale_after_s=cfg.stale_after_s,
-        mode=cfg.gps_mode,
-    )
-    return att, nav
-
-
 def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> Iterator[FusionOutput]:
     """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
     ``_BLOCK_ROWS`` rows.
@@ -131,7 +113,8 @@ def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
-    att, nav = build_estimators(cfg, estimate_sample_rate(imu.t))
+    fs = estimate_sample_rate(imu.t)
+    att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
     t_ms = imu.t_ms
 

@@ -38,11 +38,11 @@ from navfuse.flightsim import (
     sweep_weights,
 )
 from navfuse.navigation import (
-    BlendWeights,
     NavEstimator,
     interpolate_gps,
     prepare_gps_reference,
 )
+from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion, hamilton
 from navfuse.recording import read_recording, write_recording
 from navfuse.telemetry import FrameKind, TelemetryFrame, decode_frame, encode_frame, scan_stream
@@ -120,8 +120,8 @@ def test_criterion_3_yaw_drift(std_noisy_arrays):
         from navfuse.quat import wrap_pi
 
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        fused = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
-        gyro_only = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr)
+        fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)
         err_fused = np.abs([wrap_pi(a - b) for a, b in zip(fused.euler[:, 2], truth.euler[:, 2])])
         err_gyro = np.abs([wrap_pi(a - b) for a, b in zip(gyro_only.euler[:, 2], truth.euler[:, 2])])
         assert err_gyro[-1] >= 5.0 * err_fused[-1]
@@ -171,13 +171,13 @@ def test_criterion_4_table_trend_full():
 def test_criterion_5_weight_degeneration(std_noisy_arrays):
     with criterion(5, "weight degeneration is exact at (0,0) and (1,1)"):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        att = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
+        att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
 
         # (0, 0): output equals the interpolated GPS reference track exactly
         nav0 = NavEstimator(
-            weights=BlendWeights(0.0, 0.0), sample_rate_hz=60, mode="replay"
+            FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60
         ).run(t, acc, att.q, gps)
-        ref = prepare_gps_reference(t, gps, "replay")
+        ref = prepare_gps_reference(t, gps, "replay", 3.0)
         covered = ref.has_pos.astype(bool)
         assert covered.all()
         np.testing.assert_array_equal(nav0.lat, ref.ref_lat)
@@ -185,7 +185,7 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
 
         # (1, 1): output equals pure double-integration dead reckoning exactly
         nav1 = NavEstimator(
-            weights=BlendWeights(1.0, 1.0), sample_rate_hz=60, mode="replay"
+            FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60
         ).run(t, acc, att.q, gps)
         coeffs = design_butterworth2_lp(10.0, 60.0)
         filts = [FilterState(coeffs) for _ in range(3)]
@@ -224,18 +224,18 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
             euler=truth.euler[keep], q=truth.q[keep],
         )
         fixes120 = gps._make(c[gps.t <= 120.0] for c in gps)
-        att = AttitudeEstimator(sample_rate_hz=60).run(
+        att = AttitudeEstimator(FusionConfig(), 60).run(
             t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
         )
 
-        def nav_error(w):
-            nav = NavEstimator(weights=w, sample_rate_hz=60, mode="replay").run(
+        def nav_error(alpha, beta):
+            nav = NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60).run(
                 t[keep], acc[keep], att.q, fixes120
             )
             return rms_error(t[keep], nav.lat, nav.lon, truth120).total_m
 
-        fused = nav_error(BlendWeights(0.1, 0.1))
-        dead_reckoning = nav_error(BlendWeights(1.0, 1.0))
+        fused = nav_error(0.1, 0.1)
+        dead_reckoning = nav_error(1.0, 1.0)
         sh_lat, sh_lon, mask = sample_and_hold_track(t[keep], fixes120)
         hold = rms_error(t[keep][mask], sh_lat[mask], sh_lon[mask], truth120).total_m
         assert fused < dead_reckoning

@@ -7,7 +7,6 @@ from conftest import make_level_stream
 from navfuse.attitude import (
     FLAG_GAP,
     AttitudeEstimator,
-    FusionGains,
     accel_to_roll_pitch,
     complementary_angle,
     mag_to_heading,
@@ -18,6 +17,7 @@ from navfuse.errors import (
     UnobservableTiltError,
 )
 from navfuse.filters import FilterState, design_first_order_hp, design_first_order_lp
+from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion, wrap_pi
 
 G = 9.80665
@@ -124,20 +124,20 @@ class TestComplementaryAngle:
 
 class TestAttitudeEstimator:
     def test_static_level_converges_to_identity(self):
-        est = AttitudeEstimator(sample_rate_hz=60)
+        est = AttitudeEstimator(FusionConfig(), 60)
         w, x, y, z = est.run(*make_level_stream(n=301)).q[-1]
         assert abs(w - 1) < 1e-3 and abs(x) < 1e-3 and abs(y) < 1e-3 and abs(z) < 1e-3
 
     def test_gyro_only_yaw_integration(self):
         # constant 0.1 rad/s yaw rate, no magnetometer, 10 s
-        track = AttitudeEstimator(sample_rate_hz=60).run(*make_level_stream(n=601, gyro=(0.0, 0.0, 0.1)))
+        track = AttitudeEstimator(FusionConfig(), 60).run(*make_level_stream(n=601, gyro=(0.0, 0.0, 0.1)))
         assert track.euler[-1, 2] == pytest.approx(1.0, rel=0.02)
 
     def test_yaw_bias_bounded_with_mag(self):
         n = 1801  # 30 s
         bias = 0.01
-        est = AttitudeEstimator(sample_rate_hz=60)
-        gains = est.gains
+        est = AttitudeEstimator(FusionConfig(), 60)
+        gains = est.cfg
         yaw = est.run(*make_level_stream(n=n, gyro=(0.0, 0.0, bias), mag=(0.28, 0.0, -0.12))).euler[:, 2]
         assert np.abs(yaw).max() < 0.05
         # steady-state bound gamma*b*dt/(1-gamma) plus slack for the transient
@@ -146,18 +146,18 @@ class TestAttitudeEstimator:
 
     def test_yaw_bias_grows_without_mag(self):
         bias = 0.01
-        track = AttitudeEstimator(sample_rate_hz=60).run(*make_level_stream(n=1801, gyro=(0.0, 0.0, bias)))
+        track = AttitudeEstimator(FusionConfig(), 60).run(*make_level_stream(n=1801, gyro=(0.0, 0.0, bias)))
         assert track.euler[-1, 2] == pytest.approx(bias * 30.0, rel=0.02)
 
     def test_unit_quaternion_maintained(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        track = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
+        track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
         norms = np.linalg.norm(track.q, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_quaternion_matches_euler(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        track = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
+        track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
         for i in range(0, len(t), 997):
             e = Quaternion(*track.q[i]).to_euler()
             np.testing.assert_allclose(e, track.euler[i], atol=1e-9)
@@ -168,7 +168,7 @@ class TestAttitudeEstimator:
         t = np.arange(n) / 60.0
         acc = rng.normal((0, 0, G), 0.5, (n, 3))
         gyr = rng.normal(0, 0.1, (n, 3))
-        est = AttitudeEstimator(gains=FusionGains(gamma_rp=0.0, gamma_yaw=0.98), sample_rate_hz=60)
+        est = AttitudeEstimator(FusionConfig(gamma_rp=0.0, gamma_yaw=0.98), 60)
         track = est.run(t, acc, gyr)
         # reproduce the accel pre-filter independently
         coeffs = design_first_order_lp(5.0, 60.0)
@@ -185,13 +185,13 @@ class TestAttitudeEstimator:
 
     def test_determinism(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        a = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
-        b = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
+        a = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        b = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
         np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.euler, b.euler)
 
     def test_non_monotonic_timestamp_rejected(self):
-        est = AttitudeEstimator()
+        est = AttitudeEstimator(FusionConfig(), 60)
         one_row(est, 1.0)
         with pytest.raises(TimestampOrderError):
             one_row(est, 1.0)
@@ -199,7 +199,7 @@ class TestAttitudeEstimator:
             one_row(est, 0.5)
 
     def test_gap_skips_gyro_term(self):
-        est = AttitudeEstimator(sample_rate_hz=60)
+        est = AttitudeEstimator(FusionConfig(), 60)
         one_row(est, 0.0)
         # 2 s gap with a furious yaw rate: the rate must be ignored and,
         # with no magnetometer, yaw held
@@ -210,7 +210,7 @@ class TestAttitudeEstimator:
         assert track.euler[0, 2] == 0.0
 
     def test_gap_uses_reference_when_available(self):
-        est = AttitudeEstimator(sample_rate_hz=60)
+        est = AttitudeEstimator(FusionConfig(), 60)
         level = (0.0, 0.0, G)
         tilted = (0.0, G * math.sin(0.3), G * math.cos(0.3))
         one_row(est, 0.0, accel=level, mag=(0.3, 0, -0.1))
@@ -228,7 +228,7 @@ class TestAttitudeEstimator:
 
     def test_unobservable_tilt_falls_back_to_gyro(self):
         # near-freefall stream: accel reference unusable, gyro keeps integrating
-        est = AttitudeEstimator(sample_rate_hz=60)
+        est = AttitudeEstimator(FusionConfig(), 60)
         one_row(est, 0.0, accel=(0, 0, 0.01))
         roll = one_row(est, 1 / 60, accel=(0, 0, 0.01), gyro=(0.6, 0, 0)).euler[0, 0]
         hp = FilterState(design_first_order_hp(0.1, 60.0))
@@ -238,13 +238,6 @@ class TestAttitudeEstimator:
         assert roll == pytest.approx(expected, abs=1e-15)
         assert roll > 0.5 / 60.0
 
-    def test_hard_iron_compensation(self):
-        offset = (0.05, -0.02, 0.03)
-        field = (0.28, 0.0, -0.12)
-        reading = tuple(f + o for f, o in zip(field, offset))
-        est = AttitudeEstimator(sample_rate_hz=60, hard_iron=offset)
-        assert one_row(est, 0.0, mag=reading).euler[0, 2] == pytest.approx(0.0, abs=1e-9)
-
     def test_declination_offset(self):
-        est = AttitudeEstimator(sample_rate_hz=60, declination_rad=0.1)
+        est = AttitudeEstimator(FusionConfig(declination_deg=math.degrees(0.1)), 60)
         assert one_row(est, 0.0, mag=(0.3, 0, 0)).euler[0, 2] == pytest.approx(0.1, abs=1e-12)

@@ -310,6 +310,16 @@ class TestFuzzLive:
         assert code in (0, 2, 3)
 
 
+# Option values that would make NaN rows or drop every GPS correction, and
+# the error each exits 2 with.
+VOIDING_OPTIONS = [
+    (["--earth-radius-m", "nan"], "earth radius must be positive and finite, got earth_radius_m=nan"),
+    (["--declination-deg", "nan"], "declination_deg must be finite, got nan"),
+    (["--stale-after-s", "nan"], "stale_after_s must be >= 0, got nan"),
+    (["--stale-after-s", "-1"], "stale_after_s must be >= 0, got -1.0"),
+]
+
+
 class TestRecordReplay:
     @pytest.fixture()
     def recorded(self, stream_file, capsys, tmp_path):
@@ -429,6 +439,26 @@ class TestRecordReplay:
         assert out == ""
         assert "cutoff 0.0 Hz must lie strictly inside" in err
         assert not (tmp_path / "new.csv").exists()
+
+    # simulate reads only the earth radius
+    @pytest.mark.parametrize("mode, option, error", [
+        (mode, *case) for case in VOIDING_OPTIONS for mode in ("live", "record", "replay", "filter-compare", "sweep")
+    ] + [("simulate", *VOIDING_OPTIONS[0])])
+    def test_option_voiding_the_output_exits_before_any_output(self, mode, option, error, stream_file, recorded,
+                                                               capsys, tmp_path, monkeypatch):
+        """NaN rows or no GPS correction at all: refused in every mode that
+        reads the option."""
+        path, _ = stream_file
+        rec_path, _, _ = recorded
+        monkeypatch.chdir(tmp_path)
+        argv = ["--mode", mode, "--input", str(path if mode in ("live", "record") else rec_path)] + option
+        if mode in ("record", "simulate"):
+            argv += ["--output", str(tmp_path / "new.csv")]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(error)
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_record_needs_output(self, stream_file, capsys):
         path, _ = stream_file
@@ -739,6 +769,12 @@ class TestConfigFile:
         ({"profile": {"seed": None}}, "'seed'"),
         ({"profile": {"segments": [{"kind": "turn"}]}}, "duration_s"),
         ({"lon_scale_correction": "no"}, "'lon_scale_correction'"),
+        ({"seed": 3.7}, "'seed'"),
+        ({"from_ms": 3.7}, "'from_ms'"),
+        ({"to_ms": 3.7}, "'to_ms'"),
+        ({"profile": {"seed": 3.7}}, "'seed'"),
+        ({"profile": [["seed", 3]]}, "'profile'"),
+        ({"noise": [["gps_dropout_prob", 0.0]]}, "'noise'"),
     ])
     def test_wrong_kind_exits_2_naming_the_key(self, cfg, key, capsys, tmp_path, monkeypatch):
         code, out, err = self.sweep_with(cfg, capsys, tmp_path, monkeypatch)
@@ -757,6 +793,25 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert key in err
 
+    @pytest.mark.parametrize("mode", ["simulate", "sweep", "filter-compare"])
+    @pytest.mark.parametrize("cfg, error", [
+        ({"profile": {"imu_rate": 200}}, "profile: unknown option 'imu_rate'"),
+        ({"noise": {"gps_sigma_m": 1.0}}, "noise: unknown option 'gps_sigma_m'"),
+        ({"profile": {"segments": [{"kind": "turn", "duration_s": 5}, {"kind": "loop", "duration_s": 5}]}},
+         "profile: segments[1]: unknown segment kind 'loop'"),
+        ({"profile": {"segments": [{"kind": "turn", "duration_s": 5, "yaw_rate": 1.0}]}},
+         "profile: segments[0]: unknown option 'yaw_rate'"),
+    ])
+    def test_nested_key_is_a_config_error_naming_its_object(self, mode, cfg, error, capsys, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(path))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["--mode", mode], capsys)
+        assert (code, out, err) == (2, "", f"navfuse: bad config: {error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_readme_example_loads_and_names_every_key(self, capsys, tmp_path, monkeypatch):
         block = self.README.read_text().split("### Config file")[1].split("```json\n")[1].split("```")[0]
         code, out, _ = self.sweep_with(block, capsys, tmp_path, monkeypatch)
@@ -768,7 +823,7 @@ class TestConfigFile:
 
         example = json.loads(block)
         assert example.keys() == names(FusionConfig) - {"gps_mode"} | cli._RUN_KINDS.keys()
-        assert example["profile"].keys() == names(FlightProfile) - {"earth"} | {"earth_radius_m"}
+        assert example["profile"].keys() == names(FlightProfile)
         assert example["noise"].keys() == names(SensorNoiseModel)
         assert set().union(*example["profile"]["segments"]) == names(FlightSegment)
 
@@ -778,6 +833,11 @@ class TestConfigFile:
         assert dests == fusion | (cli._RUN_KINDS.keys() - {"profile", "noise"}) | {"mode", "backend"}
         flag_list = self.README.read_text().split("\nFlags:")[1].split("\n\n")[0]
         assert set(re.findall(r"--[a-z-]+", flag_list)) == {"--" + d.replace("_", "-") for d in dests}
+
+
+def test_readme_library_example_runs():
+    block = TestConfigFile.README.read_text().split("## Library")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_mode_required():
@@ -822,6 +882,16 @@ class TestStartup:
         )
         assert out == ["1", "False", "1"]  # one thread: numpy started no BLAS pool
 
+    def test_fusing_modes_skip_flightsim(self):
+        """live, record and replay read no profile, so they do not import the simulator."""
+        out = self.fresh_python(
+            "import os, sys, navfuse.cli as cli; "
+            "codes = [cli.main(['--mode', m, '--input', os.devnull, '--output', os.devnull]) "
+            "for m in ('live', 'record', 'replay')]; "
+            "print(*codes, 'navfuse.flightsim' in sys.modules)"
+        )
+        assert out == ["3", "3", "2", "False"]
+
     def test_user_openblas_setting_wins(self):
         out = self.fresh_python("import os, navfuse.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
                                 OPENBLAS_NUM_THREADS="2")
@@ -832,7 +902,7 @@ class TestStartup:
             "import navfuse; ns = {}; exec('from navfuse import *', ns); "
             "print(len(navfuse.__all__), len(set(navfuse.__all__) - ns.keys()))"
         )
-        assert out == ["36", "0"]
+        assert out == ["33", "0"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

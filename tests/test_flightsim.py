@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from navfuse import flightsim
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.attitude import AttitudeEstimator, accel_to_roll_pitch
-from navfuse.filters import design_chebyshev1_2_lp
+from navfuse.filters import FilterState, design_chebyshev1_2_lp
 from navfuse.flightsim import (
     PITCH_RAMP_RATE,
     SPEED_RAMP_ACCEL,
@@ -32,7 +32,8 @@ from navfuse.flightsim import (
     sweep_weights,
     truth_rows,
 )
-from navfuse.navigation import BlendWeights, NavEstimator
+from navfuse.navigation import NavEstimator
+from navfuse.pipeline import FusionConfig
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
 
@@ -129,7 +130,7 @@ def reference_truth(profile):
     t = t_ms / 1000.0
 
     schedule = _segment_schedule(profile)
-    deg_per_m = 180.0 / (math.pi * profile.earth.radius_m)
+    deg_per_m = 180.0 / (math.pi * profile.earth_radius_m)
 
     def segment_at(time_s):
         for t0, t1, yaw_rate, pitch_target, speed in schedule:
@@ -368,7 +369,7 @@ class TestSweep:
         cells = sweep_weights(standard_profile(), SensorNoiseModel(), [(0.0, 0.0)])
         from navfuse.navigation import prepare_gps_reference
 
-        ref = prepare_gps_reference(t, gps, "replay")
+        ref = prepare_gps_reference(t, gps, "replay", 3.0)
         m = ref.has_pos.astype(bool)
         expected = rms_error(t[m], ref.ref_lat[m], ref.ref_lon[m], truth)
         assert cells[0].lat_err_m == pytest.approx(expected.lat_m, abs=1e-12)
@@ -393,8 +394,8 @@ class TestStudies:
         from navfuse.quat import wrap_pi
 
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        fused = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
-        gyro_only = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr)
+        fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)
         err_f = np.abs([wrap_pi(a - b) for a, b in zip(fused.euler[:, 2], truth.euler[:, 2])])
         err_g = np.abs([wrap_pi(a - b) for a, b in zip(gyro_only.euler[:, 2], truth.euler[:, 2])])
         assert err_g[-1] > 5.0 * err_f[-1]
@@ -404,12 +405,13 @@ class TestStudies:
         # dead-reckoning-only run isolates the pre-filter quality; the
         # Chebyshev ripple consistently costs a little extra drift
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        att = AttitudeEstimator(sample_rate_hz=60).run(t, acc, gyr, mag, has_mag)
+        att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
 
         def track_error(coeffs=None):
-            nav = NavEstimator(
-                weights=BlendWeights(1.0, 1.0), sample_rate_hz=60, mode="replay", coeffs=coeffs
-            ).run(t, acc, att.q, gps)
+            nav = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
+            if coeffs is not None:
+                nav.accel_lp = tuple(FilterState(coeffs) for _ in range(3))
+            nav = nav.run(t, acc, att.q, gps)
             return rms_error(t, nav.lat, nav.lon, truth).total_m
 
         butter = track_error()
@@ -419,28 +421,27 @@ class TestStudies:
     def test_dead_reckoning_drift_superlinear_fusion_bounded(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         keep = t <= 120.0
-        att = AttitudeEstimator(sample_rate_hz=60).run(
+        att = AttitudeEstimator(FusionConfig(), 60).run(
             t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
         )
 
-        def error_series(weights):
+        def error_series(alpha, beta):
             # dead reckoning gets the true initial velocity so its drift
             # measures accumulated accel error, not the unknown start state
-            nav = NavEstimator(
-                weights=weights, sample_rate_hz=60, mode="replay",
-                initial_vel=(float(truth.vn[0]), float(truth.ve[0])),
-            ).run(t[keep], acc[keep], att.q, gps._make(c[gps.t <= 120.0] for c in gps))
+            nav = NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60)
+            nav.vn, nav.ve = float(truth.vn[0]), float(truth.ve[0])
+            nav = nav.run(t[keep], acc[keep], att.q, gps._make(c[gps.t <= 120.0] for c in gps))
             dlat = (nav.lat - truth.lat[keep]) * M_PER_DEG
             dlon = (nav.lon - truth.lon[keep]) * M_PER_DEG
             return np.hypot(dlat, dlon)
 
         tt = t[keep]
-        dr = error_series(BlendWeights(1.0, 1.0))
+        dr = error_series(1.0, 1.0)
         early = dr[(tt >= 20) & (tt <= 40)].mean() / 30.0
         late = dr[(tt >= 100) & (tt <= 120)].mean() / 110.0
         assert late > 1.5 * early  # error/t grows: super-linear drift
 
-        fused = error_series(BlendWeights(0.1, 0.1))
+        fused = error_series(0.1, 0.1)
         assert fused.max() < 20.0  # bounded by a constant, not by t
 
     def test_sample_and_hold_track(self, std_noisy_arrays):
@@ -476,6 +477,11 @@ class TestConfigLoaders:
         n = noise_from_dict({"gps_pos_sigma_m": 1.0})
         assert n.gps_pos_sigma_m == 1.0
         assert n.accel_noise_sigma == SensorNoiseModel().accel_noise_sigma
+
+    @pytest.mark.parametrize("radius", [0.0, -5.0, math.nan, math.inf])
+    def test_profile_earth_radius_checked(self, radius):
+        with pytest.raises(ValueError, match="earth radius must be positive and finite"):
+            profile_from_dict({"earth_radius_m": radius})
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):

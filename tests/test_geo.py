@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from navfuse.geo import EarthModel, GeoPoint, bearing, meters_to_degrees_lat
+from navfuse.geo import GeoPoint, bearing, meters_to_degrees_lat
 
 # Frozen via a 50-digit mpmath evaluation of the forward-azimuth formula.
 BEARING_10_20_TO_35_45 = 0.67113911584897614
@@ -72,10 +72,4 @@ class TestMeterDegreeScaling:
         assert meters_to_degrees_lat(5.0) == pytest.approx(5 * meters_to_degrees_lat(1.0), rel=1e-12)
 
     def test_custom_radius(self):
-        e = EarthModel(radius_m=1_000_000.0)
-        assert meters_to_degrees_lat(1_000_000.0 * math.pi / 180.0, e) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_earth_model_validation():
-    with pytest.raises(ValueError):
-        EarthModel(radius_m=0.0)
+        assert meters_to_degrees_lat(1_000_000.0 * math.pi / 180.0, 1_000_000.0) == pytest.approx(1.0, rel=1e-12)

@@ -13,6 +13,7 @@ some inputs of some numpy builds.)
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from navfuse.attitude import (
     MIN_HORIZONTAL_FIELD,
     MIN_TILT_ACCEL_MPS2,
     AttitudeEstimator,
-    FusionGains,
 )
 from navfuse.cli import main
 from navfuse.filters import (
@@ -49,8 +49,7 @@ from navfuse.flightsim import (
     rms_error,
     sweep_weights,
 )
-from navfuse.geo import GeoPoint
-from navfuse.navigation import BlendWeights, NavEstimator, prepare_gps_reference
+from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
 from navfuse.recording import write_recording
 
@@ -378,7 +377,7 @@ def test_gap_and_flag_paths():
     gyr = np.full((5, 3), 0.3)
     mag = np.tile([0.3, 0.0, -0.1], (5, 1))
     has_mag = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
-    track = AttitudeEstimator().run(t, acc, gyr, mag, has_mag)
+    track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
     assert track.flags.dtype == np.uint8
     assert track.flags.tolist() == [0, 0, FLAG_GAP, 0, 0]
 
@@ -390,7 +389,7 @@ def test_unobservable_reference_flags():
     acc = np.array([[0, 0, 0.0], [0, 0, 0.0], [0, 0, 9.8], [0, 0, 9.8]])
     gyr = np.full((4, 3), 0.3)
     mag = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, -0.1], [0.0, 0.0, -0.4], [0.3, 0.0, -0.1]])
-    track = AttitudeEstimator().run(t, acc, gyr, mag, np.ones(4, dtype=np.uint8))
+    track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, np.ones(4, dtype=np.uint8))
     both = FLAG_NO_TILT_REF | FLAG_NO_HEADING_REF
     assert track.flags.tolist() == [both, FLAG_NO_TILT_REF, FLAG_NO_HEADING_REF, 0]
     # no tilt reference: roll and pitch start level and integrate the
@@ -403,8 +402,8 @@ class TestChunkedEquivalence:
 
     def test_attitude_chunks(self):
         t, acc, gyr, mag, has_mag = random_stream(7, n=500)
-        whole = AttitudeEstimator().run(t, acc, gyr, mag, has_mag)
-        est = AttitudeEstimator()
+        whole = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        est = AttitudeEstimator(FusionConfig(), 60)
         parts = []
         for lo, hi in ((0, 100), (100, 101), (101, 500)):
             parts.append(est.run(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi]))
@@ -519,11 +518,13 @@ def imu_streams(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(imu_streams(), gains, gains, st.floats(-4.0, 4.0), st.sampled_from([60.0, 100.0]),
+@given(imu_streams(), gains, gains, st.floats(-230.0, 230.0), st.sampled_from([60.0, 100.0]),
        st.lists(st.integers(0, 10**6), max_size=4))
-def test_attitude_matches_reference(stream, gamma_rp, gamma_yaw, declination, fs, cuts):
+def test_attitude_matches_reference(stream, gamma_rp, gamma_yaw, declination_deg, fs, cuts):
     t, acc, gyr, mag, has_mag = stream
-    est = AttitudeEstimator(FusionGains(gamma_rp, gamma_yaw), sample_rate_hz=fs, declination_rad=declination)
+    cfg = FusionConfig(gamma_rp=gamma_rp, gamma_yaw=gamma_yaw, declination_deg=declination_deg)
+    est = AttitudeEstimator(cfg, fs)
+    declination = math.radians(declination_deg)
     lp, hp = coeff_tuple(est.accel_lp[0]), coeff_tuple(est.gyro_hp[0])
     state = np.zeros(16)
     got, want = [], []
@@ -565,36 +566,43 @@ def nav_cases(draw):
         speeds.append(rng.uniform(0.0, 40.0))
         valid.append(rng.random() < 0.85)
     fixes = gps_arrays(fix_t, lats, lons, speed=speeds, valid=valid)
-    options = dict(
-        weights=BlendWeights(draw(gains), draw(gains)),
-        sample_rate_hz=draw(st.sampled_from([60.0, 100.0])),
+    cfg = FusionConfig(
+        alpha=draw(gains),
+        beta=draw(gains),
         lon_scale_correction=draw(st.booleans()),
         stale_after_s=draw(st.sampled_from([0.2, 3.0, math.inf])),
-        mode=draw(st.sampled_from(["live", "replay"])),
-        initial_pos=GeoPoint(float(lat * rng.integers(0, 2)), float(lon * rng.integers(0, 2))),
-        initial_vel=tuple(rng.normal(0.0, 10.0, 2).tolist()),
+        gps_mode=draw(st.sampled_from(["live", "replay"])),
     )
-    return t, acc, q, fixes, options
+    fs = draw(st.sampled_from([60.0, 100.0]))
+    pos = float(lat * rng.integers(0, 2)), float(lon * rng.integers(0, 2))
+    start = (*rng.normal(0.0, 10.0, 2).tolist(), *pos)  # vn, ve, lat, lon
+    return t, acc, q, fixes, cfg, fs, start
+
+
+def nav_estimator(cfg, fs, start):
+    """A ``NavEstimator`` that starts at ``start``, (vn, ve, lat, lon)."""
+    est = NavEstimator(cfg, fs)
+    est.vn, est.ve, est.lat, est.lon = start
+    return est
 
 
 @settings(max_examples=120, deadline=None)
 @given(nav_cases(), st.lists(st.integers(0, 10**6), max_size=4))
 def test_nav_matches_reference(case, cuts):
-    t, acc, q, fixes, options = case
-    est = NavEstimator(**options)
+    t, acc, q, fixes, cfg, fs, start = case
+    est = nav_estimator(cfg, fs, start)
     state = np.zeros(12)
-    state[2:6] = *options["initial_vel"], options["initial_pos"].lat, options["initial_pos"].lon
-    deg_per_m = 180.0 / (math.pi * est.earth.radius_m)
+    state[2:6] = start
+    deg_per_m = 180.0 / (math.pi * cfg.earth_radius_m)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
         track = est.run(t[lo:hi], acc[lo:hi], q[lo:hi], fixes)
         got.append((track.vel, track.lat, track.lon))
-        ref = prepare_gps_reference(t[lo:hi], fixes, est.mode, est.stale_after_s)
+        ref = prepare_gps_reference(t[lo:hi], fixes, cfg.gps_mode, cfg.stale_after_s)
         want.append(reference_nav_run(
             t[lo:hi], acc[lo:hi], q[lo:hi],
             ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_theta, ref.has_vel,
-            coeff_tuple(est.accel_lp[0]), est.weights.alpha, est.weights.beta, deg_per_m,
-            est.lon_scale_correction, state,
+            coeff_tuple(est.accel_lp[0]), cfg.alpha, cfg.beta, deg_per_m, cfg.lon_scale_correction, state,
         ))
         assert_same_state(est, state, ("vn", "ve", "lat", "lon"), est.accel_lp)
     for k in range(3):
@@ -606,13 +614,13 @@ def test_nav_matches_reference(case, cuts):
 def test_shared_world_accel_matches_per_cell_run(case, grid):
     """The sweep's path: world-frame accel and GPS reference made once, then
     only the blend per cell."""
-    t, acc, q, fixes, options = case
-    a_world = NavEstimator(**options).world_accel(acc, q)
-    ref = prepare_gps_reference(t, fixes, options["mode"], options["stale_after_s"])
+    t, acc, q, fixes, cfg, fs, start = case
+    a_world = NavEstimator(cfg, fs).world_accel(acc, q)
+    ref = prepare_gps_reference(t, fixes, cfg.gps_mode, cfg.stale_after_s)
     for alpha, beta in grid:
-        cell = dict(options, weights=BlendWeights(alpha, beta))
-        shared = NavEstimator(**cell).blend(t, a_world, ref)
-        alone = NavEstimator(**cell).run(t, acc, q, fixes)
+        cell = replace(cfg, alpha=alpha, beta=beta)
+        shared = nav_estimator(cell, fs, start).blend(t, a_world, ref)
+        alone = nav_estimator(cell, fs, start).run(t, acc, q, fixes)
         for got, want in ((shared.vel, alone.vel), (shared.lat, alone.lat), (shared.lon, alone.lon)):
             assert_same_bits(got, want)
 
@@ -627,15 +635,11 @@ def test_sweep_weights_matches_per_cell_run():
         FusionConfig(accel_lp_hz=2.0, gyro_hp_hz=0.5, declination_deg=5.0, cutoff_hz=3.0, stale_after_s=0.5,
                      lon_scale_correction=True, earth_radius_m=1.0, gps_mode="live"),
     ):
-        q = AttitudeEstimator(sample_rate_hz=profile.imu_rate_hz, accel_lp_hz=cfg.accel_lp_hz,
-                              gyro_hp_hz=cfg.gyro_hp_hz, declination_rad=math.radians(cfg.declination_deg),
-                              ).run(*imu).q
+        q = AttitudeEstimator(cfg, profile.imu_rate_hz).run(*imu).q
         want = []
         for a, b in grid:
-            nav = NavEstimator(weights=BlendWeights(a, b), sample_rate_hz=profile.imu_rate_hz,
-                               cutoff_hz=cfg.cutoff_hz, earth=profile.earth,
-                               lon_scale_correction=cfg.lon_scale_correction, stale_after_s=cfg.stale_after_s,
-                               mode="replay").run(imu.t, imu.accel, q, fixes)
-            err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth)
+            cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
+            nav = NavEstimator(cell, profile.imu_rate_hz).run(imu.t, imu.accel, q, fixes)
+            err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
             want.append(SweepCell(a, b, err.lat_m, err.lon_m))
         assert sweep_weights(profile, SensorNoiseModel(), grid, cfg) == want

@@ -7,15 +7,14 @@ from conftest import gps_arrays
 
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.errors import InterpolationRangeError, TimestampOrderError
-from navfuse.filters import BiquadCoeffs, design_butterworth2_lp
-from navfuse.geo import GeoPoint
+from navfuse.filters import BiquadCoeffs, FilterState, design_butterworth2_lp
 from navfuse.navigation import (
-    BlendWeights,
     NavEstimator,
     default_position_cutoff_hz,
     interpolate_gps,
     prepare_gps_reference,
 )
+from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion
 
 DEG_PER_M = 180.0 / (math.pi * 6_371_000.0)
@@ -25,11 +24,21 @@ PASS_THROUGH = BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, sample_rate_hz=60.0, cutoff
 LEVEL = (1.0, 0.0, 0.0, 0.0)
 
 
+def pass_through(weights, vel=(0.0, 0.0), pos=(0.0, 0.0), **options):
+    """A 60 Hz ``NavEstimator`` with (alpha, beta) ``weights`` and the other
+    ``options``, its accel pre-filter passing its input through, starting at
+    velocity ``vel`` and position ``pos``."""
+    est = NavEstimator(FusionConfig(alpha=weights[0], beta=weights[1], **options), 60.0)
+    est.accel_lp = tuple(FilterState(PASS_THROUGH) for _ in range(3))
+    (est.vn, est.ve), (est.lat, est.lon) = vel, pos
+    return est
+
+
 def one_step(accel, dt, weights, fixes=gps_arrays(), t0=0.0, q=LEVEL, **kw):
     """Row 1 of a two-sample ``NavEstimator.run`` from t0 to t0 + dt, constant
     accel and attitude, pre-filter passed through: one blend step from the
     initial state, after the first sample has snapped to any fix it has."""
-    est = NavEstimator(weights=weights, coeffs=PASS_THROUGH, **kw)
+    est = pass_through(weights, **kw)
     track = est.run(np.array([t0, t0 + dt]), np.tile(accel, (2, 1)), np.tile(q, (2, 1)), fixes)
     return tuple(track.vel[1].tolist()), (float(track.lat[1]), float(track.lon[1]))
 
@@ -37,7 +46,7 @@ def one_step(accel, dt, weights, fixes=gps_arrays(), t0=0.0, q=LEVEL, **kw):
 def world_accel(reading, q):
     """North/east accel of a body reading: the velocity after one 1 s step of
     pure integration from rest."""
-    vel, _ = one_step(reading, 1.0, BlendWeights(1.0, 1.0), q=q)
+    vel, _ = one_step(reading, 1.0, (1.0, 1.0), q=q)
     return vel
 
 
@@ -68,70 +77,70 @@ class TestGravityCompensate:
 
 class TestVelocityStep:
     def test_alpha_one_pure_integration(self):
-        vel, _ = one_step((0.5, -0.5, G), 0.1, BlendWeights(1.0, 0.5), initial_vel=(1.0, 2.0))
+        vel, _ = one_step((0.5, -0.5, G), 0.1, (1.0, 0.5), vel=(1.0, 2.0))
         assert vel == (1.05, 1.95)
 
     def test_alpha_zero_full_gps(self):
         fixes = gps_arrays([9.0, 10.0], [0.0, 0.001], 0.0, speed=10.0)  # due north
-        vel, _ = one_step((0, 0, G), 0.1, BlendWeights(0.0, 0.5), fixes, t0=10.0, initial_vel=(99.0, 99.0))
+        vel, _ = one_step((0, 0, G), 0.1, (0.0, 0.5), fixes, t0=10.0, vel=(99.0, 99.0))
         assert vel[0] == pytest.approx(10.0, abs=1e-9)
         assert vel[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_computed_blend(self):
         # V_n = 0.5*(2 + 1*0.1) + 0.5*4*cos(0) = 3.05
         fixes = gps_arrays([0.0, 0.9], [0.0, 0.001], 0.0, speed=4.0)
-        vel, _ = one_step((1.0, 0.0, G), 0.1, BlendWeights(0.5, 0.5), fixes, t0=0.9, initial_vel=(2.0, 0.0))
+        vel, _ = one_step((1.0, 0.0, G), 0.1, (0.5, 0.5), fixes, t0=0.9, vel=(2.0, 0.0))
         assert vel[0] == pytest.approx(3.05, abs=1e-9)
 
     def test_fewer_than_two_distinct_fixes_integrates(self):
-        vel, _ = one_step((1.0, 1.0, G), 0.5, BlendWeights(0.0, 0.5), gps_arrays([0.0]),
-                          initial_vel=(1.0, 0.0))
+        vel, _ = one_step((1.0, 1.0, G), 0.5, (0.0, 0.5), gps_arrays([0.0]),
+                          vel=(1.0, 0.0))
         assert vel == (1.5, 0.5)
 
     def test_static_gps_never_defines_bearing(self):
         # alpha 0 takes the GPS velocity whenever a bearing exists; none does
         fixes = gps_arrays(range(5), 0.001, 0.002)
         t = np.arange(0.0, 5.0, 0.25)
-        est = NavEstimator(weights=BlendWeights(0.0, 0.5), coeffs=PASS_THROUGH, initial_vel=(1.0, 0.0))
+        est = pass_through((0.0, 0.5), vel=(1.0, 0.0))
         track = est.run(t, np.tile((0, 0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
         assert track.vel.tolist() == [[1.0, 0.0]] * len(t)
 
     def test_stale_fix_ignored(self):
         fixes = gps_arrays([0.0, 1.0], [0.0, 0.001], 0.0)
-        vel, _ = one_step((0, 0, G), 0.1, BlendWeights(0.0, 0.5), fixes, t0=20.0, initial_vel=(1.0, 0.0))
+        vel, _ = one_step((0, 0, G), 0.1, (0.0, 0.5), fixes, t0=20.0, vel=(1.0, 0.0))
         assert vel == (1.0, 0.0)  # pure integration of zero accel
 
 
 class TestPositionStep:
     # a fix at t0 + dt only: the first sample has no reference to snap to, so
-    # the step starts from initial_pos
+    # the step starts from pos
     def test_beta_zero_equals_reference(self):
-        _, pos = one_step((0, 0, G), 0.1, BlendWeights(0.5, 0.0), gps_arrays([0.1], 1.25, -2.5),
-                          initial_pos=GeoPoint(5.0, 5.0), initial_vel=(100.0, 100.0))
+        _, pos = one_step((0, 0, G), 0.1, (0.5, 0.0), gps_arrays([0.1], 1.25, -2.5),
+                          pos=(5.0, 5.0), vel=(100.0, 100.0))
         assert pos == (1.25, -2.5)
 
     def test_beta_one_advances_one_degree(self):
         v_north = math.pi * 6_371_000.0 / 180.0
-        _, pos = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), gps_arrays([1.0], 45.0, 45.0),
-                          initial_vel=(v_north, 0.0))
+        _, pos = one_step((0, 0, G), 1.0, (0.5, 1.0), gps_arrays([1.0], 45.0, 45.0),
+                          vel=(v_north, 0.0))
         assert pos[0] == pytest.approx(1.0, abs=1e-12)
         assert pos[1] == 0.0
 
     def test_hand_computed_blend(self):
         # 0.1 * 0.001 + 0.9 * 0.0011 = 0.00109
-        _, pos = one_step((0, 0, G), 0.1, BlendWeights(0.5, 0.1), gps_arrays([0.1], 0.0011, 0.0),
-                          initial_pos=GeoPoint(0.001, 0.0))
+        _, pos = one_step((0, 0, G), 0.1, (0.5, 0.1), gps_arrays([0.1], 0.0011, 0.0),
+                          pos=(0.001, 0.0))
         assert pos[0] == pytest.approx(0.00109, abs=1e-15)
 
     def test_no_reference_dead_reckons(self):
-        _, pos = one_step((0, 0, G), 1.0, BlendWeights(0.5, 0.0), initial_vel=(10.0, -10.0))
+        _, pos = one_step((0, 0, G), 1.0, (0.5, 0.0), vel=(10.0, -10.0))
         assert pos[0] == pytest.approx(10.0 * DEG_PER_M, rel=1e-12)
         assert pos[1] == pytest.approx(-10.0 * DEG_PER_M, rel=1e-12)
 
     def test_lon_scale_correction(self):
-        common = dict(initial_pos=GeoPoint(60.0, 0.0), initial_vel=(0.0, 10.0))
-        _, plain = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), **common)
-        _, corrected = one_step((0, 0, G), 1.0, BlendWeights(0.5, 1.0), lon_scale_correction=True, **common)
+        common = dict(pos=(60.0, 0.0), vel=(0.0, 10.0))
+        _, plain = one_step((0, 0, G), 1.0, (0.5, 1.0), **common)
+        _, corrected = one_step((0, 0, G), 1.0, (0.5, 1.0), lon_scale_correction=True, **common)
         assert corrected[1] == pytest.approx(plain[1] / math.cos(math.radians(60.0)), rel=1e-12)
 
 
@@ -186,13 +195,13 @@ class TestNavStep:
     def test_static_with_pinned_gps_stays_at_origin(self):
         t = np.arange(3600) / 60.0  # 60 s at 60 Hz
         fixes = gps_arrays(range(60), 0.0, 0.0, speed=0.0)
-        est = NavEstimator(weights=BlendWeights(0.1, 0.1), sample_rate_hz=60.0)
+        est = NavEstimator(FusionConfig(), 60.0)
         track = est.run(t, np.tile((0.0, 0.0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
         worst = max(np.abs(track.lat).max(), np.abs(track.lon).max()) / DEG_PER_M
         assert worst < 0.5
 
     def test_timestamp_ordering(self):
-        est = NavEstimator(sample_rate_hz=60.0)
+        est = NavEstimator(FusionConfig(), 60.0)
         est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), gps_arrays())
         with pytest.raises(TimestampOrderError):
             est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), gps_arrays())
@@ -202,38 +211,38 @@ class TestPrepareGpsReference:
     def test_live_holds_latest_fresh_fix(self):
         t = np.array([0.0, 0.5, 1.0, 1.5, 6.0])
         fixes = gps_arrays([0.0, 1.0], [1.0, 3.0], [2.0, 4.0])
-        ref = prepare_gps_reference(t, fixes, "live")
+        ref = prepare_gps_reference(t, fixes, "live", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [1, 1, 1, 1, 0])  # 6.0 is stale
         assert ref.ref_lat[1] == 1.0 and ref.ref_lat[2] == 3.0
 
     def test_replay_interpolates(self):
         t = np.array([0.0, 0.5, 1.0])
         fixes = gps_arrays([0.0, 1.0], [0.0, 1.0], [0.0, 2.0])
-        ref = prepare_gps_reference(t, fixes, "replay")
+        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
         np.testing.assert_allclose(ref.ref_lat, [0.0, 0.5, 1.0], atol=1e-15)
         np.testing.assert_allclose(ref.ref_lon, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_replay_no_extrapolation(self):
         t = np.array([0.0, 2.0])
         fixes = gps_arrays([0.5, 1.0], [0.0, 1.0], [0.0, 1.0])
-        ref = prepare_gps_reference(t, fixes, "replay")
+        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [0, 0])
 
     def test_velocity_needs_two_distinct(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.0, 0.001], 0.0)
-        ref = prepare_gps_reference(t, fixes, "live")
+        ref = prepare_gps_reference(t, fixes, "live", 3.0)
         np.testing.assert_array_equal(ref.has_vel, [0, 0, 1, 1])
         assert ref.ref_theta[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_invalid_fixes_ignored(self):
         t = np.array([0.0, 1.0])
         fixes = gps_arrays([0.0], 1.0, 1.0, valid=False)
-        ref = prepare_gps_reference(t, fixes, "live")
+        ref = prepare_gps_reference(t, fixes, "live", 3.0)
         assert not ref.has_pos.any()
 
     def test_replay_needs_two_fixes(self):
-        ref = prepare_gps_reference(np.array([0.0, 1.0]), gps_arrays([1.0], 1.0, 1.0), "replay")
+        ref = prepare_gps_reference(np.array([0.0, 1.0]), gps_arrays([1.0], 1.0, 1.0), "replay", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [0, 0])
 
 
@@ -254,7 +263,7 @@ class TestCheckGps:
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.1, 0.2], 0.0, valid=[True, False, True])
         getattr(fixes, column)[1] = value
         for call in (
-            lambda: prepare_gps_reference(np.array([0.5]), fixes),
+            lambda: prepare_gps_reference(np.array([0.5]), fixes, "live", 3.0),
             lambda: interpolate_gps(fixes, 0.5),
         ):
             with pytest.raises(ValueError) as exc:
@@ -263,15 +272,15 @@ class TestCheckGps:
 
     def test_bounds_accepted(self):
         fixes = gps_arrays([0.0, 1.0, 2.0], [-90.0, 90.0, 0.0], [180.0, -179.9, 0.0], speed=0.0)
-        assert prepare_gps_reference(np.array([0.5]), fixes).has_pos.tolist() == [1]
+        assert prepare_gps_reference(np.array([0.5]), fixes, "live", 3.0).has_pos.tolist() == [1]
 
 
 class TestWeightValidation:
     def test_ranges(self):
-        with pytest.raises(ValueError):
-            BlendWeights(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            BlendWeights(0.5, 1.1)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            NavEstimator(FusionConfig(alpha=-0.1, beta=0.5), 60.0)
+        with pytest.raises(ValueError, match="beta must be in"):
+            NavEstimator(FusionConfig(alpha=0.5, beta=1.1), 60.0)
 
     def test_default_cutoff_rule(self):
         assert default_position_cutoff_hz(1000.0) == 10.0
@@ -294,16 +303,16 @@ class TestDegeneration:
 
     def test_zero_weights_reproduce_reference(self):
         t, acc, q, fixes = self._arrays()
-        est = NavEstimator(weights=BlendWeights(0.0, 0.0), sample_rate_hz=60, mode="replay")
+        est = NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60)
         track = est.run(t, acc, q, fixes)
-        ref = prepare_gps_reference(t, fixes, "replay")
+        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
         m = ref.has_pos.astype(bool)
         np.testing.assert_array_equal(track.lat[m], ref.ref_lat[m])
         np.testing.assert_array_equal(track.lon[m], ref.ref_lon[m])
 
     def test_unit_weights_reproduce_dead_reckoning(self):
         t, acc, q, fixes = self._arrays()
-        est = NavEstimator(weights=BlendWeights(1.0, 1.0), sample_rate_hz=60, mode="replay")
+        est = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
         track = est.run(t, acc, q, fixes)
 
         # independent dead-reckoning oracle: Butterworth + integrate, no GPS terms

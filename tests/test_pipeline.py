@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import sys
@@ -7,7 +8,7 @@ import pytest
 from conftest import assert_same_bits, build_stream
 
 from navfuse import cli, pipeline
-from navfuse.attitude import ImuArrays
+from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
 from navfuse.navigation import GpsArrays, NavEstimator
 from navfuse.pipeline import FusionConfig, fuse_blocks, fuse_streams, fused_rows
@@ -172,3 +173,69 @@ def test_fuse_blocks_refuses_before_the_first_block(edge_streams, bad, error):
         imu = imu._replace(t=t)
     with pytest.raises(ValueError, match=error):
         fuse_blocks(imu, gps, cfg)  # the call raises, before any block is asked for
+
+
+# ---------------------------------------------------------------- options
+
+# A value other than the default for every field of FusionConfig.
+NON_DEFAULT = dict(
+    alpha=0.5, beta=0.5, gamma_rp=0.9, gamma_yaw=0.9, accel_lp_hz=2.0, gyro_hp_hz=0.5, cutoff_hz=3.0,
+    declination_deg=5.0, lon_scale_correction=True, earth_radius_m=6_378_137.0, stale_after_s=1.0,
+    gps_mode="replay",
+)
+
+
+@pytest.fixture(scope="module")
+def outage_flight():
+    """A 12 s turn whose fixes stop for 4 s, longer than NON_DEFAULT's
+    stale_after_s and the default's."""
+    profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
+    _, imu, gps = generate_flight(profile, SensorNoiseModel(gps_dropout_prob=0.0))
+    kept = (gps.t <= 3.0) | (gps.t >= 7.0)
+    return imu, gps._make(col[kept] for col in gps)
+
+
+def test_non_default_names_every_option():
+    assert NON_DEFAULT.keys() == {f.name for f in dataclasses.fields(FusionConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+def test_every_option_changes_the_output(name, outage_flight):
+    """An option that no estimator reads leaves the output as it was."""
+    assert NON_DEFAULT[name] != getattr(FusionConfig(), name)
+    imu, gps = outage_flight
+    default = fuse_streams(imu, gps)
+    changed = fuse_streams(imu, gps, FusionConfig(**{name: NON_DEFAULT[name]}))
+    assert [k for k, a, b in zip(default._fields, default, changed) if not np.array_equal(a, b)] != []
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("gamma_rp", math.nan, "gamma_rp must be in [0, 1], got nan"),
+    ("declination_deg", math.nan, "declination_deg must be finite, got nan"),
+    ("declination_deg", -math.inf, "declination_deg must be finite, got -inf"),
+    ("alpha", math.nan, "alpha must be in [0, 1], got nan"),
+    ("earth_radius_m", math.nan, "earth radius must be positive and finite, got earth_radius_m=nan"),
+    ("earth_radius_m", math.inf, "earth radius must be positive and finite, got earth_radius_m=inf"),
+    ("earth_radius_m", 0.0, "earth radius must be positive and finite, got earth_radius_m=0.0"),
+    ("stale_after_s", math.nan, "stale_after_s must be >= 0, got nan"),
+    ("stale_after_s", -1.0, "stale_after_s must be >= 0, got -1.0"),
+])
+def test_estimators_refuse_an_option_that_would_void_the_output(name, value, error):
+    """NaN output or no GPS correction at all: refused when the estimators
+    are built, before any row is fused."""
+    cfg = FusionConfig(**{name: value})
+    with pytest.raises(ValueError) as exc:
+        AttitudeEstimator(cfg, 60.0), NavEstimator(cfg, 60.0)
+    assert str(exc.value) == error
+
+
+def test_stale_after_inf_keeps_every_fix_fresh(outage_flight):
+    """inf is a valid limit: the fix before the outage keeps correcting the
+    rows that the default limit, 3 s, leaves to dead reckoning."""
+    imu, gps = outage_flight
+    default = fuse_streams(imu, gps)
+    held = fuse_streams(imu, gps, FusionConfig(stale_after_s=math.inf))
+    late = (imu.t > 6.0) & (imu.t < 7.0)   # 3-4 s after the last fix before the outage
+    assert np.isfinite(held.vel).all()
+    assert (held.vel[late] != default.vel[late]).any(axis=1).all()
+    np.testing.assert_array_equal(held.vel[imu.t <= 6.0], default.vel[imu.t <= 6.0])
