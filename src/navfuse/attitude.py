@@ -39,7 +39,6 @@ outside [0, 1], a non-finite declination or a cutoff outside (0, Nyquist).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -52,8 +51,6 @@ from .quat import wrap_pi
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
-
-log = logging.getLogger(__name__)
 
 GRAVITY_MPS2 = 9.80665
 
@@ -320,9 +317,13 @@ class AttitudeTrack:
 
 
 def warn_gaps(count: int) -> None:
-    """Log one warning for a stream's ``count`` gaps, if it has any."""
+    """Log one warning for a stream's ``count`` gaps, if it has any.
+    ``logging`` is imported only then: a run without gaps does not load it."""
     if count:
-        log.warning("%d sample gap(s) over %.1f s: gyro term skipped", count, MAX_GYRO_GAP_S)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%d sample gap(s) over %.1f s: gyro term skipped", count, MAX_GYRO_GAP_S)
 
 
 def check_imu(t: np.ndarray, accel: np.ndarray, gyro: np.ndarray, after: float = -math.inf) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, _map, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
 from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
-from .pipeline import FusionConfig, csv_blocks, replace_fields
+from .pipeline import FusionConfig, csv_blocks, median, replace_fields
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -51,6 +51,12 @@ SPEED_RAMP_ACCEL = 1.5     # m/s^2
 TRUTH_OVERSAMPLE = 10
 # samples integrated per block of array passes, which bounds the memory
 _BLOCK_SAMPLES = 1024
+
+
+def _check_finite(record, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(record, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,11 @@ class FlightSegment:
     def __post_init__(self):
         if self.kind not in ("straight", "turn", "climb"):
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        _check_finite(self, "duration_s", "yaw_rate_dps", "climb_rate_mps")
         if self.duration_s <= 0:
             raise ValueError("segment duration must be positive")
+        if self.speed_mps is not None and not 0.0 <= self.speed_mps < math.inf:
+            raise ValueError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,13 @@ class FlightProfile:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("flight profile needs at least one segment")
+        _check_finite(self, "imu_rate_hz", "gps_rate_hz", "start_alt_m", "start_heading_deg")
+        if not 0.0 <= self.speed_mps < math.inf:
+            raise ValueError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
+        if not -90.0 <= self.start_lat <= 90.0:
+            raise ValueError(f"start_lat {self.start_lat} outside [-90, 90]")
+        if not -180.0 < self.start_lon <= 180.0:
+            raise ValueError(f"start_lon {self.start_lon} outside (-180, 180]")
         if self.imu_rate_hz <= 0 or self.gps_rate_hz <= 0:
             raise ValueError("sample rates must be positive")
         if self.imu_rate_hz < self.gps_rate_hz:
@@ -113,6 +129,8 @@ class SensorNoiseModel:
     gps_dropout_prob: float = 0.1
 
     def __post_init__(self):
+        _check_finite(self, "accel_noise_sigma", "accel_bias", "gyro_noise_sigma", "gyro_bias",
+                      "mag_noise_sigma", "gps_pos_sigma_m")
         for name in ("accel_noise_sigma", "gyro_noise_sigma", "mag_noise_sigma", "gps_pos_sigma_m"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -392,7 +410,7 @@ def rms_error(
         raise ValueError("empty estimate track")
     if max_align_dt is None:
         dts = np.diff(truth.t)
-        max_align_dt = float(np.median(dts)) if len(dts) else math.inf
+        max_align_dt = median(dts) if len(dts) else math.inf
     idx = np.clip(np.searchsorted(est_t, truth.t), 0, len(est_t) - 1)
     left = np.clip(idx - 1, 0, len(est_t) - 1)
     use_left = np.abs(est_t[left] - truth.t) <= np.abs(est_t[idx] - truth.t)

@@ -95,10 +95,19 @@ def replace_fields(record, values: dict):
     return replace(record, **{k: read_option(k, v, getattr(record, k)) for k, v in values.items()})
 
 
+def median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty finite 1-D float64 array, bit for bit (the
+    same partition and mean, which turns a -0.0 into 0.0), without the NaN
+    check for which ``np.median`` imports ``numpy.ma``."""
+    h = len(x) // 2
+    lo = h if len(x) % 2 else h - 1
+    return float(np.mean(np.partition(x, [lo, h, -1])[lo:h + 1]))
+
+
 def estimate_sample_rate(t: np.ndarray) -> float:
     if len(t) < 2:
         return 60.0
-    return 1.0 / float(np.median(np.diff(t)))
+    return 1.0 / median(np.diff(t))
 
 
 def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> Iterator[FusionOutput]:

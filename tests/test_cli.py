@@ -28,7 +28,7 @@ from navfuse.flightsim import (
 )
 from navfuse.geo import GeoPoint
 from navfuse.pipeline import FUSED_HEADER, FusionConfig
-from navfuse.recording import read_recording
+from navfuse.recording import read_recording, write_recording
 from navfuse.telemetry import (
     FrameKind,
     encode_frame,
@@ -49,6 +49,14 @@ def stream_file(short_flight, tmp_path_factory):
     path = tmp_path_factory.mktemp("stream") / "stream.bin"
     path.write_bytes(build_stream(imu, gps))
     return path, len(imu.t)
+
+
+@pytest.fixture(scope="module")
+def recorded_file(short_flight, tmp_path_factory):
+    _, imu, gps = short_flight
+    path = tmp_path_factory.mktemp("recording") / "flight.csv"
+    write_recording(imu, gps, path, {})
+    return path
 
 
 def run_cli(args, capsys):
@@ -801,6 +809,26 @@ class TestConfigFile:
          "profile: segments[1]: unknown segment kind 'loop'"),
         ({"profile": {"segments": [{"kind": "turn", "duration_s": 5, "yaw_rate": 1.0}]}},
          "profile: segments[0]: unknown option 'yaw_rate'"),
+        # values the simulator cannot fly, refused before it runs
+        ({"profile": {"start_heading_deg": math.inf}}, "profile: start_heading_deg must be finite, got inf"),
+        ({"profile": {"start_alt_m": math.nan}}, "profile: start_alt_m must be finite, got nan"),
+        ({"profile": {"speed_mps": math.nan}}, "profile: speed_mps must be finite and >= 0, got nan"),
+        ({"profile": {"speed_mps": -1}}, "profile: speed_mps must be finite and >= 0, got -1.0"),
+        ({"profile": {"imu_rate_hz": math.nan}}, "profile: imu_rate_hz must be finite, got nan"),
+        ({"profile": {"start_lat": 100}}, "profile: start_lat 100.0 outside [-90, 90]"),
+        ({"profile": {"start_lat": math.nan}}, "profile: start_lat nan outside [-90, 90]"),
+        ({"profile": {"start_lon": -180}}, "profile: start_lon -180.0 outside (-180, 180]"),
+        ({"profile": {"segments": [{"kind": "turn", "duration_s": math.inf}]}},
+         "profile: segments[0]: duration_s must be finite, got inf"),
+        ({"profile": {"segments": [{"kind": "turn", "duration_s": 5, "yaw_rate_dps": math.nan}]}},
+         "profile: segments[0]: yaw_rate_dps must be finite, got nan"),
+        ({"profile": {"segments": [{"kind": "climb", "duration_s": 5, "climb_rate_mps": -math.inf}]}},
+         "profile: segments[0]: climb_rate_mps must be finite, got -inf"),
+        ({"profile": {"segments": [{"kind": "straight", "duration_s": 5, "speed_mps": math.nan}]}},
+         "profile: segments[0]: speed_mps must be finite and >= 0, got nan"),
+        ({"noise": {"accel_bias": math.nan}}, "noise: accel_bias must be finite, got nan"),
+        ({"noise": {"gyro_bias": -math.inf}}, "noise: gyro_bias must be finite, got -inf"),
+        ({"noise": {"gps_pos_sigma_m": math.inf}}, "noise: gps_pos_sigma_m must be finite, got inf"),
     ])
     def test_nested_key_is_a_config_error_naming_its_object(self, mode, cfg, error, capsys, tmp_path,
                                                            monkeypatch):
@@ -856,15 +884,28 @@ class TestStartup:
     """What importing the package and the CLI loads. Each case runs in a
     fresh interpreter, since this one has imported numpy already."""
 
+    # what the CLI loads only in the modes that use it
+    LAZY = ("json", "logging", "numpy.ma", "navfuse.recording", "navfuse.telemetry")
+
     @staticmethod
-    def fresh_python(code: str, **env: str) -> list[str]:
+    def fresh(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+        """``python *argv`` in a fresh interpreter that imports navfuse from
+        this tree; stdout and stderr captured as bytes."""
         src = os.path.dirname(os.path.dirname(navfuse.__file__))
         child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         child_env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         child_env.update(env)
-        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True,
-                              timeout=60, check=True)
-        return proc.stdout.split()
+        return subprocess.run([sys.executable, *argv], env=child_env, capture_output=True, timeout=60)
+
+    @classmethod
+    def fresh_python(cls, code: str, **env: str) -> list[str]:
+        proc = cls.fresh(["-c", code], **env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout.decode().split()
+
+    def loaded_after(self, code: str, names=LAZY) -> list[str]:
+        """Which of ``names`` are loaded once ``code`` has run in a fresh interpreter."""
+        return self.fresh_python(f"{code}; import sys; print(*(m for m in {tuple(names)!r} if m in sys.modules))")
 
     def test_package_import_loads_no_numpy(self):
         out = self.fresh_python(
@@ -891,6 +932,46 @@ class TestStartup:
             "print(*codes, 'navfuse.flightsim' in sys.modules)"
         )
         assert out == ["3", "3", "2", "False"]
+
+    def test_cli_import_loads_no_mode_module(self):
+        assert self.loaded_after("import navfuse.cli") == []
+
+    @pytest.mark.parametrize("mode, loads", [("live", "navfuse.telemetry"), ("replay", "navfuse.recording")])
+    def test_fusing_mode_loads_its_reader_alone(self, mode, loads, stream_file, recorded_file):
+        """live decodes the wire and replay parses a recording; neither
+        loads the other's module, nor numpy.ma."""
+        path = stream_file[0] if mode == "live" else recorded_file
+        code = f"import os, navfuse.cli as c; assert c.main(['--mode', {mode!r}, '--input', {str(path)!r}, " \
+               "'--output', os.devnull]) == 0"
+        assert self.loaded_after(code, ("numpy.ma", "navfuse.recording", "navfuse.telemetry")) == [loads]
+
+    def test_exit_codes_pass_through_run(self, stream_file, tmp_path):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        codes = [
+            self.fresh(["-m", "navfuse.cli", "--mode", "live", "--input", str(stream_file[0]),
+                        "--output", os.devnull]).returncode,
+            self.fresh(["-m", "navfuse.cli", "--mode", "replay"]).returncode,
+            self.fresh(["-m", "navfuse.cli", "--mode", "live", "--input", str(empty)]).returncode,
+        ]
+        assert codes == [0, 2, 3]
+
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_piped_stdout_is_the_in_process_output(self, mode, stream_file, recorded_file, capsys):
+        argv = ["--mode", mode, "--input", str(stream_file[0] if mode == "live" else recorded_file)]
+        proc = self.fresh(["-m", "navfuse.cli", *argv])
+        code, out, _ = run_cli(argv, capsys)
+        assert (proc.returncode, code) == (0, 0)
+        assert proc.stdout == out.encode()
+
+    def test_stream_with_gaps_warns_once(self, short_flight, tmp_path):
+        _, imu, gps = short_flight
+        keep = ~(((imu.t > 2.0) & (imu.t < 3.5)) | ((imu.t > 5.0) & (imu.t < 6.5)))
+        path = tmp_path / "gaps.bin"
+        path.write_bytes(build_stream(imu._make(col[keep] for col in imu), gps))
+        proc = self.fresh(["-m", "navfuse.cli", "--mode", "live", "--input", str(path), "--output", os.devnull])
+        assert proc.returncode == 0
+        assert proc.stderr.decode() == "2 sample gap(s) over 1.0 s: gyro term skipped\n"
 
     def test_user_openblas_setting_wins(self):
         out = self.fresh_python("import os, navfuse.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",

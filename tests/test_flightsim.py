@@ -483,6 +483,12 @@ class TestConfigLoaders:
         with pytest.raises(ValueError, match="earth radius must be positive and finite"):
             profile_from_dict({"earth_radius_m": radius})
 
+    def test_profile_bounds_are_accepted(self):
+        segments = (FlightSegment("straight", 1.0, speed_mps=0.0),)
+        for lat, lon, speed in ((90.0, 180.0, 0.0), (-90.0, -179.999, -0.0)):
+            p = FlightProfile(segments=segments, start_lat=lat, start_lon=lon, speed_mps=speed)
+            assert (p.start_lat, p.start_lon, p.speed_mps) == (lat, lon, speed)
+
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             noise_from_dict({"gps_dropout_prob": 1.5})

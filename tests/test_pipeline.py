@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 from conftest import assert_same_bits, build_stream
+from hypothesis import given
+from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
 from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
 from navfuse.navigation import GpsArrays, NavEstimator
-from navfuse.pipeline import FusionConfig, fuse_blocks, fuse_streams, fused_rows
+from navfuse.pipeline import FusionConfig, fuse_blocks, fuse_streams, fused_rows, median
 from navfuse.recording import write_recording
 
 
@@ -138,6 +140,21 @@ def test_first_rows_are_written_after_one_block(edge_files, mode, monkeypatch):
     assert header == pipeline.FUSED_HEADER + "\n" and before == 0
     assert first.count("\n") == pipeline._BLOCK_ROWS and during == 1
     assert blends[0] == len(sink.writes) - 1 > 1
+
+
+# few distinct values, so that draws repeat them, signed zeros among them
+_cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -5e-324, 1e300]) | st.floats(allow_nan=False,
+                                                                                       allow_infinity=False)
+
+
+@given(st.lists(_cells, min_size=1, max_size=300))
+def test_median_is_np_median(cells):
+    x = np.array(cells, dtype=np.float64)
+    with np.errstate(over="ignore"):  # two middle cells near the float64 limit sum to inf in both
+        got, want = median(x), np.median(x)
+    assert type(got) is float
+    assert_same_bits(got, want)  # the sign of a zero too
+    assert_same_bits(x, np.array(cells))  # the input is not reordered
 
 
 def test_one_gap_warning_per_stream(caplog):
