@@ -28,7 +28,7 @@ _EXPORTS = {
     "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
     "quat": ("EulerAngles", "Quaternion", "hamilton", "wrap_pi"),
     "recording": ("FlightRecording", "read_recording", "write_recording"),
-    "telemetry": ("TelemetryFrame", "decode_frame", "encode_frame", "scan_stream"),
+    "telemetry": ("encode_frames", "scan_frames"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

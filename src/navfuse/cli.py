@@ -238,6 +238,9 @@ def cmd_live(cfg: FusionConfig, run: dict) -> int:
 
 
 def cmd_record(cfg: FusionConfig, run: dict) -> int:
+    if run["output"] in (None, "-"):
+        print("navfuse: record mode needs --output for the recording file", file=sys.stderr)
+        return EXIT_INPUT
     from .recording import write_recording
 
     data = _read_input_bytes(run["input"])
@@ -245,9 +248,6 @@ def cmd_record(cfg: FusionConfig, run: dict) -> int:
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
-    if run["output"] in (None, "-"):
-        print("navfuse: record mode needs --output for the recording file", file=sys.stderr)
-        return EXIT_INPUT
     blocks = fuse_blocks(imu, gps, cfg)
     metadata = {"sample_rate_hz": "%g" % estimate_sample_rate(imu.t)}
     metadata.update((k, "%g" % getattr(cfg, k)) for k in ("alpha", "beta", "accel_lp_hz", "gyro_hp_hz"))

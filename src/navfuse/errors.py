@@ -1,4 +1,8 @@
-"""Exception types shared across the fusion pipeline and I/O layers."""
+"""Exception types shared across the fusion pipeline and I/O layers.
+
+A telemetry frame that fails to decode raises nothing: ``scan_frames``
+reports it as a ``StreamDiagnostic`` and resyncs.
+"""
 
 
 class DegenerateQuaternionError(ValueError):
@@ -21,32 +25,8 @@ class InterpolationRangeError(ValueError):
     """Query time outside the span covered by GPS fixes (no extrapolation)."""
 
 
-class FrameError(ValueError):
-    """Base class for telemetry frame decode failures.
-
-    ``offset`` is the byte offset (within the buffer handed to the decoder)
-    at which the failure was detected.
-    """
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(message)
-        self.offset = offset
-
-
-class FramingError(FrameError):
-    """Bad magic byte or unknown frame kind."""
-
-
-class TruncationError(FrameError):
-    """Buffer ends before the frame does."""
-
-
-class CorruptionError(FrameError):
-    """Frame checksum does not match its contents."""
-
-
 class EncodeRangeError(ValueError):
-    """Frame field outside its wire-format range."""
+    """Frame field not an integer, or outside its wire-format range."""
 
 
 class RecordingFormatError(ValueError):

@@ -97,6 +97,8 @@ class FlightProfile:
         if not self.segments:
             raise ValueError("flight profile needs at least one segment")
         _check_finite(self, "imu_rate_hz", "gps_rate_hz", "start_alt_m", "start_heading_deg")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.speed_mps < math.inf:
             raise ValueError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
         if not -90.0 <= self.start_lat <= 90.0:

@@ -19,29 +19,30 @@ Frames carry raw integer counts so encode/decode is an exact bijection; the
 count-to-physical conversions round to 9 decimal places, which keeps the
 values bit-stable through the flight-recording CSV round trip.
 
-A byte stream is scanned into column arrays (``scan_frames``): one walk finds
-the accepted frames, and numpy gathers them as ``IMU_WIRE``/``GPS_WIRE``
-records, which ``imu_counts_to_arrays`` and ``gps_counts_to_arrays`` convert
-to units in one call each. ``imu_arrays_to_counts`` and
+Frames are ``IMU_WIRE``/``GPS_WIRE`` numpy records in both directions.
+``encode_frames`` builds the records of integer field columns, and the
+``.tobytes()`` of its result is the wire stream. ``scan_frames`` recovers the
+records from a possibly dirty byte stream: one walk finds the accepted frames,
+and numpy gathers them. A single frame decodes as ``scan_frames(frame)``; when
+it fails, the reason is its ``StreamDiagnostic.reason`` (``framing``,
+``truncation`` or ``corruption``, or ``skip`` for bytes before a magic byte).
+``imu_counts_to_arrays`` and ``gps_counts_to_arrays`` convert the records'
+counts to units in one call each. ``imu_arrays_to_counts`` and
 ``gps_arrays_to_counts`` are their exact inverses, for the encoders of the
 simulator and the tests; this module alone holds the wire scales.
-``scan_stream`` is the same result as ``TelemetryFrame`` objects.
 """
 
 from __future__ import annotations
 
 import binascii
-import enum
 import math
-import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attitude import GRAVITY_MPS2, ImuArrays
-from .errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
+from .errors import EncodeRangeError
 from .navigation import GpsArrays
 
 MAGIC = 0xA5
@@ -50,32 +51,20 @@ ACCEL_LSB_PER_G = 2048.0
 GYRO_LSB_PER_DPS = 16.4
 MAG_LSB_PER_GAUSS = 1090.0
 
-_HEADER = struct.Struct("<BBHI")
-_IMU_PAYLOAD = struct.Struct("<9h")
-_GPS_PAYLOAD = struct.Struct("<iiHHiB")
-_CRC = struct.Struct("<H")
+# The kind byte of each frame, after the magic byte.
+_IMU_KIND, _GPS_KIND = 0x01, 0x02
 
-IMU_FRAME_LEN = _HEADER.size + _IMU_PAYLOAD.size + _CRC.size   # 28
-GPS_FRAME_LEN = _HEADER.size + _GPS_PAYLOAD.size + _CRC.size   # 27
-MAX_FRAME_LEN = 32
-
-
-class FrameKind(enum.IntEnum):
-    IMU = 0x01
-    GPS = 0x02
-
-
-_FRAME_LEN = {FrameKind.IMU: IMU_FRAME_LEN, FrameKind.GPS: GPS_FRAME_LEN}
-# plain ints: the scan compares every frame's kind byte, and an enum compare costs more
-_IMU_KIND, _GPS_KIND = int(FrameKind.IMU), int(FrameKind.GPS)
-
-# Whole frames as numpy records, for the column scan.
+# Whole frames as numpy records.
 _WIRE_HEADER = [("magic", "u1"), ("kind", "u1"), ("seq", "<u2"), ("t_ms", "<u4")]
 IMU_WIRE = np.dtype(_WIRE_HEADER + [("counts", "<i2", (9,)), ("crc", "<u2")])
 GPS_WIRE = np.dtype(_WIRE_HEADER + [
     ("lat_e7", "<i4"), ("lon_e7", "<i4"), ("speed_cmps", "<u2"), ("course_cdeg", "<u2"),
     ("alt_cm", "<i4"), ("flags", "u1"), ("crc", "<u2"),
 ])
+
+IMU_FRAME_LEN = IMU_WIRE.itemsize   # 28
+GPS_FRAME_LEN = GPS_WIRE.itemsize   # 27
+MAX_FRAME_LEN = 32
 
 
 def crc16_ccitt_false(data: bytes) -> int:
@@ -88,111 +77,33 @@ def _crc_mismatch(crc_rx: int, crc_calc: int) -> str:
     return f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}"
 
 
-class ImuPayload(NamedTuple):
-    """Raw signed 16-bit sensor counts."""
-
-    ax: int
-    ay: int
-    az: int
-    gx: int
-    gy: int
-    gz: int
-    mx: int
-    my: int
-    mz: int
-
-
-@dataclass(frozen=True)
-class GpsPayload:
-    """Raw fixed-point GPS fields."""
-
-    lat_e7: int
-    lon_e7: int
-    speed_cmps: int
-    course_cdeg: int
-    valid: bool
-    alt_cm: int = 0
-    alt_valid: bool = False
-
-
-@dataclass(frozen=True)
-class TelemetryFrame:
-    kind: FrameKind
-    seq: int
-    t_ms: int
-    payload: ImuPayload | GpsPayload
-
-
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise EncodeRangeError(f"{name} must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise EncodeRangeError(f"{name}={value} outside [{lo}, {hi}]")
-
-
-def encode_frame(frame: TelemetryFrame) -> bytes:
-    _check_range("seq", frame.seq, 0, 0xFFFF)
-    _check_range("t_ms", frame.t_ms, 0, 0xFFFFFFFF)
-    if frame.kind == FrameKind.IMU:
-        p = frame.payload
-        for name in ("ax", "ay", "az", "gx", "gy", "gz", "mx", "my", "mz"):
-            _check_range(name, getattr(p, name), -32768, 32767)
-        body = _HEADER.pack(MAGIC, frame.kind, frame.seq, frame.t_ms) + _IMU_PAYLOAD.pack(
-            p.ax, p.ay, p.az, p.gx, p.gy, p.gz, p.mx, p.my, p.mz
-        )
-    elif frame.kind == FrameKind.GPS:
-        p = frame.payload
-        _check_range("lat_e7", p.lat_e7, -(2**31), 2**31 - 1)
-        _check_range("lon_e7", p.lon_e7, -(2**31), 2**31 - 1)
-        _check_range("speed_cmps", p.speed_cmps, 0, 0xFFFF)
-        _check_range("course_cdeg", p.course_cdeg, 0, 0xFFFF)
-        _check_range("alt_cm", p.alt_cm, -(2**31), 2**31 - 1)
-        flags = (0x01 if p.valid else 0x00) | (0x02 if p.alt_valid else 0x00)
-        body = _HEADER.pack(MAGIC, frame.kind, frame.seq, frame.t_ms) + _GPS_PAYLOAD.pack(
-            p.lat_e7, p.lon_e7, p.speed_cmps, p.course_cdeg, p.alt_cm, flags
-        )
-    else:
-        raise EncodeRangeError(f"unknown frame kind {frame.kind!r}")
-    return body + _CRC.pack(crc16_ccitt_false(body))
-
-
-def decode_frame(data: bytes) -> TelemetryFrame:
-    """Inverse of encode_frame; raises a distinct error per failure mode."""
-    if len(data) < 2:
-        raise TruncationError(f"need at least 2 bytes, got {len(data)}", offset=len(data))
-    if data[0] != MAGIC:
-        raise FramingError(f"bad magic byte 0x{data[0]:02X}", offset=0)
-    try:
-        kind = FrameKind(data[1])
-    except ValueError:
-        raise FramingError(f"unknown frame kind 0x{data[1]:02X}", offset=1) from None
-    need = _FRAME_LEN[kind]
-    if len(data) < need:
-        raise TruncationError(f"{kind.name} frame needs {need} bytes, got {len(data)}", offset=len(data))
-    if len(data) != need:
-        raise FramingError(f"{kind.name} frame must be exactly {need} bytes, got {len(data)}", offset=need)
-    body, crc_bytes = data[: need - 2], data[need - 2 :]
-    (crc_rx,) = _CRC.unpack(crc_bytes)
-    crc_calc = crc16_ccitt_false(body)
-    if crc_rx != crc_calc:
-        raise CorruptionError(_crc_mismatch(crc_rx, crc_calc), offset=need - 2)
-    _, _, seq, t_ms = _HEADER.unpack_from(body)
-    if kind == FrameKind.IMU:
-        payload = ImuPayload(*_IMU_PAYLOAD.unpack_from(body, _HEADER.size))
-    else:
-        payload = _gps_payload(*_GPS_PAYLOAD.unpack_from(body, _HEADER.size))
-    return TelemetryFrame(kind=kind, seq=seq, t_ms=t_ms, payload=payload)
-
-
-def _gps_payload(lat_e7, lon_e7, speed, course, alt_cm, flags) -> GpsPayload:
-    """The payload of the wire fields; flag bits 2-7 carry nothing."""
-    return GpsPayload(lat_e7, lon_e7, speed, course, bool(flags & 0x01), alt_cm, bool(flags & 0x02))
-
-
-def gps_payloads(gps: np.ndarray) -> list[GpsPayload]:
-    """One ``GpsPayload`` per ``GPS_WIRE`` record."""
-    fields = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
-    return [_gps_payload(*row) for row in zip(*(gps[f].tolist() for f in fields))]
+def encode_frames(wire: np.dtype, t_ms, seq=None, **fields) -> np.ndarray:
+    """The ``wire`` records (``IMU_WIRE`` or ``GPS_WIRE``) of frames with the
+    times ``t_ms`` and the payload ``fields``, each a column of integers by
+    its ``wire`` name, with the magic, kind and CRC filled in. ``seq``
+    defaults to the row index mod 2**16. Raises ``TypeError`` unless
+    ``fields`` names every payload field and no other, and
+    ``EncodeRangeError`` naming the field of a value that is not an integer
+    or does not fit its type.
+    """
+    kind = {IMU_WIRE: _IMU_KIND, GPS_WIRE: _GPS_KIND}[wire]
+    payload = wire.names[4:-1]
+    if fields.keys() != set(payload):
+        raise TypeError(f"the payload fields are {payload}, got {tuple(fields)}")
+    n = len(t_ms)
+    frames = np.zeros(n, dtype=wire)
+    frames["magic"], frames["kind"] = MAGIC, kind
+    columns = {"seq": np.arange(n) % 0x10000 if seq is None else seq, "t_ms": t_ms, **fields}
+    for name, column in columns.items():
+        column, info = np.asarray(column), np.iinfo(wire[name].base)
+        if column.dtype.kind not in "iu":
+            raise EncodeRangeError(f"{name} must be integers in [{info.min}, {info.max}], got {column.dtype}")
+        if column.size and not info.min <= int(column.min()) <= int(column.max()) <= info.max:
+            raise EncodeRangeError(f"{name} outside [{info.min}, {info.max}]")
+        frames[name] = column
+    raw, size = memoryview(frames.tobytes()), wire.itemsize
+    frames["crc"] = [binascii.crc_hqx(raw[k : k + size - 2], 0xFFFF) for k in range(0, n * size, size)]
+    return frames
 
 
 @dataclass(frozen=True)
@@ -274,21 +185,6 @@ def scan_frames(data: bytes) -> tuple[np.ndarray, np.ndarray, list[StreamDiagnos
     return _records(data, imu_at, IMU_WIRE), _records(data, gps_at, GPS_WIRE), diags
 
 
-def scan_stream(data: bytes) -> tuple[list[TelemetryFrame], list[StreamDiagnostic]]:
-    """``scan_frames`` as ``TelemetryFrame`` objects in stream order."""
-    imu_at, gps_at, diags = _walk(data)
-    imu, gps = _records(data, imu_at, IMU_WIRE), _records(data, gps_at, GPS_WIRE)
-    frames = [
-        TelemetryFrame(FrameKind.IMU, seq, t_ms, ImuPayload(*counts))
-        for seq, t_ms, counts in zip(imu["seq"].tolist(), imu["t_ms"].tolist(), imu["counts"].tolist())
-    ] + [
-        TelemetryFrame(FrameKind.GPS, seq, t_ms, payload)
-        for seq, t_ms, payload in zip(gps["seq"].tolist(), gps["t_ms"].tolist(), gps_payloads(gps))
-    ]
-    at = imu_at + gps_at
-    return [frames[k] for k in sorted(range(len(frames)), key=at.__getitem__)], diags
-
-
 def _round9(x: np.ndarray) -> np.ndarray:
     """Python's ``round(v, 9)`` of each value; ``np.round`` differs from it."""
     return np.array([round(v, 9) for v in x.tolist()], dtype=np.float64)
@@ -312,9 +208,10 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
     """Physical-unit columns from raw counts (values exact at 9 decimals).
 
     ``t_ms`` holds n integer times and ``counts`` an (n, 9) integer array in
-    ``ImuPayload`` field order. Each value is Python's ``round(count * k, 9)``;
-    ``np.round`` differs from it for some counts, so the rounding runs once
-    per distinct count and is scattered back.
+    ``IMU_WIRE`` order: accel, gyro and mag, each x, y, z. Each value is
+    Python's ``round(count * k, 9)``; ``np.round`` differs from it for some
+    counts, so the rounding runs once per distinct count and is scattered
+    back.
     """
     t_ms = np.asarray(t_ms, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64).reshape(len(t_ms), 9)
@@ -326,8 +223,8 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
 
 
 def imu_arrays_to_counts(imu: ImuArrays) -> np.ndarray:
-    """The (n, 9) int64 raw counts of IMU columns in ``ImuPayload`` field
-    order, rounded half to even: the exact inverse of ``imu_counts_to_arrays``.
+    """The (n, 9) int64 raw counts of IMU columns in ``IMU_WIRE`` order,
+    rounded half to even: the exact inverse of ``imu_counts_to_arrays``.
     Raises ``EncodeRangeError`` for a row without a magnetometer reading and
     for a count outside int16.
     """

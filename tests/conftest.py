@@ -1,6 +1,4 @@
-import binascii
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from navfuse.flightsim import (
     standard_profile,
 )
 from navfuse.navigation import GpsArrays
-from navfuse.telemetry import gps_arrays_to_counts, imu_arrays_to_counts
+from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
 
 
 @pytest.fixture(scope="session")
@@ -62,37 +60,48 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
-def build_stream(imu, gps):
-    """Interleave IMU and GPS frames by timestamp, like two transmitters.
+def interleave(imu, gps, before):
+    """``IMU_WIRE`` and ``GPS_WIRE`` records as one list of frame bytes, GPS
+    frame j just before IMU frame ``before[j]`` (after the last one for
+    ``len(imu)``). ``before`` is non-decreasing, so each kind keeps its order.
+    """
+    rank = np.concatenate([2 * np.arange(len(imu)) + 1, 2 * np.asarray(before, dtype=np.int64)])
+    frames = [f.tobytes() for f in imu] + [f.tobytes() for f in gps]
+    return [frames[k] for k in np.argsort(rank, kind="stable")]
+
+
+def stream_frames(imu, gps):
+    """The frames of a flight in stream order, each as bytes: IMU and GPS
+    frames interleaved by timestamp, like two transmitters. A fix goes just
+    before the first IMU frame at or after its time; a fix after the last IMU
+    frame is not sent. ``seq`` counts each kind's frames.
 
     A frame always carries a magnetometer reading, so a row without one is
     framed with its zero ``mag``.
     """
-    blob = bytearray()
-    counts = gps_arrays_to_counts(gps)
-    fields = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
-    gps_frames = [
-        raw_frame(0x02, seq % 65536, round(t * 1000), *row)
-        for seq, (t, *row) in enumerate(zip(gps.t.tolist(), *(counts[f].tolist() for f in fields)))
-    ]
-    fix_t = gps.t.tolist()
-    fi = 0
     counts = imu_arrays_to_counts(imu._replace(has_mag=np.ones_like(imu.has_mag)))
-    imu_rows = zip(imu.t.tolist(), imu.t_ms.tolist(), counts.tolist())
-    for seq, (t, t_ms, row) in enumerate(imu_rows):
-        while fi < len(fix_t) and fix_t[fi] <= t:
-            blob += gps_frames[fi]
-            fi += 1
-        blob += raw_frame(0x01, seq % 65536, t_ms, *row)
-    return bytes(blob)
+    imu_frames = encode_frames(IMU_WIRE, imu.t_ms, counts=counts)
+    gps_frames = encode_frames(GPS_WIRE, np.rint(gps.t * 1000).astype(np.int64), **gps_arrays_to_counts(gps))
+    before = np.searchsorted(imu.t, gps.t)
+    sent = before < len(imu.t)
+    return interleave(imu_frames, gps_frames[sent], before[sent])
 
 
-_WIRE_FORMATS = {0x01: struct.Struct("<BBHI9h"), 0x02: struct.Struct("<BBHIiiHHiB")}
+def build_stream(imu, gps):
+    """The wire stream of a flight: ``stream_frames`` joined."""
+    return b"".join(stream_frames(imu, gps))
 
 
-def raw_frame(kind: int, seq: int, t_ms: int, *fields: int) -> bytes:
-    """A CRC-valid frame of raw wire fields, in the ``IMU_WIRE``/``GPS_WIRE``
-    field order, without the encoder's range checks: any GPS flags byte and
-    any int32 position."""
-    body = _WIRE_FORMATS[kind].pack(0xA5, kind, seq, t_ms, *fields)
-    return body + struct.pack("<H", binascii.crc_hqx(body, 0xFFFF))
+def reframe(frames):
+    """``IMU_WIRE`` or ``GPS_WIRE`` records encoded again from their fields,
+    so that records whose fields a test edited carry a valid CRC."""
+    payload = {name: frames[name] for name in frames.dtype.names[4:-1]}
+    return encode_frames(frames.dtype, frames["t_ms"], frames["seq"], **payload)
+
+
+def encode_one(kind, seq, t_ms, fields):
+    """The bytes of one frame of ``kind`` (0x01 IMU, 0x02 GPS) with the
+    payload ``fields`` in wire order."""
+    if kind == 0x01:
+        return encode_frames(IMU_WIRE, [t_ms], [seq], counts=[fields]).tobytes()
+    return encode_frames(GPS_WIRE, [t_ms], [seq], **{n: [v] for n, v in zip(GPS_WIRE.names[4:-1], fields)}).tobytes()

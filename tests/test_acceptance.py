@@ -45,7 +45,7 @@ from navfuse.navigation import (
 from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion, hamilton
 from navfuse.recording import read_recording, write_recording
-from navfuse.telemetry import FrameKind, TelemetryFrame, decode_frame, encode_frame, scan_stream
+from navfuse.telemetry import scan_frames
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
 GRID = [0.1, 0.5, 0.9]
@@ -247,43 +247,42 @@ def test_criterion_7_codec_suite():
         from test_telemetry import (
             GOLDEN_GPS,
             GOLDEN_IMU_ZERO,
-            random_gps_frame,
-            random_imu_frame,
+            golden_frames,
+            random_gps_frames,
+            random_imu_frames,
+            shuffle_kinds,
+            wire_rows,
         )
-        from navfuse.telemetry import GpsPayload, ImuPayload
 
         rng = np.random.default_rng(107)
-        for _ in range(10000):
-            f = random_imu_frame(rng) if rng.random() < 0.5 else random_gps_frame(rng)
-            assert decode_frame(encode_frame(f)) == f
+        n_gps = rng.binomial(10000, 0.5)
+        imu, gps = random_imu_frames(rng, 10000 - n_gps), random_gps_frames(rng, n_gps)
+        got_imu, got_gps, diags = scan_frames(b"".join(shuffle_kinds(rng, imu, gps)))
+        assert got_imu.tobytes() == imu.tobytes() and got_gps.tobytes() == gps.tobytes()
+        assert diags == []
 
-        for frame in (random_imu_frame(rng), random_gps_frame(rng)):
-            encoded = encode_frame(frame)
+        for frame in (random_imu_frames(rng, 1), random_gps_frames(rng, 1)):
+            encoded = frame.tobytes()
             for byte_idx in range(len(encoded)):
                 for bit in range(8):
                     corrupted = bytearray(encoded)
                     corrupted[byte_idx] ^= 1 << bit
-                    try:
-                        decoded = decode_frame(bytes(corrupted))
-                    except ValueError:
-                        continue
-                    raise AssertionError(f"silent corruption at byte {byte_idx} bit {bit}: {decoded}")
+                    got_imu, got_gps, diags = scan_frames(bytes(corrupted))
+                    if len(got_imu) or len(got_gps) or not diags:
+                        raise AssertionError(f"silent corruption at byte {byte_idx} bit {bit}")
 
-        frames = [random_imu_frame(rng) for _ in range(50)]
+        frames = random_imu_frames(rng, 50)
         chunks = []
         for f in frames:
             chunks.append(bytes(rng.integers(0, 256, int(rng.integers(1, 30)), dtype=np.uint8)))
-            chunks.append(encode_frame(f))
-        recovered, _ = scan_stream(b"".join(chunks))
-        assert [f for f in recovered if f in frames] == frames
+            chunks.append(f.tobytes())
+        recovered = wire_rows(scan_frames(b"".join(chunks))[0])
+        want = wire_rows(frames)
+        assert [f for f in recovered if f in want] == want
 
-        zero = TelemetryFrame(FrameKind.IMU, 0, 0, ImuPayload(0, 0, 0, 0, 0, 0, 0, 0, 0))
-        assert encode_frame(zero) == GOLDEN_IMU_ZERO
-        gps = TelemetryFrame(
-            FrameKind.GPS, 7, 123456,
-            GpsPayload(-77_650_000, 1_103_700_000, 1500, 9000, True, 12345, True),
-        )
-        assert encode_frame(gps) == GOLDEN_GPS
+        zero, fix = golden_frames()
+        assert zero.tobytes() == GOLDEN_IMU_ZERO
+        assert fix.tobytes() == GOLDEN_GPS
 
 
 def test_criterion_8_mode_equivalence(tmp_path, capsys):

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_stream, raw_frame
+from conftest import build_stream, encode_one, interleave, reframe, stream_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import navfuse
-from navfuse import cli, flightsim, telemetry
+from navfuse import cli, flightsim
 from navfuse.cli import main
 from navfuse.flightsim import (
     FlightProfile,
@@ -29,11 +29,7 @@ from navfuse.flightsim import (
 from navfuse.geo import GeoPoint
 from navfuse.pipeline import FUSED_HEADER, FusionConfig
 from navfuse.recording import read_recording, write_recording
-from navfuse.telemetry import (
-    FrameKind,
-    encode_frame,
-    scan_stream,
-)
+from navfuse.telemetry import scan_frames
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +105,10 @@ class TestLive:
             dirty += bytes(rng.integers(0, 256, 28, dtype=np.uint8))
         dirty_path = tmp_path / "dirty.bin"
         dirty_path.write_bytes(bytes(dirty))
-        frames, diags = scan_stream(bytes(dirty))
-        imu_count = sum(1 for f in frames if f.kind == FrameKind.IMU)
+        imu, _, diags = scan_frames(bytes(dirty))
         code, out, err = run_cli(["--mode", "live", "--input", str(dirty_path)], capsys)
         assert code == 0
-        assert len(out.splitlines()) == imu_count + 1
+        assert len(out.splitlines()) == len(imu) + 1
         assert err.count("stream diagnostic") == len(diags)
 
     def test_stdin_input(self, stream_file, capsys, monkeypatch):
@@ -125,49 +120,52 @@ class TestLive:
         assert len(out.splitlines()) == n + 1
 
 
+def live_frames(frames, capsys, tmp_path, name):
+    """``live`` on a stream of the IMU records, then the GPS records, of
+    ``frames``: the output does not depend on how the kinds interleave."""
+    path = tmp_path / name
+    path.write_bytes(frames["IMU"].tobytes() + frames["GPS"].tobytes())
+    return run_cli(["--mode", "live", "--input", str(path)], capsys)
+
+
+@pytest.fixture(scope="module")
+def stream_records(stream_file):
+    """The short flight's frames as records by kind."""
+    imu, gps, diags = scan_frames(stream_file[0].read_bytes())
+    assert not diags
+    return {"IMU": imu, "GPS": gps}
+
+
 class TestRetransmittedFrames:
     """Frames repeating an earlier frame's t_ms: the first in stream order
     is kept and one summary line per kind goes to stderr."""
 
-    @pytest.fixture(scope="class")
-    def frames(self, stream_file):
-        path, _ = stream_file
-        frames, diags = scan_stream(path.read_bytes())
-        assert not diags
-        assert b"".join(encode_frame(fr) for fr in frames) == path.read_bytes()
-        return frames
+    @staticmethod
+    def with_copy(frames, kind, k):
+        """The frames with a copy of the k-th frame of ``kind`` sent again
+        right after it."""
+        return {**frames, kind: np.insert(frames[kind], k + 1, frames[kind][k])}
 
-    def live(self, frames, capsys, tmp_path, name):
-        path = tmp_path / name
-        path.write_bytes(b"".join(encode_frame(fr) for fr in frames))
-        return run_cli(["--mode", "live", "--input", str(path)], capsys)
-
-    def with_copy(self, frames, kind, k, payload=None):
-        """The stream with a copy of its k-th frame of ``kind`` sent again
-        right after it, optionally with another payload."""
-        j = [i for i, fr in enumerate(frames) if fr.kind == kind][k]
-        copy = frames[j] if payload is None else dataclasses.replace(frames[j], payload=payload)
-        return frames[: j + 1] + [copy] + frames[j + 1 :]
-
-    @pytest.mark.parametrize("kind", [FrameKind.IMU, FrameKind.GPS], ids=["imu", "gps"])
-    def test_duplicate_frame_output_matches_clean(self, frames, kind, capsys, tmp_path):
-        clean = self.live(frames, capsys, tmp_path, "clean.bin")
-        dup = self.live(self.with_copy(frames, kind, 3), capsys, tmp_path, "dup.bin")
+    @pytest.mark.parametrize("kind", ["IMU", "GPS"])
+    def test_duplicate_frame_output_matches_clean(self, stream_records, kind, capsys, tmp_path):
+        clean = live_frames(stream_records, capsys, tmp_path, "clean.bin")
+        dup = live_frames(self.with_copy(stream_records, kind, 3), capsys, tmp_path, "dup.bin")
         assert clean[0] == dup[0] == 0
         assert dup[1] == clean[1]
         assert clean[2] == ""
         assert dup[2] == (
-            f"navfuse: dropped {kind.name} frames repeating an earlier t_ms: 1 "
+            f"navfuse: dropped {kind} frames repeating an earlier t_ms: 1 "
             "(1 exact duplicates, 0 with a conflicting payload)\n"
         )
 
-    def test_conflicting_frame_keeps_first(self, frames, capsys, tmp_path):
-        clean = self.live(frames, capsys, tmp_path, "clean.bin")
-        imu_payload = frames[0].payload if frames[0].kind == FrameKind.IMU else frames[1].payload
-        stream = self.with_copy(frames, FrameKind.IMU, 5, payload=imu_payload._replace(ax=1234))
+    def test_conflicting_frame_keeps_first(self, stream_records, capsys, tmp_path):
+        clean = live_frames(stream_records, capsys, tmp_path, "clean.bin")
+        stream = self.with_copy(stream_records, "IMU", 5)
+        stream["IMU"]["counts"][6, 0] = 1234
+        stream["IMU"] = reframe(stream["IMU"])
         for k in (10, 20, 30):
-            stream = self.with_copy(stream, FrameKind.IMU, k)
-        code, out, err = self.live(stream, capsys, tmp_path, "conflict.bin")
+            stream = self.with_copy(stream, "IMU", k)
+        code, out, err = live_frames(stream, capsys, tmp_path, "conflict.bin")
         assert code == 0
         assert out == clean[1]
         assert err.splitlines() == [
@@ -180,55 +178,38 @@ class TestGpsPositionRange:
     """A CRC-valid fix outside [-90, 90] latitude or [-180, 180] longitude is
     dropped and counted; -180 deg longitude is the +180 deg meridian."""
 
-    @pytest.fixture(scope="class")
-    def frames(self, stream_file):
-        path, _ = stream_file
-        return scan_stream(path.read_bytes())[0]
-
-    def live(self, frames, capsys, tmp_path, name):
-        path = tmp_path / name
-        path.write_bytes(b"".join(encode_frame(fr) for fr in frames))
-        return run_cli(["--mode", "live", "--input", str(path)], capsys)
-
-    def gps_index(self, frames, k):
-        return [i for i, fr in enumerate(frames) if fr.kind == FrameKind.GPS][k]
-
     @pytest.mark.parametrize("field,value", [
         ("lat_e7", 950_000_000), ("lat_e7", -900_000_001),
         ("lon_e7", 1_800_000_001), ("lon_e7", -(2**31)),
     ])
-    def test_out_of_range_fix_dropped(self, frames, field, value, capsys, tmp_path):
-        clean = self.live(frames, capsys, tmp_path, "clean.bin")
-        j = self.gps_index(frames, 2)
-        bad = dataclasses.replace(
-            frames[j], t_ms=frames[j].t_ms + 500, payload=dataclasses.replace(frames[j].payload, **{field: value})
-        )
-        code, out, err = self.live(frames[:j + 1] + [bad] + frames[j + 1:], capsys, tmp_path, "bad.bin")
+    def test_out_of_range_fix_dropped(self, stream_records, field, value, capsys, tmp_path):
+        clean = live_frames(stream_records, capsys, tmp_path, "clean.bin")
+        gps = np.insert(stream_records["GPS"], 3, stream_records["GPS"][2])
+        gps["t_ms"][3] += 500
+        gps[field][3] = value
+        code, out, err = live_frames({**stream_records, "GPS": reframe(gps)}, capsys, tmp_path, "bad.bin")
         assert clean[0] == code == 0
         assert out == clean[1]
         assert err == "navfuse: dropped GPS frames with a position out of range: 1\n"
 
-    def test_lon_minus_180_is_plus_180(self, frames, capsys, tmp_path):
-        j = self.gps_index(frames, 2)
+    def test_lon_minus_180_is_plus_180(self, stream_records, capsys, tmp_path):
         runs = []
         for lon_e7 in (1_800_000_000, -1_800_000_000):
-            fix = dataclasses.replace(frames[j], payload=dataclasses.replace(frames[j].payload, lon_e7=lon_e7))
-            runs.append(self.live(frames[:j] + [fix] + frames[j + 1:], capsys, tmp_path, "meridian.bin"))
+            gps = stream_records["GPS"].copy()
+            gps["lon_e7"][2] = lon_e7
+            runs.append(live_frames({**stream_records, "GPS": reframe(gps)}, capsys, tmp_path, "meridian.bin"))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][2] == ""
 
 
 @pytest.mark.parametrize("mode", ["live", "record", "replay", "simulate", "sweep"])
 def test_no_frame_objects_on_cli_path(mode, stream_file, capsys, tmp_path, monkeypatch):
-    """Frames and fixes stay columns: no frame, payload or position object is
-    built per frame or per fix."""
+    """Frames and fixes stay columns: no position object is built per fix."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("per-frame object built on the CLI path")
+        raise AssertionError("per-fix object built on the CLI path")
 
-    for cls in (telemetry.TelemetryFrame, telemetry.GpsPayload, GeoPoint):
-        monkeypatch.setattr(cls, "__init__", refuse)
-    monkeypatch.setattr(telemetry, "decode_frame", refuse)
+    monkeypatch.setattr(GeoPoint, "__init__", refuse)
     output = ["--output", str(tmp_path / "out.csv")]
     if mode in ("replay", "simulate", "sweep"):
         cfg = tmp_path / "cfg.json"
@@ -249,6 +230,17 @@ def test_no_frame_objects_on_cli_path(mode, stream_file, capsys, tmp_path, monke
     assert "stream diagnostic" in err and "repeating an earlier t_ms" in err
 
 
+def live_bytes(data, tmp_path_factory):
+    """``live``'s exit code and stdout on ``data``, for tests that hypothesis
+    runs many times (no function-scoped fixture)."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--mode", "live", "--input", str(path)])
+    return code, out.getvalue()
+
+
 class TestFuzzLive:
     """``live`` on damaged and arbitrary bytes: a damaged stream still fuses,
     and no input lets an exception escape."""
@@ -257,16 +249,7 @@ class TestFuzzLive:
     def base(self):
         profile = FlightProfile(segments=(FlightSegment("straight", 3.0),), seed=8)
         _, imu, gps = generate_flight(profile, SensorNoiseModel())
-        return [encode_frame(fr) for fr in scan_stream(build_stream(imu, gps))[0]]
-
-    @staticmethod
-    def run_bytes(data, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
-        path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--mode", "live", "--input", str(path)])
-        return code, out.getvalue()
+        return stream_frames(imu, gps)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -279,12 +262,12 @@ class TestFuzzLive:
             t_ms = data.draw(st.integers(0, 2**32 - 1))
             if data.draw(st.booleans()):
                 fields = data.draw(st.lists(st.integers(-32768, 32767), min_size=9, max_size=9))
-                frame = raw_frame(0x01, 0, t_ms, *fields)
+                frame = encode_one(0x01, 0, t_ms, fields)
             else:
                 lat, lon = data.draw(st.integers(-(2**31), 2**31 - 1)), data.draw(st.integers(-(2**31), 2**31 - 1))
                 rest = data.draw(st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
                                            st.integers(-(2**31), 2**31 - 1), st.integers(0, 255)))
-                frame = raw_frame(0x02, 0, t_ms, lat, lon, *rest)
+                frame = encode_one(0x02, 0, t_ms, (lat, lon, *rest))
             blobs.insert(data.draw(st.integers(0, len(blobs))), frame)
         # the benchmark's damage: bit flips, frames cut short, garbage bursts
         for _ in range(data.draw(st.integers(0, 12), label="damaged")):
@@ -300,9 +283,9 @@ class TestFuzzLive:
             blobs[k] = bytes(blob)
         stream = b"".join(blobs)
         stream = stream[: len(stream) - data.draw(st.integers(0, 30), label="tail cut")]
-        t_ms = sorted({fr.t_ms for fr in scan_stream(stream)[0] if fr.kind == FrameKind.IMU})
+        t_ms = sorted(set(scan_frames(stream)[0]["t_ms"].tolist()))
 
-        code, out = self.run_bytes(stream, tmp_path_factory)
+        code, out = live_bytes(stream, tmp_path_factory)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == FUSED_HEADER
@@ -314,8 +297,35 @@ class TestFuzzLive:
     @given(st.lists(st.one_of(st.sampled_from([0xA5, 0x01, 0x02]), st.integers(0, 255)), max_size=600))
     @settings(max_examples=100, deadline=None)
     def test_arbitrary_bytes_never_raise(self, tmp_path_factory, data):
-        code, _ = self.run_bytes(bytes(data), tmp_path_factory)
+        code, _ = live_bytes(bytes(data), tmp_path_factory)
         assert code in (0, 2, 3)
+
+
+class TestKindInterleaving:
+    """``live`` output does not depend on how the IMU and GPS frames
+    interleave, as long as each kind keeps its own order."""
+
+    @pytest.fixture(scope="class")
+    def by_time(self, stream_file, tmp_path_factory):
+        return live_bytes(stream_file[0].read_bytes(), tmp_path_factory)
+
+    @staticmethod
+    def live(records, before, tmp_path_factory):
+        stream = b"".join(interleave(records["IMU"], records["GPS"], before))
+        return live_bytes(stream, tmp_path_factory)
+
+    @pytest.mark.parametrize("gps_at", ["start", "end"])
+    def test_kinds_in_blocks(self, stream_records, by_time, gps_at, tmp_path_factory):
+        before = np.full(len(stream_records["GPS"]), 0 if gps_at == "start" else len(stream_records["IMU"]))
+        assert by_time[0] == 0
+        assert self.live(stream_records, before, tmp_path_factory) == by_time
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_interleaving(self, stream_records, by_time, tmp_path_factory, data):
+        n_imu, n_gps = len(stream_records["IMU"]), len(stream_records["GPS"])
+        before = sorted(data.draw(st.lists(st.integers(0, n_imu), min_size=n_gps, max_size=n_gps)))
+        assert self.live(stream_records, before, tmp_path_factory) == by_time
 
 
 # Option values that would make NaN rows or drop every GPS correction, and
@@ -472,6 +482,17 @@ class TestRecordReplay:
         path, _ = stream_file
         code, _, _ = run_cli(["--mode", "record", "--input", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("output", [[], ["--output", "-"]])
+    def test_record_refuses_before_reading_input(self, output, capsys, monkeypatch):
+        class Unread:
+            def read(self, *args):
+                raise AssertionError("stdin read")
+
+        monkeypatch.setattr(sys, "stdin", type("F", (), {"buffer": Unread()})())
+        code, out, err = run_cli(["--mode", "record", *output], capsys)
+        assert (code, out) == (2, "")
+        assert err == "navfuse: record mode needs --output for the recording file\n"
 
     def test_unwritable_output_exit_4(self, stream_file, capsys, tmp_path):
         path, _ = stream_file
@@ -818,6 +839,8 @@ class TestConfigFile:
         ({"profile": {"start_lat": 100}}, "profile: start_lat 100.0 outside [-90, 90]"),
         ({"profile": {"start_lat": math.nan}}, "profile: start_lat nan outside [-90, 90]"),
         ({"profile": {"start_lon": -180}}, "profile: start_lon -180.0 outside (-180, 180]"),
+        ({"seed": -1}, "profile: seed must be non-negative, got -1"),
+        ({"profile": {"seed": -3}}, "profile: seed must be non-negative, got -3"),
         ({"profile": {"segments": [{"kind": "turn", "duration_s": math.inf}]}},
          "profile: segments[0]: duration_s must be finite, got inf"),
         ({"profile": {"segments": [{"kind": "turn", "duration_s": 5, "yaw_rate_dps": math.nan}]}},
@@ -839,6 +862,18 @@ class TestConfigFile:
         code, out, err = run_cli(["--mode", mode], capsys)
         assert (code, out, err) == (2, "", f"navfuse: bad config: {error}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("mode", ["simulate", "sweep", "filter-compare"])
+    def test_negative_seed_flag_is_a_config_error(self, mode, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("flight simulated")
+
+        monkeypatch.setattr(flightsim, "generate_flight", refuse)
+        monkeypatch.delenv("NAVFUSE_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["--mode", mode, "--seed", "-1"], capsys)
+        assert (code, out, err) == (2, "", "navfuse: bad config: profile: seed must be non-negative, got -1\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_example_loads_and_names_every_key(self, capsys, tmp_path, monkeypatch):
         block = self.README.read_text().split("### Config file")[1].split("```json\n")[1].split("```")[0]
@@ -983,7 +1018,7 @@ class TestStartup:
             "import navfuse; ns = {}; exec('from navfuse import *', ns); "
             "print(len(navfuse.__all__), len(set(navfuse.__all__) - ns.keys()))"
         )
-        assert out == ["33", "0"]
+        assert out == ["31", "0"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

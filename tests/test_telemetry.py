@@ -1,18 +1,18 @@
 import contextlib
-import dataclasses
 import io
 import math
 import struct
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import gps_arrays, raw_frame
+from conftest import encode_one, gps_arrays, interleave
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli
 from navfuse.attitude import GRAVITY_MPS2
-from navfuse.errors import CorruptionError, EncodeRangeError, FramingError, TruncationError
+from navfuse.errors import EncodeRangeError
 from navfuse.telemetry import (
     GPS_FRAME_LEN,
     GPS_WIRE,
@@ -20,19 +20,13 @@ from navfuse.telemetry import (
     IMU_WIRE,
     MAGIC,
     MAX_FRAME_LEN,
-    FrameKind,
-    GpsPayload,
-    ImuPayload,
     StreamDiagnostic,
-    TelemetryFrame,
     crc16_ccitt_false,
-    decode_frame,
-    encode_frame,
+    encode_frames,
     gps_arrays_to_counts,
     imu_arrays_to_counts,
     imu_counts_to_arrays,
     scan_frames,
-    scan_stream,
 )
 
 # Derived by hand from the layout (struct) plus an independent table-driven
@@ -43,30 +37,50 @@ GOLDEN_IMU_ZERO = bytes.fromhex(
 GOLDEN_GPS = bytes.fromhex("a502070040e20100b0275ffb2020c941dc05282339300000035a59")
 
 
-def random_imu_frame(rng):
-    return TelemetryFrame(
-        FrameKind.IMU,
-        int(rng.integers(0, 2**16)),
-        int(rng.integers(0, 2**32)),
-        ImuPayload(*(int(v) for v in rng.integers(-32768, 32768, 9))),
+def golden_frames():
+    """The records of the two golden frames: an all-zero IMU frame, and a
+    GPS fix with both flags set."""
+    imu = encode_frames(IMU_WIRE, [0], counts=np.zeros((1, 9), dtype=np.int64))
+    gps = encode_frames(GPS_WIRE, [123456], [7], lat_e7=[-77_650_000], lon_e7=[1_103_700_000],
+                        speed_cmps=[1500], course_cdeg=[9000], alt_cm=[12345], flags=[3])
+    return imu, gps
+
+
+def random_imu_frames(rng, n):
+    return encode_frames(IMU_WIRE, rng.integers(0, 2**32, n), rng.integers(0, 2**16, n),
+                         counts=rng.integers(-32768, 32768, (n, 9)))
+
+
+def random_gps_frames(rng, n):
+    return encode_frames(
+        GPS_WIRE, rng.integers(0, 2**32, n), rng.integers(0, 2**16, n),
+        lat_e7=rng.integers(-900_000_000, 900_000_001, n),
+        lon_e7=rng.integers(-1_799_999_999, 1_800_000_001, n),
+        speed_cmps=rng.integers(0, 2**16, n),
+        course_cdeg=rng.integers(0, 36000, n),
+        alt_cm=rng.integers(-100_000, 3_000_000, n),
+        flags=rng.integers(0, 4, n),
     )
 
 
-def random_gps_frame(rng):
-    return TelemetryFrame(
-        FrameKind.GPS,
-        int(rng.integers(0, 2**16)),
-        int(rng.integers(0, 2**32)),
-        GpsPayload(
-            lat_e7=int(rng.integers(-900_000_000, 900_000_001)),
-            lon_e7=int(rng.integers(-1_799_999_999, 1_800_000_001)),
-            speed_cmps=int(rng.integers(0, 2**16)),
-            course_cdeg=int(rng.integers(0, 36000)),
-            valid=bool(rng.integers(0, 2)),
-            alt_cm=int(rng.integers(-100_000, 3_000_000)),
-            alt_valid=bool(rng.integers(0, 2)),
-        ),
-    )
+def shuffle_kinds(rng, imu, gps):
+    """The frames of both kinds as bytes, in a random order that keeps each
+    kind's own order."""
+    return interleave(imu, gps, np.sort(rng.integers(0, len(imu) + 1, len(gps))))
+
+
+def wire_rows(frames):
+    """Each record's fields between the kind byte and the CRC, as one flat
+    tuple per frame."""
+    if not len(frames):
+        return []
+    cols = [frames[name].reshape(len(frames), -1) for name in frames.dtype.names[2:-1]]
+    return [tuple(row) for row in np.hstack(cols).tolist()]
+
+
+def assert_same_records(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCrc:
@@ -93,185 +107,208 @@ class TestCrc:
 
 
 class TestEncode:
-    def test_golden_zero_imu_frame(self):
-        f = TelemetryFrame(FrameKind.IMU, 0, 0, ImuPayload(0, 0, 0, 0, 0, 0, 0, 0, 0))
-        assert encode_frame(f) == GOLDEN_IMU_ZERO
-
-    def test_golden_gps_frame(self):
-        f = TelemetryFrame(
-            FrameKind.GPS, 7, 123456,
-            GpsPayload(-77_650_000, 1_103_700_000, 1500, 9000, True, 12345, True),
-        )
-        assert encode_frame(f) == GOLDEN_GPS
+    def test_golden_frames(self):
+        imu, gps = golden_frames()
+        assert imu.tobytes() == GOLDEN_IMU_ZERO
+        assert gps.tobytes() == GOLDEN_GPS
 
     def test_frame_lengths_fixed(self):
         rng = np.random.default_rng(41)
-        for _ in range(50):
-            assert len(encode_frame(random_imu_frame(rng))) == IMU_FRAME_LEN == 28
-            assert len(encode_frame(random_gps_frame(rng))) == GPS_FRAME_LEN == 27
+        assert len(random_imu_frames(rng, 50).tobytes()) == 50 * IMU_FRAME_LEN == 50 * 28
+        assert len(random_gps_frames(rng, 50).tobytes()) == 50 * GPS_FRAME_LEN == 50 * 27
 
     def test_within_radio_payload_limit(self):
         assert IMU_FRAME_LEN <= MAX_FRAME_LEN
         assert GPS_FRAME_LEN <= MAX_FRAME_LEN
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("seq", -1), ("seq", 65536), ("t_ms", -1), ("t_ms", 2**32)],
-    )
-    def test_header_range_errors(self, field, value):
-        kw = dict(kind=FrameKind.IMU, seq=0, t_ms=0, payload=ImuPayload(0, 0, 0, 0, 0, 0, 0, 0, 0))
-        kw[field] = value
-        with pytest.raises(EncodeRangeError):
-            encode_frame(TelemetryFrame(**kw))
+    def test_seq_defaults_to_row_index(self):
+        frames = encode_frames(IMU_WIRE, np.arange(70000), counts=np.zeros((70000, 9), dtype=np.int64))
+        assert frames["seq"][[0, 1, 65535, 65536, 69999]].tolist() == [0, 1, 65535, 0, 4463]
 
-    def test_payload_range_error(self):
-        f = TelemetryFrame(FrameKind.IMU, 0, 0, ImuPayload(40000, 0, 0, 0, 0, 0, 0, 0, 0))
-        with pytest.raises(EncodeRangeError):
-            encode_frame(f)
+    def test_frames_match_struct_packing(self):
+        rng = np.random.default_rng(40)
+        imu, gps = random_imu_frames(rng, 200), random_gps_frames(rng, 200)
+        for frames, fmt in ((imu, "<BBHI9h"), (gps, "<BBHIiiHHiB")):
+            for row, frame in zip(frames.tolist(), frames):
+                body = struct.pack(fmt, *np.hstack(row[:-1]).tolist())
+                assert frame.tobytes() == body + struct.pack("<H", crc16_ccitt_false(body))
+
+    @pytest.mark.parametrize("field,column", [
+        ("seq", [-1]), ("seq", [65536]), ("t_ms", [-1]), ("t_ms", [2**32]),
+        ("counts", [[40000] + [0] * 8]), ("counts", [[0] * 8 + [-32769]]),
+        ("seq", [1.0]), ("t_ms", [0.5]), ("counts", [[True] * 9]),
+    ])
+    def test_imu_range_errors(self, field, column):
+        kw = dict(t_ms=[0], seq=[0], counts=[[0] * 9])
+        kw[field] = column
+        with pytest.raises(EncodeRangeError, match=f"^{field} "):
+            encode_frames(IMU_WIRE, **kw)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lat_e7", 2**31), ("lon_e7", -(2**31) - 1), ("speed_cmps", 65536), ("course_cdeg", -1),
+        ("alt_cm", 2**31), ("flags", 256), ("flags", -1), ("alt_cm", 1.5), ("flags", True),
+    ])
+    def test_gps_range_errors(self, field, value):
+        fields = {name: [0] for name in GPS_WIRE.names[4:-1]}
+        fields[field] = [value]
+        with pytest.raises(EncodeRangeError, match=f"^{field} "):
+            encode_frames(GPS_WIRE, [0], **fields)
+
+    def test_payload_fields_required(self):
+        with pytest.raises(TypeError):
+            encode_frames(GPS_WIRE, [0], lat_e7=[0], lon_e7=[0])
+        with pytest.raises(TypeError):
+            encode_frames(IMU_WIRE, [0], counts=np.zeros((1, 9), dtype=np.int64), flags=[0])
 
 
 class TestDecode:
+    """A single frame decodes through the scan, and a failed one leaves the
+    scan's diagnostics."""
+
     def test_roundtrip_random_frames(self):
         rng = np.random.default_rng(42)
-        for _ in range(2000):
-            f = random_imu_frame(rng) if rng.random() < 0.5 else random_gps_frame(rng)
-            assert decode_frame(encode_frame(f)) == f
+        imu, gps = random_imu_frames(rng, 1000), random_gps_frames(rng, 1000)
+        got_imu, got_gps, diags = scan_frames(b"".join(shuffle_kinds(rng, imu, gps)))
+        assert_same_records(got_imu, imu)
+        assert_same_records(got_gps, gps)
+        assert diags == []
 
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1),
            st.lists(st.integers(-32768, 32767), min_size=9, max_size=9))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, seq, t_ms, vals):
-        f = TelemetryFrame(FrameKind.IMU, seq, t_ms, ImuPayload(*vals))
-        assert decode_frame(encode_frame(f)) == f
+        frame = encode_frames(IMU_WIRE, [t_ms], [seq], counts=[vals])
+        imu, gps, diags = scan_frames(frame.tobytes())
+        assert_same_records(imu, frame)
+        assert len(gps) == 0 and diags == []
+        assert reference_scan(frame.tobytes()) == ([RefFrame(0x01, seq, t_ms, tuple(vals))], [])
 
-    def test_empty_input_truncation(self):
-        with pytest.raises(TruncationError):
-            decode_frame(b"")
-
-    def test_bad_magic(self):
+    @pytest.mark.parametrize("edit,diags", [
+        ("bad magic", [(0, "skip")]),
+        ("unknown kind", [(0, "framing"), (1, "skip")]),
+        ("short", [(0, "truncation")]),
+        ("crc", [(0, "corruption"), (1, "skip")]),
+    ])
+    def test_failure_reason(self, edit, diags):
         data = bytearray(GOLDEN_IMU_ZERO)
-        data[0] = 0x55
-        with pytest.raises(FramingError) as exc:
-            decode_frame(bytes(data))
-        assert exc.value.offset == 0
+        if edit == "bad magic":
+            data[0] = 0x55
+        elif edit == "unknown kind":
+            data[1] = 0x7F
+        elif edit == "short":
+            del data[20:]
+        else:
+            data[10] ^= 0xFF
+        imu, gps, got = scan_frames(bytes(data))
+        assert len(imu) == len(gps) == 0
+        assert [(d.offset, d.reason) for d in got] == diags
 
-    def test_unknown_kind(self):
-        data = bytearray(GOLDEN_IMU_ZERO)
-        data[1] = 0x7F
-        with pytest.raises(FramingError) as exc:
-            decode_frame(bytes(data))
-        assert exc.value.offset == 1
-
-    def test_short_frame_truncation(self):
-        with pytest.raises(TruncationError):
-            decode_frame(GOLDEN_IMU_ZERO[:20])
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(FramingError):
-            decode_frame(GOLDEN_IMU_ZERO + b"\x00")
-
-    def test_crc_mismatch_offset(self):
+    def test_crc_mismatch_detail(self):
         data = bytearray(GOLDEN_IMU_ZERO)
         data[10] ^= 0xFF
-        with pytest.raises(CorruptionError) as exc:
-            decode_frame(bytes(data))
-        assert exc.value.offset == IMU_FRAME_LEN - 2
+        diag = scan_frames(bytes(data))[2][0]
+        assert diag.detail == f"CRC mismatch: received 0x8C5A, computed 0x{crc16_ccitt_false(data[:-2]):04X}"
+
+    def test_trailing_byte_is_skipped(self):
+        imu, _, diags = scan_frames(GOLDEN_IMU_ZERO + b"\x00")
+        assert_same_records(imu, golden_frames()[0])
+        assert [(d.offset, d.reason) for d in diags] == [(IMU_FRAME_LEN, "skip")]
 
     def test_every_single_bit_flip_detected(self):
         rng = np.random.default_rng(43)
-        for frame in (random_imu_frame(rng), random_gps_frame(rng)):
-            encoded = encode_frame(frame)
+        for frame in (random_imu_frames(rng, 1), random_gps_frames(rng, 1)):
+            encoded = frame.tobytes()
             for byte_idx in range(len(encoded)):
                 for bit in range(8):
                     corrupted = bytearray(encoded)
                     corrupted[byte_idx] ^= 1 << bit
-                    with pytest.raises((FramingError, CorruptionError, TruncationError)):
-                        decode_frame(bytes(corrupted))
+                    imu, gps, diags = scan_frames(bytes(corrupted))
+                    assert len(imu) == len(gps) == 0
+                    assert diags
 
 
 class TestScanStream:
     def _frames(self, rng, n):
-        return [random_imu_frame(rng) if rng.random() < 0.7 else random_gps_frame(rng) for _ in range(n)]
+        """n random frames of both kinds, about 70% IMU."""
+        n_gps = rng.binomial(n, 0.3)
+        return random_imu_frames(rng, n - n_gps), random_gps_frames(rng, n_gps)
 
     def test_clean_concatenation(self):
         rng = np.random.default_rng(44)
-        frames = self._frames(rng, 40)
-        data = b"".join(encode_frame(f) for f in frames)
-        out, diags = scan_stream(data)
-        assert out == frames
+        imu, gps = self._frames(rng, 40)
+        got_imu, got_gps, diags = scan_frames(b"".join(shuffle_kinds(rng, imu, gps)))
+        assert_same_records(got_imu, imu)
+        assert_same_records(got_gps, gps)
         assert diags == []
 
     def test_recovers_through_garbage(self):
         rng = np.random.default_rng(45)
-        frames = self._frames(rng, 30)
+        imu, gps = self._frames(rng, 30)
         chunks = []
-        for f in frames:
+        for frame in shuffle_kinds(rng, imu, gps):
             chunks.append(bytes(rng.integers(0, 256, int(rng.integers(0, 40)), dtype=np.uint8)))
-            chunks.append(encode_frame(f))
-        data = b"".join(chunks)
-        out, diags = scan_stream(data)
+            chunks.append(frame)
+        got_imu, got_gps, _ = scan_frames(b"".join(chunks))
         # every real frame recovered (garbage may decode into extra frames
         # only by a CRC collision, which the seeded data avoids)
-        assert [f for f in out if f in frames] == frames
+        for got, want in ((got_imu, imu), (got_gps, gps)):
+            want = wire_rows(want)
+            assert [r for r in wire_rows(got) if r in want] == want
 
     def test_garbage_only(self):
-        out, diags = scan_stream(b"\x00\x01\x02" * 100)
-        assert out == []
+        imu, gps, diags = scan_frames(b"\x00\x01\x02" * 100)
+        assert len(imu) == len(gps) == 0
         assert len(diags) >= 1
 
     def test_truncated_tail(self):
         rng = np.random.default_rng(46)
-        frames = self._frames(rng, 5)
-        data = b"".join(encode_frame(f) for f in frames) + encode_frame(random_imu_frame(rng))[:15]
-        out, diags = scan_stream(data)
-        assert out == frames
-        assert len(diags) == 1
-        assert diags[0].reason == "truncation"
+        imu, gps = self._frames(rng, 5)
+        data = b"".join(shuffle_kinds(rng, imu, gps)) + random_imu_frames(rng, 1).tobytes()[:15]
+        got_imu, got_gps, diags = scan_frames(data)
+        assert_same_records(got_imu, imu)
+        assert_same_records(got_gps, gps)
+        assert [d.reason for d in diags] == ["truncation"]
 
     def test_corruption_produces_diagnostic_and_resync(self):
         rng = np.random.default_rng(47)
-        frames = self._frames(rng, 3)
-        blobs = [bytearray(encode_frame(f)) for f in frames]
+        frames = random_imu_frames(rng, 3)
+        blobs = [bytearray(f.tobytes()) for f in frames]
         blobs[1][12] ^= 0x40  # corrupt the middle frame
-        out, diags = scan_stream(b"".join(bytes(b) for b in blobs))
-        assert frames[0] in out and frames[2] in out
-        assert frames[1] not in out
+        imu, _, diags = scan_frames(b"".join(bytes(b) for b in blobs))
+        assert_same_records(imu, frames[[0, 2]])
         assert any(d.reason == "corruption" for d in diags)
 
     def test_never_loses_frame_after_1kib_garbage(self):
         rng = np.random.default_rng(48)
-        frame = random_imu_frame(rng)
+        frame = random_gps_frames(rng, 1)
         garbage = bytes(rng.integers(0, 256, 1024, dtype=np.uint8))
-        out, _ = scan_stream(garbage + encode_frame(frame))
-        assert frame in out
+        _, gps, _ = scan_frames(garbage + frame.tobytes())
+        assert wire_rows(frame)[0] in wire_rows(gps)
 
     def test_linear_time_resync(self):
         # a long run of magic bytes must not blow up
-        out, diags = scan_stream(b"\xa5" * 5000)
-        assert out == []
+        imu, gps, _ = scan_frames(b"\xa5" * 5000)
+        assert len(imu) == len(gps) == 0
 
 
-def reference_decode_frame(data: bytes) -> TelemetryFrame:
+# A frame as the reference decoder reads it: the kind byte, the header and
+# the payload fields in wire order (the IMU counts as one tuple).
+RefFrame = namedtuple("RefFrame", "kind seq t_ms payload")
+
+
+def reference_decode_frame(data: bytes) -> RefFrame:
     """The object-per-frame decoder the column scan replaced, for a frame
-    of the right length; raises CorruptionError on a CRC mismatch."""
-    kind = FrameKind(data[1])
+    of the right length; raises ValueError on a CRC mismatch."""
     need = len(data)
     body, crc_bytes = data[: need - 2], data[need - 2 :]
     (crc_rx,) = struct.unpack("<H", crc_bytes)
     crc_calc = crc16_ccitt_false(body)
     if crc_rx != crc_calc:
-        raise CorruptionError(
-            f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}", offset=need - 2
-        )
-    _, _, seq, t_ms = struct.unpack_from("<BBHI", body)
-    if kind == FrameKind.IMU:
-        payload = ImuPayload(*struct.unpack_from("<9h", body, 8))
-    else:
-        lat_e7, lon_e7, speed, course, alt_cm, flags = struct.unpack_from("<iiHHiB", body, 8)
-        payload = GpsPayload(
-            lat_e7, lon_e7, speed, course, bool(flags & 0x01), alt_cm, bool(flags & 0x02)
-        )
-    return TelemetryFrame(kind=kind, seq=seq, t_ms=t_ms, payload=payload)
+        raise ValueError(f"CRC mismatch: received 0x{crc_rx:04X}, computed 0x{crc_calc:04X}")
+    _, kind, seq, t_ms = struct.unpack_from("<BBHI", body)
+    if kind == 0x01:
+        return RefFrame(kind, seq, t_ms, struct.unpack_from("<9h", body, 8))
+    return RefFrame(kind, seq, t_ms, struct.unpack_from("<iiHHiB", body, 8))
 
 
 def reference_scan(data: bytes):
@@ -292,11 +329,11 @@ def reference_scan(data: bytes):
             diags.append(StreamDiagnostic(i, "truncation", "stream ends after magic byte"))
             break
         kind_byte = data[i + 1]
-        if kind_byte not in (FrameKind.IMU, FrameKind.GPS):
+        if kind_byte not in (0x01, 0x02):
             diags.append(StreamDiagnostic(i, "framing", f"unknown frame kind 0x{kind_byte:02X}"))
             i += 1
             continue
-        need = {FrameKind.IMU: IMU_FRAME_LEN, FrameKind.GPS: GPS_FRAME_LEN}[FrameKind(kind_byte)]
+        need = {0x01: IMU_FRAME_LEN, 0x02: GPS_FRAME_LEN}[kind_byte]
         if n - i < need:
             diags.append(
                 StreamDiagnostic(i, "truncation", f"stream ends {need - (n - i)} byte(s) into a frame")
@@ -305,23 +342,30 @@ def reference_scan(data: bytes):
         try:
             frames.append(reference_decode_frame(data[i : i + need]))
             i += need
-        except CorruptionError as exc:
+        except ValueError as exc:
             diags.append(StreamDiagnostic(i, "corruption", str(exc)))
             i += 1
     return frames, diags
 
 
-def reference_gps_counts_to_fix(t_ms: int, p: GpsPayload) -> tuple:
+def ref_frames(imu, gps):
+    """Scanned records as reference frames, IMU first."""
+    return [RefFrame(0x01, seq, t_ms, tuple(counts)) for seq, t_ms, *counts in wire_rows(imu)] + [
+        RefFrame(0x02, seq, t_ms, tuple(fields)) for seq, t_ms, *fields in wire_rows(gps)
+    ]
+
+
+def reference_gps_counts_to_fix(t_ms: int, lat_e7, lon_e7, speed_cmps, course_cdeg, alt_cm, flags) -> tuple:
     """The per-fix conversion the fix columns replaced, as one (t, lat, lon,
     speed, course, alt, valid) row with NaN for an absent altitude."""
     return (
         t_ms / 1000.0,
-        round(p.lat_e7 / 1e7, 9),
-        round(p.lon_e7 / 1e7, 9),
-        round(p.speed_cmps / 100.0, 9),
-        round(math.radians(p.course_cdeg / 100.0), 9),
-        round(p.alt_cm / 100.0, 9) if p.alt_valid else math.nan,
-        p.valid,
+        round(lat_e7 / 1e7, 9),
+        round(lon_e7 / 1e7, 9),
+        round(speed_cmps / 100.0, 9),
+        round(math.radians(course_cdeg / 100.0), 9),
+        round(alt_cm / 100.0, 9) if flags & 0x02 else math.nan,
+        bool(flags & 0x01),
     )
 
 
@@ -356,22 +400,20 @@ def reference_decode(data: bytes):
             )
         return kept
 
-    imu = first_per_t_ms("IMU", [fr for fr in frames if fr.kind == FrameKind.IMU])
-    gps = [fr for fr in frames if fr.kind == FrameKind.GPS]
-    in_range = [
-        fr for fr in gps
-        if abs(fr.payload.lat_e7) <= 900_000_000 and abs(fr.payload.lon_e7) <= 1_800_000_000
-    ]
+    imu = first_per_t_ms("IMU", [fr for fr in frames if fr.kind == 0x01])
+    gps = [fr for fr in frames if fr.kind == 0x02]
+    in_range = [fr for fr in gps if abs(fr.payload[0]) <= 900_000_000 and abs(fr.payload[1]) <= 1_800_000_000]
     if len(in_range) < len(gps):
         err.append(f"navfuse: dropped GPS frames with a position out of range: {len(gps) - len(in_range)}\n")
-    gps = [
-        dataclasses.replace(fr, payload=dataclasses.replace(fr.payload, lon_e7=1_800_000_000))
-        if fr.payload.lon_e7 == -1_800_000_000 else fr
-        for fr in in_range
-    ]
+    gps = []
+    for fr in in_range:
+        lat, lon, *rest, flags = fr.payload
+        # -180 deg is the +180 deg meridian, and flag bits 2-7 carry nothing
+        lon = 1_800_000_000 if lon == -1_800_000_000 else lon
+        gps.append(fr._replace(payload=(lat, lon, *rest, flags & 0x03)))
     gps = first_per_t_ms("GPS", gps)
     arrays = imu_counts_to_arrays([fr.t_ms for fr in imu], [list(fr.payload) for fr in imu])
-    fixes = [reference_gps_counts_to_fix(fr.t_ms, fr.payload) for fr in gps]
+    fixes = [reference_gps_counts_to_fix(fr.t_ms, *fr.payload) for fr in gps]
     return arrays, fixes, "".join(err)
 
 
@@ -414,7 +456,7 @@ def dirty_streams(draw):
             kind, seq, t_ms = 0x01, draw(st.integers(0, 2**16 - 1)), draw(_T_MS)
             fields = draw(st.lists(st.integers(-32768, 32767), min_size=9, max_size=9))
         sent.append((kind, seq, t_ms, tuple(fields)))
-        chunks.append(raw_frame(kind, seq, t_ms, *fields))
+        chunks.append(encode_one(kind, seq, t_ms, fields))
     data = bytearray(b"".join(chunks))
     for op, where, value in draw(st.lists(
         st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 2**20), _RICH_BYTE),
@@ -434,19 +476,13 @@ def dirty_streams(draw):
 class TestScanFrames:
     def test_columns_hold_the_frames(self):
         rng = np.random.default_rng(52)
-        frames = [random_imu_frame(rng) if rng.random() < 0.6 else random_gps_frame(rng) for _ in range(60)]
-        imu, gps, diags = scan_frames(b"\x00\xa5\x07" + b"".join(encode_frame(f) for f in frames))
+        want_imu, want_gps = random_imu_frames(rng, 36), random_gps_frames(rng, 24)
+        imu, gps, diags = scan_frames(b"\x00\xa5\x07" + b"".join(shuffle_kinds(rng, want_imu, want_gps)))
         assert imu.dtype == IMU_WIRE and gps.dtype == GPS_WIRE
         assert IMU_WIRE.itemsize == IMU_FRAME_LEN and GPS_WIRE.itemsize == GPS_FRAME_LEN
         assert [(d.offset, d.reason) for d in diags] == [(0, "skip"), (1, "framing"), (2, "skip")]
-        want_imu = [f for f in frames if f.kind == FrameKind.IMU]
-        want_gps = [f for f in frames if f.kind == FrameKind.GPS]
-        assert imu["t_ms"].tolist() == [f.t_ms for f in want_imu]
-        assert imu["seq"].tolist() == [f.seq for f in want_imu]
-        assert imu["counts"].tolist() == [list(f.payload) for f in want_imu]
-        assert gps["lat_e7"].tolist() == [f.payload.lat_e7 for f in want_gps]
-        assert gps["alt_cm"].tolist() == [f.payload.alt_cm for f in want_gps]
-        assert (gps["flags"] & 0x01).astype(bool).tolist() == [f.payload.valid for f in want_gps]
+        assert_same_records(imu, want_imu)
+        assert_same_records(gps, want_gps)
 
     def test_empty_and_short_streams(self):
         for data in (b"", b"\xa5", b"\xa5\x01" + bytes(20)):
@@ -461,7 +497,10 @@ class TestScanFrames:
     @given(dirty_streams())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_scan_and_decode(self, data):
-        assert scan_stream(data) == reference_scan(data)
+        imu, gps, diags = scan_frames(data)
+        ref, ref_diags = reference_scan(data)
+        assert diags == ref_diags
+        assert ref_frames(imu, gps) == sorted(ref, key=lambda fr: fr.kind)  # a stable sort
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             imu, gps = cli._decode_stream(data)
@@ -512,17 +551,18 @@ class TestConversions:
     def test_gps_columns_match_per_fix_conversion(self, fields):
         """The wire decode's fix columns hold the per-fix conversion's values
         bit for bit, and convert back to the counts exactly."""
-        data = b"".join(raw_frame(0x02, k, k, *f) for k, f in enumerate(fields))
+        k = np.arange(len(fields))
+        columns = zip(*fields) if fields else [()] * 6
+        data = encode_frames(GPS_WIRE, k, k, **{n: np.array(c, dtype=np.int64) for n, c in zip(_GPS_NAMES, columns)})
         with contextlib.redirect_stderr(io.StringIO()):
-            _, gps = cli._decode_stream(data)
+            _, gps = cli._decode_stream(data.tobytes())
         counts = [
             # -180 deg is the +180 deg meridian
             (lat, 1_800_000_000 if lon == -1_800_000_000 else lon, speed, course, alt, flags)
             for lat, lon, speed, course, alt, flags in fields
         ]
         assert_same_fixes(gps, [
-            reference_gps_counts_to_fix(k, GpsPayload(lat, lon, speed, course, bool(flags & 1), alt, bool(flags & 2)))
-            for k, (lat, lon, speed, course, alt, flags) in enumerate(counts)
+            reference_gps_counts_to_fix(k, *row) for k, row in enumerate(counts)
         ])
         back = gps_arrays_to_counts(gps)
         assert list(zip(*(back[f].tolist() for f in _GPS_NAMES))) == [
