@@ -19,12 +19,11 @@ __version__ = "0.1.0"
 
 # The submodule that defines each export.
 _EXPORTS = {
-    "attitude": ("AttitudeEstimator", "ImuArrays", "accel_to_roll_pitch",
-                 "complementary_angle", "mag_to_heading"),
+    "attitude": ("AttitudeEstimator", "ImuArrays", "complementary_angle"),
     "filters": ("BiquadCoeffs", "FilterState", "design_butterworth2_lp", "design_chebyshev1_2_lp",
                 "design_first_order_hp", "design_first_order_lp", "frequency_response"),
-    "geo": ("GeoPoint", "bearing", "meters_to_degrees_lat"),
-    "navigation": ("GpsArrays", "NavEstimator", "interpolate_gps"),
+    "geo": ("bearing",),
+    "navigation": ("GpsArrays", "NavEstimator"),
     "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
     "quat": ("EulerAngles", "Quaternion", "hamilton", "wrap_pi"),
     "recording": ("FlightRecording", "read_recording", "write_recording"),

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import TimestampOrderError, UnobservableHeadingError, UnobservableTiltError
+from .errors import TimestampOrderError
 from .filters import FilterState, design_first_order_hp, design_first_order_lp
 from .quat import wrap_pi
 
@@ -102,8 +102,8 @@ def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
     """Per-row (roll, pitch) of gravity-dominated accel columns, and the mask
     of the rows where they are observable (accel above 0.1 g).
 
-    Shared by the public helper (which raises) and the fusion loop (which
-    flags and holds the previous estimate).
+    ``AttitudeEstimator.run`` flags the rows that are not observable
+    (``FLAG_NO_TILT_REF``) and holds the previous estimate there.
     """
     ok = ~(ax * ax + ay * ay + az * az <= MIN_TILT_ACCEL_MPS2 * MIN_TILT_ACCEL_MPS2)
     roll = _map(math.atan2, ay, az)
@@ -128,28 +128,6 @@ def _heading_from_mag(mx: float, my: float, mz: float, roll: float, pitch: float
     if mxp * mxp + myp * myp < MIN_HORIZONTAL_FIELD * MIN_HORIZONTAL_FIELD:
         return math.nan
     return math.atan2(-myp, mxp)
-
-
-def accel_to_roll_pitch(accel: Sequence[float]) -> tuple[float, float]:
-    """Gravity-referenced (roll, pitch) in radians.
-
-    Raises UnobservableTiltError below 0.1 g so the caller can hold its
-    previous estimate.
-    """
-    roll, pitch, ok = _tilt_from_accel(*np.array(accel[:3], dtype=np.float64)[:, None])
-    if not ok[0]:
-        raise UnobservableTiltError("accelerometer magnitude below 0.1 g")
-    return float(roll[0]), float(pitch[0])
-
-
-def mag_to_heading(mag: Sequence[float], roll: float, pitch: float) -> float:
-    """Tilt-compensated magnetic heading in (-pi, pi]; 0 = north, pi/2 = east."""
-    if not (math.isfinite(roll) and math.isfinite(pitch)):
-        raise ValueError("roll/pitch must be finite")
-    h = _heading_from_mag(mag[0], mag[1], mag[2], roll, pitch)
-    if math.isnan(h):
-        raise UnobservableHeadingError("horizontal magnetic field too small")
-    return wrap_pi(h)
 
 
 def complementary_angle(prev: float, rate: float, dt: float, reference: float, gain: float) -> float:

@@ -271,9 +271,12 @@ def cmd_replay(cfg: FusionConfig, run: dict) -> int:
     imu = rec.imu._make(col[keep] for col in rec.imu)
     blocks = ()  # an empty window writes the header alone
     if len(imu.t):
-        # each fix carries the time of its row, so the window's rows bound it
-        in_window = (rec.gps.t >= imu.t[0]) & (rec.gps.t <= imu.t[-1])
-        gps = rec.gps._make(col[in_window] for col in rec.gps)
+        # a recording's fixes are valid and carry the times of their rows: keep
+        # those inside the window and the one on either side, so that the
+        # interpolated reference covers every row of the window
+        lo = max(int(np.searchsorted(rec.gps.t, imu.t[0], side="right")) - 1, 0)
+        hi = int(np.searchsorted(rec.gps.t, imu.t[-1])) + 1
+        gps = rec.gps._make(col[lo:hi] for col in rec.gps)
         blocks = fuse_blocks(imu, gps, cfg)
     else:
         # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's

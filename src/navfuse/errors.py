@@ -13,18 +13,6 @@ class TimestampOrderError(ValueError):
     """Sample or fix timestamps are not strictly increasing."""
 
 
-class UnobservableTiltError(ValueError):
-    """Accelerometer magnitude too small to observe gravity direction."""
-
-
-class UnobservableHeadingError(ValueError):
-    """Horizontal magnetic field too small to observe heading."""
-
-
-class InterpolationRangeError(ValueError):
-    """Query time outside the span covered by GPS fixes (no extrapolation)."""
-
-
 class EncodeRangeError(ValueError):
     """Frame field not an integer, or outside its wire-format range."""
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+CHEBYSHEV_RIPPLE_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,11 @@ def design_butterworth2_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
     return _bilinear_second_order(wc * wc, SQRT2 * wc, wc * wc, cutoff_hz, sample_rate_hz)
 
 
-def design_chebyshev1_2_lp(cutoff_hz: float, sample_rate_hz: float, ripple_db: float = 1.0) -> BiquadCoeffs:
-    """Second-order Chebyshev type-I low-pass with the given passband ripple."""
+def design_chebyshev1_2_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
+    """Second-order Chebyshev type-I low-pass with ``CHEBYSHEV_RIPPLE_DB`` of
+    passband ripple."""
     _check_band(cutoff_hz, sample_rate_hz)
-    if not 0.0 < ripple_db <= 3.0:
-        raise ValueError(f"ripple must be in (0, 3] dB, got {ripple_db}")
-    eps = math.sqrt(10.0 ** (ripple_db / 10.0) - 1.0)
+    eps = math.sqrt(10.0 ** (CHEBYSHEV_RIPPLE_DB / 10.0) - 1.0)
     v = math.asinh(1.0 / eps) / 2.0
     wc = 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
     # Conjugate pole pair of the normalized prototype at theta = pi/4.
@@ -124,10 +124,6 @@ class FilterState:
     coeffs: BiquadCoeffs
     s1: float = field(default=0.0)
     s2: float = field(default=0.0)
-
-    def reset(self) -> None:
-        self.s1 = 0.0
-        self.s2 = 0.0
 
     def prime(self, x0: float) -> None:
         """Set the delay line to the steady state for a constant input x0.

@@ -403,16 +403,14 @@ def rms_error(
     est_lon: np.ndarray,
     truth: TruthSeries,
     earth_radius_m: float = EARTH_RADIUS_M,
-    max_align_dt: float | None = None,
 ) -> RmsError:
     """RMS deviation in meters, estimate matched to truth timestamps by
-    nearest neighbor within one IMU period."""
+    nearest neighbor within one IMU period (the truth's median interval)."""
     est_t = np.asarray(est_t, dtype=np.float64)
     if len(est_t) == 0:
         raise ValueError("empty estimate track")
-    if max_align_dt is None:
-        dts = np.diff(truth.t)
-        max_align_dt = median(dts) if len(dts) else math.inf
+    dts = np.diff(truth.t)
+    max_align_dt = median(dts) if len(dts) else math.inf
     idx = np.clip(np.searchsorted(est_t, truth.t), 0, len(est_t) - 1)
     left = np.clip(idx - 1, 0, len(est_t) - 1)
     use_left = np.abs(est_t[left] - truth.t) <= np.abs(est_t[idx] - truth.t)
@@ -478,16 +476,6 @@ def sweep_weights(
 
 def square_grid(values: list[float]) -> list[tuple[float, float]]:
     return [(a, b) for a in values for b in values]
-
-
-def sample_and_hold_track(t: np.ndarray, gps: GpsArrays):
-    """Latest-fix position per sample (the non-interpolated GPS baseline).
-
-    Returns (lat, lon, mask); mask marks samples with a fix available.
-    """
-    ref = prepare_gps_reference(t, gps, "live", math.inf)
-    mask = ref.has_pos.astype(bool)
-    return ref.ref_lat, ref.ref_lon, mask
 
 
 def profile_from_dict(d: dict) -> FlightProfile:

@@ -54,10 +54,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .attitude import _check_weights, _map
-from .errors import InterpolationRangeError, TimestampOrderError
+from .errors import TimestampOrderError
 from .filters import FilterState, design_butterworth2_lp
-from .geo import GeoPoint, bearing, check_earth_radius
-from .quat import _UNIT_TOL
+from .geo import bearing, check_earth_radius
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
@@ -111,21 +110,6 @@ def check_gps(gps: GpsArrays) -> None:
 def default_position_cutoff_hz(sample_rate_hz: float) -> float:
     """fs/6, capped at 10 Hz (the cutoff of the reference 1 kHz design)."""
     return min(10.0, sample_rate_hz / 6.0)
-
-
-def interpolate_gps(gps: GpsArrays, t: float) -> GeoPoint:
-    """Piecewise-linear lat/lon between valid fixes, as the replay reference
-    of ``prepare_gps_reference`` makes it; no extrapolation."""
-    check_gps(gps)
-    valid = np.asarray(gps.valid, dtype=bool)
-    times, lats, lons = (c[valid] for c in gps[:3])
-    if len(times) < 2:
-        raise ValueError("interpolation needs at least 2 valid fixes")
-    if (np.diff(times) <= 0.0).any():
-        raise TimestampOrderError("fix timestamps must be strictly increasing")
-    if not times[0] <= t <= times[-1]:
-        raise InterpolationRangeError(f"t={t} outside fix span [{times[0]}, {times[-1]}]")
-    return GeoPoint(float(np.interp(t, times, lats)), float(np.interp(t, times, lons)))
 
 
 class GpsReference(NamedTuple):
@@ -199,7 +183,9 @@ class NavTrack:
 
 
 class NavEstimator:
-    """Batch position fusion over an IMU stream with attitude and GPS inputs."""
+    """Stateful position fusion over an IMU stream: ``world_accel`` of the
+    accel and attitude, then ``blend`` with ``prepare_gps_reference``'s GPS
+    reference of the same rows."""
 
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
         _check_weights(cfg, "alpha", "beta")
@@ -218,7 +204,8 @@ class NavEstimator:
         rotated to the world frame by the attitude quaternions ``q``.
 
         Advances the filter delay lines, which the first sample of a stream
-        primes at their steady state. Inputs as ``run`` checks them.
+        primes at their steady state. ``accel`` is finite (``check_imu``) and
+        ``q`` unit length (``AttitudeEstimator.run``'s output).
         """
         if len(accel) and self.t_last is None:
             for f, x0 in zip(self.accel_lp, accel[0].tolist()):
@@ -306,17 +293,3 @@ class NavEstimator:
             self.t_last = float(t[-1])
             self.vn, self.ve, self.lat, self.lon = vn, ve, lat, lon
         return NavTrack(t=t, vel=vel, lat=lat_out, lon=lon_out)
-
-    def run(self, t: np.ndarray, accel: np.ndarray, q: np.ndarray, gps: GpsArrays) -> NavTrack:
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        accel = np.ascontiguousarray(accel, dtype=np.float64)
-        q = np.ascontiguousarray(q, dtype=np.float64)
-        if not (np.isfinite(t).all() and np.isfinite(accel).all()):
-            raise ValueError("non-finite value in accel stream")
-        if not (np.abs(np.sqrt((q * q).sum(axis=1)) - 1.0) <= _UNIT_TOL).all():
-            raise ValueError("attitude quaternions must be unit length")
-        prev = -math.inf if self.t_last is None else self.t_last
-        if len(t) and (t[0] <= prev or (np.diff(t) <= 0.0).any()):
-            raise TimestampOrderError("sample timestamps must be strictly increasing")
-        ref = prepare_gps_reference(t, gps, self.cfg.gps_mode, self.cfg.stale_after_s)
-        return self.blend(t, self.world_accel(accel, q), ref)

@@ -10,7 +10,7 @@ from navfuse.flightsim import (
     generate_flight,
     standard_profile,
 )
-from navfuse.navigation import GpsArrays
+from navfuse.navigation import GpsArrays, prepare_gps_reference
 from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
 
 
@@ -51,6 +51,12 @@ def gps_arrays(t=(), lat=0.0, lon=0.0, speed=10.0, valid=True, course=math.nan, 
     t = np.array(t, dtype=np.float64).reshape(-1)
     cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), t.shape).copy() for c in (lat, lon, speed, course, alt)]
     return GpsArrays(t, *cols, np.broadcast_to(np.asarray(valid, dtype=bool), t.shape).copy())
+
+
+def fuse_nav(nav, t, acc, q, gps):
+    """The position fusion step as ``fuse_blocks`` runs it: ``nav``'s world-frame
+    accel blended with the GPS reference of its options."""
+    return nav.blend(t, nav.world_accel(acc, q), prepare_gps_reference(t, gps, nav.cfg.gps_mode, nav.cfg.stale_after_s))
 
 
 def assert_same_bits(got, want):

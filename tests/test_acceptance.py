@@ -15,10 +15,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import gps_arrays
+from conftest import fuse_nav, gps_arrays
 
 from navfuse.attitude import AttitudeEstimator
-from navfuse.errors import InterpolationRangeError
 from navfuse.filters import (
     FilterState,
     design_butterworth2_lp,
@@ -32,16 +31,11 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     generate_flight,
     rms_error,
-    sample_and_hold_track,
     square_grid,
     standard_profile,
     sweep_weights,
 )
-from navfuse.navigation import (
-    NavEstimator,
-    interpolate_gps,
-    prepare_gps_reference,
-)
+from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion, hamilton
 from navfuse.recording import read_recording, write_recording
@@ -102,7 +96,7 @@ def test_criterion_2_filter_suite():
         assert all(b <= a + 1e-12 for a, b in zip(mags, mags[1:]))
         assert all(abs(p) < 1.0 - 1e-9 for p in poles(bw))
 
-        ch = design_chebyshev1_2_lp(10.0, 1000.0, 1.0)
+        ch = design_chebyshev1_2_lp(10.0, 1000.0)
         ripple_mags = [frequency_response(ch, f) for f in np.linspace(0.0, 10.0, 400)]
         assert max(ripple_mags) - min(ripple_mags) > 0.05  # visible passband ripple
         assert min(ripple_mags) >= 10 ** (-1.0 / 20) - 1e-6
@@ -174,9 +168,7 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
         att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
 
         # (0, 0): output equals the interpolated GPS reference track exactly
-        nav0 = NavEstimator(
-            FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60
-        ).run(t, acc, att.q, gps)
+        nav0 = fuse_nav(NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60), t, acc, att.q, gps)
         ref = prepare_gps_reference(t, gps, "replay", 3.0)
         covered = ref.has_pos.astype(bool)
         assert covered.all()
@@ -184,9 +176,7 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
         np.testing.assert_array_equal(nav0.lon, ref.ref_lon)
 
         # (1, 1): output equals pure double-integration dead reckoning exactly
-        nav1 = NavEstimator(
-            FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60
-        ).run(t, acc, att.q, gps)
+        nav1 = fuse_nav(NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60), t, acc, att.q, gps)
         coeffs = design_butterworth2_lp(10.0, 60.0)
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, acc[0]):
@@ -229,15 +219,16 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
         )
 
         def nav_error(alpha, beta):
-            nav = NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60).run(
-                t[keep], acc[keep], att.q, fixes120
-            )
+            nav = fuse_nav(NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60),
+                           t[keep], acc[keep], att.q, fixes120)
             return rms_error(t[keep], nav.lat, nav.lon, truth120).total_m
 
         fused = nav_error(0.1, 0.1)
         dead_reckoning = nav_error(1.0, 1.0)
-        sh_lat, sh_lon, mask = sample_and_hold_track(t[keep], fixes120)
-        hold = rms_error(t[keep][mask], sh_lat[mask], sh_lon[mask], truth120).total_m
+        # the live reference with no fix going stale: the latest fix, held
+        held = prepare_gps_reference(t[keep], fixes120, "live", math.inf)
+        mask = held.has_pos.astype(bool)
+        hold = rms_error(t[keep][mask], held.ref_lat[mask], held.ref_lon[mask], truth120).total_m
         assert fused < dead_reckoning
         assert fused < hold
 
@@ -338,18 +329,17 @@ def test_criterion_9_interpolation():
             lats = rng.uniform(-80, 80, m)
             lons = rng.uniform(-170, 170, m)
             fixes = gps_arrays(times, lats, lons, speed=1.0)
-            for ti, la, lo in zip(times.tolist(), lats.tolist(), lons.tolist()):
-                p = interpolate_gps(fixes, ti)
-                assert (p.lat, p.lon) == (la, lo)
-            for _ in range(20):
-                tq = float(rng.uniform(times[0], times[-1]))
-                p = interpolate_gps(fixes, tq)
-                j = int(np.searchsorted(times, tq, side="right") - 1)
-                j = min(j, m - 2)
-                u = (tq - times[j]) / (times[j + 1] - times[j])
-                assert abs(p.lat - (lats[j] + u * (lats[j + 1] - lats[j]))) < 1e-9
-                assert abs(p.lon - (lons[j] + u * (lons[j + 1] - lons[j]))) < 1e-9
-            with pytest.raises(InterpolationRangeError):
-                interpolate_gps(fixes, float(times[0]) - 1e-6)
-            with pytest.raises(InterpolationRangeError):
-                interpolate_gps(fixes, float(times[-1]) + 1e-6)
+            # the replay reference is the interpolated fix track
+            at_fixes = prepare_gps_reference(times, fixes, "replay", 3.0)
+            assert at_fixes.has_pos.all()
+            assert (at_fixes.ref_lat.tolist(), at_fixes.ref_lon.tolist()) == (lats.tolist(), lons.tolist())
+            tq = rng.uniform(times[0], times[-1], 20)
+            p = prepare_gps_reference(tq, fixes, "replay", 3.0)
+            assert p.has_pos.all()
+            j = np.minimum(np.searchsorted(times, tq, side="right") - 1, m - 2)
+            u = (tq - times[j]) / (times[j + 1] - times[j])
+            assert (np.abs(p.ref_lat - (lats[j] + u * (lats[j + 1] - lats[j]))) < 1e-9).all()
+            assert (np.abs(p.ref_lon - (lons[j] + u * (lons[j + 1] - lons[j]))) < 1e-9).all()
+            # no extrapolation: no position reference outside the fix span
+            outside = np.array([times[0] - 1e-6, times[-1] + 1e-6])
+            assert prepare_gps_reference(outside, fixes, "replay", 3.0).has_pos.tolist() == [0, 0]

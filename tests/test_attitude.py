@@ -7,15 +7,11 @@ from conftest import make_level_stream
 from navfuse.attitude import (
     FLAG_GAP,
     AttitudeEstimator,
-    accel_to_roll_pitch,
+    _heading_from_mag,
+    _tilt_from_accel,
     complementary_angle,
-    mag_to_heading,
 )
-from navfuse.errors import (
-    TimestampOrderError,
-    UnobservableHeadingError,
-    UnobservableTiltError,
-)
+from navfuse.errors import TimestampOrderError
 from navfuse.filters import FilterState, design_first_order_hp, design_first_order_lp
 from navfuse.pipeline import FusionConfig
 from navfuse.quat import EulerAngles, Quaternion, wrap_pi
@@ -28,37 +24,39 @@ def one_row(est, t, accel=(0.0, 0.0, G), gyro=(0.0, 0.0, 0.0), mag=None):
     return est.run([t], [accel], [gyro], [mag or (0.0, 0.0, 0.0)], [mag is not None])
 
 
-class TestAccelToRollPitch:
+class TestTiltFromAccel:
     def test_level(self):
-        assert accel_to_roll_pitch((0, 0, G)) == (0.0, 0.0)
+        roll, pitch, ok = _tilt_from_accel(*np.array([[0.0, 0.0, G]]).T)
+        assert (roll.tolist(), pitch.tolist(), ok.tolist()) == ([0.0], [0.0], [True])
 
     def test_90deg_bank(self):
-        roll, pitch = accel_to_roll_pitch((0, G, 0))
-        assert roll == pytest.approx(math.pi / 2)
-        assert pitch == pytest.approx(0.0)
+        roll, pitch, _ = _tilt_from_accel(*np.array([[0.0, G, 0.0]]).T)
+        assert roll[0] == pytest.approx(math.pi / 2)
+        assert pitch[0] == pytest.approx(0.0)
 
     def test_recovers_attitude_from_rotated_gravity(self):
         rng = np.random.default_rng(21)
+        angles, readings = [], []
         for _ in range(100):
             e = EulerAngles(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), rng.uniform(-3, 3))
             q = Quaternion.from_euler(e).normalize()
             # a body at rest reads gravity brought into the body frame
-            reading = q.conjugate().rotate_vector((0.0, 0.0, G))
-            roll, pitch = accel_to_roll_pitch(reading)
-            assert roll == pytest.approx(e.roll, abs=1e-9)
-            assert pitch == pytest.approx(e.pitch, abs=1e-9)
+            readings.append(q.conjugate().rotate_vector((0.0, 0.0, G)))
+            angles.append((e.roll, e.pitch))
+        roll, pitch, ok = _tilt_from_accel(*np.array(readings).T)
+        assert ok.all()
+        np.testing.assert_allclose(np.column_stack([roll, pitch]), angles, rtol=0, atol=1e-9)
 
     def test_freefall_unobservable(self):
-        with pytest.raises(UnobservableTiltError):
-            accel_to_roll_pitch((0.0, 0.0, 0.5))
+        assert _tilt_from_accel(*np.array([[0.0, 0.0, 0.5]]).T)[2].tolist() == [False]
 
 
-class TestMagToHeading:
+class TestHeadingFromMag:
     def test_level_north(self):
-        assert mag_to_heading((1, 0, 0), 0.0, 0.0) == pytest.approx(0.0)
+        assert _heading_from_mag(1, 0, 0, 0.0, 0.0) == pytest.approx(0.0)
 
     def test_level_east_convention(self):
-        assert mag_to_heading((0, -1, 0), 0.0, 0.0) == pytest.approx(math.pi / 2)
+        assert _heading_from_mag(0, -1, 0, 0.0, 0.0) == pytest.approx(math.pi / 2)
 
     def test_tilt_invariance(self):
         rng = np.random.default_rng(22)
@@ -69,28 +67,27 @@ class TestMagToHeading:
             pitch = rng.uniform(-0.6, 0.6)
             q = Quaternion.from_euler(EulerAngles(roll, pitch, yaw)).normalize()
             reading = q.conjugate().rotate_vector(field)
-            got = mag_to_heading(reading, roll, pitch)
+            got = _heading_from_mag(*reading, roll, pitch)
             assert wrap_pi(got - yaw) == pytest.approx(0.0, abs=1e-9)
 
     def test_thirty_degree_roll_matches_level(self):
         field = (0.3, 0.0, -0.1)
         yaw = 0.8
-        level = mag_to_heading(
-            Quaternion.from_euler(EulerAngles(0, 0, yaw)).normalize().conjugate().rotate_vector(field),
+        level = _heading_from_mag(
+            *Quaternion.from_euler(EulerAngles(0, 0, yaw)).normalize().conjugate().rotate_vector(field),
             0.0,
             0.0,
         )
         roll = math.radians(30)
-        tilted = mag_to_heading(
-            Quaternion.from_euler(EulerAngles(roll, 0, yaw)).normalize().conjugate().rotate_vector(field),
+        tilted = _heading_from_mag(
+            *Quaternion.from_euler(EulerAngles(roll, 0, yaw)).normalize().conjugate().rotate_vector(field),
             roll,
             0.0,
         )
         assert tilted == pytest.approx(level, abs=1e-9)
 
     def test_vertical_field_unobservable(self):
-        with pytest.raises(UnobservableHeadingError):
-            mag_to_heading((0, 0, 1), 0.0, 0.0)
+        assert math.isnan(_heading_from_mag(0, 0, 1, 0.0, 0.0))
 
 
 class TestComplementaryAngle:
@@ -175,13 +172,10 @@ class TestAttitudeEstimator:
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, acc[0]):
             f.prime(x)
-        for i in range(n):
-            fa = [f.step(x) for f, x in zip(filts, acc[i])]
-            roll, pitch = accel_to_roll_pitch(fa)
-            if i == 0:
-                continue
-            assert track.euler[i, 0] == wrap_pi(roll)
-            assert track.euler[i, 1] == wrap_pi(pitch)
+        roll, pitch, _ = _tilt_from_accel(*np.array([[f.step(x) for f, x in zip(filts, row)] for row in acc]).T)
+        for i in range(1, n):
+            assert track.euler[i, 0] == wrap_pi(roll[i])
+            assert track.euler[i, 1] == wrap_pi(pitch[i])
 
     def test_determinism(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
@@ -222,7 +216,7 @@ class TestAttitudeEstimator:
         for f, x in zip(filts, level):
             f.prime(x)
             f.step(x)
-        expected_roll, _ = accel_to_roll_pitch([f.step(x) for f, x in zip(filts, tilted)])
+        expected_roll = _tilt_from_accel(*np.array([[f.step(x)] for f, x in zip(filts, tilted)]))[0][0]
         assert roll == pytest.approx(expected_roll, abs=1e-12)
         assert 0.0 < roll < 0.3
 

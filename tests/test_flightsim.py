@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import fuse_nav
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navfuse import flightsim
 from navfuse.attitude import GRAVITY_MPS2 as G
-from navfuse.attitude import AttitudeEstimator, accel_to_roll_pitch
+from navfuse.attitude import AttitudeEstimator, _tilt_from_accel
 from navfuse.filters import FilterState, design_chebyshev1_2_lp
 from navfuse.flightsim import (
     PITCH_RAMP_RATE,
@@ -26,13 +27,12 @@ from navfuse.flightsim import (
     noise_from_dict,
     profile_from_dict,
     rms_error,
-    sample_and_hold_track,
     square_grid,
     standard_profile,
     sweep_weights,
     truth_rows,
 )
-from navfuse.navigation import NavEstimator
+from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
@@ -106,10 +106,10 @@ class TestGenerateFlight:
     def test_sensor_model_inverse_consistency(self):
         # unquantized, zero-noise: accel tilt must recover truth roll/pitch
         truth, imu, _ = generate_flight(level_profile(), ZERO_NOISE, quantize=False)
-        for i in range(0, len(imu.t), 100):
-            roll, pitch = accel_to_roll_pitch(imu.accel[i])
-            assert roll == pytest.approx(truth.euler[i, 0], abs=1e-6)
-            assert pitch == pytest.approx(truth.euler[i, 1], abs=1e-6)
+        roll, pitch, ok = _tilt_from_accel(*imu.accel[::100].T)
+        assert ok.all()
+        np.testing.assert_allclose(roll, truth.euler[::100, 0], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(pitch, truth.euler[::100, 1], rtol=0, atol=1e-6)
 
     def test_imu_rate_below_gps_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -354,6 +354,35 @@ class TestRmsError:
             rms_error(truth.t + 1e6, truth.lat, truth.lon, truth)
 
 
+class TestRmsErrorScaling:
+    """A uniform latitude offset of d degrees reads d * pi * r_e / 180 meters."""
+
+    @staticmethod
+    def lat_error_m(shift_deg, earth_radius_m=6_371_000.0):
+        n = 5
+        t = np.arange(n, dtype=np.float64)
+        z = np.zeros(n)
+        truth = TruthSeries(t, z, z, z, z, z, np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)))
+        return rms_error(t, truth.lat + shift_deg, truth.lon, truth, earth_radius_m).lat_m
+
+    def test_factor_inverse(self):
+        assert self.lat_error_m(1.0) == pytest.approx(M_PER_DEG, rel=1e-12)
+
+    def test_one_meter(self):
+        assert self.lat_error_m(8.9932e-6) == pytest.approx(1.0, rel=1e-4)
+
+    def test_roundtrip_identity(self):
+        rng = np.random.default_rng(12)
+        for d in rng.uniform(-1e6, 1e6, 100):
+            assert self.lat_error_m(d / M_PER_DEG) == pytest.approx(abs(d), rel=1e-12)
+
+    def test_linear(self):
+        assert self.lat_error_m(5e-6) == pytest.approx(5 * self.lat_error_m(1e-6), rel=1e-12)
+
+    def test_custom_radius(self):
+        assert self.lat_error_m(1.0, 1_000_000.0) == pytest.approx(1_000_000.0 * math.pi / 180.0, rel=1e-12)
+
+
 class TestSweep:
     def test_shape_and_determinism(self):
         profile = standard_profile()
@@ -411,11 +440,11 @@ class TestStudies:
             nav = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
             if coeffs is not None:
                 nav.accel_lp = tuple(FilterState(coeffs) for _ in range(3))
-            nav = nav.run(t, acc, att.q, gps)
+            nav = fuse_nav(nav, t, acc, att.q, gps)
             return rms_error(t, nav.lat, nav.lon, truth).total_m
 
         butter = track_error()
-        cheby = track_error(design_chebyshev1_2_lp(10.0, 60.0, 1.0))
+        cheby = track_error(design_chebyshev1_2_lp(10.0, 60.0))
         assert butter <= cheby
 
     def test_dead_reckoning_drift_superlinear_fusion_bounded(self, std_noisy_arrays):
@@ -430,7 +459,7 @@ class TestStudies:
             # measures accumulated accel error, not the unknown start state
             nav = NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60)
             nav.vn, nav.ve = float(truth.vn[0]), float(truth.ve[0])
-            nav = nav.run(t[keep], acc[keep], att.q, gps._make(c[gps.t <= 120.0] for c in gps))
+            nav = fuse_nav(nav, t[keep], acc[keep], att.q, gps._make(c[gps.t <= 120.0] for c in gps))
             dlat = (nav.lat - truth.lat[keep]) * M_PER_DEG
             dlon = (nav.lon - truth.lon[keep]) * M_PER_DEG
             return np.hypot(dlat, dlon)
@@ -444,12 +473,13 @@ class TestStudies:
         fused = error_series(0.1, 0.1)
         assert fused.max() < 20.0  # bounded by a constant, not by t
 
-    def test_sample_and_hold_track(self, std_noisy_arrays):
+    def test_held_fix_reference(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        lat, lon, mask = sample_and_hold_track(t, gps)
+        held = prepare_gps_reference(t, gps, "live", math.inf)
+        mask = held.has_pos.astype(bool)
         assert mask.all()  # first fix is at t=0
         # held positions lag a moving platform noticeably more than interpolation
-        err = rms_error(t[mask], lat[mask], lon[mask], truth)
+        err = rms_error(t[mask], held.ref_lat[mask], held.ref_lon[mask], truth)
         assert err.total_m > 4.0
 
 

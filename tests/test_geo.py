@@ -3,21 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from navfuse.geo import GeoPoint, bearing, meters_to_degrees_lat
+from navfuse.geo import bearing
 
 # Frozen via a 50-digit mpmath evaluation of the forward-azimuth formula.
 BEARING_10_20_TO_35_45 = 0.67113911584897614
-
-
-class TestGeoPoint:
-    def test_valid(self):
-        p = GeoPoint(-7.765, 110.37)
-        assert (p.lat, p.lon) == (-7.765, 110.37)
-
-    @pytest.mark.parametrize("lat,lon", [(91, 0), (-91, 0), (0, 181), (0, -180), (float("nan"), 0)])
-    def test_invalid_rejected(self, lat, lon):
-        with pytest.raises(ValueError):
-            GeoPoint(lat, lon)
 
 
 class TestBearing:
@@ -50,26 +39,3 @@ class TestBearing:
         fwd = bearing(0.0, 0.0, 0.001, 0.002)
         rev = bearing(0.001, 0.002, 0.0, 0.0)
         assert abs(abs(fwd - rev) - math.pi) < 1e-6
-
-
-class TestMeterDegreeScaling:
-    def test_zero(self):
-        assert meters_to_degrees_lat(0.0) == 0.0
-
-    def test_factor_inverse(self):
-        d = math.pi * 6_371_000.0 / 180.0
-        assert meters_to_degrees_lat(d) == pytest.approx(1.0, rel=1e-12)
-
-    def test_one_meter(self):
-        assert meters_to_degrees_lat(1.0) == pytest.approx(8.9932e-6, rel=1e-4)
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(12)
-        for d in rng.uniform(-1e6, 1e6, 100):
-            assert meters_to_degrees_lat(d) * math.pi * 6_371_000.0 / 180.0 == pytest.approx(d, rel=1e-12)
-
-    def test_linear(self):
-        assert meters_to_degrees_lat(5.0) == pytest.approx(5 * meters_to_degrees_lat(1.0), rel=1e-12)
-
-    def test_custom_radius(self):
-        assert meters_to_degrees_lat(1_000_000.0 * math.pi / 180.0, 1_000_000.0) == pytest.approx(1.0, rel=1e-12)

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, gps_arrays
+from conftest import assert_same_bits, fuse_nav, gps_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
@@ -594,11 +594,12 @@ def test_nav_matches_reference(case, cuts):
     state = np.zeros(12)
     state[2:6] = start
     deg_per_m = 180.0 / (math.pi * cfg.earth_radius_m)
+    whole = prepare_gps_reference(t, fixes, cfg.gps_mode, cfg.stale_after_s)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
-        track = est.run(t[lo:hi], acc[lo:hi], q[lo:hi], fixes)
+        ref = whole._make(col[lo:hi] for col in whole)  # sliced per block, as fuse_blocks does
+        track = est.blend(t[lo:hi], est.world_accel(acc[lo:hi], q[lo:hi]), ref)
         got.append((track.vel, track.lat, track.lon))
-        ref = prepare_gps_reference(t[lo:hi], fixes, cfg.gps_mode, cfg.stale_after_s)
         want.append(reference_nav_run(
             t[lo:hi], acc[lo:hi], q[lo:hi],
             ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_theta, ref.has_vel,
@@ -611,7 +612,7 @@ def test_nav_matches_reference(case, cuts):
 
 @settings(max_examples=40, deadline=None)
 @given(nav_cases(), st.lists(st.tuples(gains, gains), min_size=1, max_size=4))
-def test_shared_world_accel_matches_per_cell_run(case, grid):
+def test_shared_world_accel_matches_per_cell_fusion(case, grid):
     """The sweep's path: world-frame accel and GPS reference made once, then
     only the blend per cell."""
     t, acc, q, fixes, cfg, fs, start = case
@@ -620,12 +621,12 @@ def test_shared_world_accel_matches_per_cell_run(case, grid):
     for alpha, beta in grid:
         cell = replace(cfg, alpha=alpha, beta=beta)
         shared = nav_estimator(cell, fs, start).blend(t, a_world, ref)
-        alone = nav_estimator(cell, fs, start).run(t, acc, q, fixes)
+        alone = fuse_nav(nav_estimator(cell, fs, start), t, acc, q, fixes)
         for got, want in ((shared.vel, alone.vel), (shared.lat, alone.lat), (shared.lon, alone.lon)):
             assert_same_bits(got, want)
 
 
-def test_sweep_weights_matches_per_cell_run():
+def test_sweep_weights_matches_per_cell_fusion():
     profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
     grid = [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)]
     truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
@@ -639,7 +640,7 @@ def test_sweep_weights_matches_per_cell_run():
         want = []
         for a, b in grid:
             cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
-            nav = NavEstimator(cell, profile.imu_rate_hz).run(imu.t, imu.accel, q, fixes)
+            nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
             err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
             want.append(SweepCell(a, b, err.lat_m, err.lon_m))
         assert sweep_weights(profile, SensorNoiseModel(), grid, cfg) == want

@@ -3,15 +3,16 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import gps_arrays
+from conftest import fuse_nav, gps_arrays
 
 from navfuse.attitude import GRAVITY_MPS2 as G
-from navfuse.errors import InterpolationRangeError, TimestampOrderError
+from navfuse.attitude import AttitudeEstimator
+from navfuse.errors import TimestampOrderError
 from navfuse.filters import BiquadCoeffs, FilterState, design_butterworth2_lp
 from navfuse.navigation import (
     NavEstimator,
+    check_gps,
     default_position_cutoff_hz,
-    interpolate_gps,
     prepare_gps_reference,
 )
 from navfuse.pipeline import FusionConfig
@@ -35,11 +36,11 @@ def pass_through(weights, vel=(0.0, 0.0), pos=(0.0, 0.0), **options):
 
 
 def one_step(accel, dt, weights, fixes=gps_arrays(), t0=0.0, q=LEVEL, **kw):
-    """Row 1 of a two-sample ``NavEstimator.run`` from t0 to t0 + dt, constant
-    accel and attitude, pre-filter passed through: one blend step from the
-    initial state, after the first sample has snapped to any fix it has."""
+    """Row 1 of a two-sample ``fuse_nav`` from t0 to t0 + dt, constant accel
+    and attitude, pre-filter passed through: one blend step from the initial
+    state, after the first sample has snapped to any fix it has."""
     est = pass_through(weights, **kw)
-    track = est.run(np.array([t0, t0 + dt]), np.tile(accel, (2, 1)), np.tile(q, (2, 1)), fixes)
+    track = fuse_nav(est, np.array([t0, t0 + dt]), np.tile(accel, (2, 1)), np.tile(q, (2, 1)), fixes)
     return tuple(track.vel[1].tolist()), (float(track.lat[1]), float(track.lon[1]))
 
 
@@ -70,10 +71,6 @@ class TestGravityCompensate:
             reading = q.conjugate().rotate_vector(a_world + np.array([0, 0, G]))
             np.testing.assert_allclose(world_accel(reading, astuple(q)), a_world[:2], atol=1e-9)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            world_accel((0, 0, G), (2.0, 0.0, 0.0, 0.0))
-
 
 class TestVelocityStep:
     def test_alpha_one_pure_integration(self):
@@ -102,7 +99,7 @@ class TestVelocityStep:
         fixes = gps_arrays(range(5), 0.001, 0.002)
         t = np.arange(0.0, 5.0, 0.25)
         est = pass_through((0.0, 0.5), vel=(1.0, 0.0))
-        track = est.run(t, np.tile((0, 0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
+        track = fuse_nav(est, t, np.tile((0, 0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
         assert track.vel.tolist() == [[1.0, 0.0]] * len(t)
 
     def test_stale_fix_ignored(self):
@@ -144,23 +141,32 @@ class TestPositionStep:
         assert corrected[1] == pytest.approx(plain[1] / math.cos(math.radians(60.0)), rel=1e-12)
 
 
-class TestInterpolateGps:
+class TestReplayReference:
+    """The replay position reference: the fix track interpolated at the
+    sample times, ``has_pos`` 0 outside the fix span."""
+
+    @staticmethod
+    def replay(fixes, t):
+        return prepare_gps_reference(np.array(t, dtype=np.float64).reshape(-1), fixes, "replay", 3.0)
+
     def test_exact_at_fixes(self):
         fixes = gps_arrays([0.0, 10.0, 20.0], [0.0, 1.0, 2.0], [10.0, 11.0, 12.0])
-        for t, lat, lon in zip(fixes.t.tolist(), fixes.lat.tolist(), fixes.lon.tolist()):
-            p = interpolate_gps(fixes, t)
-            assert (p.lat, p.lon) == (lat, lon)
+        ref = self.replay(fixes, fixes.t)
+        assert ref.has_pos.tolist() == [1, 1, 1]
+        assert ref.ref_lat.tolist() == fixes.lat.tolist()
+        assert ref.ref_lon.tolist() == fixes.lon.tolist()
 
     def test_midpoint(self):
         fixes = gps_arrays([0.0, 10.0], [0.0, 1.0], 0.0)
-        assert interpolate_gps(fixes, 5.0).lat == pytest.approx(0.5, abs=1e-15)
+        assert self.replay(fixes, 5.0).ref_lat[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_linear_in_time(self):
         fixes = gps_arrays([0.0, 4.0], [0.0, 2.0], [0.0, -1.0])
-        for u in np.linspace(0, 1, 21):
-            p = interpolate_gps(fixes, 4.0 * u)
-            assert p.lat == pytest.approx(2.0 * u, abs=1e-12)
-            assert p.lon == pytest.approx(-1.0 * u, abs=1e-12)
+        u = np.linspace(0, 1, 21)
+        ref = self.replay(fixes, 4.0 * u)
+        assert ref.has_pos.all()
+        np.testing.assert_allclose(ref.ref_lat, 2.0 * u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.ref_lon, -1.0 * u, rtol=0, atol=1e-12)
 
     def test_continuity(self):
         rng = np.random.default_rng(32)
@@ -168,27 +174,22 @@ class TestInterpolateGps:
         fixes = gps_arrays(times, rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20))
         max_rate = (np.maximum(np.abs(np.diff(fixes.lat)), np.abs(np.diff(fixes.lon))) / np.diff(times)).max()
         queries = rng.uniform(times[0], times[-1], 1000)
-        for t in queries:
-            t2 = min(t + 0.001, times[-1])
-            p1 = interpolate_gps(fixes, float(t))
-            p2 = interpolate_gps(fixes, float(t2))
-            assert abs(p2.lat - p1.lat) <= max_rate * 0.001 + 1e-12
-            assert abs(p2.lon - p1.lon) <= max_rate * 0.001 + 1e-12
+        p1 = self.replay(fixes, queries)
+        p2 = self.replay(fixes, np.minimum(queries + 0.001, times[-1]))
+        assert (np.abs(p2.ref_lat - p1.ref_lat) <= max_rate * 0.001 + 1e-12).all()
+        assert (np.abs(p2.ref_lon - p1.ref_lon) <= max_rate * 0.001 + 1e-12).all()
 
-    def test_extrapolation_rejected(self):
+    def test_no_extrapolation(self):
         fixes = gps_arrays([0.0, 10.0], [0.0, 1.0], 0.0)
-        with pytest.raises(InterpolationRangeError):
-            interpolate_gps(fixes, -0.1)
-        with pytest.raises(InterpolationRangeError):
-            interpolate_gps(fixes, 10.1)
+        assert self.replay(fixes, [-0.1, 10.1]).has_pos.tolist() == [0, 0]
 
     def test_needs_two_valid_fixes(self):
-        with pytest.raises(ValueError):
-            interpolate_gps(gps_arrays([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], valid=[True, False]), 0.5)
+        ref = self.replay(gps_arrays([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], valid=[True, False]), 0.5)
+        assert ref.has_pos.tolist() == [0]
 
     def test_invalid_fixes_skipped(self):
         fixes = gps_arrays([0.0, 5.0, 10.0], [0.0, 89.0, 1.0], 0.0, valid=[True, False, True])
-        assert interpolate_gps(fixes, 5.0).lat == pytest.approx(0.5, abs=1e-15)
+        assert self.replay(fixes, 5.0).ref_lat[0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestNavStep:
@@ -196,15 +197,16 @@ class TestNavStep:
         t = np.arange(3600) / 60.0  # 60 s at 60 Hz
         fixes = gps_arrays(range(60), 0.0, 0.0, speed=0.0)
         est = NavEstimator(FusionConfig(), 60.0)
-        track = est.run(t, np.tile((0.0, 0.0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
+        track = fuse_nav(est, t, np.tile((0.0, 0.0, G), (len(t), 1)), np.tile(LEVEL, (len(t), 1)), fixes)
         worst = max(np.abs(track.lat).max(), np.abs(track.lon).max()) / DEG_PER_M
         assert worst < 0.5
 
     def test_timestamp_ordering(self):
-        est = NavEstimator(FusionConfig(), 60.0)
-        est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), gps_arrays())
+        # the attitude step, which every block runs before the nav step, checks the order
+        est = AttitudeEstimator(FusionConfig(), 60.0)
+        est.run(np.array([1.0]), np.array([[0, 0, G]]), np.zeros((1, 3)))
         with pytest.raises(TimestampOrderError):
-            est.run(np.array([1.0]), np.array([[0, 0, G]]), np.array([LEVEL]), gps_arrays())
+            est.run(np.array([1.0]), np.array([[0, 0, G]]), np.zeros((1, 3)))
 
 
 class TestPrepareGpsReference:
@@ -262,13 +264,20 @@ class TestCheckGps:
     def test_out_of_range_rejected(self, column, value, message):
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.1, 0.2], 0.0, valid=[True, False, True])
         getattr(fixes, column)[1] = value
-        for call in (
-            lambda: prepare_gps_reference(np.array([0.5]), fixes, "live", 3.0),
-            lambda: interpolate_gps(fixes, 0.5),
-        ):
+        for mode in ("live", "replay"):
             with pytest.raises(ValueError) as exc:
-                call()
+                prepare_gps_reference(np.array([0.5]), fixes, mode, 3.0)
             assert str(exc.value) == message
+
+    def test_valid_fix_accepted(self):
+        fixes = gps_arrays([0.0], -7.765, 110.37)
+        check_gps(fixes)
+        assert (fixes.lat[0], fixes.lon[0]) == (-7.765, 110.37)
+
+    @pytest.mark.parametrize("lat,lon", [(91, 0), (-91, 0), (0, 181), (0, -180), (float("nan"), 0)])
+    def test_invalid_position_rejected(self, lat, lon):
+        with pytest.raises(ValueError):
+            check_gps(gps_arrays([0.0], lat, lon))
 
     def test_bounds_accepted(self):
         fixes = gps_arrays([0.0, 1.0, 2.0], [-90.0, 90.0, 0.0], [180.0, -179.9, 0.0], speed=0.0)
@@ -304,7 +313,7 @@ class TestDegeneration:
     def test_zero_weights_reproduce_reference(self):
         t, acc, q, fixes = self._arrays()
         est = NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60)
-        track = est.run(t, acc, q, fixes)
+        track = fuse_nav(est, t, acc, q, fixes)
         ref = prepare_gps_reference(t, fixes, "replay", 3.0)
         m = ref.has_pos.astype(bool)
         np.testing.assert_array_equal(track.lat[m], ref.ref_lat[m])
@@ -313,7 +322,7 @@ class TestDegeneration:
     def test_unit_weights_reproduce_dead_reckoning(self):
         t, acc, q, fixes = self._arrays()
         est = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
-        track = est.run(t, acc, q, fixes)
+        track = fuse_nav(est, t, acc, q, fixes)
 
         # independent dead-reckoning oracle: Butterworth + integrate, no GPS terms
         from navfuse.filters import FilterState
