@@ -277,7 +277,13 @@ def cmd_replay(cfg: FusionConfig, run: dict) -> int:
         lo = max(int(np.searchsorted(rec.gps.t, imu.t[0], side="right")) - 1, 0)
         hi = int(np.searchsorted(rec.gps.t, imu.t[-1])) + 1
         gps = rec.gps._make(col[lo:hi] for col in rec.gps)
-        blocks = fuse_blocks(imu, gps, cfg)
+        # a window wholly after the last fix or before the first keeps that one
+        # fix, which gives the interpolated reference no position: the window
+        # starts at it instead of at lat/lon 0
+        start = None
+        if len(gps.t) == 1 and not imu.t[0] <= gps.t[0] <= imu.t[-1]:
+            start = (float(gps.lat[0]), float(gps.lon[0]))
+        blocks = fuse_blocks(imu, gps, cfg, start)
     else:
         # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's
         fs = estimate_sample_rate(rec.imu.t)

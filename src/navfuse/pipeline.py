@@ -14,6 +14,29 @@ before the first block, so an input error leaves no row behind. The
 estimators carry their state from block to block, and ``fuse_streams`` is
 the same blocks concatenated: the output does not depend on the block size,
 bit for bit.
+
+``format_rows`` prints the numeric CSV bodies (fused, truth, filter-compare
+and recording rows) byte for byte as one ``%`` per cell would, with numpy
+arithmetic on a block of cells at a time:
+
+- A ``%.9f`` cell prints R = |x| * 10**9 rounded half to even, whose last 9
+  digits are the fraction. While the float product hi = |x| * 1e9 is below
+  2**52, its floor f and its fraction d = hi - f are exact. An ulp of hi is
+  then at most 0.5, d is a multiple of it, and the product's rounding error
+  is at most half of it. So R is f + 1 for d > 0.5 and f for d < 0.5,
+  whatever the error. Only at d == 0.5 does the exact error decide: it comes
+  from Dekker's two-product, for those cells alone, and an error of 0 is a
+  true tie, which goes to the even one of f and f + 1.
+- The sign is the sign bit, so -0.0 and -1e-12 print ``-0.000000000`` as
+  ``%`` does. A ``%d`` cell prints the int of the float, with a sign only
+  where that int is not 0 (``'%d' % -0.5 == '0'``).
+- Integer ``//`` passes write the digits into one uint8 matrix of slots
+  (sign, integer digits, ".", fraction digits, separator) per cell, in
+  which a slot with nothing to print holds a 0 byte: a plus sign, a leading
+  zero, every slot of an empty cell but its separator. One
+  ``bytes.translate`` drops them.
+- A block holding a non-finite cell or one out of range is printed per cell
+  with ``%``, which holds anywhere.
 """
 
 from __future__ import annotations
@@ -110,20 +133,26 @@ def estimate_sample_rate(t: np.ndarray) -> float:
     return 1.0 / median(np.diff(t))
 
 
-def fuse_blocks(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> Iterator[FusionOutput]:
+def fuse_blocks(
+    imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(), start: tuple[float, float] | None = None,
+) -> Iterator[FusionOutput]:
     """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
     ``_BLOCK_ROWS`` rows.
 
     This call does the per-stream work and raises for a bad input or config;
     the iterator it returns only fuses. The sample rate is the whole
     stream's, and the GPS reference is prepared over all rows, then sliced
-    per block. After the last block, one warning names the stream's gaps.
+    per block. The first row takes its position from the GPS reference, or
+    else from ``start`` (lat, lon), or else lat/lon 0. After the last block,
+    one warning names the stream's gaps.
     """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
     fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
+    if start is not None:
+        nav.lat, nav.lon = start
     ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
     t_ms = imu.t_ms
 
@@ -147,14 +176,103 @@ def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfi
 
 
 def csv_blocks(row_format: str, cols: np.ndarray):
-    """Format the rows of a float64 (n, k) array, yielding strings of up to
-    1,024 newline-terminated lines, each block one ``%`` call.
-
-    A ``%d`` cell takes an integral float, which prints as the int does.
-    """
+    """Format the rows of a float64 (n, k) array as ``format_rows`` does,
+    yielding strings of up to ``_BLOCK_ROWS`` (1,024) newline-terminated lines."""
     for lo in range(0, len(cols), _BLOCK_ROWS):
-        block = cols[lo:lo + _BLOCK_ROWS]
-        yield (row_format + "\n") * len(block) % tuple(block.ravel().tolist())
+        yield format_rows(row_format, cols[lo:lo + _BLOCK_ROWS])
+
+
+def format_rows(row_format: str, cols: np.ndarray, empty: np.ndarray | None = None) -> str:
+    """The rows of a float64 (n, k) array as newline-terminated lines: each
+    cell as ``row_format``'s ``%d`` or ``%.9f`` prints it (a ``%d`` cell
+    takes a float, which prints as its int does), or as nothing where the
+    bool (n, k) array ``empty`` is set.
+
+    The digits come from numpy arithmetic (see the module docstring), which
+    prints what ``%`` prints, byte for byte. Rows holding a cell out of its
+    range (non-finite, ``|x| * 1e9`` at least 2**52 for ``%.9f``, ``|x|`` at
+    least 2**63 for ``%d``) are printed per cell with ``%`` instead.
+    """
+    cells = row_format.split(",")
+    n, k = cols.shape
+    if len(cells) != k or not set(cells) <= {"%d", "%.9f"}:
+        raise ValueError(f"row format {row_format!r} is not {k} cells of %d or %.9f")
+    if not n:
+        return ""
+    fixed = np.array([c == "%.9f" for c in cells])
+    v = cols if empty is None else np.where(empty, 0.0, cols)
+    a = np.abs(v)
+    # |x| < 2**52 / 1e9 is exactly |x| * 1e9 < 2**52 in floats; a NaN compares false
+    if not (a.max(axis=0) < np.where(fixed, 2.0**52 / 1e9, 2.0**63)).all():
+        return _format_cells(cells, cols, empty)
+    ints = {}  # the int of each %d column, which takes no part in the rounding
+    for j in np.flatnonzero(~fixed).tolist():
+        ints[j] = np.floor(a[:, j]).astype(np.int64)
+        a[:, j] = 0.0
+
+    # the %.9f cells: r = |x| * 1e9 rounded half to even, exactly
+    hi = a * 1e9
+    r = np.floor(hi)
+    frac = hi - r
+    up = frac > 0.5
+    tie = np.flatnonzero(frac == 0.5)
+    if len(tie):
+        up.ravel()[tie] = _round_up_at_tie(a.ravel()[tie], hi.ravel()[tie], r.ravel()[tie])
+    r = (r + up).astype(np.int64)
+    whole = r // 1_000_000_000
+    fraction = (r - whole * 1_000_000_000).astype(np.int32)
+    whole = whole.astype(np.int32)  # below 2**52 / 1e9
+    width = max([len(str(int(whole.max())))] + [len(str(int(w.max()))) - 10 for w in ints.values()])
+
+    # slots: the sign, `width` integer digits, ".", 9 fraction digits and the
+    # separator; a 0 byte prints nothing
+    m = np.empty((width + 12, n, k), dtype=np.uint8)
+    np.multiply(np.signbit(v), ord("-"), out=m[0], casting="unsafe")
+    _put_digits(whole, m[1:width + 1])
+    m[width + 1] = ord(".")
+    _put_digits(fraction, m[width + 2:width + 11], zeros=True)
+    m[-1] = ord(",")
+    m[-1, :, -1] = ord("\n")
+    # a %d cell prints its digits in every slot between its sign and separator
+    for j, w in ints.items():
+        np.multiply(v[:, j] <= -1.0, ord("-"), out=m[0, :, j], casting="unsafe")
+        _put_digits(w, m[1:-1, :, j])
+    if empty is not None:
+        m[:-1] *= ~empty
+    return m.transpose(1, 2, 0).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _round_up_at_tie(a: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether ``a * 1e9`` rounds up to an integer where its float product
+    ``hi`` lies exactly halfway between ``r`` and ``r + 1``: the exact product
+    decides, half to even."""
+    c = a * 134217729.0  # 2**27 + 1: Veltkamp's split of a into two 26-bit halves
+    a_hi = c - (c - a)
+    # a * 1e9 - hi exactly (Dekker's two-product; 1e9 has 21 significant bits)
+    err = (a_hi * 1e9 - hi) + (a - a_hi) * 1e9
+    return (err > 0.0) | ((err == 0.0) & (r % 2.0 == 1.0))
+
+
+def _put_digits(q: np.ndarray, slots: np.ndarray, zeros: bool = False) -> None:
+    """Write the decimal digits of the ints ``q`` >= 0 right-aligned into
+    ``slots[0]``, ``slots[1]``, ... as ASCII; a leading zero is a 0 byte
+    unless ``zeros``."""
+    for s in range(len(slots) - 1, -1, -1):
+        t = q // 10
+        d = q - t * 10 + ord("0")
+        if not zeros and s < len(slots) - 1:
+            d *= q != 0
+        slots[s] = d
+        q = t
+
+
+def _format_cells(cells: list[str], cols: np.ndarray, empty: np.ndarray | None) -> str:
+    """``format_rows`` cell by cell with ``%``."""
+    vals = cols.ravel().tolist()
+    skip = [False] * len(vals) if empty is None else empty.ravel().tolist()
+    out = ["" if e else f % x for f, x, e in zip(cells * len(cols), vals, skip)]
+    k = len(cells)
+    return "".join(",".join(out[i:i + k]) + "\n" for i in range(0, len(out), k))
 
 
 def fused_rows(out: FusionOutput):

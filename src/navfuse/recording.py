@@ -19,9 +19,13 @@ dropped. A longitude of -180 reads as +180, as on the wire. Fix values that
 no fix can hold (``navigation.gps_range_error``) are refused on both write
 and read.
 
-Rows are written in blocks of whole lines of at most ``PIPE_BUF`` bytes, each
-flushed as it is written, so an interrupted recording is still a valid
-(shorter) file, also when the reader is a pipe.
+Rows are printed 1,024 at a time by ``pipeline.format_rows``, as one ``%``
+per cell would print them (its docstring gives the exact-rounding argument
+and the per-cell fallback for a block with a value out of range): one float
+matrix of the 16 cells, with a mask of the empty ones. They are written in
+blocks of whole lines of at most ``PIPE_BUF`` bytes, carried across the
+formatter's blocks and each flushed as it is written, so an interrupted
+recording is still a valid (shorter) file, also when the reader is a pipe.
 
 A well-formed recording is read as columns: one ``np.loadtxt`` call over the
 body, then column checks (``_read_columns``). Whatever that parse cannot
@@ -44,12 +48,12 @@ import numpy as np
 from .attitude import ImuArrays
 from .errors import RecordingFormatError, TimestampOrderError
 from .navigation import GpsArrays, check_gps, gps_range_error
+from .pipeline import format_rows
 
 HEADER = "t_ms,ax,ay,az,gx,gy,gz,mx,my,mz,gps_valid,lat,lon,speed_mps,course_deg,alt_m"
 _NCOLS = len(HEADER.split(","))
 
-_IMU_CELLS = "%d" + ",%.9f" * 6
-_MAG_CELLS = ",%.9f,%.9f,%.9f"
+_ROW_FORMAT = "%d" + ",%.9f" * 9 + ",%d" + ",%.9f" * 5
 _SENSOR_NAMES = ("accel",) * 3 + ("gyro",) * 3 + ("mag",) * 3
 _GPS_NAMES = ("lat", "lon", "speed_mps", "course_deg", "alt_m")
 _BLOCK_ROWS = 1024
@@ -70,10 +74,6 @@ class FlightRecording:
     metadata: dict[str, str]
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else "%.9f" % x
-
-
 def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, str] | None = None) -> int:
     """Write a recording to a path or text file; returns the row count."""
     if isinstance(dest, (str, Path)):
@@ -91,38 +91,47 @@ def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, st
     latest = np.ones(len(at_row), dtype=bool)
     latest[:-1] = at_row[1:] != at_row[:-1]
     written = latest & (at_row < len(t_ms)) & np.asarray(gps.valid, dtype=bool)[order]
-    cols = zip(at_row[written].tolist(), *(c[order[written]].tolist() for c in gps[1:6]))
-    gps_cells = {
-        row: ",1,%.9f,%.9f,%.9f,%s,%s" % (lat, lon, speed, _fmt(math.degrees(course)), _fmt(alt))
-        for row, lat, lon, speed, course, alt in cols
-    }
+    fix_rows = at_row[written]
+    fix_cells = np.column_stack([gps.lat, gps.lon, gps.speed, gps.course * (180.0 / math.pi), gps.alt])
+    fix_cells = fix_cells[order[written]]
     for key, value in (metadata or {}).items():
         dest.write(f"# {key}={value}\n")
     dest.write(HEADER + "\n")
     dest.flush()
-    pending: list[str] = []
-    size = 0
-    # columns become Python lists one block at a time, which bounds the memory
+    pending = ""
+    # one block of rows at a time, which bounds the memory
     for lo in range(0, len(t_ms), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        rows = zip(
-            t_ms[block].tolist(), imu.accel[block].tolist(), imu.gyro[block].tolist(),
-            imu.mag[block].tolist(), imu.has_mag[block].tolist(),
-        )
-        for i, (t, acc, gyr, mag, has_mag) in enumerate(rows, lo):
-            line = _IMU_CELLS % (t, *acc, *gyr)
-            line += _MAG_CELLS % tuple(mag) if has_mag else ",,,"
-            line += gps_cells.get(i, ",0,,,,,") + "\n"
-            # rows are ASCII, so characters count bytes
-            if size + len(line) > _PIPE_BUF:
-                dest.write("".join(pending))
-                dest.flush()
-                pending, size = [], 0
-            pending.append(line)
-            size += len(line)
-    dest.write("".join(pending))
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        cells = np.column_stack([t_ms[rows], imu.accel[rows], imu.gyro[rows], imu.mag[rows],
+                                 np.zeros((len(t_ms[rows]), 6))])
+        empty = np.zeros(cells.shape, dtype=bool)
+        empty[:, 7:10] = (imu.has_mag[rows] == 0)[:, None]
+        empty[:, 11:] = True
+        first, last = np.searchsorted(fix_rows, (lo, lo + _BLOCK_ROWS))
+        at = fix_rows[first:last] - lo
+        cells[at, 10] = 1.0
+        cells[at, 11:] = fix_cells[first:last]
+        empty[at, 11:] = np.isnan(fix_cells[first:last])
+        pending = _write_whole_lines(dest, pending + format_rows(_ROW_FORMAT, cells, empty))
+    dest.write(pending)
     dest.flush()
     return len(t_ms)
+
+
+def _write_whole_lines(dest, text: str) -> str:
+    """Write the leading lines of ``text`` in flushed writes, each of as many
+    whole lines as fit in ``_PIPE_BUF`` bytes, for as long as the rest does
+    not fit in one; return the rest. The lines are ASCII, so characters count
+    bytes."""
+    start = 0
+    while len(text) - start > _PIPE_BUF:
+        end = text.rfind("\n", start, start + _PIPE_BUF) + 1
+        if end <= start:  # a line longer than PIPE_BUF is written alone
+            end = text.index("\n", start) + 1
+        dest.write(text[start:end])
+        dest.flush()
+        start = end
+    return text[start:]
 
 
 def _parse_float(cell: str, name: str, line_no: int) -> float:

@@ -403,6 +403,29 @@ class TestRecordReplay:
         m_per_deg = math.pi * 6_371_000.0 / 180.0
         assert (np.hypot(*(part[:, 8:10] - full[rows, 8:10]).T) * m_per_deg < 1.0).all()
 
+    @pytest.mark.parametrize("fixes, window, nearest", [
+        ((0.0, 6.0), ("6500", "9000"), -1),   # wholly after the last fix
+        ((3.0, 8.0), ("0", "2500"), 0),       # wholly before the first fix
+    ])
+    def test_window_beyond_the_fixes_starts_at_the_nearest(self, fixes, window, nearest, short_flight, capsys,
+                                                           tmp_path):
+        """A window with fixes on one side only keeps the nearest one, which
+        gives the interpolated reference no position; its first row starts at
+        that fix, not at lat/lon 0, and the rest dead-reckon from there."""
+        _, imu, gps = short_flight
+        kept = (gps.t >= fixes[0]) & (gps.t <= fixes[1])
+        gps = gps._make(col[kept] for col in gps)
+        rec_path = tmp_path / "rec.csv"
+        write_recording(imu, gps, rec_path, {})
+        argv = ["--mode", "replay", "--input", str(rec_path), "--from-ms", window[0], "--to-ms", window[1]]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+        fix = np.array([gps.lat[nearest], gps.lon[nearest]])
+        assert (rows[0, 8:10] == np.round(fix, 9)).all()
+        m_per_deg = math.pi * 6_371_000.0 / 180.0
+        assert (np.hypot(*(rows[:, 8:10] - fix).T) * m_per_deg < 100.0).all()
+
     def test_empty_window_exit_0(self, recorded, capsys):
         rec_path, _, _ = recorded
         code, out, _ = run_cli(

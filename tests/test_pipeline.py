@@ -6,14 +6,14 @@ import sys
 import numpy as np
 import pytest
 from conftest import assert_same_bits, build_stream
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
 from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
 from navfuse.navigation import GpsArrays, NavEstimator
-from navfuse.pipeline import FusionConfig, fuse_blocks, fuse_streams, fused_rows, median
+from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fuse_streams, fused_rows, median
 from navfuse.recording import write_recording
 
 
@@ -34,6 +34,71 @@ def test_fused_rows_match_per_cell_formatting():
     blocks = list(fused_rows(out))
     assert [b.count("\n") for b in blocks] == [1024, 1024, len(expected) - 2048]
     assert "".join(blocks) == "".join(expected)
+
+
+def per_cell(cells, cols, empty):
+    """The rows printed one ``%`` per cell, and nothing for an empty cell."""
+    return "".join(
+        ",".join("" if e else f % x for f, x, e in zip(cells, row, skip)) + "\n"
+        for row, skip in zip(cols.tolist(), empty.tolist())
+    )
+
+
+# the largest |x| whose float product x * 1e9 lies below 2**52, where a %.9f
+# cell is still formatted by arithmetic, and its neighbours
+FIXED_EDGE = 2.0**52 / 1e9
+while FIXED_EDGE * 1e9 >= 2.0**52:
+    FIXED_EDGE = np.nextafter(FIXED_EDGE, 0.0)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5e-9, 1.5e-9, 2.5e-9, -2.5e-9, 1e-12, -1e-12,
+         0.9999999995, 9.9999999995, 4294967295.0, 9.2e18, -9.2e18, 2.0**63, -(2.0**63), 1e300, -1e300,
+         math.inf, -math.inf, math.nan,
+         *(x * s for x in (FIXED_EDGE, *np.nextafter(FIXED_EDGE, [0.0, math.inf]).tolist()) for s in (1, -1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 1025),
+    cells=st.lists(st.sampled_from(["%d", "%.9f"]), min_size=1, max_size=5),
+    drawn=st.lists(st.floats(width=64), max_size=20),
+    in_range=st.booleans(),
+    empty_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1025, cells=["%d"] + ["%.9f"] * 4, drawn=[], in_range=True, empty_share=0.0, seed=0)
+def test_format_rows_prints_what_percent_prints(rows, cells, drawn, in_range, empty_share, seed):
+    """Any float64 prints as ``%`` prints it: the arithmetic's exact rounding
+    on ties k/1024 and their float neighbours, subnormals and signed zeros;
+    the per-cell fallback on a block with a cell out of range (the edge of
+    2**52 / 1e9, huge values, infinities and NaN); and empty cells, which
+    print nothing whatever they hold."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, len(cells))
+    ties = rng.integers(-(2**30), 2**30, shape) / 1024.0
+    pool = np.array(EDGES + drawn)
+    picks = [
+        rng.choice(pool, shape),
+        ties,
+        np.nextafter(ties, rng.choice([-math.inf, math.inf], shape)),
+        np.ldexp(rng.random(shape), rng.integers(-1075, 23, shape)) * rng.choice([-1.0, 1.0], shape),
+        np.rint(rng.normal(0.0, 1e6, shape)),
+    ]
+    if not in_range:
+        picks.append(rng.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False).view(np.float64))
+    cols = np.choose(rng.integers(0, len(picks), shape), picks)
+    empty = rng.random(shape) < empty_share
+    fixed = np.array([c == "%.9f" for c in cells])
+    if in_range:
+        bad = ~(np.abs(cols) <= np.where(fixed, FIXED_EDGE, np.nextafter(2.0**63, 0.0)))
+        cols[bad & ~empty] = 0.25
+    else:
+        # %d refuses NaN and the infinities, as int() does
+        cols[~np.isfinite(cols) & ~fixed] = 1.0
+    want = per_cell(cells, cols, empty)
+    assert format_rows(",".join(cells), cols, empty) == want
+    if not empty.any():
+        blocks = list(csv_blocks(",".join(cells), cols))
+        assert [b.count("\n") for b in blocks] == [min(1024, rows - lo) for lo in range(0, rows, 1024)]
+        assert "".join(blocks) == want
 
 
 # ---------------------------------------------------------------- blocks

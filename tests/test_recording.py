@@ -45,6 +45,18 @@ def roundtrip(stream, gps=gps_arrays(), metadata=None):
     return read_recording(buf)
 
 
+class FlushLog(io.StringIO):
+    """The text written between flushes."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def flush(self):
+        done = sum(map(len, self.blocks))
+        self.blocks.append(self.getvalue()[done:])
+
+
 class TestWrite:
     def test_exact_header(self):
         buf = io.StringIO()
@@ -83,17 +95,6 @@ class TestWrite:
             write_recording(imu(0.1, 0.1), gps_arrays(), io.StringIO())
 
     def test_rows_flushed_in_whole_line_blocks_under_pipe_buf(self):
-        class FlushLog(io.StringIO):
-            """The text written between flushes."""
-
-            def __init__(self):
-                super().__init__()
-                self.blocks = []
-
-            def flush(self):
-                done = sum(map(len, self.blocks))
-                self.blocks.append(self.getvalue()[done:])
-
         stream = imu(*(k / 100.0 for k in range(300)))
         buf = FlushLog()
         write_recording(stream, gps_arrays([0.5, 1.5], 1.0, 2.0), buf, {"seed": "1"})
@@ -103,6 +104,50 @@ class TestWrite:
         assert all(block.endswith("\n") and len(block.encode()) <= 4096 for block in rows)
         # a block ends only where its next row would not fit
         assert all(len(a) + len(b.partition("\n")[0]) + 1 > 4096 for a, b in zip(rows, rows[1:]))
+
+
+    def test_rows_across_a_formatter_block_edge_match_per_cell_formatting(self):
+        """1,500 rows cross the 1,024-row block edge of the formatter: rows
+        with and without mag, fixes valid or not, with a NaN course or
+        altitude. The bytes are those of one ``%`` per cell, and the flushed
+        writes keep the whole-line PIPE_BUF rule across the edge."""
+        rng = np.random.default_rng(7)
+        n = 1500
+        t = np.arange(n) / 60.0
+        sensors = rng.normal(0.0, 1.0, (n, 9)) * 10.0 ** rng.integers(-4, 4, (n, 9))
+        sensors[5, 0], sensors[6, 1] = -0.0, -1e-12
+        has_mag = (rng.random(n) < 0.7).astype(np.uint8)
+        stream = ImuArrays(t, sensors[:, 0:3], sensors[:, 3:6], np.where(has_mag[:, None] == 1, sensors[:, 6:9], 0.0),
+                           has_mag)
+        rows = np.arange(3, n, 7)
+        m = len(rows)
+        course = rng.uniform(-math.pi, math.pi, m)
+        alt = rng.normal(100.0, 30.0, m)
+        course[::3], alt[1::4] = math.nan, math.nan
+        fixes = gps_arrays(t[rows], rng.uniform(-89, 89, m), rng.uniform(-179, 179, m), speed=rng.uniform(0, 40, m),
+                           valid=rng.random(m) < 0.8, course=course, alt=alt)
+        gps_cells = {
+            int(r): "1,%.9f,%.9f,%.9f,%s,%s" % (
+                lat, lon, speed, "" if math.isnan(c) else "%.9f" % math.degrees(c), "" if math.isnan(a) else "%.9f" % a
+            )
+            for r, lat, lon, speed, c, a, ok in zip(rows, *fixes[1:])
+            if ok
+        }
+        want = [
+            ",".join(["%d" % t_ms] + ["%.9f" % x for x in cells[:6]]
+                     + (["%.9f" % x for x in cells[6:]] if mag else ["", "", ""])
+                     + [gps_cells.get(i, "0,,,,,")]) + "\n"
+            for i, (t_ms, cells, mag) in enumerate(zip(stream.t_ms.tolist(), sensors.tolist(), has_mag.tolist()))
+        ]
+        buf = FlushLog()
+        assert write_recording(stream, fixes, buf) == n
+        assert buf.getvalue() == HEADER + "\n" + "".join(want)
+        writes = buf.blocks[1:]
+        assert "".join(writes) == "".join(want)
+        assert all(w.endswith("\n") and len(w) <= 4096 for w in writes)
+        assert all(len(a) + len(b.partition("\n")[0]) + 1 > 4096 for a, b in zip(writes, writes[1:]))
+        # no write ends at the block edge: the lines before it carry over
+        assert 1024 not in np.cumsum([w.count("\n") for w in writes])
 
 
 class TestRead:
