@@ -31,10 +31,11 @@ over the column, since numpy's vectorised versions may differ in the last
 bit.
 
 ``AttitudeEstimator(cfg, sample_rate_hz)`` reads its options from a
-``pipeline.FusionConfig``: the gains ``gamma_rp`` and ``gamma_yaw`` (1.0 =
-all gyro, 0.0 = all reference), the pre-filter cutoffs ``accel_lp_hz`` and
-``gyro_hp_hz`` and the magnetic ``declination_deg``. It refuses a gain
-outside [0, 1], a non-finite declination or a cutoff outside (0, Nyquist).
+``pipeline.FusionConfig``, which checks their values: the gains ``gamma_rp``
+and ``gamma_yaw`` (1.0 = all gyro, 0.0 = all reference), the pre-filter
+cutoffs ``accel_lp_hz`` and ``gyro_hp_hz`` and the magnetic
+``declination_deg``. Only a cutoff outside (0, Nyquist), which needs the
+sample rate, is refused by the estimator, in its filter design.
 """
 
 from __future__ import annotations
@@ -83,14 +84,6 @@ class ImuArrays(NamedTuple):
     @property
     def t_ms(self) -> np.ndarray:
         return np.rint(self.t * 1000.0).astype(np.int64)
-
-
-def _check_weights(cfg: FusionConfig, *names: str) -> None:
-    """Raise unless each of the options ``names`` of ``cfg`` lies in [0, 1]."""
-    for name in names:
-        v = getattr(cfg, name)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
 def _map(fn, *cols) -> np.ndarray:
@@ -176,13 +169,13 @@ def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
     return q
 
 
-def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_mag,
+def _attitude_blend(dt, reset, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_mag,
                     gamma_rp, gamma_yaw, declination, angles, euler, flags):
     """The recursive part of ``AttitudeEstimator.run``: the complementary
-    blend of each row from ``start`` on, the first row of a stream initialised
-    when ``start`` is 1. Writes the angles into ``euler`` and the heading flags
-    into ``flags``; returns the last (roll, pitch, yaw). A function of its own so
-    that its per-row Python lists are freed before the quaternion pass.
+    blend of each row, a row with ``reset`` set taking its references alone.
+    Writes the angles into ``euler`` and the heading flags into ``flags``;
+    returns the last (roll, pitch, yaw). A function of its own so that its
+    per-row Python lists are freed before the quaternion pass.
 
     ``wrap_pi`` and ``complementary_angle`` are written out in the branch that
     blends with a gain strictly inside (0, 1); gains of exactly 0 and 1 go
@@ -196,28 +189,16 @@ def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_
     yaw_blend = 0.0 < gamma_yaw < 1.0
     c_rp = 1.0 - gamma_rp
     c_yaw = 1.0 - gamma_yaw
-    dts, gaps, oks = dt.tolist(), gap.tolist(), tilt_ok.tolist()
+    dts, resets, oks = dt.tolist(), reset.tolist(), tilt_ok.tolist()
     rrefs, prefs, fgxs, fgys, gzs = rref.tolist(), pref.tolist(), fgx.tolist(), fgy.tolist(), gz.tolist()
     mxs, mys, mzs = mag[:, 0].tolist(), mag[:, 1].tolist(), mag[:, 2].tolist()
     hms = has_mag.tolist()
     roll_out, pitch_out, yaw_out = euler.T
 
-    if start:
-        roll = rrefs[0] if oks[0] else 0.0
-        pitch = prefs[0] if oks[0] else 0.0
-        yaw = 0.0
-        if hms[0]:
-            h = _heading_from_mag(mxs[0], mys[0], mzs[0], roll, pitch)
-            if math.isnan(h):
-                flags[0] |= FLAG_NO_HEADING_REF
-            else:
-                yaw = wrap_pi(h + declination)
-        roll_out[0], pitch_out[0], yaw_out[0] = roll, pitch, yaw
-
-    for i in range(start, len(dts)):
+    for i in range(len(dts)):
         dt = dts[i]
-        is_gap = gaps[i]
-        if is_gap:
+        is_reset = resets[i]
+        if is_reset:
             if oks[i]:
                 roll = rrefs[i]
                 pitch = prefs[i]
@@ -257,7 +238,7 @@ def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_
             if r <= 0.0:
                 r += two_pi
             href = r - pi
-            if is_gap:
+            if is_reset:
                 yaw = href
             elif yaw_blend:
                 prop = yaw + gzs[i] * dt
@@ -270,7 +251,7 @@ def _attitude_blend(start, dt, gap, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_
                 yaw = r - pi
             else:
                 yaw = complementary_angle(yaw, gzs[i], dt, href, gamma_yaw)
-        elif not is_gap:
+        elif not is_reset:
             yaw = wrap_pi(yaw + gzs[i] * dt)
 
         roll_out[i] = roll
@@ -323,9 +304,6 @@ class AttitudeEstimator:
     """
 
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
-        _check_weights(cfg, "gamma_rp", "gamma_yaw")
-        if not math.isfinite(cfg.declination_deg):
-            raise ValueError(f"declination_deg must be finite, got {cfg.declination_deg}")
         self.cfg = cfg
         lp = design_first_order_lp(cfg.accel_lp_hz, sample_rate_hz)
         hp = design_first_order_hp(cfg.gyro_hp_hz, sample_rate_hz)
@@ -370,15 +348,17 @@ class AttitudeEstimator:
         rref, pref, tilt_ok = _tilt_from_accel(fax, fay, faz)
         dt = np.diff(t, prepend=self.t_last if init else 0.0)
         gap = dt > MAX_GYRO_GAP_S
-        if not init:
-            gap[:1] = False
+        gap[:1] &= init
+        # a fresh stream's first row takes its references as a row after a gap does
+        reset = gap.copy()
+        reset[:1] |= not init
         flags = np.where(gap, FLAG_GAP, 0).astype(np.uint8)
         flags[~tilt_ok] |= FLAG_NO_TILT_REF
 
         euler = np.empty((n, 3), dtype=np.float64)
         if n:
             self.roll, self.pitch, self.yaw = _attitude_blend(
-                0 if init else 1, dt, gap, tilt_ok, rref, pref, fgx, fgy, gyro[:, 2], mag, has_mag,
+                dt, reset, tilt_ok, rref, pref, fgx, fgy, gyro[:, 2], mag, has_mag,
                 self.cfg.gamma_rp, self.cfg.gamma_yaw, math.radians(self.cfg.declination_deg),
                 (self.roll, self.pitch, self.yaw), euler, flags,
             )

@@ -12,6 +12,7 @@ Each mode imports only the modules it uses. ``run`` is the program's entry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import io
@@ -143,24 +144,11 @@ def _read_input_recording(path: str):
         stdin.detach()  # leaves sys.stdin open
 
 
-class _Output:
-    """Output sink: '-'/None means stdout (not closed on exit)."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def __enter__(self):
-        if self.path in (None, "-"):
-            self._f = sys.stdout
-            self._own = False
-        else:
-            self._f = open(self.path, "w", encoding="utf-8", newline="")
-            self._own = True
-        return self._f
-
-    def __exit__(self, *exc):
-        if self._own:
-            self._f.close()
+def _output(path: str | None):
+    """The output file for a ``with``: stdout for '-'/None, which it leaves open."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _decode_stream(data: bytes):
@@ -232,7 +220,7 @@ def cmd_live(cfg: FusionConfig, run: dict) -> int:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
     blocks = fuse_blocks(imu, gps, cfg)
-    with _Output(run["output"]) as fh:
+    with _output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
@@ -271,24 +259,12 @@ def cmd_replay(cfg: FusionConfig, run: dict) -> int:
     imu = rec.imu._make(col[keep] for col in rec.imu)
     blocks = ()  # an empty window writes the header alone
     if len(imu.t):
-        # a recording's fixes are valid and carry the times of their rows: keep
-        # those inside the window and the one on either side, so that the
-        # interpolated reference covers every row of the window
-        lo = max(int(np.searchsorted(rec.gps.t, imu.t[0], side="right")) - 1, 0)
-        hi = int(np.searchsorted(rec.gps.t, imu.t[-1])) + 1
-        gps = rec.gps._make(col[lo:hi] for col in rec.gps)
-        # a window wholly after the last fix or before the first keeps that one
-        # fix, which gives the interpolated reference no position: the window
-        # starts at it instead of at lat/lon 0
-        start = None
-        if len(gps.t) == 1 and not imu.t[0] <= gps.t[0] <= imu.t[-1]:
-            start = (float(gps.lat[0]), float(gps.lon[0]))
-        blocks = fuse_blocks(imu, gps, cfg, start)
+        blocks = fuse_blocks(imu, rec.gps, cfg)
     else:
-        # check the options as fuse_blocks would; an empty window has no sample rate, so take the recording's
+        # check the cutoffs as fuse_blocks would; an empty window has no sample rate, so take the recording's
         fs = estimate_sample_rate(rec.imu.t)
         AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
-    with _Output(run["output"]) as fh:
+    with _output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
@@ -310,9 +286,9 @@ def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
         "gps_rate_hz": "%g" % profile.gps_rate_hz,
         "duration_s": "%g" % profile.duration_s,
     }
-    with _Output(out_path) as fh:
+    with _output(out_path) as fh:
         rows = write_recording(imu, gps, fh, metadata)
-    with _Output(truth_path) as fh:
+    with _output(truth_path) as fh:
         fh.write(TRUTH_HEADER + "\n")
         for block in truth_rows(truth):
             fh.write(block)
@@ -328,11 +304,8 @@ def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
     except ValueError:
         print(f"navfuse: bad --grid {run['grid']!r}", file=sys.stderr)
         return EXIT_INPUT
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
-        print("navfuse: grid values must lie in [0, 1]", file=sys.stderr)
-        return EXIT_INPUT
     cells = sweep_weights(run["profile"], run["noise"], square_grid(values), cfg)
-    with _Output(run["output"]) as fh:
+    with _output(run["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
         for c in cells:
             fh.write("%g,%g,%.9f,%.9f\n" % (c.alpha, c.beta, c.lat_err_m, c.lon_err_m))
@@ -365,7 +338,7 @@ def cmd_filter_compare(cfg: FusionConfig, run: dict) -> int:
         acc[:, 1], FilterState(bw).run(acc[:, 1]), FilterState(ch).run(acc[:, 1]),
         gyro_only.euler[:, 2] * deg, fused.euler[:, 2] * deg,
     ])
-    with _Output(run["output"]) as fh:
+    with _output(run["output"]) as fh:
         fh.write("t_ms,ax_raw,ax_butterworth,ax_chebyshev,ay_raw,ay_butterworth,ay_chebyshev,"
                  "yaw_gyro_deg,yaw_fused_deg\n")
         for block in csv_blocks("%d" + ",%.9f" * 8, cols):

@@ -36,13 +36,14 @@ and the simulator through to ``prepare_gps_reference``. ``check_gps`` is the
 one check of their values, made wherever fixes enter from outside.
 
 ``NavEstimator(cfg, sample_rate_hz)`` reads its options from a
-``pipeline.FusionConfig``: ``alpha``, ``beta``, the Butterworth
-``cutoff_hz`` (``None``: ``default_position_cutoff_hz``), ``earth_radius_m``,
-``lon_scale_correction``, ``stale_after_s`` and ``gps_mode``. It refuses a
-weight outside [0, 1], an earth radius that is not positive and finite, a
-``stale_after_s`` below 0 or NaN (``inf`` keeps every fix fresh) and a cutoff
-outside (0, Nyquist). It starts at rest at lat/lon 0; the first sample
-snaps to the GPS reference when it has one.
+``pipeline.FusionConfig``, which checks their values: ``alpha``, ``beta``,
+the Butterworth ``cutoff_hz`` (``None``: ``default_position_cutoff_hz``),
+``earth_radius_m``, ``lon_scale_correction``, ``stale_after_s`` and
+``gps_mode``. Only a cutoff outside (0, Nyquist), which needs the sample
+rate, is refused by the estimator, in its filter design. It starts at rest
+at its ``lat``/``lon`` (0 until its owner sets them: ``pipeline.fuse_blocks``
+puts the nearest valid fix there); the first sample snaps to the GPS
+reference when it has one.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .attitude import _check_weights, _map
+from .attitude import _map
 from .errors import TimestampOrderError
 from .filters import FilterState, design_butterworth2_lp
-from .geo import bearing, check_earth_radius
+from .geo import bearing
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
@@ -128,10 +129,9 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
     """Resolve, per sample, which GPS terms the blend may use.
 
     mode "live" holds the latest fresh fix; mode "replay" interpolates the
-    fix track for the position reference (velocity stays fix-based).
+    fix track for the position reference (velocity stays fix-based). The
+    mode is a ``FusionConfig.gps_mode``, which the config checks.
     """
-    if mode not in ("live", "replay"):
-        raise ValueError(f"unknown GPS reference mode {mode!r}")
     check_gps(gps)
     n = len(t)
     valid = np.asarray(gps.valid, dtype=bool)
@@ -188,10 +188,6 @@ class NavEstimator:
     reference of the same rows."""
 
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
-        _check_weights(cfg, "alpha", "beta")
-        check_earth_radius(cfg.earth_radius_m)
-        if not cfg.stale_after_s >= 0.0:
-            raise ValueError(f"stale_after_s must be >= 0, got {cfg.stale_after_s}")
         self.cfg = cfg
         cutoff_hz = default_position_cutoff_hz(sample_rate_hz) if cfg.cutoff_hz is None else cfg.cutoff_hz
         coeffs = design_butterworth2_lp(cutoff_hz, sample_rate_hz)

@@ -9,8 +9,9 @@ recording reproduces the live attitude output bit for bit.
 ``fuse_blocks`` fuses a stream in blocks of ``_BLOCK_ROWS`` (1,024) rows,
 the block the CSV formatter writes, so the CLI writes each block's rows as
 soon as it is fused instead of after the whole flight. Everything that can
-refuse the input (the config, the IMU columns, the GPS fixes) is checked
-before the first block, so an input error leaves no row behind. The
+refuse the input (the cutoffs, the IMU columns, the GPS fixes) is checked
+before the first block, so an input error leaves no row behind; the other
+options are checked when the ``FusionConfig`` is built. The
 estimators carry their state from block to block, and ``fuse_streams`` is
 the same blocks concatenated: the output does not depend on the block size,
 bit for bit.
@@ -48,7 +49,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .attitude import AttitudeEstimator, ImuArrays, check_imu, warn_gaps
-from .geo import EARTH_RADIUS_M
+from .geo import EARTH_RADIUS_M, check_earth_radius
 from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
@@ -59,7 +60,10 @@ _BLOCK_ROWS = 1024
 @dataclass(frozen=True)
 class FusionConfig:
     """Every option of the fusion, and its one default. ``AttitudeEstimator``
-    and ``NavEstimator`` read their fields from it and check their values."""
+    and ``NavEstimator`` read their fields from it. Building one refuses
+    each value that needs no sample rate to check (``inf`` is a valid
+    ``stale_after_s``: every fix stays fresh); the estimators' filter
+    designs refuse a cutoff outside (0, Nyquist)."""
 
     alpha: float = 0.1
     beta: float = 0.1
@@ -73,6 +77,19 @@ class FusionConfig:
     earth_radius_m: float = EARTH_RADIUS_M
     stale_after_s: float = 3.0
     gps_mode: str = "live"                  # "live" | "replay"
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma_rp", "gamma_yaw"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not math.isfinite(self.declination_deg):
+            raise ValueError(f"declination_deg must be finite, got {self.declination_deg}")
+        check_earth_radius(self.earth_radius_m)
+        if not self.stale_after_s >= 0.0:
+            raise ValueError(f"stale_after_s must be >= 0, got {self.stale_after_s}")
+        if self.gps_mode not in ("live", "replay"):
+            raise ValueError(f"unknown GPS reference mode {self.gps_mode!r}")
 
 
 class FusionOutput(NamedTuple):
@@ -134,26 +151,29 @@ def estimate_sample_rate(t: np.ndarray) -> float:
 
 
 def fuse_blocks(
-    imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(), start: tuple[float, float] | None = None,
+    imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(),
 ) -> Iterator[FusionOutput]:
     """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
     ``_BLOCK_ROWS`` rows.
 
-    This call does the per-stream work and raises for a bad input or config;
+    This call does the per-stream work and raises for a bad input or cutoff;
     the iterator it returns only fuses. The sample rate is the whole
     stream's, and the GPS reference is prepared over all rows, then sliced
     per block. The first row takes its position from the GPS reference, or
-    else from ``start`` (lat, lon), or else lat/lon 0. After the last block,
-    one warning names the stream's gaps.
+    else from the last valid fix at or before it, or else from the first
+    valid fix; only a stream without one starts at lat/lon 0. After the last
+    block, one warning names the stream's gaps.
     """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
     fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
-    if start is not None:
-        nav.lat, nav.lon = start
     ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
+    valid = np.asarray(gps.valid, dtype=bool)
+    if valid.any():  # fix times checked by prepare_gps_reference: strictly increasing
+        j = max(int(np.searchsorted(gps.t[valid], imu.t[0], side="right")) - 1, 0)
+        nav.lat, nav.lon = float(gps.lat[valid][j]), float(gps.lon[valid][j])
     t_ms = imu.t_ms
 
     def blocks():

@@ -16,8 +16,9 @@ In memory a recording is the IMU stream as ``ImuArrays`` plus the fixes as
 latest such fix wins, valid or not) and read back with that row's time; an
 invalid fix writes empty GPS cells, and fixes after the last row are
 dropped. A longitude of -180 reads as +180, as on the wire. Fix values that
-no fix can hold (``navigation.gps_range_error``) are refused on both write
-and read.
+no fix can hold (``navigation.gps_range_error``) and non-finite sensor
+values (mag only where ``has_mag`` is set) are refused on both write and
+read, the write refusing before it writes the header.
 
 Rows are printed 1,024 at a time by ``pipeline.format_rows``, as one ``%``
 per cell would print them (its docstring gives the exact-rounding argument
@@ -83,6 +84,13 @@ def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, st
     bad = np.flatnonzero(np.diff(t_ms) <= 0)
     if len(bad):
         raise TimestampOrderError(f"row time {t_ms[bad[0] + 1]} ms not after {t_ms[bad[0]]} ms")
+    # read_recording refuses a non-finite sensor cell; mag cells are written only where has_mag is set
+    finite = np.column_stack([np.isfinite(imu.accel).all(axis=1), np.isfinite(imu.gyro).all(axis=1),
+                              np.isfinite(imu.mag).all(axis=1) | (imu.has_mag == 0)])
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if len(bad):
+        name = _SENSOR_NAMES[3 * int(np.argmin(finite[bad[0]]))]
+        raise ValueError(f"row {bad[0]} (t_ms {t_ms[bad[0]]}): non-finite {name}")
     check_gps(gps)
     # first row at or after each fix's time; the latest fix wins a shared
     # row, valid or not, and only a valid one fills its GPS cells

@@ -119,6 +119,38 @@ class TestLive:
         assert code == 0
         assert len(out.splitlines()) == n + 1
 
+    def test_bad_option_exits_before_reading_input(self, capsys, monkeypatch):
+        class Unread:
+            def read(self, *args):
+                raise AssertionError("stdin read")
+
+        monkeypatch.setattr(sys, "stdin", type("F", (), {"buffer": Unread()})())
+        code, out, err = run_cli(["--mode", "live", "--input", "-", "--alpha", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "navfuse: bad config: alpha must be in [0, 1], got 5.0\n"
+
+    def test_stream_without_early_fixes_starts_at_the_first(self, short_flight, capsys, tmp_path):
+        """The rows before the first fix have no position reference: the
+        track starts at that fix, not at lat/lon 0."""
+        truth, imu, gps = short_flight
+        late = gps.t >= 3.0
+        gps = gps._make(col[late] for col in gps)
+        path = tmp_path / "late.bin"
+        path.write_bytes(build_stream(imu, gps))
+        code, out, _ = run_cli(["--mode", "live", "--input", str(path)], capsys)
+        assert code == 0
+        rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+        assert (rows[0, 8:10] == np.round([gps.lat[0], gps.lon[0]], 9)).all()
+        assert worst_distance_m(rows, truth) < 100.0
+
+
+def worst_distance_m(rows, truth):
+    """The largest distance of the fused CSV ``rows`` from the truth at their times."""
+    at = np.searchsorted(truth.t, rows[:, 0] / 1000.0)
+    assert (np.rint(truth.t[at] * 1000.0) == rows[:, 0]).all()
+    m_per_deg = math.pi * 6_371_000.0 / 180.0
+    return float(np.hypot(rows[:, 8] - truth.lat[at], rows[:, 9] - truth.lon[at]).max() * m_per_deg)
+
 
 def live_frames(frames, capsys, tmp_path, name):
     """``live`` on a stream of the IMU records, then the GPS records, of
@@ -426,6 +458,21 @@ class TestRecordReplay:
         m_per_deg = math.pi * 6_371_000.0 / 180.0
         assert (np.hypot(*(rows[:, 8:10] - fix).T) * m_per_deg < 100.0).all()
 
+    def test_one_fix_replay_starts_at_it(self, short_flight, capsys, tmp_path):
+        """One fix gives the interpolated reference no position: the whole
+        track starts at that fix and dead-reckons from there, with the
+        fix-based velocity reference."""
+        truth, imu, gps = short_flight
+        one = gps.t == 4.0
+        gps = gps._make(col[one] for col in gps)
+        rec_path = tmp_path / "rec.csv"
+        write_recording(imu, gps, rec_path, {})
+        code, out, _ = run_cli(["--mode", "replay", "--input", str(rec_path)], capsys)
+        assert code == 0
+        rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+        assert (rows[0, 8:10] == np.round([gps.lat[0], gps.lon[0]], 9)).all()
+        assert worst_distance_m(rows, truth) < 100.0
+
     def test_empty_window_exit_0(self, recorded, capsys):
         rec_path, _, _ = recorded
         code, out, _ = run_cli(
@@ -441,8 +488,9 @@ class TestRecordReplay:
         argv = ["--mode", "replay", "--input", str(rec_path), "--from-ms", window[0], "--to-ms", window[1]]
         code, out, err = run_cli(argv + options, capsys)
         assert (code, out) == (2, "")
-        want = "alpha must be in [0, 1], got 5.0" if "--alpha" in options else "cutoff 0.0 Hz must lie strictly inside"
-        assert err.startswith("navfuse: invalid input: " + want)
+        want = ("bad config: alpha must be in [0, 1], got 5.0" if "--alpha" in options
+                else "invalid input: cutoff 0.0 Hz must lie strictly inside")
+        assert err.startswith("navfuse: " + want)
 
     @pytest.mark.parametrize("mode", ["replay", "filter-compare"])
     def test_dash_input_reads_stdin_as_the_file(self, mode, recorded, capsys, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
-from navfuse.attitude import AttitudeEstimator, ImuArrays
+from navfuse.attitude import ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
 from navfuse.navigation import GpsArrays, NavEstimator
 from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fuse_streams, fused_rows, median
@@ -236,16 +236,12 @@ def test_one_gap_warning_per_stream(caplog):
 
 
 @pytest.mark.parametrize("bad, error", [
-    ("alpha", "alpha must be in"),
     ("nan_last_row", "non-finite value"),
     ("t_order_last_block", "strictly increasing"),
 ])
 def test_fuse_blocks_refuses_before_the_first_block(edge_streams, bad, error):
     imu, gps = edge_streams
-    cfg = FusionConfig()
-    if bad == "alpha":
-        cfg = FusionConfig(alpha=1.5)
-    elif bad == "nan_last_row":
+    if bad == "nan_last_row":
         accel = imu.accel.copy()
         accel[-1, 2] = math.nan
         imu = imu._replace(accel=accel)
@@ -254,7 +250,7 @@ def test_fuse_blocks_refuses_before_the_first_block(edge_streams, bad, error):
         t[-1] = t[-3]
         imu = imu._replace(t=t)
     with pytest.raises(ValueError, match=error):
-        fuse_blocks(imu, gps, cfg)  # the call raises, before any block is asked for
+        fuse_blocks(imu, gps)  # the call raises, before any block is asked for
 
 
 # ---------------------------------------------------------------- options
@@ -301,13 +297,13 @@ def test_every_option_changes_the_output(name, outage_flight):
     ("earth_radius_m", 0.0, "earth radius must be positive and finite, got earth_radius_m=0.0"),
     ("stale_after_s", math.nan, "stale_after_s must be >= 0, got nan"),
     ("stale_after_s", -1.0, "stale_after_s must be >= 0, got -1.0"),
+    ("gps_mode", "sim", "unknown GPS reference mode 'sim'"),
 ])
-def test_estimators_refuse_an_option_that_would_void_the_output(name, value, error):
-    """NaN output or no GPS correction at all: refused when the estimators
-    are built, before any row is fused."""
-    cfg = FusionConfig(**{name: value})
+def test_config_refuses_an_option_that_would_void_the_output(name, value, error):
+    """NaN output or no GPS correction at all: refused when the config is
+    built, before any estimator or row."""
     with pytest.raises(ValueError) as exc:
-        AttitudeEstimator(cfg, 60.0), NavEstimator(cfg, 60.0)
+        FusionConfig(**{name: value})
     assert str(exc.value) == error
 
 

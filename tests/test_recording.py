@@ -94,6 +94,26 @@ class TestWrite:
         with pytest.raises(TimestampOrderError):
             write_recording(imu(0.1, 0.1), gps_arrays(), io.StringIO())
 
+    @pytest.mark.parametrize("column, row, value, error", [
+        ("accel", 2, math.nan, "row 2 (t_ms 20): non-finite accel"),
+        ("gyro", 1, -math.inf, "row 1 (t_ms 10): non-finite gyro"),
+        ("mag", 3, math.inf, "row 3 (t_ms 30): non-finite mag"),
+    ])
+    def test_non_finite_sensor_value_rejected_before_the_header(self, column, row, value, error):
+        """What read_recording would refuse is not written at all."""
+        stream = imu(0.0, 0.01, 0.02, 0.03)
+        getattr(stream, column)[row, 1] = value
+        buf = FlushLog()
+        with pytest.raises(ValueError) as exc:
+            write_recording(stream, gps_arrays(), buf, {"seed": "1"})
+        assert str(exc.value) == error
+        assert (buf.getvalue(), buf.blocks) == ("", [])
+
+    def test_non_finite_mag_without_a_reading_is_written_empty(self):
+        stream = imu(0.0, 0.01, mag=False)
+        stream.mag[1] = math.nan
+        assert roundtrip(stream).imu.mag.tolist() == [[0.0] * 3] * 2
+
     def test_rows_flushed_in_whole_line_blocks_under_pipe_buf(self):
         stream = imu(*(k / 100.0 for k in range(300)))
         buf = FlushLog()
