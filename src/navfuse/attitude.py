@@ -21,14 +21,15 @@ frame, right-handed, z up: a level sensor reads accel (0, 0, +g)).
 
 ``AttitudeEstimator.run`` makes array passes over whole columns for the
 parts that do not depend on the recursive state: the pre-filters
-(``FilterState.run``), the tilt reference of the filtered accel and the
-Euler-to-quaternion assembly. Only the complementary blend with its gap,
-tilt and heading branches, and the magnetometer heading, which needs the
-current roll and pitch, loop over the rows. The output is bit-identical to a
-per-sample loop: numpy does only + - * / and sqrt, which IEEE 754 rounds
-exactly, and every transcendental (atan2, cos, sin) is ``math.*`` mapped
-over the column, since numpy's vectorised versions may differ in the last
-bit.
+(``FilterState.run``), the tilt reference of the filtered accel, the rate
+steps rate * dt and the Euler-to-quaternion assembly. One loop,
+``_angle_loop``, runs the blend of one angle with its gap and reference
+branches: for roll, then pitch, then yaw. The magnetometer heading reads
+only the blended roll and pitch, so it is an array pass between the pitch
+and yaw loops. The output is bit-identical to a per-sample loop: numpy does
+only + - * / and sqrt, which IEEE 754 rounds exactly, and fmod, which is
+exact, and every transcendental (atan2, cos, sin) is ``math.*`` mapped over
+the column, since numpy's vectorised versions may differ in the last bit.
 
 ``AttitudeEstimator(cfg, sample_rate_hz)`` reads its options from a
 ``pipeline.FusionConfig``, which checks their values: the gains ``gamma_rp``
@@ -104,25 +105,6 @@ def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
     return roll, pitch, ok
 
 
-def _heading_from_mag(mx: float, my: float, mz: float, roll: float, pitch: float) -> float:
-    """Tilt-compensated heading, NaN if the horizontal field vanishes.
-
-    De-rotates the body-frame field by roll then pitch and reads the yaw
-    angle that aligns the horizontal component with magnetic north.
-    """
-    cr = math.cos(roll)
-    sr = math.sin(roll)
-    cp = math.cos(pitch)
-    sp = math.sin(pitch)
-    ty = my * cr - mz * sr
-    tz = my * sr + mz * cr
-    mxp = mx * cp + tz * sp
-    myp = ty
-    if mxp * mxp + myp * myp < MIN_HORIZONTAL_FIELD * MIN_HORIZONTAL_FIELD:
-        return math.nan
-    return math.atan2(-myp, mxp)
-
-
 def complementary_angle(prev: float, rate: float, dt: float, reference: float, gain: float) -> float:
     """Wrap-aware blend gain*(prev + rate*dt) + (1-gain)*reference, in (-pi, pi].
 
@@ -169,95 +151,62 @@ def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
     return q
 
 
-def _attitude_blend(dt, reset, tilt_ok, rref, pref, fgx, fgy, gz, mag, has_mag,
-                    gamma_rp, gamma_yaw, declination, angles, euler, flags):
-    """The recursive part of ``AttitudeEstimator.run``: the complementary
-    blend of each row, a row with ``reset`` set taking its references alone.
-    Writes the angles into ``euler`` and the heading flags into ``flags``;
-    returns the last (roll, pitch, yaw). A function of its own so that its
-    per-row Python lists are freed before the quaternion pass.
+def _heading_ref(mag: np.ndarray, has_mag: np.ndarray, roll: np.ndarray, pitch: np.ndarray,
+                 declination: float) -> np.ndarray:
+    """Per row, the tilt-compensated magnetometer heading plus ``declination``,
+    wrapped to (-pi, pi]; NaN without a reading or a horizontal field. It
+    de-rotates the field by the row's roll then pitch and reads the yaw that
+    aligns the horizontal component with magnetic north."""
+    href = np.full(len(roll), math.nan)
+    rows = np.flatnonzero(has_mag)
+    mx, my, mz = mag[rows].T
+    cr, sr = _map(math.cos, roll[rows]), _map(math.sin, roll[rows])
+    cp, sp = _map(math.cos, pitch[rows]), _map(math.sin, pitch[rows])
+    ty = my * cr - mz * sr
+    tz = my * sr + mz * cr
+    mxp = mx * cp + tz * sp
+    r = np.fmod(_map(math.atan2, -ty, mxp) + declination + math.pi, 2.0 * math.pi)
+    r = np.where(r <= 0.0, r + 2.0 * math.pi, r) - math.pi
+    href[rows] = np.where(mxp * mxp + ty * ty < MIN_HORIZONTAL_FIELD * MIN_HORIZONTAL_FIELD, math.nan, r)
+    return href
 
-    ``wrap_pi`` and ``complementary_angle`` are written out in the branch that
-    blends with a gain strictly inside (0, 1); gains of exactly 0 and 1 go
-    through ``complementary_angle`` for its short cut.
+
+def _angle_loop(angle: float, steps: np.ndarray, refs: np.ndarray, resets: np.ndarray, gain: float) -> list:
+    """The recursion of ``AttitudeEstimator.run`` for one angle: from
+    ``angle``, each row's ``complementary_angle`` of its step (rate * dt) and
+    its reference, or the step alone where the reference is NaN; a row with
+    ``resets`` set takes its reference alone, or holds. Returns every row's
+    angle. A gain of 1 blends to the propagation bit for bit, so only a gain
+    of 0 keeps ``complementary_angle``'s short cut, the wrapped reference.
     """
-    fmod, isnan = math.fmod, math.isnan
+    fmod = math.fmod
     pi = math.pi
     two_pi = 2.0 * math.pi
-    roll, pitch, yaw = angles
-    rp_blend = 0.0 < gamma_rp < 1.0
-    yaw_blend = 0.0 < gamma_yaw < 1.0
-    c_rp = 1.0 - gamma_rp
-    c_yaw = 1.0 - gamma_yaw
-    dts, resets, oks = dt.tolist(), reset.tolist(), tilt_ok.tolist()
-    rrefs, prefs, fgxs, fgys, gzs = rref.tolist(), pref.tolist(), fgx.tolist(), fgy.tolist(), gz.tolist()
-    mxs, mys, mzs = mag[:, 0].tolist(), mag[:, 1].tolist(), mag[:, 2].tolist()
-    hms = has_mag.tolist()
-    roll_out, pitch_out, yaw_out = euler.T
-
-    for i in range(len(dts)):
-        dt = dts[i]
-        is_reset = resets[i]
-        if is_reset:
-            if oks[i]:
-                roll = rrefs[i]
-                pitch = prefs[i]
-        elif oks[i]:
-            if rp_blend:
-                prop = roll + fgxs[i] * dt
-                r = fmod(rrefs[i] - prop + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                r = fmod(prop + c_rp * (r - pi) + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                roll = r - pi
-                prop = pitch + fgys[i] * dt
-                r = fmod(prefs[i] - prop + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                r = fmod(prop + c_rp * (r - pi) + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                pitch = r - pi
-            else:
-                roll = complementary_angle(roll, fgxs[i], dt, rrefs[i], gamma_rp)
-                pitch = complementary_angle(pitch, fgys[i], dt, prefs[i], gamma_rp)
+    c = 1.0 - gain
+    snap = gain == 0.0
+    out = []
+    append = out.append
+    for step, ref, reset in zip(steps.tolist(), refs.tolist(), resets.tolist()):
+        if reset:
+            if ref == ref:
+                angle = ref
         else:
-            roll = wrap_pi(roll + fgxs[i] * dt)
-            pitch = wrap_pi(pitch + fgys[i] * dt)
-
-        heading_ok = False
-        if hms[i]:
-            h = _heading_from_mag(mxs[i], mys[i], mzs[i], roll, pitch)
-            heading_ok = not isnan(h)
-            if not heading_ok:
-                flags[i] |= FLAG_NO_HEADING_REF
-        if heading_ok:
-            r = fmod(h + declination + pi, two_pi)
+            if ref != ref:
+                x = angle + step
+            elif snap:
+                x = ref
+            else:
+                x = angle + step
+                r = fmod(ref - x + pi, two_pi)
+                if r <= 0.0:
+                    r += two_pi
+                x += c * (r - pi)
+            r = fmod(x + pi, two_pi)
             if r <= 0.0:
                 r += two_pi
-            href = r - pi
-            if is_reset:
-                yaw = href
-            elif yaw_blend:
-                prop = yaw + gzs[i] * dt
-                r = fmod(href - prop + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                r = fmod(prop + c_yaw * (r - pi) + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                yaw = r - pi
-            else:
-                yaw = complementary_angle(yaw, gzs[i], dt, href, gamma_yaw)
-        elif not is_reset:
-            yaw = wrap_pi(yaw + gzs[i] * dt)
-
-        roll_out[i] = roll
-        pitch_out[i] = pitch
-        yaw_out[i] = yaw
-    return roll, pitch, yaw
+            angle = r - pi
+        append(angle)
+    return out
 
 
 @dataclass(frozen=True)
@@ -355,12 +304,15 @@ class AttitudeEstimator:
         flags = np.where(gap, FLAG_GAP, 0).astype(np.uint8)
         flags[~tilt_ok] |= FLAG_NO_TILT_REF
 
+        cfg = self.cfg
+        rref[~tilt_ok] = pref[~tilt_ok] = math.nan  # no reference
         euler = np.empty((n, 3), dtype=np.float64)
+        euler[:, 0] = _angle_loop(self.roll, fgx * dt, rref, reset, cfg.gamma_rp)
+        euler[:, 1] = _angle_loop(self.pitch, fgy * dt, pref, reset, cfg.gamma_rp)
+        href = _heading_ref(mag, has_mag, euler[:, 0], euler[:, 1], math.radians(cfg.declination_deg))
+        flags[(has_mag != 0) & np.isnan(href)] |= FLAG_NO_HEADING_REF
+        euler[:, 2] = _angle_loop(self.yaw, gyro[:, 2] * dt, href, reset, cfg.gamma_yaw)
         if n:
-            self.roll, self.pitch, self.yaw = _attitude_blend(
-                dt, reset, tilt_ok, rref, pref, fgx, fgy, gyro[:, 2], mag, has_mag,
-                self.cfg.gamma_rp, self.cfg.gamma_yaw, math.radians(self.cfg.declination_deg),
-                (self.roll, self.pitch, self.yaw), euler, flags,
-            )
+            self.roll, self.pitch, self.yaw = euler[-1].tolist()
             self.t_last = float(t[-1])
         return AttitudeTrack(t=t, euler=euler, q=_quat_from_euler(euler), flags=flags)

@@ -113,6 +113,8 @@ def resolve_options(args: argparse.Namespace) -> tuple[FusionConfig, dict]:
     # a top-level seed or earth radius, from the file or a flag, wins over the profile's
     tops = {"seed": run["seed"], "earth_radius_m": flags.get("earth_radius_m", values.get("earth_radius_m"))}
     run["profile"] = {**run["profile"], **{k: v for k, v in tops.items() if v is not None}}
+    if args.mode == "sweep":
+        run["grid"] = _read_grid(run["grid"], cfg)
     if args.mode in ("simulate", "sweep", "filter-compare"):  # the modes that read them
         from .flightsim import noise_from_dict, profile_from_dict
 
@@ -122,6 +124,19 @@ def resolve_options(args: argparse.Namespace) -> tuple[FusionConfig, dict]:
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
     return cfg, run
+
+
+def _read_grid(text: str, cfg: FusionConfig) -> list[float]:
+    """The comma-separated values of ``grid``, each a weight as ``FusionConfig`` checks it."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        if not values:
+            raise ValueError("no values")
+        for v in values:
+            dataclasses.replace(cfg, alpha=v)
+    except ValueError as exc:
+        raise ValueError(f"option 'grid' {text!r}: {exc}") from None
+    return values
 
 
 def _read_input_bytes(path: str | None) -> bytes:
@@ -299,12 +314,7 @@ def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
 def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
     from .flightsim import square_grid, sweep_weights
 
-    try:
-        values = [float(v) for v in str(run["grid"]).split(",") if v.strip() != ""]
-    except ValueError:
-        print(f"navfuse: bad --grid {run['grid']!r}", file=sys.stderr)
-        return EXIT_INPUT
-    cells = sweep_weights(run["profile"], run["noise"], square_grid(values), cfg)
+    cells = sweep_weights(run["profile"], run["noise"], square_grid(run["grid"]), cfg)
     with _output(run["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
         for c in cells:

@@ -440,7 +440,9 @@ def sweep_weights(
     grid: list[tuple[float, float]],
     cfg: FusionConfig = FusionConfig(),
 ) -> list[SweepCell]:
-    """Run the full pipeline once per (alpha, beta) cell on identical streams.
+    """Fuse identical streams once per (alpha, beta) cell of ``grid``, in its
+    order. Only the nav blend reads the weights, and its velocity pass reads
+    alpha alone, so that pass runs once per distinct alpha.
 
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
@@ -460,13 +462,16 @@ def sweep_weights(
     track = att.run(*imu)
     warn_gaps(track.gaps)
 
-    # the filtered world-frame accel and the GPS reference do not depend on the weights
     a_world = navs[0].world_accel(imu.accel, track.q)
     ref = prepare_gps_reference(imu.t, gps, "replay", cfg.stale_after_s)
+    vels = {}  # the velocity pass of each distinct alpha, keyed by its bits: -0.0 is not 0.0
     cells = []
     for (a, b), nav in zip(grid, navs):
-        fused = nav.blend(imu.t, a_world, ref)
-        err = rms_error(imu.t, fused.lat, fused.lon, truth, profile.earth_radius_m)
+        key = float(a).hex()
+        if key not in vels:
+            vels[key] = nav.blend_velocity(imu.t, a_world, ref)
+        lat, lon = nav.blend_position(imu.t, vels[key], ref)
+        err = rms_error(imu.t, lat, lon, truth, profile.earth_radius_m)
         cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
     return cells
 

@@ -24,12 +24,13 @@ meridian-convergence factor by default; ``lon_scale_correction`` enables it.
 
 ``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
 (``FilterState.run``) and the rotation of the filtered accel to
-north/east. ``NavEstimator.blend`` computes the GPS terms of the blend,
-(1 - alpha) * speed * cos/sin(theta_d) and (1 - beta) * lat/lon_gps, once per
-column, and loops only over the recursion: the velocity and position blend
-and the cos(lat) of ``lon_scale_correction``. numpy does only + - * / and
-sqrt, and cos/sin stay ``math.*``, so the output is bit-identical to a
-per-sample loop.
+north/east. ``NavEstimator.blend`` is a velocity pass (v_n, v_e), then a
+position pass (lat, lon), each running ``_blend_loop`` once per state:
+x = w * (x + u) + g on the rows with a GPS reference, else x + u. The rest
+is array passes: the steps u, a * dt and (v * dt) * k (``lon_scale_correction``
+divides k by the cos of the latitude each row starts from), and the GPS
+terms g. numpy does only + - * / and sqrt, and cos/sin stay ``math.*``, so
+the output is bit-identical to a per-sample loop.
 
 GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
 and the simulator through to ``prepare_gps_reference``. ``check_gps`` is the
@@ -172,6 +173,20 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
     )
 
 
+def _blend_loop(x: float, steps: np.ndarray, refs: np.ndarray, has_ref: np.ndarray, w: float) -> list:
+    """The recursive part of ``NavEstimator.blend``, one state at a time:
+    from ``x``, x = w * (x + u) + g on each row with ``has_ref`` set, else
+    x + u, for the row's step u and GPS term g. Returns every row's x."""
+    out = []
+    append = out.append
+    for u, g, h in zip(steps.tolist(), refs.tolist(), has_ref.tolist()):
+        x += u
+        if h:
+            x = w * x + g
+        append(x)
+    return out
+
+
 @dataclass(frozen=True)
 class NavTrack:
     """Batch position-fusion output, one row per input sample."""
@@ -225,67 +240,51 @@ class NavEstimator:
 
     def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
         """Blend world-frame accel from ``world_accel`` with the GPS reference
-        of the same rows from ``prepare_gps_reference``; advances the velocity
-        and position."""
-        alpha, beta = self.cfg.alpha, self.cfg.beta
-        deg_per_m = 180.0 / (math.pi * self.cfg.earth_radius_m)
-        lon_scale_correction = self.cfg.lon_scale_correction
-        n = len(t)
-        vel = np.empty((n, 2), dtype=np.float64)
-        lat_out = np.empty(n, dtype=np.float64)
-        lon_out = np.empty(n, dtype=np.float64)
-
-        init = self.t_last is not None
-        vn, ve, lat, lon = self.vn, self.ve, self.lat, self.lon
-        dts = np.diff(t, prepend=self.t_last if init else 0.0).tolist()
-        ans, aes = a_world[:, 0].tolist(), a_world[:, 1].tolist()
-        gvn = ((1.0 - alpha) * ref.ref_speed * _map(math.cos, ref.ref_theta)).tolist()
-        gve = ((1.0 - alpha) * ref.ref_speed * _map(math.sin, ref.ref_theta)).tolist()
-        glat = ((1.0 - beta) * ref.ref_lat).tolist()
-        glon = ((1.0 - beta) * ref.ref_lon).tolist()
-        hps, hvs = ref.has_pos.tolist(), ref.has_vel.tolist()
-        vn_out, ve_out = vel.T
-
-        start = 0
-        if n and not init:
-            # the first sample snaps to the GPS reference when one exists
-            if hps[0]:
-                lat = float(ref.ref_lat[0])
-                lon = float(ref.ref_lon[0])
-            vn_out[0], ve_out[0], lat_out[0], lon_out[0] = vn, ve, lat, lon
-            start = 1
-
-        cos = math.cos
-        pi = math.pi
-        for i in range(start, n):
-            dt = dts[i]
-            vn_i = vn + ans[i] * dt
-            ve_i = ve + aes[i] * dt
-            if hvs[i]:
-                vn = alpha * vn_i + gvn[i]
-                ve = alpha * ve_i + gve[i]
-            else:
-                vn = vn_i
-                ve = ve_i
-
-            lat_dr = lat + vn * dt * deg_per_m
-            if lon_scale_correction:
-                lon_dr = lon + ve * dt * (deg_per_m / cos(lat * pi / 180.0))
-            else:
-                lon_dr = lon + ve * dt * deg_per_m
-            if hps[i]:
-                lat = beta * lat_dr + glat[i]
-                lon = beta * lon_dr + glon[i]
-            else:
-                lat = lat_dr
-                lon = lon_dr
-
-            vn_out[i] = vn
-            ve_out[i] = ve
-            lat_out[i] = lat
-            lon_out[i] = lon
-
-        if n:
+        of the same rows from ``prepare_gps_reference``: ``blend_velocity``,
+        then ``blend_position``."""
+        vel = self.blend_velocity(t, a_world, ref)
+        lat, lon = self.blend_position(t, vel, ref)
+        if len(t):
             self.t_last = float(t[-1])
-            self.vn, self.ve, self.lat, self.lon = vn, ve, lat, lon
-        return NavTrack(t=t, vel=vel, lat=lat_out, lon=lon_out)
+        return NavTrack(t=t, vel=vel, lat=lat, lon=lon)
+
+    def _rows(self, t: np.ndarray, ref: GpsReference) -> tuple[int, np.ndarray, GpsReference]:
+        """The count of rows that hold the start state (1 when ``t`` starts a
+        stream, else 0), then the time steps and GPS reference of the rest."""
+        s = int(self.t_last is None and len(t) > 0)
+        dt = np.diff(t, prepend=0.0 if self.t_last is None else self.t_last)
+        return s, dt[s:], ref._make(col[s:] for col in ref)
+
+    def blend_velocity(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> np.ndarray:
+        """The velocity pass of ``blend``: (n, 2) v_north, v_east; advances
+        ``vn`` and ``ve``."""
+        alpha = self.cfg.alpha
+        s, dt, rows = self._rows(t, ref)
+        vel = np.empty((len(t), 2), dtype=np.float64)
+        vel[:s] = self.vn, self.ve
+        for k, (v, trig) in enumerate(((self.vn, math.cos), (self.ve, math.sin))):
+            g = (1.0 - alpha) * rows.ref_speed * _map(trig, rows.ref_theta)
+            vel[s:, k] = _blend_loop(v, a_world[s:, k] * dt, g, rows.has_vel, alpha)
+        if len(t):
+            self.vn, self.ve = vel[-1].tolist()
+        return vel
+
+    def blend_position(self, t: np.ndarray, vel: np.ndarray, ref: GpsReference) -> tuple[np.ndarray, np.ndarray]:
+        """The position pass of ``blend`` over the same rows' velocity: lat, lon;
+        advances them. A stream's first row snaps to its GPS reference."""
+        beta = self.cfg.beta
+        k = 180.0 / (math.pi * self.cfg.earth_radius_m)
+        s, dt, rows = self._rows(t, ref)
+        lat0, lon0 = self.lat, self.lon
+        if s and ref.has_pos[0]:
+            lat0, lon0 = float(ref.ref_lat[0]), float(ref.ref_lon[0])
+        lat, lon = np.empty(len(t)), np.empty(len(t))
+        lat[:s], lon[:s] = lat0, lon0
+        vdt = vel[s:] * dt[:, None]
+        lat[s:] = _blend_loop(lat0, vdt[:, 0] * k, (1.0 - beta) * rows.ref_lat, rows.has_pos, beta)
+        if self.cfg.lon_scale_correction:  # over the latitude each row starts from
+            k = k / _map(math.cos, np.concatenate(([lat0], lat[s:]))[:-1] * math.pi / 180.0)
+        lon[s:] = _blend_loop(lon0, vdt[:, 1] * k, (1.0 - beta) * rows.ref_lon, rows.has_pos, beta)
+        if len(t):
+            self.lat, self.lon = lat[-1].tolist(), lon[-1].tolist()
+        return lat, lon

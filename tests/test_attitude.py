@@ -7,7 +7,7 @@ from conftest import make_level_stream
 from navfuse.attitude import (
     FLAG_GAP,
     AttitudeEstimator,
-    _heading_from_mag,
+    _heading_ref,
     _tilt_from_accel,
     complementary_angle,
 )
@@ -51,12 +51,18 @@ class TestTiltFromAccel:
         assert _tilt_from_accel(*np.array([[0.0, 0.0, 0.5]]).T)[2].tolist() == [False]
 
 
+def heading(mx, my, mz, roll, pitch):
+    """``_heading_ref`` of one row with a reading and no declination."""
+    return _heading_ref(np.array([[mx, my, mz]], dtype=float), np.ones(1, dtype=np.uint8),
+                        np.array([roll]), np.array([pitch]), 0.0)[0]
+
+
 class TestHeadingFromMag:
     def test_level_north(self):
-        assert _heading_from_mag(1, 0, 0, 0.0, 0.0) == pytest.approx(0.0)
+        assert heading(1, 0, 0, 0.0, 0.0) == pytest.approx(0.0)
 
     def test_level_east_convention(self):
-        assert _heading_from_mag(0, -1, 0, 0.0, 0.0) == pytest.approx(math.pi / 2)
+        assert heading(0, -1, 0, 0.0, 0.0) == pytest.approx(math.pi / 2)
 
     def test_tilt_invariance(self):
         rng = np.random.default_rng(22)
@@ -67,19 +73,19 @@ class TestHeadingFromMag:
             pitch = rng.uniform(-0.6, 0.6)
             q = Quaternion.from_euler(EulerAngles(roll, pitch, yaw)).normalize()
             reading = q.conjugate().rotate_vector(field)
-            got = _heading_from_mag(*reading, roll, pitch)
+            got = heading(*reading, roll, pitch)
             assert wrap_pi(got - yaw) == pytest.approx(0.0, abs=1e-9)
 
     def test_thirty_degree_roll_matches_level(self):
         field = (0.3, 0.0, -0.1)
         yaw = 0.8
-        level = _heading_from_mag(
+        level = heading(
             *Quaternion.from_euler(EulerAngles(0, 0, yaw)).normalize().conjugate().rotate_vector(field),
             0.0,
             0.0,
         )
         roll = math.radians(30)
-        tilted = _heading_from_mag(
+        tilted = heading(
             *Quaternion.from_euler(EulerAngles(roll, 0, yaw)).normalize().conjugate().rotate_vector(field),
             roll,
             0.0,
@@ -87,7 +93,7 @@ class TestHeadingFromMag:
         assert tilted == pytest.approx(level, abs=1e-9)
 
     def test_vertical_field_unobservable(self):
-        assert math.isnan(_heading_from_mag(0, 0, 1, 0.0, 0.0))
+        assert math.isnan(heading(0, 0, 1, 0.0, 0.0))
 
 
 class TestComplementaryAngle:

@@ -787,9 +787,17 @@ class TestSweep:
         assert lines[0] == "alpha,beta,lat_err_m,lon_err_m"
         assert len(lines) == 10
 
-    def test_bad_grid_exit_2(self, capsys):
-        assert run_cli(["--mode", "sweep", "--grid", "0.1,zz"], capsys)[0] == 2
-        assert run_cli(["--mode", "sweep", "--grid", "0.1,1.5"], capsys)[0] == 2
+    def test_bad_grid_exit_2(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a flight was simulated")
+
+        monkeypatch.setattr(flightsim, "generate_flight", refuse)
+        out_path = tmp_path / "sweep.csv"
+        for grid in ("0.1,zz", "0.1,1.5", ","):  # unparseable, out of range, empty
+            code, out, err = run_cli(["--mode", "sweep", "--grid", grid, "--output", str(out_path)], capsys)
+            assert (code, out) == (2, "")
+            assert "bad config:" in err and "grid" in err
+            assert not out_path.exists()
 
     def test_flag_overrides_config_grid(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -610,25 +610,40 @@ def test_nav_matches_reference(case, cuts):
         assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
 
 
+# grids of up to 6 cells over at most 2 distinct alphas, so that most repeat one
+repeating_grids = st.lists(gains, min_size=1, max_size=2).flatmap(
+    lambda alphas: st.lists(st.tuples(st.sampled_from(alphas), gains), min_size=1, max_size=6))
+
+
 @settings(max_examples=40, deadline=None)
-@given(nav_cases(), st.lists(st.tuples(gains, gains), min_size=1, max_size=4))
+@given(nav_cases(), repeating_grids)
 def test_shared_world_accel_matches_per_cell_fusion(case, grid):
-    """The sweep's path: world-frame accel and GPS reference made once, then
-    only the blend per cell."""
+    """The sweep's path: world-frame accel and GPS reference made once, the
+    velocity pass once per alpha, then only the position pass per cell."""
     t, acc, q, fixes, cfg, fs, start = case
     a_world = NavEstimator(cfg, fs).world_accel(acc, q)
     ref = prepare_gps_reference(t, fixes, cfg.gps_mode, cfg.stale_after_s)
+    vels = {}
     for alpha, beta in grid:
         cell = replace(cfg, alpha=alpha, beta=beta)
-        shared = nav_estimator(cell, fs, start).blend(t, a_world, ref)
+        nav = nav_estimator(cell, fs, start)
+        if alpha not in vels:
+            vels[alpha] = nav.blend_velocity(t, a_world, ref)
+        lat, lon = nav.blend_position(t, vels[alpha], ref)
         alone = fuse_nav(nav_estimator(cell, fs, start), t, acc, q, fixes)
-        for got, want in ((shared.vel, alone.vel), (shared.lat, alone.lat), (shared.lon, alone.lon)):
+        for got, want in ((vels[alpha], alone.vel), (lat, alone.lat), (lon, alone.lon)):
             assert_same_bits(got, want)
 
 
 def test_sweep_weights_matches_per_cell_fusion():
     profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
-    grid = [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)]
+    grids = (
+        [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)],
+        # alphas repeated, not square, cells out of order
+        [(0.3, 0.7), (0.0, 1.0), (0.3, 0.1), (1.0, 0.0), (0.3, 0.7), (0.0, 0.5), (1.0, 0.9)],
+        # -0.0 and 0.0 are two alphas
+        [(-0.0, 0.4), (0.0, 0.4), (-0.0, 0.9), (0.0, 0.0)],
+    )
     truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
     for cfg in (
         FusionConfig(),
@@ -637,10 +652,13 @@ def test_sweep_weights_matches_per_cell_fusion():
                      lon_scale_correction=True, earth_radius_m=1.0, gps_mode="live"),
     ):
         q = AttitudeEstimator(cfg, profile.imu_rate_hz).run(*imu).q
-        want = []
-        for a, b in grid:
-            cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
-            nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
-            err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
-            want.append(SweepCell(a, b, err.lat_m, err.lon_m))
-        assert sweep_weights(profile, SensorNoiseModel(), grid, cfg) == want
+        for grid in grids:
+            want = []
+            for a, b in grid:
+                cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
+                nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
+                err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
+                want.append(SweepCell(a, b, err.lat_m, err.lon_m))
+            got = sweep_weights(profile, SensorNoiseModel(), grid, cfg)
+            assert got == want
+            assert [math.copysign(1.0, c.alpha) for c in got] == [math.copysign(1.0, a) for a, _ in grid]
