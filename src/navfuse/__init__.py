@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # The submodule that defines each export.
 _EXPORTS = {
-    "attitude": ("AttitudeEstimator", "ImuArrays", "complementary_angle"),
+    "attitude": ("AttitudeEstimator", "ImuArrays"),
     "filters": ("BiquadCoeffs", "FilterState", "design_butterworth2_lp", "design_chebyshev1_2_lp",
                 "design_first_order_hp", "design_first_order_lp", "frequency_response"),
     "geo": ("bearing",),

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import TimestampOrderError
 from .filters import FilterState, design_first_order_hp, design_first_order_lp
-from .quat import wrap_pi
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
@@ -105,24 +104,6 @@ def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
     return roll, pitch, ok
 
 
-def complementary_angle(prev: float, rate: float, dt: float, reference: float, gain: float) -> float:
-    """Wrap-aware blend gain*(prev + rate*dt) + (1-gain)*reference, in (-pi, pi].
-
-    The blend walks the shortest arc between the propagated angle and the
-    reference. Boundary gains short-circuit so 0 returns the reference and 1
-    the propagation exactly.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if gain == 1.0:
-        return wrap_pi(prev + rate * dt)
-    if gain == 0.0:
-        return wrap_pi(reference)
-    prop = prev + rate * dt
-    delta = wrap_pi(reference - prop)
-    return wrap_pi(prop + (1.0 - gain) * delta)
-
-
 def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
     """(n, 4) unit quaternions, ``w >= 0``, of (n, 3) roll/pitch/yaw rows.
 
@@ -173,11 +154,12 @@ def _heading_ref(mag: np.ndarray, has_mag: np.ndarray, roll: np.ndarray, pitch: 
 
 def _angle_loop(angle: float, steps: np.ndarray, refs: np.ndarray, resets: np.ndarray, gain: float) -> list:
     """The recursion of ``AttitudeEstimator.run`` for one angle: from
-    ``angle``, each row's ``complementary_angle`` of its step (rate * dt) and
-    its reference, or the step alone where the reference is NaN; a row with
-    ``resets`` set takes its reference alone, or holds. Returns every row's
-    angle. A gain of 1 blends to the propagation bit for bit, so only a gain
-    of 0 keeps ``complementary_angle``'s short cut, the wrapped reference.
+    ``angle``, each row's wrap-aware blend gain * (angle + step) + (1 - gain)
+    * reference in (-pi, pi], along the shortest arc between the two, with
+    step = rate * dt; or the step alone where the reference is NaN. A row
+    with ``resets`` set takes its reference alone, or holds. Returns every
+    row's angle. A gain of 1 blends to the propagation bit for bit, so only a
+    gain of 0 needs a short cut: the reference, wrapped.
     """
     fmod = math.fmod
     pi = math.pi

@@ -170,8 +170,9 @@ def _decode_stream(data: bytes):
     from . import telemetry
 
     imu, gps, diags = telemetry.scan_frames(data)
-    for d in diags:
-        print(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}", file=sys.stderr)
+    if diags:
+        sys.stderr.write("".join(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}\n"
+                                 for d in diags))
     imu = imu[_first_per_t_ms("IMU", imu["t_ms"], imu["counts"])]
 
     lat, lon = gps["lat_e7"].astype(np.int64), gps["lon_e7"].astype(np.int64)

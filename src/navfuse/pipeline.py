@@ -6,15 +6,16 @@ over them, and formats the fused output rows. Live and replay runs differ only i
 position reference (latest fix vs linear interpolation), so replaying a
 recording reproduces the live attitude output bit for bit.
 
-``fuse_blocks`` fuses a stream in blocks of ``_BLOCK_ROWS`` (1,024) rows,
-the block the CSV formatter writes, so the CLI writes each block's rows as
-soon as it is fused instead of after the whole flight. Everything that can
-refuse the input (the cutoffs, the IMU columns, the GPS fixes) is checked
-before the first block, so an input error leaves no row behind; the other
-options are checked when the ``FusionConfig`` is built. The
-estimators carry their state from block to block, and ``fuse_streams`` is
-the same blocks concatenated: the output does not depend on the block size,
-bit for bit.
+``fuse_blocks`` fuses a stream in blocks: a first block of
+``_FIRST_BLOCK_ROWS`` (64) rows, so that the first rows wait for a short
+fusion only, then blocks of ``_BLOCK_ROWS`` (1,024) rows, the block the CSV
+formatter writes. The CLI writes each block's rows as soon as it is fused
+instead of after the whole flight. Everything that can refuse the input
+(the cutoffs, the IMU columns, the GPS fixes) is checked before the first
+block, so an input error leaves no row behind; the other options are
+checked when the ``FusionConfig`` is built. The estimators carry their
+state from block to block, and ``fuse_streams`` is the same blocks
+concatenated: the output does not depend on the block size, bit for bit.
 
 ``format_rows`` prints the numeric CSV bodies (fused, truth, filter-compare
 and recording rows) byte for byte as one ``%`` per cell would, with numpy
@@ -55,6 +56,7 @@ from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
 _BLOCK_ROWS = 1024
+_FIRST_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,8 @@ def estimate_sample_rate(t: np.ndarray) -> float:
 def fuse_blocks(
     imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(),
 ) -> Iterator[FusionOutput]:
-    """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block of
-    ``_BLOCK_ROWS`` rows.
+    """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block:
+    the first ``_FIRST_BLOCK_ROWS`` rows, then blocks of ``_BLOCK_ROWS`` rows.
 
     This call does the per-stream work and raises for a bad input or cutoff;
     the iterator it returns only fuses. The sample rate is the whole
@@ -178,8 +180,8 @@ def fuse_blocks(
 
     def blocks():
         gaps = 0
-        for lo in range(0, len(t_ms), _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
+        bounds = [0, *range(_FIRST_BLOCK_ROWS, len(t_ms), _BLOCK_ROWS), len(t_ms)]
+        for rows in map(slice, bounds, bounds[1:]):
             block = imu._make(col[rows] for col in imu)
             a = att.run(*block)
             gaps += a.gaps

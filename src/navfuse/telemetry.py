@@ -22,19 +22,21 @@ values bit-stable through the flight-recording CSV round trip.
 Frames are ``IMU_WIRE``/``GPS_WIRE`` numpy records in both directions.
 ``encode_frames`` builds the records of integer field columns, and the
 ``.tobytes()`` of its result is the wire stream. ``scan_frames`` recovers the
-records from a possibly dirty byte stream: one walk finds the accepted frames,
-and numpy gathers them. A single frame decodes as ``scan_frames(frame)``; when
-it fails, the reason is its ``StreamDiagnostic.reason`` (``framing``,
-``truncation`` or ``corruption``, or ``skip`` for bytes before a magic byte).
-``imu_counts_to_arrays`` and ``gps_counts_to_arrays`` convert the records'
-counts to units in one call each. ``imu_arrays_to_counts`` and
-``gps_arrays_to_counts`` are their exact inverses, for the encoders of the
-simulator and the tests; this module alone holds the wire scales.
+records from a possibly dirty byte stream: array passes find the frames that a
+byte walk with resync would accept, and that walk's diagnostics, and numpy
+gathers the frames. Both directions compute the CRC with one lookup in a
+256-entry table per byte column, over all frames at once. A single frame
+decodes as ``scan_frames(frame)``; when it fails, the reason is its
+``StreamDiagnostic.reason`` (``framing``, ``truncation`` or ``corruption``, or
+``skip`` for bytes before a magic byte). ``imu_counts_to_arrays`` and
+``gps_counts_to_arrays`` convert the records' counts to units in one call
+each. ``imu_arrays_to_counts`` and ``gps_arrays_to_counts`` are their exact
+inverses, for the encoders of the simulator and the tests; this module alone
+holds the wire scales.
 """
 
 from __future__ import annotations
 
-import binascii
 import math
 from dataclasses import dataclass
 
@@ -67,10 +69,24 @@ GPS_FRAME_LEN = GPS_WIRE.itemsize   # 27
 MAX_FRAME_LEN = 32
 
 
-def crc16_ccitt_false(data: bytes) -> int:
-    # binascii's CRC-CCITT (XMODEM) is the same unreflected poly-0x1021 CRC;
-    # seeding it with 0xFFFF makes it CCITT-FALSE.
-    return binascii.crc_hqx(data, 0xFFFF)
+def _crc_table() -> np.ndarray:
+    """The CRC of each byte value shifted into the high byte, as uint16."""
+    crc = np.arange(256, dtype=np.uint16) << 8
+    for _ in range(8):
+        crc = np.where(crc & 0x8000, (crc << 1) ^ 0x1021, crc << 1)
+    return crc
+
+
+_CRC_TABLE = _crc_table()
+
+
+def _crc16(rows: np.ndarray) -> np.ndarray:
+    """The CRC-16/CCITT-FALSE of each row of an (n, k) uint8 array, as uint16:
+    one table step per byte column, over all rows at once."""
+    crc = np.full(len(rows), 0xFFFF, dtype=np.uint16)
+    for k in range(rows.shape[1]):
+        crc = (crc << 8) ^ _CRC_TABLE.take((crc >> 8) ^ rows[:, k])
+    return crc
 
 
 def _crc_mismatch(crc_rx: int, crc_calc: int) -> str:
@@ -101,8 +117,7 @@ def encode_frames(wire: np.dtype, t_ms, seq=None, **fields) -> np.ndarray:
         if column.size and not info.min <= int(column.min()) <= int(column.max()) <= info.max:
             raise EncodeRangeError(f"{name} outside [{info.min}, {info.max}]")
         frames[name] = column
-    raw, size = memoryview(frames.tobytes()), wire.itemsize
-    frames["crc"] = [binascii.crc_hqx(raw[k : k + size - 2], 0xFFFF) for k in range(0, n * size, size)]
+    frames["crc"] = _crc16(frames.view(np.uint8).reshape(n, wire.itemsize)[:, :-2])
     return frames
 
 
@@ -113,66 +128,27 @@ class StreamDiagnostic:
     detail: str
 
 
-def _walk(data: bytes) -> tuple[list[int], list[int], list[StreamDiagnostic]]:
-    """Find the valid frames in a possibly dirty byte stream.
-
-    Scans for the magic byte, checks the kind, the length and the CRC of a
-    candidate frame, and resyncs by advancing a single byte on failure, so a
-    valid frame is never lost to preceding garbage. Returns the byte offsets
-    of the IMU and of the GPS frames, and every failure as a diagnostic.
-    """
-    imu_at: list[int] = []
-    gps_at: list[int] = []
-    diags: list[StreamDiagnostic] = []
-    view = memoryview(data)
-    crc_hqx = binascii.crc_hqx
-    i = 0
-    n = len(data)
-    while i < n:
-        if data[i] != MAGIC:
-            j = data.find(MAGIC, i)
-            if j < 0:
-                j = n
-            diags.append(StreamDiagnostic(i, "skip", f"skipped {j - i} non-frame byte(s)"))
-            i = j
-            continue
-        if n - i < 2:
-            diags.append(StreamDiagnostic(i, "truncation", "stream ends after magic byte"))
-            break
-        kind_byte = data[i + 1]
-        if kind_byte == _IMU_KIND:
-            need, found = IMU_FRAME_LEN, imu_at
-        elif kind_byte == _GPS_KIND:
-            need, found = GPS_FRAME_LEN, gps_at
-        else:
-            diags.append(StreamDiagnostic(i, "framing", f"unknown frame kind 0x{kind_byte:02X}"))
-            i += 1
-            continue
-        if n - i < need:
-            # No complete frame fits in the remaining bytes (min frame 27B).
-            diags.append(
-                StreamDiagnostic(i, "truncation", f"stream ends {need - (n - i)} byte(s) into a frame")
-            )
-            break
-        crc_at = i + need - 2
-        crc_rx = data[crc_at] | data[crc_at + 1] << 8
-        crc_calc = crc_hqx(view[i:crc_at], 0xFFFF)
-        if crc_rx != crc_calc:
-            diags.append(StreamDiagnostic(i, "corruption", _crc_mismatch(crc_rx, crc_calc)))
-            i += 1
-            continue
-        found.append(i)
-        i += need
-    return imu_at, gps_at, diags
-
-
-def _records(data: bytes, at: list[int], wire: np.dtype) -> np.ndarray:
-    """The frames starting at byte offsets ``at``, gathered as ``wire`` records."""
-    if not at:
+def _records(buf: np.ndarray, at: np.ndarray, wire: np.dtype) -> np.ndarray:
+    """The frames starting at byte offsets ``at`` of ``buf``, gathered as ``wire`` records."""
+    if not len(at):
         return np.empty(0, dtype=wire)
     # a window view indexes whole frames without an (n, frame length) index matrix
-    frames = sliding_window_view(np.frombuffer(data, dtype=np.uint8), wire.itemsize)[at]
+    frames = sliding_window_view(buf, wire.itemsize)[at]
     return frames.view(wire)[:, 0]
+
+
+def _first_fit(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which of the frames ``[starts, ends)``, sorted by start, a walk from the
+    left accepts: each one that does not start inside an accepted one."""
+    if not (starts[1:] < ends[:-1]).any():
+        return np.ones(len(starts), dtype=bool)
+    keep = []
+    end = 0
+    for start, stop in zip(starts.tolist(), ends.tolist()):
+        keep.append(start >= end)
+        if keep[-1]:
+            end = stop
+    return np.array(keep, dtype=bool)
 
 
 def scan_frames(data: bytes) -> tuple[np.ndarray, np.ndarray, list[StreamDiagnostic]]:
@@ -180,9 +156,70 @@ def scan_frames(data: bytes) -> tuple[np.ndarray, np.ndarray, list[StreamDiagnos
 
     Returns the IMU frames as ``IMU_WIRE`` records and the GPS frames as
     ``GPS_WIRE`` records, each kind in stream order, and the diagnostics.
+    The result is that of a walk that checks the kind, the length and the
+    CRC of the candidate frame at each magic byte it meets, advances past a
+    frame it accepts and by one byte past a candidate it refuses, so that a
+    valid frame is never lost to the garbage before it, and stops at a
+    candidate that the stream ends inside. Each refusal is a diagnostic, as
+    is each run of bytes before the next magic byte (``skip``).
+
+    The walk runs as array passes: every candidate's kind, length and CRC at
+    once; then the frames the walk accepts, which are all the CRC-valid
+    candidates unless one starts inside another (then one pass over the
+    valid candidates picks them); then the candidates the walk meets, those
+    outside the accepted frames, and the places it lands after each.
     """
-    imu_at, gps_at, diags = _walk(data)
-    return _records(data, imu_at, IMU_WIRE), _records(data, gps_at, GPS_WIRE), diags
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = len(buf)
+    at = np.flatnonzero(buf == MAGIC)
+    kind = buf[np.minimum(at + 1, n - 1)]  # a magic byte that ends the stream reads itself, no kind
+    need = np.where(kind == _IMU_KIND, IMU_FRAME_LEN, np.where(kind == _GPS_KIND, GPS_FRAME_LEN, 0))
+    fits = (need > 0) & (at + need <= n)
+    crc_rx = np.zeros(len(at), dtype=np.uint16)
+    crc_calc = crc_rx.copy()
+    for length in (IMU_FRAME_LEN, GPS_FRAME_LEN):
+        rows = np.flatnonzero(fits & (need == length))
+        if len(rows):
+            frames = sliding_window_view(buf, length)[at[rows]]
+            crc_rx[rows] = frames[:, -2] | frames[:, -1].astype(np.uint16) << 8
+            crc_calc[rows] = _crc16(frames[:, :-2])
+    valid = np.flatnonzero(fits & (crc_rx == crc_calc))
+    valid = valid[_first_fit(at[valid], at[valid] + need[valid])]
+    starts, ends = at[valid], at[valid] + need[valid]
+
+    # a candidate lies inside an accepted frame when the first accepted frame
+    # that ends after it starts before it; the walk meets every other one, up
+    # to the first that the stream ends inside, where it stops
+    met = np.append(starts, n)[np.searchsorted(ends, at, side="right")] >= at
+    stop = np.flatnonzero(met & ((at == n - 1) | (need > 0) & ~fits))[:1]
+    if len(stop):
+        met[stop[0]:] = False
+    bad_kind = met & (need == 0)
+    bad_crc = met & fits & (crc_rx != crc_calc)
+    # it lands at 0, one byte past each refusal and past each accepted frame,
+    # and skips from there to the next magic byte
+    lands = np.concatenate([[0], at[bad_kind | bad_crc] + 1, ends])
+    lands = lands[lands < n]
+    lands = lands[buf[lands] != MAGIC]
+    skip_to = np.append(at, n)[np.searchsorted(at, lands)]
+
+    diags = [(i, "skip", f"skipped {j - i} non-frame byte(s)") for i, j in zip(lands.tolist(), skip_to.tolist())]
+    diags += [(i, "framing", f"unknown frame kind 0x{k:02X}")
+              for i, k in zip(at[bad_kind].tolist(), kind[bad_kind].tolist())]
+    diags += [(i, "corruption", _crc_mismatch(rx, calc))
+              for i, rx, calc in zip(at[bad_crc].tolist(), crc_rx[bad_crc].tolist(), crc_calc[bad_crc].tolist())]
+    if len(stop):
+        i = int(at[stop[0]])
+        short = int(need[stop[0]]) - (n - i)
+        diags.append((i, "truncation", "stream ends after magic byte" if i == n - 1
+                      else f"stream ends {short} byte(s) into a frame"))
+    diags.sort()
+    is_imu = need[valid] == IMU_FRAME_LEN
+    return (
+        _records(buf, starts[is_imu], IMU_WIRE),
+        _records(buf, starts[~is_imu], GPS_WIRE),
+        [StreamDiagnostic(*d) for d in diags],
+    )
 
 
 def _round9(x: np.ndarray) -> np.ndarray:
@@ -210,16 +247,34 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
     ``t_ms`` holds n integer times and ``counts`` an (n, 9) integer array in
     ``IMU_WIRE`` order: accel, gyro and mag, each x, y, z. Each value is
     Python's ``round(count * k, 9)``; ``np.round`` differs from it for some
-    counts, so the rounding runs once per distinct count and is scattered
-    back.
+    counts, so the rounding runs once per distinct count of a sensor's
+    columns and is looked up from there.
     """
     t_ms = np.asarray(t_ms, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64).reshape(len(t_ms), 9)
-    cols = []
-    for k, scale in enumerate(_IMU_UNITS_PER_COUNT):
-        distinct, where = np.unique(counts[:, 3 * k : 3 * k + 3], return_inverse=True)
-        cols.append(_round9(distinct * scale)[where.reshape(-1)].reshape(-1, 3))
+    cols = [_per_distinct_count(counts[:, 3 * k : 3 * k + 3], scale)
+            for k, scale in enumerate(_IMU_UNITS_PER_COUNT)]
     return ImuArrays(t_ms / 1000.0, *cols, np.ones(len(t_ms), dtype=np.uint8))
+
+
+def _per_distinct_count(counts: np.ndarray, scale: float) -> np.ndarray:
+    """``round(c * scale, 9)`` of each int64 count ``c``, rounded once per
+    distinct count: through a table over the counts' range when that range is
+    no longer than 2**16 or the number of counts, else through a sort."""
+    if not counts.size:
+        return np.zeros(counts.shape)
+    lo = int(counts.min())
+    span = int(counts.max()) - lo + 1
+    if span > max(2**16, counts.size):
+        distinct, where = np.unique(counts, return_inverse=True)
+        return _round9(distinct * scale)[where.reshape(-1)].reshape(counts.shape)
+    index = counts - lo
+    seen = np.zeros(span, dtype=bool)
+    seen[index] = True
+    distinct = np.flatnonzero(seen)
+    table = np.empty(span)
+    table[distinct] = _round9((distinct + lo) * scale)
+    return table[index]
 
 
 def imu_arrays_to_counts(imu: ImuArrays) -> np.ndarray:

@@ -9,7 +9,6 @@ from navfuse.attitude import (
     AttitudeEstimator,
     _heading_ref,
     _tilt_from_accel,
-    complementary_angle,
 )
 from navfuse.errors import TimestampOrderError
 from navfuse.filters import FilterState, design_first_order_hp, design_first_order_lp
@@ -94,35 +93,6 @@ class TestHeadingFromMag:
 
     def test_vertical_field_unobservable(self):
         assert math.isnan(heading(0, 0, 1, 0.0, 0.0))
-
-
-class TestComplementaryAngle:
-    def test_gain_one_pure_integration(self):
-        assert complementary_angle(0.5, 0.2, 0.1, -3.0, 1.0) == pytest.approx(0.52)
-
-    def test_gain_zero_reference_exactly(self):
-        assert complementary_angle(0.5, 0.2, 0.1, -1.234, 0.0) == -1.234
-
-    def test_wrap_through_pi(self):
-        out = complementary_angle(3.1, 0.0, 0.1, -3.1, 0.5)
-        assert abs(out) > 3.0  # near +-pi, not near 0
-
-    def test_blend_formula(self):
-        out = complementary_angle(1.0, 0.5, 0.2, 1.5, 0.9)
-        assert out == pytest.approx(0.9 * 1.1 + 0.1 * 1.5, abs=1e-12)
-
-    def test_result_in_range(self):
-        rng = np.random.default_rng(23)
-        for _ in range(500):
-            out = complementary_angle(
-                rng.uniform(-10, 10), rng.uniform(-5, 5), rng.uniform(0.001, 2),
-                rng.uniform(-10, 10), rng.uniform(0, 1),
-            )
-            assert -math.pi < out <= math.pi
-
-    def test_dt_must_be_positive(self):
-        with pytest.raises(ValueError):
-            complementary_angle(0, 0, 0.0, 0, 0.5)
 
 
 class TestAttitudeEstimator:

@@ -1126,7 +1126,7 @@ class TestStartup:
             "import navfuse; ns = {}; exec('from navfuse import *', ns); "
             "print(len(navfuse.__all__), len(set(navfuse.__all__) - ns.keys()))"
         )
-        assert out == ["26", "0"]
+        assert out == ["25", "0"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

@@ -359,6 +359,37 @@ def reference_nav_run(
 
 # ---------------------------------------------------------------- kernel tests
 
+class TestComplementaryAngle:
+    """The reference blend that ``AttitudeEstimator.run``'s angle loops match."""
+
+    def test_gain_one_pure_integration(self):
+        assert complementary_angle(0.5, 0.2, 0.1, -3.0, 1.0) == pytest.approx(0.52)
+
+    def test_gain_zero_reference_exactly(self):
+        assert complementary_angle(0.5, 0.2, 0.1, -1.234, 0.0) == -1.234
+
+    def test_wrap_through_pi(self):
+        out = complementary_angle(3.1, 0.0, 0.1, -3.1, 0.5)
+        assert abs(out) > 3.0  # near +-pi, not near 0
+
+    def test_blend_formula(self):
+        out = complementary_angle(1.0, 0.5, 0.2, 1.5, 0.9)
+        assert out == pytest.approx(0.9 * 1.1 + 0.1 * 1.5, abs=1e-12)
+
+    def test_result_in_range(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            out = complementary_angle(
+                rng.uniform(-10, 10), rng.uniform(-5, 5), rng.uniform(0.001, 2),
+                rng.uniform(-10, 10), rng.uniform(0, 1),
+            )
+            assert -math.pi < out <= math.pi
+
+    def test_dt_must_be_positive(self):
+        with pytest.raises(ValueError):
+            complementary_angle(0, 0, 0.0, 0, 0.5)
+
+
 def random_stream(seed, n=3000):
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(0.012, 0.021, n))

@@ -203,7 +203,7 @@ def test_first_rows_are_written_after_one_block(edge_files, mode, monkeypatch):
     assert cli.main(cli_argv(mode, edge_files)) == cli.EXIT_OK
     (header, before), (first, during) = sink.writes[:2]
     assert header == pipeline.FUSED_HEADER + "\n" and before == 0
-    assert first.count("\n") == pipeline._BLOCK_ROWS and during == 1
+    assert first.count("\n") == pipeline._FIRST_BLOCK_ROWS and during == 1
     assert blends[0] == len(sink.writes) - 1 > 1
 
 

@@ -1,3 +1,4 @@
+import binascii
 import contextlib
 import io
 import math
@@ -21,7 +22,6 @@ from navfuse.telemetry import (
     MAGIC,
     MAX_FRAME_LEN,
     StreamDiagnostic,
-    crc16_ccitt_false,
     encode_frames,
     gps_arrays_to_counts,
     imu_arrays_to_counts,
@@ -35,6 +35,13 @@ GOLDEN_IMU_ZERO = bytes.fromhex(
     "a5010000000000000000000000000000000000000000000000005a8c"
 )
 GOLDEN_GPS = bytes.fromhex("a502070040e20100b0275ffb2020c941dc05282339300000035a59")
+
+
+def crc16_ccitt_false(data: bytes) -> int:
+    """The reference CRC-16/CCITT-FALSE: binascii's CRC-CCITT (XMODEM) is the
+    same unreflected poly-0x1021 CRC, and seeding it with 0xFFFF makes it
+    CCITT-FALSE."""
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def golden_frames():
@@ -512,6 +519,52 @@ class TestScanFrames:
         assert err.getvalue() == ref_err
 
 
+def nested_imu_frames():
+    """An IMU frame whose ``counts[6]`` (0x01A5) puts a magic and an IMU kind
+    byte at its offset 20, and the CRC-valid IMU frame that starts there: its
+    header is the outer frame's last 8 bytes."""
+    outer = encode_frames(IMU_WIRE, [1000], [3], counts=[[1, 2, 3, 4, 5, 6, 0x01A5, 7, 8]]).tobytes()
+    seq, t_ms = struct.unpack_from("<HI", outer, 22)
+    inner = encode_frames(IMU_WIRE, [t_ms], [seq], counts=[[9, -9, 2048, 0, 0, 0, 100, 0, -100]]).tobytes()
+    assert inner[:8] == outer[20:]
+    return outer, inner
+
+
+def _nested(corrupt_outer):
+    outer, inner = nested_imu_frames()
+    if corrupt_outer:
+        outer = outer[:10] + bytes([outer[10] ^ 0xFF]) + outer[11:]
+    return outer + inner[8:]
+
+
+class TestOverlappingFrames:
+    """Streams in which a CRC-valid frame starts inside another, or that end
+    on a magic byte: the scan matches the reference walk, frames and
+    diagnostics alike."""
+
+    @pytest.mark.parametrize("data", [
+        _nested(False),
+        _nested(True),
+        b"\xa5\x01" * 2000,
+        GOLDEN_IMU_ZERO + b"\xa5",
+        _nested(False) * 3 + _nested(True) + _nested(False),
+    ], ids=["inner-skipped", "inner-accepted", "a501-run", "magic-last", "mixed"])
+    def test_matches_reference_scan(self, data):
+        imu, gps, diags = scan_frames(data)
+        ref, ref_diags = reference_scan(data)
+        assert diags == ref_diags
+        assert ref_frames(imu, gps) == sorted(ref, key=lambda fr: fr.kind)
+
+    def test_the_frame_the_walk_meets_first_wins(self):
+        outer, inner = nested_imu_frames()
+        imu, _, diags = scan_frames(_nested(False))
+        assert imu.tobytes() == outer
+        assert [(d.offset, d.reason) for d in diags] == [(IMU_FRAME_LEN, "skip")]
+        imu, _, diags = scan_frames(_nested(True))
+        assert imu.tobytes() == inner
+        assert [(d.offset, d.reason) for d in diags] == [(0, "corruption"), (1, "skip")]
+
+
 _GPS_NAMES = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
 # Every class of wire value a fix can carry: positions up to the poles and
 # both meridian signs, any speed, courses at and past 360 deg, any int32
@@ -570,9 +623,15 @@ class TestConversions:
             for lat, lon, speed, course, alt, flags in counts
         ]
 
-    def test_arrays_match_python_round_on_every_count(self):
+    @pytest.mark.parametrize("counts", [
+        np.arange(-32768, 32768),
+        np.arange(0),
+        np.array([-32769, 32769, 40000, 0, -32769, 7]),                 # beyond int16
+        np.concatenate([np.arange(-32768, 32768), [-32769, 32769, 40000]]),
+        np.array([-(2**40), 2**40, 3, -(2**40)]),                        # a range far past the block's size
+    ], ids=["int16", "no-rows", "beyond-int16", "int16-and-beyond", "far-apart"])
+    def test_arrays_match_python_round_on_every_count(self, counts):
         # np.round(x, 9) differs from Python's round(x, 9) on some counts
-        counts = np.arange(-32768, 32768)
         imu = imu_counts_to_arrays(np.arange(len(counts)), np.repeat(counts[:, None], 9, axis=1))
         scales = {
             "accel": GRAVITY_MPS2 / 2048.0,
@@ -580,9 +639,10 @@ class TestConversions:
             "mag": 1.0 / 1090.0,
         }
         for name, k in scales.items():
-            expected = np.array([round(c * k, 9) for c in counts.tolist()])
+            expected = np.array([round(c * k, 9) for c in counts.tolist()], dtype=np.float64)
             for axis in range(3):
-                np.testing.assert_array_equal(getattr(imu, name)[:, axis], expected)
+                got = getattr(imu, name)[:, axis]
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(imu.t, np.arange(len(counts)) / 1000.0)
         assert (imu.has_mag == 1).all()
 
