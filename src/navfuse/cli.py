@@ -313,13 +313,14 @@ def cmd_simulate(cfg: FusionConfig, run: dict) -> int:
 
 
 def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
-    from .flightsim import square_grid, sweep_weights
+    from .flightsim import square_grid, sweep_cells
 
-    cells = sweep_weights(run["profile"], run["noise"], square_grid(run["grid"]), cfg)
+    cells = sweep_cells(run["profile"], run["noise"], square_grid(run["grid"]), cfg)
     with _output(run["output"]) as fh:
         fh.write("alpha,beta,lat_err_m,lon_err_m\n")
-        for c in cells:
+        for c in cells:  # each row as soon as its cell is scored
             fh.write("%g,%g,%.9f,%.9f\n" % (c.alpha, c.beta, c.lat_err_m, c.lon_err_m))
+            fh.flush()
     return EXIT_OK
 
 
@@ -397,9 +398,22 @@ def main(argv=None) -> int:
 def run() -> int:
     """``main``, with the objects the imports made frozen out of the cyclic
     GC so that its pass at exit skips them. ``main`` makes no GC call: tests
-    and benchmarks call it in a running process."""
+    and benchmarks call it in a running process.
+
+    A reader that closes stdout early (``navfuse ... | head``) is not an
+    error: ``main`` stops writing, and the output it left buffered would
+    fail again at the interpreter's last flush, so stdout's descriptor is
+    pointed at ``os.devnull`` first. ``main`` leaves stdout alone, for the
+    callers that run it in process."""
     gc.freeze()
-    return main()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

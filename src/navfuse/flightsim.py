@@ -28,12 +28,22 @@ the same sample values.
 Generated GPS fixes land on IMU sample times at the requested rate, with
 seeded dropouts (the first and last fix are exempt so the interpolated
 reference always covers the flight).
+
+The alpha/beta sweep is split as ``pipeline.fuse_blocks`` is:
+``sweep_cells`` does the work its cells share once (the flight, the
+attitude pass, the world-frame accel, the GPS reference and the alignment
+of the IMU grid to the truth's, ``align_to_truth``) and raises before it
+returns; its iterator blends and scores one cell per step, which pays only
+for the cell's position pass, its velocity pass where its alpha is new,
+and ``track_error``. ``sweep_weights`` is the cells as a list, and
+``rms_error`` is ``track_error`` over ``align_to_truth``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -397,6 +407,53 @@ class RmsError:
     total_m: float
 
 
+class TrackAlignment(NamedTuple):
+    """Which estimate row stands for each truth sample: ``nearest`` holds the
+    nearest estimate row of every truth sample, and ``aligned`` is set where
+    that row lies within one IMU period of the sample."""
+
+    nearest: np.ndarray   # (n_truth,) int64
+    aligned: np.ndarray   # (n_truth,) bool
+
+
+def align_to_truth(est_t: np.ndarray, truth_t: np.ndarray) -> TrackAlignment:
+    """Match each truth time to the nearest estimate time, within one IMU
+    period (the truth's median interval). It depends on the two time grids
+    alone, so every track on ``est_t`` shares it. Raises ``ValueError`` for an
+    empty estimate grid or one that overlaps no truth sample."""
+    est_t = np.asarray(est_t, dtype=np.float64)
+    if len(est_t) == 0:
+        raise ValueError("empty estimate track")
+    dts = np.diff(truth_t)
+    max_align_dt = median(dts) if len(dts) else math.inf
+    idx = np.clip(np.searchsorted(est_t, truth_t), 0, len(est_t) - 1)
+    left = np.clip(idx - 1, 0, len(est_t) - 1)
+    use_left = np.abs(est_t[left] - truth_t) <= np.abs(est_t[idx] - truth_t)
+    nearest = np.where(use_left, left, idx)
+    aligned = np.abs(est_t[nearest] - truth_t) <= max_align_dt + 1e-12
+    if not aligned.any():
+        raise ValueError("estimate and truth tracks do not overlap in time")
+    return TrackAlignment(nearest, aligned)
+
+
+def track_error(
+    alignment: TrackAlignment,
+    est_lat: np.ndarray,
+    est_lon: np.ndarray,
+    truth: TruthSeries,
+    earth_radius_m: float = EARTH_RADIUS_M,
+) -> RmsError:
+    """RMS deviation in meters of a track from truth, over the truth samples
+    that ``alignment`` (``align_to_truth`` of the track's times) matched."""
+    nearest, aligned = alignment
+    m_per_deg = math.pi * earth_radius_m / 180.0
+    dlat = (np.asarray(est_lat)[nearest] - truth.lat)[aligned] * m_per_deg
+    dlon = (np.asarray(est_lon)[nearest] - truth.lon)[aligned] * m_per_deg
+    lat_m = float(np.sqrt(np.mean(dlat**2)))
+    lon_m = float(np.sqrt(np.mean(dlon**2)))
+    return RmsError(lat_m, lon_m, float(math.hypot(lat_m, lon_m)))
+
+
 def rms_error(
     est_t: np.ndarray,
     est_lat: np.ndarray,
@@ -405,25 +462,9 @@ def rms_error(
     earth_radius_m: float = EARTH_RADIUS_M,
 ) -> RmsError:
     """RMS deviation in meters, estimate matched to truth timestamps by
-    nearest neighbor within one IMU period (the truth's median interval)."""
-    est_t = np.asarray(est_t, dtype=np.float64)
-    if len(est_t) == 0:
-        raise ValueError("empty estimate track")
-    dts = np.diff(truth.t)
-    max_align_dt = median(dts) if len(dts) else math.inf
-    idx = np.clip(np.searchsorted(est_t, truth.t), 0, len(est_t) - 1)
-    left = np.clip(idx - 1, 0, len(est_t) - 1)
-    use_left = np.abs(est_t[left] - truth.t) <= np.abs(est_t[idx] - truth.t)
-    nearest = np.where(use_left, left, idx)
-    aligned = np.abs(est_t[nearest] - truth.t) <= max_align_dt + 1e-12
-    if not aligned.any():
-        raise ValueError("estimate and truth tracks do not overlap in time")
-    m_per_deg = math.pi * earth_radius_m / 180.0
-    dlat = (np.asarray(est_lat)[nearest] - truth.lat)[aligned] * m_per_deg
-    dlon = (np.asarray(est_lon)[nearest] - truth.lon)[aligned] * m_per_deg
-    lat_m = float(np.sqrt(np.mean(dlat**2)))
-    lon_m = float(np.sqrt(np.mean(dlon**2)))
-    return RmsError(lat_m, lon_m, float(math.hypot(lat_m, lon_m)))
+    nearest neighbor within one IMU period (the truth's median interval):
+    ``track_error`` over ``align_to_truth``."""
+    return track_error(align_to_truth(est_t, truth.t), est_lat, est_lon, truth, earth_radius_m)
 
 
 @dataclass(frozen=True)
@@ -434,15 +475,21 @@ class SweepCell:
     lon_err_m: float
 
 
-def sweep_weights(
+def sweep_cells(
     profile: FlightProfile,
     noise: SensorNoiseModel,
     grid: list[tuple[float, float]],
     cfg: FusionConfig = FusionConfig(),
-) -> list[SweepCell]:
-    """Fuse identical streams once per (alpha, beta) cell of ``grid``, in its
-    order. Only the nav blend reads the weights, and its velocity pass reads
-    alpha alone, so that pass runs once per distinct alpha.
+) -> Iterator[SweepCell]:
+    """The error of each (alpha, beta) cell of ``grid``, in its order, each
+    fusing the same streams.
+
+    This call does the work the cells share and raises for a bad grid,
+    option or flight: the flight, the attitude pass, the world-frame accel,
+    the GPS reference and the alignment to truth. The iterator it returns
+    only blends and scores, one cell per step. Only the nav blend reads the
+    weights, and its velocity pass reads alpha alone, so that pass runs once
+    per distinct alpha, when a cell first needs it.
 
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
@@ -464,16 +511,29 @@ def sweep_weights(
 
     a_world = navs[0].world_accel(imu.accel, track.q)
     ref = prepare_gps_reference(imu.t, gps, "replay", cfg.stale_after_s)
-    vels = {}  # the velocity pass of each distinct alpha, keyed by its bits: -0.0 is not 0.0
-    cells = []
-    for (a, b), nav in zip(grid, navs):
-        key = float(a).hex()
-        if key not in vels:
-            vels[key] = nav.blend_velocity(imu.t, a_world, ref)
-        lat, lon = nav.blend_position(imu.t, vels[key], ref)
-        err = rms_error(imu.t, lat, lon, truth, profile.earth_radius_m)
-        cells.append(SweepCell(a, b, err.lat_m, err.lon_m))
-    return cells
+    alignment = align_to_truth(imu.t, truth.t)
+
+    def cells():
+        vels = {}  # the velocity pass of each distinct alpha, keyed by its bits: -0.0 is not 0.0
+        for (a, b), nav in zip(grid, navs):
+            key = float(a).hex()
+            if key not in vels:
+                vels[key] = nav.blend_velocity(imu.t, a_world, ref)
+            lat, lon = nav.blend_position(imu.t, vels[key], ref)
+            err = track_error(alignment, lat, lon, truth, profile.earth_radius_m)
+            yield SweepCell(a, b, err.lat_m, err.lon_m)
+
+    return cells()
+
+
+def sweep_weights(
+    profile: FlightProfile,
+    noise: SensorNoiseModel,
+    grid: list[tuple[float, float]],
+    cfg: FusionConfig = FusionConfig(),
+) -> list[SweepCell]:
+    """Every cell of ``sweep_cells`` at once."""
+    return list(sweep_cells(profile, noise, grid, cfg))
 
 
 def square_grid(values: list[float]) -> list[tuple[float, float]]:

@@ -122,7 +122,8 @@ class GpsReference(NamedTuple):
     ref_lon: np.ndarray     # (n,)
     has_pos: np.ndarray     # (n,) uint8
     ref_speed: np.ndarray   # (n,)
-    ref_theta: np.ndarray   # (n,)
+    ref_cos: np.ndarray     # (n,) cos and sin of the fix-pair bearing theta_d
+    ref_sin: np.ndarray     # (n,)
     has_vel: np.ndarray     # (n,) uint8
 
 
@@ -131,7 +132,9 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
 
     mode "live" holds the latest fresh fix; mode "replay" interpolates the
     fix track for the position reference (velocity stays fix-based). The
-    mode is a ``FusionConfig.gps_mode``, which the config checks.
+    mode is a ``FusionConfig.gps_mode``, which the config checks. The
+    bearing's ``math.cos`` and ``math.sin`` are taken once per fix and
+    gathered per sample.
     """
     check_gps(gps)
     n = len(t)
@@ -139,7 +142,7 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
     ft, flat, flon, fspeed = (c[valid] for c in gps[:4])
     m = len(ft)
     if not m:
-        return GpsReference(*(np.zeros(n, dtype=d) for d in (float, float, np.uint8) * 2))
+        return GpsReference(*(np.zeros(n, dtype=d) for d in (float, float, np.uint8, float, float, float, np.uint8)))
     if (np.diff(ft) <= 0.0).any():
         raise TimestampOrderError("fix timestamps must be strictly increasing")
 
@@ -158,6 +161,7 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
             theta_at[j] = theta_at[j - 1]
             has_theta[j] = has_theta[j - 1]
 
+    cos_at, sin_at = _map(math.cos, theta_at), _map(math.sin, theta_at)
     idx = np.searchsorted(ft, t, side="right") - 1
     safe = np.maximum(idx, 0)
     fresh = (idx >= 0) & ((t - ft[safe]) <= stale_after_s)
@@ -169,7 +173,8 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
         ref_lat, ref_lon = np.interp(t, ft, flat), np.interp(t, ft, flon)
     return GpsReference(
         np.where(has_pos, ref_lat, 0.0), np.where(has_pos, ref_lon, 0.0), has_pos.astype(np.uint8),
-        np.where(has_vel, fspeed[safe], 0.0), np.where(has_vel, theta_at[safe], 0.0), has_vel.astype(np.uint8),
+        np.where(has_vel, fspeed[safe], 0.0),
+        np.where(has_vel, cos_at[safe], 0.0), np.where(has_vel, sin_at[safe], 0.0), has_vel.astype(np.uint8),
     )
 
 
@@ -262,8 +267,8 @@ class NavEstimator:
         s, dt, rows = self._rows(t, ref)
         vel = np.empty((len(t), 2), dtype=np.float64)
         vel[:s] = self.vn, self.ve
-        for k, (v, trig) in enumerate(((self.vn, math.cos), (self.ve, math.sin))):
-            g = (1.0 - alpha) * rows.ref_speed * _map(trig, rows.ref_theta)
+        for k, (v, trig) in enumerate(((self.vn, rows.ref_cos), (self.ve, rows.ref_sin))):
+            g = (1.0 - alpha) * rows.ref_speed * trig
             vel[s:, k] = _blend_loop(v, a_world[s:, k] * dt, g, rows.has_vel, alpha)
         if len(t):
             self.vn, self.ve = vel[-1].tolist()

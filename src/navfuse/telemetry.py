@@ -300,14 +300,23 @@ def gps_counts_to_arrays(t_ms, counts) -> GpsArrays:
     ``GPS_WIRE`` names (values exact at 9 decimals). Each value is Python's
     ``round(v, 9)``, the course in radians by ``math.radians``; a fix without
     the altitude flag has a NaN altitude.
+
+    Lat, lon, speed and alt are a count k over 10**p, p <= 7, as one IEEE
+    division of the exact float of k (|k| <= 2**31). Such an x is the double
+    nearest the p-decimal d = k / 10**p, so ``round(x, 9) == x``: where half
+    an ulp of x is below 5e-10, d is also the 9-decimal number nearest x,
+    and x the double nearest d; elsewhere the 9-decimal number nearest x
+    lies within 5e-10 of it, which is less than half an ulp, so x is again
+    the double nearest it. Only the course, which ``math.radians`` scales,
+    takes the per-value ``round``.
     """
     flags = np.asarray(counts["flags"])
     course = np.array([math.radians(c) for c in (counts["course_cdeg"] / 100.0).tolist()])
     return GpsArrays(
         np.asarray(t_ms, dtype=np.int64) / 1000.0,
-        _round9(counts["lat_e7"] / 1e7), _round9(counts["lon_e7"] / 1e7),
-        _round9(counts["speed_cmps"] / 100.0), _round9(course),
-        np.where(flags & 0x02, _round9(counts["alt_cm"] / 100.0), np.nan),
+        counts["lat_e7"] / 1e7, counts["lon_e7"] / 1e7,
+        counts["speed_cmps"] / 100.0, _round9(course),
+        np.where(flags & 0x02, counts["alt_cm"] / 100.0, np.nan),
         (flags & 0x01) != 0,
     )
 

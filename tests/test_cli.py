@@ -27,6 +27,7 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     generate_flight,
 )
+from navfuse.navigation import NavEstimator
 from navfuse.pipeline import FUSED_HEADER, FusionConfig
 from navfuse.recording import read_recording, write_recording
 from navfuse.telemetry import scan_frames
@@ -819,6 +820,87 @@ class TestSweep:
         cfg.write_text("{not json")
         monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
         assert run_cli(["--mode", "sweep"], capsys)[0] == 2
+
+    def test_rows_stream_as_cells_are_scored(self, short_profile, monkeypatch):
+        """The header goes out before any cell is blended, and each row right
+        after its own cell's position pass, in grid order."""
+        passes = 0
+        blend_position = NavEstimator.blend_position
+
+        def counted(self, *args):
+            nonlocal passes
+            passes += 1
+            return blend_position(self, *args)
+
+        class Writer(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []  # (text, position passes so far)
+
+            def write(self, text):
+                self.writes.append((text, passes))
+                return super().write(text)
+
+        monkeypatch.setattr(NavEstimator, "blend_position", counted)
+        writer = Writer()
+        monkeypatch.setattr(sys, "stdout", writer)
+        assert main(["--mode", "sweep", "--seed", "3", "--grid", "0.1,0.5,0.9"]) == 0
+        header, *rows = writer.writes
+        assert header == ("alpha,beta,lat_err_m,lon_err_m\n", 0)
+        assert [n for _, n in rows] == list(range(1, 10))
+        cells = [tuple(text.split(",")[:2]) for text, _ in rows]
+        assert cells == [(a, b) for a in ("0.1", "0.5", "0.9") for b in ("0.1", "0.5", "0.9")]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit 0 and nothing
+    on stderr, in a child whose stdout is buffered as a pipe's is."""
+
+    @staticmethod
+    def child(argv, cfg_path):
+        src = os.path.dirname(os.path.dirname(navfuse.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "NAVFUSE_CONFIG")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env["NAVFUSE_CONFIG"] = str(cfg_path)
+        return [sys.executable, "-m", "navfuse.cli", *argv], env
+
+    @pytest.fixture()
+    def argv(self, request, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [{"kind": "turn", "duration_s": 30, "yaw_rate_dps": 3}]}}))
+        if request.param == "sweep":
+            return self.child(["--mode", "sweep", "--seed", "2", "--grid", "0.1,0.5,0.9"], cfg)
+        stream = tmp_path / "stream.bin"
+        profile = FlightProfile(segments=(FlightSegment("turn", 30.0, yaw_rate_dps=3.0),), seed=2)
+        _, imu, gps = generate_flight(profile, SensorNoiseModel())
+        stream.write_bytes(build_stream(imu, gps))  # 1,801 rows: far more than a pipe holds
+        return self.child(["--mode", "live", "--input", str(stream)], cfg)
+
+    @pytest.mark.parametrize("argv", ["live", "sweep"], indirect=True)
+    def test_reader_closed_before_any_output(self, argv):
+        """``navfuse ... | true``"""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv[0], env=argv[1], stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+    @pytest.mark.parametrize("argv", ["live", "sweep"], indirect=True)
+    def test_reader_closed_after_two_lines(self, argv):
+        """``navfuse ... | head -n 2``"""
+        proc = subprocess.Popen(argv[0], env=argv[1], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+        assert lines[0].startswith((b"t_ms,", b"alpha,")) and lines[1].count(b",") >= 3
+        assert err == ""
 
 
 class TestFilterCompare:

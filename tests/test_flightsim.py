@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     TruthSeries,
     _generate_truth,
+    align_to_truth,
     _segment_schedule,
     generate_flight,
     noise_from_dict,
@@ -29,7 +31,9 @@ from navfuse.flightsim import (
     rms_error,
     square_grid,
     standard_profile,
+    sweep_cells,
     sweep_weights,
+    track_error,
     truth_rows,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
@@ -354,6 +358,65 @@ class TestRmsError:
             rms_error(truth.t + 1e6, truth.lat, truth.lon, truth)
 
 
+def reference_rms_error(est_t, est_lat, est_lon, truth, earth_radius_m):
+    """``rms_error`` in one piece, as it was before its alignment was split out."""
+    dts = np.diff(truth.t)
+    max_align_dt = np.median(dts) if len(dts) else math.inf
+    idx = np.clip(np.searchsorted(est_t, truth.t), 0, len(est_t) - 1)
+    left = np.clip(idx - 1, 0, len(est_t) - 1)
+    use_left = np.abs(est_t[left] - truth.t) <= np.abs(est_t[idx] - truth.t)
+    nearest = np.where(use_left, left, idx)
+    aligned = np.abs(est_t[nearest] - truth.t) <= max_align_dt + 1e-12
+    m_per_deg = math.pi * earth_radius_m / 180.0
+    dlat = (est_lat[nearest] - truth.lat)[aligned] * m_per_deg
+    dlon = (est_lon[nearest] - truth.lon)[aligned] * m_per_deg
+    lat_m, lon_m = float(np.sqrt(np.mean(dlat**2))), float(np.sqrt(np.mean(dlon**2)))
+    return lat_m, lon_m, float(math.hypot(lat_m, lon_m))
+
+
+class TestSplitRmsError:
+    """One alignment per pair of time grids, then one error per track."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 60), st.integers(1, 4))
+    def test_equals_rms_error_bit_for_bit(self, seed, n_truth, n_est, tracks):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.choice([0.01, 0.0167, 0.02, 0.5], n_truth))
+        z = np.zeros(n_truth)
+        truth = TruthSeries(t, rng.normal(0, 1, n_truth), rng.normal(0, 1, n_truth), z, z, z,
+                            np.zeros((n_truth, 3)), np.tile([1.0, 0, 0, 0], (n_truth, 1)))
+        est_t = np.sort(rng.uniform(t[0] - 0.05, t[-1] + 0.05, n_est))
+        radius = float(rng.choice([6_371_000.0, 1.0]))
+        try:
+            alignment = align_to_truth(est_t, truth.t)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                rms_error(est_t, z[:n_est], z[:n_est], truth, radius)
+            return
+        for _ in range(tracks):
+            lat, lon = truth.lat[0] + rng.normal(0, 1e-4, n_est), rng.normal(0, 1e-4, n_est)
+            got = track_error(alignment, lat, lon, truth, radius)
+            whole = rms_error(est_t, lat, lon, truth, radius)
+            assert (got.lat_m, got.lon_m, got.total_m) == (whole.lat_m, whole.lon_m, whole.total_m)
+            assert (got.lat_m, got.lon_m, got.total_m) == reference_rms_error(est_t, lat, lon, truth, radius)
+
+    @pytest.mark.parametrize("shift_s", [1e6, -1e6])
+    def test_tracks_apart_in_time_raise_alike(self, shift_s, std_clean_flight):
+        _, truth, _, _ = std_clean_flight
+        with pytest.raises(ValueError) as split:
+            align_to_truth(truth.t + shift_s, truth.t)
+        with pytest.raises(ValueError) as whole:
+            rms_error(truth.t + shift_s, truth.lat, truth.lon, truth)
+        assert str(split.value) == str(whole.value) == "estimate and truth tracks do not overlap in time"
+
+    def test_empty_track_raises_alike(self, std_clean_flight):
+        _, truth, _, _ = std_clean_flight
+        for call in (lambda: align_to_truth(np.array([]), truth.t),
+                     lambda: rms_error(np.array([]), np.array([]), np.array([]), truth)):
+            with pytest.raises(ValueError, match="empty estimate track"):
+                call()
+
+
 class TestRmsErrorScaling:
     """A uniform latitude offset of d degrees reads d * pi * r_e / 180 meters."""
 
@@ -416,6 +479,34 @@ class TestSweep:
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_weights(standard_profile(), SensorNoiseModel(), [(0.5, 1.5)])
+
+    @pytest.mark.parametrize("grid,cfg,message", [
+        ([], FusionConfig(), "sweep grid must not be empty"),
+        ([(0.1, 0.1)], FusionConfig(cutoff_hz=40.0), "cutoff"),
+        ([(0.1, 0.1)], FusionConfig(accel_lp_hz=0.0), "cutoff"),
+    ])
+    def test_cells_refused_before_the_flight(self, grid, cfg, message, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a flight was simulated")
+
+        monkeypatch.setattr(flightsim, "generate_flight", refuse)
+        with pytest.raises(ValueError, match=message):
+            sweep_cells(level_profile(5.0), SensorNoiseModel(), grid, cfg)
+
+    def test_fixes_off_the_globe_refused_before_the_cells(self, monkeypatch):
+        """The flight is checked in the call, so the iterator never starts."""
+        blend_velocity = mock.Mock(side_effect=AssertionError("a cell was blended"))
+        monkeypatch.setattr(NavEstimator, "blend_velocity", blend_velocity)
+        profile = replace(level_profile(30.0), start_lon=179.9999, start_heading_deg=90.0)
+        with pytest.raises(ValueError, match="longitude .* outside"):
+            sweep_cells(profile, SensorNoiseModel(), [(0.1, 0.1)])
+        blend_velocity.assert_not_called()
+
+    def test_cells_come_one_per_step_in_grid_order(self):
+        grid = [(0.9, 0.1), (0.1, 0.5), (0.9, 0.9)]
+        cells = sweep_cells(level_profile(5.0), SensorNoiseModel(), grid)
+        assert [(c.alpha, c.beta) for c in cells] == grid
+        assert list(cells) == []
 
 
 class TestStudies:

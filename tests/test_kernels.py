@@ -251,7 +251,7 @@ def reference_attitude_run(t, acc, gyr, mag, has_mag, lp, hp, gamma_rp, gamma_ya
 def reference_nav_run(
     t, acc, quat,
     ref_lat, ref_lon, has_pos,
-    ref_speed, ref_theta, has_vel,
+    ref_speed, ref_cos, ref_sin, has_vel,
     bw, alpha, beta, deg_per_m, lon_scale_correction, state,
 ):
     """One pass of the position fusion loop over a stream of n samples, one
@@ -273,7 +273,7 @@ def reference_nav_run(
     axs, ays, azs = acc[:, 0].tolist(), acc[:, 1].tolist(), acc[:, 2].tolist()
     qws, qxs, qys, qzs = (quat[:, j].tolist() for j in range(4))
     rlats, rlons, hps = ref_lat.tolist(), ref_lon.tolist(), has_pos.tolist()
-    rspd, rth, hvs = ref_speed.tolist(), ref_theta.tolist(), has_vel.tolist()
+    rspd, rcos, rsin, hvs = ref_speed.tolist(), ref_cos.tolist(), ref_sin.tolist(), has_vel.tolist()
 
     init = state[0] != 0.0
     t_last = state[1]
@@ -323,8 +323,8 @@ def reference_nav_run(
             vn_i = vn + a_n * dt
             ve_i = ve + a_e * dt
             if hvs[i]:
-                vn = alpha * vn_i + (1.0 - alpha) * rspd[i] * math.cos(rth[i])
-                ve = alpha * ve_i + (1.0 - alpha) * rspd[i] * math.sin(rth[i])
+                vn = alpha * vn_i + (1.0 - alpha) * rspd[i] * rcos[i]
+                ve = alpha * ve_i + (1.0 - alpha) * rspd[i] * rsin[i]
             else:
                 vn = vn_i
                 ve = ve_i
@@ -633,7 +633,7 @@ def test_nav_matches_reference(case, cuts):
         got.append((track.vel, track.lat, track.lon))
         want.append(reference_nav_run(
             t[lo:hi], acc[lo:hi], q[lo:hi],
-            ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_theta, ref.has_vel,
+            ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_cos, ref.ref_sin, ref.has_vel,
             coeff_tuple(est.accel_lp[0]), cfg.alpha, cfg.beta, deg_per_m, cfg.lon_scale_correction, state,
         ))
         assert_same_state(est, state, ("vn", "ve", "lat", "lon"), est.accel_lp)

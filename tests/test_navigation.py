@@ -9,6 +9,7 @@ from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.attitude import AttitudeEstimator
 from navfuse.errors import TimestampOrderError
 from navfuse.filters import BiquadCoeffs, FilterState, design_butterworth2_lp
+from navfuse.geo import bearing
 from navfuse.navigation import (
     NavEstimator,
     check_gps,
@@ -235,7 +236,17 @@ class TestPrepareGpsReference:
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.0, 0.001], 0.0)
         ref = prepare_gps_reference(t, fixes, "live", 3.0)
         np.testing.assert_array_equal(ref.has_vel, [0, 0, 1, 1])
-        assert ref.ref_theta[2] == pytest.approx(0.0, abs=1e-9)
+        assert ref.ref_cos[2] == pytest.approx(1.0, abs=1e-9)  # due north
+        assert ref.ref_sin[2] == pytest.approx(0.0, abs=1e-9)
+
+    def test_bearing_trig_is_math_of_each_fix_pair(self):
+        t = np.array([0.5, 1.5, 2.5, 2.7])
+        fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.001, 0.0015], [0.0, 0.002, 0.0021])
+        ref = prepare_gps_reference(t, fixes, "live", 3.0)
+        theta = [bearing(0.0, 0.0, 0.001, 0.002), bearing(0.001, 0.002, 0.0015, 0.0021)]
+        np.testing.assert_array_equal(ref.has_vel, [0, 1, 1, 1])
+        assert ref.ref_cos.tolist() == [0.0, math.cos(theta[0]), math.cos(theta[1]), math.cos(theta[1])]
+        assert ref.ref_sin.tolist() == [0.0, math.sin(theta[0]), math.sin(theta[1]), math.sin(theta[1])]
 
     def test_invalid_fixes_ignored(self):
         t = np.array([0.0, 1.0])

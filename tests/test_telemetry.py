@@ -24,6 +24,7 @@ from navfuse.telemetry import (
     StreamDiagnostic,
     encode_frames,
     gps_arrays_to_counts,
+    gps_counts_to_arrays,
     imu_arrays_to_counts,
     imu_counts_to_arrays,
     scan_frames,
@@ -645,6 +646,26 @@ class TestConversions:
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(imu.t, np.arange(len(counts)) / 1000.0)
         assert (imu.has_mag == 1).all()
+
+    @pytest.mark.parametrize("field,column,scale", [
+        ("lat_e7", "lat", 1e7), ("lon_e7", "lon", 1e7), ("speed_cmps", "speed", 100.0), ("alt_cm", "alt", 100.0),
+    ])
+    def test_gps_counts_need_no_round(self, field, column, scale):
+        """A count over 10**p is already its own ``round(v, 9)``, over the
+        field's whole wire range: its extremes, -1, 0 and 1, and random counts."""
+        info = np.iinfo(GPS_WIRE[field])
+        rng = np.random.default_rng(29)
+        k = np.concatenate([
+            [info.min, info.min + 1, info.max - 1, info.max, -1, 0, 1],
+            rng.integers(info.min, info.max, 200_000, endpoint=True),
+        ])
+        k = k[k >= info.min]  # an unsigned field has no -1
+        rec = np.zeros(len(k), dtype=GPS_WIRE)
+        rec[field] = k
+        rec["flags"] = 3
+        got = getattr(gps_counts_to_arrays(rec["t_ms"], rec), column)
+        expected = np.array([round(c / scale, 9) for c in k.tolist()], dtype=np.float64)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_values_exact_at_nine_decimals(self):
         rng = np.random.default_rng(51)
