@@ -23,8 +23,8 @@ from navfuse.flightsim import (
     SensorNoiseModel,
     TruthSeries,
     _generate_truth,
-    align_to_truth,
     _segment_schedule,
+    align_to_truth,
     generate_flight,
     noise_from_dict,
     profile_from_dict,
