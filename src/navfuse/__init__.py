@@ -6,7 +6,7 @@ telemetry frame codec, CSV flight recordings with record/replay, and a
 synthetic-flight oracle for error studies. The fusion is plain Python in
 its estimators: ``AttitudeEstimator.run`` and ``NavEstimator.blend`` loop
 only over the recursive blend, and the pre-filters (``FilterState.run``),
-rotation, tilt and quaternion assembly run as array passes.
+tilt, quaternion assembly and rotation (``navfuse.quat``) run as array passes.
 
 The package's exports load on first use: ``import navfuse`` imports neither
 numpy nor a submodule, and ``navfuse.NavEstimator`` imports
@@ -21,11 +21,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "attitude": ("AttitudeEstimator", "ImuArrays"),
     "filters": ("BiquadCoeffs", "FilterState", "design_butterworth2_lp", "design_chebyshev1_2_lp",
-                "design_first_order_hp", "design_first_order_lp", "frequency_response"),
+                "design_first_order_hp", "design_first_order_lp"),
     "geo": ("bearing",),
     "navigation": ("GpsArrays", "NavEstimator"),
     "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
-    "quat": ("EulerAngles", "Quaternion", "hamilton", "wrap_pi"),
     "recording": ("FlightRecording", "read_recording", "write_recording"),
     "telemetry": ("encode_frames", "scan_frames"),
 }

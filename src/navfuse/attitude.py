@@ -22,11 +22,11 @@ frame, right-handed, z up: a level sensor reads accel (0, 0, +g)).
 ``AttitudeEstimator.run`` makes array passes over whole columns for the
 parts that do not depend on the recursive state: the pre-filters
 (``FilterState.run``), the tilt reference of the filtered accel, the rate
-steps rate * dt and the Euler-to-quaternion assembly. One loop,
-``_angle_loop``, runs the blend of one angle with its gap and reference
-branches: for roll, then pitch, then yaw. The magnetometer heading reads
-only the blended roll and pitch, so it is an array pass between the pitch
-and yaw loops. The output is bit-identical to a per-sample loop: numpy does
+steps rate * dt and the Euler-to-quaternion assembly (``quat.from_euler``).
+One loop, ``_angle_loop``, runs the blend of one angle with its gap and
+reference branches: for roll, then pitch, then yaw. The magnetometer heading
+reads only the blended roll and pitch, so it is an array pass between the
+pitch and yaw loops. The output is bit-identical to a per-sample loop: numpy does
 only + - * / and sqrt, which IEEE 754 rounds exactly, and fmod, which is
 exact, and every transcendental (atan2, cos, sin) is ``math.*`` mapped over
 the column, since numpy's vectorised versions may differ in the last bit.
@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import TimestampOrderError
 from .filters import FilterState, design_first_order_hp, design_first_order_lp
+from .quat import _map, from_euler
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
@@ -86,11 +87,6 @@ class ImuArrays(NamedTuple):
         return np.rint(self.t * 1000.0).astype(np.int64)
 
 
-def _map(fn, *cols) -> np.ndarray:
-    """``math`` function ``fn`` over float64 columns, element by element."""
-    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64, count=len(cols[0]))
-
-
 def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
     """Per-row (roll, pitch) of gravity-dominated accel columns, and the mask
     of the rows where they are observable (accel above 0.1 g).
@@ -102,34 +98,6 @@ def _tilt_from_accel(ax: np.ndarray, ay: np.ndarray, az: np.ndarray):
     roll = _map(math.atan2, ay, az)
     pitch = _map(math.atan2, -ax, np.sqrt(ay * ay + az * az))
     return roll, pitch, ok
-
-
-def _quat_from_euler(euler: np.ndarray) -> np.ndarray:
-    """(n, 4) unit quaternions, ``w >= 0``, of (n, 3) roll/pitch/yaw rows.
-
-    Column for column the operations of ``Quaternion.from_euler`` (two
-    Hamilton products, the ``0.0 * 0.0`` terms included) and ``normalize``,
-    so every element is bit-identical to the scalar path.
-    """
-    half = 0.5 * euler
-    crw, cpw, czw = (_map(math.cos, half[:, k]) for k in range(3))
-    srw, spw, szw = (_map(math.sin, half[:, k]) for k in range(3))
-    # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
-    h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
-    h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
-    h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
-    h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
-    # q = h1 * qx with qx = (crw, srw, 0, 0)
-    q = np.empty((len(euler), 4), dtype=np.float64)
-    q[:, 0] = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
-    q[:, 1] = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
-    q[:, 2] = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
-    q[:, 3] = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
-    qw, qx, qy, qz = q.T
-    q /= np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)[:, None]
-    neg = q[:, 0] < 0.0
-    q[neg] = -q[neg]
-    return q
 
 
 def _heading_ref(mag: np.ndarray, has_mag: np.ndarray, roll: np.ndarray, pitch: np.ndarray,
@@ -297,4 +265,4 @@ class AttitudeEstimator:
         if n:
             self.roll, self.pitch, self.yaw = euler[-1].tolist()
             self.t_last = float(t[-1])
-        return AttitudeTrack(t=t, euler=euler, q=_quat_from_euler(euler), flags=flags)
+        return AttitudeTrack(t=t, euler=euler, q=from_euler(euler), flags=flags)

@@ -1,12 +1,9 @@
-"""Exception types shared across the fusion pipeline and I/O layers.
+"""Exception types of the package's input checks: timestamps out of order, a
+frame field outside its wire range and a malformed recording.
 
 A telemetry frame that fails to decode raises nothing: ``scan_frames``
 reports it as a ``StreamDiagnostic`` and resyncs.
 """
-
-
-class DegenerateQuaternionError(ValueError):
-    """Quaternion norm too small to normalize."""
 
 
 class TimestampOrderError(ValueError):

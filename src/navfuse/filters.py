@@ -9,7 +9,6 @@ the requested cutoff.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -35,13 +34,32 @@ class BiquadCoeffs:
         return (self.b0 + self.b1 + self.b2) / (1.0 + self.a1 + self.a2)
 
 
-def _check_band(cutoff_hz: float, sample_rate_hz: float) -> None:
+def _prewarp(cutoff_hz: float, sample_rate_hz: float) -> float:
+    """The analog cutoff wc = 2 fs tan(pi fc / fs), rad/s, that the bilinear
+    transform maps onto ``cutoff_hz``; raises unless the cutoff lies strictly
+    inside (0, Nyquist)."""
     if sample_rate_hz <= 0:
         raise ValueError(f"sample rate must be positive, got {sample_rate_hz}")
     if not 0.0 < cutoff_hz < 0.5 * sample_rate_hz:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie strictly inside (0, Nyquist={0.5 * sample_rate_hz}) Hz"
         )
+    return 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
+
+
+def _bilinear_first_order(n1: float, n0: float, wc: float, fc: float, fs: float) -> BiquadCoeffs:
+    # Analog prototype (n1 s + n0) / (s + wc), mapped by s = 2 fs (z-1)/(z+1).
+    k = 2.0 * fs
+    a0 = k + wc
+    return BiquadCoeffs(
+        b0=(n1 * k + n0) / a0,
+        b1=(n0 - n1 * k) / a0,
+        b2=0.0,
+        a1=(wc - k) / a0,
+        a2=0.0,
+        sample_rate_hz=fs,
+        cutoff_hz=fc,
+    )
 
 
 def _bilinear_second_order(c0: float, c1: float, num: float, fc: float, fs: float) -> BiquadCoeffs:
@@ -61,18 +79,16 @@ def _bilinear_second_order(c0: float, c1: float, num: float, fc: float, fs: floa
 
 def design_butterworth2_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
     """Second-order Butterworth low-pass, wc^2 / (s^2 + sqrt(2) wc s + wc^2)."""
-    _check_band(cutoff_hz, sample_rate_hz)
-    wc = 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
+    wc = _prewarp(cutoff_hz, sample_rate_hz)
     return _bilinear_second_order(wc * wc, SQRT2 * wc, wc * wc, cutoff_hz, sample_rate_hz)
 
 
 def design_chebyshev1_2_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
     """Second-order Chebyshev type-I low-pass with ``CHEBYSHEV_RIPPLE_DB`` of
     passband ripple."""
-    _check_band(cutoff_hz, sample_rate_hz)
+    wc = _prewarp(cutoff_hz, sample_rate_hz)
     eps = math.sqrt(10.0 ** (CHEBYSHEV_RIPPLE_DB / 10.0) - 1.0)
     v = math.asinh(1.0 / eps) / 2.0
-    wc = 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
     # Conjugate pole pair of the normalized prototype at theta = pi/4.
     pr = -math.sinh(v) * math.sin(math.pi / 4.0)
     pi_ = math.cosh(v) * math.cos(math.pi / 4.0)
@@ -85,36 +101,14 @@ def design_chebyshev1_2_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
 
 def design_first_order_lp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
     """Single-pole low-pass, wc / (s + wc), in biquad form (b2 = a2 = 0)."""
-    _check_band(cutoff_hz, sample_rate_hz)
-    wc = 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
-    k = 2.0 * sample_rate_hz
-    a0 = k + wc
-    return BiquadCoeffs(
-        b0=wc / a0,
-        b1=wc / a0,
-        b2=0.0,
-        a1=(wc - k) / a0,
-        a2=0.0,
-        sample_rate_hz=sample_rate_hz,
-        cutoff_hz=cutoff_hz,
-    )
+    wc = _prewarp(cutoff_hz, sample_rate_hz)
+    return _bilinear_first_order(0.0, wc, wc, cutoff_hz, sample_rate_hz)
 
 
 def design_first_order_hp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
     """Single-pole high-pass, s / (s + wc)."""
-    _check_band(cutoff_hz, sample_rate_hz)
-    wc = 2.0 * sample_rate_hz * math.tan(math.pi * cutoff_hz / sample_rate_hz)
-    k = 2.0 * sample_rate_hz
-    a0 = k + wc
-    return BiquadCoeffs(
-        b0=k / a0,
-        b1=-k / a0,
-        b2=0.0,
-        a1=(wc - k) / a0,
-        a2=0.0,
-        sample_rate_hz=sample_rate_hz,
-        cutoff_hz=cutoff_hz,
-    )
+    wc = _prewarp(cutoff_hz, sample_rate_hz)
+    return _bilinear_first_order(1.0, 0.0, wc, cutoff_hz, sample_rate_hz)
 
 
 @dataclass
@@ -135,18 +129,9 @@ class FilterState:
         h = c.dc_gain()
         self.s1, self.s2 = h * x0 - c.b0 * x0, c.b2 * x0 - c.a2 * h * x0
 
-    def step(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite filter input {x}")
-        c = self.coeffs
-        y = c.b0 * x + self.s1
-        self.s1 = c.b1 * x - c.a1 * y + self.s2
-        self.s2 = c.b2 * x - c.a2 * y
-        return y
-
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Filter a column, advancing the delay line: ``step`` over each
-        value, bit for bit, without its finiteness check."""
+        """Filter a column, advancing the delay line: bit for bit the per-value
+        ``step`` of ``tests/reference.py``, without its finiteness check."""
         c = self.coeffs
         b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
         s1, s2 = self.s1, self.s2
@@ -159,22 +144,3 @@ class FilterState:
             y[i] = yi
         self.s1, self.s2 = s1, s2
         return y
-
-
-def frequency_response(coeffs: BiquadCoeffs, f_hz: float) -> float:
-    """|H(e^{j 2 pi f / fs})| evaluated exactly from the coefficients."""
-    fs = coeffs.sample_rate_hz
-    if not 0.0 <= f_hz <= 0.5 * fs:
-        raise ValueError(f"frequency {f_hz} Hz outside [0, Nyquist]")
-    z = cmath.exp(2j * math.pi * f_hz / fs)
-    num = coeffs.b0 + coeffs.b1 / z + coeffs.b2 / (z * z)
-    den = 1.0 + coeffs.a1 / z + coeffs.a2 / (z * z)
-    return abs(num / den)
-
-
-def poles(coeffs: BiquadCoeffs) -> tuple[complex, ...]:
-    """Roots of the denominator z-polynomial (for stability checks)."""
-    if coeffs.a2 == 0.0:
-        return (complex(-coeffs.a1),) if coeffs.a1 != 0.0 else ()
-    disc = cmath.sqrt(coeffs.a1 * coeffs.a1 - 4.0 * coeffs.a2)
-    return ((-coeffs.a1 + disc) / 2.0, (-coeffs.a1 - disc) / 2.0)

@@ -47,10 +47,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, _map, warn_gaps
+from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
 from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
 from .pipeline import FusionConfig, csv_blocks, median, replace_fields
+from .quat import _map, rotate_inverse
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
 # World magnetic field in gauss, (north, east, up) components.
@@ -148,12 +149,6 @@ class SensorNoiseModel:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.gps_dropout_prob <= 1.0:
             raise ValueError("dropout probability must be in [0, 1]")
-
-
-ZERO_NOISE = SensorNoiseModel(
-    accel_noise_sigma=0.0, accel_bias=0.0, gyro_noise_sigma=0.0, gyro_bias=0.0,
-    mag_noise_sigma=0.0, gps_pos_sigma_m=0.0, gps_dropout_prob=0.0,
-)
 
 
 def standard_profile(seed: int = 42) -> FlightProfile:
@@ -318,7 +313,9 @@ def _generate_truth(profile: FlightProfile):
         psi, theta, speed = float(psi_k[-1]), float(theta_k[-1]), float(speed_k[-1])
         lat, lon, alt = float(lat_k[-1]), float(lon_k[-1]), float(alt_k[-1])
 
-    # quaternions from (0, theta, psi), vectorized ZYX composition
+    # quaternions from (0, theta, psi), vectorized ZYX composition. Not
+    # quat.from_euler: its 0.0 - a is +0.0 where this -a is -0.0, and its
+    # normalization moves some rows by an ulp, so every row's bits would change
     half_psi = 0.5 * euler[:, 2]
     half_th = 0.5 * euler[:, 1]
     cz, sz = np.cos(half_psi), np.sin(half_psi)
@@ -329,16 +326,6 @@ def _generate_truth(profile: FlightProfile):
 
     truth = TruthSeries(t=t, lat=lat_s, lon=lon_s, alt_m=alt_s, vn=vn_s, ve=ve_s, euler=euler, q=q)
     return truth, t_ms, a_world, rates
-
-
-def _rotate_world_to_body(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply R(q)^T row-wise: world vectors expressed in the body frame."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    bx = (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y + w * z) * vy + 2 * (x * z - w * y) * vz
-    by = 2 * (x * y - w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z + w * x) * vz
-    bz = 2 * (x * z + w * y) * vx + 2 * (y * z - w * x) * vy + (1 - 2 * (x * x + y * y)) * vz
-    return np.column_stack([bx, by, bz])
 
 
 def generate_flight(
@@ -356,16 +343,13 @@ def generate_flight(
     n = len(truth.t)
     rng = np.random.default_rng(profile.seed)
 
-    g_world = np.zeros((n, 3))
-    g_world[:, 2] = GRAVITY_MPS2
-    f_body = _rotate_world_to_body(truth.q, a_world + g_world)
+    f_body = rotate_inverse(truth.q, *(a_world + (0.0, 0.0, GRAVITY_MPS2)).T)
 
     dpsi, dtheta = rates[:, 0], rates[:, 1]
     theta = truth.euler[:, 1]
     omega_body = np.column_stack([-dpsi * np.sin(theta), dtheta, dpsi * np.cos(theta)])
 
-    mag_world = np.tile(np.array(MAG_FIELD_GAUSS), (n, 1))
-    mag_body = _rotate_world_to_body(truth.q, mag_world)
+    mag_body = rotate_inverse(truth.q, *MAG_FIELD_GAUSS)
 
     acc_meas = f_body + noise.accel_bias + noise.accel_noise_sigma * rng.standard_normal((n, 3))
     gyr_meas = omega_body + noise.gyro_bias + noise.gyro_noise_sigma * rng.standard_normal((n, 3))

@@ -23,9 +23,9 @@ The longitude meter-to-degree conversion deliberately omits the cos(lat)
 meridian-convergence factor by default; ``lon_scale_correction`` enables it.
 
 ``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
-(``FilterState.run``) and the rotation of the filtered accel to
-north/east. ``NavEstimator.blend`` is a velocity pass (v_n, v_e), then a
-position pass (lat, lon), each running ``_blend_loop`` once per state:
+(``FilterState.run``) and the rotation of the filtered accel to north/east
+(``quat.rotate``). ``NavEstimator.blend`` is a velocity pass (v_n, v_e),
+then a position pass (lat, lon), each running ``_blend_loop`` once per state:
 x = w * (x + u) + g on the rows with a GPS reference, else x + u. The rest
 is array passes: the steps u, a * dt and (v * dt) * k (``lon_scale_correction``
 divides k by the cos of the latitude each row starts from), and the GPS
@@ -55,10 +55,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .attitude import _map
 from .errors import TimestampOrderError
 from .filters import FilterState, design_butterworth2_lp
 from .geo import bearing
+from .quat import _map, rotate
 
 if TYPE_CHECKING:
     from .pipeline import FusionConfig
@@ -227,21 +227,7 @@ class NavEstimator:
             for f, x0 in zip(self.accel_lp, accel[0].tolist()):
                 f.prime(x0)
         fax, fay, faz = (f.run(accel[:, k]) for k, f in enumerate(self.accel_lp))
-
-        qw, qx, qy, qz = q.T
-        xx = qx * qx
-        yy = qy * qy
-        zz = qz * qz
-        wx = qw * qx
-        wy = qw * qy
-        wz = qw * qz
-        xy = qx * qy
-        xz = qx * qz
-        yz = qy * qz
-        a = np.empty((len(accel), 2), dtype=np.float64)
-        a[:, 0] = (1.0 - 2.0 * (yy + zz)) * fax + 2.0 * (xy - wz) * fay + 2.0 * (xz + wy) * faz
-        a[:, 1] = 2.0 * (xy + wz) * fax + (1.0 - 2.0 * (xx + zz)) * fay + 2.0 * (yz - wx) * faz
-        return a
+        return rotate(q, fax, fay, faz)[:, :2]
 
     def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
         """Blend world-frame accel from ``world_accel`` with the GPS reference

@@ -1,138 +1,75 @@
-"""Quaternion algebra for gimbal-lock-free attitude representation.
+"""Quaternion array maths, one row per sample: the Euler-to-quaternion
+assembly and the rotation of vectors by a quaternion.
 
-Conventions
------------
-Scalar-first unit quaternions ``q = (w, x, y, z)`` composed with the Hamilton
-product. Euler angles follow the intrinsic ZYX (yaw-pitch-roll) aerospace
-sequence; all angles are radians. ``rotate_vector`` applies the rotation the
-quaternion encodes, i.e. the vector part of ``q * (0, v) * conj(q)``, which is
-identical to applying the direction-cosine matrix from ``to_rotation_matrix``.
-
-Normalization canonicalizes the sign so that ``w >= 0`` (q and -q encode the
-same rotation).
+Scalar-first unit quaternions ``(w, x, y, z)``, ``w >= 0``, rows of an
+``(n, 4)`` array; Euler angles in the intrinsic ZYX (yaw-pitch-roll)
+sequence, radians. R(q) takes a body-frame vector to the world frame. numpy
+does only + - * / and sqrt, and every transcendental is ``math.*`` mapped
+over the column (``_map``), so each row is bit-identical to the scalar
+``Quaternion`` of ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateQuaternionError
 
-Vec3 = tuple[float, float, float]
-
-_UNIT_TOL = 1e-6
-
-
-class EulerAngles(NamedTuple):
-    """Roll, pitch, yaw in radians (ZYX convention)."""
-
-    roll: float
-    pitch: float
-    yaw: float
+def _map(fn, *cols) -> np.ndarray:
+    """``math`` function ``fn`` over float64 columns, element by element."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), dtype=np.float64, count=len(cols[0]))
 
 
-def wrap_pi(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if r <= 0.0:
-        r += 2.0 * math.pi
-    return r - math.pi
+def from_euler(euler: np.ndarray) -> np.ndarray:
+    """(n, 4) unit quaternions, ``w >= 0``, of (n, 3) roll/pitch/yaw rows.
+
+    Column for column the operations of the scalar ``Quaternion.from_euler``
+    (two Hamilton products, the ``0.0 * 0.0`` terms included) and
+    ``normalize``, so every element is bit-identical to the scalar path.
+    """
+    half = 0.5 * euler
+    crw, cpw, czw = (_map(math.cos, half[:, k]) for k in range(3))
+    srw, spw, szw = (_map(math.sin, half[:, k]) for k in range(3))
+    # h1 = qz * qy with qz = (czw, 0, 0, szw), qy = (cpw, 0, spw, 0)
+    h1w = czw * cpw - 0.0 * 0.0 - 0.0 * spw - szw * 0.0
+    h1x = czw * 0.0 + 0.0 * cpw + 0.0 * 0.0 - szw * spw
+    h1y = czw * spw - 0.0 * 0.0 + 0.0 * cpw + szw * 0.0
+    h1z = czw * 0.0 + 0.0 * spw - 0.0 * 0.0 + szw * cpw
+    # q = h1 * qx with qx = (crw, srw, 0, 0)
+    q = np.empty((len(euler), 4), dtype=np.float64)
+    q[:, 0] = h1w * crw - h1x * srw - h1y * 0.0 - h1z * 0.0
+    q[:, 1] = h1w * srw + h1x * crw + h1y * 0.0 - h1z * 0.0
+    q[:, 2] = h1w * 0.0 - h1x * 0.0 + h1y * crw + h1z * srw
+    q[:, 3] = h1w * 0.0 + h1x * 0.0 - h1y * srw + h1z * crw
+    qw, qx, qy, qz = q.T
+    q /= np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)[:, None]
+    neg = q[:, 0] < 0.0
+    q[neg] = -q[neg]
+    return q
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_axis_angle(cls, axis: Sequence[float], angle: float) -> "Quaternion":
-        """Quaternion rotating by ``angle`` about a unit ``axis``."""
-        ax, ay, az = axis
-        norm = math.sqrt(ax * ax + ay * ay + az * az)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"rotation axis must be unit length, |axis| = {norm}")
-        half = 0.5 * angle
-        s = math.sin(half)
-        return cls(math.cos(half), ax * s, ay * s, az * s)
-
-    @classmethod
-    def from_euler(cls, e: EulerAngles) -> "Quaternion":
-        """Compose q_yaw(z) * q_pitch(y) * q_roll(x)."""
-        qz = cls(math.cos(0.5 * e.yaw), 0.0, 0.0, math.sin(0.5 * e.yaw))
-        qy = cls(math.cos(0.5 * e.pitch), 0.0, math.sin(0.5 * e.pitch), 0.0)
-        qx = cls(math.cos(0.5 * e.roll), math.sin(0.5 * e.roll), 0.0, 0.0)
-        return hamilton(hamilton(qz, qy), qx)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def normalize(self) -> "Quaternion":
-        """Unit quaternion with the same direction, sign-canonicalized (w >= 0)."""
-        n = self.norm()
-        if n <= 1e-12:
-            raise DegenerateQuaternionError(f"cannot normalize quaternion with norm {n}")
-        w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
-        if w < 0.0:
-            w, x, y, z = -w, -x, -y, -z
-        return Quaternion(w, x, y, z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return hamilton(self, other)
-
-    def rotate_vector(self, v: Sequence[float]) -> Vec3:
-        """Rotate ``v``; equals ``to_rotation_matrix() @ v``."""
-        _require_unit(self)
-        p = Quaternion(0.0, v[0], v[1], v[2])
-        r = hamilton(hamilton(self, p), self.conjugate())
-        return (r.x, r.y, r.z)
-
-    def to_rotation_matrix(self) -> np.ndarray:
-        """3x3 direction-cosine matrix (row-major, orthogonal, det +1)."""
-        _require_unit(self)
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-                [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-                [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-            ]
-        )
-
-    def to_euler(self) -> EulerAngles:
-        """ZYX extraction; the asin argument is clamped against round-off."""
-        _require_unit(self)
-        w, x, y, z = self.w, self.x, self.y, self.z
-        roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-        sp = 2.0 * (w * y - x * z)
-        pitch = math.asin(max(-1.0, min(1.0, sp)))
-        yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-        return EulerAngles(wrap_pi(roll), pitch, wrap_pi(yaw))
-
-
-def hamilton(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p * q (non-commutative rotation composition)."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
+def _dcm(q: np.ndarray) -> tuple:
+    """The direction-cosine matrix R(q) of (n, 4) unit quaternions as three
+    rows of three (n,) columns."""
+    w, x, y, z = q.T
+    xx, yy, zz = x * x, y * y, z * z
+    wx, wy, wz = w * x, w * y, w * z
+    xy, xz, yz = x * y, x * z, y * z
+    return (
+        (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
+        (2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)),
+        (2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)),
     )
 
 
-def _require_unit(q: Quaternion) -> None:
-    n = q.norm()
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"operation requires a unit quaternion, |q| = {n}")
+def rotate(q: np.ndarray, vx, vy, vz) -> np.ndarray:
+    """(n, 3) R(q) v per row: body-frame vectors (vx, vy, vz) in the world
+    frame. Each component is an (n,) column or one value for every row."""
+    return np.column_stack([a * vx + b * vy + c * vz for a, b, c in _dcm(q)])
+
+
+def rotate_inverse(q: np.ndarray, vx, vy, vz) -> np.ndarray:
+    """(n, 3) R(q)^T v per row: world-frame vectors in the body frame, the
+    inverse of ``rotate``."""
+    return np.column_stack([a * vx + b * vy + c * vz for a, b, c in zip(*_dcm(q))])

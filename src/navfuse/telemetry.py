@@ -66,7 +66,6 @@ GPS_WIRE = np.dtype(_WIRE_HEADER + [
 
 IMU_FRAME_LEN = IMU_WIRE.itemsize   # 28
 GPS_FRAME_LEN = GPS_WIRE.itemsize   # 27
-MAX_FRAME_LEN = 32
 
 
 def _crc_table() -> np.ndarray:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from navfuse.attitude import ImuArrays
-from navfuse.flightsim import (
-    SensorNoiseModel,
-    ZERO_NOISE,
-    generate_flight,
-    standard_profile,
-)
+from navfuse.flightsim import SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, prepare_gps_reference
 from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
+
+ZERO_NOISE = SensorNoiseModel(
+    accel_noise_sigma=0.0, accel_bias=0.0, gyro_noise_sigma=0.0, gyro_bias=0.0,
+    mag_noise_sigma=0.0, gps_pos_sigma_m=0.0, gps_dropout_prob=0.0,
+)
 
 
 @pytest.fixture(scope="session")

@@ -16,14 +16,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import fuse_nav, gps_arrays
+from reference import Quaternion, frequency_response, hamilton, poles, step, wrap_pi
 
 from navfuse.attitude import AttitudeEstimator
 from navfuse.filters import (
     FilterState,
     design_butterworth2_lp,
     design_chebyshev1_2_lp,
-    frequency_response,
-    poles,
 )
 from navfuse.flightsim import (
     FlightProfile,
@@ -37,7 +36,7 @@ from navfuse.flightsim import (
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
-from navfuse.quat import EulerAngles, Quaternion, hamilton
+from navfuse.quat import from_euler, rotate
 from navfuse.recording import read_recording, write_recording
 from navfuse.telemetry import scan_frames
 
@@ -68,20 +67,20 @@ def test_criterion_1_quaternion_suite():
             rhs = p.to_rotation_matrix() @ q.to_rotation_matrix()
             assert np.abs(lhs - rhs).max() < 1e-9
 
-        # Euler <-> quaternion roundtrip away from the gimbal poles
+        # Euler <-> quaternion roundtrip away from the gimbal poles: the
+        # attitude's array assembly, read back by the reference extraction
         rolls = rng.uniform(-math.pi + 1e-6, math.pi, 10000)
         pitches = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 10000)
         yaws = rng.uniform(-math.pi + 1e-6, math.pi, 10000)
-        for r, p_, y in zip(rolls, pitches, yaws):
-            back = Quaternion.from_euler(EulerAngles(r, p_, y)).to_euler()
+        for r, p_, y, q in zip(rolls, pitches, yaws, from_euler(np.column_stack([rolls, pitches, yaws]))):
+            back = Quaternion(*q).to_euler()
             assert abs(back.roll - r) < 1e-9
             assert abs(back.pitch - p_) < 1e-9
             assert abs(back.yaw - y) < 1e-9
 
-        # norm preservation under rotation
+        # norm preservation under the rotation nav applies
         vecs = rng.normal(size=(10000, 3))
-        for q, vec in zip(quats[:10000], vecs):
-            rotated = q.rotate_vector(vec)
+        for rotated, vec in zip(rotate(v[:10000], *vecs.T), vecs):
             assert abs(math.sqrt(sum(c * c for c in rotated)) - np.linalg.norm(vec)) < 1e-9
 
 
@@ -102,8 +101,7 @@ def test_criterion_2_filter_suite():
         assert min(ripple_mags) >= 10 ** (-1.0 / 20) - 1e-6
 
         def overshoot(c):
-            f = FilterState(c)
-            ys = [f.step(1.0) for _ in range(2000)]
+            ys = FilterState(c).run(np.ones(2000))
             return max(ys) - frequency_response(c, 0.0)
 
         assert overshoot(ch) > overshoot(bw) > 0.0
@@ -111,8 +109,6 @@ def test_criterion_2_filter_suite():
 
 def test_criterion_3_yaw_drift(std_noisy_arrays):
     with criterion(3, "magnetometer bounds yaw drift (5x, <0.1 rad)"):
-        from navfuse.quat import wrap_pi
-
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
         fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
         gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)
@@ -184,16 +180,12 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
         vn = ve = 0.0
         lat, lon = ref.ref_lat[0], ref.ref_lon[0]
         for i in range(len(t)):
-            fax, fay, faz = (f.step(x) for f, x in zip(filts, acc[i]))
+            fax, fay, faz = (step(f, x) for f, x in zip(filts, acc[i]))
             if i == 0:
                 assert nav1.lat[i] == lat and nav1.lon[i] == lon
                 continue
             dt = t[i] - t[i - 1]
-            qw, qx, qy, qz = att.q[i]
-            a_n = (1 - 2 * (qy * qy + qz * qz)) * fax + 2 * (qx * qy - qw * qz) * fay \
-                + 2 * (qx * qz + qw * qy) * faz
-            a_e = 2 * (qx * qy + qw * qz) * fax + (1 - 2 * (qx * qx + qz * qz)) * fay \
-                + 2 * (qy * qz - qw * qx) * faz
+            a_n, a_e, _ = Quaternion(*att.q[i]).to_rotation_matrix() @ (fax, fay, faz)
             vn += a_n * dt
             ve += a_e * dt
             lat += vn * dt / M_PER_DEG

@@ -13,7 +13,7 @@ from navfuse.attitude import (
 from navfuse.errors import TimestampOrderError
 from navfuse.filters import FilterState, design_first_order_hp, design_first_order_lp
 from navfuse.pipeline import FusionConfig
-from navfuse.quat import EulerAngles, Quaternion, wrap_pi
+from reference import EulerAngles, Quaternion, step, wrap_pi
 
 G = 9.80665
 
@@ -148,7 +148,7 @@ class TestAttitudeEstimator:
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, acc[0]):
             f.prime(x)
-        roll, pitch, _ = _tilt_from_accel(*np.array([[f.step(x) for f, x in zip(filts, row)] for row in acc]).T)
+        roll, pitch, _ = _tilt_from_accel(*np.array([[step(f, x) for f, x in zip(filts, row)] for row in acc]).T)
         for i in range(1, n):
             assert track.euler[i, 0] == wrap_pi(roll[i])
             assert track.euler[i, 1] == wrap_pi(pitch[i])
@@ -191,8 +191,8 @@ class TestAttitudeEstimator:
         filts = [FilterState(coeffs) for _ in range(3)]
         for f, x in zip(filts, level):
             f.prime(x)
-            f.step(x)
-        expected_roll = _tilt_from_accel(*np.array([[f.step(x)] for f, x in zip(filts, tilted)]))[0][0]
+            step(f, x)
+        expected_roll = _tilt_from_accel(*np.array([[step(f, x)] for f, x in zip(filts, tilted)]))[0][0]
         assert roll == pytest.approx(expected_roll, abs=1e-12)
         assert 0.0 < roll < 0.3
 
@@ -203,8 +203,8 @@ class TestAttitudeEstimator:
         roll = one_row(est, 1 / 60, accel=(0, 0, 0.01), gyro=(0.6, 0, 0)).euler[0, 0]
         hp = FilterState(design_first_order_hp(0.1, 60.0))
         hp.prime(0.0)
-        hp.step(0.0)
-        expected = hp.step(0.6) / 60.0
+        step(hp, 0.0)
+        expected = step(hp, 0.6) / 60.0
         assert roll == pytest.approx(expected, abs=1e-15)
         assert roll > 0.5 / 60.0
 

@@ -1105,6 +1105,54 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def _names_read(paths, strings: bool = False) -> set:
+    """The names that the code of ``paths`` reads: as a name, an attribute or
+    an import, and with ``strings`` as a dotted identifier string too (the
+    benchmark tracer's targets)."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                read.update(parts if all(p.isidentifier() for p in parts) else ())
+    return read
+
+
+def test_no_package_code_read_only_by_tests():
+    """Every top-level function, class, method and module constant of the
+    package is read by the package, by the benchmark, or is documented in the
+    README's Library section; a name that only tests read belongs in the
+    tests (``tests/reference.py`` holds the scalar references)."""
+    root = Path(navfuse.__file__).parent
+    modules = sorted(root.glob("*.py"))
+    library = TestConfigFile.README.read_text().split("## Library")[1].split("\n## ")[0]
+    documented = set(re.findall(r"[A-Za-z_]\w*", " ".join(re.findall(r"`+([^`]+)`+", library))))
+    kept = _names_read(modules) | _names_read((root.parents[1] / "navbench").glob("*.py"), strings=True) | documented
+    tested = _names_read(Path(__file__).parent.glob("*.py"))
+    test_only = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                defined = [node.name, *(m.name for m in node.body if isinstance(m, ast.FunctionDef))]
+            elif isinstance(node, ast.FunctionDef):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            test_only += [f"{path.name}: {name}" for name in defined
+                          if name in tested and name not in kept and not name.startswith("__")]
+    assert test_only == []
+
+
 class TestStartup:
     """What importing the package and the CLI loads. Each case runs in a
     fresh interpreter, since this one has imported numpy already."""
@@ -1208,7 +1256,7 @@ class TestStartup:
             "import navfuse; ns = {}; exec('from navfuse import *', ns); "
             "print(len(navfuse.__all__), len(set(navfuse.__all__) - ns.keys()))"
         )
-        assert out == ["25", "0"]
+        assert out == ["20", "0"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

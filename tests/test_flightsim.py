@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import fuse_nav
+from conftest import ZERO_NOISE, fuse_nav
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import wrap_pi
 
 from navfuse import flightsim
 from navfuse.attitude import GRAVITY_MPS2 as G
@@ -17,7 +18,6 @@ from navfuse.flightsim import (
     PITCH_RAMP_RATE,
     SPEED_RAMP_ACCEL,
     TRUTH_OVERSAMPLE,
-    ZERO_NOISE,
     FlightProfile,
     FlightSegment,
     SensorNoiseModel,
@@ -511,8 +511,6 @@ class TestSweep:
 
 class TestStudies:
     def test_yaw_drift_magnetometer_correction(self, std_noisy_arrays):
-        from navfuse.quat import wrap_pi
-
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
         fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
         gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)

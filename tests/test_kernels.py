@@ -1,14 +1,17 @@
 """The fusion loops: flag bytes, state carried across calls, ``FilterState.run``
-against ``step`` and scipy, the single-implementation backend shims of the CLI
-and the package, and the estimators against their per-sample reference loops.
+against the reference ``step`` and scipy, the single-implementation backend
+shims of the CLI and the package, and the estimators against their per-sample
+reference loops.
 
 ``reference_attitude_run`` and ``reference_nav_run`` are the fusion loops as
-they were before the filters, rotation, tilt and quaternion assembly became
-array passes, kept verbatim with the helpers they call. They carry their state
-in a flat float vector; ``AttitudeEstimator.run`` and ``NavEstimator.world_accel``
-with ``blend`` must match them bit for bit, outputs and state alike: numpy may do
-only + - * / and sqrt, which IEEE 754 rounds exactly, while every transcendental
-stays ``math.*``. (``np.arctan2`` differs from ``math.atan2`` in the last bit on
+they were before the filters, rotation (now ``quat.rotate``), tilt and
+quaternion assembly (now ``quat.from_euler``) became array passes, kept
+verbatim with the helpers they call; ``wrap_pi`` and ``step`` come from
+``reference.py``. They carry their state in a flat float vector;
+``AttitudeEstimator.run`` and ``NavEstimator.world_accel`` with ``blend`` must
+match them bit for bit, outputs and state alike: numpy may do only + - * / and
+sqrt, which IEEE 754 rounds exactly, while every transcendental stays
+``math.*``. (``np.arctan2`` differs from ``math.atan2`` in the last bit on
 some inputs of some numpy builds.)
 """
 
@@ -20,6 +23,7 @@ import pytest
 from conftest import assert_same_bits, fuse_nav, gps_arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import step, wrap_pi
 from scipy import signal
 
 import navfuse
@@ -55,13 +59,6 @@ from navfuse.recording import write_recording
 
 
 # ---------------------------------------------------------------- reference loops
-
-def wrap_pi(angle: float) -> float:
-    r = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if r <= 0.0:
-        r += 2.0 * math.pi
-    return r - math.pi
-
 
 def complementary_angle(prev, rate, dt, reference, gain):
     if dt <= 0.0:
@@ -460,7 +457,7 @@ def test_filter_state_run_matches_step(design, band, fs, x, cuts, s1, s2):
     c = design(band * fs, fs)
     x = np.array(x, dtype=np.float64)
     stepped, ran = FilterState(c, s1, s2), FilterState(c, s1, s2)
-    want = np.array([stepped.step(xi) for xi in x.tolist()], dtype=np.float64)
+    want = np.array([step(stepped, xi) for xi in x.tolist()], dtype=np.float64)
     got = np.concatenate([ran.run(x[lo:hi]) for lo, hi in chunks(len(x), cuts)])
     assert_same_bits(got, want)
     assert_same_bits([ran.s1, ran.s2], [stepped.s1, stepped.s2])

@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 from conftest import fuse_nav, gps_arrays
+from reference import EulerAngles, Quaternion, step
 
 from navfuse.attitude import GRAVITY_MPS2 as G
 from navfuse.attitude import AttitudeEstimator
@@ -17,7 +18,6 @@ from navfuse.navigation import (
     prepare_gps_reference,
 )
 from navfuse.pipeline import FusionConfig
-from navfuse.quat import EulerAngles, Quaternion
 
 DEG_PER_M = 180.0 / (math.pi * 6_371_000.0)
 
@@ -345,7 +345,7 @@ class TestDegeneration:
         vn = ve = 0.0
         lat, lon = fixes.lat[0], fixes.lon[0]  # first reference seeds the start
         for i in range(len(t)):
-            fa = [f.step(x) for f, x in zip(filts, acc[i])]
+            fa = [step(f, x) for f, x in zip(filts, acc[i])]
             if i == 0:
                 continue
             dt = t[i] - t[i - 1]

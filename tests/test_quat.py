@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from reference import DegenerateQuaternionError, EulerAngles, Quaternion, hamilton, wrap_pi
 
-from navfuse.errors import DegenerateQuaternionError
-from navfuse.quat import EulerAngles, Quaternion, hamilton, wrap_pi
+from navfuse.quat import from_euler, rotate, rotate_inverse
 
 
 def random_unit_quats(rng, n):
@@ -200,3 +202,29 @@ def test_wrap_pi_range():
         assert math.isclose(math.cos(w), math.cos(x), abs_tol=1e-12)
     assert wrap_pi(math.pi) == math.pi
     assert wrap_pi(-math.pi) == math.pi
+
+
+unit_quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda c: sum(x * x for x in c) > 0.01)
+
+
+@given(st.lists(st.tuples(unit_quats, st.tuples(*[st.floats(-100.0, 100.0)] * 3)), min_size=1, max_size=20))
+def test_rotate_is_the_reference_matrix(rows):
+    """``rotate`` is R(q) v and ``rotate_inverse`` R(q)^T v, and each undoes the other."""
+    q = np.array([c for c, _ in rows])
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    v = np.array([v for _, v in rows])
+    m = [Quaternion(*row).to_rotation_matrix() for row in q]
+    np.testing.assert_allclose(rotate(q, *v.T), [r @ x for r, x in zip(m, v)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rotate_inverse(q, *v.T), [r.T @ x for r, x in zip(m, v)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rotate_inverse(q, *rotate(q, *v.T).T), v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rotate(q, *rotate_inverse(q, *v.T).T), v, rtol=0, atol=1e-12)
+
+
+def test_truth_quaternions_are_from_euler_but_not_its_bits(std_clean_flight):
+    """The simulator assembles the truth's quaternions itself, because
+    ``from_euler`` of its angles differs in the bits of every row (its 0.0 - a
+    is +0.0 where the truth's -a is -0.0, and its normalization moves some
+    rows by an ulp), which ``TRUTH_ARRAY_BITS`` would see."""
+    q = from_euler(std_clean_flight[1].euler)
+    np.testing.assert_array_max_ulp(q, std_clean_flight[1].q, maxulp=1)
+    assert (q.view(np.int64) != std_clean_flight[1].q.view(np.int64)).any(axis=1).all()

@@ -20,7 +20,6 @@ from navfuse.telemetry import (
     IMU_FRAME_LEN,
     IMU_WIRE,
     MAGIC,
-    MAX_FRAME_LEN,
     StreamDiagnostic,
     encode_frames,
     gps_arrays_to_counts,
@@ -124,10 +123,6 @@ class TestEncode:
         rng = np.random.default_rng(41)
         assert len(random_imu_frames(rng, 50).tobytes()) == 50 * IMU_FRAME_LEN == 50 * 28
         assert len(random_gps_frames(rng, 50).tobytes()) == 50 * GPS_FRAME_LEN == 50 * 27
-
-    def test_within_radio_payload_limit(self):
-        assert IMU_FRAME_LEN <= MAX_FRAME_LEN
-        assert GPS_FRAME_LEN <= MAX_FRAME_LEN
 
     def test_seq_defaults_to_row_index(self):
         frames = encode_frames(IMU_WIRE, np.arange(70000), counts=np.zeros((70000, 9), dtype=np.int64))
