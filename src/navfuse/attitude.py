@@ -24,7 +24,9 @@ parts that do not depend on the recursive state: the pre-filters
 (``FilterState.run``), the tilt reference of the filtered accel, the rate
 steps rate * dt and the Euler-to-quaternion assembly (``quat.from_euler``).
 One loop, ``_angle_loop``, runs the blend of one angle with its gap and
-reference branches: for roll, then pitch, then yaw. The magnetometer heading
+reference branches: for roll, then pitch, then yaw. Like the pre-filters'
+loop, it is a generator over ``.tolist()`` columns, drained by one
+``np.fromiter`` into the array it returns. The magnetometer heading
 reads only the blended roll and pitch, so it is an array pass between the
 pitch and yaw loops. The output is bit-identical to a per-sample loop: numpy does
 only + - * / and sqrt, which IEEE 754 rounds exactly, and fmod, which is
@@ -48,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import TimestampOrderError
-from .filters import FilterState, design_first_order_hp, design_first_order_lp
+from .filters import FilterState, design_first_order_hp, design_first_order_lp, design_option
 from .quat import _map, from_euler
 
 if TYPE_CHECKING:
@@ -120,43 +122,52 @@ def _heading_ref(mag: np.ndarray, has_mag: np.ndarray, roll: np.ndarray, pitch: 
     return href
 
 
-def _angle_loop(angle: float, steps: np.ndarray, refs: np.ndarray, resets: np.ndarray, gain: float) -> list:
+def _angle_loop(angle: float, steps: np.ndarray, refs: np.ndarray, resets: np.ndarray, gain: float) -> np.ndarray:
     """The recursion of ``AttitudeEstimator.run`` for one angle: from
     ``angle``, each row's wrap-aware blend gain * (angle + step) + (1 - gain)
     * reference in (-pi, pi], along the shortest arc between the two, with
     step = rate * dt; or the step alone where the reference is NaN. A row
     with ``resets`` set takes its reference alone, or holds. Returns every
-    row's angle. A gain of 1 blends to the propagation bit for bit, so only a
-    gain of 0 needs a short cut: the reference, wrapped.
+    row's angle as an array. A gain of 1 blends to the propagation bit for
+    bit, so only a gain of 0 needs a short cut: the reference, wrapped.
+
+    The loop is a generator over ``.tolist()`` columns, drained by one
+    ``np.fromiter``. Inside (0, 2 pi), ``math.fmod(a, 2 pi)`` is ``a``
+    itself, exactly, and takes no wrap, so both are skipped there.
     """
     fmod = math.fmod
     pi = math.pi
     two_pi = 2.0 * math.pi
     c = 1.0 - gain
     snap = gain == 0.0
-    out = []
-    append = out.append
-    for step, ref, reset in zip(steps.tolist(), refs.tolist(), resets.tolist()):
-        if reset:
-            if ref == ref:
-                angle = ref
-        else:
-            if ref != ref:
-                x = angle + step
-            elif snap:
-                x = ref
+
+    def angles(angle):
+        for step, ref, reset in zip(steps.tolist(), refs.tolist(), resets.tolist()):
+            if reset:
+                if ref == ref:
+                    angle = ref
             else:
-                x = angle + step
-                r = fmod(ref - x + pi, two_pi)
-                if r <= 0.0:
-                    r += two_pi
-                x += c * (r - pi)
-            r = fmod(x + pi, two_pi)
-            if r <= 0.0:
-                r += two_pi
-            angle = r - pi
-        append(angle)
-    return out
+                if ref != ref:
+                    x = angle + step
+                elif snap:
+                    x = ref
+                else:
+                    x = angle + step
+                    r = ref - x + pi
+                    if not 0.0 < r < two_pi:
+                        r = fmod(r, two_pi)
+                        if r <= 0.0:
+                            r += two_pi
+                    x += c * (r - pi)
+                r = x + pi
+                if not 0.0 < r < two_pi:
+                    r = fmod(r, two_pi)
+                    if r <= 0.0:
+                        r += two_pi
+                angle = r - pi
+            yield angle
+
+    return np.fromiter(angles(angle), dtype=np.float64, count=len(steps))
 
 
 @dataclass(frozen=True)
@@ -204,8 +215,8 @@ class AttitudeEstimator:
 
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
         self.cfg = cfg
-        lp = design_first_order_lp(cfg.accel_lp_hz, sample_rate_hz)
-        hp = design_first_order_hp(cfg.gyro_hp_hz, sample_rate_hz)
+        lp = design_option(design_first_order_lp, "accel_lp_hz", cfg.accel_lp_hz, sample_rate_hz)
+        hp = design_option(design_first_order_hp, "gyro_hp_hz", cfg.gyro_hp_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(lp) for _ in range(3))  # x, y, z
         self.gyro_hp = tuple(FilterState(hp) for _ in range(2))   # x, y
         self.t_last: float | None = None  # None before the first sample

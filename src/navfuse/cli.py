@@ -223,8 +223,8 @@ def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:
 def _emit_fused(blocks, fh) -> None:
     """Write the header, then each block's rows as soon as it is fused."""
     fh.write(FUSED_HEADER + "\n")
-    for out in blocks:
-        for text in fused_rows(out):
+    for rows in map(fused_rows, blocks):  # a drained fused_rows holds its block no longer
+        for text in rows:
             fh.write(text)
         fh.flush()
 

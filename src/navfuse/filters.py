@@ -2,6 +2,9 @@
 1st-order LP/HP, all expressed as normalized biquads and evaluated in
 direct-form-II transposed.
 
+``FilterState.run`` filters a column as a generator over its
+``.tolist()``, drained by one ``np.fromiter``.
+
 Designs discretize the analog prototypes with the bilinear transform and
 frequency pre-warping, so the -3 dB point of the Butterworth lands exactly on
 the requested cutoff.
@@ -111,6 +114,15 @@ def design_first_order_hp(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoef
     return _bilinear_first_order(1.0, 0.0, wc, cutoff_hz, sample_rate_hz)
 
 
+def design_option(design, option: str, cutoff_hz: float, sample_rate_hz: float) -> BiquadCoeffs:
+    """``design(cutoff_hz, sample_rate_hz)`` for a cutoff that the fusion
+    option ``option`` set: a refusal ends with the option's name."""
+    try:
+        return design(cutoff_hz, sample_rate_hz)
+    except ValueError as e:
+        raise ValueError(f"{e} (option {option!r})") from None
+
+
 @dataclass
 class FilterState:
     """Streaming biquad state (direct-form-II transposed, two delay slots)."""
@@ -131,16 +143,20 @@ class FilterState:
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Filter a column, advancing the delay line: bit for bit the per-value
-        ``step`` of ``tests/reference.py``, without its finiteness check."""
+        ``step`` of ``tests/reference.py``, without its finiteness check. The
+        loop is a generator over the column's ``.tolist()``, drained by one
+        ``np.fromiter``. The generator writes the delay line back after its
+        loop, which a drain with ``count`` would stop short of, so the drain
+        takes none."""
+        return np.fromiter(self._outputs(np.asarray(x, dtype=np.float64).tolist()), dtype=np.float64)
+
+    def _outputs(self, xs: list):
         c = self.coeffs
         b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
         s1, s2 = self.s1, self.s2
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.empty_like(x)
-        for i, xi in enumerate(x.tolist()):
+        for xi in xs:
             yi = b0 * xi + s1
             s1 = b1 * xi - a1 * yi + s2
             s2 = b2 * xi - a2 * yi
-            y[i] = yi
+            yield yi
         self.s1, self.s2 = s1, s2
-        return y

@@ -24,9 +24,11 @@ meridian-convergence factor by default; ``lon_scale_correction`` enables it.
 
 ``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
 (``FilterState.run``) and the rotation of the filtered accel to north/east
-(``quat.rotate``). ``NavEstimator.blend`` is a velocity pass (v_n, v_e),
-then a position pass (lat, lon), each running ``_blend_loop`` once per state:
-x = w * (x + u) + g on the rows with a GPS reference, else x + u. The rest
+(``quat.rotate``, which computes only those two rows of R(q) v).
+``NavEstimator.blend`` is a velocity pass (v_n, v_e), then a position pass
+(lat, lon), each running ``_blend_loop`` once per state: x = w * (x + u) + g
+on the rows with a GPS reference, else x + u, a generator over ``.tolist()``
+columns drained by one ``np.fromiter`` into the array it returns. The rest
 is array passes: the steps u, a * dt and (v * dt) * k (``lon_scale_correction``
 divides k by the cos of the latitude each row starts from), and the GPS
 terms g. numpy does only + - * / and sqrt, and cos/sin stay ``math.*``, so
@@ -56,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import TimestampOrderError
-from .filters import FilterState, design_butterworth2_lp
+from .filters import FilterState, design_butterworth2_lp, design_option
 from .geo import bearing
 from .quat import _map, rotate
 
@@ -178,18 +180,21 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
     )
 
 
-def _blend_loop(x: float, steps: np.ndarray, refs: np.ndarray, has_ref: np.ndarray, w: float) -> list:
+def _blend_loop(x: float, steps: np.ndarray, refs: np.ndarray, has_ref: np.ndarray, w: float) -> np.ndarray:
     """The recursive part of ``NavEstimator.blend``, one state at a time:
     from ``x``, x = w * (x + u) + g on each row with ``has_ref`` set, else
-    x + u, for the row's step u and GPS term g. Returns every row's x."""
-    out = []
-    append = out.append
-    for u, g, h in zip(steps.tolist(), refs.tolist(), has_ref.tolist()):
-        x += u
-        if h:
-            x = w * x + g
-        append(x)
-    return out
+    x + u, for the row's step u and GPS term g. Returns every row's x as an
+    array: a generator over ``.tolist()`` columns, drained by one
+    ``np.fromiter``."""
+
+    def states(x):
+        for u, g, h in zip(steps.tolist(), refs.tolist(), has_ref.tolist()):
+            x += u
+            if h:
+                x = w * x + g
+            yield x
+
+    return np.fromiter(states(x), dtype=np.float64, count=len(steps))
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ class NavEstimator:
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
         self.cfg = cfg
         cutoff_hz = default_position_cutoff_hz(sample_rate_hz) if cfg.cutoff_hz is None else cfg.cutoff_hz
-        coeffs = design_butterworth2_lp(cutoff_hz, sample_rate_hz)
+        coeffs = design_option(design_butterworth2_lp, "cutoff_hz", cutoff_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
         self.t_last: float | None = None  # None before the first sample
         self.vn = self.ve = self.lat = self.lon = 0.0
@@ -227,7 +232,7 @@ class NavEstimator:
             for f, x0 in zip(self.accel_lp, accel[0].tolist()):
                 f.prime(x0)
         fax, fay, faz = (f.run(accel[:, k]) for k, f in enumerate(self.accel_lp))
-        return rotate(q, fax, fay, faz)[:, :2]
+        return rotate(q, fax, fay, faz, rows=2)
 
     def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
         """Blend world-frame accel from ``world_accel`` with the GPS reference

@@ -12,6 +12,7 @@ over the column (``_map``), so each row is bit-identical to the scalar
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -49,24 +50,24 @@ def from_euler(euler: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dcm(q: np.ndarray) -> tuple:
-    """The direction-cosine matrix R(q) of (n, 4) unit quaternions as three
-    rows of three (n,) columns."""
+def _dcm(q: np.ndarray):
+    """The direction-cosine matrix R(q) of (n, 4) unit quaternions, yielded
+    row by row, each row three (n,) columns: a caller that stops early pays
+    for no later row."""
     w, x, y, z = q.T
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return (
-        (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
-        (2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)),
-        (2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)),
-    )
+    yield 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)
+    yield 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
+    yield 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
 
 
-def rotate(q: np.ndarray, vx, vy, vz) -> np.ndarray:
-    """(n, 3) R(q) v per row: body-frame vectors (vx, vy, vz) in the world
-    frame. Each component is an (n,) column or one value for every row."""
-    return np.column_stack([a * vx + b * vy + c * vz for a, b, c in _dcm(q)])
+def rotate(q: np.ndarray, vx, vy, vz, rows: int = 3) -> np.ndarray:
+    """(n, rows) R(q) v per row, its first ``rows`` world components only:
+    body-frame vectors (vx, vy, vz) in the world frame. Each component is an
+    (n,) column or one value for every row."""
+    return np.column_stack([a * vx + b * vy + c * vz for a, b, c in islice(_dcm(q), rows)])
 
 
 def rotate_inverse(q: np.ndarray, vx, vy, vz) -> np.ndarray:

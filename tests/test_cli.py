@@ -541,6 +541,16 @@ class TestRecordReplay:
         assert "cutoff 0.0 Hz must lie strictly inside" in err
         assert not (tmp_path / "new.csv").exists()
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--accel-lp-hz", "accel_lp_hz"), ("--gyro-hp-hz", "gyro_hp_hz"), ("--cutoff-hz", "cutoff_hz"),
+    ])
+    def test_cutoff_above_nyquist_names_its_option(self, flag, field, stream_file, capsys):
+        path, _ = stream_file
+        code, out, err = run_cli(["--mode", "live", "--input", str(path), flag, "1000"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("navfuse: invalid input: cutoff 1000.0 Hz must lie strictly inside (0, Nyquist=")
+        assert err.endswith(f" Hz (option {field!r})\n")
+
     # simulate reads only the earth radius
     @pytest.mark.parametrize("mode, option, error", [
         (mode, *case) for case in VOIDING_OPTIONS for mode in ("live", "record", "replay", "filter-compare", "sweep")

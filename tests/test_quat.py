@@ -218,6 +218,7 @@ def test_rotate_is_the_reference_matrix(rows):
     np.testing.assert_allclose(rotate_inverse(q, *v.T), [r.T @ x for r, x in zip(m, v)], rtol=0, atol=1e-12)
     np.testing.assert_allclose(rotate_inverse(q, *rotate(q, *v.T).T), v, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rotate(q, *rotate_inverse(q, *v.T).T), v, rtol=0, atol=1e-12)
+    assert rotate(q, *v.T, rows=2).tobytes() == rotate(q, *v.T)[:, :2].tobytes()  # bit for bit
 
 
 def test_truth_quaternions_are_from_euler_but_not_its_bits(std_clean_flight):
