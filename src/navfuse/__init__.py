@@ -24,7 +24,7 @@ _EXPORTS = {
                 "design_first_order_hp", "design_first_order_lp"),
     "geo": ("bearing",),
     "navigation": ("GpsArrays", "NavEstimator"),
-    "pipeline": ("FusionConfig", "FusionOutput", "fuse_streams"),
+    "pipeline": ("FusionConfig", "FusionOutput", "fuse_blocks"),
     "recording": ("FlightRecording", "read_recording", "write_recording"),
     "telemetry": ("encode_frames", "scan_frames"),
 }

@@ -35,8 +35,10 @@ attitude pass, the world-frame accel, the GPS reference and the alignment
 of the IMU grid to the truth's, ``align_to_truth``) and raises before it
 returns; its iterator blends and scores one cell per step, which pays only
 for the cell's position pass, its velocity pass where its alpha is new,
-and ``track_error``. ``sweep_weights`` is the cells as a list, and
-``rms_error`` is ``track_error`` over ``align_to_truth``.
+and ``track_error``. Each cell starts, as ``fuse_blocks``' replay does, at
+row 0 of the GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's
+fix position on every row while ``has_pos`` says whether the blend may use
+it. ``rms_error`` is ``track_error`` over ``align_to_truth``.
 """
 
 from __future__ import annotations
@@ -478,7 +480,8 @@ def sweep_cells(
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
     study's shape. The fusion options are ``cfg``'s, less alpha and beta,
-    which each cell sets, and the GPS mode, always replay. The sample rate
+    which each cell sets, and the GPS mode, always replay. Each cell starts,
+    as ``fuse_blocks`` does, at row 0 of the GPS reference. The sample rate
     and the earth radius are the profile's: the truth, the estimators and
     the error all use ``profile.earth_radius_m``, and ``cfg.earth_radius_m``
     is not read.
@@ -494,7 +497,7 @@ def sweep_cells(
     warn_gaps(track.gaps)
 
     a_world = navs[0].world_accel(imu.accel, track.q)
-    ref = prepare_gps_reference(imu.t, gps, "replay", cfg.stale_after_s)
+    ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
     alignment = align_to_truth(imu.t, truth.t)
 
     def cells():
@@ -508,16 +511,6 @@ def sweep_cells(
             yield SweepCell(a, b, err.lat_m, err.lon_m)
 
     return cells()
-
-
-def sweep_weights(
-    profile: FlightProfile,
-    noise: SensorNoiseModel,
-    grid: list[tuple[float, float]],
-    cfg: FusionConfig = FusionConfig(),
-) -> list[SweepCell]:
-    """Every cell of ``sweep_cells`` at once."""
-    return list(sweep_cells(profile, noise, grid, cfg))
 
 
 def square_grid(values: list[float]) -> list[tuple[float, float]]:

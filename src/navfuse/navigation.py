@@ -44,9 +44,10 @@ the Butterworth ``cutoff_hz`` (``None``: ``default_position_cutoff_hz``),
 ``earth_radius_m``, ``lon_scale_correction``, ``stale_after_s`` and
 ``gps_mode``. Only a cutoff outside (0, Nyquist), which needs the sample
 rate, is refused by the estimator, in its filter design. It starts at rest
-at its ``lat``/``lon`` (0 until its owner sets them: ``pipeline.fuse_blocks``
-puts the nearest valid fix there); the first sample snaps to the GPS
-reference when it has one.
+at row 0 of its GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's
+fix position on every row while ``has_pos`` says whether the blend may use
+it; a ``lat``/``lon`` that its owner sets (``None`` until then) takes over
+where row 0's ``has_pos`` is 0.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class GpsReference(NamedTuple):
     """Per-sample reference arrays feeding ``NavEstimator.blend``, sharing the row
     index of the samples, so a block of rows slices every column alike."""
 
-    ref_lat: np.ndarray     # (n,)
-    ref_lon: np.ndarray     # (n,)
+    ref_lat: np.ndarray     # (n,) the mode's fix position on every row;
+    ref_lon: np.ndarray     # (n,) has_pos says whether the blend may use it
     has_pos: np.ndarray     # (n,) uint8
     ref_speed: np.ndarray   # (n,)
     ref_cos: np.ndarray     # (n,) cos and sin of the fix-pair bearing theta_d
@@ -132,11 +133,14 @@ class GpsReference(NamedTuple):
 def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_s: float) -> GpsReference:
     """Resolve, per sample, which GPS terms the blend may use.
 
-    mode "live" holds the latest fresh fix; mode "replay" interpolates the
-    fix track for the position reference (velocity stays fix-based). The
-    mode is a ``FusionConfig.gps_mode``, which the config checks. The
-    bearing's ``math.cos`` and ``math.sin`` are taken once per fix and
-    gathered per sample.
+    ``ref_lat``/``ref_lon`` hold the mode's fix position on every row, and
+    ``has_pos`` says whether the blend may use it. Mode "live" holds the
+    last valid fix at or before the row (else the first), used while fresh;
+    mode "replay" interpolates the fix track, clamped to its first or last
+    fix, used inside its span. So row 0 holds where a stream starts. The
+    velocity stays fix-based. The mode is a ``FusionConfig.gps_mode``,
+    which the config checks. The bearing's ``math.cos`` and ``math.sin``
+    are taken once per fix and gathered per sample.
     """
     check_gps(gps)
     n = len(t)
@@ -174,7 +178,7 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
         has_pos = (t >= ft[0]) & (t <= ft[-1]) & (m >= 2)
         ref_lat, ref_lon = np.interp(t, ft, flat), np.interp(t, ft, flon)
     return GpsReference(
-        np.where(has_pos, ref_lat, 0.0), np.where(has_pos, ref_lon, 0.0), has_pos.astype(np.uint8),
+        ref_lat, ref_lon, has_pos.astype(np.uint8),
         np.where(has_vel, fspeed[safe], 0.0),
         np.where(has_vel, cos_at[safe], 0.0), np.where(has_vel, sin_at[safe], 0.0), has_vel.astype(np.uint8),
     )
@@ -218,7 +222,8 @@ class NavEstimator:
         coeffs = design_option(design_butterworth2_lp, "cutoff_hz", cutoff_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
         self.t_last: float | None = None  # None before the first sample
-        self.vn = self.ve = self.lat = self.lon = 0.0
+        self.vn = self.ve = 0.0
+        self.lat = self.lon = None  # unset: a stream starts at row 0 of its GPS reference
 
     def world_accel(self, accel: np.ndarray, q: np.ndarray) -> np.ndarray:
         """North/east components, (n, 2), of the Butterworth-filtered accel
@@ -267,12 +272,13 @@ class NavEstimator:
 
     def blend_position(self, t: np.ndarray, vel: np.ndarray, ref: GpsReference) -> tuple[np.ndarray, np.ndarray]:
         """The position pass of ``blend`` over the same rows' velocity: lat, lon;
-        advances them. A stream's first row snaps to its GPS reference."""
+        advances them. A stream's first row snaps to its GPS reference, and
+        starts there too when ``lat`` or ``lon`` is unset."""
         beta = self.cfg.beta
         k = 180.0 / (math.pi * self.cfg.earth_radius_m)
         s, dt, rows = self._rows(t, ref)
         lat0, lon0 = self.lat, self.lon
-        if s and ref.has_pos[0]:
+        if s and (ref.has_pos[0] or lat0 is None or lon0 is None):
             lat0, lon0 = float(ref.ref_lat[0]), float(ref.ref_lon[0])
         lat, lon = np.empty(len(t)), np.empty(len(t))
         lat[:s], lon[:s] = lat0, lon0

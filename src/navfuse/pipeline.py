@@ -18,9 +18,8 @@ block's rows as soon as it is fused instead of after the whole flight.
 Everything that can refuse the input (the cutoffs, the IMU columns, the
 GPS fixes) is checked before the first block, so an input error leaves no
 row behind; the other options are checked when the ``FusionConfig`` is
-built. The estimators carry their state from block to block, and
-``fuse_streams`` is the same blocks concatenated: the output does not
-depend on the block size, bit for bit.
+built. The estimators carry their state from block to block, so the
+output does not depend on the block size, bit for bit.
 
 ``format_rows`` prints the numeric CSV bodies (fused, truth, filter-compare
 and recording rows) byte for byte as one ``%`` per cell would, with numpy
@@ -162,15 +161,14 @@ def fuse_blocks(
     imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(),
 ) -> Iterator[FusionOutput]:
     """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block:
-    the first ``_FIRST_BLOCK_ROWS`` rows, then blocks of ``_BLOCK_ROWS`` rows.
+    the first ``_FIRST_BLOCK_ROWS`` rows, then blocks of ``_FUSE_BLOCK_ROWS`` rows.
 
     This call does the per-stream work and raises for a bad input or cutoff;
     the iterator it returns only fuses. The sample rate is the whole
     stream's, and the GPS reference is prepared over all rows, then sliced
-    per block. The first row takes its position from the GPS reference, or
-    else from the last valid fix at or before it, or else from the first
-    valid fix; only a stream without one starts at lat/lon 0. After the last
-    block, one warning names the stream's gaps.
+    per block. The first row starts at its row 0, whose ``ref_lat``/``ref_lon``
+    hold the mode's fix position whether or not ``has_pos`` lets the blend
+    use it. After the last block, one warning names the stream's gaps.
     """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
@@ -178,10 +176,6 @@ def fuse_blocks(
     fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
-    valid = np.asarray(gps.valid, dtype=bool)
-    if valid.any():  # fix times checked by prepare_gps_reference: strictly increasing
-        j = max(int(np.searchsorted(gps.t[valid], imu.t[0], side="right")) - 1, 0)
-        nav.lat, nav.lon = float(gps.lat[valid][j]), float(gps.lon[valid][j])
     t_ms = imu.t_ms
 
     def blocks():
@@ -197,11 +191,6 @@ def fuse_blocks(
         warn_gaps(gaps)
 
     return blocks()
-
-
-def fuse_streams(imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig()) -> FusionOutput:
-    """The whole streams fused at once: the blocks of ``fuse_blocks``, concatenated."""
-    return FusionOutput._make(map(np.concatenate, zip(*fuse_blocks(imu, gps, cfg))))
 
 
 def csv_blocks(row_format: str, cols: np.ndarray):

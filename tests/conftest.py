@@ -6,6 +6,7 @@ import pytest
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, prepare_gps_reference
+from navfuse.pipeline import FusionOutput
 from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
 
 ZERO_NOISE = SensorNoiseModel(
@@ -57,6 +58,11 @@ def fuse_nav(nav, t, acc, q, gps):
     """The position fusion step as ``fuse_blocks`` runs it: ``nav``'s world-frame
     accel blended with the GPS reference of its options."""
     return nav.blend(t, nav.world_accel(acc, q), prepare_gps_reference(t, gps, nav.cfg.gps_mode, nav.cfg.stale_after_s))
+
+
+def joined(blocks):
+    """The ``FusionOutput`` blocks of ``fuse_blocks`` as one, each column concatenated."""
+    return FusionOutput._make(map(np.concatenate, zip(*blocks)))
 
 
 def assert_same_bits(got, want):

@@ -32,7 +32,7 @@ from navfuse.flightsim import (
     rms_error,
     square_grid,
     standard_profile,
-    sweep_weights,
+    sweep_cells,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
@@ -119,7 +119,7 @@ def test_criterion_3_yaw_drift(std_noisy_arrays):
 
 
 def _sweep_cells():
-    cells = sweep_weights(standard_profile(), SensorNoiseModel(), square_grid(GRID))
+    cells = sweep_cells(standard_profile(), SensorNoiseModel(), square_grid(GRID))
     return {(c.alpha, c.beta): c for c in cells}
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_stream, encode_one, interleave, reframe, stream_frames
+from conftest import assert_same_bits, build_stream, encode_one, interleave, joined, reframe, stream_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1081,8 +1081,14 @@ class TestConfigFile:
 
 
 def test_readme_library_example_runs():
+    """The example's hand-wired estimators fuse as ``fuse_blocks`` does:
+    same sample rate, same start, same lat/lon bits."""
     block = TestConfigFile.README.read_text().split("## Library")[1].split("```python\n")[1].split("```")[0]
-    exec(compile(block, "README.md", "exec"), {})
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    whole = joined(ns["blocks"])
+    assert_same_bits(ns["fused"].lat, whole.lat)
+    assert_same_bits(ns["fused"].lon, whole.lon)
 
 
 def test_mode_required():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ZERO_NOISE, fuse_nav
+from conftest import ZERO_NOISE, fuse_nav, joined
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import wrap_pi
@@ -21,6 +21,7 @@ from navfuse.flightsim import (
     FlightProfile,
     FlightSegment,
     SensorNoiseModel,
+    SweepCell,
     TruthSeries,
     _generate_truth,
     _segment_schedule,
@@ -32,12 +33,11 @@ from navfuse.flightsim import (
     square_grid,
     standard_profile,
     sweep_cells,
-    sweep_weights,
     track_error,
     truth_rows,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
-from navfuse.pipeline import FusionConfig
+from navfuse.pipeline import FusionConfig, fuse_blocks
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
 
@@ -451,14 +451,14 @@ class TestSweep:
         profile = standard_profile()
         noise = SensorNoiseModel()
         grid = square_grid([0.1, 0.9])
-        a = sweep_weights(profile, noise, grid)
-        b = sweep_weights(profile, noise, grid)
+        a = list(sweep_cells(profile, noise, grid))
+        b = list(sweep_cells(profile, noise, grid))
         assert len(a) == 4
         assert a == b
 
     def test_zero_cell_equals_interpolation_error(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        cells = sweep_weights(standard_profile(), SensorNoiseModel(), [(0.0, 0.0)])
+        cells = list(sweep_cells(standard_profile(), SensorNoiseModel(), [(0.0, 0.0)]))
         from navfuse.navigation import prepare_gps_reference
 
         ref = prepare_gps_reference(t, gps, "replay", 3.0)
@@ -468,17 +468,17 @@ class TestSweep:
         assert cells[0].lon_err_m == pytest.approx(expected.lon_m, abs=1e-12)
 
     def test_diagonal_strictly_increasing(self):
-        cells = sweep_weights(standard_profile(), SensorNoiseModel(), [(v, v) for v in (0.1, 0.5, 0.9)])
+        cells = list(sweep_cells(standard_profile(), SensorNoiseModel(), [(v, v) for v in (0.1, 0.5, 0.9)]))
         totals = [math.hypot(c.lat_err_m, c.lon_err_m) for c in cells]
         assert totals[0] < totals[1] < totals[2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_weights(standard_profile(), SensorNoiseModel(), [])
+            sweep_cells(standard_profile(), SensorNoiseModel(), [])
 
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_weights(standard_profile(), SensorNoiseModel(), [(0.5, 1.5)])
+            sweep_cells(standard_profile(), SensorNoiseModel(), [(0.5, 1.5)])
 
     @pytest.mark.parametrize("grid,cfg,message", [
         ([], FusionConfig(), "sweep grid must not be empty"),
@@ -501,6 +501,29 @@ class TestSweep:
         with pytest.raises(ValueError, match="longitude .* outside"):
             sweep_cells(profile, SensorNoiseModel(), [(0.1, 0.1)])
         blend_velocity.assert_not_called()
+
+    @pytest.mark.parametrize("profile", [
+        replace(standard_profile(5), imu_rate_hz=50.0),
+        # one fix, on the first row
+        replace(profile_from_dict({"segments": [{"kind": "straight", "duration_s": 0.9}]}), imu_rate_hz=50.0),
+        replace(standard_profile(5), imu_rate_hz=50.0, gps_rate_hz=0.004),
+    ], ids=["standard", "one-fix-0.9s", "one-fix-standard"])
+    def test_each_cell_is_the_replay_fusion(self, profile):
+        """A cell scores ``fuse_blocks``' replay of the flight with its
+        weights, where the stream starts included. The sweep runs at the
+        profile's rate and ``fuse_blocks`` at the one it estimates from the
+        integer-millisecond grid: at 50 Hz these differ in the last bits
+        only, which moves no bit of the position track."""
+        grid = square_grid([0.1, 0.9])
+        cfg = FusionConfig(gps_mode="live")  # the sweep replays whatever the mode
+        truth, imu, gps = generate_flight(profile, SensorNoiseModel())
+        alignment = align_to_truth(imu.t, truth.t)
+        want = []
+        for a, b in grid:
+            out = joined(fuse_blocks(imu, gps, replace(cfg, alpha=a, beta=b, gps_mode="replay")))
+            err = track_error(alignment, out.lat, out.lon, truth, profile.earth_radius_m)
+            want.append(SweepCell(a, b, err.lat_m, err.lon_m))
+        assert list(sweep_cells(profile, SensorNoiseModel(), grid, cfg)) == want
 
     def test_cells_come_one_per_step_in_grid_order(self):
         grid = [(0.9, 0.1), (0.1, 0.5), (0.9, 0.9)]

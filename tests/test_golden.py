@@ -18,11 +18,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import build_stream
+from conftest import build_stream, joined
 
 from navfuse import cli
 from navfuse.flightsim import _generate_truth, standard_profile
-from navfuse.pipeline import FusionConfig, fuse_streams
+from navfuse.pipeline import FusionConfig, fuse_blocks
 from navfuse.recording import read_recording
 
 GOLDEN = {
@@ -74,7 +74,7 @@ def test_output_digest(outputs, name):
 
 def test_fused_array_bits(outputs):
     rec = read_recording(outputs / "flight.csv")
-    out = fuse_streams(rec.imu, rec.gps, FusionConfig(gps_mode="replay"))
+    out = joined(fuse_blocks(rec.imu, rec.gps, FusionConfig(gps_mode="replay")))
     h = hashlib.sha256()
     for a in (out.euler, out.q, out.vel, out.lat, out.lon, out.att_flags):
         h.update(np.ascontiguousarray(a).tobytes())

@@ -51,7 +51,7 @@ from navfuse.flightsim import (
     SweepCell,
     generate_flight,
     rms_error,
-    sweep_weights,
+    sweep_cells,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
@@ -663,7 +663,7 @@ def test_shared_world_accel_matches_per_cell_fusion(case, grid):
             assert_same_bits(got, want)
 
 
-def test_sweep_weights_matches_per_cell_fusion():
+def test_sweep_cells_matches_per_cell_fusion():
     profile = FlightProfile(segments=(FlightSegment("turn", 12.0, yaw_rate_dps=6.0),), seed=9)
     grids = (
         [(0.0, 1.0), (0.3, 0.7), (1.0, 0.0)],
@@ -687,6 +687,6 @@ def test_sweep_weights_matches_per_cell_fusion():
                 nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
                 err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
                 want.append(SweepCell(a, b, err.lat_m, err.lon_m))
-            got = sweep_weights(profile, SensorNoiseModel(), grid, cfg)
+            got = list(sweep_cells(profile, SensorNoiseModel(), grid, cfg))
             assert got == want
             assert [math.copysign(1.0, c.alpha) for c in got] == [math.copysign(1.0, a) for a, _ in grid]

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, build_stream
+from conftest import assert_same_bits, build_stream, joined
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,7 @@ from navfuse import cli, pipeline
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
 from navfuse.navigation import GpsArrays, NavEstimator
-from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fuse_streams, fused_rows, median
+from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fused_rows, median
 from navfuse.recording import write_recording
 
 
@@ -21,7 +21,7 @@ def test_fused_rows_match_per_cell_formatting():
     # 40 s at 60 Hz: two full 1,024-row blocks and a short last one
     profile = FlightProfile(segments=(FlightSegment("turn", 40.0, yaw_rate_dps=4.0),), seed=3)
     _, imu, gps = generate_flight(profile, SensorNoiseModel())
-    out = fuse_streams(imu, gps)
+    out = joined(fuse_blocks(imu, gps))
     deg = 180.0 / math.pi
     expected = []
     for i in range(len(out.t)):
@@ -151,9 +151,9 @@ def cli_argv(mode, d):
 def test_fused_arrays_do_not_depend_on_the_block_size(edge_streams, gps_mode, rows, monkeypatch):
     imu, gps = edge_streams
     cfg = FusionConfig(gps_mode=gps_mode)
-    want = fuse_streams(imu, gps, cfg)
+    want = joined(fuse_blocks(imu, gps, cfg))
     monkeypatch.setattr(pipeline, "_FUSE_BLOCK_ROWS", rows)
-    got = fuse_streams(imu, gps, cfg)
+    got = joined(fuse_blocks(imu, gps, cfg))
     assert len(got.t) == len(imu.t)
     for g, w in zip(got, want):
         assert_same_bits(g, w)
@@ -233,7 +233,7 @@ def test_one_gap_warning_per_stream(caplog):
                     np.tile([0.2, 0.0, -0.4], (n, 1)), np.ones(n, dtype=np.uint8))
     no_fixes = GpsArrays(*(np.zeros(0) for _ in range(6)), np.zeros(0, dtype=bool))
     with caplog.at_level(logging.WARNING, logger="navfuse"):
-        fuse_streams(imu, no_fixes)
+        joined(fuse_blocks(imu, no_fixes))
     assert [r.getMessage() for r in caplog.records] == ["3 sample gap(s) over 1.0 s: gyro term skipped"]
 
 
@@ -284,8 +284,8 @@ def test_every_option_changes_the_output(name, outage_flight):
     """An option that no estimator reads leaves the output as it was."""
     assert NON_DEFAULT[name] != getattr(FusionConfig(), name)
     imu, gps = outage_flight
-    default = fuse_streams(imu, gps)
-    changed = fuse_streams(imu, gps, FusionConfig(**{name: NON_DEFAULT[name]}))
+    default = joined(fuse_blocks(imu, gps))
+    changed = joined(fuse_blocks(imu, gps, FusionConfig(**{name: NON_DEFAULT[name]})))
     assert [k for k, a, b in zip(default._fields, default, changed) if not np.array_equal(a, b)] != []
 
 
@@ -313,8 +313,8 @@ def test_stale_after_inf_keeps_every_fix_fresh(outage_flight):
     """inf is a valid limit: the fix before the outage keeps correcting the
     rows that the default limit, 3 s, leaves to dead reckoning."""
     imu, gps = outage_flight
-    default = fuse_streams(imu, gps)
-    held = fuse_streams(imu, gps, FusionConfig(stale_after_s=math.inf))
+    default = joined(fuse_blocks(imu, gps))
+    held = joined(fuse_blocks(imu, gps, FusionConfig(stale_after_s=math.inf)))
     late = (imu.t > 6.0) & (imu.t < 7.0)   # 3-4 s after the last fix before the outage
     assert np.isfinite(held.vel).all()
     assert (held.vel[late] != default.vel[late]).any(axis=1).all()
