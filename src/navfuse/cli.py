@@ -7,6 +7,8 @@ reads the options into one ``FusionConfig`` and a dict of the run options:
 the built-in defaults, then the JSON config file named by NAVFUSE_CONFIG,
 then the flags. An unknown config key or a value of the wrong kind exits 2.
 Each mode imports only the modules it uses. ``run`` is the program's entry.
+The modes move bytes: ``live`` and ``record`` share one path, ``cmd_live``,
+from ``telemetry.decode_stream`` to the fused rows.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_OUTPUT = 4
-
-# Largest wire magnitudes of a position, in 1e-7 degree.
-_LAT_E7_MAX = 900_000_000
-_LON_E7_MAX = 1_800_000_000
 
 MODES = ("live", "record", "replay", "simulate", "sweep", "filter-compare")
 
@@ -139,12 +137,6 @@ def _read_grid(text: str, cfg: FusionConfig) -> list[float]:
     return values
 
 
-def _read_input_bytes(path: str | None) -> bytes:
-    if path in (None, "-"):
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
-
-
 def _read_input_recording(path: str):
     """A recording from a path, or from stdin for '-', which is read as a
     file is: UTF-8, line ends kept."""
@@ -166,60 +158,6 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _decode_stream(data: bytes):
-    from . import telemetry
-
-    imu, gps, diags = telemetry.scan_frames(data)
-    if diags:
-        sys.stderr.write("".join(f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}\n"
-                                 for d in diags))
-    imu = imu[_first_per_t_ms("IMU", imu["t_ms"], imu["counts"])]
-
-    lat, lon = gps["lat_e7"].astype(np.int64), gps["lon_e7"].astype(np.int64)
-    in_range = (np.abs(lat) <= _LAT_E7_MAX) & (np.abs(lon) <= _LON_E7_MAX)
-    if not in_range.all():
-        print(f"navfuse: dropped GPS frames with a position out of range: {int((~in_range).sum())}",
-              file=sys.stderr)
-    gps = gps[in_range]
-    gps["lon_e7"][gps["lon_e7"] == -_LON_E7_MAX] = _LON_E7_MAX  # -180 deg is the +180 deg meridian
-    # flag bits 2-7 carry nothing, so they cannot make a conflict
-    payload = np.column_stack(
-        [gps[f] for f in ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm")] + [gps["flags"] & 0x03]
-    )
-    gps = gps[_first_per_t_ms("GPS", gps["t_ms"], payload)]
-    return (
-        telemetry.imu_counts_to_arrays(imu["t_ms"], imu["counts"]),
-        telemetry.gps_counts_to_arrays(gps["t_ms"], gps),
-    )
-
-
-def _first_per_t_ms(kind: str, t_ms: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """Indices of the frames to keep, in t_ms order.
-
-    Transmitters merge by timestamp, stream order breaking ties (a stable
-    sort). Of the frames sharing a t_ms (retransmissions) the first is kept;
-    the rest are reported, split by whether their payload rows differ.
-    """
-    order = np.argsort(t_ms, kind="stable")
-    t_ms, payload = t_ms[order], payload[order]
-    repeat = np.zeros(len(t_ms), dtype=bool)
-    repeat[1:] = t_ms[1:] == t_ms[:-1]
-    # compare each repeat with the first frame of its t_ms
-    first_row = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(t_ms))))
-    conflicts = (payload[repeat] != payload[first_row[repeat]]).any(axis=1)
-    _report_duplicates(kind, int(repeat.sum()), int(conflicts.sum()))
-    return order[~repeat]
-
-
-def _report_duplicates(kind: str, dropped: int, conflicting: int) -> None:
-    if dropped:
-        print(
-            f"navfuse: dropped {kind} frames repeating an earlier t_ms: {dropped} "
-            f"({dropped - conflicting} exact duplicates, {conflicting} with a conflicting payload)",
-            file=sys.stderr,
-        )
-
-
 def _emit_fused(blocks, fh) -> None:
     """Write the header, then each block's rows as soon as it is fused."""
     fh.write(FUSED_HEADER + "\n")
@@ -229,14 +167,22 @@ def _emit_fused(blocks, fh) -> None:
         fh.flush()
 
 
-def cmd_live(cfg: FusionConfig, run: dict) -> int:
-    data = _read_input_bytes(run["input"])
-    imu, gps = _decode_stream(data)
+def cmd_live(cfg: FusionConfig, run: dict, save=None) -> int:
+    """Fuse the wire stream of ``--input`` (stdin for '-') to ``--output``;
+    with ``save`` (``record``), which gets the decoded stream before the
+    first row, to stdout."""
+    from .telemetry import decode_stream
+
+    path = run["input"]
+    imu, gps, lines = decode_stream(sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes())
+    sys.stderr.write("".join(lines))
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
         return EXIT_EMPTY
     blocks = fuse_blocks(imu, gps, cfg)
-    with _output(run["output"]) as fh:
+    if save is not None:
+        save(imu, gps)
+    with _output(None if save else run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
 
@@ -247,17 +193,12 @@ def cmd_record(cfg: FusionConfig, run: dict) -> int:
         return EXIT_INPUT
     from .recording import write_recording
 
-    data = _read_input_bytes(run["input"])
-    imu, gps = _decode_stream(data)
-    if len(imu.t) == 0:
-        print("navfuse: no valid IMU frames in input", file=sys.stderr)
-        return EXIT_EMPTY
-    blocks = fuse_blocks(imu, gps, cfg)
-    metadata = {"sample_rate_hz": "%g" % estimate_sample_rate(imu.t)}
-    metadata.update((k, "%g" % getattr(cfg, k)) for k in ("alpha", "beta", "accel_lp_hz", "gyro_hp_hz"))
-    write_recording(imu, gps, run["output"], metadata)
-    _emit_fused(blocks, sys.stdout)
-    return EXIT_OK
+    def save(imu, gps):
+        metadata = {"sample_rate_hz": "%g" % estimate_sample_rate(imu.t)}
+        metadata.update((k, "%g" % getattr(cfg, k)) for k in ("alpha", "beta", "accel_lp_hz", "gyro_hp_hz"))
+        write_recording(imu, gps, run["output"], metadata)
+
+    return cmd_live(cfg, run, save)
 
 
 def cmd_replay(cfg: FusionConfig, run: dict) -> int:

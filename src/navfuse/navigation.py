@@ -35,8 +35,10 @@ terms g. numpy does only + - * / and sqrt, and cos/sin stay ``math.*``, so
 the output is bit-identical to a per-sample loop.
 
 GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
-and the simulator through to ``prepare_gps_reference``. ``check_gps`` is the
-one check of their values, made wherever fixes enter from outside.
+and the simulator through to ``prepare_gps_reference``. ``gps_in_range`` is
+the one rule for their values, as a mask over the fixes: the wire decode
+drops the fixes it clears, and ``check_gps``, made wherever fixes enter from
+outside, refuses them, naming the first (``gps_range_error``).
 
 ``NavEstimator(cfg, sample_rate_hz)`` reads its options from a
 ``pipeline.FusionConfig``, which checks their values: ``alpha``, ``beta``,
@@ -85,24 +87,30 @@ class GpsArrays(NamedTuple):
     valid: np.ndarray    # (m,) bool
 
 
-def gps_range_error(gps: GpsArrays) -> tuple[int, str] | None:
-    """The first fix holding values no fix can, as (row, reason), or None.
-
-    Every fix, valid or not, needs a finite time, lat in [-90, 90], lon in
-    (-180, 180] and a finite speed >= 0.
-    """
+def _gps_checks(gps: GpsArrays) -> tuple:
+    """(mask, reason, column) of each value rule that every fix, valid or not, must meet."""
     t, lat, lon, speed = gps[:4]
-    checks = (
+    return (
         (np.isfinite(t), "GPS time {} is not finite", t),
         ((lat >= -90.0) & (lat <= 90.0), "latitude {} outside [-90, 90]", lat),
         ((lon > -180.0) & (lon <= 180.0), "longitude {} outside (-180, 180]", lon),
         ((speed >= 0.0) & np.isfinite(speed), "GPS speed must be finite and >= 0, got {}", speed),
     )
-    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _, _ in checks]))
+
+
+def gps_in_range(gps: GpsArrays) -> np.ndarray:
+    """Which fixes hold values a fix can: a finite time, lat in [-90, 90], lon
+    in (-180, 180] and a finite speed >= 0. The wire decode drops the rest."""
+    return np.logical_and.reduce([ok for ok, _, _ in _gps_checks(gps)])
+
+
+def gps_range_error(gps: GpsArrays) -> tuple[int, str] | None:
+    """The first fix that ``gps_in_range`` clears, as (row, reason), or None."""
+    bad = np.flatnonzero(~gps_in_range(gps))
     if not len(bad):
         return None
     i = int(bad[0])
-    return next((i, why.format(float(col[i]))) for ok, why, col in checks if not ok[i])
+    return next((i, why.format(float(col[i]))) for ok, why, col in _gps_checks(gps) if not ok[i])
 
 
 def check_gps(gps: GpsArrays) -> None:
@@ -221,6 +229,7 @@ class NavEstimator:
         cutoff_hz = default_position_cutoff_hz(sample_rate_hz) if cfg.cutoff_hz is None else cfg.cutoff_hz
         coeffs = design_option(design_butterworth2_lp, "cutoff_hz", cutoff_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
+        self.primed = False  # whether world_accel has primed accel_lp
         self.t_last: float | None = None  # None before the first sample
         self.vn = self.ve = 0.0
         self.lat = self.lon = None  # unset: a stream starts at row 0 of its GPS reference
@@ -229,13 +238,15 @@ class NavEstimator:
         """North/east components, (n, 2), of the Butterworth-filtered accel
         rotated to the world frame by the attitude quaternions ``q``.
 
-        Advances the filter delay lines, which the first sample of a stream
-        primes at their steady state. ``accel`` is finite (``check_imu``) and
-        ``q`` unit length (``AttitudeEstimator.run``'s output).
+        Advances the filter delay lines, which the first sample this
+        estimator filters primes at their steady state, so a stream split
+        across calls filters as one call. ``accel`` is finite (``check_imu``)
+        and ``q`` unit length (``AttitudeEstimator.run``'s output).
         """
-        if len(accel) and self.t_last is None:
+        if len(accel) and not self.primed:
             for f, x0 in zip(self.accel_lp, accel[0].tolist()):
                 f.prime(x0)
+            self.primed = True
         fax, fay, faz = (f.run(accel[:, k]) for k, f in enumerate(self.accel_lp))
         return rotate(q, fax, fay, faz, rows=2)
 

@@ -1,7 +1,8 @@
 """Flight-recording persistence: one merged CSV at IMU row rate with sparse
 GPS columns.
 
-Schema (exact header, UTF-8, LF line endings):
+Schema (exact header, UTF-8; written with LF line endings, read with LF,
+CRLF or a lone CR):
 
     t_ms,ax,ay,az,gx,gy,gz,mx,my,mz,gps_valid,lat,lon,speed_mps,course_deg,alt_m
 
@@ -16,7 +17,8 @@ In memory a recording is the IMU stream as ``ImuArrays`` plus the fixes as
 latest such fix wins, valid or not) and read back with that row's time; an
 invalid fix writes empty GPS cells, and fixes after the last row are
 dropped. A longitude of -180 reads as +180, as on the wire. Fix values that
-no fix can hold (``navigation.gps_range_error``) and non-finite sensor
+no fix can hold (``navigation.gps_in_range``, the rule by which the wire
+decode drops fixes, named by ``gps_range_error``) and non-finite sensor
 values (mag only where ``has_mag`` is set) are refused on both write and
 read, the write refusing before it writes the header.
 

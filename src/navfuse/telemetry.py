@@ -32,7 +32,8 @@ decodes as ``scan_frames(frame)``; when it fails, the reason is its
 ``gps_counts_to_arrays`` convert the records' counts to units in one call
 each. ``imu_arrays_to_counts`` and ``gps_arrays_to_counts`` are their exact
 inverses, for the encoders of the simulator and the tests; this module alone
-holds the wire scales.
+holds the wire scales. ``decode_stream`` is the decode of ``live`` and
+``record``: the scan, the wire's drop rules, then the conversions to units.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .attitude import GRAVITY_MPS2, ImuArrays
 from .errors import EncodeRangeError
-from .navigation import GpsArrays
+from .navigation import GpsArrays, gps_in_range
 
 MAGIC = 0xA5
 
@@ -333,3 +334,46 @@ def gps_arrays_to_counts(gps: GpsArrays) -> dict[str, np.ndarray]:
     lat, lon, speed, course, alt = (np.rint(x).astype(np.int64) for x in scaled)
     flags = np.asarray(gps.valid, dtype=np.int64) | 2 * has_alt
     return dict(lat_e7=lat, lon_e7=lon, speed_cmps=speed, course_cdeg=course % 36000, alt_cm=alt, flags=flags)
+
+
+def decode_stream(data: bytes) -> tuple[ImuArrays, GpsArrays, list[str]]:
+    """The IMU and GPS columns of a possibly dirty wire stream, and the
+    stderr lines (the ``scan_frames`` diagnostics, then a count of each drop)
+    that report it. Of the frames of a kind sharing a t_ms the first is kept.
+    A GPS lon of -180 deg reads as +180 deg on the wire counts, and the GPS
+    fixes that ``navigation.gps_in_range`` clears are dropped before their
+    repeats are looked for."""
+    imu, gps, diags = scan_frames(data)
+    lines = [f"navfuse: stream diagnostic at byte {d.offset}: {d.reason}: {d.detail}\n" for d in diags]
+    imu = imu[_first_per_t_ms("IMU", imu["t_ms"], imu["counts"], lines)]
+
+    gps = gps.copy()  # the scan's records are a view of the read-only input
+    gps["lon_e7"][gps["lon_e7"] == -1_800_000_000] = 1_800_000_000  # -180 deg is the +180 deg meridian
+    fixes = gps_counts_to_arrays(gps["t_ms"], gps)
+    keep = np.flatnonzero(gps_in_range(fixes))
+    if len(keep) < len(gps):
+        lines.append(f"navfuse: dropped GPS frames with a position out of range: {len(gps) - len(keep)}\n")
+    gps = gps[keep]
+    # flag bits 2-7 carry nothing, so they cannot make a conflict
+    payload = np.column_stack([gps[f] for f in GPS_WIRE.names[4:-2]] + [gps["flags"] & 0x03])
+    keep = keep[_first_per_t_ms("GPS", gps["t_ms"], payload, lines)]
+    return imu_counts_to_arrays(imu["t_ms"], imu["counts"]), fixes._make(col[keep] for col in fixes), lines
+
+
+def _first_per_t_ms(kind: str, t_ms: np.ndarray, payload: np.ndarray, lines: list[str]) -> np.ndarray:
+    """Indices of the frames to keep, in t_ms order; a line for ``lines``
+    counts the repeats, split by whether their payload rows differ from the
+    first frame of their t_ms. Transmitters merge by timestamp, stream order
+    breaking ties (a stable sort)."""
+    order = np.argsort(t_ms, kind="stable")
+    t_ms, payload = t_ms[order], payload[order]
+    repeat = np.zeros(len(t_ms), dtype=bool)
+    repeat[1:] = t_ms[1:] == t_ms[:-1]
+    # compare each repeat with the first frame of its t_ms
+    first_row = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(t_ms))))
+    dropped = int(repeat.sum())
+    conflicting = int((payload[repeat] != payload[first_row[repeat]]).any(axis=1).sum())
+    if dropped:
+        lines.append(f"navfuse: dropped {kind} frames repeating an earlier t_ms: {dropped} "
+                     f"({dropped - conflicting} exact duplicates, {conflicting} with a conflicting payload)\n")
+    return order[~repeat]

@@ -51,10 +51,11 @@ from navfuse.flightsim import (
     SweepCell,
     generate_flight,
     rms_error,
+    standard_profile,
     sweep_cells,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
-from navfuse.pipeline import FusionConfig
+from navfuse.pipeline import FusionConfig, estimate_sample_rate
 from navfuse.recording import write_recording
 
 
@@ -661,6 +662,27 @@ def test_shared_world_accel_matches_per_cell_fusion(case, grid):
         alone = fuse_nav(nav_estimator(cell, fs, start), t, acc, q, fixes)
         for got, want in ((vels[alpha], alone.vel), (lat, alone.lat), (lon, alone.lon)):
             assert_same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def seed5_accel_and_attitude():
+    """The seed-5 standard flight's accel, its attitude quaternions and sample rate."""
+    _, imu, _ = generate_flight(standard_profile(5), SensorNoiseModel())
+    fs = estimate_sample_rate(imu.t)
+    return imu.accel, AttitudeEstimator(FusionConfig(), fs).run(*imu).q, fs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_world_accel_split_matches_whole_stream(seed5_accel_and_attitude, cuts):
+    """Only the stream's first sample primes the Butterworth delay lines, so
+    ``world_accel`` over a stream split into calls, with no ``blend``
+    between them, is the whole-stream call bit for bit."""
+    acc, q, fs = seed5_accel_and_attitude
+    whole = NavEstimator(FusionConfig(), fs).world_accel(acc, q)
+    nav = NavEstimator(FusionConfig(), fs)
+    parts = [nav.world_accel(acc[lo:hi], q[lo:hi]) for lo, hi in chunks(len(acc), cuts)]
+    assert_same_bits(np.concatenate(parts), whole)
 
 
 def test_sweep_cells_matches_per_cell_fusion():

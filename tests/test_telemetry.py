@@ -1,6 +1,4 @@
 import binascii
-import contextlib
-import io
 import math
 import struct
 from collections import namedtuple
@@ -11,7 +9,6 @@ from conftest import encode_one, gps_arrays, interleave
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navfuse import cli
 from navfuse.attitude import GRAVITY_MPS2
 from navfuse.errors import EncodeRangeError
 from navfuse.telemetry import (
@@ -21,6 +18,7 @@ from navfuse.telemetry import (
     IMU_WIRE,
     MAGIC,
     StreamDiagnostic,
+    decode_stream,
     encode_frames,
     gps_arrays_to_counts,
     gps_counts_to_arrays,
@@ -423,6 +421,9 @@ def reference_decode(data: bytes):
 # Garbage rich in the bytes the scanner branches on.
 _RICH_BYTE = st.one_of(st.sampled_from([MAGIC, 0x01, 0x02]), st.integers(0, 255))
 _T_MS = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1))
+# Positions at and one count past the range edges, which the decode keeps and drops.
+_LAT_E7_EDGES = st.sampled_from([-900_000_001, -900_000_000, 900_000_000, 900_000_001])
+_LON_E7_EDGES = st.sampled_from([-1_800_000_001, -1_800_000_000, 1_800_000_000, 1_800_000_001])
 
 
 @st.composite
@@ -448,8 +449,8 @@ def dirty_streams(draw):
         elif step == "gps":
             kind, seq, t_ms = 0x02, draw(st.integers(0, 2**16 - 1)), draw(_T_MS)
             fields = [
-                draw(st.integers(-900_000_000, 900_000_000)),
-                draw(st.integers(-1_799_999_999, 1_800_000_000)),
+                draw(st.one_of(st.integers(-900_000_000, 900_000_000), _LAT_E7_EDGES)),
+                draw(st.one_of(st.integers(-1_799_999_999, 1_800_000_000), _LON_E7_EDGES)),
                 draw(st.integers(0, 2**16 - 1)),
                 draw(st.integers(0, 2**16 - 1)),
                 draw(st.integers(-(2**31), 2**31 - 1)),
@@ -504,15 +505,13 @@ class TestScanFrames:
         ref, ref_diags = reference_scan(data)
         assert diags == ref_diags
         assert ref_frames(imu, gps) == sorted(ref, key=lambda fr: fr.kind)  # a stable sort
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            imu, gps = cli._decode_stream(data)
+        imu, gps, lines = decode_stream(data)
         ref_imu, ref_fixes, ref_err = reference_decode(data)
         for col, ref in zip(imu, ref_imu):
             assert col.dtype == ref.dtype and col.shape == ref.shape
             assert col.tobytes() == ref.tobytes()
         assert_same_fixes(gps, ref_fixes)
-        assert err.getvalue() == ref_err
+        assert "".join(lines) == ref_err
 
 
 def nested_imu_frames():
@@ -598,13 +597,12 @@ class TestConversions:
     @given(st.lists(_GPS_FIELDS, max_size=24))
     @settings(max_examples=200, deadline=None)
     def test_gps_columns_match_per_fix_conversion(self, fields):
-        """The wire decode's fix columns hold the per-fix conversion's values
+        """``decode_stream``'s fix columns hold the per-fix conversion's values
         bit for bit, and convert back to the counts exactly."""
         k = np.arange(len(fields))
         columns = zip(*fields) if fields else [()] * 6
         data = encode_frames(GPS_WIRE, k, k, **{n: np.array(c, dtype=np.int64) for n, c in zip(_GPS_NAMES, columns)})
-        with contextlib.redirect_stderr(io.StringIO()):
-            _, gps = cli._decode_stream(data.tobytes())
+        _, gps, _ = decode_stream(data.tobytes())
         counts = [
             # -180 deg is the +180 deg meridian
             (lat, 1_800_000_000 if lon == -1_800_000_000 else lon, speed, course, alt, flags)
