@@ -38,7 +38,7 @@ for the cell's position pass, its velocity pass where its alpha is new,
 and ``track_error``. Each cell starts, as ``fuse_blocks``' replay does, at
 row 0 of the GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's
 fix position on every row while ``has_pos`` says whether the blend may use
-it. ``rms_error`` is ``track_error`` over ``align_to_truth``.
+it.
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ def generate_flight(
         truth.lat[rows] + lat_noise[kept],
         truth.lon[rows] + lon_noise[kept],
         np.array([math.hypot(a, b) for a, b in zip(vn, ve)]),
-        np.array([math.atan2(b, a) for a, b in zip(vn, ve)]),
+        np.array([math.degrees(math.atan2(b, a)) for a, b in zip(vn, ve)]),
         truth.alt_m[rows] + alt_noise[kept],
         np.ones(len(rows), dtype=bool),
     )
@@ -438,19 +438,6 @@ def track_error(
     lat_m = float(np.sqrt(np.mean(dlat**2)))
     lon_m = float(np.sqrt(np.mean(dlon**2)))
     return RmsError(lat_m, lon_m, float(math.hypot(lat_m, lon_m)))
-
-
-def rms_error(
-    est_t: np.ndarray,
-    est_lat: np.ndarray,
-    est_lon: np.ndarray,
-    truth: TruthSeries,
-    earth_radius_m: float = EARTH_RADIUS_M,
-) -> RmsError:
-    """RMS deviation in meters, estimate matched to truth timestamps by
-    nearest neighbor within one IMU period (the truth's median interval):
-    ``track_error`` over ``align_to_truth``."""
-    return track_error(align_to_truth(est_t, truth.t), est_lat, est_lon, truth, earth_radius_m)
 
 
 @dataclass(frozen=True)

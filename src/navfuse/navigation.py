@@ -75,14 +75,16 @@ DISTINCT_FIX_DEG = 1e-12
 class GpsArrays(NamedTuple):
     """GPS fixes as column arrays sharing the row index. ``course`` (never
     fused) and ``alt`` (recorded, never fused) are NaN where a fix has none;
-    rows with ``valid`` False take no part in the blend.
+    rows with ``valid`` False take no part in the blend. Each column is in
+    the unit of the wire and of the recording, the course in degrees, so no
+    layer converts it.
     """
 
     t: np.ndarray        # (m,) seconds
     lat: np.ndarray      # (m,) degrees
     lon: np.ndarray      # (m,) degrees
     speed: np.ndarray    # (m,) m/s
-    course: np.ndarray   # (m,) radians clockwise from north
+    course: np.ndarray   # (m,) degrees clockwise from north, as on the wire
     alt: np.ndarray      # (m,) m
     valid: np.ndarray    # (m,) bool
 

@@ -6,11 +6,13 @@ CRLF or a lone CR):
 
     t_ms,ax,ay,az,gx,gy,gz,mx,my,mz,gps_valid,lat,lon,speed_mps,course_deg,alt_m
 
-Floats carry 9 decimal places; sensor values produced by the frame decoder
-are exact at that precision, so a write/read round trip reproduces them
-bit-for-bit. GPS cells (and mag cells for samples without a magnetometer
-reading) are empty strings when absent. Optional ``# key=value`` comment
-lines before the header carry run metadata.
+Floats carry 9 decimal places. Each cell holds its column in the unit it
+has in memory (the course in deg, as on the wire), and every column of the
+frame decoder's output (``telemetry.decode_stream``) is exact at that
+precision, so a write/read round trip reproduces them bit-for-bit. GPS
+cells (and mag cells for samples without a magnetometer reading) are empty
+strings when absent. Optional ``# key=value`` comment lines before the
+header carry run metadata.
 
 In memory a recording is the IMU stream as ``ImuArrays`` plus the fixes as
 ``GpsArrays``. A fix is written on the first row at or after its time (the
@@ -102,7 +104,7 @@ def write_recording(imu: ImuArrays, gps: GpsArrays, dest, metadata: dict[str, st
     latest[:-1] = at_row[1:] != at_row[:-1]
     written = latest & (at_row < len(t_ms)) & np.asarray(gps.valid, dtype=bool)[order]
     fix_rows = at_row[written]
-    fix_cells = np.column_stack([gps.lat, gps.lon, gps.speed, gps.course * (180.0 / math.pi), gps.alt])
+    fix_cells = np.column_stack([gps.lat, gps.lon, gps.speed, gps.course, gps.alt])
     fix_cells = fix_cells[order[written]]
     for key, value in (metadata or {}).items():
         dest.write(f"# {key}={value}\n")
@@ -176,7 +178,6 @@ def _recording(t_ms, sensors, has_mag, fixes, fix_lines, metadata) -> FlightReco
     imu = ImuArrays(t_ms / 1000.0, sensors[:, 0:3], sensors[:, 3:6], sensors[:, 6:9], has_mag)
     t, lat, lon, speed, course, alt = np.array(fixes, dtype=np.float64).reshape(-1, 6).T.copy()
     lon[lon == -180.0] = 180.0
-    course = np.array([math.radians(c) for c in course.tolist()])
     gps = GpsArrays(t / 1000.0, lat, lon, speed, course, alt, np.ones(len(t), dtype=bool))
     err = gps_range_error(gps)
     if err is not None:

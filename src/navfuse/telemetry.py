@@ -251,24 +251,26 @@ def imu_counts_to_arrays(t_ms, counts) -> ImuArrays:
     columns and is looked up from there.
     """
     t_ms = np.asarray(t_ms, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64).reshape(len(t_ms), 9)
+    counts = np.asarray(counts).reshape(len(t_ms), 9)
     cols = [_per_distinct_count(counts[:, 3 * k : 3 * k + 3], scale)
             for k, scale in enumerate(_IMU_UNITS_PER_COUNT)]
     return ImuArrays(t_ms / 1000.0, *cols, np.ones(len(t_ms), dtype=np.uint8))
 
 
 def _per_distinct_count(counts: np.ndarray, scale: float) -> np.ndarray:
-    """``round(c * scale, 9)`` of each int64 count ``c``, rounded once per
+    """``round(c * scale, 9)`` of each integer count ``c``, rounded once per
     distinct count: through a table over the counts' range when that range is
-    no longer than 2**16 or the number of counts, else through a sort."""
+    no longer than 2**16 or the number of counts, else through a sort. The
+    counts widen to int64 here, one sensor's columns at a time."""
     if not counts.size:
         return np.zeros(counts.shape)
+    counts = counts.astype(np.int64)
     lo = int(counts.min())
     span = int(counts.max()) - lo + 1
     if span > max(2**16, counts.size):
         distinct, where = np.unique(counts, return_inverse=True)
         return _round9(distinct * scale)[where.reshape(-1)].reshape(counts.shape)
-    index = counts - lo
+    index = np.subtract(counts, lo, out=counts)  # in place: the int64 copy is this call's own
     seen = np.zeros(span, dtype=bool)
     seen[index] = True
     distinct = np.flatnonzero(seen)
@@ -297,25 +299,23 @@ def imu_arrays_to_counts(imu: ImuArrays) -> np.ndarray:
 
 def gps_counts_to_arrays(t_ms, counts) -> GpsArrays:
     """Fix columns from raw wire fields, which ``counts`` maps by their
-    ``GPS_WIRE`` names (values exact at 9 decimals). Each value is Python's
-    ``round(v, 9)``, the course in radians by ``math.radians``; a fix without
-    the altitude flag has a NaN altitude.
+    ``GPS_WIRE`` names (values exact at 9 decimals), each in its wire unit:
+    the course stays in deg clockwise from north. Each value is Python's
+    ``round(v, 9)``; a fix without the altitude flag has a NaN altitude.
 
-    Lat, lon, speed and alt are a count k over 10**p, p <= 7, as one IEEE
-    division of the exact float of k (|k| <= 2**31). Such an x is the double
-    nearest the p-decimal d = k / 10**p, so ``round(x, 9) == x``: where half
-    an ulp of x is below 5e-10, d is also the 9-decimal number nearest x,
-    and x the double nearest d; elsewhere the 9-decimal number nearest x
-    lies within 5e-10 of it, which is less than half an ulp, so x is again
-    the double nearest it. Only the course, which ``math.radians`` scales,
-    takes the per-value ``round``.
+    Every field is a count k over 10**p, p <= 7, as one IEEE division of the
+    exact float of k (|k| <= 2**31). Such an x is the double nearest the
+    p-decimal d = k / 10**p, so ``round(x, 9) == x``: where half an ulp of x
+    is below 5e-10, d is also the 9-decimal number nearest x, and x the
+    double nearest d; elsewhere the 9-decimal number nearest x lies within
+    5e-10 of it, which is less than half an ulp, so x is again the double
+    nearest it.
     """
     flags = np.asarray(counts["flags"])
-    course = np.array([math.radians(c) for c in (counts["course_cdeg"] / 100.0).tolist()])
     return GpsArrays(
         np.asarray(t_ms, dtype=np.int64) / 1000.0,
         counts["lat_e7"] / 1e7, counts["lon_e7"] / 1e7,
-        counts["speed_cmps"] / 100.0, _round9(course),
+        counts["speed_cmps"] / 100.0, counts["course_cdeg"] / 100.0,
         np.where(flags & 0x02, counts["alt_cm"] / 100.0, np.nan),
         (flags & 0x01) != 0,
     )
@@ -324,12 +324,13 @@ def gps_counts_to_arrays(t_ms, counts) -> GpsArrays:
 def gps_arrays_to_counts(gps: GpsArrays) -> dict[str, np.ndarray]:
     """The raw wire fields of fix columns by ``GPS_WIRE`` name, rounded half
     to even as Python's ``round`` does: the inverse of
-    ``gps_counts_to_arrays``. A NaN course encodes as 0 and a NaN altitude as
-    0 without the altitude flag.
+    ``gps_counts_to_arrays``. A course wraps into [0, 360) deg, a NaN or
+    infinite course encodes as 0, and a NaN altitude as 0 without the
+    altitude flag.
     """
-    course_deg = np.array([math.degrees(c) % 360.0 for c in gps.course.tolist()], dtype=np.float64)
+    course = np.where(np.isfinite(gps.course), gps.course, 0.0) % 360.0
     has_alt = ~np.isnan(gps.alt)
-    scaled = (gps.lat * 1e7, gps.lon * 1e7, gps.speed * 100.0, np.nan_to_num(course_deg) * 100.0,
+    scaled = (gps.lat * 1e7, gps.lon * 1e7, gps.speed * 100.0, course * 100.0,
               np.where(has_alt, gps.alt, 0.0) * 100.0)
     lat, lon, speed, course, alt = (np.rint(x).astype(np.int64) for x in scaled)
     flags = np.asarray(gps.valid, dtype=np.int64) | 2 * has_alt

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import SensorNoiseModel, generate_flight, standard_profile
@@ -12,6 +13,20 @@ from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_c
 ZERO_NOISE = SensorNoiseModel(
     accel_noise_sigma=0.0, accel_bias=0.0, gyro_noise_sigma=0.0, gyro_bias=0.0,
     mag_noise_sigma=0.0, gps_pos_sigma_m=0.0, gps_dropout_prob=0.0,
+)
+
+
+GPS_NAMES = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
+# Every class of wire value a fix can carry: positions up to the poles and
+# both meridian signs, any speed, courses at and past 360 deg, any int32
+# altitude, and any flags byte (bit 0 valid, bit 1 altitude valid).
+GPS_FIELDS = st.tuples(
+    st.one_of(st.sampled_from([-900_000_000, 0, 900_000_000]), st.integers(-900_000_000, 900_000_000)),
+    st.one_of(st.sampled_from([-1_800_000_000, 0, 1_800_000_000]), st.integers(-1_800_000_000, 1_800_000_000)),
+    st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535)),
+    st.one_of(st.sampled_from([0, 35999, 36000, 65535]), st.integers(0, 65535)),
+    st.one_of(st.sampled_from([-(2**31), 0, 2**31 - 1]), st.integers(-(2**31), 2**31 - 1)),
+    st.integers(0, 255),
 )
 
 

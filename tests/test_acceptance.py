@@ -28,11 +28,12 @@ from navfuse.flightsim import (
     FlightProfile,
     FlightSegment,
     SensorNoiseModel,
+    align_to_truth,
     generate_flight,
-    rms_error,
     square_grid,
     standard_profile,
     sweep_cells,
+    track_error,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
@@ -213,14 +214,15 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
         def nav_error(alpha, beta):
             nav = fuse_nav(NavEstimator(FusionConfig(alpha=alpha, beta=beta, gps_mode="replay"), 60),
                            t[keep], acc[keep], att.q, fixes120)
-            return rms_error(t[keep], nav.lat, nav.lon, truth120).total_m
+            return track_error(align_to_truth(t[keep], truth120.t), nav.lat, nav.lon, truth120).total_m
 
         fused = nav_error(0.1, 0.1)
         dead_reckoning = nav_error(1.0, 1.0)
         # the live reference with no fix going stale: the latest fix, held
         held = prepare_gps_reference(t[keep], fixes120, "live", math.inf)
         mask = held.has_pos.astype(bool)
-        hold = rms_error(t[keep][mask], held.ref_lat[mask], held.ref_lon[mask], truth120).total_m
+        hold = track_error(align_to_truth(t[keep][mask], truth120.t), held.ref_lat[mask], held.ref_lon[mask],
+                           truth120).total_m
         assert fused < dead_reckoning
         assert fused < hold
 

@@ -29,7 +29,6 @@ from navfuse.flightsim import (
     generate_flight,
     noise_from_dict,
     profile_from_dict,
-    rms_error,
     square_grid,
     standard_profile,
     sweep_cells,
@@ -334,12 +333,12 @@ def test_truth_rows_match_per_cell_formatting():
 class TestRmsError:
     def test_zero_for_exact_track(self, std_clean_flight):
         _, truth, _, _ = std_clean_flight
-        err = rms_error(truth.t, truth.lat, truth.lon, truth)
+        err = track_error(align_to_truth(truth.t, truth.t), truth.lat, truth.lon, truth)
         assert (err.lat_m, err.lon_m, err.total_m) == (0.0, 0.0, 0.0)
 
     def test_uniform_one_degree_shift(self, std_clean_flight):
         _, truth, _, _ = std_clean_flight
-        err = rms_error(truth.t, truth.lat + 1.0, truth.lon, truth)
+        err = track_error(align_to_truth(truth.t, truth.t), truth.lat + 1.0, truth.lon, truth)
         assert err.lat_m == pytest.approx(111_194.93, abs=0.01)
         assert err.lon_m == pytest.approx(0.0, abs=1e-9)
 
@@ -347,19 +346,14 @@ class TestRmsError:
         _, truth, _, _ = std_clean_flight
         rng = np.random.default_rng(77)
         sigma_deg = 2.0 / M_PER_DEG
-        err = rms_error(
-            truth.t, truth.lat + rng.normal(0, sigma_deg, len(truth.t)), truth.lon, truth
+        err = track_error(
+            align_to_truth(truth.t, truth.t), truth.lat + rng.normal(0, sigma_deg, len(truth.t)), truth.lon, truth
         )
         assert 1.8 <= err.lat_m <= 2.2
 
-    def test_non_overlapping_tracks_rejected(self, std_clean_flight):
-        _, truth, _, _ = std_clean_flight
-        with pytest.raises(ValueError):
-            rms_error(truth.t + 1e6, truth.lat, truth.lon, truth)
-
 
 def reference_rms_error(est_t, est_lat, est_lon, truth, earth_radius_m):
-    """``rms_error`` in one piece, as it was before its alignment was split out."""
+    """The track error in one piece, as it was before its alignment was split out."""
     dts = np.diff(truth.t)
     max_align_dt = np.median(dts) if len(dts) else math.inf
     idx = np.clip(np.searchsorted(est_t, truth.t), 0, len(est_t) - 1)
@@ -390,31 +384,23 @@ class TestSplitRmsError:
         try:
             alignment = align_to_truth(est_t, truth.t)
         except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                rms_error(est_t, z[:n_est], z[:n_est], truth, radius)
+            assert str(exc) == "estimate and truth tracks do not overlap in time"
             return
         for _ in range(tracks):
             lat, lon = truth.lat[0] + rng.normal(0, 1e-4, n_est), rng.normal(0, 1e-4, n_est)
             got = track_error(alignment, lat, lon, truth, radius)
-            whole = rms_error(est_t, lat, lon, truth, radius)
-            assert (got.lat_m, got.lon_m, got.total_m) == (whole.lat_m, whole.lon_m, whole.total_m)
             assert (got.lat_m, got.lon_m, got.total_m) == reference_rms_error(est_t, lat, lon, truth, radius)
 
     @pytest.mark.parametrize("shift_s", [1e6, -1e6])
-    def test_tracks_apart_in_time_raise_alike(self, shift_s, std_clean_flight):
+    def test_tracks_apart_in_time_raise(self, shift_s, std_clean_flight):
         _, truth, _, _ = std_clean_flight
-        with pytest.raises(ValueError) as split:
+        with pytest.raises(ValueError, match="^estimate and truth tracks do not overlap in time$"):
             align_to_truth(truth.t + shift_s, truth.t)
-        with pytest.raises(ValueError) as whole:
-            rms_error(truth.t + shift_s, truth.lat, truth.lon, truth)
-        assert str(split.value) == str(whole.value) == "estimate and truth tracks do not overlap in time"
 
-    def test_empty_track_raises_alike(self, std_clean_flight):
+    def test_empty_track_raises(self, std_clean_flight):
         _, truth, _, _ = std_clean_flight
-        for call in (lambda: align_to_truth(np.array([]), truth.t),
-                     lambda: rms_error(np.array([]), np.array([]), np.array([]), truth)):
-            with pytest.raises(ValueError, match="empty estimate track"):
-                call()
+        with pytest.raises(ValueError, match="empty estimate track"):
+            align_to_truth(np.array([]), truth.t)
 
 
 class TestRmsErrorScaling:
@@ -426,7 +412,7 @@ class TestRmsErrorScaling:
         t = np.arange(n, dtype=np.float64)
         z = np.zeros(n)
         truth = TruthSeries(t, z, z, z, z, z, np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)))
-        return rms_error(t, truth.lat + shift_deg, truth.lon, truth, earth_radius_m).lat_m
+        return track_error(align_to_truth(t, truth.t), truth.lat + shift_deg, truth.lon, truth, earth_radius_m).lat_m
 
     def test_factor_inverse(self):
         assert self.lat_error_m(1.0) == pytest.approx(M_PER_DEG, rel=1e-12)
@@ -463,7 +449,7 @@ class TestSweep:
 
         ref = prepare_gps_reference(t, gps, "replay", 3.0)
         m = ref.has_pos.astype(bool)
-        expected = rms_error(t[m], ref.ref_lat[m], ref.ref_lon[m], truth)
+        expected = track_error(align_to_truth(t[m], truth.t), ref.ref_lat[m], ref.ref_lon[m], truth)
         assert cells[0].lat_err_m == pytest.approx(expected.lat_m, abs=1e-12)
         assert cells[0].lon_err_m == pytest.approx(expected.lon_m, abs=1e-12)
 
@@ -548,15 +534,15 @@ class TestStudies:
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
 
-        def track_error(coeffs=None):
+        def drift_m(coeffs=None):
             nav = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
             if coeffs is not None:
                 nav.accel_lp = tuple(FilterState(coeffs) for _ in range(3))
             nav = fuse_nav(nav, t, acc, att.q, gps)
-            return rms_error(t, nav.lat, nav.lon, truth).total_m
+            return track_error(align_to_truth(t, truth.t), nav.lat, nav.lon, truth).total_m
 
-        butter = track_error()
-        cheby = track_error(design_chebyshev1_2_lp(10.0, 60.0))
+        butter = drift_m()
+        cheby = drift_m(design_chebyshev1_2_lp(10.0, 60.0))
         assert butter <= cheby
 
     def test_dead_reckoning_drift_superlinear_fusion_bounded(self, std_noisy_arrays):
@@ -591,7 +577,7 @@ class TestStudies:
         mask = held.has_pos.astype(bool)
         assert mask.all()  # first fix is at t=0
         # held positions lag a moving platform noticeably more than interpolation
-        err = rms_error(t[mask], held.ref_lat[mask], held.ref_lon[mask], truth)
+        err = track_error(align_to_truth(t[mask], truth.t), held.ref_lat[mask], held.ref_lon[mask], truth)
         assert err.total_m > 4.0
 
 

@@ -26,7 +26,7 @@ from navfuse.pipeline import FusionConfig, fuse_blocks
 from navfuse.recording import read_recording
 
 GOLDEN = {
-    "flight.csv": "6db959f1ec2b3c8cd74111aa1c573a68e9d1252dbc90fa0d671448d74b0d076f",
+    "flight.csv": "f352cd05e530c359074c4ad68c2c92b37c72df8cdec060c98aea3fbd7db6cb33",
     "truth.csv": "cb1714e5010314a09b9d926a9e7e8f9208675798d411208986a78b6fe4c94d4a",
     "replay.csv": "4271c9bdbdbde05a0a050206f05bb69cb312e22067bdecb2ce6a116970fd91db",
     "sweep.csv": "8fbdc063fa32ceeb77473a2fb1ea470f7ae1446ec513a92c1fcfa2bf0a4f3e22",

@@ -49,10 +49,11 @@ from navfuse.flightsim import (
     FlightSegment,
     SensorNoiseModel,
     SweepCell,
+    align_to_truth,
     generate_flight,
-    rms_error,
     standard_profile,
     sweep_cells,
+    track_error,
 )
 from navfuse.navigation import NavEstimator, prepare_gps_reference
 from navfuse.pipeline import FusionConfig, estimate_sample_rate
@@ -707,7 +708,7 @@ def test_sweep_cells_matches_per_cell_fusion():
             for a, b in grid:
                 cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
                 nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
-                err = rms_error(imu.t, nav.lat, nav.lon, truth, profile.earth_radius_m)
+                err = track_error(align_to_truth(imu.t, truth.t), nav.lat, nav.lon, truth, profile.earth_radius_m)
                 want.append(SweepCell(a, b, err.lat_m, err.lon_m))
             got = list(sweep_cells(profile, SensorNoiseModel(), grid, cfg))
             assert got == want

@@ -4,14 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from conftest import gps_arrays
+from conftest import GPS_FIELDS, GPS_NAMES, gps_arrays
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navfuse.attitude import ImuArrays
 from navfuse.errors import RecordingFormatError, TimestampOrderError
 from navfuse.recording import HEADER, _read_columns, _read_lines, read_recording, write_recording
-from navfuse.telemetry import imu_counts_to_arrays
+from navfuse.telemetry import GPS_WIRE, IMU_WIRE, decode_stream, encode_frames, imu_counts_to_arrays
 
 
 def imu(*times, ax=0.1, mag=True):
@@ -141,14 +141,14 @@ class TestWrite:
                            has_mag)
         rows = np.arange(3, n, 7)
         m = len(rows)
-        course = rng.uniform(-math.pi, math.pi, m)
+        course = rng.uniform(0.0, 360.0, m)
         alt = rng.normal(100.0, 30.0, m)
         course[::3], alt[1::4] = math.nan, math.nan
         fixes = gps_arrays(t[rows], rng.uniform(-89, 89, m), rng.uniform(-179, 179, m), speed=rng.uniform(0, 40, m),
                            valid=rng.random(m) < 0.8, course=course, alt=alt)
         gps_cells = {
             int(r): "1,%.9f,%.9f,%.9f,%s,%s" % (
-                lat, lon, speed, "" if math.isnan(c) else "%.9f" % math.degrees(c), "" if math.isnan(a) else "%.9f" % a
+                lat, lon, speed, "" if math.isnan(c) else "%.9f" % c, "" if math.isnan(a) else "%.9f" % a
             )
             for r, lat, lon, speed, c, a, ok in zip(rows, *fixes[1:])
             if ok
@@ -182,15 +182,38 @@ class TestRead:
         counts = rng.integers(-32768, 32768, (500, 9))
         stream = imu_counts_to_arrays([int(round(i * 1000 / 60)) for i in range(500)], counts)
         fixes = gps_arrays(
-            stream.t[::60], -7.1234567, 110.7654321, speed=12.34, course=math.radians(45.67), alt=120.55,
+            stream.t[::60], -7.1234567, 110.7654321, speed=12.34, course=45.67, alt=120.55,
         )
         rec = roundtrip(stream, fixes)
         assert len(rec.imu.t) == 500
         for orig, back in zip(stream, rec.imu):
             np.testing.assert_array_equal(back, orig)
         assert len(rec.gps.t) == len(fixes.t)
-        for name in ("t", "lat", "lon", "speed", "alt", "valid"):
-            np.testing.assert_array_equal(getattr(rec.gps, name), getattr(fixes, name))
+        for orig, back in zip(fixes, rec.gps):
+            np.testing.assert_array_equal(back, orig)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decoded_stream_reads_back_bit_for_bit(self, data):
+        """Every column of ``decode_stream``'s output, the course included,
+        reads back from its recording with the same bits: IMU frames at
+        distinct times, and valid fixes of any wire value on some of them."""
+        t_ms = sorted(data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=30, unique=True)))
+        counts = data.draw(st.lists(st.lists(st.integers(-32768, 32767), min_size=9, max_size=9),
+                                    min_size=len(t_ms), max_size=len(t_ms)))
+        rows = data.draw(st.lists(st.sampled_from(range(len(t_ms))), max_size=len(t_ms), unique=True))
+        fields = data.draw(st.lists(GPS_FIELDS, min_size=len(rows), max_size=len(rows)))
+        fix_t = np.array([t_ms[r] for r in rows], dtype=np.int64)
+        columns = [np.array(c, dtype=np.int64).reshape(-1) for c in (zip(*fields) if fields else [()] * 6)]
+        columns[-1] |= 1  # a recording holds only valid fixes
+        wire = (encode_frames(IMU_WIRE, t_ms, counts=np.array(counts, dtype=np.int64)).tobytes()
+                + encode_frames(GPS_WIRE, fix_t, **dict(zip(GPS_NAMES, columns))).tobytes())
+        stream, fixes, lines = decode_stream(wire)
+        assert lines == [] and len(fixes.t) == len(rows)
+        rec = roundtrip(stream, fixes)
+        for orig, back in zip((*stream, *fixes), (*rec.imu, *rec.gps)):
+            assert back.dtype == orig.dtype and back.shape == orig.shape
+            assert back.tobytes() == orig.tobytes()
 
     def test_metadata_roundtrip(self):
         rec = roundtrip(imu(0.0), metadata={"seed": "42", "alpha": "0.1"})
@@ -321,7 +344,7 @@ _FUZZ_LINES = (
     + written_lines(
         imu(*(k / 10.0 for k in range(8))),
         gps_arrays([0.0, 0.3, 0.5, 0.7], [1.0, 1.001, 1.002, 1.003], [2.0, 2.001, 2.002, 2.003],
-                   speed=3.0, course=math.radians(45.0), alt=[120.0, 121.0, math.nan, 123.0]),
+                   speed=3.0, course=45.0, alt=[120.0, 121.0, math.nan, 123.0]),
     )
 )
 _MUTATION = st.one_of(

@@ -5,7 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import encode_one, gps_arrays, interleave
+from conftest import GPS_FIELDS, GPS_NAMES, encode_one, gps_arrays, interleave
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -364,7 +364,7 @@ def reference_gps_counts_to_fix(t_ms: int, lat_e7, lon_e7, speed_cmps, course_cd
         round(lat_e7 / 1e7, 9),
         round(lon_e7 / 1e7, 9),
         round(speed_cmps / 100.0, 9),
-        round(math.radians(course_cdeg / 100.0), 9),
+        round(course_cdeg / 100.0, 9),
         round(alt_cm / 100.0, 9) if flags & 0x02 else math.nan,
         bool(flags & 0x01),
     )
@@ -560,20 +560,6 @@ class TestOverlappingFrames:
         assert [(d.offset, d.reason) for d in diags] == [(0, "corruption"), (1, "skip")]
 
 
-_GPS_NAMES = ("lat_e7", "lon_e7", "speed_cmps", "course_cdeg", "alt_cm", "flags")
-# Every class of wire value a fix can carry: positions up to the poles and
-# both meridian signs, any speed, courses at and past 360 deg, any int32
-# altitude, and any flags byte (bit 0 valid, bit 1 altitude valid).
-_GPS_FIELDS = st.tuples(
-    st.one_of(st.sampled_from([-900_000_000, 0, 900_000_000]), st.integers(-900_000_000, 900_000_000)),
-    st.one_of(st.sampled_from([-1_800_000_000, 0, 1_800_000_000]), st.integers(-1_800_000_000, 1_800_000_000)),
-    st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535)),
-    st.one_of(st.sampled_from([0, 35999, 36000, 65535]), st.integers(0, 65535)),
-    st.one_of(st.sampled_from([-(2**31), 0, 2**31 - 1]), st.integers(-(2**31), 2**31 - 1)),
-    st.integers(0, 255),
-)
-
-
 class TestConversions:
     def test_zero_counts_give_zero_sample(self):
         imu = imu_counts_to_arrays([0], np.zeros((1, 9), dtype=np.int64))
@@ -594,14 +580,14 @@ class TestConversions:
         assert back.dtype == np.int64 and back.shape == counts.shape
         np.testing.assert_array_equal(back, counts)
 
-    @given(st.lists(_GPS_FIELDS, max_size=24))
+    @given(st.lists(GPS_FIELDS, max_size=24))
     @settings(max_examples=200, deadline=None)
     def test_gps_columns_match_per_fix_conversion(self, fields):
         """``decode_stream``'s fix columns hold the per-fix conversion's values
         bit for bit, and convert back to the counts exactly."""
         k = np.arange(len(fields))
         columns = zip(*fields) if fields else [()] * 6
-        data = encode_frames(GPS_WIRE, k, k, **{n: np.array(c, dtype=np.int64) for n, c in zip(_GPS_NAMES, columns)})
+        data = encode_frames(GPS_WIRE, k, k, **{n: np.array(c, dtype=np.int64) for n, c in zip(GPS_NAMES, columns)})
         _, gps, _ = decode_stream(data.tobytes())
         counts = [
             # -180 deg is the +180 deg meridian
@@ -612,7 +598,7 @@ class TestConversions:
             reference_gps_counts_to_fix(k, *row) for k, row in enumerate(counts)
         ])
         back = gps_arrays_to_counts(gps)
-        assert list(zip(*(back[f].tolist() for f in _GPS_NAMES))) == [
+        assert list(zip(*(back[f].tolist() for f in GPS_NAMES))) == [
             (lat, lon, speed, course % 36000, alt if flags & 2 else 0, flags & 3)
             for lat, lon, speed, course, alt, flags in counts
         ]
@@ -641,7 +627,8 @@ class TestConversions:
         assert (imu.has_mag == 1).all()
 
     @pytest.mark.parametrize("field,column,scale", [
-        ("lat_e7", "lat", 1e7), ("lon_e7", "lon", 1e7), ("speed_cmps", "speed", 100.0), ("alt_cm", "alt", 100.0),
+        ("lat_e7", "lat", 1e7), ("lon_e7", "lon", 1e7), ("speed_cmps", "speed", 100.0),
+        ("course_cdeg", "course", 100.0), ("alt_cm", "alt", 100.0),
     ])
     def test_gps_counts_need_no_round(self, field, column, scale):
         """A count over 10**p is already its own ``round(v, 9)``, over the
@@ -681,5 +668,5 @@ class TestConversions:
             imu_arrays_to_counts(imu)
 
     def test_fix_without_course_encodes_zero(self):
-        f = gps_arrays([0.0], 1.0, 2.0, speed=3.0, course=math.nan)
-        assert gps_arrays_to_counts(f)["course_cdeg"].tolist() == [0]
+        f = gps_arrays([0.0, 1.0, 2.0], 1.0, 2.0, speed=3.0, course=[math.nan, math.inf, -math.inf])
+        assert gps_arrays_to_counts(f)["course_cdeg"].tolist() == [0, 0, 0]
