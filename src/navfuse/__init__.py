@@ -4,8 +4,9 @@ Quaternion attitude estimation from pre-filtered accelerometer/gyro/
 magnetometer streams, dead-reckoning/GPS position blending, a binary
 telemetry frame codec, CSV flight recordings with record/replay, and a
 synthetic-flight oracle for error studies. The fusion is plain Python in
-its estimators: ``AttitudeEstimator.run`` and ``NavEstimator.blend`` loop
-only over the recursive blend, and the pre-filters (``FilterState.run``),
+its estimators: ``AttitudeEstimator.run`` and the ``NavEstimator`` passes
+``blend_velocity`` and ``blend_position`` loop only over the recursive
+blend, and the pre-filters (``FilterState.run``),
 tilt, quaternion assembly and rotation (``navfuse.quat``) run as array passes.
 
 The package's exports load on first use: ``import navfuse`` imports neither

@@ -12,9 +12,9 @@ state from block to block, which bounds its memory. Each micro-step clock,
 the heading and the three position sums are running sums, and
 ``np.add.accumulate`` adds strictly left to right, so every sum takes the
 same roundings as a scalar ``x += d`` loop and the truth is that loop's, bit
-for bit. Segment lookup is one ``searchsorted``. The integrator's sines and
-cosines are ``math.*``, mapped element by element (numpy's may differ in the
-last bit). Pitch and speed approach their targets at a clamped rate, so each
+for bit. Segment lookup is one ``searchsorted``. Every sine and cosine is
+``math.*``, mapped element by element (``_cos_sin``; numpy's may differ in
+the last bit). Pitch and speed approach their targets at a clamped rate, so each
 step depends on the value it updates, not only on the time; they keep a
 Python loop, which runs only in the blocks where one of them is away from
 its target.
@@ -35,10 +35,9 @@ attitude pass, the world-frame accel, the GPS reference and the alignment
 of the IMU grid to the truth's, ``align_to_truth``) and raises before it
 returns; its iterator blends and scores one cell per step, which pays only
 for the cell's position pass, its velocity pass where its alpha is new,
-and ``track_error``. Each cell starts, as ``fuse_blocks``' replay does, at
-row 0 of the GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's
-fix position on every row while ``has_pos`` says whether the blend may use
-it.
+and ``track_error``. A cell runs ``fuse_blocks``' two nav passes at its
+sample rate (``estimate_sample_rate`` of ``_time_grid``) and starts, as its
+replay does, at row 0 of the GPS reference.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
 from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
-from .pipeline import FusionConfig, csv_blocks, median, replace_fields
+from .pipeline import FusionConfig, csv_blocks, estimate_sample_rate, median, replace_fields
 from .quat import _map, rotate_inverse
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
 
@@ -246,13 +245,18 @@ def _cos_sin(x: np.ndarray):
     return _map(math.cos, x), _map(math.sin, x)
 
 
+def _time_grid(profile: FlightProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The IMU sample instants of the flight, in integer ms and in s."""
+    n = int(round(profile.duration_s * profile.imu_rate_hz)) + 1
+    t_ms = np.rint(np.arange(n) * 1000.0 / profile.imu_rate_hz).astype(np.int64)
+    return t_ms, t_ms / 1000.0
+
+
 def _generate_truth(profile: FlightProfile):
     """Integrate the profile kinematics; returns truth plus the analytic
     world acceleration and body rates at every IMU sample instant."""
-    rate = profile.imu_rate_hz
-    n = int(round(profile.duration_s * rate)) + 1
-    t_ms = np.rint(np.arange(n) * 1000.0 / rate).astype(np.int64)
-    t = t_ms / 1000.0
+    t_ms, t = _time_grid(profile)
+    n = len(t)
     # micro-step length per sample; the last sample takes no step
     dt = np.zeros(n)
     dt[:-1] = np.diff(t) / TRUTH_OVERSAMPLE
@@ -318,10 +322,8 @@ def _generate_truth(profile: FlightProfile):
     # quaternions from (0, theta, psi), vectorized ZYX composition. Not
     # quat.from_euler: its 0.0 - a is +0.0 where this -a is -0.0, and its
     # normalization moves some rows by an ulp, so every row's bits would change
-    half_psi = 0.5 * euler[:, 2]
-    half_th = 0.5 * euler[:, 1]
-    cz, sz = np.cos(half_psi), np.sin(half_psi)
-    cy, sy = np.cos(half_th), np.sin(half_th)
+    cz, sz = _cos_sin(0.5 * euler[:, 2])
+    cy, sy = _cos_sin(0.5 * euler[:, 1])
     q = np.column_stack([cz * cy, -sz * sy, cz * sy, sz * cy])
     flip = q[:, 0] < 0.0
     q[flip] *= -1.0
@@ -348,8 +350,8 @@ def generate_flight(
     f_body = rotate_inverse(truth.q, *(a_world + (0.0, 0.0, GRAVITY_MPS2)).T)
 
     dpsi, dtheta = rates[:, 0], rates[:, 1]
-    theta = truth.euler[:, 1]
-    omega_body = np.column_stack([-dpsi * np.sin(theta), dtheta, dpsi * np.cos(theta)])
+    cos_theta, sin_theta = _cos_sin(truth.euler[:, 1])
+    omega_body = np.column_stack([-dpsi * sin_theta, dtheta, dpsi * cos_theta])
 
     mag_body = rotate_inverse(truth.q, *MAG_FIELD_GAUSS)
 
@@ -467,18 +469,19 @@ def sweep_cells(
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
     study's shape. The fusion options are ``cfg``'s, less alpha and beta,
-    which each cell sets, and the GPS mode, always replay. Each cell starts,
-    as ``fuse_blocks`` does, at row 0 of the GPS reference. The sample rate
-    and the earth radius are the profile's: the truth, the estimators and
-    the error all use ``profile.earth_radius_m``, and ``cfg.earth_radius_m``
-    is not read.
+    which each cell sets, and the GPS mode, always replay. A cell is
+    ``track_error`` of ``fuse_blocks``' replay of the flight, bit for bit, at
+    the rate it estimates off the integer-ms grid (58.82 Hz at 60 Hz). The
+    earth radius is the profile's: the truth, the estimators and the error
+    all use ``profile.earth_radius_m``, and ``cfg.earth_radius_m`` is not read.
     """
     if not grid:
         raise ValueError("sweep grid must not be empty")
     cfg = replace(cfg, gps_mode="replay", earth_radius_m=profile.earth_radius_m)
     # built before the flight, so that a bad option or grid value costs no simulation
-    att = AttitudeEstimator(cfg, profile.imu_rate_hz)
-    navs = [NavEstimator(replace(cfg, alpha=a, beta=b), profile.imu_rate_hz) for a, b in grid]
+    fs = estimate_sample_rate(_time_grid(profile)[1])
+    att = AttitudeEstimator(cfg, fs)
+    navs = [NavEstimator(replace(cfg, alpha=a, beta=b), fs) for a, b in grid]
     truth, imu, gps = generate_flight(profile, noise)
     track = att.run(*imu)
     warn_gaps(track.gaps)

@@ -24,15 +24,17 @@ meridian-convergence factor by default; ``lon_scale_correction`` enables it.
 
 ``NavEstimator.world_accel`` is an array pass: the Butterworth pre-filter
 (``FilterState.run``) and the rotation of the filtered accel to north/east
-(``quat.rotate``, which computes only those two rows of R(q) v).
-``NavEstimator.blend`` is a velocity pass (v_n, v_e), then a position pass
-(lat, lon), each running ``_blend_loop`` once per state: x = w * (x + u) + g
-on the rows with a GPS reference, else x + u, a generator over ``.tolist()``
-columns drained by one ``np.fromiter`` into the array it returns. The rest
-is array passes: the steps u, a * dt and (v * dt) * k (``lon_scale_correction``
-divides k by the cos of the latitude each row starts from), and the GPS
-terms g. numpy does only + - * / and sqrt, and cos/sin stay ``math.*``, so
-the output is bit-identical to a per-sample loop.
+(``quat.rotate``, which computes only those two rows of R(q) v). Each block
+runs ``blend_velocity`` (v_n, v_e), then ``blend_position`` (lat, lon) on its
+output. Each pass keeps the time of the state it advances, so a stream split
+into blocks blends as one call, and runs ``_blend_loop`` once per state:
+x = w * (x + u) + g on the rows with a GPS reference, else x + u, a
+generator over ``.tolist()`` columns drained by one ``np.fromiter`` into the
+array it returns. The rest is array passes: the steps u, a * dt and
+(v * dt) * k (``lon_scale_correction`` divides k by the cos of the latitude
+each row starts from), and the GPS terms g. numpy does only + - * / and
+sqrt, and cos/sin stay ``math.*``, so the output is bit-identical to a
+per-sample loop.
 
 GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
 and the simulator through to ``prepare_gps_reference``. ``gps_in_range`` is
@@ -55,7 +57,6 @@ where row 0's ``has_pos`` is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -128,7 +129,7 @@ def default_position_cutoff_hz(sample_rate_hz: float) -> float:
 
 
 class GpsReference(NamedTuple):
-    """Per-sample reference arrays feeding ``NavEstimator.blend``, sharing the row
+    """Per-sample reference arrays feeding the ``NavEstimator`` blend, sharing the row
     index of the samples, so a block of rows slices every column alike."""
 
     ref_lat: np.ndarray     # (n,) the mode's fix position on every row;
@@ -195,7 +196,7 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
 
 
 def _blend_loop(x: float, steps: np.ndarray, refs: np.ndarray, has_ref: np.ndarray, w: float) -> np.ndarray:
-    """The recursive part of ``NavEstimator.blend``, one state at a time:
+    """The recursive part of the ``NavEstimator`` blend, one state at a time:
     from ``x``, x = w * (x + u) + g on each row with ``has_ref`` set, else
     x + u, for the row's step u and GPS term g. Returns every row's x as an
     array: a generator over ``.tolist()`` columns, drained by one
@@ -211,20 +212,20 @@ def _blend_loop(x: float, steps: np.ndarray, refs: np.ndarray, has_ref: np.ndarr
     return np.fromiter(states(x), dtype=np.float64, count=len(steps))
 
 
-@dataclass(frozen=True)
-class NavTrack:
-    """Batch position-fusion output, one row per input sample."""
-
-    t: np.ndarray
-    vel: np.ndarray   # (n, 2) v_north, v_east m/s
-    lat: np.ndarray
-    lon: np.ndarray
+def _rows(t_prev: float | None, t: np.ndarray, ref: GpsReference) -> tuple[int, np.ndarray, GpsReference]:
+    """The count of rows that hold a pass's start state (1 when its last time
+    ``t_prev`` is None, so ``t`` starts a stream, else 0), then the time steps
+    and GPS reference of the rest."""
+    s = int(t_prev is None and len(t) > 0)
+    dt = np.diff(t, prepend=0.0 if t_prev is None else t_prev)
+    return s, dt[s:], ref._make(col[s:] for col in ref)
 
 
 class NavEstimator:
-    """Stateful position fusion over an IMU stream: ``world_accel`` of the
-    accel and attitude, then ``blend`` with ``prepare_gps_reference``'s GPS
-    reference of the same rows."""
+    """Stateful position fusion over an IMU stream, a block of rows at a
+    time: ``world_accel`` of the accel and attitude, ``blend_velocity`` of it
+    with ``prepare_gps_reference``'s GPS reference of the same rows, then
+    ``blend_position`` of the velocity."""
 
     def __init__(self, cfg: FusionConfig, sample_rate_hz: float):
         self.cfg = cfg
@@ -232,7 +233,7 @@ class NavEstimator:
         coeffs = design_option(design_butterworth2_lp, "cutoff_hz", cutoff_hz, sample_rate_hz)
         self.accel_lp = tuple(FilterState(coeffs) for _ in range(3))  # x, y, z
         self.primed = False  # whether world_accel has primed accel_lp
-        self.t_last: float | None = None  # None before the first sample
+        self.t_vel = self.t_pos = None  # each pass's last sample time, None before its first
         self.vn = self.ve = 0.0
         self.lat = self.lon = None  # unset: a stream starts at row 0 of its GPS reference
 
@@ -252,28 +253,12 @@ class NavEstimator:
         fax, fay, faz = (f.run(accel[:, k]) for k, f in enumerate(self.accel_lp))
         return rotate(q, fax, fay, faz, rows=2)
 
-    def blend(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> NavTrack:
-        """Blend world-frame accel from ``world_accel`` with the GPS reference
-        of the same rows from ``prepare_gps_reference``: ``blend_velocity``,
-        then ``blend_position``."""
-        vel = self.blend_velocity(t, a_world, ref)
-        lat, lon = self.blend_position(t, vel, ref)
-        if len(t):
-            self.t_last = float(t[-1])
-        return NavTrack(t=t, vel=vel, lat=lat, lon=lon)
-
-    def _rows(self, t: np.ndarray, ref: GpsReference) -> tuple[int, np.ndarray, GpsReference]:
-        """The count of rows that hold the start state (1 when ``t`` starts a
-        stream, else 0), then the time steps and GPS reference of the rest."""
-        s = int(self.t_last is None and len(t) > 0)
-        dt = np.diff(t, prepend=0.0 if self.t_last is None else self.t_last)
-        return s, dt[s:], ref._make(col[s:] for col in ref)
-
     def blend_velocity(self, t: np.ndarray, a_world: np.ndarray, ref: GpsReference) -> np.ndarray:
-        """The velocity pass of ``blend``: (n, 2) v_north, v_east; advances
-        ``vn`` and ``ve``."""
+        """The velocity pass over world-frame accel from ``world_accel`` and
+        the GPS reference of the same rows: (n, 2) v_north, v_east; advances
+        ``vn``, ``ve`` and their time ``t_vel``."""
         alpha = self.cfg.alpha
-        s, dt, rows = self._rows(t, ref)
+        s, dt, rows = _rows(self.t_vel, t, ref)
         vel = np.empty((len(t), 2), dtype=np.float64)
         vel[:s] = self.vn, self.ve
         for k, (v, trig) in enumerate(((self.vn, rows.ref_cos), (self.ve, rows.ref_sin))):
@@ -281,15 +266,17 @@ class NavEstimator:
             vel[s:, k] = _blend_loop(v, a_world[s:, k] * dt, g, rows.has_vel, alpha)
         if len(t):
             self.vn, self.ve = vel[-1].tolist()
+            self.t_vel = float(t[-1])
         return vel
 
     def blend_position(self, t: np.ndarray, vel: np.ndarray, ref: GpsReference) -> tuple[np.ndarray, np.ndarray]:
-        """The position pass of ``blend`` over the same rows' velocity: lat, lon;
-        advances them. A stream's first row snaps to its GPS reference, and
-        starts there too when ``lat`` or ``lon`` is unset."""
+        """The position pass over the same rows' velocity from
+        ``blend_velocity``: lat, lon; advances them and their time ``t_pos``.
+        A stream's first row snaps to its GPS reference, and starts there too
+        when ``lat`` or ``lon`` is unset."""
         beta = self.cfg.beta
         k = 180.0 / (math.pi * self.cfg.earth_radius_m)
-        s, dt, rows = self._rows(t, ref)
+        s, dt, rows = _rows(self.t_pos, t, ref)
         lat0, lon0 = self.lat, self.lon
         if s and (ref.has_pos[0] or lat0 is None or lon0 is None):
             lat0, lon0 = float(ref.ref_lat[0]), float(ref.ref_lon[0])
@@ -302,4 +289,5 @@ class NavEstimator:
         lon[s:] = _blend_loop(lon0, vdt[:, 1] * k, (1.0 - beta) * rows.ref_lon, rows.has_pos, beta)
         if len(t):
             self.lat, self.lon = lat[-1].tolist(), lon[-1].tolist()
+            self.t_pos = float(t[-1])
         return lat, lon

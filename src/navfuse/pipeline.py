@@ -152,6 +152,8 @@ def median(x: np.ndarray) -> float:
 
 
 def estimate_sample_rate(t: np.ndarray) -> float:
+    """1 / the median step of ``t`` (60 Hz below two samples), the one rate
+    that ``fuse_blocks`` and ``flightsim.sweep_cells`` design filters at."""
     if len(t) < 2:
         return 60.0
     return 1.0 / median(np.diff(t))
@@ -166,9 +168,10 @@ def fuse_blocks(
     This call does the per-stream work and raises for a bad input or cutoff;
     the iterator it returns only fuses. The sample rate is the whole
     stream's, and the GPS reference is prepared over all rows, then sliced
-    per block. The first row starts at its row 0, whose ``ref_lat``/``ref_lon``
-    hold the mode's fix position whether or not ``has_pos`` lets the blend
-    use it. After the last block, one warning names the stream's gaps.
+    per block, which ``blend_velocity`` and then ``blend_position`` take.
+    The first row starts at its row 0, whose ``ref_lat``/``ref_lon`` hold
+    the mode's fix position whether or not ``has_pos`` lets the blend use
+    it. After the last block, one warning names the stream's gaps.
     """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
@@ -185,9 +188,11 @@ def fuse_blocks(
             block = imu._make(col[rows] for col in imu)
             a = att.run(*block)
             gaps += a.gaps
-            track = nav.blend(a.t, nav.world_accel(block.accel, a.q), ref._make(col[rows] for col in ref))
-            yield FusionOutput(a.t, t_ms[rows], a.euler, a.q, track.vel, track.lat, track.lon, a.flags)
-            del a, track  # so that no block's arrays outlive its consumer's use while the next one is fused
+            block_ref = ref._make(col[rows] for col in ref)
+            vel = nav.blend_velocity(a.t, nav.world_accel(block.accel, a.q), block_ref)
+            lat, lon = nav.blend_position(a.t, vel, block_ref)
+            yield FusionOutput(a.t, t_ms[rows], a.euler, a.q, vel, lat, lon, a.flags)
+            del a, vel, lat, lon  # so that no block's arrays outlive its consumer's use while the next one is fused
         warn_gaps(gaps)
 
     return blocks()

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -69,10 +70,19 @@ def gps_arrays(t=(), lat=0.0, lon=0.0, speed=10.0, valid=True, course=math.nan, 
     return GpsArrays(t, *cols, np.broadcast_to(np.asarray(valid, dtype=bool), t.shape).copy())
 
 
+class FusedNav(NamedTuple):
+    vel: np.ndarray   # (n, 2) v_north, v_east
+    lat: np.ndarray
+    lon: np.ndarray
+
+
 def fuse_nav(nav, t, acc, q, gps):
     """The position fusion step as ``fuse_blocks`` runs it: ``nav``'s world-frame
-    accel blended with the GPS reference of its options."""
-    return nav.blend(t, nav.world_accel(acc, q), prepare_gps_reference(t, gps, nav.cfg.gps_mode, nav.cfg.stale_after_s))
+    accel blended with the GPS reference of its options, by ``blend_velocity``
+    and then ``blend_position``."""
+    ref = prepare_gps_reference(t, gps, nav.cfg.gps_mode, nav.cfg.stale_after_s)
+    vel = nav.blend_velocity(t, nav.world_accel(acc, q), ref)
+    return FusedNav(vel, *nav.blend_position(t, vel, ref))
 
 
 def joined(blocks):

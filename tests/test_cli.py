@@ -754,7 +754,7 @@ class TestSweep:
     def test_default_table_digest(self, short_profile, capsys):
         """The default table's bytes on a 5 s flight (test_golden pins the seed-42 one)."""
         digest = hashlib.sha256(self.sweep([], capsys).encode()).hexdigest()
-        assert digest == "644d579952460e10223bc7132b316030784ca2e6b83d6eec84c13a46151d222c"
+        assert digest == "7fdf0aca8d7d158c50e1e0441080ac237f8f6d81ad124f025e356c5ad4b6fb63"
 
     @pytest.mark.parametrize("option", [
         ["--cutoff-hz", "3"], ["--accel-lp-hz", "2"], ["--gyro-hp-hz", "0.5"], ["--declination-deg", "5"],
@@ -975,6 +975,24 @@ class TestConfigFile:
         monkeypatch.setenv("NAVFUSE_CONFIG", str(path))
         return run_cli(["--mode", "sweep", "--grid", "0.5"], capsys)
 
+    def test_cutoff_refused_alike_by_every_mode(self, capsys, tmp_path, monkeypatch):
+        """Every mode designs its filters at the rate it estimates off the
+        flight's integer-millisecond grid, 58.82 Hz for the 60 Hz standard
+        flight: so a cutoff above its Nyquist rate (29.41 Hz) but below the
+        profile's (30 Hz) is refused by the sweep as by replay and
+        filter-compare of that flight, before any row."""
+        monkeypatch.delenv("NAVFUSE_CONFIG", raising=False)
+        rec = tmp_path / "sim.csv"
+        assert run_cli(["--mode", "simulate", "--seed", "1", "--output", str(rec)], capsys)[0] == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"accel_lp_hz": 29.6}))
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(path))
+        for argv in (["--mode", "sweep", "--seed", "1", "--grid", "0.5"], ["--mode", "replay", "--input", str(rec)],
+                     ["--mode", "filter-compare", "--input", str(rec)]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert "accel_lp_hz" in err
+
     @pytest.mark.parametrize("cfg, key", [
         ({"alpha": None}, "'alpha'"),
         ({"profile": {"seed": None}}, "'seed'"),
@@ -1087,8 +1105,8 @@ def test_readme_library_example_runs():
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     whole = joined(ns["blocks"])
-    assert_same_bits(ns["fused"].lat, whole.lat)
-    assert_same_bits(ns["fused"].lon, whole.lon)
+    assert_same_bits(ns["lat"], whole.lat)
+    assert_same_bits(ns["lon"], whole.lon)
 
 
 def test_mode_required():

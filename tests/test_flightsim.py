@@ -493,13 +493,13 @@ class TestSweep:
         # one fix, on the first row
         replace(profile_from_dict({"segments": [{"kind": "straight", "duration_s": 0.9}]}), imu_rate_hz=50.0),
         replace(standard_profile(5), imu_rate_hz=50.0, gps_rate_hz=0.004),
-    ], ids=["standard", "one-fix-0.9s", "one-fix-standard"])
+        # 60 Hz on the integer-millisecond grid: steps of 16 and 17 ms, 58.82 Hz estimated
+        standard_profile(42),
+    ], ids=["standard", "one-fix-0.9s", "one-fix-standard", "standard-60hz"])
     def test_each_cell_is_the_replay_fusion(self, profile):
         """A cell scores ``fuse_blocks``' replay of the flight with its
-        weights, where the stream starts included. The sweep runs at the
-        profile's rate and ``fuse_blocks`` at the one it estimates from the
-        integer-millisecond grid: at 50 Hz these differ in the last bits
-        only, which moves no bit of the position track."""
+        weights, where the stream starts included, bit for bit: both run
+        the same passes at the rate estimated from the flight's time grid."""
         grid = square_grid([0.1, 0.9])
         cfg = FusionConfig(gps_mode="live")  # the sweep replays whatever the mode
         truth, imu, gps = generate_flight(profile, SensorNoiseModel())

@@ -29,7 +29,7 @@ GOLDEN = {
     "flight.csv": "f352cd05e530c359074c4ad68c2c92b37c72df8cdec060c98aea3fbd7db6cb33",
     "truth.csv": "cb1714e5010314a09b9d926a9e7e8f9208675798d411208986a78b6fe4c94d4a",
     "replay.csv": "4271c9bdbdbde05a0a050206f05bb69cb312e22067bdecb2ce6a116970fd91db",
-    "sweep.csv": "8fbdc063fa32ceeb77473a2fb1ea470f7ae1446ec513a92c1fcfa2bf0a4f3e22",
+    "sweep.csv": "4c57b4f989199013ae53a8f1b0dcbc5121581b572f44841c281860aee693b59a",
     "filter-compare.csv": "362e02e6e90285e3dd163abb7d7002d333a105a72c4afd372d711f67c04c329e",
     "replay-lon-scale.csv": "2365f16b3f12e0ec9ad333fe9440a77f8ca0d5072456c46459c217f2f2f6c779",
     "replay-gains-1-0.csv": "bbe57977bd4e970267eef0fbf2ebccd862ec9b3c53eb5c235b3b704717bdb214",

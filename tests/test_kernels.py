@@ -8,15 +8,18 @@ they were before the filters, rotation (now ``quat.rotate``), tilt and
 quaternion assembly (now ``quat.from_euler``) became array passes, kept
 verbatim with the helpers they call; ``wrap_pi`` and ``step`` come from
 ``reference.py``. They carry their state in a flat float vector;
-``AttitudeEstimator.run`` and ``NavEstimator.world_accel`` with ``blend`` must
-match them bit for bit, outputs and state alike: numpy may do only + - * / and
-sqrt, which IEEE 754 rounds exactly, while every transcendental stays
-``math.*``. (``np.arctan2`` differs from ``math.atan2`` in the last bit on
-some inputs of some numpy builds.)
+``AttitudeEstimator.run`` and ``NavEstimator.world_accel`` with
+``blend_velocity`` and ``blend_position`` must match them bit for bit,
+outputs and state alike: numpy may do only + - * / and sqrt, which IEEE 754
+rounds exactly, while every transcendental stays ``math.*``. (``np.arctan2``
+differs from ``math.atan2`` in the last bit on some inputs of some numpy
+builds.)
 """
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +507,33 @@ def test_backend_compiled_rejected(recording, capsys):
     assert "Traceback" not in err
 
 
+# ---------------------------------------------------------------- the trig rule
+
+# numpy functions whose result IEEE 754 does not round exactly, so that their
+# last bit may differ from math.*'s (np.arctan2 from math.atan2, on some builds)
+NUMPY_TRANSCENDENTALS = {
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "hypot", "sinh", "cosh", "tanh",
+    "exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "power",
+}
+
+
+def test_package_numpy_does_no_transcendentals():
+    """numpy does only + - * / and sqrt in the package, and every
+    transcendental is ``math.*``: a use of one of numpy's, as ``np.sin`` or
+    imported from numpy, fails here, naming its module and line."""
+    found = []
+    for path in sorted(Path(navfuse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: numpy.{name}" for name in names if name in NUMPY_TRANSCENDENTALS]
+    assert found == []
+
+
 # ---------------------------------------------------------------- estimators against the reference loops
 
 def coeff_tuple(filt):
@@ -511,10 +541,12 @@ def coeff_tuple(filt):
     return c.b0, c.b1, c.b2, c.a1, c.a2
 
 
-def assert_same_state(est, state, fields, filters):
+def assert_same_state(est, state, fields, filters, times=("t_last",)):
     """``est``'s named fields and filter delay lines hold what the reference
-    loop's ``state`` vector holds in slots 2 on, and ``t_last`` its slot 1."""
-    assert est.t_last == (state[1] if state[0] != 0.0 else None)
+    loop's ``state`` vector holds in slots 2 on, and each of its ``times`` its
+    slot 1."""
+    for name in times:
+        assert getattr(est, name) == (state[1] if state[0] != 0.0 else None)
     delay = [s for f in filters for s in (f.s1, f.s2)]
     assert_same_bits([getattr(est, name) for name in fields] + delay, state[2:2 + len(fields) + len(delay)])
 
@@ -628,14 +660,14 @@ def test_nav_matches_reference(case, cuts):
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
         ref = whole._make(col[lo:hi] for col in whole)  # sliced per block, as fuse_blocks does
-        track = est.blend(t[lo:hi], est.world_accel(acc[lo:hi], q[lo:hi]), ref)
-        got.append((track.vel, track.lat, track.lon))
+        vel = est.blend_velocity(t[lo:hi], est.world_accel(acc[lo:hi], q[lo:hi]), ref)
+        got.append((vel, *est.blend_position(t[lo:hi], vel, ref)))
         want.append(reference_nav_run(
             t[lo:hi], acc[lo:hi], q[lo:hi],
             ref.ref_lat, ref.ref_lon, ref.has_pos, ref.ref_speed, ref.ref_cos, ref.ref_sin, ref.has_vel,
             coeff_tuple(est.accel_lp[0]), cfg.alpha, cfg.beta, deg_per_m, cfg.lon_scale_correction, state,
         ))
-        assert_same_state(est, state, ("vn", "ve", "lat", "lon"), est.accel_lp)
+        assert_same_state(est, state, ("vn", "ve", "lat", "lon"), est.accel_lp, times=("t_vel", "t_pos"))
     for k in range(3):
         assert_same_bits(np.concatenate([g[k] for g in got]), np.concatenate([w[k] for w in want]))
 
@@ -677,7 +709,7 @@ def seed5_accel_and_attitude():
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
 def test_world_accel_split_matches_whole_stream(seed5_accel_and_attitude, cuts):
     """Only the stream's first sample primes the Butterworth delay lines, so
-    ``world_accel`` over a stream split into calls, with no ``blend``
+    ``world_accel`` over a stream split into calls, with no blend pass
     between them, is the whole-stream call bit for bit."""
     acc, q, fs = seed5_accel_and_attitude
     whole = NavEstimator(FusionConfig(), fs).world_accel(acc, q)
@@ -696,18 +728,19 @@ def test_sweep_cells_matches_per_cell_fusion():
         [(-0.0, 0.4), (0.0, 0.4), (-0.0, 0.9), (0.0, 0.0)],
     )
     truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
+    fs = estimate_sample_rate(imu.t)  # the rate replay designs at, not the profile's
     for cfg in (
         FusionConfig(),
         # the earth radius and GPS mode are not read: the sweep runs replay on the profile's earth
         FusionConfig(accel_lp_hz=2.0, gyro_hp_hz=0.5, declination_deg=5.0, cutoff_hz=3.0, stale_after_s=0.5,
                      lon_scale_correction=True, earth_radius_m=1.0, gps_mode="live"),
     ):
-        q = AttitudeEstimator(cfg, profile.imu_rate_hz).run(*imu).q
+        q = AttitudeEstimator(cfg, fs).run(*imu).q
         for grid in grids:
             want = []
             for a, b in grid:
                 cell = replace(cfg, alpha=a, beta=b, earth_radius_m=profile.earth_radius_m, gps_mode="replay")
-                nav = fuse_nav(NavEstimator(cell, profile.imu_rate_hz), imu.t, imu.accel, q, fixes)
+                nav = fuse_nav(NavEstimator(cell, fs), imu.t, imu.accel, q, fixes)
                 err = track_error(align_to_truth(imu.t, truth.t), nav.lat, nav.lon, truth, profile.earth_radius_m)
                 want.append(SweepCell(a, b, err.lat_m, err.lon_m))
             got = list(sweep_cells(profile, SensorNoiseModel(), grid, cfg))

@@ -190,14 +190,14 @@ class RecordingSink:
 @pytest.mark.parametrize("mode", ["live", "replay"])
 def test_first_rows_are_written_after_one_block(edge_files, mode, monkeypatch):
     monkeypatch.delenv("NAVFUSE_CONFIG", raising=False)
-    blends = [0]
-    blend = NavEstimator.blend
+    blends = [0]  # position passes, one per fused block
+    blend_position = NavEstimator.blend_position
 
     def counted(self, *args):
         blends[0] += 1
-        return blend(self, *args)
+        return blend_position(self, *args)
 
-    monkeypatch.setattr(NavEstimator, "blend", counted)
+    monkeypatch.setattr(NavEstimator, "blend_position", counted)
     sink = RecordingSink(blends)
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main(cli_argv(mode, edge_files)) == cli.EXIT_OK
