@@ -50,7 +50,7 @@ import numpy as np
 
 from .attitude import GRAVITY_MPS2, AttitudeEstimator, ImuArrays, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
-from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
+from .navigation import GpsArrays, NavEstimator, gps_track, prepare_gps_reference
 from .pipeline import FusionConfig, csv_blocks, estimate_sample_rate, median, replace_fields
 from .quat import _map, rotate_inverse
 from .telemetry import gps_arrays_to_counts, gps_counts_to_arrays, imu_arrays_to_counts, imu_counts_to_arrays
@@ -335,13 +335,11 @@ def _generate_truth(profile: FlightProfile):
 def generate_flight(
     profile: FlightProfile,
     noise: SensorNoiseModel = SensorNoiseModel(),
-    quantize: bool = True,
 ) -> tuple[TruthSeries, ImuArrays, GpsArrays]:
     """Synthesize (truth, IMU stream, GPS stream); deterministic per seed.
 
-    ``quantize=False`` skips the wire-resolution rounding and yields
-    oracle-grade continuous readings (analysis only; the CLI paths always
-    quantize so encoded, recorded, and replayed streams stay bit-identical).
+    The IMU readings are quantized to wire resolution, so encoded, recorded
+    and replayed streams stay bit-identical.
     """
     truth, t_ms, a_world, rates = _generate_truth(profile)
     n = len(truth.t)
@@ -360,8 +358,7 @@ def generate_flight(
     mag_meas = mag_body + noise.mag_noise_sigma * rng.standard_normal((n, 3))
 
     imu = ImuArrays(t_ms / 1000.0, acc_meas, gyr_meas, mag_meas, np.ones(n, dtype=np.uint8))
-    if quantize:
-        imu = imu_counts_to_arrays(t_ms, imu_arrays_to_counts(imu))
+    imu = imu_counts_to_arrays(t_ms, imu_arrays_to_counts(imu))
 
     stride = int(round(profile.imu_rate_hz / profile.gps_rate_hz))
     candidates = np.arange(0, n, stride)
@@ -461,10 +458,11 @@ def sweep_cells(
 
     This call does the work the cells share and raises for a bad grid,
     option or flight: the flight, the attitude pass, the world-frame accel,
-    the GPS reference and the alignment to truth. The iterator it returns
-    only blends and scores, one cell per step. Only the nav blend reads the
-    weights, and its velocity pass reads alpha alone, so that pass runs once
-    per distinct alpha, when a cell first needs it.
+    the GPS reference (one call over the whole flight) and the alignment to
+    truth. The iterator it returns only blends and scores, one cell per
+    step. Only the nav blend reads the weights, and its velocity pass reads
+    alpha alone, so that pass runs once per distinct alpha, when a cell
+    first needs it.
 
     Position references use the interpolated fix track (replay mode), and
     errors are RMS against truth, so the table mirrors the alpha/beta impact
@@ -487,7 +485,7 @@ def sweep_cells(
     warn_gaps(track.gaps)
 
     a_world = navs[0].world_accel(imu.accel, track.q)
-    ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
+    ref = prepare_gps_reference(imu.t, gps_track(gps), cfg.gps_mode, cfg.stale_after_s)
     alignment = align_to_truth(imu.t, truth.t)
 
     def cells():

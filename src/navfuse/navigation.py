@@ -37,20 +37,23 @@ sqrt, and cos/sin stay ``math.*``, so the output is bit-identical to a
 per-sample loop.
 
 GPS fixes are ``GpsArrays`` columns from the wire decoder, the recording
-and the simulator through to ``prepare_gps_reference``. ``gps_in_range`` is
-the one rule for their values, as a mask over the fixes: the wire decode
-drops the fixes it clears, and ``check_gps``, made wherever fixes enter from
-outside, refuses them, naming the first (``gps_range_error``).
+and the simulator through to ``gps_track``, which checks them once per
+stream and takes the fix-pair bearing at each fix; ``prepare_gps_reference``
+resolves any rows against that ``GpsTrack`` from their own times alone.
+``gps_in_range`` is the one rule for fix values, as a mask over the fixes:
+the wire decode drops the fixes it clears, and ``check_gps``, made wherever
+fixes enter from outside, refuses them, naming the first (``gps_range_error``).
 
 ``NavEstimator(cfg, sample_rate_hz)`` reads its options from a
 ``pipeline.FusionConfig``, which checks their values: ``alpha``, ``beta``,
 the Butterworth ``cutoff_hz`` (``None``: ``default_position_cutoff_hz``),
-``earth_radius_m``, ``lon_scale_correction``, ``stale_after_s`` and
-``gps_mode``. Only a cutoff outside (0, Nyquist), which needs the sample
-rate, is refused by the estimator, in its filter design. It starts at rest
-at row 0 of its GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's
-fix position on every row while ``has_pos`` says whether the blend may use
-it; a ``lat``/``lon`` that its owner sets (``None`` until then) takes over
+``earth_radius_m`` and ``lon_scale_correction``; the caller of
+``prepare_gps_reference`` passes it ``gps_mode`` and ``stale_after_s``.
+Only a cutoff outside (0, Nyquist), which needs the sample rate, is refused
+by the estimator, in its filter design. It starts at rest at row 0 of its
+GPS reference, whose ``ref_lat``/``ref_lon`` hold the mode's fix position
+on every row while ``has_pos`` says whether the blend may use it; a
+``lat``/``lon`` that its owner sets (``None`` until then) takes over
 where row 0's ``has_pos`` is 0.
 """
 
@@ -141,8 +144,42 @@ class GpsReference(NamedTuple):
     has_vel: np.ndarray     # (n,) uint8
 
 
-def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_s: float) -> GpsReference:
-    """Resolve, per sample, which GPS terms the blend may use.
+class GpsTrack(NamedTuple):
+    """The valid fixes of a stream and the cos and sin of the bearing theta_d at each."""
+
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    speed: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    has_theta: np.ndarray   # bool: whether theta_d is defined (two distinct positions so far)
+
+
+def gps_track(gps: GpsArrays) -> GpsTrack:
+    """The part of the GPS reference that reads only the fixes, once per
+    stream: ``check_gps``, the valid fixes' time order, and at each the last
+    two distinct positions' bearing, as its ``math.cos`` and ``math.sin``."""
+    check_gps(gps)
+    ft, flat, flon, fspeed = (c[np.asarray(gps.valid, dtype=bool)] for c in gps[:4])
+    m = len(ft)
+    if (np.diff(ft) <= 0.0).any():
+        raise TimestampOrderError("fix timestamps must be strictly increasing")
+    theta_at, has_theta = np.zeros(m), np.zeros(m, dtype=bool)
+    lats, lons = flat.tolist(), flon.tolist()
+    anchor_lat, anchor_lon = (lats[0], lons[0]) if m else (0.0, 0.0)
+    for j in range(1, m):
+        lat, lon = lats[j], lons[j]
+        if abs(lat - anchor_lat) >= DISTINCT_FIX_DEG or abs(lon - anchor_lon) >= DISTINCT_FIX_DEG:
+            theta_at[j], has_theta[j] = bearing(anchor_lat, anchor_lon, lat, lon), True
+            anchor_lat, anchor_lon = lat, lon
+        else:
+            theta_at[j], has_theta[j] = theta_at[j - 1], has_theta[j - 1]
+    return GpsTrack(ft, flat, flon, fspeed, _map(math.cos, theta_at), _map(math.sin, theta_at), has_theta)
+
+
+def prepare_gps_reference(t: np.ndarray, track: GpsTrack, mode: str, stale_after_s: float) -> GpsReference:
+    """Resolve, per sample, which GPS terms of ``track`` the blend may use.
 
     ``ref_lat``/``ref_lon`` hold the mode's fix position on every row, and
     ``has_pos`` says whether the blend may use it. Mode "live" holds the
@@ -150,35 +187,13 @@ def prepare_gps_reference(t: np.ndarray, gps: GpsArrays, mode: str, stale_after_
     mode "replay" interpolates the fix track, clamped to its first or last
     fix, used inside its span. So row 0 holds where a stream starts. The
     velocity stays fix-based. The mode is a ``FusionConfig.gps_mode``,
-    which the config checks. The bearing's ``math.cos`` and ``math.sin``
-    are taken once per fix and gathered per sample.
+    which the config checks. Each row reads only its own time, so blocks
+    of rows resolve as one call over them all, bit for bit.
     """
-    check_gps(gps)
-    n = len(t)
-    valid = np.asarray(gps.valid, dtype=bool)
-    ft, flat, flon, fspeed = (c[valid] for c in gps[:4])
-    m = len(ft)
+    ft, flat, flon, fspeed, cos_at, sin_at, has_theta = track
+    n, m = len(t), len(ft)
     if not m:
         return GpsReference(*(np.zeros(n, dtype=d) for d in (float, float, np.uint8, float, float, float, np.uint8)))
-    if (np.diff(ft) <= 0.0).any():
-        raise TimestampOrderError("fix timestamps must be strictly increasing")
-
-    # Bearing of the last two distinct-position fixes, evaluated at each fix.
-    theta_at = np.zeros(m)
-    has_theta = np.zeros(m, dtype=bool)
-    lats, lons = flat.tolist(), flon.tolist()
-    anchor_lat, anchor_lon = lats[0], lons[0]
-    for j in range(1, m):
-        lat, lon = lats[j], lons[j]
-        if abs(lat - anchor_lat) >= DISTINCT_FIX_DEG or abs(lon - anchor_lon) >= DISTINCT_FIX_DEG:
-            theta_at[j] = bearing(anchor_lat, anchor_lon, lat, lon)
-            has_theta[j] = True
-            anchor_lat, anchor_lon = lat, lon
-        else:
-            theta_at[j] = theta_at[j - 1]
-            has_theta[j] = has_theta[j - 1]
-
-    cos_at, sin_at = _map(math.cos, theta_at), _map(math.sin, theta_at)
     idx = np.searchsorted(ft, t, side="right") - 1
     safe = np.maximum(idx, 0)
     fresh = (idx >= 0) & ((t - ft[safe]) <= stale_after_s)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .attitude import AttitudeEstimator, ImuArrays, check_imu, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
-from .navigation import GpsArrays, NavEstimator, prepare_gps_reference
+from .navigation import GpsArrays, NavEstimator, gps_track, prepare_gps_reference
 
 FUSED_HEADER = "t_ms,qw,qx,qy,qz,roll_deg,pitch_deg,yaw_deg,lat,lon,v_north,v_east"
 _FUSED_ROW = "%d" + ",%.9f" * 11
@@ -167,32 +167,32 @@ def fuse_blocks(
 
     This call does the per-stream work and raises for a bad input or cutoff;
     the iterator it returns only fuses. The sample rate is the whole
-    stream's, and the GPS reference is prepared over all rows, then sliced
-    per block, which ``blend_velocity`` and then ``blend_position`` take.
-    The first row starts at its row 0, whose ``ref_lat``/``ref_lon`` hold
-    the mode's fix position whether or not ``has_pos`` lets the blend use
-    it. After the last block, one warning names the stream's gaps.
+    stream's and ``gps_track`` of the fixes is made once; each block's GPS
+    reference and ``t_ms`` come from its own rows, so no column of the
+    whole stream is kept. The first row starts at its row 0, whose
+    ``ref_lat``/``ref_lon`` hold the mode's fix position whether or not
+    ``has_pos`` lets the blend use it. After the last block, one warning
+    names the stream's gaps.
     """
     if len(imu.t) == 0:
         raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
     fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
-    ref = prepare_gps_reference(imu.t, gps, cfg.gps_mode, cfg.stale_after_s)
-    t_ms = imu.t_ms
+    track = gps_track(gps)
 
     def blocks():
         gaps = 0
-        bounds = [0, *range(_FIRST_BLOCK_ROWS, len(t_ms), _FUSE_BLOCK_ROWS), len(t_ms)]
+        bounds = [0, *range(_FIRST_BLOCK_ROWS, len(imu.t), _FUSE_BLOCK_ROWS), len(imu.t)]
         for rows in map(slice, bounds, bounds[1:]):
             block = imu._make(col[rows] for col in imu)
             a = att.run(*block)
             gaps += a.gaps
-            block_ref = ref._make(col[rows] for col in ref)
-            vel = nav.blend_velocity(a.t, nav.world_accel(block.accel, a.q), block_ref)
-            lat, lon = nav.blend_position(a.t, vel, block_ref)
-            yield FusionOutput(a.t, t_ms[rows], a.euler, a.q, vel, lat, lon, a.flags)
-            del a, vel, lat, lon  # so that no block's arrays outlive its consumer's use while the next one is fused
+            ref = prepare_gps_reference(block.t, track, cfg.gps_mode, cfg.stale_after_s)
+            vel = nav.blend_velocity(a.t, nav.world_accel(block.accel, a.q), ref)
+            lat, lon = nav.blend_position(a.t, vel, ref)
+            yield FusionOutput(a.t, block.t_ms, a.euler, a.q, vel, lat, lon, a.flags)
+            del a, ref, vel, lat, lon  # so that no block's arrays outlive their use while the next one is fused
         warn_gaps(gaps)
 
     return blocks()

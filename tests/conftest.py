@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import SensorNoiseModel, generate_flight, standard_profile
-from navfuse.navigation import GpsArrays, prepare_gps_reference
+from navfuse.navigation import GpsArrays, gps_track, prepare_gps_reference
 from navfuse.pipeline import FusionOutput
 from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
 
@@ -80,7 +80,7 @@ def fuse_nav(nav, t, acc, q, gps):
     """The position fusion step as ``fuse_blocks`` runs it: ``nav``'s world-frame
     accel blended with the GPS reference of its options, by ``blend_velocity``
     and then ``blend_position``."""
-    ref = prepare_gps_reference(t, gps, nav.cfg.gps_mode, nav.cfg.stale_after_s)
+    ref = prepare_gps_reference(t, gps_track(gps), nav.cfg.gps_mode, nav.cfg.stale_after_s)
     vel = nav.blend_velocity(t, nav.world_accel(acc, q), ref)
     return FusedNav(vel, *nav.blend_position(t, vel, ref))
 

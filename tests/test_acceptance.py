@@ -35,7 +35,7 @@ from navfuse.flightsim import (
     sweep_cells,
     track_error,
 )
-from navfuse.navigation import NavEstimator, prepare_gps_reference
+from navfuse.navigation import NavEstimator, gps_track, prepare_gps_reference
 from navfuse.pipeline import FusionConfig
 from navfuse.quat import from_euler, rotate
 from navfuse.recording import read_recording, write_recording
@@ -166,7 +166,7 @@ def test_criterion_5_weight_degeneration(std_noisy_arrays):
 
         # (0, 0): output equals the interpolated GPS reference track exactly
         nav0 = fuse_nav(NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60), t, acc, att.q, gps)
-        ref = prepare_gps_reference(t, gps, "replay", 3.0)
+        ref = prepare_gps_reference(t, gps_track(gps), "replay", 3.0)
         covered = ref.has_pos.astype(bool)
         assert covered.all()
         np.testing.assert_array_equal(nav0.lat, ref.ref_lat)
@@ -219,7 +219,7 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
         fused = nav_error(0.1, 0.1)
         dead_reckoning = nav_error(1.0, 1.0)
         # the live reference with no fix going stale: the latest fix, held
-        held = prepare_gps_reference(t[keep], fixes120, "live", math.inf)
+        held = prepare_gps_reference(t[keep], gps_track(fixes120), "live", math.inf)
         mask = held.has_pos.astype(bool)
         hold = track_error(align_to_truth(t[keep][mask], truth120.t), held.ref_lat[mask], held.ref_lon[mask],
                            truth120).total_m
@@ -324,11 +324,11 @@ def test_criterion_9_interpolation():
             lons = rng.uniform(-170, 170, m)
             fixes = gps_arrays(times, lats, lons, speed=1.0)
             # the replay reference is the interpolated fix track
-            at_fixes = prepare_gps_reference(times, fixes, "replay", 3.0)
+            at_fixes = prepare_gps_reference(times, gps_track(fixes), "replay", 3.0)
             assert at_fixes.has_pos.all()
             assert (at_fixes.ref_lat.tolist(), at_fixes.ref_lon.tolist()) == (lats.tolist(), lons.tolist())
             tq = rng.uniform(times[0], times[-1], 20)
-            p = prepare_gps_reference(tq, fixes, "replay", 3.0)
+            p = prepare_gps_reference(tq, gps_track(fixes), "replay", 3.0)
             assert p.has_pos.all()
             j = np.minimum(np.searchsorted(times, tq, side="right") - 1, m - 2)
             u = (tq - times[j]) / (times[j + 1] - times[j])
@@ -336,4 +336,4 @@ def test_criterion_9_interpolation():
             assert (np.abs(p.ref_lon - (lons[j] + u * (lons[j + 1] - lons[j]))) < 1e-9).all()
             # no extrapolation: no position reference outside the fix span
             outside = np.array([times[0] - 1e-6, times[-1] + 1e-6])
-            assert prepare_gps_reference(outside, fixes, "replay", 3.0).has_pos.tolist() == [0, 0]
+            assert prepare_gps_reference(outside, gps_track(fixes), "replay", 3.0).has_pos.tolist() == [0, 0]

@@ -35,7 +35,7 @@ from navfuse.flightsim import (
     track_error,
     truth_rows,
 )
-from navfuse.navigation import NavEstimator, prepare_gps_reference
+from navfuse.navigation import NavEstimator, gps_track, prepare_gps_reference
 from navfuse.pipeline import FusionConfig, fuse_blocks
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
@@ -107,8 +107,9 @@ class TestGenerateFlight:
         np.testing.assert_allclose(dlat[mask], truth.vn[mask], atol=0.15)
 
     def test_sensor_model_inverse_consistency(self):
-        # unquantized, zero-noise: accel tilt must recover truth roll/pitch
-        truth, imu, _ = generate_flight(level_profile(), ZERO_NOISE, quantize=False)
+        # zero-noise: accel tilt must recover truth roll/pitch through the
+        # wire quantization (on this level flight the tilt error is 0.0)
+        truth, imu, _ = generate_flight(level_profile(), ZERO_NOISE)
         roll, pitch, ok = _tilt_from_accel(*imu.accel[::100].T)
         assert ok.all()
         np.testing.assert_allclose(roll, truth.euler[::100, 0], rtol=0, atol=1e-6)
@@ -445,9 +446,7 @@ class TestSweep:
     def test_zero_cell_equals_interpolation_error(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         cells = list(sweep_cells(standard_profile(), SensorNoiseModel(), [(0.0, 0.0)]))
-        from navfuse.navigation import prepare_gps_reference
-
-        ref = prepare_gps_reference(t, gps, "replay", 3.0)
+        ref = prepare_gps_reference(t, gps_track(gps), "replay", 3.0)
         m = ref.has_pos.astype(bool)
         expected = track_error(align_to_truth(t[m], truth.t), ref.ref_lat[m], ref.ref_lon[m], truth)
         assert cells[0].lat_err_m == pytest.approx(expected.lat_m, abs=1e-12)
@@ -573,7 +572,7 @@ class TestStudies:
 
     def test_held_fix_reference(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        held = prepare_gps_reference(t, gps, "live", math.inf)
+        held = prepare_gps_reference(t, gps_track(gps), "live", math.inf)
         mask = held.has_pos.astype(bool)
         assert mask.all()  # first fix is at t=0
         # held positions lag a moving platform noticeably more than interpolation

@@ -58,7 +58,7 @@ from navfuse.flightsim import (
     sweep_cells,
     track_error,
 )
-from navfuse.navigation import NavEstimator, prepare_gps_reference
+from navfuse.navigation import NavEstimator, gps_track, prepare_gps_reference
 from navfuse.pipeline import FusionConfig, estimate_sample_rate
 from navfuse.recording import write_recording
 
@@ -656,10 +656,10 @@ def test_nav_matches_reference(case, cuts):
     state = np.zeros(12)
     state[2:6] = start
     deg_per_m = 180.0 / (math.pi * cfg.earth_radius_m)
-    whole = prepare_gps_reference(t, fixes, cfg.gps_mode, cfg.stale_after_s)
+    track = gps_track(fixes)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
-        ref = whole._make(col[lo:hi] for col in whole)  # sliced per block, as fuse_blocks does
+        ref = prepare_gps_reference(t[lo:hi], track, cfg.gps_mode, cfg.stale_after_s)  # per block, as fuse_blocks does
         vel = est.blend_velocity(t[lo:hi], est.world_accel(acc[lo:hi], q[lo:hi]), ref)
         got.append((vel, *est.blend_position(t[lo:hi], vel, ref)))
         want.append(reference_nav_run(
@@ -684,7 +684,7 @@ def test_shared_world_accel_matches_per_cell_fusion(case, grid):
     velocity pass once per alpha, then only the position pass per cell."""
     t, acc, q, fixes, cfg, fs, start = case
     a_world = NavEstimator(cfg, fs).world_accel(acc, q)
-    ref = prepare_gps_reference(t, fixes, cfg.gps_mode, cfg.stale_after_s)
+    ref = prepare_gps_reference(t, gps_track(fixes), cfg.gps_mode, cfg.stale_after_s)
     vels = {}
     for alpha, beta in grid:
         cell = replace(cfg, alpha=alpha, beta=beta)

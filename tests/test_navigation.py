@@ -3,7 +3,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from conftest import fuse_nav, gps_arrays
+from conftest import assert_same_bits, fuse_nav, gps_arrays
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import EulerAngles, Quaternion, step
 
 from navfuse.attitude import GRAVITY_MPS2 as G
@@ -15,6 +17,7 @@ from navfuse.navigation import (
     NavEstimator,
     check_gps,
     default_position_cutoff_hz,
+    gps_track,
     prepare_gps_reference,
 )
 from navfuse.pipeline import FusionConfig
@@ -148,7 +151,7 @@ class TestReplayReference:
 
     @staticmethod
     def replay(fixes, t):
-        return prepare_gps_reference(np.array(t, dtype=np.float64).reshape(-1), fixes, "replay", 3.0)
+        return prepare_gps_reference(np.array(t, dtype=np.float64).reshape(-1), gps_track(fixes), "replay", 3.0)
 
     def test_exact_at_fixes(self):
         fixes = gps_arrays([0.0, 10.0, 20.0], [0.0, 1.0, 2.0], [10.0, 11.0, 12.0])
@@ -214,27 +217,27 @@ class TestPrepareGpsReference:
     def test_live_holds_latest_fresh_fix(self):
         t = np.array([0.0, 0.5, 1.0, 1.5, 6.0])
         fixes = gps_arrays([0.0, 1.0], [1.0, 3.0], [2.0, 4.0])
-        ref = prepare_gps_reference(t, fixes, "live", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "live", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [1, 1, 1, 1, 0])  # 6.0 is stale
         assert ref.ref_lat[1] == 1.0 and ref.ref_lat[2] == 3.0
 
     def test_replay_interpolates(self):
         t = np.array([0.0, 0.5, 1.0])
         fixes = gps_arrays([0.0, 1.0], [0.0, 1.0], [0.0, 2.0])
-        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "replay", 3.0)
         np.testing.assert_allclose(ref.ref_lat, [0.0, 0.5, 1.0], atol=1e-15)
         np.testing.assert_allclose(ref.ref_lon, [0.0, 1.0, 2.0], atol=1e-15)
 
     def test_replay_no_extrapolation(self):
         t = np.array([0.0, 2.0])
         fixes = gps_arrays([0.5, 1.0], [0.0, 1.0], [0.0, 1.0])
-        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "replay", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [0, 0])
 
     def test_velocity_needs_two_distinct(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.0, 0.001], 0.0)
-        ref = prepare_gps_reference(t, fixes, "live", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "live", 3.0)
         np.testing.assert_array_equal(ref.has_vel, [0, 0, 1, 1])
         assert ref.ref_cos[2] == pytest.approx(1.0, abs=1e-9)  # due north
         assert ref.ref_sin[2] == pytest.approx(0.0, abs=1e-9)
@@ -242,7 +245,7 @@ class TestPrepareGpsReference:
     def test_bearing_trig_is_math_of_each_fix_pair(self):
         t = np.array([0.5, 1.5, 2.5, 2.7])
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.001, 0.0015], [0.0, 0.002, 0.0021])
-        ref = prepare_gps_reference(t, fixes, "live", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "live", 3.0)
         theta = [bearing(0.0, 0.0, 0.001, 0.002), bearing(0.001, 0.002, 0.0015, 0.0021)]
         np.testing.assert_array_equal(ref.has_vel, [0, 1, 1, 1])
         assert ref.ref_cos.tolist() == [0.0, math.cos(theta[0]), math.cos(theta[1]), math.cos(theta[1])]
@@ -251,12 +254,46 @@ class TestPrepareGpsReference:
     def test_invalid_fixes_ignored(self):
         t = np.array([0.0, 1.0])
         fixes = gps_arrays([0.0], 1.0, 1.0, valid=False)
-        ref = prepare_gps_reference(t, fixes, "live", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "live", 3.0)
         assert not ref.has_pos.any()
 
     def test_replay_needs_two_fixes(self):
-        ref = prepare_gps_reference(np.array([0.0, 1.0]), gps_arrays([1.0], 1.0, 1.0), "replay", 3.0)
+        ref = prepare_gps_reference(np.array([0.0, 1.0]), gps_track(gps_arrays([1.0], 1.0, 1.0)), "replay", 3.0)
         np.testing.assert_array_equal(ref.has_pos, [0, 0])
+
+
+@st.composite
+def cut_references(draw):
+    """Fixes, IMU times on, just before and just after each fix time and
+    elsewhere, and the cuts of those times into blocks, a cut on a fix time
+    or next to it as often as not."""
+    m = draw(st.integers(0, 12))
+    ft = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 5.0), min_size=m, max_size=m)))
+    # a few positions only, so that fixes repeat one (1e-13 deg is not distinct from 0)
+    spot = st.lists(st.sampled_from([0.0, 1e-13, 0.001, -0.002]), min_size=m, max_size=m)
+    fixes = gps_arrays(ft, draw(spot), draw(spot), draw(st.lists(st.floats(0.0, 30.0), min_size=m, max_size=m)),
+                       valid=draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    near = np.concatenate([np.nextafter(ft, -math.inf), ft, np.nextafter(ft, math.inf)])
+    t = np.unique(np.concatenate([near, draw(st.lists(st.floats(-2.0, 70.0), max_size=20))]))
+    on_fixes = np.searchsorted(t, near).tolist()
+    cuts = draw(st.lists((st.sampled_from(on_fixes) if m else st.nothing()) | st.integers(0, len(t)), max_size=8))
+    return fixes, t, sorted(cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_references(), st.sampled_from(["live", "replay"]), st.sampled_from([0.0, 3.0, math.inf]))
+def test_reference_of_blocks_is_the_reference_of_all_rows(case, mode, stale_after_s):
+    """``fuse_blocks`` resolves each block's rows alone: the blocks' columns,
+    joined, are one call's over all rows, bit for bit. A block may hold
+    fewer rows than there are fixes, where ``np.interp`` does not
+    precompute its slopes, and still match."""
+    fixes, t, cuts = case
+    track = gps_track(fixes)
+    whole = prepare_gps_reference(t, track, mode, stale_after_s)
+    bounds = [0, *cuts, len(t)]
+    parts = [prepare_gps_reference(t[lo:hi], track, mode, stale_after_s) for lo, hi in zip(bounds, bounds[1:])]
+    for got, want in zip(zip(*parts), whole):
+        assert_same_bits(np.concatenate(got), want)
 
 
 class TestCheckGps:
@@ -275,10 +312,9 @@ class TestCheckGps:
     def test_out_of_range_rejected(self, column, value, message):
         fixes = gps_arrays([0.0, 1.0, 2.0], [0.0, 0.1, 0.2], 0.0, valid=[True, False, True])
         getattr(fixes, column)[1] = value
-        for mode in ("live", "replay"):
-            with pytest.raises(ValueError) as exc:
-                prepare_gps_reference(np.array([0.5]), fixes, mode, 3.0)
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            gps_track(fixes)
+        assert str(exc.value) == message
 
     def test_valid_fix_accepted(self):
         fixes = gps_arrays([0.0], -7.765, 110.37)
@@ -292,7 +328,7 @@ class TestCheckGps:
 
     def test_bounds_accepted(self):
         fixes = gps_arrays([0.0, 1.0, 2.0], [-90.0, 90.0, 0.0], [180.0, -179.9, 0.0], speed=0.0)
-        assert prepare_gps_reference(np.array([0.5]), fixes, "live", 3.0).has_pos.tolist() == [1]
+        assert prepare_gps_reference(np.array([0.5]), gps_track(fixes), "live", 3.0).has_pos.tolist() == [1]
 
 
 class TestWeightValidation:
@@ -325,7 +361,7 @@ class TestDegeneration:
         t, acc, q, fixes = self._arrays()
         est = NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60)
         track = fuse_nav(est, t, acc, q, fixes)
-        ref = prepare_gps_reference(t, fixes, "replay", 3.0)
+        ref = prepare_gps_reference(t, gps_track(fixes), "replay", 3.0)
         m = ref.has_pos.astype(bool)
         np.testing.assert_array_equal(track.lat[m], ref.ref_lat[m])
         np.testing.assert_array_equal(track.lon[m], ref.ref_lon[m])

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
 from navfuse.attitude import ImuArrays
-from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight
+from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, NavEstimator
 from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fused_rows, median
 from navfuse.recording import write_recording
@@ -240,6 +241,8 @@ def test_one_gap_warning_per_stream(caplog):
 @pytest.mark.parametrize("bad, error", [
     ("nan_last_row", "non-finite value"),
     ("t_order_last_block", "strictly increasing"),
+    ("lat_last_fix", "latitude 91.0 outside"),
+    ("t_order_last_fix", "fix timestamps must be strictly increasing"),
 ])
 def test_fuse_blocks_refuses_before_the_first_block(edge_streams, bad, error):
     imu, gps = edge_streams
@@ -247,12 +250,66 @@ def test_fuse_blocks_refuses_before_the_first_block(edge_streams, bad, error):
         accel = imu.accel.copy()
         accel[-1, 2] = math.nan
         imu = imu._replace(accel=accel)
-    else:
+    elif bad == "t_order_last_block":
         t = imu.t.copy()
         t[-1] = t[-3]
         imu = imu._replace(t=t)
+    else:
+        col = "lat" if bad == "lat_last_fix" else "t"
+        values = getattr(gps, col).copy()
+        values[-1] = 91.0 if col == "lat" else values[-3]
+        gps = gps._replace(**{col: values, "valid": np.ones(len(values), dtype=bool)})
     with pytest.raises(ValueError, match=error):
         fuse_blocks(imu, gps)  # the call raises, before any block is asked for
+
+
+@pytest.mark.parametrize("gps_mode", ["live", "replay"])
+def test_gps_reference_is_resolved_per_block(std_noisy_flight, gps_mode, monkeypatch):
+    """No GPS reference column of the whole stream: each block's comes from its own rows."""
+    _, _, imu, gps = std_noisy_flight
+    rows = []
+    prepare = pipeline.prepare_gps_reference
+
+    def spy(t, *args):
+        rows.append(len(t))
+        return prepare(t, *args)
+
+    monkeypatch.setattr(pipeline, "prepare_gps_reference", spy)
+    blocks = [len(out.t) for out in fuse_blocks(imu, gps, FusionConfig(gps_mode=gps_mode))]
+    assert rows == blocks
+    assert max(rows) <= pipeline._FUSE_BLOCK_ROWS < len(imu.t)
+
+
+@pytest.fixture(scope="module")
+def long_and_short_streams():
+    """The seed-42 standard flight with its segments flown 4 times, and the first quarter of it."""
+    profile = standard_profile(42)
+    _, imu, gps = generate_flight(dataclasses.replace(profile, segments=profile.segments * 4), SensorNoiseModel())
+    n = len(imu.t) // 4
+    k = np.searchsorted(gps.t, imu.t[n - 1], side="right")
+    return (imu, gps), (imu._make(c[:n] for c in imu), gps._make(c[:k] for c in gps))
+
+
+def held_after_first_block(imu, gps, cfg):
+    """The bytes that a ``fuse_blocks`` iterator holds once it has yielded its first block."""
+    tracemalloc.start()
+    try:
+        blocks = fuse_blocks(imu, gps, cfg)
+        next(blocks)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("gps_mode", ["live", "replay"])
+def test_fusion_state_does_not_grow_with_the_stream(long_and_short_streams, gps_mode):
+    """What the fusion keeps from block to block grows with the fixes, not
+    the rows: 4 times the rows hold at most 0.25 MB more (one whole-stream
+    float column of the long stream is 0.42 MB)."""
+    cfg = FusionConfig(gps_mode=gps_mode)
+    long, short = long_and_short_streams
+    held_after_first_block(*short, cfg)  # so that no one-time allocation lands in either count
+    assert held_after_first_block(*long, cfg) - held_after_first_block(*short, cfg) <= 0.25 * 2**20
 
 
 # ---------------------------------------------------------------- options
