@@ -19,19 +19,21 @@ drifts with the gyro bias.
 Gyro axis mapping is x -> roll rate, y -> pitch rate, z -> yaw rate (body
 frame, right-handed, z up: a level sensor reads accel (0, 0, +g)).
 
-``AttitudeEstimator.run`` makes array passes over whole columns for the
-parts that do not depend on the recursive state: the pre-filters
-(``FilterState.run``), the tilt reference of the filtered accel, the rate
-steps rate * dt and the Euler-to-quaternion assembly (``quat.from_euler``).
-One loop, ``_angle_loop``, runs the blend of one angle with its gap and
-reference branches: for roll, then pitch, then yaw. Like the pre-filters'
-loop, it is a generator over ``.tolist()`` columns, drained by one
-``np.fromiter`` into the array it returns. The magnetometer heading
-reads only the blended roll and pitch, so it is an array pass between the
-pitch and yaw loops. The output is bit-identical to a per-sample loop: numpy does
-only + - * / and sqrt, which IEEE 754 rounds exactly, and fmod, which is
-exact, and every transcendental (atan2, cos, sin) is ``math.*`` mapped over
-the column, since numpy's vectorised versions may differ in the last bit.
+``AttitudeEstimator.run`` takes a block of rows as one ``ImuArrays`` of
+float64 columns, as the readers make them. It makes array passes over the
+columns for the parts that do not depend on the recursive state: the
+pre-filters (``FilterState.run``), the tilt reference of the filtered accel,
+the rate steps rate * dt and the Euler-to-quaternion assembly
+(``quat.from_euler``). One loop, ``_angle_loop``, runs the blend of one
+angle with its gap and reference branches: for roll, then pitch, then yaw.
+Like the pre-filters' loop, it is a generator over ``.tolist()`` columns,
+drained by one ``np.fromiter`` into the array it returns. The magnetometer
+heading reads only the blended roll and pitch, so it is an array pass
+between the pitch and yaw loops. The output is bit-identical to a per-sample
+loop: numpy does only + - * / and sqrt, which IEEE 754 rounds exactly, and
+fmod, which is exact, and every transcendental (atan2, cos, sin) is
+``math.*`` mapped over the column, since numpy's vectorised versions may
+differ in the last bit.
 
 ``AttitudeEstimator(cfg, sample_rate_hz)`` reads its options from a
 ``pipeline.FusionConfig``, which checks their values: the gains ``gamma_rp``
@@ -72,10 +74,10 @@ FLAG_NO_HEADING_REF = 0x04
 
 
 class ImuArrays(NamedTuple):
-    """An IMU stream as column arrays sharing the row index, in the order
-    ``AttitudeEstimator.run`` takes them. Units: t seconds, accel m/s^2, gyro
-    rad/s, mag any consistent unit (gauss on the wire). Rows without a
-    magnetometer reading have ``has_mag`` 0 and a zero ``mag``.
+    """An IMU stream, or a block of its rows, as column arrays sharing the
+    row index: what ``AttitudeEstimator.run`` takes. Units: t seconds, accel
+    m/s^2, gyro rad/s, mag any consistent unit (gauss on the wire). Rows
+    without a magnetometer reading (all in a gyro-only run) have ``has_mag`` 0.
     """
 
     t: np.ndarray         # (n,) seconds
@@ -174,7 +176,6 @@ def _angle_loop(angle: float, steps: np.ndarray, refs: np.ndarray, resets: np.nd
 class AttitudeTrack:
     """Batch fusion output, one row per input sample."""
 
-    t: np.ndarray        # (n,) seconds
     euler: np.ndarray    # (n, 3) roll, pitch, yaw radians
     q: np.ndarray        # (n, 4) w, x, y, z
     flags: np.ndarray    # (n,) uint8 FLAG_* bits
@@ -222,29 +223,12 @@ class AttitudeEstimator:
         self.t_last: float | None = None  # None before the first sample
         self.roll = self.pitch = self.yaw = 0.0
 
-    def run(
-        self,
-        t: np.ndarray,
-        accel: np.ndarray,
-        gyro: np.ndarray,
-        mag: np.ndarray | None = None,
-        has_mag: np.ndarray | None = None,
-    ) -> AttitudeTrack:
-        """Fuse a stream, or the next part of one (arrays share the row
-        index). Gaps are flagged in the track, not logged: the owner of the
+    def run(self, imu: ImuArrays) -> AttitudeTrack:
+        """Fuse ``imu``, a stream or the next block of one, into the track of
+        its rows. Gaps are flagged in the track, not logged: the owner of the
         stream reports them once with ``warn_gaps``."""
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        n = t.shape[0]
-        accel = np.ascontiguousarray(accel, dtype=np.float64)
-        gyro = np.ascontiguousarray(gyro, dtype=np.float64)
-        if mag is None:
-            mag = np.zeros((n, 3))
-            has_mag = np.zeros(n, dtype=np.uint8)
-        if has_mag is None:
-            has_mag = np.ones(n, dtype=np.uint8)
-        mag = np.ascontiguousarray(mag, dtype=np.float64)
-        has_mag = np.ascontiguousarray(has_mag, dtype=np.uint8)
-
+        t, accel, gyro, mag, has_mag = imu
+        n = len(t)
         init = self.t_last is not None
         check_imu(t, accel, gyro, self.t_last if init else -math.inf)
 
@@ -276,4 +260,4 @@ class AttitudeEstimator:
         if n:
             self.roll, self.pitch, self.yaw = euler[-1].tolist()
             self.t_last = float(t[-1])
-        return AttitudeTrack(t=t, euler=euler, q=from_euler(euler), flags=flags)
+        return AttitudeTrack(euler=euler, q=from_euler(euler), flags=flags)

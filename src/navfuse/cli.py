@@ -202,25 +202,18 @@ def cmd_record(cfg: FusionConfig, run: dict) -> int:
 
 
 def cmd_replay(cfg: FusionConfig, run: dict) -> int:
+    """Fuse the recording of ``--input``, or its row range from ``--from-ms``
+    to ``--to-ms`` (exclusive), at the recording's sample rate. An empty
+    range writes the header alone."""
     if not run["input"]:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
     rec = _read_input_recording(run["input"])
     cfg = dataclasses.replace(cfg, gps_mode="replay")
     t_ms = rec.imu.t_ms
-    keep = np.ones(len(t_ms), dtype=bool)
-    if run["from_ms"] is not None:
-        keep &= t_ms >= run["from_ms"]
-    if run["to_ms"] is not None:
-        keep &= t_ms < run["to_ms"]
-    imu = rec.imu._make(col[keep] for col in rec.imu)
-    blocks = ()  # an empty window writes the header alone
-    if len(imu.t):
-        blocks = fuse_blocks(imu, rec.gps, cfg)
-    else:
-        # check the cutoffs as fuse_blocks would; an empty window has no sample rate, so take the recording's
-        fs = estimate_sample_rate(rec.imu.t)
-        AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
+    lo = 0 if run["from_ms"] is None else np.searchsorted(t_ms, run["from_ms"])
+    hi = len(t_ms) if run["to_ms"] is None else np.searchsorted(t_ms, run["to_ms"])
+    blocks = fuse_blocks(rec.imu, rec.gps, cfg, slice(lo, hi))
     with _output(run["output"]) as fh:
         _emit_fused(blocks, fh)
     return EXIT_OK
@@ -275,20 +268,19 @@ def cmd_filter_compare(cfg: FusionConfig, run: dict) -> int:
         from .flightsim import generate_flight
 
         _, imu, _ = generate_flight(run["profile"], run["noise"])
-    t, acc, gyr, mag, has_mag = imu
-    fs = estimate_sample_rate(t)
+    fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     bw = nav.accel_lp[0].coeffs  # the position pre-filter's Butterworth
     ch = design_chebyshev1_2_lp(bw.cutoff_hz, fs)
-    fused = att.run(t, acc, gyr, mag, has_mag)
-    gyro_only = AttitudeEstimator(cfg, fs).run(t, acc, gyr)
+    fused = att.run(imu)
+    gyro_only = AttitudeEstimator(cfg, fs).run(imu._replace(has_mag=np.zeros_like(imu.has_mag)))
     warn_gaps(fused.gaps)
 
     deg = 180.0 / math.pi
     cols = np.column_stack([
         imu.t_ms,
-        acc[:, 0], FilterState(bw).run(acc[:, 0]), FilterState(ch).run(acc[:, 0]),
-        acc[:, 1], FilterState(bw).run(acc[:, 1]), FilterState(ch).run(acc[:, 1]),
+        imu.accel[:, 0], FilterState(bw).run(imu.accel[:, 0]), FilterState(ch).run(imu.accel[:, 0]),
+        imu.accel[:, 1], FilterState(bw).run(imu.accel[:, 1]), FilterState(ch).run(imu.accel[:, 1]),
         gyro_only.euler[:, 2] * deg, fused.euler[:, 2] * deg,
     ])
     with _output(run["output"]) as fh:

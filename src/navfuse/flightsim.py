@@ -481,7 +481,7 @@ def sweep_cells(
     att = AttitudeEstimator(cfg, fs)
     navs = [NavEstimator(replace(cfg, alpha=a, beta=b), fs) for a, b in grid]
     truth, imu, gps = generate_flight(profile, noise)
-    track = att.run(*imu)
+    track = att.run(imu)
     warn_gaps(track.gaps)
 
     a_world = navs[0].world_accel(imu.accel, track.q)

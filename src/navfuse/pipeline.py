@@ -6,15 +6,17 @@ over them, and formats the fused output rows. Live and replay runs differ only i
 position reference (latest fix vs linear interpolation), so replaying a
 recording reproduces the live attitude output bit for bit.
 
-``fuse_blocks`` fuses a stream in blocks: a first block of
-``_FIRST_BLOCK_ROWS`` (64) rows, so that the first rows wait for a short
-fusion only, then blocks of ``_FUSE_BLOCK_ROWS`` (4,096) rows, so that the
-per-block set-up is paid a few times per stream. A block's temporaries
-grow with its rows: while a 38k-row ``live`` stream is fused, at most 3.3
-MB more is allocated than at the start with 1,024-row blocks, 3.6 MB with
-4,096 and 4.3 MB with 8,192. ``fused_rows`` formats a block ``_BLOCK_ROWS`` (1,024) rows at
-a time, which bounds the formatter's memory, and the CLI writes each
-block's rows as soon as it is fused instead of after the whole flight.
+``fuse_blocks`` fuses a stream, or a row range of it (a replay window), in
+blocks: a first block of ``_FIRST_BLOCK_ROWS`` (64) rows, so that the first
+rows wait for a short fusion only, then blocks of ``_FUSE_BLOCK_ROWS``
+(4,096) rows, so that the per-block set-up is paid a few times per stream.
+A block's temporaries grow with its rows: fusing and formatting the
+37,763-row ``live`` stream of navbench's seed 5 (3x) allocates, as
+``tracemalloc`` counts it, at most 1.45 MiB more than at the start with
+1,024-row blocks, 1.84 MiB with 4,096 and 3.04 MiB with 8,192.
+``fused_rows`` formats a block ``_BLOCK_ROWS`` (1,024) rows at a time,
+which bounds the formatter's memory, and the CLI writes each block's rows
+as soon as it is fused instead of after the whole flight.
 Everything that can refuse the input (the cutoffs, the IMU columns, the
 GPS fixes) is checked before the first block, so an input error leaves no
 row behind; the other options are checked when the ``FusionConfig`` is
@@ -160,38 +162,39 @@ def estimate_sample_rate(t: np.ndarray) -> float:
 
 
 def fuse_blocks(
-    imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(),
+    imu: ImuArrays, gps: GpsArrays, cfg: FusionConfig = FusionConfig(), rows: slice = slice(None),
 ) -> Iterator[FusionOutput]:
-    """The fusion of ``imu`` and ``gps`` as one ``FusionOutput`` per block:
-    the first ``_FIRST_BLOCK_ROWS`` rows, then blocks of ``_FUSE_BLOCK_ROWS`` rows.
+    """The fusion of the row range ``rows`` of ``imu`` (all of it by default)
+    and ``gps`` as one ``FusionOutput`` per block: the first
+    ``_FIRST_BLOCK_ROWS`` rows, then blocks of ``_FUSE_BLOCK_ROWS`` rows. An
+    empty stream or range yields no block.
 
     This call does the per-stream work and raises for a bad input or cutoff;
-    the iterator it returns only fuses. The sample rate is the whole
-    stream's and ``gps_track`` of the fixes is made once; each block's GPS
-    reference and ``t_ms`` come from its own rows, so no column of the
-    whole stream is kept. The first row starts at its row 0, whose
-    ``ref_lat``/``ref_lon`` hold the mode's fix position whether or not
-    ``has_pos`` lets the blend use it. After the last block, one warning
-    names the stream's gaps.
+    the iterator it returns only fuses. The IMU check, the sample rate and
+    ``gps_track`` of the fixes are the whole stream's, so a range fuses at
+    its stream's rate. Each block is a view of ``imu``'s rows, whose GPS
+    reference and ``t_ms`` come from those rows alone. The estimators start
+    at the range's first row, whose ``ref_lat``/``ref_lon`` hold the mode's
+    fix position whether or not ``has_pos`` lets the blend use it. After the
+    last block, one warning names the range's gaps.
     """
-    if len(imu.t) == 0:
-        raise ValueError("no IMU samples to fuse")
     check_imu(imu.t, imu.accel, imu.gyro)
     fs = estimate_sample_rate(imu.t)
     att, nav = AttitudeEstimator(cfg, fs), NavEstimator(cfg, fs)
     track = gps_track(gps)
+    lo, hi, _ = rows.indices(len(imu.t))
 
     def blocks():
         gaps = 0
-        bounds = [0, *range(_FIRST_BLOCK_ROWS, len(imu.t), _FUSE_BLOCK_ROWS), len(imu.t)]
-        for rows in map(slice, bounds, bounds[1:]):
-            block = imu._make(col[rows] for col in imu)
-            a = att.run(*block)
+        bounds = [lo, *range(lo + _FIRST_BLOCK_ROWS, hi, _FUSE_BLOCK_ROWS), hi] if lo < hi else []
+        for block_rows in map(slice, bounds, bounds[1:]):
+            block = imu._make(col[block_rows] for col in imu)
+            a = att.run(block)
             gaps += a.gaps
             ref = prepare_gps_reference(block.t, track, cfg.gps_mode, cfg.stale_after_s)
-            vel = nav.blend_velocity(a.t, nav.world_accel(block.accel, a.q), ref)
-            lat, lon = nav.blend_position(a.t, vel, ref)
-            yield FusionOutput(a.t, block.t_ms, a.euler, a.q, vel, lat, lon, a.flags)
+            vel = nav.blend_velocity(block.t, nav.world_accel(block.accel, a.q), ref)
+            lat, lon = nav.blend_position(block.t, vel, ref)
+            yield FusionOutput(block.t, block.t_ms, a.euler, a.q, vel, lat, lon, a.flags)
             del a, ref, vel, lat, lon  # so that no block's arrays outlive their use while the next one is fused
         warn_gaps(gaps)
 

@@ -18,7 +18,7 @@ import pytest
 from conftest import fuse_nav, gps_arrays
 from reference import Quaternion, frequency_response, hamilton, poles, step, wrap_pi
 
-from navfuse.attitude import AttitudeEstimator
+from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.filters import (
     FilterState,
     design_butterworth2_lp,
@@ -111,8 +111,8 @@ def test_criterion_2_filter_suite():
 def test_criterion_3_yaw_drift(std_noisy_arrays):
     with criterion(3, "magnetometer bounds yaw drift (5x, <0.1 rad)"):
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
-        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)
+        fused = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
+        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, np.zeros_like(has_mag)))
         err_fused = np.abs([wrap_pi(a - b) for a, b in zip(fused.euler[:, 2], truth.euler[:, 2])])
         err_gyro = np.abs([wrap_pi(a - b) for a, b in zip(gyro_only.euler[:, 2], truth.euler[:, 2])])
         assert err_gyro[-1] >= 5.0 * err_fused[-1]
@@ -162,7 +162,7 @@ def test_criterion_4_table_trend_full():
 def test_criterion_5_weight_degeneration(std_noisy_arrays):
     with criterion(5, "weight degeneration is exact at (0,0) and (1,1)"):
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        att = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
 
         # (0, 0): output equals the interpolated GPS reference track exactly
         nav0 = fuse_nav(NavEstimator(FusionConfig(alpha=0.0, beta=0.0, gps_mode="replay"), 60), t, acc, att.q, gps)
@@ -208,7 +208,7 @@ def test_criterion_6_fusion_beats_its_parts(std_noisy_arrays):
         )
         fixes120 = gps._make(c[gps.t <= 120.0] for c in gps)
         att = AttitudeEstimator(FusionConfig(), 60).run(
-            t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
+            ImuArrays(t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep])
         )
 
         def nav_error(alpha, beta):

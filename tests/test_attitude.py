@@ -7,6 +7,7 @@ from conftest import make_level_stream
 from navfuse.attitude import (
     FLAG_GAP,
     AttitudeEstimator,
+    ImuArrays,
     _heading_ref,
     _tilt_from_accel,
 )
@@ -20,7 +21,7 @@ G = 9.80665
 
 def one_row(est, t, accel=(0.0, 0.0, G), gyro=(0.0, 0.0, 0.0), mag=None):
     """Fuse one sample, without a magnetometer when ``mag`` is None."""
-    return est.run([t], [accel], [gyro], [mag or (0.0, 0.0, 0.0)], [mag is not None])
+    return est.run(make_level_stream(n=1, accel=accel, gyro=gyro, mag=mag)._replace(t=np.array([float(t)])))
 
 
 class TestTiltFromAccel:
@@ -98,12 +99,12 @@ class TestHeadingFromMag:
 class TestAttitudeEstimator:
     def test_static_level_converges_to_identity(self):
         est = AttitudeEstimator(FusionConfig(), 60)
-        w, x, y, z = est.run(*make_level_stream(n=301)).q[-1]
+        w, x, y, z = est.run(make_level_stream(n=301)).q[-1]
         assert abs(w - 1) < 1e-3 and abs(x) < 1e-3 and abs(y) < 1e-3 and abs(z) < 1e-3
 
     def test_gyro_only_yaw_integration(self):
         # constant 0.1 rad/s yaw rate, no magnetometer, 10 s
-        track = AttitudeEstimator(FusionConfig(), 60).run(*make_level_stream(n=601, gyro=(0.0, 0.0, 0.1)))
+        track = AttitudeEstimator(FusionConfig(), 60).run(make_level_stream(n=601, gyro=(0.0, 0.0, 0.1)))
         assert track.euler[-1, 2] == pytest.approx(1.0, rel=0.02)
 
     def test_yaw_bias_bounded_with_mag(self):
@@ -111,7 +112,7 @@ class TestAttitudeEstimator:
         bias = 0.01
         est = AttitudeEstimator(FusionConfig(), 60)
         gains = est.cfg
-        yaw = est.run(*make_level_stream(n=n, gyro=(0.0, 0.0, bias), mag=(0.28, 0.0, -0.12))).euler[:, 2]
+        yaw = est.run(make_level_stream(n=n, gyro=(0.0, 0.0, bias), mag=(0.28, 0.0, -0.12))).euler[:, 2]
         assert np.abs(yaw).max() < 0.05
         # steady-state bound gamma*b*dt/(1-gamma) plus slack for the transient
         bound = gains.gamma_yaw * bias * (1 / 60.0) / (1.0 - gains.gamma_yaw)
@@ -119,18 +120,18 @@ class TestAttitudeEstimator:
 
     def test_yaw_bias_grows_without_mag(self):
         bias = 0.01
-        track = AttitudeEstimator(FusionConfig(), 60).run(*make_level_stream(n=1801, gyro=(0.0, 0.0, bias)))
+        track = AttitudeEstimator(FusionConfig(), 60).run(make_level_stream(n=1801, gyro=(0.0, 0.0, bias)))
         assert track.euler[-1, 2] == pytest.approx(bias * 30.0, rel=0.02)
 
     def test_unit_quaternion_maintained(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        track = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
         norms = np.linalg.norm(track.q, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_quaternion_matches_euler(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        track = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
         for i in range(0, len(t), 997):
             e = Quaternion(*track.q[i]).to_euler()
             np.testing.assert_allclose(e, track.euler[i], atol=1e-9)
@@ -142,7 +143,7 @@ class TestAttitudeEstimator:
         acc = rng.normal((0, 0, G), 0.5, (n, 3))
         gyr = rng.normal(0, 0.1, (n, 3))
         est = AttitudeEstimator(FusionConfig(gamma_rp=0.0, gamma_yaw=0.98), 60)
-        track = est.run(t, acc, gyr)
+        track = est.run(ImuArrays(t, acc, gyr, np.zeros((n, 3)), np.zeros(n, dtype=np.uint8)))
         # reproduce the accel pre-filter independently
         coeffs = design_first_order_lp(5.0, 60.0)
         filts = [FilterState(coeffs) for _ in range(3)]
@@ -155,8 +156,8 @@ class TestAttitudeEstimator:
 
     def test_determinism(self, std_noisy_arrays):
         _, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        a = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
-        b = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        a = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
+        b = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
         np.testing.assert_array_equal(a.q, b.q)
         np.testing.assert_array_equal(a.euler, b.euler)
 
@@ -173,9 +174,7 @@ class TestAttitudeEstimator:
         one_row(est, 0.0)
         # 2 s gap with a furious yaw rate: the rate must be ignored and,
         # with no magnetometer, yaw held
-        track = est.run(
-            np.array([2.0]), np.array([[0, 0, G]]), np.array([[0.0, 0.0, 5.0]])
-        )
+        track = one_row(est, 2.0, gyro=(0.0, 0.0, 5.0))
         assert track.flags[0] & FLAG_GAP
         assert track.euler[0, 2] == 0.0
 

@@ -56,6 +56,16 @@ def recorded_file(short_flight, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def flight_200hz(tmp_path_factory):
+    """A 5 s straight flight recorded at 200 Hz: 1,001 rows 5 ms apart."""
+    profile = FlightProfile(segments=(FlightSegment("straight", 5.0),), imu_rate_hz=200.0)
+    _, imu, gps = generate_flight(profile, SensorNoiseModel())
+    path = tmp_path_factory.mktemp("rec200") / "flight.csv"
+    write_recording(imu, gps, path, {})
+    return path
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -483,7 +493,7 @@ class TestRecordReplay:
         assert out.splitlines() == [out.splitlines()[0]]
 
     @pytest.mark.parametrize("options", [["--alpha", "5", "--cutoff-hz", "0"], ["--cutoff-hz", "0"]])
-    @pytest.mark.parametrize("window", [("0", "0"), ("1000", "3000")])
+    @pytest.mark.parametrize("window", [("0", "0"), ("1000", "3000"), ("0", "1")])
     def test_window_with_or_without_rows_checks_the_options(self, window, options, recorded, capsys):
         rec_path, _, _ = recorded
         argv = ["--mode", "replay", "--input", str(rec_path), "--from-ms", window[0], "--to-ms", window[1]]
@@ -492,6 +502,56 @@ class TestRecordReplay:
         want = ("bad config: alpha must be in [0, 1], got 5.0" if "--alpha" in options
                 else "invalid input: cutoff 0.0 Hz must lie strictly inside")
         assert err.startswith("navfuse: " + want)
+
+    @pytest.mark.parametrize("window, rows", [(None, 1001), (("0", "0"), 0), (("0", "5"), 1), (("0", "10"), 2)])
+    def test_window_fuses_at_the_recording_rate(self, window, rows, flight_200hz, capsys, tmp_path, monkeypatch):
+        """A window of a 200 Hz recording is fused at 200 Hz, whatever rows it
+        holds: a 40 Hz accel cutoff, above the 30 Hz Nyquist rate of the 60 Hz
+        that a stream of fewer than two rows takes, runs, and 120 Hz, above
+        the recording's 100 Hz, is refused."""
+        argv = ["--mode", "replay", "--input", str(flight_200hz)]
+        if window:
+            argv += ["--from-ms", window[0], "--to-ms", window[1]]
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("NAVFUSE_CONFIG", str(cfg))
+        cfg.write_text('{"accel_lp_hz": 40}')
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out.count("\n"), err) == (0, rows + 1, "")
+        cfg.write_text('{"accel_lp_hz": 120}')
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("navfuse: invalid input: cutoff 120.0 Hz") and "accel_lp_hz" in err
+
+    @pytest.mark.parametrize("window", [[], ["--from-ms", "1000", "--to-ms", "3000"]])
+    def test_replay_fuses_the_recording_columns(self, window, recorded, capsys, monkeypatch):
+        """``fuse_blocks`` gets the recording's own ``ImuArrays``, windowed or
+        not: a window is a row range of it, not a copy of its rows."""
+        from navfuse import recording
+
+        rec_path, _, _ = recorded
+        reads, calls = [], []
+        read, fuse = recording.read_recording, cli.fuse_blocks
+        monkeypatch.setattr(recording, "read_recording", lambda *args: reads.append(read(*args)) or reads[-1])
+        monkeypatch.setattr(cli, "fuse_blocks", lambda imu, *args: calls.append((imu, *args)) or fuse(imu, *args))
+        code, out, _ = run_cli(["--mode", "replay", "--input", str(rec_path), *window], capsys)
+        assert code == 0 and len(calls) == 1
+        imu, _, _, rows = calls[0]
+        assert imu is reads[-1].imu
+        t_ms = imu.t_ms[rows]
+        assert out.count("\n") == len(t_ms) + 1
+        if window:
+            assert t_ms[0] >= 1000 and t_ms[-1] < 3000 and len(t_ms) < len(imu.t)
+
+    @pytest.mark.parametrize("bound", [["--from-ms", "99999999999999999999"], ["--to-ms", "-99999999999999999999"]])
+    def test_window_bound_beyond_int64_holds_no_row(self, bound, recorded, capsys):
+        rec_path, _, _ = recorded
+        assert run_cli(["--mode", "replay", "--input", str(rec_path), *bound], capsys) == (0, FUSED_HEADER + "\n", "")
+
+    def test_empty_recording_replays_to_its_header(self, short_flight, capsys, tmp_path):
+        _, imu, gps = short_flight
+        rec_path = tmp_path / "empty.csv"
+        write_recording(imu._make(c[:0] for c in imu), gps._make(c[:0] for c in gps), rec_path, {})
+        assert run_cli(["--mode", "replay", "--input", str(rec_path)], capsys) == (0, FUSED_HEADER + "\n", "")
 
     @pytest.mark.parametrize("mode", ["replay", "filter-compare"])
     def test_dash_input_reads_stdin_as_the_file(self, mode, recorded, capsys, tmp_path, monkeypatch):

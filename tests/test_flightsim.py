@@ -12,7 +12,7 @@ from reference import wrap_pi
 
 from navfuse import flightsim
 from navfuse.attitude import GRAVITY_MPS2 as G
-from navfuse.attitude import AttitudeEstimator, _tilt_from_accel
+from navfuse.attitude import AttitudeEstimator, ImuArrays, _tilt_from_accel
 from navfuse.filters import FilterState, design_chebyshev1_2_lp
 from navfuse.flightsim import (
     PITCH_RAMP_RATE,
@@ -520,8 +520,8 @@ class TestSweep:
 class TestStudies:
     def test_yaw_drift_magnetometer_correction(self, std_noisy_arrays):
         truth, t, acc, gyr, mag, has_mag, _ = std_noisy_arrays
-        fused = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
-        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr)
+        fused = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
+        gyro_only = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, np.zeros_like(has_mag)))
         err_f = np.abs([wrap_pi(a - b) for a, b in zip(fused.euler[:, 2], truth.euler[:, 2])])
         err_g = np.abs([wrap_pi(a - b) for a, b in zip(gyro_only.euler[:, 2], truth.euler[:, 2])])
         assert err_g[-1] > 5.0 * err_f[-1]
@@ -531,7 +531,7 @@ class TestStudies:
         # dead-reckoning-only run isolates the pre-filter quality; the
         # Chebyshev ripple consistently costs a little extra drift
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
-        att = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        att = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
 
         def drift_m(coeffs=None):
             nav = NavEstimator(FusionConfig(alpha=1.0, beta=1.0, gps_mode="replay"), 60)
@@ -548,7 +548,7 @@ class TestStudies:
         truth, t, acc, gyr, mag, has_mag, gps = std_noisy_arrays
         keep = t <= 120.0
         att = AttitudeEstimator(FusionConfig(), 60).run(
-            t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep]
+            ImuArrays(t[keep], acc[keep], gyr[keep], mag[keep], has_mag[keep])
         )
 
         def error_series(alpha, beta):

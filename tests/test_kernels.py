@@ -38,6 +38,7 @@ from navfuse.attitude import (
     MIN_HORIZONTAL_FIELD,
     MIN_TILT_ACCEL_MPS2,
     AttitudeEstimator,
+    ImuArrays,
 )
 from navfuse.cli import main
 from navfuse.filters import (
@@ -410,7 +411,7 @@ def test_gap_and_flag_paths():
     gyr = np.full((5, 3), 0.3)
     mag = np.tile([0.3, 0.0, -0.1], (5, 1))
     has_mag = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
-    track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+    track = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
     assert track.flags.dtype == np.uint8
     assert track.flags.tolist() == [0, 0, FLAG_GAP, 0, 0]
 
@@ -422,7 +423,7 @@ def test_unobservable_reference_flags():
     acc = np.array([[0, 0, 0.0], [0, 0, 0.0], [0, 0, 9.8], [0, 0, 9.8]])
     gyr = np.full((4, 3), 0.3)
     mag = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, -0.1], [0.0, 0.0, -0.4], [0.3, 0.0, -0.1]])
-    track = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, np.ones(4, dtype=np.uint8))
+    track = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, np.ones(4, dtype=np.uint8)))
     both = FLAG_NO_TILT_REF | FLAG_NO_HEADING_REF
     assert track.flags.tolist() == [both, FLAG_NO_TILT_REF, FLAG_NO_HEADING_REF, 0]
     # no tilt reference: roll and pitch start level and integrate the
@@ -435,11 +436,11 @@ class TestChunkedEquivalence:
 
     def test_attitude_chunks(self):
         t, acc, gyr, mag, has_mag = random_stream(7, n=500)
-        whole = AttitudeEstimator(FusionConfig(), 60).run(t, acc, gyr, mag, has_mag)
+        whole = AttitudeEstimator(FusionConfig(), 60).run(ImuArrays(t, acc, gyr, mag, has_mag))
         est = AttitudeEstimator(FusionConfig(), 60)
         parts = []
         for lo, hi in ((0, 100), (100, 101), (101, 500)):
-            parts.append(est.run(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi]))
+            parts.append(est.run(ImuArrays(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi])))
         stitched = np.vstack([p.euler for p in parts])
         np.testing.assert_array_equal(whole.euler, stitched)
 
@@ -591,7 +592,7 @@ def test_attitude_matches_reference(stream, gamma_rp, gamma_yaw, declination_deg
     state = np.zeros(16)
     got, want = [], []
     for lo, hi in chunks(len(t), cuts):
-        track = est.run(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi])
+        track = est.run(ImuArrays(t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi]))
         got.append((track.euler, track.q, track.flags))
         want.append(reference_attitude_run(
             t[lo:hi], acc[lo:hi], gyr[lo:hi], mag[lo:hi], has_mag[lo:hi],
@@ -702,7 +703,7 @@ def seed5_accel_and_attitude():
     """The seed-5 standard flight's accel, its attitude quaternions and sample rate."""
     _, imu, _ = generate_flight(standard_profile(5), SensorNoiseModel())
     fs = estimate_sample_rate(imu.t)
-    return imu.accel, AttitudeEstimator(FusionConfig(), fs).run(*imu).q, fs
+    return imu.accel, AttitudeEstimator(FusionConfig(), fs).run(imu).q, fs
 
 
 @settings(max_examples=30, deadline=None)
@@ -735,7 +736,7 @@ def test_sweep_cells_matches_per_cell_fusion():
         FusionConfig(accel_lp_hz=2.0, gyro_hp_hz=0.5, declination_deg=5.0, cutoff_hz=3.0, stale_after_s=0.5,
                      lon_scale_correction=True, earth_radius_m=1.0, gps_mode="live"),
     ):
-        q = AttitudeEstimator(cfg, fs).run(*imu).q
+        q = AttitudeEstimator(cfg, fs).run(imu).q
         for grid in grids:
             want = []
             for a, b in grid:

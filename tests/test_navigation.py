@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference import EulerAngles, Quaternion, step
 
 from navfuse.attitude import GRAVITY_MPS2 as G
-from navfuse.attitude import AttitudeEstimator
+from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.errors import TimestampOrderError
 from navfuse.filters import BiquadCoeffs, FilterState, design_butterworth2_lp
 from navfuse.geo import bearing
@@ -208,9 +208,11 @@ class TestNavStep:
     def test_timestamp_ordering(self):
         # the attitude step, which every block runs before the nav step, checks the order
         est = AttitudeEstimator(FusionConfig(), 60.0)
-        est.run(np.array([1.0]), np.array([[0, 0, G]]), np.zeros((1, 3)))
+        row = ImuArrays(np.array([1.0]), np.array([[0, 0, G]]), np.zeros((1, 3)), np.zeros((1, 3)),
+                        np.zeros(1, dtype=np.uint8))
+        est.run(row)
         with pytest.raises(TimestampOrderError):
-            est.run(np.array([1.0]), np.array([[0, 0, G]]), np.zeros((1, 3)))
+            est.run(row)
 
 
 class TestPrepareGpsReference:

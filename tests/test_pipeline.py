@@ -7,14 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import assert_same_bits, build_stream, joined
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, NavEstimator
-from navfuse.pipeline import FusionConfig, csv_blocks, format_rows, fuse_blocks, fused_rows, median
+from navfuse.pipeline import (
+    FusionConfig,
+    csv_blocks,
+    estimate_sample_rate,
+    format_rows,
+    fuse_blocks,
+    fused_rows,
+    median,
+)
 from navfuse.recording import write_recording
 
 
@@ -106,6 +114,7 @@ def test_format_rows_prints_what_percent_prints(rows, cells, drawn, in_range, em
 
 GAP_ROWS = (192, 1024)   # on a block edge at every block size tested
 FIRST_FIX_ROW = 1100     # after the first block at every block size tested
+WINDOW_ROWS = (100, 1200)  # a replay window across both gaps and the first fix
 
 
 @pytest.fixture(scope="module")
@@ -161,16 +170,44 @@ def test_fused_arrays_do_not_depend_on_the_block_size(edge_streams, gps_mode, ro
 
 
 @pytest.mark.parametrize("rows", [1, 3, 64])
-@pytest.mark.parametrize("mode", ["live", "replay"])
+@pytest.mark.parametrize("mode", ["live", "replay", "window"])
 def test_cli_output_does_not_depend_on_the_block_size(edge_streams, edge_files, mode, rows, capsys,
                                                      monkeypatch):
+    """``window`` replays the rows ``WINDOW_ROWS`` of the recording."""
     monkeypatch.delenv("NAVFUSE_CONFIG", raising=False)
-    assert cli.main(cli_argv(mode, edge_files)) == cli.EXIT_OK
+    t_ms = edge_streams[0].t_ms
+    lo, hi = WINDOW_ROWS if mode == "window" else (0, len(t_ms))
+    argv = cli_argv("replay" if mode == "window" else mode, edge_files)
+    if mode == "window":
+        argv += ["--from-ms", str(t_ms[lo]), "--to-ms", str(t_ms[hi])]
+    assert cli.main(argv) == cli.EXIT_OK
     want = capsys.readouterr().out
-    assert want.count("\n") == len(edge_streams[0].t) + 1
+    assert want.count("\n") == hi - lo + 1
     monkeypatch.setattr(pipeline, "_FUSE_BLOCK_ROWS", rows)
-    assert cli.main(cli_argv(mode, edge_files)) == cli.EXIT_OK
+    assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("gps_mode", ["live", "replay"])
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(0, 1600), hi=st.integers(0, 1600))
+@example(lo=0, hi=0)
+@example(lo=1600, hi=0)
+@example(lo=WINDOW_ROWS[0], hi=WINDOW_ROWS[1])
+def test_a_row_range_fuses_as_a_stream_of_its_rows(edge_streams, gps_mode, lo, hi):
+    """``fuse_blocks`` of the rows ``lo:hi`` is the fusion of those rows as a
+    stream of their own, bit for bit, where the two have the same sample
+    rate; an empty range yields no block, as an empty stream does."""
+    imu, gps = edge_streams
+    cfg = FusionConfig(gps_mode=gps_mode)
+    window = list(fuse_blocks(imu, gps, cfg, slice(lo, hi)))
+    rows = imu._make(col[lo:hi] for col in imu)
+    if len(rows.t) == 0:
+        assert window == list(fuse_blocks(rows, gps, cfg)) == []
+        return
+    assume(estimate_sample_rate(rows.t) == estimate_sample_rate(imu.t))
+    for got, want in zip(joined(window), joined(fuse_blocks(rows, gps, cfg)), strict=True):
+        assert_same_bits(got, want)
 
 
 class RecordingSink:
