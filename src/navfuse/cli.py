@@ -159,12 +159,18 @@ def _output(path: str | None):
 
 
 def _emit_fused(blocks, fh) -> None:
-    """Write the header, then each block's rows as soon as it is fused."""
-    fh.write(FUSED_HEADER + "\n")
-    for rows in map(fused_rows, blocks):  # a drained fused_rows holds its block no longer
-        for text in rows:
-            fh.write(text)
-        fh.flush()
+    """Write the header, then each block's rows as soon as it is fused. The
+    ``fuse_blocks`` iterator is closed however the writing ends, so that
+    the attitude worker it may have forked is reaped before this returns,
+    also when the reader has gone (``BrokenPipeError``)."""
+    try:
+        fh.write(FUSED_HEADER + "\n")
+        for rows in map(fused_rows, blocks):  # a drained fused_rows holds its block no longer
+            for text in rows:
+                fh.write(text)
+            fh.flush()
+    finally:
+        blocks.close()
 
 
 def cmd_live(cfg: FusionConfig, run: dict, save=None) -> int:

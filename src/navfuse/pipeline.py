@@ -23,6 +23,27 @@ row behind; the other options are checked when the ``FusionConfig`` is
 built. The estimators carry their state from block to block, so the
 output does not depend on the block size, bit for bit.
 
+The attitude pass, the largest layer, runs one block ahead of the rest in
+a forked worker, so that on two CPUs it overlaps the GPS reference, the
+nav passes and the formatting, which read only its ``q``. The first block
+is fused in process; then, when at least two blocks follow, ``os.fork``
+exists and the process may run on two or more CPUs
+(``os.sched_getaffinity``, else ``os.cpu_count``), one child process runs
+``AttitudeEstimator.run`` over the remaining blocks and writes each
+block's ``euler``, ``q`` and ``flags`` as raw bytes into a pipe, from which
+the parent reads them back. It is forked when the second block is asked
+for, so the first rows wait for no fork; where the fork fails, every block
+is fused in process. The worker inherits the estimator's state after the
+first block and the columns copy-on-write, and the pipe's buffer (64 KiB
+on Linux) keeps it at most about one block ahead. The same code on the
+same float64 columns runs in either process, so the output is the same
+bytes with or without the worker; there is nothing to configure. The
+worker ends only through ``os._exit``, so it never flushes the stdio
+buffers it inherited nor runs ``atexit``: when it has written every block,
+or when the parent stops reading (``BrokenPipeError``). The parent closes
+the pipe and reaps the worker when the iterator ends, is closed or raises,
+and raises ``RuntimeError`` when the worker ends before its last block.
+
 ``format_rows`` prints the numeric CSV bodies (fused, truth, filter-compare
 and recording rows) byte for byte as one ``%`` per cell would, with numpy
 arithmetic on a block of cells at a time:
@@ -50,12 +71,13 @@ arithmetic on a block of cells at a time:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .attitude import AttitudeEstimator, ImuArrays, check_imu, warn_gaps
+from .attitude import AttitudeEstimator, AttitudeTrack, ImuArrays, check_imu, warn_gaps
 from .geo import EARTH_RADIUS_M, check_earth_radius
 from .navigation import GpsArrays, NavEstimator, gps_track, prepare_gps_reference
 
@@ -177,6 +199,11 @@ def fuse_blocks(
     at the range's first row, whose ``ref_lat``/``ref_lon`` hold the mode's
     fix position whether or not ``has_pos`` lets the blend use it. After the
     last block, one warning names the range's gaps.
+
+    From the second block on, the attitude pass may run one block ahead in
+    a forked worker (``_attitude_tracks``; see the module docstring), which
+    gives the same bytes. The worker is reaped when the iterator is
+    exhausted, closed or raises, so a consumer that stops early closes it.
     """
     check_imu(imu.t, imu.accel, imu.gyro)
     fs = estimate_sample_rate(imu.t)
@@ -187,18 +214,97 @@ def fuse_blocks(
     def blocks():
         gaps = 0
         bounds = [lo, *range(lo + _FIRST_BLOCK_ROWS, hi, _FUSE_BLOCK_ROWS), hi] if lo < hi else []
-        for block_rows in map(slice, bounds, bounds[1:]):
-            block = imu._make(col[block_rows] for col in imu)
-            a = att.run(block)
-            gaps += a.gaps
-            ref = prepare_gps_reference(block.t, track, cfg.gps_mode, cfg.stale_after_s)
-            vel = nav.blend_velocity(block.t, nav.world_accel(block.accel, a.q), ref)
-            lat, lon = nav.blend_position(block.t, vel, ref)
-            yield FusionOutput(block.t, block.t_ms, a.euler, a.q, vel, lat, lon, a.flags)
-            del a, ref, vel, lat, lon  # so that no block's arrays outlive their use while the next one is fused
+        parts = [imu._make(col[block_rows] for col in imu) for block_rows in map(slice, bounds, bounds[1:])]
+        tracks = _attitude_tracks(att, parts)
+        try:
+            for block, a in zip(parts, tracks):
+                gaps += a.gaps
+                ref = prepare_gps_reference(block.t, track, cfg.gps_mode, cfg.stale_after_s)
+                vel = nav.blend_velocity(block.t, nav.world_accel(block.accel, a.q), ref)
+                lat, lon = nav.blend_position(block.t, vel, ref)
+                yield FusionOutput(block.t, block.t_ms, a.euler, a.q, vel, lat, lon, a.flags)
+                del a, ref, vel, lat, lon  # so that no block's arrays outlive their use while the next one is fused
+        finally:
+            tracks.close()
         warn_gaps(gaps)
 
     return blocks()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _attitude_tracks(att: AttitudeEstimator, blocks: list[ImuArrays]) -> Iterator[AttitudeTrack]:
+    """``att.run`` of each of ``blocks`` (at least one) in turn. The first
+    runs in process; when at least two follow, ``os.fork`` exists and two or
+    more CPUs are usable, the rest run in a forked worker one block ahead,
+    whose tracks come back through a pipe; where the fork fails, they run in
+    process. Closing the iterator closes the pipe and reaps the worker; a
+    worker that ends before its last block raises ``RuntimeError``."""
+    yield att.run(blocks[0])
+    rest = blocks[1:]
+    if len(rest) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield from map(att.run, rest)
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): the rest runs in process
+        os.close(r)
+        os.close(w)
+        yield from map(att.run, rest)
+        return
+    if pid == 0:
+        os.close(r)
+        _attitude_worker(att, rest, w)
+    os.close(w)
+    done = 0
+    pipe = open(r, "rb")
+    try:
+        for block in rest:
+            n = len(block.t)
+            buf = bytearray(n * (7 * 8 + 1))  # euler and q as float64, flags as uint8
+            if pipe.readinto(buf) < len(buf):
+                break
+            done += 1
+            yield AttitudeTrack(euler=np.frombuffer(buf, np.float64, 3 * n).reshape(n, 3),
+                                q=np.frombuffer(buf, np.float64, 4 * n, 3 * 8 * n).reshape(n, 4),
+                                flags=np.frombuffer(buf, np.uint8, n, 7 * 8 * n))
+    finally:
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+    if done < len(rest):
+        raise RuntimeError(f"the attitude worker (pid {pid}) ended with exit code "
+                           f"{os.waitstatus_to_exitcode(status)} after {done} of its {len(rest)} blocks")
+
+
+def _attitude_worker(att: AttitudeEstimator, blocks: list[ImuArrays], w: int) -> None:
+    """The forked worker's whole life: ``att.run`` of each block, written to
+    the pipe ``w`` as its ``euler``, ``q`` and ``flags`` bytes. It never
+    returns: it ends through ``os._exit``, with status 0 once every block is
+    written or the parent has stopped reading, else 1, after writing the
+    traceback straight to file descriptor 2."""
+    code = 1
+    try:
+        for block in blocks:
+            a = att.run(block)
+            for col in (a.euler, a.q, a.flags):
+                view = memoryview(col).cast("B")
+                while view:
+                    view = view[os.write(w, view):]
+        code = 0
+    except BrokenPipeError:
+        code = 0
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def csv_blocks(row_format: str, cols: np.ndarray):

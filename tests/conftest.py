@@ -1,4 +1,5 @@
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from navfuse.attitude import ImuArrays
 from navfuse.flightsim import SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, gps_track, prepare_gps_reference
-from navfuse.pipeline import FusionOutput
+from navfuse.pipeline import FusionOutput, _usable_cpus
 from navfuse.telemetry import GPS_WIRE, IMU_WIRE, encode_frames, gps_arrays_to_counts, imu_arrays_to_counts
 
 ZERO_NOISE = SensorNoiseModel(
@@ -37,6 +38,27 @@ def std_noisy_flight():
     profile = standard_profile()
     truth, imu, fixes = generate_flight(profile, SensorNoiseModel())
     return profile, truth, imu, fixes
+
+
+@pytest.fixture(scope="session")
+def std_stream_file(std_noisy_flight, tmp_path_factory):
+    """The noisy standard flight as a wire stream file. Its 13,081 rows are
+    five fusion blocks, so fusing it forks the attitude worker."""
+    _, _, imu, gps = std_noisy_flight
+    path = tmp_path_factory.mktemp("std-stream") / "stream.bin"
+    path.write_bytes(build_stream(imu, gps))
+    return path
+
+
+# where the fusion cannot fork its attitude worker, a test of the worker has nothing to test
+needs_worker = pytest.mark.skipif(not hasattr(os, "fork") or _usable_cpus() < 2,
+                                  reason="the attitude worker needs os.fork and two usable CPUs")
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -14,12 +15,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, build_stream, encode_one, interleave, joined, reframe, stream_frames
+from conftest import (
+    assert_same_bits,
+    build_stream,
+    encode_one,
+    interleave,
+    joined,
+    needs_worker,
+    reframe,
+    stream_frames,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import navfuse
-from navfuse import cli, flightsim
+from navfuse import cli, flightsim, pipeline
 from navfuse.cli import main
 from navfuse.flightsim import (
     FlightProfile,
@@ -927,11 +937,12 @@ class TestClosedStdout:
     on stderr, in a child whose stdout is buffered as a pipe's is."""
 
     @staticmethod
-    def child(argv, cfg_path):
+    def child(argv, cfg_path=None):
         src = os.path.dirname(os.path.dirname(navfuse.__file__))
         env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "NAVFUSE_CONFIG")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env["NAVFUSE_CONFIG"] = str(cfg_path)
+        if cfg_path is not None:
+            env["NAVFUSE_CONFIG"] = str(cfg_path)
         return [sys.executable, "-m", "navfuse.cli", *argv], env
 
     @pytest.fixture()
@@ -971,6 +982,28 @@ class TestClosedStdout:
             proc.wait()
         assert lines[0].startswith((b"t_ms,", b"alpha,")) and lines[1].count(b",") >= 3
         assert err == ""
+
+    @needs_worker
+    @pytest.mark.parametrize("lines", [1, pipeline._FIRST_BLOCK_ROWS + 2])
+    def test_reader_closed_early_leaves_no_process(self, std_stream_file, lines):
+        """``live`` on the standard flight forks the attitude worker. A reader
+        that closes after the header, or after the first row of the worker's
+        first block, leaves no process of the run's session behind."""
+        argv, env = self.child(["--mode", "live", "--input", str(std_stream_file)])
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            head = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err.decode()) == (0, "")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert head[0] == FUSED_HEADER.encode() + b"\n" and head[-1].endswith(b"\n")
 
 
 class TestFilterCompare:
@@ -1252,7 +1285,8 @@ class TestStartup:
     fresh interpreter, since this one has imported numpy already."""
 
     # what the CLI loads only in the modes that use it
-    LAZY = ("json", "logging", "numpy.ma", "navfuse.recording", "navfuse.telemetry")
+    LAZY = ("json", "logging", "numpy.ma", "navfuse.recording", "navfuse.telemetry",
+            "multiprocessing", "subprocess", "concurrent.futures")
 
     @staticmethod
     def fresh(argv: list[str], **env: str) -> subprocess.CompletedProcess:
@@ -1311,6 +1345,17 @@ class TestStartup:
         code = f"import os, navfuse.cli as c; assert c.main(['--mode', {mode!r}, '--input', {str(path)!r}, " \
                "'--output', os.devnull]) == 0"
         assert self.loaded_after(code, ("numpy.ma", "navfuse.recording", "navfuse.telemetry")) == [loads]
+
+    @needs_worker
+    def test_attitude_worker_loads_no_mode_module(self, std_stream_file):
+        """A ``live`` run that forks the attitude worker loads the wire decoder
+        alone of ``LAZY``: the worker costs no import."""
+        code = ("import os, navfuse.cli as c\nforks = []\nfork = os.fork\n"
+                "def spy():\n    forks.append(fork())\n    return forks[-1]\n"
+                "os.fork = spy\n"
+                f"assert c.main(['--mode', 'live', '--input', {str(std_stream_file)!r}, '--output', os.devnull]) == 0\n"
+                "assert len(forks) == 1")
+        assert self.loaded_after(code) == ["navfuse.telemetry"]
 
     def test_exit_codes_pass_through_run(self, stream_file, tmp_path):
         empty = tmp_path / "empty.bin"

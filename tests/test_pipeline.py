@@ -1,17 +1,20 @@
+import contextlib
 import dataclasses
 import logging
 import math
+import os
+import signal
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, build_stream, joined
+from conftest import assert_no_child_left, assert_same_bits, build_stream, joined, needs_worker
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from navfuse import cli, pipeline
-from navfuse.attitude import ImuArrays
+from navfuse.attitude import AttitudeEstimator, ImuArrays
 from navfuse.flightsim import FlightProfile, FlightSegment, SensorNoiseModel, generate_flight, standard_profile
 from navfuse.navigation import GpsArrays, NavEstimator
 from navfuse.pipeline import (
@@ -347,6 +350,106 @@ def test_fusion_state_does_not_grow_with_the_stream(long_and_short_streams, gps_
     long, short = long_and_short_streams
     held_after_first_block(*short, cfg)  # so that no one-time allocation lands in either count
     assert held_after_first_block(*long, cfg) - held_after_first_block(*short, cfg) <= 0.25 * 2**20
+
+
+# ---------------------------------------------------------------- the attitude worker
+
+def spy_forks(monkeypatch) -> list[int]:
+    """The pids of the children that ``os.fork`` starts from now on, as the parent sees them."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` out of the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@needs_worker
+@pytest.mark.parametrize("end", ["exhausted", "closed", "consumer_raised"])
+def test_no_process_outlives_the_fusion(std_noisy_flight, end, monkeypatch):
+    """The standard flight is five blocks, the last four fused by one forked
+    worker, which is reaped however the fusion ends: iterated to its end,
+    closed after two blocks, or dropped by a consumer that raises."""
+    _, _, imu, gps = std_noisy_flight
+    forks = spy_forks(monkeypatch)
+    with deadline(60):
+        if end == "exhausted":
+            assert sum(len(out.t) for out in fuse_blocks(imu, gps)) == len(imu.t)
+        elif end == "closed":
+            blocks = fuse_blocks(imu, gps)
+            next(blocks), next(blocks)
+            blocks.close()
+        else:
+            with pytest.raises(KeyError):
+                for k, _ in enumerate(fuse_blocks(imu, gps)):
+                    if k == 2:
+                        raise KeyError(k)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@needs_worker
+@pytest.mark.parametrize("caller", ["fuse_blocks", "cli"])
+def test_a_worker_that_dies_mid_stream_raises(std_noisy_flight, std_stream_file, caller, monkeypatch, tmp_path):
+    """The third ``att.run`` ends its process with exit code 3: the first
+    ran in the parent, so the worker fuses one block and dies in its second.
+    The parent raises ``RuntimeError`` naming the worker, which it has
+    reaped, and the CLI passes it on instead of calling it invalid input."""
+    _, _, imu, gps = std_noisy_flight
+    calls = [0]
+    run = AttitudeEstimator.run
+
+    def dying(self, block):
+        calls[0] += 1
+        if calls[0] == 3:
+            os._exit(3)
+        return run(self, block)
+
+    monkeypatch.setattr(AttitudeEstimator, "run", dying)
+    monkeypatch.delenv("NAVFUSE_CONFIG", raising=False)
+    forks = spy_forks(monkeypatch)
+    with deadline(60), pytest.raises(RuntimeError) as exc:
+        if caller == "cli":
+            cli.main(["--mode", "live", "--input", str(std_stream_file), "--output", str(tmp_path / "out.csv")])
+        else:
+            joined(fuse_blocks(imu, gps))
+    assert str(exc.value) == f"the attitude worker (pid {forks[0]}) ended with exit code 3 after 1 of its 4 blocks"
+    assert_no_child_left()
+
+
+def test_a_failed_fork_fuses_in_process(edge_streams, monkeypatch):
+    """Where no process can be forked, every block is fused in process, to the same bits."""
+    imu, gps = edge_streams
+    monkeypatch.setattr(pipeline, "_FUSE_BLOCK_ROWS", 512)  # four blocks: the worker's three
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    want = joined(fuse_blocks(imu, gps))
+
+    def refuse():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    for got, w in zip(joined(fuse_blocks(imu, gps)), want, strict=True):
+        assert_same_bits(got, w)
 
 
 # ---------------------------------------------------------------- options
