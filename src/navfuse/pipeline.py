@@ -33,16 +33,27 @@ exists and the process may run on two or more CPUs
 block's ``euler``, ``q`` and ``flags`` as raw bytes into a pipe, from which
 the parent reads them back. It is forked when the second block is asked
 for, so the first rows wait for no fork; where the fork fails, every block
-is fused in process. The worker inherits the estimator's state after the
-first block and the columns copy-on-write, and the pipe's buffer (64 KiB
-on Linux) keeps it at most about one block ahead. The same code on the
-same float64 columns runs in either process, so the output is the same
-bytes with or without the worker; there is nothing to configure. The
-worker ends only through ``os._exit``, so it never flushes the stdio
-buffers it inherited nor runs ``atexit``: when it has written every block,
-or when the parent stops reading (``BrokenPipeError``). The parent closes
-the pipe and reaps the worker when the iterator ends, is closed or raises,
-and raises ``RuntimeError`` when the worker ends before its last block.
+is fused in process. The worker pins itself to the upper half of the CPUs
+the process may run on (CPU 1 of 0-1). The parent steps onto the lower half
+and at once takes its whole mask back, which leaves it where it is, so the
+caller's mask never changes. Left alone, the kernel may keep both on one
+CPU: on a 2-vCPU VM, a worker forked from a parent on CPU 1 stayed on CPU 1
+with it while CPU 0 idled, and on navbench's seed-5 ``live`` 3x input
+(37,763 rows) it took 171 ms of wall time for 99 ms of CPU time, 72 ms of
+it on the run queue; apart, its wall time is within 7 ms of its CPU time. A
+worker that pinned itself alone would land on its parent's CPU whenever the
+parent ran on the upper half. Where ``os.sched_setaffinity`` is missing or
+refuses, nothing moves, to the same bytes. The worker inherits the
+estimator's state after the first block and the columns copy-on-write, and
+the pipe's buffer (64 KiB on Linux) keeps it at most about one block ahead.
+The same code on the same float64 columns runs in either process, so the
+output is the same bytes with or without the worker; there is nothing to
+configure. The worker ends only through ``os._exit``, so it never flushes
+the stdio buffers it inherited nor runs ``atexit``: when it has written
+every block, or when the parent stops reading (``BrokenPipeError``). The
+parent closes the pipe and reaps the worker when the iterator ends, is
+closed or raises, and raises ``RuntimeError`` when the worker ends before
+its last block.
 
 ``format_rows`` prints the numeric CSV bodies (fused, truth, filter-compare
 and recording rows) byte for byte as one ``%`` per cell would, with numpy
@@ -243,7 +254,10 @@ def _attitude_tracks(att: AttitudeEstimator, blocks: list[ImuArrays]) -> Iterato
     runs in process; when at least two follow, ``os.fork`` exists and two or
     more CPUs are usable, the rest run in a forked worker one block ahead,
     whose tracks come back through a pipe; where the fork fails, they run in
-    process. Closing the iterator closes the pipe and reaps the worker; a
+    process. The worker pins itself to the upper half of the CPUs and the
+    parent steps onto the lower half, keeping its mask (``_split_cpus``), so
+    that the two do not share a CPU where the kernel would leave them
+    together. Closing the iterator closes the pipe and reaps the worker; a
     worker that ends before its last block raises ``RuntimeError``."""
     yield att.run(blocks[0])
     rest = blocks[1:]
@@ -265,6 +279,7 @@ def _attitude_tracks(att: AttitudeEstimator, blocks: list[ImuArrays]) -> Iterato
     done = 0
     pipe = open(r, "rb")
     try:
+        _split_cpus(worker=False)
         for block in rest:
             n = len(block.t)
             buf = bytearray(n * (7 * 8 + 1))  # euler and q as float64, flags as uint8
@@ -282,14 +297,36 @@ def _attitude_tracks(att: AttitudeEstimator, blocks: list[ImuArrays]) -> Iterato
                            f"{os.waitstatus_to_exitcode(status)} after {done} of its {len(rest)} blocks")
 
 
+def _split_cpus(worker: bool) -> None:
+    """Keep the worker and the parent on disjoint CPUs, best effort. The
+    worker pins itself to the upper half of the CPUs it may run on. The
+    parent moves to the lower half and at once takes its whole mask back,
+    so the caller's mask never changes: the kernel leaves a task on its
+    CPU while its mask holds that CPU. Where ``os.sched_setaffinity`` is
+    missing or refuses, nothing moves, to the same bytes."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        half = len(cpus) // 2
+        os.sched_setaffinity(0, cpus[half:] if worker else cpus[:half])
+        if not worker:
+            os.sched_setaffinity(0, mask)
+    except OSError:
+        pass
+
+
 def _attitude_worker(att: AttitudeEstimator, blocks: list[ImuArrays], w: int) -> None:
-    """The forked worker's whole life: ``att.run`` of each block, written to
-    the pipe ``w`` as its ``euler``, ``q`` and ``flags`` bytes. It never
-    returns: it ends through ``os._exit``, with status 0 once every block is
-    written or the parent has stopped reading, else 1, after writing the
-    traceback straight to file descriptor 2."""
+    """The forked worker's whole life: it pins itself to the upper half of
+    the CPUs it may run on (``_split_cpus``), then writes ``att.run`` of
+    each block to the pipe ``w`` as its ``euler``, ``q`` and ``flags``
+    bytes. It never returns: it ends through ``os._exit``, with status 0
+    once every block is written or the parent has stopped reading, else 1,
+    after writing the traceback straight to file descriptor 2."""
     code = 1
     try:
+        _split_cpus(worker=True)
         for block in blocks:
             a = att.run(block)
             for col in (a.euler, a.q, a.flags):

@@ -409,6 +409,74 @@ def test_no_process_outlives_the_fusion(std_noisy_flight, end, monkeypatch):
 
 
 @needs_worker
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask to read")
+@pytest.mark.parametrize("end", ["exhausted", "closed", "consumer_raised"])
+def test_the_worker_pins_itself_to_the_upper_half_of_the_cpus(std_noisy_flight, end, monkeypatch):
+    """Once two blocks are pulled the worker is alive, blocked on the full
+    pipe, and may run on the upper half of the parent's CPUs only. The
+    parent steps onto the lower half and takes its whole mask back at once,
+    so its mask is the same while it fuses and however the fusion ends."""
+    _, _, imu, gps = std_noisy_flight
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    lower, upper = set(cpus[:len(cpus) // 2]), set(cpus[len(cpus) // 2:])
+    set_affinity, parent_sets = os.sched_setaffinity, []
+
+    def spy(pid, cpus):
+        parent_sets.append((pid, set(cpus)))  # the worker's calls land in its own copy of the list
+        set_affinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    forks = spy_forks(monkeypatch)
+    masks = []
+    with deadline(60):
+        if end == "closed":
+            blocks = fuse_blocks(imu, gps)
+            next(blocks), next(blocks)
+            masks.append((os.sched_getaffinity(forks[0]), os.sched_getaffinity(0)))
+            blocks.close()
+        else:
+            with pytest.raises(KeyError) if end == "consumer_raised" else contextlib.nullcontext():
+                for k, _ in enumerate(fuse_blocks(imu, gps)):
+                    if k == 1:
+                        masks.append((os.sched_getaffinity(forks[0]), os.sched_getaffinity(0)))
+                        if end == "consumer_raised":
+                            raise KeyError(k)
+    assert masks == [(upper, mask)]
+    assert masks[0][0].isdisjoint(lower)
+    assert parent_sets == [(0, lower), (0, mask)]
+    assert os.sched_getaffinity(0) == mask
+    assert_no_child_left()
+
+
+@needs_worker
+@pytest.mark.parametrize("pin", ["refused", "missing"])
+def test_a_worker_that_cannot_pin_itself_fuses_unpinned(std_noisy_flight, pin, monkeypatch):
+    """The pin is best effort: where ``os.sched_setaffinity`` raises
+    ``OSError`` (the worker inherits the patch) or does not exist, the worker
+    runs unpinned and gives the bits of the fusion in process."""
+    _, _, imu, gps = std_noisy_flight
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_usable_cpus", lambda: 1)
+        want = joined(fuse_blocks(imu, gps))
+
+    def refuse(pid, cpus):
+        raise PermissionError("not allowed to set the mask")
+
+    if pin == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    forks = spy_forks(monkeypatch)
+    with deadline(60):
+        got = joined(fuse_blocks(imu, gps))
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@needs_worker
 @pytest.mark.parametrize("caller", ["fuse_blocks", "cli"])
 def test_a_worker_that_dies_mid_stream_raises(std_noisy_flight, std_stream_file, caller, monkeypatch, tmp_path):
     """The third ``att.run`` ends its process with exit code 3: the first
