@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import io
 import math
 import os
 import sys
@@ -137,18 +136,9 @@ def _read_grid(text: str, cfg: FusionConfig) -> list[float]:
     return values
 
 
-def _read_input_recording(path: str):
-    """A recording from a path, or from stdin for '-', which is read as a
-    file is: UTF-8, line ends kept."""
-    from .recording import read_recording
-
-    if path != "-":
-        return read_recording(path)
-    stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
-    try:
-        return read_recording(stdin)
-    finally:
-        stdin.detach()  # leaves sys.stdin open
+def _read_input(path: str | None) -> bytes:
+    """The bytes of ``--input``: stdin's for '-' or no path."""
+    return sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes()
 
 
 def _output(path: str | None):
@@ -179,8 +169,7 @@ def cmd_live(cfg: FusionConfig, run: dict, save=None) -> int:
     first row, to stdout."""
     from .telemetry import decode_stream
 
-    path = run["input"]
-    imu, gps, lines = decode_stream(sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes())
+    imu, gps, lines = decode_stream(_read_input(run["input"]))
     sys.stderr.write("".join(lines))
     if len(imu.t) == 0:
         print("navfuse: no valid IMU frames in input", file=sys.stderr)
@@ -214,7 +203,9 @@ def cmd_replay(cfg: FusionConfig, run: dict) -> int:
     if not run["input"]:
         print("navfuse: replay mode needs --input", file=sys.stderr)
         return EXIT_INPUT
-    rec = _read_input_recording(run["input"])
+    from .recording import read_recording
+
+    rec = read_recording(_read_input(run["input"]))
     cfg = dataclasses.replace(cfg, gps_mode="replay")
     t_ms = rec.imu.t_ms
     lo = 0 if run["from_ms"] is None else np.searchsorted(t_ms, run["from_ms"])
@@ -266,7 +257,9 @@ def cmd_sweep(cfg: FusionConfig, run: dict) -> int:
 
 def cmd_filter_compare(cfg: FusionConfig, run: dict) -> int:
     if run["input"]:
-        imu = _read_input_recording(run["input"]).imu
+        from .recording import read_recording
+
+        imu = read_recording(_read_input(run["input"])).imu
         if len(imu.t) == 0:
             print("navfuse: recording has no rows", file=sys.stderr)
             return EXIT_EMPTY

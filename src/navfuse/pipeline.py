@@ -27,8 +27,9 @@ The attitude pass, the largest layer, runs one block ahead of the rest in
 a forked worker, so that on two CPUs it overlaps the GPS reference, the
 nav passes and the formatting, which read only its ``q``. The first block
 is fused in process; then, when at least two blocks follow, ``os.fork``
-exists and the process may run on two or more CPUs
-(``os.sched_getaffinity``, else ``os.cpu_count``), one child process runs
+exists, the process may run on two or more CPUs
+(``os.sched_getaffinity``, else ``os.cpu_count``), SIGCHLD is not ignored
+and the process runs one Python thread, one child process runs
 ``AttitudeEstimator.run`` over the remaining blocks and writes each
 block's ``euler``, ``q`` and ``flags`` as raw bytes into a pipe, from which
 the parent reads them back. It is forked when the second block is asked
@@ -251,17 +252,24 @@ def _usable_cpus() -> int:
 
 def _attitude_tracks(att: AttitudeEstimator, blocks: list[ImuArrays]) -> Iterator[AttitudeTrack]:
     """``att.run`` of each of ``blocks`` (at least one) in turn. The first
-    runs in process; when at least two follow, ``os.fork`` exists and two or
-    more CPUs are usable, the rest run in a forked worker one block ahead,
-    whose tracks come back through a pipe; where the fork fails, they run in
+    runs in process; when at least two follow, ``os.fork`` exists, two or
+    more CPUs are usable, SIGCHLD is not ignored and the process runs one
+    Python thread, the rest run in a forked worker one block ahead, whose
+    tracks come back through a pipe; where the fork fails, they run in
     process. The worker pins itself to the upper half of the CPUs and the
     parent steps onto the lower half, keeping its mask (``_split_cpus``), so
     that the two do not share a CPU where the kernel would leave them
     together. Closing the iterator closes the pipe and reaps the worker; a
     worker that ends before its last block raises ``RuntimeError``."""
+    import signal
+    import threading
+
     yield att.run(blocks[0])
     rest = blocks[1:]
-    if len(rest) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    # with SIGCHLD ignored the kernel reaps the worker itself, so that waitpid
+    # fails; a fork beside another thread copies whatever lock it holds
+    if (len(rest) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2
+            or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN or threading.active_count() > 1):
         yield from map(att.run, rest)
         return
     r, w = os.pipe()

@@ -32,12 +32,11 @@ blocks of whole lines of at most ``PIPE_BUF`` bytes, carried across the
 formatter's blocks and each flushed as it is written, so an interrupted
 recording is still a valid (shorter) file, also when the reader is a pipe.
 
-A well-formed recording is read as columns: one ``np.loadtxt`` call over the
-body, then column checks (``_read_columns``). Whatever that parse cannot
-vouch for (a damaged row, a cell that numpy and Python read differently,
-blank lines, CR line ends) is read by the line walk (``_read_lines``), which
-gives the same result or names the bad line. Lines end at LF, CRLF or a
-lone CR, whatever the source.
+A recording is read from its bytes, as columns where it is well formed: one
+``np.loadtxt`` call over the body, then column checks (``_read_columns``).
+Whatever that parse cannot vouch for (a damaged row, a cell that numpy and
+Python read differently, blank lines, CR line ends) the line walk
+(``_read_lines``) reads as UTF-8, to the same result or naming the bad line.
 """
 
 from __future__ import annotations
@@ -187,50 +186,51 @@ def _recording(t_ms, sensors, has_mag, fixes, fix_lines, metadata) -> FlightReco
 
 
 def read_recording(source) -> FlightRecording:
-    """Parse a recording from a path or text file; a damaged one raises
-    RecordingFormatError or TimestampOrderError naming the line."""
+    """Parse a recording from its bytes, a path or a (text) file; a damaged
+    one raises RecordingFormatError or TimestampOrderError naming the line,
+    bytes that are not UTF-8 UnicodeDecodeError."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            return read_recording(f)
-    text = source.read()
-    rec = _read_columns(text)
-    return _read_lines(text) if rec is None else rec
+        source = Path(source).read_bytes()
+    data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, str):  # a text file's; a lone surrogate spells bytes that are no UTF-8
+        return _read_columns(data.encode("utf-8", "surrogatepass")) or _read_lines(data)
+    return _read_columns(data) or _read_lines(data.decode("utf-8"))
 
 
-def _read_columns(text: str) -> FlightRecording | None:
+def _read_columns(data: bytes) -> FlightRecording | None:
     """The recording parsed as columns, or None where this parse cannot vouch
-    that ``_read_lines`` reads ``text`` the same way.
+    that ``_read_lines`` reads ``data`` the same way.
 
-    It takes LF-ended ``#`` lines, the header, then rows of 16 cells that
-    hold only ``_CELL_BYTES``: there numpy reads a number as Python's
+    It takes LF-ended UTF-8 ``#`` lines, the header, then rows of 16 cells
+    that hold only ``_CELL_BYTES``: there numpy reads a number as Python's
     ``int()`` or ``float()`` does, or refuses it.
     """
     metadata: dict[str, str] = {}
     pos = line_no = 0
     while True:
-        end = text.find("\n", pos)
-        line = text[pos:end]
+        end = data.find(b"\n", pos)
+        line = data[pos:end]
         line_no += 1
         pos = end + 1
-        if end < 0 or "\r" in line:
+        if end < 0 or b"\r" in line:
             return None
-        if line == HEADER:
+        if line == HEADER.encode():
             break
-        if not line.startswith("#"):
+        if not line.startswith(b"#"):
             return None
-        _put_metadata(line, metadata)
-    body = text[pos:]
-    if not body.isascii():
-        return None
-    data = body.encode("ascii")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    if data.translate(None, _CELL_BYTES):
+        try:
+            _put_metadata(line.decode("utf-8"), metadata)
+        except UnicodeDecodeError:
+            return None
+    body = data[pos:]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if body.translate(None, _CELL_BYTES):
         return None
     # the separators of every row: 15 commas, then its LF ("," and LF are
     # the only _CELL_BYTES up to ",")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    n = data.count(b"\n")
+    buf = np.frombuffer(body, dtype=np.uint8)
+    n = body.count(b"\n")
     sep = np.flatnonzero(buf <= ord(","))
     if len(sep) != _NCOLS * n:
         return None
@@ -242,14 +242,13 @@ def _read_columns(text: str) -> FlightRecording | None:
         return None
     # three empty mag cells read as zeros: a "0" goes before each of their commas
     no_mag = sep[:, 9] - sep[:, 6] == 3
-    if no_mag.any():
-        data = np.insert(buf, sep[no_mag, 7:10].ravel(), ord("0")).tobytes()
+    cells = np.insert(buf, sep[no_mag, 7:10].ravel(), ord("0")).tobytes() if no_mag.any() else body
     with warnings.catch_warnings():
         # numpy 1.23-1.24 read an int cell such as "1.0" through float, with
         # a DeprecationWarning; int() refuses it
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(io.BytesIO(data), dtype=_ROW, delimiter=",",
+            rows = np.loadtxt(io.BytesIO(cells), dtype=_ROW, delimiter=",",
                               usecols=tuple(range(10)), ndmin=1)
         except (ValueError, Warning):
             return None
@@ -262,7 +261,7 @@ def _read_columns(text: str) -> FlightRecording | None:
         start = sep[r - 1, -1] + 1 if r else 0
         fix_lines.append(line_no + 1 + r)
         try:
-            fixes.append(_fix(body[start:sep[r, -1]].split(","), int(t_ms[r]), fix_lines[-1]))
+            fixes.append(_fix(body[start:sep[r, -1]].decode().split(","), int(t_ms[r]), fix_lines[-1]))
         except RecordingFormatError:
             return None
     return _recording(t_ms, sensors, (~no_mag).astype(np.uint8), fixes, fix_lines, metadata)

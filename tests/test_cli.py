@@ -566,15 +566,20 @@ class TestRecordReplay:
     @pytest.mark.parametrize("mode", ["replay", "filter-compare"])
     def test_dash_input_reads_stdin_as_the_file(self, mode, recorded, capsys, tmp_path, monkeypatch):
         rec_path, _, _ = recorded
-        # stdin keeps CRLF line ends, as reading the file does
-        crlf = tmp_path / "crlf.csv"
-        crlf.write_bytes(rec_path.read_bytes().replace(b"\n", b"\r\n"))
+        # stdin keeps CRLF line ends, as reading the file does, and a byte
+        # that is no UTF-8 is refused alike, at its offset in the file
+        data = rec_path.read_bytes()
+        crlf, bad = tmp_path / "crlf.csv", tmp_path / "bad.csv"
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        at = len(data) // 2
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        refused = f"navfuse: invalid input: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
         monkeypatch.chdir(tmp_path)
-        for path in (rec_path, crlf):
-            code, from_file, _ = run_cli(["--mode", mode, "--input", str(path)], capsys)
-            assert code == 0
+        for path in (rec_path, crlf, bad):
+            from_file = run_cli(["--mode", mode, "--input", str(path)], capsys)
+            assert from_file == (2, "", refused) if path == bad else from_file[0] == 0
             monkeypatch.setattr(sys, "stdin", type("F", (), {"buffer": io.BytesIO(path.read_bytes())})())
-            assert run_cli(["--mode", mode, "--input", "-"], capsys)[:2] == (0, from_file)
+            assert run_cli(["--mode", mode, "--input", "-"], capsys) == from_file
         assert not (tmp_path / "-").exists()
 
     def test_malformed_recording_exit_2(self, capsys, tmp_path):
@@ -1004,6 +1009,19 @@ class TestClosedStdout:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         assert head[0] == FUSED_HEADER.encode() + b"\n" and head[-1].endswith(b"\n")
+
+
+def test_live_with_sigchld_ignored_prints_the_default_run(std_stream_file):
+    """Started with SIGCHLD ignored (``trap '' CHLD``), where the kernel would
+    reap an attitude worker before the parent could wait for it, ``live``
+    fuses the standard flight in process, to the bytes of a default run."""
+    argv, env = TestClosedStdout.child(["--mode", "live", "--input", str(std_stream_file)])
+    default = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    ignored = subprocess.run(argv, env=env, capture_output=True, timeout=60,
+                             preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+    assert (default.returncode, default.stderr) == (0, b"")
+    assert (ignored.returncode, ignored.stderr.decode()) == (0, "")
+    assert ignored.stdout == default.stdout
 
 
 class TestFilterCompare:

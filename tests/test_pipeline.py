@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -502,6 +503,38 @@ def test_a_worker_that_dies_mid_stream_raises(std_noisy_flight, std_stream_file,
         else:
             joined(fuse_blocks(imu, gps))
     assert str(exc.value) == f"the attitude worker (pid {forks[0]}) ended with exit code 3 after 1 of its 4 blocks"
+    assert_no_child_left()
+
+
+@needs_worker
+@pytest.mark.parametrize("rule", ["sigchld_ignored", "second_thread"])
+def test_no_worker_is_forked_where_forking_is_unsafe(std_noisy_flight, rule, monkeypatch):
+    """With SIGCHLD ignored the kernel reaps a child before its parent can
+    wait for it, and a fork beside a second thread copies whatever lock that
+    thread holds: there every block is fused in process, to the same bits."""
+    _, _, imu, gps = std_noisy_flight
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_usable_cpus", lambda: 1)
+        want = joined(fuse_blocks(imu, gps))
+    forks = spy_forks(monkeypatch)
+    old = signal.getsignal(signal.SIGCHLD)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if rule == "sigchld_ignored":
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    else:
+        thread.start()
+    try:
+        with deadline(60):
+            got = joined(fuse_blocks(imu, gps))
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+        stop.set()
+        if rule == "second_thread":
+            thread.join()
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+    assert forks == []
     assert_no_child_left()
 
 

@@ -438,9 +438,17 @@ def test_column_parse_reads_as_the_line_walk(mutations):
     # read_recording parses columns and walks only what that parse refuses
     # (None); either way it must match the walk bit for bit, or its error
     text = mutated(mutations)
+    data = text.encode("utf-8", "surrogatepass")  # as read_recording spells a text file
     walked = outcome(_read_lines, text)
     assert outcome(lambda t: read_recording(io.StringIO(t)), text) == walked
-    assert outcome(_read_columns, text) in (None, walked)
+    assert outcome(_read_columns, data) in (None, walked)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: its bytes are no UTF-8, which a file's must be
+        with pytest.raises(UnicodeDecodeError):
+            read_recording(data)
+    else:
+        assert outcome(read_recording, data) == walked
 
 
 def test_written_recording_is_parsed_as_columns(tmp_path):
@@ -451,9 +459,9 @@ def test_written_recording_is_parsed_as_columns(tmp_path):
                        alt=[math.nan, math.nan, 7.0])
     path = tmp_path / "rec.csv"
     write_recording(stream, fixes, path, {"seed": "5"})
-    text = path.read_text()
-    assert outcome(_read_columns, text) == outcome(_read_lines, text)
-    rec = _read_columns(text)
+    data = path.read_bytes()
+    assert outcome(_read_columns, data) == outcome(_read_lines, data.decode())
+    rec = _read_columns(data)
     assert rec.imu.has_mag.tolist() == has_mag.tolist()
     assert rec.imu.mag[has_mag == 0].tolist() == [[0.0, 0.0, 0.0]] * 3
     assert np.isnan(rec.gps.course).tolist() == [True, False, True]
